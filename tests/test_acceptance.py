@@ -97,19 +97,6 @@ def load_truth(input_root, out_root):
     return norm_books, spans
 
 
-@pytest.fixture(scope="module")
-def noiseless_run(tmp_path_factory):
-    root = tmp_path_factory.mktemp("accept1")
-    t0 = time.perf_counter()
-    cfg, report = run_synth_pipeline(
-        root,
-        noise=0.0,
-        params=SynthParams(n_books=20, words_per_book=5000, speakers_per_gender=6),
-    )
-    elapsed = time.perf_counter() - t0
-    return root, cfg, report, elapsed
-
-
 # ---------------------------------------------------------------------------
 # criteria
 
