@@ -23,11 +23,12 @@ from .manifest import (
     CANDIDATE_COLUMNS,
     ManifestRow,
     ProvenanceError,
+    candidate_row,
     read_manifest,
     write_manifest,
     write_tsv,
 )
-from .pipeline import StageError, run_pipeline, stage_limited, stage_split
+from .pipeline import StageError, read_books, run_pipeline, stage_limited, stage_split
 from .segmenter import read_token_stream, segment_stream
 from .textnorm import Orthography, default_orthography, normalize_lines
 
@@ -102,40 +103,15 @@ def cmd_segment(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    books = {}
-    for path in sorted(Path(args.books).glob("*.txt")):
-        books[path.stem] = path.read_text(encoding="utf-8").split()
+    books = read_books(args.books)
     if not books:
         print(f"no normalized books under {args.books}", file=sys.stderr)
         return 2
-    seg_rows = read_manifest(args.pseudo)
-    by_book = {}
-    for row in seg_rows:
-        by_book.setdefault(row.book_id, []).append(row)
-    out_rows = []
-    for book_id in sorted(by_book):
-        words = books.get(book_id)
-        if not words:
-            continue
-        shards = rt.shard_book(
-            words, book_id, shard_size=args.shard_size, shard_stride=args.stride
-        )
-        index = rt.build_index(shards)
-        for row in by_book[book_id]:
-            pseudo = row.transcript.split()
-            found = rt.retrieve_transcript(words, shards, index, pseudo) if pseudo else None
-            if found is None:
-                continue
-            cand_words, span, _ = found
-            if not cand_words:
-                continue
-            rate = rt.wer(cand_words, pseudo)
-            out_rows.append(
-                (row.segment_id, book_id, span[0], span[1], f"{rate:.6f}",
-                 str(rate <= args.wer_threshold).lower(), " ".join(cand_words))
-            )
-    write_tsv(args.out, CANDIDATE_COLUMNS, out_rows, ADHOC_HASH)
-    print(f"wrote {len(out_rows)} candidates")
+    candidates, _misses = rt.retrieve_candidates(
+        books, read_manifest(args.pseudo), args.shard_size, args.stride, args.wer_threshold
+    )
+    write_tsv(args.out, CANDIDATE_COLUMNS, [candidate_row(c) for c in candidates], ADHOC_HASH)
+    print(f"wrote {len(candidates)} candidates")
     return 0
 
 

@@ -60,7 +60,7 @@ def title_match(candidate_title, heldout_titles) -> bool:
     """True when the word edit distance to any held-out title is < 2."""
     candidate = list(candidate_title)
     for title in heldout_titles:
-        if edit_distance(candidate, list(title)) < TITLE_DISTANCE_LIMIT:
+        if edit_distance(candidate, title) < TITLE_DISTANCE_LIMIT:
             return True
     return False
 

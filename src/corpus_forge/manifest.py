@@ -37,6 +37,13 @@ CANDIDATE_COLUMNS = (
 PARTITIONS = ("train", "dev", "test", "unassigned")
 
 
+def candidate_row(c) -> tuple:
+    """A ``retrieval.CandidateTranscript`` as one CANDIDATE_COLUMNS row."""
+    book_id, (start, end) = c.source
+    wer, accepted = f"{c.pseudo_wer:.6f}", str(c.accepted).lower()
+    return (c.segment_id, book_id, start, end, wer, accepted, " ".join(c.words))
+
+
 class ProvenanceError(ValueError):
     """Raised when a file's config hash does not match the active run."""
 

@@ -11,6 +11,7 @@ top-level seed, split per stage.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from . import decontam as dc
@@ -22,6 +23,7 @@ from .manifest import (
     CANDIDATE_COLUMNS,
     ManifestRow,
     ProvenanceError,
+    candidate_row,
     read_manifest,
     read_tsv,
     write_manifest,
@@ -184,58 +186,25 @@ def stage_segment(cfg: PipelineConfig) -> dict:
     return summary
 
 
-def _load_normalized_books(cfg: PipelineConfig) -> dict[str, list[str]]:
-    src = _stage_dir(cfg, "normalize")
-    books = {}
-    for path in sorted(src.glob("*.txt")):
-        books[path.stem] = path.read_text(encoding="utf-8").split()
-    return books
+def read_books(directory) -> dict[str, list[str]]:
+    """book_id -> words of every normalized ``<book_id>.txt`` in a directory."""
+    return {
+        path.stem: path.read_text(encoding="utf-8").split()
+        for path in sorted(Path(directory).glob("*.txt"))
+    }
 
 
 def stage_retrieve(cfg: PipelineConfig) -> dict:
     _check_provenance(cfg, "normalize")
     _check_provenance(cfg, "segment")
-    books = _load_normalized_books(cfg)
+    books = read_books(_stage_dir(cfg, "normalize"))
     seg_rows = read_manifest(
         _stage_dir(cfg, "segment") / "segments.tsv", cfg.config_hash()
     )
-    by_book: dict[str, list[ManifestRow]] = {}
-    for row in seg_rows:
-        by_book.setdefault(row.book_id, []).append(row)
-
-    out_rows = []
-    misses = 0
-    for book_id in sorted(by_book):
-        words = books.get(book_id)
-        if not words:
-            misses += len(by_book[book_id])
-            continue
-        shards = rt.shard_book(
-            words, book_id, shard_size=cfg.shard_size, shard_stride=cfg.shard_stride
-        )
-        index = rt.build_index(shards)
-        for row in by_book[book_id]:
-            pseudo = row.transcript.split()
-            found = rt.retrieve_transcript(words, shards, index, pseudo) if pseudo else None
-            if found is None:
-                misses += 1
-                continue
-            cand_words, span, _aligned = found
-            if not cand_words:
-                misses += 1
-                continue
-            rate = rt.wer(cand_words, pseudo)
-            out_rows.append(
-                (
-                    row.segment_id,
-                    book_id,
-                    span[0],
-                    span[1],
-                    f"{rate:.6f}",
-                    str(rate <= cfg.wer_threshold).lower(),
-                    " ".join(cand_words),
-                )
-            )
+    candidates, misses = rt.retrieve_candidates(
+        books, seg_rows, cfg.shard_size, cfg.shard_stride, cfg.wer_threshold
+    )
+    out_rows = [candidate_row(c) for c in candidates]
     out = _stage_dir(cfg, "retrieve")
     out.mkdir(parents=True, exist_ok=True)
     write_tsv(out / "candidates.tsv", CANDIDATE_COLUMNS, out_rows, cfg.config_hash())
@@ -246,7 +215,7 @@ def stage_retrieve(cfg: PipelineConfig) -> dict:
 
 def stage_postprocess(cfg: PipelineConfig) -> dict:
     _check_provenance(cfg, "retrieve")
-    books = _load_normalized_books(cfg)
+    books = read_books(_stage_dir(cfg, "normalize"))
     book_freq = rt.build_book_frequencies(books)
     seg_rows = read_manifest(
         _stage_dir(cfg, "segment") / "segments.tsv", cfg.config_hash()
@@ -265,10 +234,9 @@ def stage_postprocess(cfg: PipelineConfig) -> dict:
         pseudo = pseudo_of.get(seg_id, [])
         if not fixed or not pseudo:
             continue
-        rate = rt.wer(fixed, pseudo)
+        source = (book_id, (int(off_s), int(off_e)))
         out_rows.append(
-            (seg_id, book_id, off_s, off_e, f"{rate:.6f}",
-             str(rate <= cfg.wer_threshold).lower(), " ".join(fixed))
+            candidate_row(rt.accept_candidate(fixed, pseudo, cfg.wer_threshold, seg_id, source))
         )
     out = _stage_dir(cfg, "postprocess")
     out.mkdir(parents=True, exist_ok=True)
@@ -308,20 +276,9 @@ def _accepted_segments(cfg: PipelineConfig):
         base = seg_of.get(seg_id)
         if base is None:
             continue
-        joined.append(
-            ManifestRow(
-                segment_id=seg_id,
-                book_id=book_id,
-                chapter_id=base.chapter_id,
-                speaker_id=base.speaker_id,
-                gender=base.gender,
-                start_ms=base.start_ms,
-                end_ms=base.end_ms,
-                transcript=transcript,
-                wer=float(wer_s),
-                partition="unassigned",
-            )
-        )
+        joined.append(replace(
+            base, book_id=book_id, transcript=transcript, wer=float(wer_s), partition="unassigned"
+        ))
     joined.sort(key=lambda r: r.segment_id)
     return joined
 
@@ -430,20 +387,7 @@ def stage_split(cfg: PipelineConfig) -> dict:
         kept = assignment.kept_segments.get(r.speaker_id)
         if kept is not None and r.segment_id not in kept:
             continue
-        final_rows.append(
-            ManifestRow(
-                segment_id=r.segment_id,
-                book_id=r.book_id,
-                chapter_id=r.chapter_id,
-                speaker_id=r.speaker_id,
-                gender=r.gender,
-                start_ms=r.start_ms,
-                end_ms=r.end_ms,
-                transcript=r.transcript,
-                wer=r.wer,
-                partition=part,
-            )
-        )
+        final_rows.append(replace(r, partition=part))
 
     mdir = _manifest_dir(cfg)
     mdir.mkdir(parents=True, exist_ok=True)
@@ -511,24 +455,7 @@ def stage_limited(cfg: PipelineConfig) -> dict:
     mdir = _manifest_dir(cfg)
 
     def relabel(ids, label):
-        rows = []
-        for seg_id in sorted(ids):
-            r = by_id[seg_id]
-            rows.append(
-                ManifestRow(
-                    segment_id=r.segment_id,
-                    book_id=r.book_id,
-                    chapter_id=r.chapter_id,
-                    speaker_id=r.speaker_id,
-                    gender=r.gender,
-                    start_ms=r.start_ms,
-                    end_ms=r.end_ms,
-                    transcript=r.transcript,
-                    wer=r.wer,
-                    partition=label,
-                )
-            )
-        return rows
+        return [replace(by_id[seg_id], partition=label) for seg_id in sorted(ids)]
 
     for i, members in enumerate(sets.ten_minute, start=1):
         write_manifest(
@@ -567,7 +494,7 @@ def _stopwords(cfg: PipelineConfig):
 def stage_decontam(cfg: PipelineConfig) -> dict:
     _check_provenance(cfg, "split")
     books_meta, _ = _load_metadata(cfg)
-    books = _load_normalized_books(cfg)
+    books = read_books(_stage_dir(cfg, "normalize"))
     dev_rows = read_manifest(_manifest_dir(cfg) / "dev.tsv", cfg.config_hash())
     test_rows = read_manifest(_manifest_dir(cfg) / "test.tsv", cfg.config_hash())
     heldout_rows = dev_rows + test_rows

@@ -2,11 +2,14 @@
 
 Books are split into overlapping word-window shards (1250 words, stride
 1000), indexed by tf-idf over word bigrams, and queried with the pseudo
-label. The winning shard window is aligned to the pseudo label with a local
-Smith-Waterman (match 2, substitution/insertion/deletion -1); digit words of
-the matched book text are replaced from the aligned pseudo words; candidates
-are accepted when their word error rate against the pseudo label does not
-exceed the threshold (default 40%).
+label. Indexing a book also interns it once into int32 word ids. The
+pseudo label is encoded in the same vocabulary, where words the book lacks
+get an id no book word has, and aligned to a view of the winning window's
+ids with a local Smith-Waterman (match 2, substitution/insertion/deletion
+-1). Digit words of the matched book text are replaced from the aligned
+pseudo words. Candidates are accepted when their word error rate against
+the pseudo label does not exceed the threshold (default 40%); the rate
+comes from a bit-parallel Levenshtein distance (Myers 1999; Hyyrö 2003).
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +27,7 @@ DEFAULT_WER_THRESHOLD = 0.40
 DEFAULT_RARE_THRESHOLD = 3
 
 HYPHEN_SPLIT_CHARS = "-‐"
+ABSENT_ID = -1  # id of a query word the book does not contain; matches nothing
 
 
 @dataclass(frozen=True)
@@ -115,6 +120,17 @@ class TfIdfIndex:
             raise ValueError("cannot index zero shards")
         self.shards = list(shards)
         self.n_shards = len(shards)
+        # the book as its shards cover it, interned once into int32 word ids
+        vocab: dict[str, int] = {}
+        self.vocab = vocab
+        book_len = max(s.word_offset + len(s.words) for s in shards)
+        self.book_ids = np.full(book_len, ABSENT_ID, dtype=np.int32)
+        covered = 0
+        for shard in sorted(self.shards, key=lambda s: s.word_offset):
+            start = max(covered, shard.word_offset)
+            covered = max(covered, shard.word_offset + len(shard.words))
+            fresh = shard.words[start - shard.word_offset :]
+            self.book_ids[start:covered] = [vocab.setdefault(w, len(vocab)) for w in fresh]
         self.df: dict[tuple[str, str], int] = {}
         tfs = []
         for shard in self.shards:
@@ -137,6 +153,11 @@ class TfIdfIndex:
                 self.postings.setdefault(gram, []).append((i, weight))
                 self.norms[i] += weight * weight
         self.norms = [math.sqrt(v) for v in self.norms]
+
+    def encode(self, words) -> np.ndarray:
+        """Word ids of ``words`` in this book's vocabulary (ABSENT_ID for
+        words the book does not contain)."""
+        return np.array([self.vocab.get(w, ABSENT_ID) for w in words], dtype=np.int32)
 
     def query_vector(self, words) -> tuple[dict[tuple[str, str], float], bool]:
         """(vector, tf_fallback?): the weighted query vector, or the raw-tf
@@ -198,67 +219,68 @@ def smith_waterman(
 ) -> AlignmentResult:
     """Word-level local alignment by the standard zero-clamped DP.
 
-    Among equal-score alignments the one with the smallest reference start
-    wins, then the shortest reference span. The score table is filled
-    row-wise with vectorized recurrences; the in-row gap chain is resolved
-    with a prefix-max scan (valid because the gap penalty is linear).
+    ``query`` and ``reference`` are two integer id arrays (retrieval passes
+    the pseudo label encoded in the book's vocabulary and a view of the
+    book's ids) or two sequences of hashable tokens, interned here. The
+    int32 table is filled row-wise in coordinates G = H - gap*j, where the
+    linear gap chain is a prefix maximum; the best cells come from the row
+    maxima and are traced back over plain ints. Among equal-score
+    alignments the smallest reference start wins, then the shortest
+    reference span, the smallest query start and the earliest end cell.
     """
-    query = list(query)
-    reference = list(reference)
-    if not query or not reference:
+    if not len(query) or not len(reference):
         raise ValueError("query and reference must be non-empty")
     if gap >= 0 or mismatch >= match:
         raise ValueError("scores must satisfy gap < 0 and mismatch < match")
+    q_ids, r_ids = query, reference
+    if not (isinstance(q_ids, np.ndarray) and isinstance(r_ids, np.ndarray)):
+        ids: dict = {}  # one vocabulary for both sides
+        q_ids, r_ids = (
+            np.array([ids.setdefault(w, len(ids)) for w in seq], dtype=np.int32)
+            for seq in (query, reference)
+        )
+    n, m = len(q_ids), len(r_ids)
+    if (match - mismatch - gap) * (n + m + 2) >= 2**31:
+        raise ValueError("scores too large for an int32 alignment table")
 
-    ids: dict[str, int] = {}
-    q_ids = np.array([ids.setdefault(w, len(ids)) for w in query], dtype=np.int64)
-    r_ids = np.array([ids.setdefault(w, len(ids)) for w in reference], dtype=np.int64)
-    n, m = len(query), len(reference)
-
-    H = np.zeros((n + 1, m + 1), dtype=np.int64)
-    cols = np.arange(1, m + 1, dtype=np.int64)
-    gap_ramp = gap * cols
+    # diagonal step in G coordinates: H[i-1, j-1] + s - gap*j = G[i-1, j-1] + s - gap
+    step = np.multiply(q_ids[:, None] == r_ids, np.int32(match - mismatch), dtype=np.int32)
+    step += np.int32(mismatch - gap)
+    floor = np.arange(m + 1, dtype=np.int32) * np.int32(-gap)  # G of H == 0
+    G = np.empty((n + 1, m + 1), dtype=np.int32)
+    G[0] = floor
+    G[:, 0] = 0
     for i in range(1, n + 1):
-        sub = np.where(r_ids == q_ids[i - 1], match, mismatch)
-        cand = np.maximum(H[i - 1, :m] + sub, H[i - 1, 1:] + gap)
-        np.maximum(cand, 0, out=cand)
-        # H[i, j] = max_{k<=j}(cand[k] + gap*(j-k)): prefix-max on cand - gap*k
-        H[i, 1:] = np.maximum.accumulate(cand - gap_ramp) + gap_ramp
-
-    best = int(H.max())
+        prev = G[i - 1]
+        cand = np.maximum(prev[:m] + step[i - 1], prev[1:] + np.int32(gap))
+        np.maximum(cand, floor[1:], out=cand)
+        np.maximum.accumulate(cand, out=G[i, 1:])
+    H = G - floor
+    row_best = H.max(axis=1)
+    best = int(row_best.max())
     if best == 0:
         return AlignmentResult(score=0, ref_span=(0, 0), query_span=(0, 0), ops=())
 
-    def traceback(i: int, j: int):
-        ops = []
-        while H[i, j] > 0:
-            here = H[i, j]
-            s = match if q_ids[i - 1] == r_ids[j - 1] else mismatch
-            if i > 0 and j > 0 and here == H[i - 1, j - 1] + s:
-                ops.append(
-                    AlignmentOp(
-                        kind="match" if s == match else "substitute",
-                        query_index=i - 1,
-                        ref_index=j - 1,
-                    )
-                )
-                i -= 1
-                j -= 1
-            elif i > 0 and here == H[i - 1, j] + gap:
-                ops.append(AlignmentOp(kind="insert", query_index=i - 1, ref_index=None))
-                i -= 1
-            else:
-                ops.append(AlignmentOp(kind="delete", query_index=None, ref_index=j - 1))
-                j -= 1
-        ops.reverse()
-        return i, j, ops
-
+    h = H.item
+    diag_gain = step.item  # s - gap of cell (i-1, j-1)
+    matched = match - gap
     candidates = []
-    for i, j in np.argwhere(H == best):
-        qs, rs, ops = traceback(int(i), int(j))
-        candidates.append((rs, int(j) - rs, qs, int(i), int(j), ops))
-    candidates.sort(key=lambda c: (c[0], c[1], c[2], c[4], c[3]))
-    rs, span_len, qs, qe, re_, ops = candidates[0]
+    for end_i in np.flatnonzero(row_best == best).tolist():
+        for end_j in np.flatnonzero(H[end_i] == best).tolist():
+            i, j, ops = end_i, end_j, []
+            while (here := h(i, j)) > 0:
+                gain = diag_gain(i - 1, j - 1)
+                if here == h(i - 1, j - 1) + gain + gap:
+                    i, j = i - 1, j - 1
+                    ops.append(AlignmentOp("match" if gain == matched else "substitute", i, j))
+                elif here == h(i - 1, j) + gap:
+                    i -= 1
+                    ops.append(AlignmentOp("insert", i, None))
+                else:
+                    j -= 1
+                    ops.append(AlignmentOp("delete", None, j))
+            candidates.append((j, end_j - j, i, end_j, end_i, ops[::-1]))
+    rs, _span_len, qs, re_, qe, ops = min(candidates, key=lambda c: c[:5])
     return AlignmentResult(
         score=best,
         ref_span=(rs, re_),
@@ -267,6 +289,7 @@ def smith_waterman(
     )
 
 
+@lru_cache(maxsize=1 << 16)
 def _has_digit(word: str) -> bool:
     return any(c.isdigit() for c in word)
 
@@ -365,19 +388,41 @@ def build_book_frequencies(books: dict[str, list[str]]) -> dict[str, int]:
 
 
 def edit_distance(a, b) -> int:
-    """Word-level Levenshtein distance, unit costs, two-row table."""
+    """Levenshtein distance over any hashable tokens, unit costs.
+
+    Myers's (1999) bit-vector recurrence in Hyyrö's (2003) edit-distance
+    form: the longer sequence is the pattern, bit i of the Python ints
+    VP/VN says whether the DP column steps up or down at row i, and each
+    token of the shorter sequence advances the whole column in a few
+    integer operations while the bottom cell keeps the running distance.
+    """
     a = list(a)
     b = list(b)
     if len(a) < len(b):
         a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, wa in enumerate(a, 1):
-        cur = [i] + [0] * len(b)
-        for j, wb in enumerate(b, 1):
-            cost = 0 if wa == wb else 1
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
-        prev = cur
-    return prev[-1]
+    m = len(a)
+    if not b:
+        return m
+    peq: dict = {}  # token -> bitmask of its positions in a
+    for i, tok in enumerate(a):
+        peq[tok] = peq.get(tok, 0) | (1 << i)
+    full = (1 << m) - 1
+    top = 1 << (m - 1)
+    vp, vn, dist = full, 0, m
+    for tok in b:
+        eq = peq.get(tok, 0)
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = vn | ~(d0 | vp)
+        hn = d0 & vp
+        if hp & top:
+            dist += 1
+        elif hn & top:
+            dist -= 1
+        hp = ((hp << 1) | 1) & full
+        hn <<= 1
+        vp = (hn | ~(d0 | hp)) & full
+        vn = d0 & hp
+    return dist
 
 
 def wer(hyp, ref) -> float:
@@ -425,9 +470,9 @@ def retrieve_transcript(
     either end (corrupted edge words correspond to real audio, and the book
     text across from them is the best transcript available, the same
     assumption the number replacement makes). Returns (words, book word
-    span, alignment) or None when nothing matches.
+    span, alignment) or None when nothing matches. The alignment runs on
+    the index's interned ids, so ``book_words`` must be the indexed book.
     """
-    book_words = list(book_words)
     pseudo_words = list(pseudo_words)
     hit = retrieve(index, pseudo_words, top_k=1)
     if hit.status != "ok":
@@ -437,10 +482,10 @@ def retrieve_transcript(
     hi = min(len(shards) - 1, top.shard_id + 1)
     win_start = shards[lo].word_offset
     win_end = shards[hi].word_offset + len(shards[hi].words)
-    window = book_words[win_start:win_end]
-    aligned = smith_waterman(pseudo_words, window)
+    aligned = smith_waterman(index.encode(pseudo_words), index.book_ids[win_start:win_end])
     if aligned.score <= 0:
         return None
+    window = list(book_words[win_start:win_end])
     core = replace_numbers(aligned, window, pseudo_words)
     lead = aligned.query_span[0]
     trail = len(pseudo_words) - aligned.query_span[1]
@@ -449,3 +494,40 @@ def retrieve_transcript(
     span_words = window[ext_lo : aligned.ref_span[0]] + core + window[aligned.ref_span[1] : ext_hi]
     span = (win_start + ext_lo, win_start + ext_hi)
     return span_words, span, aligned
+
+
+def retrieve_candidates(
+    books: dict[str, list[str]],
+    segments,
+    shard_size: int = DEFAULT_SHARD_SIZE,
+    shard_stride: int = DEFAULT_SHARD_STRIDE,
+    threshold: float = DEFAULT_WER_THRESHOLD,
+) -> tuple[list[CandidateTranscript], int]:
+    """Retrieve and score a candidate for every segment manifest row, in
+    sorted book order (each book indexed once), then input order. Returns
+    (candidates, misses); a miss is a segment whose book or pseudo label
+    is empty or missing, or for which nothing non-empty was retrieved.
+    """
+    by_book: dict[str, list] = {}
+    for row in segments:
+        by_book.setdefault(row.book_id, []).append(row)
+    candidates = []
+    misses = 0
+    for book_id in sorted(by_book):
+        words = books.get(book_id)
+        if not words:
+            misses += len(by_book[book_id])
+            continue
+        shards = shard_book(words, book_id, shard_size=shard_size, shard_stride=shard_stride)
+        index = build_index(shards)
+        for row in by_book[book_id]:
+            pseudo = row.transcript.split()
+            found = retrieve_transcript(words, shards, index, pseudo) if pseudo else None
+            if found is None or not found[0]:
+                misses += 1
+                continue
+            cand_words, span, _aligned = found
+            candidates.append(
+                accept_candidate(cand_words, pseudo, threshold, row.segment_id, (book_id, span))
+            )
+    return candidates, misses

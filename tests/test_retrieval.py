@@ -23,6 +23,7 @@ from oracles import (
     edit_script_minimum,
     enumerate_local_alignment_score,
     exhaustive_cosine_scores,
+    full_matrix_edit_distance,
     replay_wordform_rules,
 )
 
@@ -238,6 +239,8 @@ def test_empty_sequences_rejected():
         smith_waterman([], ["a"])
     with pytest.raises(ValueError):
         smith_waterman(["a"], [])
+    with pytest.raises(ValueError):  # scores that would overflow the int32 table
+        smith_waterman(["a"], ["a"], gap=-(2**30))
 
 
 def test_nothing_in_common_scores_zero():
@@ -307,6 +310,33 @@ def test_tie_break_prefers_earliest_then_shortest_span():
     # "a b" occurs twice; earliest occurrence wins
     result = smith_waterman(["a", "b"], ["x", "a", "b", "y", "a", "b"])
     assert result.ref_span == (1, 3)
+
+
+def test_id_kernel_equals_string_alignment():
+    """The retrieval path aligns the book's interned ids against the pseudo
+    label encoded in the book's vocabulary; it must give exactly the string
+    alignment, including tie-broken spans and query words the book lacks."""
+    rng = random.Random(303)
+    for _ in range(200):
+        ref = random_words(rng, rng.randint(1, 120), ["a", "b", "c", "d"])
+        q = random_words(rng, rng.randint(1, 15), ["a", "b", "c", "d", "x", "y"])
+        index = build_index(shard_book(ref, "b", shard_size=50, shard_stride=40))
+        assert index.book_ids.tolist() == index.encode(ref).tolist()
+        assert smith_waterman(index.encode(q), index.book_ids) == smith_waterman(q, ref), (q, ref)
+
+
+def test_id_kernel_tie_break_over_equal_score_cells():
+    ref = ["a", "b", "x", "a", "b", "y", "a", "b"]
+    q = ["zz", "a", "b", "zz"]
+    index = build_index(shard_book(ref, "b"))
+    assert index.encode(q).tolist() == [-1, 0, 1, -1]  # "zz" is absent from the book
+    by_ids = smith_waterman(index.encode(q), index.book_ids)
+    assert by_ids == smith_waterman(q, ref)
+    assert (by_ids.score, by_ids.ref_span, by_ids.query_span) == (4, (0, 2), (1, 3))
+    # equal-score end cells in different query rows: the later row's
+    # alignment starts earlier in the reference and wins
+    crossed = smith_waterman(["b", "a"], ["a", "z", "b"])
+    assert (crossed.score, crossed.ref_span, crossed.query_span) == (2, (0, 1), (1, 2))
 
 
 # -- number replacement ------------------------------------------------------
@@ -434,6 +464,48 @@ def test_wer_matches_brute_force_edit_search_200_pairs():
         hyp = random_words(rng, rng.randint(0, 12), alphabet)
         ref = random_words(rng, rng.randint(1, 12), alphabet)
         assert edit_distance(hyp, ref) == edit_script_minimum(hyp, ref), (hyp, ref)
+
+
+def _edited(rng, words, vocab, n_edits):
+    out = list(words)
+    for _ in range(n_edits):
+        pos = rng.randint(0, len(out))
+        kind = rng.choice(("sub", "ins", "del")) if out else "ins"
+        if kind == "ins":
+            out.insert(pos, rng.choice(vocab))
+        elif kind == "del":
+            del out[min(pos, len(out) - 1)]
+        else:
+            out[min(pos, len(out) - 1)] = rng.choice(vocab)
+    return out
+
+
+def test_bit_parallel_edit_distance_matches_oracles_across_word_widths():
+    """Lengths around 64 and beyond exercise bit vectors wider than one
+    machine word; a two-word vocabulary repeats words heavily."""
+    rng = random.Random(404)
+    lengths = (0, 1, 63, 64, 65, 200)
+    for vocab in (["a", "b"], VOCAB):
+        for n in lengths:
+            a = random_words(rng, n, vocab)
+            for m in lengths:
+                b = random_words(rng, m, vocab)
+                assert edit_distance(a, b) == full_matrix_edit_distance(a, b), (n, m)
+                if m:
+                    assert wer(a, b) == full_matrix_edit_distance(a, b) / m
+            near = _edited(rng, a, vocab, 3)
+            assert edit_distance(a, near) == edit_script_minimum(a, near), (a, near)
+            if near:
+                assert wer(a, near) == edit_script_minimum(a, near) / len(near)
+
+
+def test_bit_parallel_edit_distance_disjoint_vocabularies():
+    rng = random.Random(405)
+    for n in (0, 1, 63, 64, 65, 200):
+        for m in (0, 1, 63, 64, 65, 200):
+            a = random_words(rng, n, VOCAB)
+            b = [rng.randint(0, 9) for _ in range(m)]  # any hashable token
+            assert edit_distance(a, b) == max(n, m) == full_matrix_edit_distance(a, b)
 
 
 def test_edit_distance_triangle_inequality():
