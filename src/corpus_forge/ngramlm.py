@@ -208,9 +208,8 @@ class NGramModel:
             "order": self.order,
             "smoothing": self.smoothing,
             "vocab": sorted(self.vocab),
-            "tables": [
-                {" ".join(g): c for g, c in sorted(t.items())} for t in self.tables
-            ],
+            # sort_keys below orders the grams; no pre-sort needed
+            "tables": [{" ".join(g): c for g, c in t.items()} for t in self.tables],
             "discounts": [list(d) for d in self.discounts],
             "fallback": list(self.fallback),
             "metadata": {k: self.metadata[k] for k in sorted(self.metadata)},
@@ -232,8 +231,13 @@ class NGramModel:
         if data[4] != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported model format version {data[4]}")
         payload = json.loads(zlib.decompress(data[5:]).decode("utf-8"))
+        # one str object per word, shared by every gram that contains it
+        words = {w: w for w in payload["vocab"]}
+        words[SENT_START] = SENT_START
+        word = words.__getitem__
         tables = [
-            {tuple(g.split(" ")): c for g, c in t.items()} for t in payload["tables"]
+            {tuple(map(word, g.split(" "))): c for g, c in t.items()}
+            for t in payload["tables"]
         ]
         return cls(
             order=payload["order"],
@@ -252,50 +256,68 @@ class NGramModel:
         the per-context discount masses, so an ARPA consumer reproduces this
         model's probabilities exactly. Sentence ends are not modeled, so no
         </s> entry is emitted. Model metadata rides along as preamble
-        comments (readers skip text before the data marker).
+        comments (readers skip text before the data marker). A zero
+        probability (<s>, or <unk> when unsmoothed) is written as -99.
+        Levels are evaluated bottom-up (``_level_probs``) and written as each
+        one finishes.
         """
-        lines = [f"# {key}={self.metadata[key]}" for key in sorted(self.metadata)]
+        header = [f"# {key}={self.metadata[key]}" for key in sorted(self.metadata)]
         counts = [len(self.tables[0]) + 2]  # + <unk>, <s>
         counts += [len(t) for t in self.tables[1:]]
-        lines.append("\\data\\")
-        for k, c in enumerate(counts, start=1):
-            lines.append(f"ngram {k}={c}")
+        header.append("\\data\\")
+        header += [f"ngram {k}={c}" for k, c in enumerate(counts, start=1)]
+        header.append("")
+
+        lower = {(UNK,): self._p(1, (), UNK), (SENT_START,): 0.0}  # <s>: never predicted
+        lower.update(((w,), self._p(1, (), w)) for w in sorted(self.vocab))
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(header) + "\n")
+            fh.write(self._arpa_level(1, list(lower), lower))
+            for k in range(2, self.order + 1):
+                lower = self._level_probs(k, lower)
+                fh.write(self._arpa_level(k, sorted(lower), lower))
+            fh.write("\\end\\\n")
+
+    def _level_probs(self, k: int, lower: dict) -> dict:
+        """P(gram[-1] | gram[:-1]) for every stored order-k gram, k >= 2.
+
+        ``lower`` maps each order-(k-1) gram to its probability. The float
+        operations are ``_p``'s, in ``_p``'s order, so every value equals
+        ``_p``'s exactly. Every suffix of a stored gram is stored one order
+        down, under a context with a positive total (continuation counts),
+        so the lookups cannot miss on a trained model.
+        """
+        table = self.tables[k - 1]
+        tot_k = self.totals[k - 1]
+        if self.smoothing == "none":
+            return {gram: count / tot_k[gram[:-1]] for gram, count in table.items()}
+        mass_k = self.gamma_mass[k - 1]
+        d = self.discounts[k - 1]
+        probs = {}
+        for gram, count in table.items():
+            ctx = gram[:-1]
+            tot = tot_k[ctx]
+            gamma = mass_k[ctx] / tot
+            probs[gram] = (
+                max(count - _discount_for(count, d), 0.0) / tot + gamma * lower[gram[1:]]
+            )
+        return probs
+
+    def _arpa_level(self, k: int, grams, probs) -> str:
+        """The ARPA section of order k: header, one line per gram, blank."""
+        # gram acts as a context of order k+1; its backoff is the discount mass
+        tot_next = self.totals[k] if k < self.order else {}
+        mass_next = self.gamma_mass[k] if k < self.order else {}
+        log10 = math.log10
+        lines = [f"\\{k}-grams:"]
+        for gram in grams:
+            p = probs[gram]
+            head = f"{log10(p) if p > 0.0 else -99.0:.7f}\t{' '.join(gram)}"
+            tot = tot_next.get(gram)
+            bow = mass_next[gram] / tot if tot else 0.0
+            lines.append(f"{head}\t{log10(bow):.7f}" if bow > 0.0 else head)
         lines.append("")
-
-        def bow_of(gram: tuple[str, ...]) -> float | None:
-            k = len(gram)  # gram acts as a context of order k+1
-            if k >= self.order:
-                return None
-            tot = self.totals[k].get(gram)
-            if not tot:
-                return None
-            return self.gamma_mass[k][gram] / tot
-
-        lines.append("\\1-grams:")
-        unigram_entries = [(UNK, self.prob(UNK)), (SENT_START, None)]
-        unigram_entries += [(w, self.prob(w)) for w in sorted(self.vocab)]
-        for word, p in unigram_entries:
-            lp = -99.0 if p is None else math.log10(p)
-            bow = bow_of((word,))
-            if bow is not None and bow > 0.0:
-                lines.append(f"{lp:.7f}\t{word}\t{math.log10(bow):.7f}")
-            else:
-                lines.append(f"{lp:.7f}\t{word}")
-        lines.append("")
-
-        for k in range(2, self.order + 1):
-            lines.append(f"\\{k}-grams:")
-            for gram in sorted(self.tables[k - 1]):
-                p = self._p(k, gram[:-1], gram[-1])
-                text = " ".join(gram)
-                bow = bow_of(gram)
-                if bow is not None and bow > 0.0:
-                    lines.append(f"{math.log10(p):.7f}\t{text}\t{math.log10(bow):.7f}")
-                else:
-                    lines.append(f"{math.log10(p):.7f}\t{text}")
-            lines.append("")
-        lines.append("\\end\\")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return "\n".join(lines) + "\n"
 
 
 def train(corpus, order: int, smoothing: str = "kn", metadata=None) -> NGramModel:
@@ -369,10 +391,16 @@ def compare_orders(corpus, dev_sentences, orders=(3, 5), **eval_kwargs) -> dict:
         model = train(corpus, order)
         report = evaluate(model, dev_sentences, **eval_kwargs)
         results[order] = report
-    orders = sorted(results)
-    highest, lowest = orders[-1], orders[0]
     return {
         "reports": results,
-        "higher_order_not_worse": results[highest].perplexity
-        <= results[lowest].perplexity + 1e-9,
+        "higher_order_not_worse": higher_order_not_worse(
+            {order: report.perplexity for order, report in results.items()}
+        ),
     }
+
+
+def higher_order_not_worse(perplexities: dict[int, float]) -> bool:
+    """Whether the highest order's perplexity is no worse than the lowest
+    order's, up to 1e-9; ``perplexities`` maps order -> perplexity."""
+    orders = sorted(perplexities)
+    return perplexities[orders[-1]] <= perplexities[orders[0]] + 1e-9

@@ -582,6 +582,7 @@ def stage_lm_train(cfg: PipelineConfig) -> dict:
         path = lm_dir / f"lm_{order}.cflm"
         model.save(path)
         model.to_arpa(lm_dir / f"lm_{order}.arpa")
+        del model  # free this order before the next one is trained
         sizes[str(order)] = path.stat().st_size
     summary = {"orders": list(cfg.lm_orders), "sentences": len(sentences), "bytes": sizes}
     _write_provenance(cfg, "lm_train", summary)
@@ -598,6 +599,7 @@ def stage_lm_eval(cfg: PipelineConfig) -> dict:
     for order in cfg.lm_orders:
         model = ngramlm.NGramModel.load(lm_dir / f"lm_{order}.cflm")
         report = ngramlm.evaluate(model, dev_sentences, oov_context=cfg.oov_context)
+        del model  # free this order before the next one is loaded
         results[str(order)] = {
             "oov_rate": report.oov_rate,
             "perplexity": report.perplexity,
@@ -606,11 +608,10 @@ def stage_lm_eval(cfg: PipelineConfig) -> dict:
             "scored_tokens": report.scored_tokens,
         }
         ppls[order] = report.perplexity
-    orders = sorted(cfg.lm_orders)
     payload = {
         "config_hash": cfg.config_hash(),
         "models": results,
-        "higher_order_not_worse": ppls[orders[-1]] <= ppls[orders[0]] + 1e-9,
+        "higher_order_not_worse": ngramlm.higher_order_not_worse(ppls),
     }
     (lm_dir / "lm_eval.json").write_text(
         json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8"

@@ -328,3 +328,71 @@ def test_arpa_header_counts_match_body(tmp_path):
     for gram in probs:
         by_order[len(gram)] = by_order.get(len(gram), 0) + 1
     assert declared == by_order
+
+
+def arpa_fields(path):
+    """{gram: (probability field, backoff field or None)} of an ARPA file."""
+    fields = {}
+    section = 0
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.startswith("\\") and "-grams:" in line:
+            section = int(line[1 : line.index("-")])
+            continue
+        if section == 0 or not line or line.startswith("\\"):
+            continue
+        parts = line.split("\t")
+        gram = tuple(parts[1].split(" "))
+        assert len(gram) == section and gram not in fields
+        fields[gram] = (parts[0], parts[2] if len(parts) == 3 else None)
+    return fields
+
+
+@pytest.mark.parametrize("smoothing", ["kn", "none"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_arpa_lines_equal_recursive_model_exactly(tmp_path, order, smoothing):
+    model = train(markov3_corpus(35, 80), order, smoothing=smoothing)
+    assert any(model.fallback)  # the flat 0.75 discount is exercised
+    path = tmp_path / "m.arpa"
+    model.to_arpa(path)
+    fields = arpa_fields(path)
+    expected_grams = {(UNK,), (SENT_START,)} | {(w,) for w in model.vocab}
+    for table in model.tables[1:]:
+        expected_grams |= set(table)
+    assert set(fields) == expected_grams
+    for gram, (prob_field, bow_field) in fields.items():
+        k = len(gram)
+        p = 0.0 if gram == (SENT_START,) else model._p(k, gram[:-1], gram[-1])
+        assert prob_field == (f"{math.log10(p):.7f}" if p > 0.0 else "-99.0000000"), gram
+        tot = model.totals[k].get(gram) if k < order else None
+        bow = model.gamma_mass[k][gram] / tot if tot else 0.0
+        assert bow_field == (f"{math.log10(bow):.7f}" if bow > 0.0 else None), gram
+    # the level-wise values themselves equal the recursive ones, bit for bit
+    lower = {(w,): model._p(1, (), w) for w in model.vocab}
+    for k in range(2, order + 1):
+        lower = model._level_probs(k, lower)
+        for gram, p in lower.items():
+            assert p == model._p(k, gram[:-1], gram[-1]), gram
+
+
+def test_unsmoothed_arpa_writes_zero_unknown_probability(tmp_path):
+    path = tmp_path / "m.arpa"
+    train([["a", "b", "a"], ["b", "c"]], 2, smoothing="none").to_arpa(path)
+    fields = arpa_fields(path)
+    assert fields[(UNK,)] == ("-99.0000000", None)
+    assert fields[("a",)][0] == f"{math.log10(2 / 5):.7f}"
+
+
+def test_save_load_save_byte_identical_and_words_shared(tmp_path):
+    model = train(markov3_corpus(36, 60), 4, metadata={"language": "en"})
+    first = tmp_path / "a.cflm"
+    second = tmp_path / "b.cflm"
+    model.save(first)
+    loaded = NGramModel.load(first)
+    loaded.save(second)
+    assert first.read_bytes() == second.read_bytes()
+    canonical = {w: w for w in loaded.vocab}
+    canonical[SENT_START] = SENT_START
+    for table in loaded.tables:
+        for gram in table:
+            for word in gram:
+                assert word is canonical[word], gram
