@@ -1,100 +1,80 @@
 """corpus-forge command line.
 
 Standalone subcommands (normalize, segment, retrieve, decontam, lm-train,
-lm-eval) operate on explicit files. The split and limited subcommands run
-their pipeline stage against an existing run directory, since their inputs
-are the joined pipeline state. ``run`` executes the whole pipeline from a
-config file. Exit codes: 0 success, 2 validation/config failure, 3 stage
-failure.
+lm-eval) operate on explicit files through the per-item steps that the
+pipeline stages use. The split and limited subcommands run their stage
+through the pipeline's stage runner against an existing run directory, since
+their inputs are the joined pipeline state, so they check the provenance of
+every stage they read. ``run`` executes the whole pipeline from a config
+file. Exit codes: 0 success, 2 validation/config failure, 3 stage failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import decontam as dc
 from . import ngramlm
 from . import retrieval as rt
-from .config import STAGES, ConfigError, PipelineConfig
+from .config import ConfigError, PipelineConfig
 from .manifest import (
     CANDIDATE_COLUMNS,
-    ManifestRow,
     ProvenanceError,
     candidate_row,
+    json_text,
     read_manifest,
+    write_json,
     write_manifest,
     write_tsv,
 )
-from .pipeline import StageError, read_books, run_pipeline, stage_limited, stage_split
-from .segmenter import read_token_stream, segment_stream
-from .textnorm import Orthography, default_orthography, normalize_lines
+from .pipeline import (
+    STAGE_TABLE,
+    StageError,
+    normalize_file,
+    read_books,
+    read_sentences,
+    run_pipeline,
+    run_stage,
+    segment_chapter,
+)
+from .textnorm import load_orthography
 
 ADHOC_HASH = "adhoc"  # provenance stamp for standalone (non-run) invocations
 
 
-def _orth(args) -> Orthography:
-    if getattr(args, "orthography", None):
-        return Orthography.from_file(args.orthography)
-    return default_orthography(getattr(args, "language", "en"))
-
-
 def cmd_normalize(args) -> int:
-    orth = _orth(args)
+    orth = load_orthography(args.orthography, args.language)
     src = Path(args.infile)
     dst = Path(args.outfile)
-    pairs = []
+    pairs = [(src, dst)]
     if src.is_dir():
         dst.mkdir(parents=True, exist_ok=True)
         pairs = [(p, dst / p.name) for p in sorted(src.glob("*.txt"))]
         if not pairs:
             print(f"no .txt files under {src}", file=sys.stderr)
             return 2
-    else:
-        pairs = [(src, dst)]
     for inp, outp in pairs:
-        lines = normalize_lines(inp.read_text(encoding="utf-8"), orth)
-        outp.write_text("\n".join(l.text() for l in lines) + "\n", encoding="utf-8")
+        normalize_file(inp, outp, orth)
     return 0
 
 
 def cmd_segment(args) -> int:
-    src = Path(args.indir)
-    files = sorted(src.glob("*.jsonl"))
+    files = sorted(Path(args.indir).glob("*.jsonl"))
     if not files:
-        print(f"no .jsonl token streams under {src}", file=sys.stderr)
+        print(f"no .jsonl token streams under {args.indir}", file=sys.stderr)
         return 2
     rows = []
     residuals = 0
     for path in files:
-        tokens = read_token_stream(path)
-        result = segment_stream(
-            tokens,
-            min_len=int(args.min_sec * 1000),
-            max_len=int(args.max_sec * 1000),
-            keep_residual=args.keep_residual,
-            segment_id_prefix=path.stem,
+        chapter_rows, result = segment_chapter(
+            path, int(args.min_sec * 1000), int(args.max_sec * 1000), args.keep_residual,
+            {}, {}, {},
         )
+        rows += chapter_rows
         residuals += result.residual is not None
-        for seg in result.segments:
-            if not seg.tokens:
-                continue
-            rows.append(
-                ManifestRow(
-                    segment_id=seg.segment_id,
-                    book_id="",
-                    chapter_id=path.stem,
-                    speaker_id="",
-                    gender="",
-                    start_ms=seg.start,
-                    end_ms=seg.end,
-                    transcript=" ".join(seg.words()),
-                    wer=None,
-                    partition="unassigned",
-                )
-            )
     rows.sort(key=lambda r: r.segment_id)
     write_manifest(args.out, rows, ADHOC_HASH)
     print(f"wrote {len(rows)} segments from {len(files)} streams "
@@ -116,48 +96,28 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_decontam(args) -> int:
-    stopwords = dc.load_stopwords(args.stopwords) if args.stopwords else dc.default_stopwords()
+    stopwords = dc.stopword_list(args.stopwords)
     heldout_texts = []
     for manifest in args.heldout:
         heldout_texts.extend(r.transcript.split() for r in read_manifest(manifest))
     index = dc.build_heldout_index(heldout_texts, stopwords)
     heldout_titles = [t.split() for t in args.heldout_title]
-    candidates = []
-    for path in sorted(Path(args.books).glob("*.txt")):
-        candidates.append(
-            dc.LmBook(
-                book_id=path.stem,
-                title=tuple(path.stem.replace("_", " ").split()),
-                tokens=tuple(path.read_text(encoding="utf-8").split()),
-            )
-        )
+    candidates = [
+        dc.LmBook(book_id=bid, title=tuple(bid.replace("_", " ").split()), tokens=tuple(words))
+        for bid, words in read_books(args.books).items()
+    ]
     kept, removed, report = dc.filter_corpus(
         candidates, heldout_titles, index,
         threshold=args.threshold, count_tokens=args.count_tokens,
     )
-    write_tsv(
-        args.report,
-        ("book_id", "action", "reason", "rate"),
-        [(r["book_id"], r["action"], r["reason"], f"{r['rate']:.6f}") for r in report],
-        ADHOC_HASH,
-    )
+    dc.write_report(args.report, report, ADHOC_HASH)
     print(f"kept {len(kept)}, removed {len(removed)} of {len(candidates)} books")
     return 0
 
 
-def _read_corpus_sentences(path: Path) -> list[list[str]]:
-    files = sorted(path.glob("*.txt")) if path.is_dir() else [path]
-    sentences = []
-    for f in files:
-        for line in f.read_text(encoding="utf-8").splitlines():
-            words = line.split()
-            if words:
-                sentences.append(words)
-    return sentences
-
-
 def cmd_lm_train(args) -> int:
-    sentences = _read_corpus_sentences(Path(args.infile))
+    src = Path(args.infile)
+    sentences = read_sentences(sorted(src.glob("*.txt")) if src.is_dir() else [src])
     model = ngramlm.train(sentences, args.order)
     model.save(args.out)
     if args.arpa:
@@ -175,18 +135,7 @@ def cmd_lm_eval(args) -> int:
         (r.transcript.split() for r in dev_rows),
         oov_context=args.oov_context,
     )
-    payload = {
-        "order": report.order,
-        "oov_rate": report.oov_rate,
-        "perplexity": report.perplexity,
-        "total_tokens": report.total_tokens,
-        "oov_tokens": report.oov_tokens,
-        "scored_tokens": report.scored_tokens,
-        "oov_context": report.oov_context,
-    }
-    Path(args.report).write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(args.report, asdict(report))
     print(f"order {report.order}: OOV {report.oov_rate:.2%}, "
           f"perplexity {report.perplexity:.2f}")
     return 0
@@ -210,26 +159,15 @@ def _config_from_args(args) -> PipelineConfig:
     return cfg
 
 
-def cmd_split(args) -> int:
-    cfg = _config_from_args(args)
-    summary = stage_split(cfg)
-    print(json.dumps(summary, indent=1, sort_keys=True))
-    return 0
-
-
-def cmd_limited(args) -> int:
-    cfg = _config_from_args(args)
-    summary = stage_limited(cfg)
-    print(json.dumps(summary, indent=1, sort_keys=True))
+def cmd_stage(args) -> int:
+    """``split`` or ``limited``: one stage of an existing run directory."""
+    summary = run_stage(_config_from_args(args), args.command)
+    sys.stdout.write(json_text(summary))
     return 0
 
 
 def cmd_run(args) -> int:
-    cfg = PipelineConfig.from_file(args.config)
-    if args.output:
-        cfg.output_dir = args.output
-    if args.input:
-        cfg.input_dir = args.input
+    cfg = _config_from_args(args)
     report = run_pipeline(cfg, from_stage=args.from_stage, until_stage=args.until_stage)
     print(f"run complete: config_hash={report['config_hash']} "
           f"stages={len(report['stages'])}")
@@ -285,20 +223,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output candidates TSV")
     p.set_defaults(func=cmd_retrieve)
 
-    p = sub.add_parser("split", help="run the split stage of a pipeline directory")
-    p.add_argument("--config", help="pipeline config file")
-    p.add_argument("--dev-test-speakers", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--input-dir", dest="input_dir", default=None)
-    p.add_argument("--output-dir", dest="output_dir", default=None)
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("limited", help="carve limited-supervision subsets")
-    p.add_argument("--config", help="pipeline config file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--input-dir", dest="input_dir", default=None)
-    p.add_argument("--output-dir", dest="output_dir", default=None)
-    p.set_defaults(func=cmd_limited)
+    for name, help_text in (("split", "run the split stage of a pipeline directory"),
+                            ("limited", "carve limited-supervision subsets")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="pipeline config file")
+        if name == "split":
+            p.add_argument("--dev-test-speakers", type=int, default=None)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--input-dir", dest="input_dir", default=None)
+        p.add_argument("--output-dir", dest="output_dir", default=None)
+        p.set_defaults(func=cmd_stage)
 
     p = sub.add_parser("decontam", help="filter held-out leakage from LM books")
     p.add_argument("--heldout", nargs="+", required=True,
@@ -330,10 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run the full pipeline from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--from-stage", choices=STAGES, default=None)
-    p.add_argument("--until-stage", choices=STAGES, default=None)
-    p.add_argument("--input", help="override input_dir")
-    p.add_argument("--output", help="override output_dir")
+    p.add_argument("--from-stage", choices=list(STAGE_TABLE), default=None)
+    p.add_argument("--until-stage", choices=list(STAGE_TABLE), default=None)
+    p.add_argument("--input", dest="input_dir", help="override input_dir")
+    p.add_argument("--output", dest="output_dir", help="override output_dir")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("synth", help="generate a synthetic input corpus")

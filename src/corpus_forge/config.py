@@ -16,6 +16,7 @@ from pathlib import Path
 
 ENV_PREFIX = "CORPUS_FORGE_"
 
+# the stage names in run order; pipeline.STAGE_TABLE lists what each reads
 STAGES = (
     "normalize",
     "segment",

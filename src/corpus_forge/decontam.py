@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .manifest import write_tsv
 from .retrieval import edit_distance
 
 NGRAM_ORDER = 5
@@ -44,6 +45,11 @@ def default_stopwords(language_id: str = "en") -> frozenset[str]:
     if not path.exists():
         raise FileNotFoundError(f"no bundled stopword list for {language_id!r}")
     return load_stopwords(path)
+
+
+def stopword_list(path: str | Path | None = None, language_id: str = "en") -> frozenset[str]:
+    """The stop-word file at ``path``, or the bundled list when it is empty."""
+    return load_stopwords(path) if path else default_stopwords(language_id)
 
 
 def _fivegrams(tokens, stopwords, distinct: bool = True):
@@ -111,18 +117,22 @@ def filter_corpus(
     for book in books:
         rate = contamination_rate(book.tokens, index, count_tokens=count_tokens)
         if title_match(book.title, heldout_titles):
-            removed.append(book)
-            report.append(
-                {"book_id": book.book_id, "action": "removed", "reason": "title", "rate": rate}
-            )
+            reason = "title"
         elif rate > threshold:
-            removed.append(book)
-            report.append(
-                {"book_id": book.book_id, "action": "removed", "reason": "ngram-overlap", "rate": rate}
-            )
+            reason = "ngram-overlap"
         else:
-            kept.append(book)
-            report.append(
-                {"book_id": book.book_id, "action": "kept", "reason": "", "rate": rate}
-            )
+            reason = ""
+        (removed if reason else kept).append(book)
+        action = "removed" if reason else "kept"
+        report.append({"book_id": book.book_id, "action": action, "reason": reason, "rate": rate})
     return kept, removed, report
+
+
+def write_report(path: str | Path, report: list[dict], config_hash: str) -> None:
+    """The per-book report rows of ``filter_corpus`` as a hashed TSV."""
+    write_tsv(
+        path,
+        ("book_id", "action", "reason", "rate"),
+        [(r["book_id"], r["action"], r["reason"], f"{r['rate']:.6f}") for r in report],
+        config_hash,
+    )

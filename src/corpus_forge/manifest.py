@@ -1,13 +1,18 @@
 """Manifest and report file formats.
 
-Manifests are UTF-8 TSV with LF line endings and a header row; the first
-line is a ``# config_hash=<hex>`` provenance comment so files produced under
-different configurations cannot be mixed silently.
+Every TSV (manifests, candidates, reports) is UTF-8 with LF line endings,
+written and read by one ``csv`` dialect (tab-delimited, fields quoted only
+when they hold a tab, quote or line break) under a header row. The first
+line of every hashed file is a ``# config_hash=<hex>`` provenance comment,
+checked by one reader, so files produced under different configurations
+cannot be mixed silently.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,8 +79,17 @@ class ManifestRow:
         return self.end_ms - self.start_ms
 
 
-def _fmt_wer(wer: float | None) -> str:
-    return "" if wer is None else f"{wer:.6f}"
+def _manifest_fields(r: ManifestRow) -> tuple:
+    wer = "" if r.wer is None else f"{r.wer:.6f}"
+    return (r.segment_id, r.book_id, r.chapter_id, r.speaker_id, r.gender,
+            r.start_ms, r.end_ms, r.transcript, wer, r.partition)
+
+
+def _manifest_row(fields: list[str]) -> ManifestRow:
+    *text, start_ms, end_ms, transcript, wer, partition = fields
+    return ManifestRow(
+        *text, int(start_ms), int(end_ms), transcript, float(wer) if wer else None, partition
+    )
 
 
 def write_manifest(path: str | Path, rows, config_hash: str) -> None:
@@ -85,87 +99,73 @@ def write_manifest(path: str | Path, rows, config_hash: str) -> None:
         if row.segment_id in seen:
             raise ValueError(f"duplicate segment_id {row.segment_id}")
         seen.add(row.segment_id)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config_hash={config_hash}\n")
-        fh.write("\t".join(MANIFEST_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(
-                "\t".join(
-                    (
-                        row.segment_id,
-                        row.book_id,
-                        row.chapter_id,
-                        row.speaker_id,
-                        row.gender,
-                        str(row.start_ms),
-                        str(row.end_ms),
-                        row.transcript,
-                        _fmt_wer(row.wer),
-                        row.partition,
-                    )
-                )
-                + "\n"
-            )
+    write_tsv(path, MANIFEST_COLUMNS, [_manifest_fields(r) for r in rows], config_hash)
 
 
 def read_manifest(path: str | Path, expect_hash: str | None = None) -> list[ManifestRow]:
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("# config_hash="):
+    header, rows = read_tsv(path, expect_hash)
+    if header != list(MANIFEST_COLUMNS):
+        raise ValueError(f"{path}: bad or missing manifest header")
+    for i, fields in enumerate(rows, start=1):
+        if len(fields) != len(MANIFEST_COLUMNS):
+            raise ValueError(f"{path}: row {i}: expected {len(MANIFEST_COLUMNS)} columns")
+    return [_manifest_row(fields) for fields in rows]
+
+
+def _hashed_body(path: str | Path, expect_hash: str | None) -> str:
+    """The text of a hashed file after its checked ``# config_hash=`` line.
+
+    Every caller needs the whole file, so it is read at once. That also
+    keeps retrieval fast: freeing one large string raises glibc's mmap
+    threshold, so the alignment temporaries that follow are reused from the
+    heap instead of being page-faulted in on every call.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        head, _, body = fh.read().partition("\n")
+    head = head.rstrip("\r")
+    if not head.startswith("# config_hash="):
         raise ProvenanceError(f"{path}: missing config hash line")
-    found = lines[0].split("=", 1)[1]
+    found = head.split("=", 1)[1]
     if expect_hash is not None and found != expect_hash:
         raise ProvenanceError(
             f"{path}: config hash {found} does not match active run {expect_hash}"
         )
-    if len(lines) < 2 or lines[1].split("\t") != list(MANIFEST_COLUMNS):
-        raise ValueError(f"{path}: bad or missing manifest header")
-    rows = []
-    for lineno, line in enumerate(lines[2:], start=3):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != len(MANIFEST_COLUMNS):
-            raise ValueError(f"{path}:{lineno}: expected {len(MANIFEST_COLUMNS)} columns")
-        rows.append(
-            ManifestRow(
-                segment_id=parts[0],
-                book_id=parts[1],
-                chapter_id=parts[2],
-                speaker_id=parts[3],
-                gender=parts[4],
-                start_ms=int(parts[5]),
-                end_ms=int(parts[6]),
-                transcript=parts[7],
-                wer=float(parts[8]) if parts[8] else None,
-                partition=parts[9],
-            )
-        )
-    return rows
+    return body
 
 
 def write_tsv(path: str | Path, columns, rows, config_hash: str) -> None:
-    """Generic hashed TSV report (candidates, rejections, histograms)."""
+    """Hashed TSV (manifests, candidates, reports, histograms)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# config_hash={config_hash}\n")
         writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def read_tsv(path: str | Path, expect_hash: str | None = None) -> tuple[list[str], list[list[str]]]:
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("# config_hash="):
-        raise ProvenanceError(f"{path}: missing config hash line")
-    found = lines[0].split("=", 1)[1]
-    if expect_hash is not None and found != expect_hash:
-        raise ProvenanceError(
-            f"{path}: config hash {found} does not match active run {expect_hash}"
-        )
-    reader = csv.reader(lines[1:], delimiter="\t")
-    rows = [row for row in reader if row]
+    body = io.StringIO(_hashed_body(path, expect_hash), newline="")
+    rows = [row for row in csv.reader(body, delimiter="\t") if row]
     if not rows:
         raise ValueError(f"{path}: empty TSV")
     return rows[0], rows[1:]
+
+
+def write_lines(path: str | Path, lines, config_hash: str) -> None:
+    """Hashed plain-text list, one item per line."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# config_hash={config_hash}\n" + "\n".join(lines) + "\n")
+
+
+def read_lines(path: str | Path, expect_hash: str | None = None) -> list[str]:
+    """The non-blank lines of a ``write_lines`` file, stripped."""
+    lines = _hashed_body(path, expect_hash).splitlines()
+    return [line.strip() for line in lines if line.strip()]
+
+
+def json_text(obj) -> str:
+    """The layout of every JSON report: one-space indent, sorted keys."""
+    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+
+
+def write_json(path: str | Path, obj) -> None:
+    Path(path).write_text(json_text(obj), encoding="utf-8")

@@ -253,8 +253,9 @@ class NGramModel:
         """Plain-text ARPA export of the interpolated model.
 
         Stored probabilities are the interpolated values; backoff weights are
-        the per-context discount masses, so an ARPA consumer reproduces this
-        model's probabilities exactly. Sentence ends are not modeled, so no
+        the per-context discount masses (-99 for every seen context of an
+        unsmoothed model), so an ARPA consumer reproduces this model's
+        probabilities. Sentence ends are not modeled, so no
         </s> entry is emitted. Model metadata rides along as preamble
         comments (readers skip text before the data marker). A zero
         probability (<s>, or <unk> when unsmoothed) is written as -99.
@@ -305,17 +306,24 @@ class NGramModel:
 
     def _arpa_level(self, k: int, grams, probs) -> str:
         """The ARPA section of order k: header, one line per gram, blank."""
-        # gram acts as a context of order k+1; its backoff is the discount mass
+        # gram acts as a context of order k+1. Where it has no continuation
+        # the model backs off with weight 1 (no field); otherwise the weight
+        # is the discount mass, or 0 (-99) for an unsmoothed model, which
+        # never backs off from a seen context.
         tot_next = self.totals[k] if k < self.order else {}
         mass_next = self.gamma_mass[k] if k < self.order else {}
+        unsmoothed = self.smoothing == "none"
         log10 = math.log10
         lines = [f"\\{k}-grams:"]
         for gram in grams:
             p = probs[gram]
             head = f"{log10(p) if p > 0.0 else -99.0:.7f}\t{' '.join(gram)}"
             tot = tot_next.get(gram)
-            bow = mass_next[gram] / tot if tot else 0.0
-            lines.append(f"{head}\t{log10(bow):.7f}" if bow > 0.0 else head)
+            if not tot:
+                lines.append(head)
+            else:
+                bow = -99.0 if unsmoothed else log10(mass_next[gram] / tot)
+                lines.append(f"{head}\t{bow:.7f}")
         lines.append("")
         return "\n".join(lines) + "\n"
 

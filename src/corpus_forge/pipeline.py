@@ -1,11 +1,14 @@
 """End-to-end orchestration of the corpus build.
 
-Stages run in a fixed order (normalize, segment, retrieve, postprocess,
-filter, split, limited, decontam, lm_train, lm_eval); every stage writes its
-outputs plus a provenance record before the next begins, so a run can be
-resumed from any stage. All outputs carry the config hash and readers refuse
-inputs from a different hash. All randomness derives from the single
-top-level seed, split per stage.
+``STAGE_TABLE`` declares the stages in run order (normalize, segment,
+retrieve, postprocess, filter, split, limited, decontam, lm_train, lm_eval)
+and, for each, the stages whose outputs its ``stage_<name>`` function reads.
+``run_stage`` is the one runner: it drops the stage's old provenance record,
+checks the provenance of every stage the table says it reads, runs it and
+records its summary, so a run can be resumed from any stage and a torn or
+stale intermediate is refused. All outputs carry the config hash and
+readers refuse inputs from a different hash. All randomness derives from
+the single top-level seed, split per stage.
 """
 
 from __future__ import annotations
@@ -18,19 +21,22 @@ from . import decontam as dc
 from . import ngramlm
 from . import retrieval as rt
 from . import splitter as sp
-from .config import STAGES, PipelineConfig
+from .config import PipelineConfig
 from .manifest import (
     CANDIDATE_COLUMNS,
     ManifestRow,
     ProvenanceError,
     candidate_row,
+    read_lines,
     read_manifest,
     read_tsv,
+    write_json,
+    write_lines,
     write_manifest,
     write_tsv,
 )
 from .segmenter import read_token_stream, segment_stream
-from .textnorm import Orthography, default_orthography, normalize_lines
+from .textnorm import load_orthography, normalize_lines
 
 
 class StageError(RuntimeError):
@@ -51,16 +57,7 @@ def _lm_dir(cfg: PipelineConfig) -> Path:
     return Path(cfg.output_dir) / "lm"
 
 
-def _write_provenance(cfg: PipelineConfig, stage: str, summary: dict) -> None:
-    d = _stage_dir(cfg, stage)
-    d.mkdir(parents=True, exist_ok=True)
-    payload = {"stage": stage, "config_hash": cfg.config_hash(), "summary": summary}
-    (d / "provenance.json").write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def _check_provenance(cfg: PipelineConfig, stage: str) -> dict:
+def _check_provenance(cfg: PipelineConfig, stage: str) -> None:
     path = _stage_dir(cfg, stage) / "provenance.json"
     if not path.exists():
         raise StageError(stage, f"missing output of prerequisite stage ({path})")
@@ -70,13 +67,6 @@ def _check_provenance(cfg: PipelineConfig, stage: str) -> dict:
             f"{path}: config hash {payload.get('config_hash')} does not match "
             f"active run {cfg.config_hash()}"
         )
-    return payload
-
-
-def _orthography(cfg: PipelineConfig) -> Orthography:
-    if cfg.orthography:
-        return Orthography.from_file(cfg.orthography, language_id=cfg.language)
-    return default_orthography(cfg.language)
 
 
 def _load_metadata(cfg: PipelineConfig) -> tuple[list[dict], dict[str, dict]]:
@@ -91,7 +81,63 @@ def _load_metadata(cfg: PipelineConfig) -> tuple[list[dict], dict[str, dict]]:
 
 
 # ---------------------------------------------------------------------------
-# stages
+# per-item steps, shared by the stages and the standalone subcommands
+
+
+def normalize_file(src: Path, dst: Path, orth) -> int:
+    """Write the normalized text of one raw file; returns its token count."""
+    lines = normalize_lines(src.read_text(encoding="utf-8"), orth)
+    dst.write_text("\n".join(l.text() for l in lines) + "\n", encoding="utf-8")
+    return sum(len(l) for l in lines)
+
+
+def segment_chapter(path: Path, min_ms: int, max_ms: int, keep_residual: bool,
+                    book_of: dict, speaker_of: dict, gender_of: dict):
+    """Segment one chapter's token stream (``<chapter_id>.jsonl``).
+
+    Returns its segment-manifest rows and the segmentation result. Chapters
+    missing from the maps get empty book, speaker and gender fields.
+    """
+    chapter_id = path.stem
+    result = segment_stream(
+        read_token_stream(path),
+        min_len=min_ms,
+        max_len=max_ms,
+        keep_residual=keep_residual,
+        segment_id_prefix=chapter_id,
+    )
+    speaker = speaker_of.get(chapter_id, "")
+    rows = [
+        ManifestRow(seg.segment_id, book_of.get(chapter_id, ""), chapter_id, speaker,
+                    gender_of.get(speaker, ""), seg.start, seg.end, " ".join(seg.words()))
+        for seg in result.segments
+        if seg.tokens
+    ]
+    return rows, result
+
+
+def read_books(directory) -> dict[str, list[str]]:
+    """book_id -> words of every normalized ``<book_id>.txt`` in a directory."""
+    return {
+        path.stem: path.read_text(encoding="utf-8").split()
+        for path in sorted(Path(directory).glob("*.txt"))
+    }
+
+
+def read_sentences(paths) -> list[list[str]]:
+    """The LM corpus: the words of every non-blank line of the files."""
+    sentences = []
+    for path in paths:
+        for line in Path(path).read_text(encoding="utf-8").splitlines():
+            words = line.split()
+            if words:
+                sentences.append(words)
+    return sentences
+
+
+# ---------------------------------------------------------------------------
+# stages: each reads its inputs and the outputs of the stages STAGE_TABLE
+# declares, writes its outputs and returns its numeric summary
 
 
 def stage_normalize(cfg: PipelineConfig) -> dict:
@@ -101,19 +147,10 @@ def stage_normalize(cfg: PipelineConfig) -> dict:
     book_files = sorted(src.glob("*.txt"))
     if not book_files:
         raise FileNotFoundError(f"no book texts found in {src}")
-    orth = _orthography(cfg)
+    orth = load_orthography(cfg.orthography, cfg.language)
     out = _stage_dir(cfg, "normalize")
-    out.mkdir(parents=True, exist_ok=True)
-    n_tokens = 0
-    for path in book_files:
-        lines = normalize_lines(path.read_text(encoding="utf-8"), orth)
-        n_tokens += sum(len(l) for l in lines)
-        (out / path.name).write_text(
-            "\n".join(l.text() for l in lines) + "\n", encoding="utf-8"
-        )
-    summary = {"books": len(book_files), "tokens": n_tokens}
-    _write_provenance(cfg, "normalize", summary)
-    return summary
+    n_tokens = sum(normalize_file(path, out / path.name, orth) for path in book_files)
+    return {"books": len(book_files), "tokens": n_tokens}
 
 
 def _chapter_maps(books_meta, speakers_meta):
@@ -134,39 +171,17 @@ def stage_segment(cfg: PipelineConfig) -> dict:
     if not token_dir.is_dir():
         raise FileNotFoundError(f"input token directory {token_dir} does not exist")
     out = _stage_dir(cfg, "segment")
-    out.mkdir(parents=True, exist_ok=True)
 
     rows = []
     residuals = []
     dropped = []
     for path in sorted(token_dir.glob("*.jsonl")):
         chapter_id = path.stem
-        tokens = read_token_stream(path)
-        result = segment_stream(
-            tokens,
-            min_len=cfg.min_segment_ms,
-            max_len=cfg.max_segment_ms,
-            keep_residual=cfg.keep_residual,
-            segment_id_prefix=chapter_id,
+        chapter_rows, result = segment_chapter(
+            path, cfg.min_segment_ms, cfg.max_segment_ms, cfg.keep_residual,
+            book_of, speaker_of, gender_of,
         )
-        speaker = speaker_of.get(chapter_id, "")
-        for seg in result.segments:
-            if not seg.tokens:
-                continue
-            rows.append(
-                ManifestRow(
-                    segment_id=seg.segment_id,
-                    book_id=book_of.get(chapter_id, ""),
-                    chapter_id=chapter_id,
-                    speaker_id=speaker,
-                    gender=gender_of.get(speaker, ""),
-                    start_ms=seg.start,
-                    end_ms=seg.end,
-                    transcript=" ".join(seg.words()),
-                    wer=None,
-                    partition="unassigned",
-                )
-            )
+        rows += chapter_rows
         if result.residual is not None and not cfg.keep_residual:
             residuals.append(
                 (chapter_id, result.residual.start, result.residual.end,
@@ -181,46 +196,29 @@ def stage_segment(cfg: PipelineConfig) -> dict:
               residuals, cfg.config_hash())
     write_tsv(out / "dropped.tsv", ("chapter_id", "word", "start_ms", "end_ms"),
               dropped, cfg.config_hash())
-    summary = {"segments": len(rows), "residuals": len(residuals), "dropped": len(dropped)}
-    _write_provenance(cfg, "segment", summary)
-    return summary
+    return {"segments": len(rows), "residuals": len(residuals), "dropped": len(dropped)}
 
 
-def read_books(directory) -> dict[str, list[str]]:
-    """book_id -> words of every normalized ``<book_id>.txt`` in a directory."""
-    return {
-        path.stem: path.read_text(encoding="utf-8").split()
-        for path in sorted(Path(directory).glob("*.txt"))
-    }
+def _segments(cfg: PipelineConfig) -> list[ManifestRow]:
+    """The segment manifest of this run."""
+    return read_manifest(_stage_dir(cfg, "segment") / "segments.tsv", cfg.config_hash())
 
 
 def stage_retrieve(cfg: PipelineConfig) -> dict:
-    _check_provenance(cfg, "normalize")
-    _check_provenance(cfg, "segment")
     books = read_books(_stage_dir(cfg, "normalize"))
-    seg_rows = read_manifest(
-        _stage_dir(cfg, "segment") / "segments.tsv", cfg.config_hash()
-    )
     candidates, misses = rt.retrieve_candidates(
-        books, seg_rows, cfg.shard_size, cfg.shard_stride, cfg.wer_threshold
+        books, _segments(cfg), cfg.shard_size, cfg.shard_stride, cfg.wer_threshold
     )
     out_rows = [candidate_row(c) for c in candidates]
-    out = _stage_dir(cfg, "retrieve")
-    out.mkdir(parents=True, exist_ok=True)
-    write_tsv(out / "candidates.tsv", CANDIDATE_COLUMNS, out_rows, cfg.config_hash())
-    summary = {"candidates": len(out_rows), "unmatched": misses}
-    _write_provenance(cfg, "retrieve", summary)
-    return summary
+    write_tsv(_stage_dir(cfg, "retrieve") / "candidates.tsv", CANDIDATE_COLUMNS, out_rows,
+              cfg.config_hash())
+    return {"candidates": len(out_rows), "unmatched": misses}
 
 
 def stage_postprocess(cfg: PipelineConfig) -> dict:
-    _check_provenance(cfg, "retrieve")
     books = read_books(_stage_dir(cfg, "normalize"))
     book_freq = rt.build_book_frequencies(books)
-    seg_rows = read_manifest(
-        _stage_dir(cfg, "segment") / "segments.tsv", cfg.config_hash()
-    )
-    pseudo_of = {r.segment_id: r.transcript.split() for r in seg_rows}
+    pseudo_of = {r.segment_id: r.transcript.split() for r in _segments(cfg)}
     _, cand_rows = read_tsv(
         _stage_dir(cfg, "retrieve") / "candidates.tsv", cfg.config_hash()
     )
@@ -238,38 +236,28 @@ def stage_postprocess(cfg: PipelineConfig) -> dict:
         out_rows.append(
             candidate_row(rt.accept_candidate(fixed, pseudo, cfg.wer_threshold, seg_id, source))
         )
-    out = _stage_dir(cfg, "postprocess")
-    out.mkdir(parents=True, exist_ok=True)
-    write_tsv(out / "candidates.tsv", CANDIDATE_COLUMNS, out_rows, cfg.config_hash())
-    summary = {"candidates": len(out_rows), "wordform_changed": changed}
-    _write_provenance(cfg, "postprocess", summary)
-    return summary
+    write_tsv(_stage_dir(cfg, "postprocess") / "candidates.tsv", CANDIDATE_COLUMNS, out_rows,
+              cfg.config_hash())
+    return {"candidates": len(out_rows), "wordform_changed": changed}
 
 
 def stage_filter(cfg: PipelineConfig) -> dict:
-    _check_provenance(cfg, "postprocess")
     _, cand_rows = read_tsv(
         _stage_dir(cfg, "postprocess") / "candidates.tsv", cfg.config_hash()
     )
     kept = [row for row in cand_rows if row[5] == "true"]
-    out = _stage_dir(cfg, "filter")
-    out.mkdir(parents=True, exist_ok=True)
-    write_tsv(out / "accepted.tsv", CANDIDATE_COLUMNS, kept, cfg.config_hash())
-    summary = {
+    write_tsv(_stage_dir(cfg, "filter") / "accepted.tsv", CANDIDATE_COLUMNS, kept,
+              cfg.config_hash())
+    return {
         "accepted": len(kept),
         "rejected": len(cand_rows) - len(kept),
         "wer_threshold": cfg.wer_threshold,
     }
-    _write_provenance(cfg, "filter", summary)
-    return summary
 
 
 def _accepted_segments(cfg: PipelineConfig):
     """Join accepted candidates with segment metadata."""
-    seg_rows = read_manifest(
-        _stage_dir(cfg, "segment") / "segments.tsv", cfg.config_hash()
-    )
-    seg_of = {r.segment_id: r for r in seg_rows}
+    seg_of = {r.segment_id: r for r in _segments(cfg)}
     _, accepted = read_tsv(_stage_dir(cfg, "filter") / "accepted.tsv", cfg.config_hash())
     joined = []
     for seg_id, book_id, off_s, off_e, wer_s, _acc, transcript in accepted:
@@ -281,6 +269,11 @@ def _accepted_segments(cfg: PipelineConfig):
         ))
     joined.sort(key=lambda r: r.segment_id)
     return joined
+
+
+def _title(book: dict) -> tuple[str, ...]:
+    """A book's title words as split and decontam compare them."""
+    return tuple(str(book.get("title", "")).lower().split())
 
 
 def _book_records(books_meta, chapter_durations) -> list[sp.BookRecord]:
@@ -297,7 +290,7 @@ def _book_records(books_meta, chapter_durations) -> list[sp.BookRecord]:
         records.append(
             sp.BookRecord(
                 book_id=book["book_id"],
-                title=tuple(str(book.get("title", "")).lower().split()),
+                title=_title(book),
                 author=str(book.get("author", "")),
                 version=int(book.get("version", 1)),
                 chapters=chapters,
@@ -308,7 +301,6 @@ def _book_records(books_meta, chapter_durations) -> list[sp.BookRecord]:
 
 
 def stage_split(cfg: PipelineConfig) -> dict:
-    _check_provenance(cfg, "filter")
     books_meta, speakers_meta = _load_metadata(cfg)
     rows = _accepted_segments(cfg)
 
@@ -404,9 +396,7 @@ def stage_split(cfg: PipelineConfig) -> dict:
         (part, f"{bin_start:.1f}", count)
         for (part, bin_start), count in stats.pop("_histogram_pairs").items()
     )
-    (Path(cfg.output_dir) / "stats.json").write_text(
-        json.dumps(stats, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(Path(cfg.output_dir) / "stats.json", stats)
     write_tsv(
         Path(cfg.output_dir) / "duration_histogram.tsv",
         ("partition", "bin_start_s", "count"),
@@ -414,8 +404,6 @@ def stage_split(cfg: PipelineConfig) -> dict:
         cfg.config_hash(),
     )
 
-    out = _stage_dir(cfg, "split")
-    out.mkdir(parents=True, exist_ok=True)
     report = {
         "config_hash": cfg.config_hash(),
         "book_rejections": rejections,
@@ -426,21 +414,16 @@ def stage_split(cfg: PipelineConfig) -> dict:
             p: assignment.speakers_in(p) for p in ("train", "dev", "test")
         },
     }
-    (out / "split_report.json").write_text(
-        json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    summary = {
+    write_json(_stage_dir(cfg, "split") / "split_report.json", report)
+    return {
         "segments": len(final_rows),
         "train": sum(1 for r in final_rows if r.partition == "train"),
         "dev": sum(1 for r in final_rows if r.partition == "dev"),
         "test": sum(1 for r in final_rows if r.partition == "test"),
     }
-    _write_provenance(cfg, "split", summary)
-    return summary
 
 
 def stage_limited(cfg: PipelineConfig) -> dict:
-    _check_provenance(cfg, "split")
     train_rows = read_manifest(_manifest_dir(cfg) / "train.tsv", cfg.config_hash())
     segments = [
         (r.segment_id, r.speaker_id, r.gender, r.duration_ms / 1000.0)
@@ -452,61 +435,36 @@ def stage_limited(cfg: PipelineConfig) -> dict:
         speakers_per_gender=cfg.limited_speakers_per_gender,
     )
     by_id = {r.segment_id: r for r in train_rows}
-    mdir = _manifest_dir(cfg)
-
-    def relabel(ids, label):
-        return [replace(by_id[seg_id], partition=label) for seg_id in sorted(ids)]
-
-    for i, members in enumerate(sets.ten_minute, start=1):
-        write_manifest(
-            mdir / f"limited_10min_{i}.tsv",
-            relabel(members, f"limited:10min-{i}"),
-            cfg.config_hash(),
-        )
-    write_manifest(
-        mdir / "limited_1h.tsv", relabel(sets.one_hour, "limited:1h"), cfg.config_hash()
+    subsets = [(f"10min_{i}", f"10min-{i}", ids) for i, ids in enumerate(sets.ten_minute, 1)]
+    subsets += [("1h", "1h", sets.one_hour), ("10h", "10h", sets.ten_hour)]
+    for file_tag, label, ids in subsets:
+        rows = [replace(by_id[seg_id], partition=f"limited:{label}") for seg_id in sorted(ids)]
+        write_manifest(_manifest_dir(cfg) / f"limited_{file_tag}.tsv", rows, cfg.config_hash())
+    write_json(
+        _stage_dir(cfg, "limited") / "limited_report.json",
+        {"config_hash": cfg.config_hash(), **sets.report},
     )
-    write_manifest(
-        mdir / "limited_10h.tsv", relabel(sets.ten_hour, "limited:10h"), cfg.config_hash()
-    )
-    out = _stage_dir(cfg, "limited")
-    out.mkdir(parents=True, exist_ok=True)
-    limited_report = {"config_hash": cfg.config_hash(), **sets.report}
-    (out / "limited_report.json").write_text(
-        json.dumps(limited_report, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    summary = {
+    return {
         "ten_minute_sizes": [len(s) for s in sets.ten_minute],
         "one_hour_size": len(sets.one_hour),
         "ten_hour_size": len(sets.ten_hour),
         "shortfalls": len(sets.report["shortfalls"]),
     }
-    _write_provenance(cfg, "limited", summary)
-    return summary
-
-
-def _stopwords(cfg: PipelineConfig):
-    if cfg.stopwords:
-        return dc.load_stopwords(cfg.stopwords)
-    return dc.default_stopwords(cfg.language)
 
 
 def stage_decontam(cfg: PipelineConfig) -> dict:
-    _check_provenance(cfg, "split")
     books_meta, _ = _load_metadata(cfg)
     books = read_books(_stage_dir(cfg, "normalize"))
     dev_rows = read_manifest(_manifest_dir(cfg) / "dev.tsv", cfg.config_hash())
     test_rows = read_manifest(_manifest_dir(cfg) / "test.tsv", cfg.config_hash())
     heldout_rows = dev_rows + test_rows
 
-    stopwords = _stopwords(cfg)
+    stopwords = dc.stopword_list(cfg.stopwords, cfg.language)
     index = dc.build_heldout_index(
         (r.transcript.split() for r in heldout_rows), stopwords
     )
     heldout_books = {r.book_id for r in heldout_rows}
-    titles = {}
-    for book in books_meta:
-        titles[book["book_id"]] = tuple(str(book.get("title", "")).lower().split())
+    titles = {book["book_id"]: _title(book) for book in books_meta}
     heldout_titles = [titles[b] for b in sorted(heldout_books) if b in titles]
 
     candidates = [
@@ -522,51 +480,20 @@ def stage_decontam(cfg: PipelineConfig) -> dict:
     )
     lm_dir = _lm_dir(cfg)
     lm_dir.mkdir(parents=True, exist_ok=True)
-    write_tsv(
-        lm_dir / "decontam_report.tsv",
-        ("book_id", "action", "reason", "rate"),
-        [(r["book_id"], r["action"], r["reason"], f"{r['rate']:.6f}") for r in report],
-        cfg.config_hash(),
-    )
-    (lm_dir / "corpus_books.txt").write_text(
-        f"# config_hash={cfg.config_hash()}\n"
-        + "\n".join(b.book_id for b in kept)
-        + "\n",
-        encoding="utf-8",
-    )
-    out = _stage_dir(cfg, "decontam")
-    out.mkdir(parents=True, exist_ok=True)
-    summary = {
+    dc.write_report(lm_dir / "decontam_report.tsv", report, cfg.config_hash())
+    write_lines(lm_dir / "corpus_books.txt", [b.book_id for b in kept], cfg.config_hash())
+    return {
         "candidates": len(candidates),
         "kept": len(kept),
         "removed": len(removed),
         "heldout_fivegrams": len(index),
     }
-    _write_provenance(cfg, "decontam", summary)
-    return summary
-
-
-def _lm_corpus(cfg: PipelineConfig) -> list[list[str]]:
-    kept_path = _lm_dir(cfg) / "corpus_books.txt"
-    lines = kept_path.read_text(encoding="utf-8").splitlines()
-    for line in lines:
-        if line.startswith("# config_hash=") and line.split("=", 1)[1] != cfg.config_hash():
-            raise ProvenanceError(f"{kept_path}: config hash mismatch")
-    kept_ids = [l.strip() for l in lines if l.strip() and not l.startswith("#")]
-    src = _stage_dir(cfg, "normalize")
-    sentences = []
-    for book_id in kept_ids:
-        path = src / f"{book_id}.txt"
-        for line in path.read_text(encoding="utf-8").splitlines():
-            words = line.split()
-            if words:
-                sentences.append(words)
-    return sentences
 
 
 def stage_lm_train(cfg: PipelineConfig) -> dict:
-    _check_provenance(cfg, "decontam")
-    sentences = _lm_corpus(cfg)
+    kept_ids = read_lines(_lm_dir(cfg) / "corpus_books.txt", cfg.config_hash())
+    src = _stage_dir(cfg, "normalize")
+    sentences = read_sentences(src / f"{book_id}.txt" for book_id in kept_ids)
     lm_dir = _lm_dir(cfg)
     sizes = {}
     for order in cfg.lm_orders:
@@ -584,13 +511,10 @@ def stage_lm_train(cfg: PipelineConfig) -> dict:
         model.to_arpa(lm_dir / f"lm_{order}.arpa")
         del model  # free this order before the next one is trained
         sizes[str(order)] = path.stat().st_size
-    summary = {"orders": list(cfg.lm_orders), "sentences": len(sentences), "bytes": sizes}
-    _write_provenance(cfg, "lm_train", summary)
-    return summary
+    return {"orders": list(cfg.lm_orders), "sentences": len(sentences), "bytes": sizes}
 
 
 def stage_lm_eval(cfg: PipelineConfig) -> dict:
-    _check_provenance(cfg, "lm_train")
     dev_rows = read_manifest(_manifest_dir(cfg) / "dev.tsv", cfg.config_hash())
     dev_sentences = [r.transcript.split() for r in dev_rows]
     lm_dir = _lm_dir(cfg)
@@ -608,30 +532,50 @@ def stage_lm_eval(cfg: PipelineConfig) -> dict:
             "scored_tokens": report.scored_tokens,
         }
         ppls[order] = report.perplexity
-    payload = {
+    write_json(lm_dir / "lm_eval.json", {
         "config_hash": cfg.config_hash(),
         "models": results,
         "higher_order_not_worse": ngramlm.higher_order_not_worse(ppls),
-    }
-    (lm_dir / "lm_eval.json").write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    _write_provenance(cfg, "lm_eval", payload["models"])
-    return payload
+    })
+    return results
 
 
-_STAGE_FUNCS = {
-    "normalize": stage_normalize,
-    "segment": stage_segment,
-    "retrieve": stage_retrieve,
-    "postprocess": stage_postprocess,
-    "filter": stage_filter,
-    "split": stage_split,
-    "limited": stage_limited,
-    "decontam": stage_decontam,
-    "lm_train": stage_lm_train,
-    "lm_eval": stage_lm_eval,
+# The stage table, in run order: stage name -> the stages whose outputs
+# ``stage_<name>`` reads. A stage that reads a stage's files must list it,
+# so that a missing, torn or stale prerequisite is refused.
+STAGE_TABLE: dict[str, tuple[str, ...]] = {
+    "normalize": (),
+    "segment": (),
+    "retrieve": ("normalize", "segment"),
+    "postprocess": ("normalize", "segment", "retrieve"),
+    "filter": ("postprocess",),
+    "split": ("segment", "filter"),
+    "limited": ("split",),
+    "decontam": ("normalize", "split"),
+    "lm_train": ("normalize", "decontam"),
+    "lm_eval": ("split", "lm_train"),
 }
+
+
+def run_stage(cfg: PipelineConfig, name: str) -> dict:
+    """Run one stage and record its provenance.
+
+    The stage's old ``provenance.json`` goes first, so a stage that fails
+    part-way leaves none and its successors refuse its outputs. Then every
+    stage it reads must have provenance under this run's config hash.
+    """
+    out = _stage_dir(cfg, name)
+    (out / "provenance.json").unlink(missing_ok=True)
+    for prerequisite in STAGE_TABLE[name]:
+        _check_provenance(cfg, prerequisite)
+    out.mkdir(parents=True, exist_ok=True)
+    # looked up on the module at call time, so a rebound stage_<name> is used
+    summary = globals()[f"stage_{name}"](cfg)
+    write_json(
+        out / "provenance.json",
+        {"stage": name, "config_hash": cfg.config_hash(), "summary": summary},
+    )
+    return summary
 
 
 def run_pipeline(
@@ -643,30 +587,28 @@ def run_pipeline(
     Already-written outputs of earlier stages are left in place, which is
     what makes --from-stage resumption possible."""
     cfg.validate()
+    names = list(STAGE_TABLE)
     for name in (from_stage, until_stage):
-        if name is not None and name not in STAGES:
-            raise ValueError(f"unknown stage {name!r} (stages: {', '.join(STAGES)})")
-    start = STAGES.index(from_stage) if from_stage else 0
-    stop = STAGES.index(until_stage) if until_stage else len(STAGES) - 1
+        if name is not None and name not in STAGE_TABLE:
+            raise ValueError(f"unknown stage {name!r} (stages: {', '.join(names)})")
+    start = names.index(from_stage) if from_stage else 0
+    stop = names.index(until_stage) if until_stage else len(names) - 1
     Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
 
-    aggregate: dict[str, dict] = {}
-    for name in STAGES[start : stop + 1]:
+    for name in names[start : stop + 1]:
         try:
-            aggregate[name] = _STAGE_FUNCS[name](cfg)
+            run_stage(cfg, name)
         except (StageError, ProvenanceError):
             raise
         except Exception as exc:
             raise StageError(name, str(exc)) from exc
 
     report = {"config_hash": cfg.config_hash(), "config": cfg.hash_lines(), "stages": {}}
-    for name in STAGES:
+    for name in names:
         prov = _stage_dir(cfg, name) / "provenance.json"
         if prov.exists():
             report["stages"][name] = json.loads(prov.read_text(encoding="utf-8"))["summary"]
-    (Path(cfg.output_dir) / "report.json").write_text(
-        json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(Path(cfg.output_dir) / "report.json", report)
     return report
 
 

@@ -93,13 +93,12 @@ def segment_stream(
     """
     if min_len >= max_len:
         raise ValueError(f"min_len {min_len} must be < max_len {max_len}")
-    validate_stream(tokens)
 
     result = SegmentationResult(segments=[])
     if not tokens:
         return result
 
-    gaps = silence_gaps(tokens)
+    gaps = silence_gaps(tokens)  # also validates the stream
     stream_end = tokens[-1].end
     start = tokens[0].start
     tok_i = 0  # first token not yet assigned

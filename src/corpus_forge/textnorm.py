@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 # characters that participate in end-of-line hyphenation
@@ -50,10 +50,6 @@ class Orthography:
                 raise OrthographyError(
                     "apostrophe/hyphen classes may not contain whitespace"
                 )
-
-    @property
-    def word_chars(self) -> frozenset[str]:
-        return self.valid_chars | self.apostrophe_chars | self.hyphen_chars
 
     @classmethod
     def from_file(cls, path: str | Path, language_id: str | None = None) -> "Orthography":
@@ -95,12 +91,9 @@ class Orthography:
 
 @dataclass(frozen=True)
 class NormalizedText:
-    """Canonical token sequence; ``source_span_map`` is optional provenance
-    (per-token byte ranges into the raw input) and is not produced by the
-    default normalizer."""
+    """Canonical token sequence of one text or line."""
 
     tokens: tuple[str, ...]
-    source_span_map: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
         for t in self.tokens:
@@ -216,3 +209,10 @@ def default_orthography(language_id: str = "en") -> Orthography:
     if not path.exists():
         raise OrthographyError(f"no bundled orthography for {language_id!r}")
     return Orthography.from_file(path, language_id=language_id)
+
+
+def load_orthography(path: str | Path, language_id: str = "en") -> Orthography:
+    """The orthography file at ``path``, or the bundled one when it is empty."""
+    if path:
+        return Orthography.from_file(path, language_id=language_id)
+    return default_orthography(language_id)

@@ -364,8 +364,12 @@ def test_arpa_lines_equal_recursive_model_exactly(tmp_path, order, smoothing):
         p = 0.0 if gram == (SENT_START,) else model._p(k, gram[:-1], gram[-1])
         assert prob_field == (f"{math.log10(p):.7f}" if p > 0.0 else "-99.0000000"), gram
         tot = model.totals[k].get(gram) if k < order else None
-        bow = model.gamma_mass[k][gram] / tot if tot else 0.0
-        assert bow_field == (f"{math.log10(bow):.7f}" if bow > 0.0 else None), gram
+        if not tot:
+            assert bow_field is None, gram
+        elif smoothing == "none":  # an unsmoothed model never backs off from a seen context
+            assert bow_field == "-99.0000000", gram
+        else:
+            assert bow_field == f"{math.log10(model.gamma_mass[k][gram] / tot):.7f}", gram
     # the level-wise values themselves equal the recursive ones, bit for bit
     lower = {(w,): model._p(1, (), w) for w in model.vocab}
     for k in range(2, order + 1):
@@ -380,6 +384,26 @@ def test_unsmoothed_arpa_writes_zero_unknown_probability(tmp_path):
     fields = arpa_fields(path)
     assert fields[(UNK,)] == ("-99.0000000", None)
     assert fields[("a",)][0] == f"{math.log10(2 / 5):.7f}"
+
+
+@pytest.mark.parametrize("smoothing", ["kn", "none"])
+@pytest.mark.parametrize(
+    "corpus,order",
+    [([["a", "b", "a"], ["b", "c"]], 2), (markov3_corpus(37, 60), 3)],
+    ids=["tiny", "markov3"],
+)
+def test_arpa_round_trip_reproduces_every_probability(tmp_path, corpus, order, smoothing):
+    model = train(corpus, order, smoothing=smoothing)
+    path = tmp_path / "m.arpa"
+    model.to_arpa(path)
+    probs, bows = parse_arpa(path)
+    words = sorted(model.vocab) + [UNK]
+    contexts = {()} | {g[:-1] for table in model.tables for g in table}
+    contexts |= {(w,) for w in words} | {(SENT_START, w) for w in words}
+    for ctx in sorted(contexts):
+        for w in words:
+            expected = model.prob(w, ctx)
+            assert arpa_prob(probs, bows, ctx, w) == pytest.approx(expected, abs=1e-6), (ctx, w)
 
 
 def test_save_load_save_byte_identical_and_words_shared(tmp_path):
