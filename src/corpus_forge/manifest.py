@@ -1,11 +1,11 @@
 """Manifest and report file formats.
 
 Every TSV (manifests, candidates, reports) is UTF-8 with LF line endings,
-written and read by one ``csv`` dialect (tab-delimited, fields quoted only
-when they hold a tab, quote or line break) under a header row. The first
-line of every hashed file is a ``# config_hash=<hex>`` provenance comment,
-checked by one reader, so files produced under different configurations
-cannot be mixed silently.
+written and read by one ``csv`` dialect under a header row: tab-delimited,
+fields quoted only when they hold a tab, quote or line feed, and every field
+of a row that holds a carriage return. The first line of every hashed file
+is a ``# config_hash=<hex>`` provenance comment, checked by one reader, so
+files produced under different configurations cannot be mixed silently.
 """
 
 from __future__ import annotations
@@ -115,10 +115,7 @@ def read_manifest(path: str | Path, expect_hash: str | None = None) -> list[Mani
 def _hashed_body(path: str | Path, expect_hash: str | None) -> str:
     """The text of a hashed file after its checked ``# config_hash=`` line.
 
-    Every caller needs the whole file, so it is read at once. That also
-    keeps retrieval fast: freeing one large string raises glibc's mmap
-    threshold, so the alignment temporaries that follow are reused from the
-    heap instead of being page-faulted in on every call.
+    Every caller needs the whole file, so it is read at once.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         head, _, body = fh.read().partition("\n")
@@ -133,13 +130,26 @@ def _hashed_body(path: str | Path, expect_hash: str | None) -> str:
     return body
 
 
+def _tsv_text(rows, quoting=csv.QUOTE_MINIMAL) -> str:
+    text = io.StringIO()
+    csv.writer(text, delimiter="\t", lineterminator="\n", quoting=quoting).writerows(rows)
+    return text.getvalue()
+
+
 def write_tsv(path: str | Path, columns, rows, config_hash: str) -> None:
     """Hashed TSV (manifests, candidates, reports, histograms)."""
+    rows = [columns, *rows]
+    body = _tsv_text(rows)
+    if "\r" in body:
+        # minimal quoting leaves a carriage return bare, and the reader would
+        # end the record there: quote every field of the rows that hold one
+        lines = (_tsv_text([row]) for row in rows)
+        body = "".join(
+            _tsv_text([row], csv.QUOTE_ALL) if "\r" in line else line
+            for row, line in zip(rows, lines)
+        )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config_hash={config_hash}\n")
-        writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
+        fh.write(f"# config_hash={config_hash}\n{body}")
 
 
 def read_tsv(path: str | Path, expect_hash: str | None = None) -> tuple[list[str], list[list[str]]]:

@@ -6,10 +6,13 @@ label. Indexing a book also interns it once into int32 word ids. The
 pseudo label is encoded in the same vocabulary, where words the book lacks
 get an id no book word has, and aligned to a view of the winning window's
 ids with a local Smith-Waterman (match 2, substitution/insertion/deletion
--1). Digit words of the matched book text are replaced from the aligned
-pseudo words. Candidates are accepted when their word error rate against
-the pseudo label does not exceed the threshold (default 40%); the rate
-comes from a bit-parallel Levenshtein distance (Myers 1999; Hyyrö 2003).
+-1). The alignment is computed only on the runs of window columns whose
+cheap upper bound (from which columns hold a query word) can reach the best
+score, usually a few percent of the window. Digit words of the matched book
+text are replaced from the aligned pseudo words. Candidates are accepted
+when their word error rate against the pseudo label does not exceed the
+threshold (default 40%); the rate comes from a bit-parallel Levenshtein
+distance (Myers 1999; Hyyrö 2003).
 """
 
 from __future__ import annotations
@@ -221,12 +224,22 @@ def smith_waterman(
 
     ``query`` and ``reference`` are two integer id arrays (retrieval passes
     the pseudo label encoded in the book's vocabulary and a view of the
-    book's ids) or two sequences of hashable tokens, interned here. The
-    int32 table is filled row-wise in coordinates G = H - gap*j, where the
-    linear gap chain is a prefix maximum; the best cells come from the row
-    maxima and are traced back over plain ints. Among equal-score
-    alignments the smallest reference start wins, then the shortest
-    reference span, the smallest query start and the earliest end cell.
+    book's ids) or two sequences of hashable tokens, interned here.
+
+    The DP is filled only where the best score can lie. Every reference
+    column consumed by an alignment adds at most ``match`` when its word
+    occurs in the query and at most ``max(mismatch, gap)`` otherwise, and
+    query-only steps add ``gap`` < 0, so no cell of column j scores more
+    than the best suffix sum of those column values ending at j, nor more
+    than ``match * len(query)``. Columns bounded by 0 hold H = 0 in every
+    row and cut the reference into independent runs. Runs are aligned in
+    descending order of their bound until the next bound falls below the
+    best score found; each one fills an int32 table row-wise in coordinates
+    G = H - gap*j, where the linear gap chain is a prefix maximum, and its
+    best cells come from the row maxima and are traced back over plain
+    ints. Among equal-score alignments, from any run, the smallest
+    reference start wins, then the shortest reference span, the smallest
+    query start and the earliest end cell.
     """
     if not len(query) or not len(reference):
         raise ValueError("query and reference must be non-empty")
@@ -243,43 +256,48 @@ def smith_waterman(
     if (match - mismatch - gap) * (n + m + 2) >= 2**31:
         raise ValueError("scores too large for an int32 alignment table")
 
-    # diagonal step in G coordinates: H[i-1, j-1] + s - gap*j = G[i-1, j-1] + s - gap
-    step = np.multiply(q_ids[:, None] == r_ids, np.int32(match - mismatch), dtype=np.int32)
-    step += np.int32(mismatch - gap)
-    floor = np.arange(m + 1, dtype=np.int32) * np.int32(-gap)  # G of H == 0
-    G = np.empty((n + 1, m + 1), dtype=np.int32)
-    G[0] = floor
-    G[:, 0] = 0
-    for i in range(1, n + 1):
-        prev = G[i - 1]
-        cand = np.maximum(prev[:m] + step[i - 1], prev[1:] + np.int32(gap))
-        np.maximum(cand, floor[1:], out=cand)
-        np.maximum.accumulate(cand, out=G[i, 1:])
-    H = G - floor
-    row_best = H.max(axis=1)
-    best = int(row_best.max())
-    if best == 0:
+    # column bound: best suffix sum of per-column gains, capped at match * n
+    gain = np.where((q_ids[:, None] == r_ids).any(axis=0), match, max(mismatch, gap))
+    total = np.cumsum(gain)
+    bound = np.minimum(total - np.minimum(np.minimum.accumulate(total), 0), match * n)
+    is_open = np.concatenate(([False], bound > 0, [False]))
+    edges = np.flatnonzero(is_open[1:] != is_open[:-1])
+    if not edges.size:  # no column can score; a run always holds a positive cell
         return AlignmentResult(score=0, ref_span=(0, 0), query_span=(0, 0), ops=())
+    starts, ends = edges[0::2], edges[1::2]
+    run_bound = np.maximum.reduceat(bound, starts)
 
-    h = H.item
-    diag_gain = step.item  # s - gap of cell (i-1, j-1)
-    matched = match - gap
-    candidates = []
-    for end_i in np.flatnonzero(row_best == best).tolist():
-        for end_j in np.flatnonzero(H[end_i] == best).tolist():
-            i, j, ops = end_i, end_j, []
-            while (here := h(i, j)) > 0:
-                gain = diag_gain(i - 1, j - 1)
-                if here == h(i - 1, j - 1) + gain + gap:
-                    i, j = i - 1, j - 1
-                    ops.append(AlignmentOp("match" if gain == matched else "substitute", i, j))
-                elif here == h(i - 1, j) + gap:
-                    i -= 1
-                    ops.append(AlignmentOp("insert", i, None))
-                else:
-                    j -= 1
-                    ops.append(AlignmentOp("delete", None, j))
-            candidates.append((j, end_j - j, i, end_j, end_i, ops[::-1]))
+    matched = match - gap  # diagonal gain of a match
+    best, candidates = 0, []
+    for run in np.argsort(-run_bound, kind="stable").tolist():
+        if run_bound[run] < best:
+            break  # no later run can reach the best score
+        lo = int(starts[run])
+        H, step = _run_table(q_ids, r_ids[lo : ends[run]], match, mismatch, gap)
+        row_best = H.max(axis=1)
+        score = int(row_best.max())
+        if score < best:
+            continue
+        if score > best:
+            best, candidates = score, []
+        h = H.item
+        diag_gain = step.item  # s - gap of cell (i-1, j-1)
+        for end_i in np.flatnonzero(row_best == score).tolist():
+            for end_j in np.flatnonzero(H[end_i] == score).tolist():
+                i, j, ops = end_i, end_j, []
+                while (here := h(i, j)) > 0:
+                    cell_gain = diag_gain(i - 1, j - 1)
+                    if here == h(i - 1, j - 1) + cell_gain + gap:
+                        i, j = i - 1, j - 1
+                        kind = "match" if cell_gain == matched else "substitute"
+                        ops.append(AlignmentOp(kind, i, lo + j))
+                    elif here == h(i - 1, j) + gap:
+                        i -= 1
+                        ops.append(AlignmentOp("insert", i, None))
+                    else:
+                        j -= 1
+                        ops.append(AlignmentOp("delete", None, lo + j))
+                candidates.append((lo + j, end_j - j, i, lo + end_j, end_i, ops[::-1]))
     rs, _span_len, qs, re_, qe, ops = min(candidates, key=lambda c: c[:5])
     return AlignmentResult(
         score=best,
@@ -287,6 +305,28 @@ def smith_waterman(
         query_span=(qs, qe),
         ops=tuple(ops),
     )
+
+
+def _run_table(q_ids, r_ids, match, mismatch, gap) -> tuple[np.ndarray, np.ndarray]:
+    """(H, step) of the zero-clamped DP of ``q_ids`` against one run of
+    reference columns, whose left neighbour holds H = 0; step[i, j] is the
+    diagonal gain s - gap into cell (i+1, j+1)."""
+    n, m = len(q_ids), len(r_ids)
+    # diagonal step in G coordinates: H[i-1, j-1] + s - gap*j = G[i-1, j-1] + s - gap
+    step = np.multiply(q_ids[:, None] == r_ids, np.int32(match - mismatch), dtype=np.int32)
+    step += np.int32(mismatch - gap)
+    floor = np.arange(m + 1, dtype=np.int32) * np.int32(-gap)  # G of H == 0
+    G = np.empty((n + 1, m + 1), dtype=np.int32)
+    G[0] = floor
+    G[:, 0] = 0
+    up, gap32, floor_1 = np.empty(m, dtype=np.int32), np.int32(gap), floor[1:]
+    for diag, above, row, row_step in zip(G[:-1, :-1], G[:-1, 1:], G[1:, 1:], step):
+        cand = diag + row_step
+        np.add(above, gap32, out=up)
+        np.maximum(cand, up, out=cand)
+        np.maximum(cand, floor_1, out=cand)
+        np.maximum.accumulate(cand, out=row)
+    return G - floor, step
 
 
 @lru_cache(maxsize=1 << 16)

@@ -5,11 +5,16 @@ head, the longest inter-token silence whose midpoint falls 10-20 s after the
 current start is picked and the stream is cut at that midpoint; when the
 window holds no silence the cut lands exactly at the 20 s mark. Repeats until
 less than the minimum segment length remains.
+
+Gap midpoints ascend, so each cut bisects for the gaps of its window and
+scans only those, and a forced cut bisects the token starts for the one
+token that can straddle it, so a stream costs near-linear time.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -69,11 +74,7 @@ def validate_stream(tokens: list[TimedToken]) -> None:
 def silence_gaps(tokens: list[TimedToken]) -> list[tuple[int, int]]:
     """Inter-token silences as (gap_start, gap_end); zero-length gaps omitted."""
     validate_stream(tokens)
-    gaps = []
-    for prev, cur in zip(tokens, tokens[1:]):
-        if prev.end < cur.start:
-            gaps.append((prev.end, cur.start))
-    return gaps
+    return [(prev.end, cur.start) for prev, cur in zip(tokens, tokens[1:]) if prev.end < cur.start]
 
 
 def segment_stream(
@@ -99,6 +100,12 @@ def segment_stream(
         return result
 
     gaps = silence_gaps(tokens)  # also validates the stream
+    # gaps are disjoint and sorted, so their midpoints strictly ascend
+    mids = [(gs + ge) // 2 for gs, ge in gaps]
+    lengths = [ge - gs for gs, ge in gaps]
+    # a valid stream is sorted and non-overlapping: starts and ends ascend
+    starts = [t.start for t in tokens]
+    ends = [t.end for t in tokens]
     stream_end = tokens[-1].end
     start = tokens[0].start
     tok_i = 0  # first token not yet assigned
@@ -106,10 +113,8 @@ def segment_stream(
 
     def emit(end: int) -> None:
         nonlocal tok_i, counter, start
-        members = []
-        while tok_i < len(tokens) and tokens[tok_i].end <= end:
-            members.append(tokens[tok_i])
-            tok_i += 1
+        stop = bisect_right(ends, end, tok_i)
+        members, tok_i = tokens[tok_i:stop], stop
         if end <= start:  # zero-width cut around a dropped leading token
             return
         result.segments.append(
@@ -133,26 +138,18 @@ def segment_stream(
 
         lo = start + min_len
         hi = start + max_len
-        best_len = -1
-        best_mid = None
-        for gs, ge in gaps:
-            mid = (gs + ge) // 2
-            if lo <= mid <= hi and ge - gs > best_len:
-                best_len = ge - gs
-                best_mid = mid  # earliest wins on ties (> keeps the first)
-        if best_mid is not None:
-            emit(best_mid)
-            start = best_mid
+        first, last = bisect_left(mids, lo), bisect_right(mids, hi)
+        if first < last:
+            # max() keeps the first of equal lengths: the earliest gap wins ties
+            best = max(range(first, last), key=lengths.__getitem__)
+            emit(mids[best])
+            start = mids[best]
             continue
 
+        # only the last token starting before the cut can straddle it
         cut = hi
-        inside = None
-        for t in tokens[tok_i:]:
-            if t.start >= cut:
-                break
-            if t.start < cut < t.end:
-                inside = t
-                break
+        k = bisect_left(starts, cut) - 1
+        inside = tokens[k] if k >= tok_i and tokens[k].end > cut else None
         if inside is None:
             emit(cut)
             start = cut
@@ -162,9 +159,7 @@ def segment_stream(
         else:
             result.dropped_tokens.append(inside)
             emit(inside.start)
-            # skip past the dropped token
-            while tok_i < len(tokens) and tokens[tok_i].end <= inside.end:
-                tok_i += 1
+            tok_i = bisect_right(ends, inside.end, tok_i)  # skip past the dropped token
             start = inside.end
 
     leftovers = tokens[tok_i:]

@@ -232,6 +232,60 @@ def enumerate_local_alignment_score(query, reference, match=2, mismatch=-1, gap=
     return best
 
 
+def full_window_smith_waterman(query, reference, match=2, mismatch=-1, gap=-1):
+    """Smith-Waterman over the whole reference window, with the package's
+    tie-break: smallest reference start, then shortest reference span,
+    smallest query start, earliest end column, earliest end row.
+
+    The full int32 table is filled row-wise in G = H - gap*j coordinates and
+    every best cell is traced back. Sequences are integer id arrays or
+    hashable tokens. Returns (score, ref_span, query_span, ops) with ops as
+    (kind, query_index, ref_index) triples; a zero score has no spans.
+    """
+    import numpy as np
+
+    q_ids, r_ids = query, reference
+    if not (isinstance(q_ids, np.ndarray) and isinstance(r_ids, np.ndarray)):
+        ids = {}
+        q_ids, r_ids = (
+            np.array([ids.setdefault(w, len(ids)) for w in seq], dtype=np.int32)
+            for seq in (query, reference)
+        )
+    n, m = len(q_ids), len(r_ids)
+    step = np.multiply(q_ids[:, None] == r_ids, np.int32(match - mismatch), dtype=np.int32)
+    step += np.int32(mismatch - gap)
+    floor = np.arange(m + 1, dtype=np.int32) * np.int32(-gap)
+    G = np.empty((n + 1, m + 1), dtype=np.int32)
+    G[0] = floor
+    G[:, 0] = 0
+    for i in range(1, n + 1):
+        prev = G[i - 1]
+        cand = np.maximum(prev[:m] + step[i - 1], prev[1:] + np.int32(gap))
+        np.maximum(cand, floor[1:], out=cand)
+        np.maximum.accumulate(cand, out=G[i, 1:])
+    H = G - floor
+    best = int(H.max())
+    if best == 0:
+        return 0, (0, 0), (0, 0), ()
+    candidates = []
+    for end_i, end_j in np.argwhere(H == best).tolist():
+        i, j, ops = end_i, end_j, []
+        while H[i, j] > 0:
+            s = match if q_ids[i - 1] == r_ids[j - 1] else mismatch
+            if H[i, j] == H[i - 1, j - 1] + s:
+                i, j = i - 1, j - 1
+                ops.append(("match" if s == match else "substitute", i, j))
+            elif H[i, j] == H[i - 1, j] + gap:
+                i -= 1
+                ops.append(("insert", i, None))
+            else:
+                j -= 1
+                ops.append(("delete", None, j))
+        candidates.append((j, end_j - j, i, end_j, end_i, tuple(ops[::-1])))
+    rs, _span, qs, re_, qe, ops = min(candidates, key=lambda c: c[:5])
+    return best, (rs, re_), (qs, qe), ops
+
+
 def edit_script_minimum(a, b, cap=None):
     """Unit-cost edit distance by iterative-deepening script search.
 

@@ -18,7 +18,9 @@ from corpus_forge.synth import synth_corpus
 
 from test_pipeline import SMALL
 
-AWKWARD = ["tab\there", 'say "hi"', '"', "\t", "line\nbreak", "a\u2028b"]
+AWKWARD = [
+    "tab\there", 'say "hi"', '"', "\t", "line\nbreak", "a\u2028b", "he\rllo", "\r", "cr\r\nlf",
+]
 
 
 def test_awkward_words_round_trip_through_manifest(tmp_path):
@@ -30,6 +32,10 @@ def test_awkward_words_round_trip_through_manifest(tmp_path):
     path = tmp_path / "m.tsv"
     write_manifest(path, rows, "cafe")
     assert read_manifest(path, expect_hash="cafe") == rows
+    # rows without a carriage return keep the minimal quoting
+    lines = path.read_bytes().split(b"\n")
+    assert b"plain\tb\tc\tsp\tM\t5\t9\t\t0.500000\tdev" in lines
+    assert b"s0\tb\tc\tsp\tF\t0\t1000\t\"one tab\there two\"\t\tunassigned" in lines
 
 
 def test_wrong_column_count_is_refused(tmp_path):

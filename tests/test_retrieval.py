@@ -1,9 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from corpus_forge.retrieval import (
+    ABSENT_ID,
     AlignmentOp,
     accept_candidate,
     build_book_frequencies,
@@ -24,6 +26,7 @@ from oracles import (
     enumerate_local_alignment_score,
     exhaustive_cosine_scores,
     full_matrix_edit_distance,
+    full_window_smith_waterman,
     replay_wordform_rules,
 )
 
@@ -291,10 +294,9 @@ def test_dp_score_equals_enumeration_oracle_100_seeds():
         rng = random.Random(seed)
         q = random_words(rng, rng.randint(1, 12), alphabet)
         r = random_words(rng, rng.randint(1, 40), alphabet)
-        assert smith_waterman(q, r).score == enumerate_local_alignment_score(q, r), (
-            q,
-            r,
-        )
+        expected = enumerate_local_alignment_score(q, r)
+        assert smith_waterman(q, r).score == expected, (q, r)
+        assert full_window_smith_waterman(q, r)[0] == expected, (q, r)
 
 
 def test_score_symmetric_under_swap():
@@ -337,6 +339,99 @@ def test_id_kernel_tie_break_over_equal_score_cells():
     # alignment starts earlier in the reference and wins
     crossed = smith_waterman(["b", "a"], ["a", "z", "b"])
     assert (crossed.score, crossed.ref_span, crossed.query_span) == (2, (0, 1), (1, 2))
+
+
+def as_oracle(result):
+    """An AlignmentResult in the reference kernel's tuple form."""
+    ops = tuple((op.kind, op.query_index, op.ref_index) for op in result.ops)
+    return result.score, result.ref_span, result.query_span, ops
+
+
+def column_runs(query, reference, match=2, other=-1):
+    """(start, end, bound) of each maximal run of reference columns whose
+    alignment bound is positive: the best suffix sum of ``match`` (column
+    word in the query) or ``other``, capped at match * len(query)."""
+    words, runs, best = set(query), [], 0
+    for j, word in enumerate(reference):
+        best = max(0, best + (match if word in words else other))
+        bound = min(best, match * len(query))
+        if bound <= 0:
+            continue
+        if runs and runs[-1][1] == j:
+            runs[-1][1:] = [j + 1, max(runs[-1][2], bound)]
+        else:
+            runs.append([j, j + 1, bound])
+    return [tuple(run) for run in runs]
+
+
+def filler(n, tag="f"):
+    return [f"{tag}{k}" for k in range(n)]
+
+
+def test_kernel_matches_full_window_across_several_runs():
+    q = "a b c d e f".split()
+    ref = filler(20) + ["a", "b", "x", "c"] + filler(30) + ["d", "e", "f"] + filler(25) + ["b"]
+    assert len(column_runs(q, ref)) == 3
+    assert as_oracle(smith_waterman(q, ref)) == full_window_smith_waterman(q, ref)
+
+
+def test_equal_scores_in_far_apart_runs_keep_the_earliest_start():
+    q = "a b c d".split()
+    # the later run has the higher bound ("c a b c"), so it is aligned
+    # first; the earlier run's equal-score alignment must still win
+    ref = filler(10) + ["a", "b", "c"] + filler(200) + ["c", "a", "b", "c"] + filler(10)
+    runs = column_runs(q, ref)
+    assert [bound for _, _, bound in runs] == [6, 8]
+    result = smith_waterman(q, ref)
+    assert as_oracle(result) == full_window_smith_waterman(q, ref)
+    assert (result.score, result.ref_span, result.query_span) == (6, (10, 13), (0, 3))
+
+
+def test_zero_score_when_no_column_can_score():
+    for q, ref in ((["a", "b"], filler(50)), (["a"], ["b"])):
+        expected = full_window_smith_waterman(q, ref)
+        assert as_oracle(smith_waterman(q, ref)) == expected
+    assert column_runs(["a", "b"], filler(50)) == []
+    ids = np.array([ABSENT_ID, ABSENT_ID], dtype=np.int32)
+    assert smith_waterman(ids, np.arange(40, dtype=np.int32)).score == 0
+
+
+def test_single_run_covering_the_whole_window():
+    rng = random.Random(7)
+    q = random_words(rng, 8, ["a", "b", "c"])
+    ref = random_words(rng, 300, ["a", "b", "c"])
+    assert [run[:2] for run in column_runs(q, ref)] == [(0, 300)]
+    assert as_oracle(smith_waterman(q, ref)) == full_window_smith_waterman(q, ref)
+
+
+def test_kernel_matches_full_window_on_seeded_windows():
+    """Book-like windows: rare query words in long stretches of filler,
+    copied query fragments with substitutions, insertions and deletions,
+    query words the book lacks (ABSENT_ID), on the id and string paths."""
+    absent = several_runs = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        vocab = [f"w{k}" for k in range(rng.choice([5, 40, 400]))]
+        ref = random_words(rng, rng.randint(1, 600), vocab)
+        q = random_words(rng, rng.randint(1, 30), vocab + ["absent1", "absent2"])
+        for _ in range(rng.randint(0, 3)):  # plant noisy copies of query fragments
+            lo = rng.randrange(len(q))
+            piece = [
+                rng.choice(vocab) if w.startswith("absent") or rng.random() < 0.2 else w
+                for w in q[lo:]
+            ]
+            if rng.random() < 0.5:
+                del piece[rng.randrange(len(piece))]
+            at = rng.randint(0, len(ref))
+            ref[at:at] = piece
+        index = build_index(shard_book(ref, "b", shard_size=200, shard_stride=150))
+        q_ids = index.encode(q)
+        expected = full_window_smith_waterman(q_ids, index.book_ids)
+        assert as_oracle(smith_waterman(q_ids, index.book_ids)) == expected, seed
+        assert as_oracle(smith_waterman(q, ref)) == expected, seed
+        absent += ABSENT_ID in q_ids.tolist()
+        several_runs += len(column_runs(q, ref)) > 1
+    assert absent >= 100 and several_runs >= 100
 
 
 # -- number replacement ------------------------------------------------------

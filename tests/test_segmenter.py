@@ -213,6 +213,65 @@ def test_forced_cut_streams_match_oracle(seed):
         assert a_end == b_start
 
 
+def oracle_result(tokens, min_len=10_000, max_len=20_000):
+    """segment_stream's spans, residual and dropped spans, and the oracle's.
+    Every token must land in exactly one segment, the residual or the
+    dropped list."""
+    result = segment_stream(tokens, min_len=min_len, max_len=max_len)
+    residual = result.residual and (result.residual.start, result.residual.end)
+    placed = [t for s in result.segments for t in s.tokens] + result.dropped_tokens
+    placed += result.residual.tokens if result.residual else ()
+    assert sorted(map(id, placed)) == sorted(map(id, tokens))
+    got = ([(s.start, s.end) for s in result.segments], residual,
+           [(t.start, t.end) for t in result.dropped_tokens])
+    expected = brute_force_segment_bounds([(t.start, t.end) for t in tokens], min_len, max_len)
+    return got, expected
+
+
+def test_long_silence_free_stretches_match_oracle():
+    """Paused speech with 40-90 s stretches of contiguous tokens, some long
+    enough to straddle a forced cut: many forced cuts, tokens kept within
+    the slack and tokens dropped."""
+    kept = dropped = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        tokens, t = [], 0
+        for stretch in range(20):
+            contiguous = stretch % 2 == 1
+            until = t + (rng.randint(40_000, 90_000) if contiguous else rng.randint(5_000, 30_000))
+            while t < until:
+                dur = rng.randint(150, 700) if rng.random() > 0.05 else rng.randint(700, 2_500)
+                tokens.append(TimedToken(f"w{len(tokens)}", t, t + dur))
+                t += dur + (0 if contiguous else rng.choice([20, 80, 300, 900]))
+        got, expected = oracle_result(tokens)
+        assert got == expected, seed
+        spans, _residual, drops = got
+        dropped += len(drops)
+        kept += sum(20_000 < end - start <= 20_000 + FORCED_CUT_SLACK_MS for start, end in spans)
+    assert kept >= 10 and dropped >= 10
+
+
+def test_dense_equal_gaps_pick_the_earliest():
+    # 400 ms words and 100 ms gaps: every window holds about 20 equal
+    # gaps, so every cut is at the earliest midpoint past min_len
+    tokens = make_tokens([(k * 500, k * 500 + 400) for k in range(400)])
+    got, expected = oracle_result(tokens)
+    assert got == expected
+    assert [end for _, end in got[0][:3]] == [10_450, 20_450, 30_450]
+
+
+def test_gap_midpoints_exactly_at_window_edges():
+    # a long gap whose midpoint is exactly start+min_len or start+max_len is
+    # in the window and beats a short one; one just outside is not
+    at_lo = make_tokens([(0, 9_900), (10_100, 15_000), (15_050, 45_000)])
+    at_hi = make_tokens([(0, 12_000), (12_100, 19_400), (20_600, 45_000)])
+    outside = make_tokens([(0, 9_000), (10_998, 15_000), (15_050, 19_000), (21_004, 45_000)])
+    for tokens, first_cut in ((at_lo, 10_000), (at_hi, 20_000), (outside, 15_025)):
+        got, expected = oracle_result(tokens)
+        assert got == expected
+        assert got[0][0] == (0, first_cut)
+
+
 def test_token_stream_round_trip(tmp_path):
     tokens = random_stream(8, n_tokens=40)
     path = tmp_path / "rec.jsonl"
