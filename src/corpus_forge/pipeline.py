@@ -160,7 +160,7 @@ def _chapter_maps(books_meta, speakers_meta):
         for ch in book["chapters"]:
             book_of[ch["chapter_id"]] = book["book_id"]
             speaker_of[ch["chapter_id"]] = ch["speaker_id"]
-    gender_of = {sid: rec["gender"] for sid, rec in speakers_meta.items()}
+    gender_of = {sid: rec.get("gender", "") for sid, rec in speakers_meta.items()}
     return book_of, speaker_of, gender_of
 
 
@@ -276,15 +276,11 @@ def _title(book: dict) -> tuple[str, ...]:
     return tuple(str(book.get("title", "")).lower().split())
 
 
-def _book_records(books_meta, chapter_durations) -> list[sp.BookRecord]:
+def _book_records(books_meta) -> list[sp.BookRecord]:
     records = []
     for book in books_meta:
         chapters = tuple(
-            sp.ChapterRef(
-                chapter_id=ch["chapter_id"],
-                speaker_id=ch["speaker_id"],
-                duration=chapter_durations.get(ch["chapter_id"], 0.0),
-            )
+            sp.ChapterRef(chapter_id=ch["chapter_id"], speaker_id=ch["speaker_id"])
             for ch in book["chapters"]
         )
         records.append(
@@ -303,14 +299,7 @@ def _book_records(books_meta, chapter_durations) -> list[sp.BookRecord]:
 def stage_split(cfg: PipelineConfig) -> dict:
     books_meta, speakers_meta = _load_metadata(cfg)
     rows = _accepted_segments(cfg)
-
-    chapter_durations: dict[str, float] = {}
-    for r in rows:
-        chapter_durations[r.chapter_id] = (
-            chapter_durations.get(r.chapter_id, 0.0) + r.duration_ms / 1000.0
-        )
-    records = _book_records(books_meta, chapter_durations)
-    valid_books, rejections = sp.validate_books(records)
+    valid_books, rejections = sp.validate_books(_book_records(books_meta))
     valid_chapters = {ch.chapter_id: ch for b in valid_books for ch in b.chapters}
     rows = [r for r in rows if r.chapter_id in valid_chapters]
 
@@ -321,7 +310,13 @@ def stage_split(cfg: PipelineConfig) -> dict:
     recordings: dict[str, list[tuple[str, float]]] = {}
     for sid in sorted(per_speaker):
         segs = per_speaker[sid]
-        gender = speakers_meta.get(sid, {}).get("gender", "")
+        gender = speakers_meta.get(sid, {}).get("gender")
+        if gender not in sp.GENDERS:
+            raise ValueError(
+                f"{Path(cfg.input_dir) / 'speakers.json'}: speaker {sid!r}, who has "
+                f"{len(segs)} accepted segments, has no record with a gender in "
+                f"{sp.GENDERS} (got {gender!r})"
+            )
         total = sum(s.duration_ms for s in segs) / 1000.0
         wers = [s.wer for s in segs if s.wer is not None]
         speakers.append(

@@ -59,16 +59,20 @@ class SegmentationResult:
     dropped_tokens: list[TimedToken] = field(default_factory=list)
 
 
+def _stream_fault(prev: TimedToken, tok: TimedToken) -> str | None:
+    """Why ``tok`` may not follow ``prev`` in a stream, or None."""
+    if tok.start < prev.start:
+        return "token stream is not sorted by start time"
+    if tok.start < prev.end:
+        return "token stream has overlapping tokens"
+    return None
+
+
 def validate_stream(tokens: list[TimedToken]) -> None:
-    prev_end = None
-    prev_start = None
-    for t in tokens:
-        if prev_start is not None and t.start < prev_start:
-            raise ValueError("token stream is not sorted by start time")
-        if prev_end is not None and t.start < prev_end:
-            raise ValueError("token stream has overlapping tokens")
-        prev_start = t.start
-        prev_end = t.end
+    for prev, tok in zip(tokens, tokens[1:]):
+        fault = _stream_fault(prev, tok)
+        if fault:
+            raise ValueError(fault)
 
 
 def silence_gaps(tokens: list[TimedToken]) -> list[tuple[int, int]]:
@@ -176,7 +180,11 @@ def segment_stream(
 
 
 def read_token_stream(path: str | Path) -> list[TimedToken]:
-    """Read one recording's tokens from JSON-lines ({"w", "s", "e"} per line)."""
+    """Read one recording's tokens from JSON-lines ({"w", "s", "e"} per line).
+
+    A malformed line, or a token out of order with or overlapping the one
+    before it, fails naming the file and the line.
+    """
     tokens = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -185,10 +193,13 @@ def read_token_stream(path: str | Path) -> list[TimedToken]:
                 continue
             try:
                 obj = json.loads(line)
-                tokens.append(TimedToken(word=obj["w"], start=int(obj["s"]), end=int(obj["e"])))
+                tok = TimedToken(word=obj["w"], start=int(obj["s"]), end=int(obj["e"]))
             except (KeyError, ValueError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad token line: {exc}") from exc
-    validate_stream(tokens)
+            fault = tokens and _stream_fault(tokens[-1], tok)
+            if fault:
+                raise ValueError(f"{path}:{lineno}: {fault}")
+            tokens.append(tok)
     return tokens
 
 

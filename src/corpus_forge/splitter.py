@@ -40,7 +40,6 @@ class SpeakerRecord:
 class ChapterRef:
     chapter_id: str
     speaker_id: str
-    duration: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,6 @@ class PartitionAssignment:
     kept_segments: dict[str, tuple[str, ...]] = field(default_factory=dict)
     truncation_report: list[dict] = field(default_factory=list)
     chapter_report: list[dict] = field(default_factory=list)
-    partition_duration: dict[str, float] = field(default_factory=dict)
     gender_counts: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def speakers_in(self, partition: str) -> list[str]:
@@ -166,11 +164,8 @@ def partition_speakers(
             assignment.speaker_partition[sp.speaker_id] = "train"
 
     by_id = {sp.speaker_id: sp for sp in speakers}
-    durations: dict[str, float] = {}
     counts: dict[str, dict[str, int]] = {p: {g: 0 for g in GENDERS} for p in ("train", "dev", "test")}
     for sid, part in assignment.speaker_partition.items():
-        sp = by_id[sid]
-        effective = sp.total_duration
         if part in ("dev", "test") and recordings is not None:
             segs = recordings.get(sid, [])
             total = sum(d for _, d in segs)
@@ -193,12 +188,7 @@ def partition_speakers(
                         "after_s": kept_total,
                     }
                 )
-                effective = kept_total
-            else:
-                effective = total if segs else sp.total_duration
-        durations[part] = durations.get(part, 0.0) + effective
-        counts[part][sp.gender] += 1
-    assignment.partition_duration = durations
+        counts[part][by_id[sid].gender] += 1
     assignment.gender_counts = counts
     assignment.verify()
     return assignment

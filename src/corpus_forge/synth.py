@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 
@@ -52,7 +52,6 @@ class SynthSummary:
     book_ids: list[str]
     chapter_ids: list[str]
     speaker_ids: list[str]
-    truth_files: dict[str, Path] = field(default_factory=dict)
 
 
 def _make_vocabulary(rng: random.Random, size: int) -> list[str]:
@@ -130,7 +129,6 @@ def synth_corpus(root: str | Path, seed: int, params: SynthParams | None = None)
     books_meta = []
     book_ids = []
     chapter_ids = []
-    truth_files = {}
     for b in range(params.n_books):
         book_id = f"book{b:03d}"
         book_ids.append(book_id)
@@ -164,7 +162,6 @@ def synth_corpus(root: str | Path, seed: int, params: SynthParams | None = None)
                 _sub_rng(seed, "read", chapter_id),
                 params,
             )
-            truth_files[chapter_id] = root / "truth" / f"{chapter_id}.json"
         books_meta.append(
             {
                 "book_id": book_id,
@@ -187,7 +184,6 @@ def synth_corpus(root: str | Path, seed: int, params: SynthParams | None = None)
         book_ids=book_ids,
         chapter_ids=chapter_ids,
         speaker_ids=speaker_ids,
-        truth_files=truth_files,
     )
 
 

@@ -1,18 +1,24 @@
 """Text normalization shared by every pipeline stage.
 
 Raw book pages and transcripts are reduced to a canonical lowercase token
-stream: NFKC normalization, end-of-line hyphen joining, removal of
-punctuation/symbol/control characters, case folding, and filtering against a
-per-language orthography. Digits survive normalization on purpose; they are
-resolved later by alignment against the pseudo-label.
+stream. Each text is checked, NFKC-normalized and hyphen-joined once. Then a
+``str.translate`` table per orthography decides each code point on first
+sight: whitespace and apostrophe/hyphen characters stay, format characters
+vanish, other punctuation/symbol/control/separator characters become a
+space, and anything else is casefolded and keeps only the folded characters
+the orthography lists. One pattern drops the apostrophe/hyphen characters
+that touch no valid character, and whitespace splits the tokens. Digits
+survive on purpose; alignment against the pseudo-label resolves them.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 # characters that participate in end-of-line hyphenation
 EOL_HYPHEN_CHARS = "-‐­"
@@ -96,9 +102,10 @@ class NormalizedText:
     tokens: tuple[str, ...]
 
     def __post_init__(self):
-        for t in self.tokens:
-            if not t or any(c.isspace() for c in t):
-                raise ValueError(f"malformed token {t!r}")
+        # no token is empty or holds whitespace iff re-splitting is lossless
+        if " ".join(self.tokens).split() != list(self.tokens):
+            bad = next(t for t in self.tokens if t.split() != [t])
+            raise ValueError(f"malformed token {bad!r}")
 
     def __len__(self):
         return len(self.tokens)
@@ -120,68 +127,67 @@ def join_eol_hyphens(raw: str) -> str:
     return _EOL_HYPHEN_RE.sub("", raw)
 
 
-def _reject_invalid(raw: str) -> None:
+def _canonical(raw: str) -> str:
+    """The checked, NFKC-normalized and hyphen-joined form of a text."""
+    if not isinstance(raw, str):
+        raise TypeError(f"normalization expects str input, got {type(raw).__name__}")
     try:
         raw.encode("utf-8")
     except UnicodeEncodeError as exc:  # lone surrogates
         raise ValueError(f"input is not valid Unicode text: {exc}") from exc
+    return join_eol_hyphens(unicodedata.normalize("NFKC", raw))
+
+
+class _CharTable(dict):
+    """``str.translate`` table deciding each code point on first sight."""
+
+    def __init__(self, orth: Orthography):
+        super().__init__()
+        self.keep = orth.valid_chars | orth.apostrophe_chars | orth.hyphen_chars
+        self.classed = orth.apostrophe_chars | orth.hyphen_chars
+
+    def __missing__(self, cp: int) -> str:
+        ch = chr(cp)
+        cat = unicodedata.category(ch)
+        if ch.isspace() or ch in self.classed:
+            out = ch
+        elif cat == "Cf":
+            out = ""  # soft hyphens, zero-width characters: vanish in place
+        elif cat[0] in "PSCZ":
+            out = " "
+        else:  # characters outside the orthography are filtered, not separators
+            out = "".join(f for f in ch.casefold() if f in self.keep)
+        self[cp] = out
+        return out
+
+
+def _char_class(chars) -> str:
+    """A regex character class of ``chars``; one that never matches if empty."""
+    body = "".join(map(re.escape, sorted(chars)))
+    return f"[{body}]" if body else "(?!)"
+
+
+@functools.cache
+def _tokenizer(orth: Orthography) -> Callable[[str], list[str]]:
+    """The per-line step for ``orth``: table, edge pattern, whitespace split.
+
+    Memoized by orthography value, which is all the table depends on.
+    Whitespace ends a word, so the edge pattern never counts it as valid.
+    """
+    valid = _char_class(c for c in orth.valid_chars if not c.isspace())
+    edge = _char_class((orth.apostrophe_chars | orth.hyphen_chars) - orth.valid_chars)
+    pattern = re.compile(f"(?<!{valid}){edge}(?!{valid})")
+    table = _CharTable(orth)
+    return lambda text: pattern.sub("", text.translate(table)).split()
 
 
 def normalize(raw: str, orth: Orthography) -> NormalizedText:
     """Normalize raw text into the canonical token sequence.
 
-    Applied in order: NFKC; end-of-line hyphen joining; separator handling
-    for punctuation, symbols (emoji), controls and escape characters (format
-    characters such as soft hyphens vanish in place); case folding;
-    orthography filtering (out-of-orthography characters are dropped without
-    splitting the word); whitespace tokenization. Deterministic.
+    Out-of-orthography characters are dropped without splitting the word;
+    punctuation, symbols (emoji) and controls split it. Deterministic.
     """
-    if not isinstance(raw, str):
-        raise TypeError("normalize expects str input")
-    _reject_invalid(raw)
-    text = unicodedata.normalize("NFKC", raw)
-    text = join_eol_hyphens(text)
-
-    valid = orth.valid_chars
-    classed = orth.apostrophe_chars | orth.hyphen_chars
-    tokens: list[str] = []
-    current: list[str] = []
-
-    def flush() -> None:
-        if not current:
-            return
-        word = "".join(current)
-        current.clear()
-        kept = []
-        for i, c in enumerate(word):
-            if c in valid:
-                kept.append(c)
-            elif (i > 0 and word[i - 1] in valid) or (
-                i + 1 < len(word) and word[i + 1] in valid
-            ):
-                kept.append(c)
-        if kept:
-            tokens.append("".join(kept))
-
-    for ch in text:
-        if ch.isspace():
-            flush()
-            continue
-        if ch in classed:
-            current.append(ch)
-            continue
-        cat = unicodedata.category(ch)
-        if cat == "Cf":
-            continue  # soft hyphens, zero-width characters: vanish in place
-        if cat[0] in "PSCZ":
-            flush()
-            continue
-        for folded in ch.casefold():
-            if folded in valid or folded in classed:
-                current.append(folded)
-            # characters outside the orthography are filtered, not separators
-    flush()
-    return NormalizedText(tokens=tuple(tokens))
+    return NormalizedText(tokens=tuple(_tokenizer(orth)(_canonical(raw))))
 
 
 def normalize_lines(raw: str, orth: Orthography) -> list[NormalizedText]:
@@ -191,16 +197,9 @@ def normalize_lines(raw: str, orth: Orthography) -> list[NormalizedText]:
     collapses onto the earlier line. Used wherever sentence-ish units are
     needed (language-model training data).
     """
-    if not isinstance(raw, str):
-        raise TypeError("normalize_lines expects str input")
-    _reject_invalid(raw)
-    joined = join_eol_hyphens(unicodedata.normalize("NFKC", raw))
-    out = []
-    for line in joined.splitlines():
-        nt = normalize(line, orth)
-        if nt.tokens:
-            out.append(nt)
-    return out
+    words = _tokenizer(orth)
+    lines = _canonical(raw).splitlines()
+    return [NormalizedText(tokens=tuple(w)) for line in lines if (w := words(line))]
 
 
 def default_orthography(language_id: str = "en") -> Orthography:

@@ -307,6 +307,88 @@ def test_unknown_stage_rejected(completed_run):
         run_pipeline(cfg, from_stage="nonsense")
 
 
+# -- split inputs ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("record", [None, {}, {"gender": ""}])
+def test_missing_speaker_record_names_speakers_json_and_speaker(tmp_path, record):
+    synth_corpus(tmp_path / "input", seed=17, params=SMALL)
+    speakers_path = tmp_path / "input" / "speakers.json"
+    speakers = json.loads(speakers_path.read_text(encoding="utf-8"))
+    if record is None:
+        del speakers["spk_f00"]
+    else:
+        speakers["spk_f00"] = record
+    speakers_path.write_text(json.dumps(speakers), encoding="utf-8")
+    with pytest.raises(StageError) as err:
+        run_pipeline(small_config(tmp_path), until_stage="split")
+    assert err.value.stage == "split"
+    assert str(speakers_path) in str(err.value)
+    assert "'spk_f00'" in str(err.value)
+
+
+def _mean_wers(cfg):
+    """speaker_id -> mean WER and total seconds of its accepted segments."""
+    out = Path(cfg.output_dir) / "work"
+    seg_of = {r.segment_id: r for r in read_manifest(out / "segment" / "segments.tsv")}
+    _, accepted = read_tsv(out / "filter" / "accepted.tsv")
+    wers, ms = {}, {}
+    for row in sorted(accepted):
+        seg = seg_of[row[0]]
+        wers.setdefault(seg.speaker_id, []).append(float(row[4]))
+        ms[seg.speaker_id] = ms.get(seg.speaker_id, 0) + seg.duration_ms
+    return {s: (sum(w) / len(w), ms[s] / 1000.0) for s, w in wers.items()}
+
+
+def test_hardness_prefilter_both_branches(tmp_path):
+    # at seed 8 a forced-train reader is one of the two shortest of its
+    # gender, so the filter changes who is held out
+    synth_corpus(tmp_path / "input", seed=8, params=SynthParams(
+        n_books=SMALL.n_books, words_per_book=SMALL.words_per_book,
+        speakers_per_gender=SMALL.speakers_per_gender, noise=0.15,
+    ))
+    reference = tmp_path / "reference_wers.txt"
+    cfg = small_config(tmp_path, seed=8, hardness_percentile=0.8,
+                       hardness_reference=str(reference))
+    run_pipeline(cfg, until_stage="filter")
+    stats = _mean_wers(cfg)
+    above = {s: w for s, (w, secs) in stats.items() if secs >= cfg.train_threshold_s}
+    speakers = json.loads((tmp_path / "input" / "speakers.json").read_text(encoding="utf-8"))
+    gender_of = {s: rec["gender"] for s, rec in speakers.items()}
+
+    def held_out(pool):
+        """dev and test: the two shortest speakers of each gender, alternating."""
+        ranked = {g: sorted((stats[s][1], s) for s in pool if gender_of[s] == g) for g in "FM"}
+        return {part: sorted(ranked[g][i][1] for g in "FM") for i, part in enumerate(("dev", "test"))}
+
+    def split_report():
+        run_pipeline(cfg, from_stage="split", until_stage="split")
+        path = Path(cfg.output_dir) / "work" / "split" / "split_report.json"
+        return json.loads(path.read_text(encoding="utf-8"))
+
+    # the cutoff sits between the two lowest-WER speakers of one gender, so
+    # every gender keeps two hard speakers and at least one speaker is forced
+    # into train
+    by_gender = {g: sorted(w for s, w in above.items() if gender_of[s] == g) for g in "FM"}
+    g = min("FM", key=lambda g: by_gender[g][1])
+    assert len(by_gender[g]) == 3 and by_gender[g][0] < by_gender[g][1]
+    cutoff = (by_gender[g][0] + by_gender[g][1]) / 2
+    reference.write_text(f"{cutoff!r}\n" * 5, encoding="utf-8")
+    report = split_report()
+    hard = {s for s, w in above.items() if w > cutoff}
+    forced = set(above) - hard
+    assert report["hardness"] == f"hardness filter kept {len(hard)} of {len(above)} speakers"
+    assert forced and forced <= set(report["speakers"]["train"])
+    assert held_out(hard) != held_out(above)
+    assert {p: report["speakers"][p] for p in ("dev", "test")} == held_out(hard)
+
+    # a cutoff no speaker exceeds leaves the partition to the duration rule
+    reference.write_text("1.0\n", encoding="utf-8")
+    report = split_report()
+    assert report["hardness"] == "hardness filter skipped: insufficient hard speakers"
+    assert {p: report["speakers"][p] for p in ("dev", "test")} == held_out(above)
+
+
 # -- command line ----------------------------------------------------------------------
 
 

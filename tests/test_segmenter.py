@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from corpus_forge.cli import main as cli_main
 from corpus_forge.segmenter import (
     FORCED_CUT_SLACK_MS,
     Segment,
@@ -284,3 +285,30 @@ def test_token_stream_bad_line(tmp_path):
     path.write_text('{"w": "a", "s": 0}\n', encoding="utf-8")
     with pytest.raises(ValueError):
         read_token_stream(path)
+
+
+def _write_lines(path, triples):
+    path.write_text(
+        "".join(f'{{"w": "{w}", "s": {s}, "e": {e}}}\n' for w, s, e in triples),
+        encoding="utf-8",
+    )
+
+
+def test_token_stream_unsorted_names_file_and_line(tmp_path, capsys):
+    path = tmp_path / "streams" / "rec.jsonl"
+    path.parent.mkdir()
+    _write_lines(path, [("a", 500, 900), ("b", 0, 400), ("c", 1000, 1200)])
+    with pytest.raises(ValueError) as err:
+        read_token_stream(path)
+    assert str(err.value) == f"{path}:2: token stream is not sorted by start time"
+    out = tmp_path / "segments.tsv"
+    assert cli_main(["segment", "--in", str(path.parent), "--out", str(out)]) == 2
+    assert f"{path}:2: token stream is not sorted" in capsys.readouterr().err
+
+
+def test_token_stream_overlap_names_file_and_line(tmp_path):
+    path = tmp_path / "rec.jsonl"
+    _write_lines(path, [("a", 0, 300), ("b", 400, 900), ("c", 800, 1200)])
+    with pytest.raises(ValueError) as err:
+        read_token_stream(path)
+    assert str(err.value) == f"{path}:3: token stream has overlapping tokens"
