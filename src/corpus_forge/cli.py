@@ -21,14 +21,12 @@ from . import ngramlm
 from . import retrieval as rt
 from .config import ConfigError, PipelineConfig
 from .manifest import (
-    CANDIDATE_COLUMNS,
     ProvenanceError,
-    candidate_row,
     json_text,
     read_manifest,
+    write_candidates,
     write_json,
     write_manifest,
-    write_tsv,
 )
 from .pipeline import (
     STAGE_TABLE,
@@ -90,7 +88,7 @@ def cmd_retrieve(args) -> int:
     candidates, _misses = rt.retrieve_candidates(
         books, read_manifest(args.pseudo), args.shard_size, args.stride, args.wer_threshold
     )
-    write_tsv(args.out, CANDIDATE_COLUMNS, [candidate_row(c) for c in candidates], ADHOC_HASH)
+    write_candidates(args.out, candidates, ADHOC_HASH)
     print(f"wrote {len(candidates)} candidates")
     return 0
 

@@ -6,6 +6,11 @@ fields quoted only when they hold a tab, quote or line feed, and every field
 of a row that holds a carriage return. The first line of every hashed file
 is a ``# config_hash=<hex>`` provenance comment, checked by one reader, so
 files produced under different configurations cannot be mixed silently.
+
+A ``ManifestRow`` is one segment. A ``CandidateTranscript`` is the book text
+retrieved for one segment, with its WER against the pseudo label and whether
+it is accepted; it crosses retrieve, postprocess, filter and split as one
+record, through ``write_candidates`` and ``read_candidates``.
 """
 
 from __future__ import annotations
@@ -42,15 +47,40 @@ CANDIDATE_COLUMNS = (
 PARTITIONS = ("train", "dev", "test", "unassigned")
 
 
-def candidate_row(c) -> tuple:
-    """A ``retrieval.CandidateTranscript`` as one CANDIDATE_COLUMNS row."""
+class ProvenanceError(ValueError):
+    """Raised when a file's config hash does not match the active run."""
+
+
+@dataclass
+class CandidateTranscript:
+    segment_id: str
+    words: tuple[str, ...]
+    source: tuple[str, tuple[int, int]]  # (book_id, word offset range)
+    pseudo_wer: float
+    accepted: bool
+
+
+def candidate_row(c: CandidateTranscript) -> tuple:
+    """A candidate as one CANDIDATE_COLUMNS row."""
     book_id, (start, end) = c.source
     wer, accepted = f"{c.pseudo_wer:.6f}", str(c.accepted).lower()
     return (c.segment_id, book_id, start, end, wer, accepted, " ".join(c.words))
 
 
-class ProvenanceError(ValueError):
-    """Raised when a file's config hash does not match the active run."""
+def _candidate(fields: list[str]) -> CandidateTranscript:
+    segment_id, book_id, start, end, wer, accepted, transcript = fields
+    return CandidateTranscript(
+        segment_id, tuple(transcript.split()), (book_id, (int(start), int(end))),
+        float(wer), accepted == "true",
+    )
+
+
+def write_candidates(path: str | Path, candidates, config_hash: str) -> None:
+    write_tsv(path, CANDIDATE_COLUMNS, [candidate_row(c) for c in candidates], config_hash)
+
+
+def read_candidates(path: str | Path, expect_hash: str | None = None) -> list[CandidateTranscript]:
+    return [_candidate(f) for f in _read_records(path, expect_hash, CANDIDATE_COLUMNS, "candidate")]
 
 
 @dataclass
@@ -103,13 +133,19 @@ def write_manifest(path: str | Path, rows, config_hash: str) -> None:
 
 
 def read_manifest(path: str | Path, expect_hash: str | None = None) -> list[ManifestRow]:
+    return [_manifest_row(f) for f in _read_records(path, expect_hash, MANIFEST_COLUMNS, "manifest")]
+
+
+def _read_records(path, expect_hash, columns, kind: str) -> list[list[str]]:
+    """The rows of a hashed TSV whose header is ``columns``, each checked
+    to hold one field per column."""
     header, rows = read_tsv(path, expect_hash)
-    if header != list(MANIFEST_COLUMNS):
-        raise ValueError(f"{path}: bad or missing manifest header")
+    if header != list(columns):
+        raise ValueError(f"{path}: bad or missing {kind} header")
     for i, fields in enumerate(rows, start=1):
-        if len(fields) != len(MANIFEST_COLUMNS):
-            raise ValueError(f"{path}: row {i}: expected {len(MANIFEST_COLUMNS)} columns")
-    return [_manifest_row(fields) for fields in rows]
+        if len(fields) != len(columns):
+            raise ValueError(f"{path}: row {i}: expected {len(columns)} columns")
+    return rows
 
 
 def _hashed_body(path: str | Path, expect_hash: str | None) -> str:

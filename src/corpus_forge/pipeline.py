@@ -23,13 +23,12 @@ from . import retrieval as rt
 from . import splitter as sp
 from .config import PipelineConfig
 from .manifest import (
-    CANDIDATE_COLUMNS,
     ManifestRow,
     ProvenanceError,
-    candidate_row,
+    read_candidates,
     read_lines,
     read_manifest,
-    read_tsv,
+    write_candidates,
     write_json,
     write_lines,
     write_manifest,
@@ -57,25 +56,52 @@ def _lm_dir(cfg: PipelineConfig) -> Path:
     return Path(cfg.output_dir) / "lm"
 
 
-def _check_provenance(cfg: PipelineConfig, stage: str) -> None:
+def _provenance(cfg: PipelineConfig, stage: str) -> tuple[Path, dict | None]:
+    """A stage's provenance file and its record (None when there is none)."""
     path = _stage_dir(cfg, stage) / "provenance.json"
-    if not path.exists():
+    return path, json.loads(path.read_text(encoding="utf-8")) if path.exists() else None
+
+
+def _check_provenance(cfg: PipelineConfig, stage: str) -> None:
+    path, record = _provenance(cfg, stage)
+    if record is None:
         raise StageError(stage, f"missing output of prerequisite stage ({path})")
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    if payload.get("config_hash") != cfg.config_hash():
+    if record.get("config_hash") != cfg.config_hash():
         raise ProvenanceError(
-            f"{path}: config hash {payload.get('config_hash')} does not match "
+            f"{path}: config hash {record.get('config_hash')} does not match "
             f"active run {cfg.config_hash()}"
         )
 
 
-def _load_metadata(cfg: PipelineConfig) -> tuple[list[dict], dict[str, dict]]:
-    root = Path(cfg.input_dir)
+def read_catalog(input_dir) -> tuple[list[sp.BookRecord], dict[str, dict]]:
+    """The book records of ``books.json`` and the speaker records of
+    ``speakers.json``. A book whose record cannot be built fails naming the
+    file and the book."""
+    root = Path(input_dir)
     books_path = root / "books.json"
     speakers_path = root / "speakers.json"
     if not books_path.exists() or not speakers_path.exists():
         raise FileNotFoundError(f"missing books.json/speakers.json under {root}")
-    books = json.loads(books_path.read_text(encoding="utf-8"))
+    books = []
+    for i, book in enumerate(json.loads(books_path.read_text(encoding="utf-8"))):
+        try:
+            books.append(sp.BookRecord(
+                book_id=book["book_id"],
+                # the title words as split and decontam compare them
+                title=tuple(str(book.get("title", "")).lower().split()),
+                author=str(book.get("author", "")),
+                version=int(book.get("version", 1)),
+                chapters=tuple(
+                    sp.ChapterRef(chapter_id=ch["chapter_id"], speaker_id=ch["speaker_id"])
+                    for ch in book["chapters"]
+                ),
+                multi_speaker=bool(book.get("multi_speaker", False)),
+            ))
+        except (KeyError, TypeError, ValueError) as exc:
+            named = f" ({book['book_id']!r})" if isinstance(book, dict) and "book_id" in book else ""
+            raise ValueError(
+                f"{books_path}: book {i}{named} is malformed: {type(exc).__name__}: {exc}"
+            ) from exc
     speakers = json.loads(speakers_path.read_text(encoding="utf-8"))
     return books, speakers
 
@@ -153,20 +179,11 @@ def stage_normalize(cfg: PipelineConfig) -> dict:
     return {"books": len(book_files), "tokens": n_tokens}
 
 
-def _chapter_maps(books_meta, speakers_meta):
-    book_of = {}
-    speaker_of = {}
-    for book in books_meta:
-        for ch in book["chapters"]:
-            book_of[ch["chapter_id"]] = book["book_id"]
-            speaker_of[ch["chapter_id"]] = ch["speaker_id"]
-    gender_of = {sid: rec.get("gender", "") for sid, rec in speakers_meta.items()}
-    return book_of, speaker_of, gender_of
-
-
 def stage_segment(cfg: PipelineConfig) -> dict:
-    books_meta, speakers_meta = _load_metadata(cfg)
-    book_of, speaker_of, gender_of = _chapter_maps(books_meta, speakers_meta)
+    books, speakers = read_catalog(cfg.input_dir)
+    book_of = {ch.chapter_id: b.book_id for b in books for ch in b.chapters}
+    speaker_of = {ch.chapter_id: ch.speaker_id for b in books for ch in b.chapters}
+    gender_of = {sid: rec.get("gender", "") for sid, rec in speakers.items()}
     token_dir = Path(cfg.input_dir) / "tokens"
     if not token_dir.is_dir():
         raise FileNotFoundError(f"input token directory {token_dir} does not exist")
@@ -209,48 +226,44 @@ def stage_retrieve(cfg: PipelineConfig) -> dict:
     candidates, misses = rt.retrieve_candidates(
         books, _segments(cfg), cfg.shard_size, cfg.shard_stride, cfg.wer_threshold
     )
-    out_rows = [candidate_row(c) for c in candidates]
-    write_tsv(_stage_dir(cfg, "retrieve") / "candidates.tsv", CANDIDATE_COLUMNS, out_rows,
-              cfg.config_hash())
-    return {"candidates": len(out_rows), "unmatched": misses}
+    write_candidates(_stage_dir(cfg, "retrieve") / "candidates.tsv", candidates,
+                     cfg.config_hash())
+    return {"candidates": len(candidates), "unmatched": misses}
 
 
 def stage_postprocess(cfg: PipelineConfig) -> dict:
+    """Fix rare word forms. A candidate they leave unchanged is kept as read:
+    retrieve scored those words against the same pseudo label under the same
+    threshold. A changed one is scored again, and dropped when empty."""
     books = read_books(_stage_dir(cfg, "normalize"))
     book_freq = rt.build_book_frequencies(books)
     pseudo_of = {r.segment_id: r.transcript.split() for r in _segments(cfg)}
-    _, cand_rows = read_tsv(
-        _stage_dir(cfg, "retrieve") / "candidates.tsv", cfg.config_hash()
-    )
-    out_rows = []
+    out = []
     changed = 0
-    for seg_id, book_id, off_s, off_e, _old_wer, _old_acc, transcript in cand_rows:
-        words = transcript.split()
-        fixed = rt.fix_rare_wordforms(words, book_freq, cfg.rare_wordform_threshold)
-        if fixed != words:
-            changed += 1
-        pseudo = pseudo_of.get(seg_id, [])
-        if not fixed or not pseudo:
+    for cand in read_candidates(_stage_dir(cfg, "retrieve") / "candidates.tsv", cfg.config_hash()):
+        fixed = rt.fix_rare_wordforms(cand.words, book_freq, cfg.rare_wordform_threshold)
+        if tuple(fixed) == cand.words:
+            out.append(cand)
             continue
-        source = (book_id, (int(off_s), int(off_e)))
-        out_rows.append(
-            candidate_row(rt.accept_candidate(fixed, pseudo, cfg.wer_threshold, seg_id, source))
-        )
-    write_tsv(_stage_dir(cfg, "postprocess") / "candidates.tsv", CANDIDATE_COLUMNS, out_rows,
-              cfg.config_hash())
-    return {"candidates": len(out_rows), "wordform_changed": changed}
+        changed += 1
+        pseudo = pseudo_of.get(cand.segment_id, [])
+        if fixed and pseudo:
+            out.append(rt.accept_candidate(
+                fixed, pseudo, cfg.wer_threshold, cand.segment_id, cand.source
+            ))
+    write_candidates(_stage_dir(cfg, "postprocess") / "candidates.tsv", out, cfg.config_hash())
+    return {"candidates": len(out), "wordform_changed": changed}
 
 
 def stage_filter(cfg: PipelineConfig) -> dict:
-    _, cand_rows = read_tsv(
+    candidates = read_candidates(
         _stage_dir(cfg, "postprocess") / "candidates.tsv", cfg.config_hash()
     )
-    kept = [row for row in cand_rows if row[5] == "true"]
-    write_tsv(_stage_dir(cfg, "filter") / "accepted.tsv", CANDIDATE_COLUMNS, kept,
-              cfg.config_hash())
+    kept = [c for c in candidates if c.accepted]
+    write_candidates(_stage_dir(cfg, "filter") / "accepted.tsv", kept, cfg.config_hash())
     return {
         "accepted": len(kept),
-        "rejected": len(cand_rows) - len(kept),
+        "rejected": len(candidates) - len(kept),
         "wer_threshold": cfg.wer_threshold,
     }
 
@@ -258,48 +271,23 @@ def stage_filter(cfg: PipelineConfig) -> dict:
 def _accepted_segments(cfg: PipelineConfig):
     """Join accepted candidates with segment metadata."""
     seg_of = {r.segment_id: r for r in _segments(cfg)}
-    _, accepted = read_tsv(_stage_dir(cfg, "filter") / "accepted.tsv", cfg.config_hash())
     joined = []
-    for seg_id, book_id, off_s, off_e, wer_s, _acc, transcript in accepted:
-        base = seg_of.get(seg_id)
+    for cand in read_candidates(_stage_dir(cfg, "filter") / "accepted.tsv", cfg.config_hash()):
+        base = seg_of.get(cand.segment_id)
         if base is None:
             continue
         joined.append(replace(
-            base, book_id=book_id, transcript=transcript, wer=float(wer_s), partition="unassigned"
+            base, book_id=cand.source[0], transcript=" ".join(cand.words),
+            wer=cand.pseudo_wer, partition="unassigned",
         ))
     joined.sort(key=lambda r: r.segment_id)
     return joined
 
 
-def _title(book: dict) -> tuple[str, ...]:
-    """A book's title words as split and decontam compare them."""
-    return tuple(str(book.get("title", "")).lower().split())
-
-
-def _book_records(books_meta) -> list[sp.BookRecord]:
-    records = []
-    for book in books_meta:
-        chapters = tuple(
-            sp.ChapterRef(chapter_id=ch["chapter_id"], speaker_id=ch["speaker_id"])
-            for ch in book["chapters"]
-        )
-        records.append(
-            sp.BookRecord(
-                book_id=book["book_id"],
-                title=_title(book),
-                author=str(book.get("author", "")),
-                version=int(book.get("version", 1)),
-                chapters=chapters,
-                multi_speaker=bool(book.get("multi_speaker", False)),
-            )
-        )
-    return records
-
-
 def stage_split(cfg: PipelineConfig) -> dict:
-    books_meta, speakers_meta = _load_metadata(cfg)
+    books, speakers_meta = read_catalog(cfg.input_dir)
     rows = _accepted_segments(cfg)
-    valid_books, rejections = sp.validate_books(_book_records(books_meta))
+    valid_books, rejections = sp.validate_books(books)
     valid_chapters = {ch.chapter_id: ch for b in valid_books for ch in b.chapters}
     rows = [r for r in rows if r.chapter_id in valid_chapters]
 
@@ -448,7 +436,7 @@ def stage_limited(cfg: PipelineConfig) -> dict:
 
 
 def stage_decontam(cfg: PipelineConfig) -> dict:
-    books_meta, _ = _load_metadata(cfg)
+    titles = {b.book_id: b.title for b in read_catalog(cfg.input_dir)[0]}
     books = read_books(_stage_dir(cfg, "normalize"))
     dev_rows = read_manifest(_manifest_dir(cfg) / "dev.tsv", cfg.config_hash())
     test_rows = read_manifest(_manifest_dir(cfg) / "test.tsv", cfg.config_hash())
@@ -459,7 +447,6 @@ def stage_decontam(cfg: PipelineConfig) -> dict:
         (r.transcript.split() for r in heldout_rows), stopwords
     )
     heldout_books = {r.book_id for r in heldout_rows}
-    titles = {book["book_id"]: _title(book) for book in books_meta}
     heldout_titles = [titles[b] for b in sorted(heldout_books) if b in titles]
 
     candidates = [
@@ -600,9 +587,9 @@ def run_pipeline(
 
     report = {"config_hash": cfg.config_hash(), "config": cfg.hash_lines(), "stages": {}}
     for name in names:
-        prov = _stage_dir(cfg, name) / "provenance.json"
-        if prov.exists():
-            report["stages"][name] = json.loads(prov.read_text(encoding="utf-8"))["summary"]
+        _, record = _provenance(cfg, name)
+        if record is not None and record.get("config_hash") == cfg.config_hash():
+            report["stages"][name] = record["summary"]
     write_json(Path(cfg.output_dir) / "report.json", report)
     return report
 

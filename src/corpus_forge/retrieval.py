@@ -21,8 +21,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
+
+from .manifest import CandidateTranscript
 
 DEFAULT_SHARD_SIZE = 1250
 DEFAULT_SHARD_STRIDE = 1000
@@ -69,15 +72,6 @@ class RetrievalHit:
 class RetrievalResult:
     hits: list[RetrievalHit]
     status: str  # "ok" | "no_match"
-
-
-@dataclass
-class CandidateTranscript:
-    segment_id: str
-    words: tuple[str, ...]
-    source: tuple[str, tuple[int, int]]  # (book_id, word offset range)
-    pseudo_wer: float
-    accepted: bool
 
 
 def shard_book(
@@ -337,48 +331,25 @@ def _has_digit(word: str) -> bool:
 def replace_numbers(aligned: AlignmentResult, reference_words, pseudo_words) -> list[str]:
     """Resolve digit words of the aligned book span from the pseudo label.
 
-    Returns the reference span's words with every digit-bearing word replaced
-    by the pseudo words aligned against it. Maximal runs of consecutive
-    insertion / digit-word ops are replaced jointly, so multi-word readings
-    ("four o one" for "401") are reconstructed; digit words aligned only to
-    deletions disappear (unread page numbers).
+    The ops fall into maximal runs of insertions and ops on digit-bearing
+    book words. A run holding a digit word becomes the pseudo words aligned
+    in it, so multi-word readings ("four o one" for "401") are
+    reconstructed and digit words aligned only to deletions disappear
+    (unread page numbers). A run of insertions alone adds nothing, and every
+    other op keeps its book word.
     """
-    reference_words = list(reference_words)
-    pseudo_words = list(pseudo_words)
+
+    def in_run(op: AlignmentOp) -> bool:
+        return op.kind == "insert" or _has_digit(reference_words[op.ref_index])
+
     out: list[str] = []
-    ops = aligned.ops
-    i = 0
-    while i < len(ops):
-        op = ops[i]
-        in_digit_block = op.kind == "insert" or (
-            op.ref_index is not None and _has_digit(reference_words[op.ref_index])
-        )
-        if not in_digit_block:
-            if op.ref_index is not None:
-                out.append(reference_words[op.ref_index])
-            i += 1
+    for numeric, run in groupby(aligned.ops, key=in_run):
+        if not numeric:
+            out += (reference_words[op.ref_index] for op in run)
             continue
-        block = []
-        digit_seen = False
-        while i < len(ops):
-            op = ops[i]
-            if op.kind == "insert":
-                block.append(op)
-            elif op.ref_index is not None and _has_digit(reference_words[op.ref_index]):
-                block.append(op)
-                digit_seen = True
-            else:
-                break
-            i += 1
-        if digit_seen:
-            for op in block:
-                if op.query_index is not None:
-                    out.append(pseudo_words[op.query_index])
-        else:
-            # pure insertion run next to ordinary text: book text stands
-            for op in block:
-                if op.ref_index is not None:
-                    out.append(reference_words[op.ref_index])
+        run = list(run)
+        if any(op.kind != "insert" for op in run):
+            out += (pseudo_words[op.query_index] for op in run if op.query_index is not None)
     return out
 
 

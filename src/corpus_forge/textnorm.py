@@ -23,7 +23,7 @@ from typing import Callable
 # characters that participate in end-of-line hyphenation
 EOL_HYPHEN_CHARS = "-‐­"
 
-_EOL_HYPHEN_RE = re.compile(r"[%s][ \t]*\r?\n[ \t]*" % EOL_HYPHEN_CHARS)
+_EOL_HYPHEN_RE = re.compile(r"[%s][ \t]*(?:\r\n?|\n)[ \t]*" % EOL_HYPHEN_CHARS)
 
 _RANGE_RE = re.compile(
     r"^U\+([0-9A-Fa-f]{1,6})(?:\.\.U\+([0-9A-Fa-f]{1,6}))?(?:\s+(apostrophe|hyphen))?$"
@@ -121,8 +121,8 @@ def join_eol_hyphens(raw: str) -> str:
     """Remove end-of-line hyphenation, joining the two word fragments.
 
     A hyphen character followed (apart from trailing spaces) by a line break
-    is deleted together with the break and any leading spaces on the next
-    line; all other hyphens are untouched.
+    (CR LF, LF or a lone CR) is deleted together with the break and any
+    leading spaces on the next line; all other hyphens are untouched.
     """
     return _EOL_HYPHEN_RE.sub("", raw)
 

@@ -333,6 +333,56 @@ def full_matrix_edit_distance(a, b):
     return d[-1][-1]
 
 
+def scan_replace_numbers(aligned, reference_words, pseudo_words):
+    """Digit-word resolution by two nested index scans over the ops.
+
+    An outer scan copies book words until it meets an insertion or an op
+    on a digit-bearing book word; an inner scan then collects the whole
+    block of such ops. A block with a digit word is replaced by its
+    aligned pseudo words, a block of insertions alone adds nothing.
+    """
+
+    def has_digit(word):
+        return any(c.isdigit() for c in word)
+
+    reference_words = list(reference_words)
+    pseudo_words = list(pseudo_words)
+    out = []
+    ops = aligned.ops
+    i = 0
+    while i < len(ops):
+        op = ops[i]
+        in_digit_block = op.kind == "insert" or (
+            op.ref_index is not None and has_digit(reference_words[op.ref_index])
+        )
+        if not in_digit_block:
+            if op.ref_index is not None:
+                out.append(reference_words[op.ref_index])
+            i += 1
+            continue
+        block = []
+        digit_seen = False
+        while i < len(ops):
+            op = ops[i]
+            if op.kind == "insert":
+                block.append(op)
+            elif op.ref_index is not None and has_digit(reference_words[op.ref_index]):
+                block.append(op)
+                digit_seen = True
+            else:
+                break
+            i += 1
+        if digit_seen:
+            for op in block:
+                if op.query_index is not None:
+                    out.append(pseudo_words[op.query_index])
+        else:
+            for op in block:
+                if op.ref_index is not None:
+                    out.append(reference_words[op.ref_index])
+    return out
+
+
 def replay_wordform_rules(words, book_freq, threshold):
     """Direct restatement of the hyphen/apostrophe heuristics."""
     out = []

@@ -6,11 +6,14 @@ import pytest
 
 from corpus_forge.cli import main as cli_main
 from corpus_forge.manifest import (
+    CandidateTranscript,
     ManifestRow,
     ProvenanceError,
+    read_candidates,
     read_lines,
     read_manifest,
     read_tsv,
+    write_candidates,
     write_lines,
     write_manifest,
 )
@@ -44,6 +47,34 @@ def test_wrong_column_count_is_refused(tmp_path):
     path.write_text(path.read_text(encoding="utf-8") + "s2\tb\n", encoding="utf-8")
     with pytest.raises(ValueError, match="expected 10 columns"):
         read_manifest(path)
+
+
+CANDIDATES = [
+    CandidateTranscript("s1", ("one", 'say"hi"', "two"), ("b", (3, 6)), 0.25, True),
+    CandidateTranscript("s2", ("x",), ("b", (10, 11)), 0.5, False),
+]
+
+
+def test_candidates_round_trip(tmp_path):
+    path = tmp_path / "c.tsv"
+    write_candidates(path, CANDIDATES, "cafe")
+    assert read_candidates(path, "cafe") == CANDIDATES
+    with pytest.raises(ProvenanceError):
+        read_candidates(path, "beef")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:1] + ["segment_id\tbook_id\twer"] + lines[2:], "bad or missing candidate header"),
+    (lambda lines: lines + ["s3\tb\t1"], "row 3: expected 7 columns"),
+])
+def test_candidates_with_wrong_header_or_column_count_are_refused(tmp_path, edit, message):
+    path = tmp_path / "c.tsv"
+    write_candidates(path, CANDIDATES, "cafe")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=message) as err:
+        read_candidates(path, "cafe")
+    assert str(path) in str(err.value)
 
 
 def test_hashed_line_list_round_trip_and_hash_check(tmp_path):

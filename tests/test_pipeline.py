@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -6,9 +7,11 @@ import pytest
 
 from corpus_forge.cli import main as cli_main
 from corpus_forge.config import ConfigError, PipelineConfig, STAGES
+from corpus_forge import retrieval as rt
 from corpus_forge.manifest import (
     ManifestRow,
     ProvenanceError,
+    read_candidates,
     read_manifest,
     read_tsv,
     write_manifest,
@@ -307,7 +310,94 @@ def test_unknown_stage_rejected(completed_run):
         run_pipeline(cfg, from_stage="nonsense")
 
 
+# -- postprocess -----------------------------------------------------------------------
+
+# rare hyphenated words, each put into book000 and into its reading at a token
+# line of chapter 0; the last one splits into so many words that its
+# candidate's WER goes over the threshold
+HYPHENATED = {40: "zorkblat-quim", 160: "fen\u2010dral", 280: "-".join(["ka"] * 30)}
+
+
+def test_postprocess_rescores_only_the_candidates_it_changes(tmp_path):
+    synth_corpus(tmp_path / "input", seed=17, params=SMALL)
+    book = tmp_path / "input" / "books" / "book000.txt"
+    stream = tmp_path / "input" / "tokens" / "book000_ch00.jsonl"
+    truth = json.loads(
+        (tmp_path / "input" / "truth" / "book000_ch00.json").read_text(encoding="utf-8")
+    )
+    pieces = re.split(r"(\s+)", book.read_text(encoding="utf-8"))  # words at even places
+    lines = stream.read_text(encoding="utf-8").splitlines()
+    for line_no, word in HYPHENATED.items():
+        pieces[2 * truth["source_indices"][line_no]] = word
+        lines[line_no] = json.dumps({**json.loads(lines[line_no]), "w": word})
+    book.write_text("".join(pieces), encoding="utf-8")
+    stream.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    cfg = small_config(tmp_path)
+    report = run_pipeline(cfg, until_stage="postprocess")
+    assert report["stages"]["postprocess"]["wordform_changed"] == len(HYPHENATED)
+    work = Path(cfg.output_dir) / "work"
+    pseudo_of = {r.segment_id: r.transcript.split()
+                 for r in read_manifest(work / "segment" / "segments.tsv")}
+    retrieved = {c.segment_id: c for c in read_candidates(work / "retrieve" / "candidates.tsv")}
+    fixed = read_candidates(work / "postprocess" / "candidates.tsv")
+    assert [c.segment_id for c in fixed] == list(retrieved)
+
+    changed = [c for c in fixed if c.words != retrieved[c.segment_id].words]
+    assert len(changed) == len(HYPHENATED)
+    for cand in changed:
+        before = retrieved[cand.segment_id]
+        assert before.pseudo_wer == 0.0 and before.accepted
+        assert (cand.segment_id, cand.source) == (before.segment_id, before.source)
+        rate = rt.wer(cand.words, pseudo_of[cand.segment_id])
+        assert rate > 0.0 and cand.pseudo_wer == pytest.approx(rate, abs=1e-6)
+        assert cand.accepted == (rate <= cfg.wer_threshold)
+    assert [c.accepted for c in changed] == [True, True, False]
+
+    # every candidate left unchanged is written back byte for byte
+    def rows(stage):
+        lines = (work / stage / "candidates.tsv").read_text(encoding="utf-8").splitlines()
+        return {line.split("\t", 1)[0]: line for line in lines[2:]}
+
+    before_rows, after_rows = rows("retrieve"), rows("postprocess")
+    changed_ids = {c.segment_id for c in changed}
+    assert all(after_rows[s] != before_rows[s] for s in changed_ids)
+    assert all(after_rows[s] == before_rows[s] for s in after_rows if s not in changed_ids)
+
+
 # -- split inputs ----------------------------------------------------------------------
+
+
+def _drop(key):
+    return lambda record: record.pop(key)
+
+
+def _set(key, value):
+    return lambda record: record.update({key: value})
+
+
+@pytest.mark.parametrize("index, edit, named", [
+    (3, _drop("chapters"), "book 3 ('book003')"),
+    (5, _set("version", "two"), "book 5 ('book005')"),
+    (2, _drop("book_id"), "book 2"),
+    (1, lambda record: record["chapters"][0].pop("speaker_id"), "book 1 ('book001')"),
+    (4, _set("chapters", None), "book 4 ('book004')"),
+], ids=["no-chapters", "version-two", "no-book-id", "chapter-without-speaker", "null-chapters"])
+def test_malformed_book_record_fails_in_segment_naming_books_json_and_book(
+    tmp_path, capsys, index, edit, named
+):
+    synth_corpus(tmp_path / "input", seed=17, params=SMALL)
+    books_path = tmp_path / "input" / "books.json"
+    books = json.loads(books_path.read_text(encoding="utf-8"))
+    edit(books[index])
+    books_path.write_text(json.dumps(books), encoding="utf-8")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        f"input_dir = {tmp_path / 'input'}\noutput_dir = {tmp_path / 'out'}\n", encoding="utf-8"
+    )
+    assert cli_main(["run", "--config", str(cfg_path)]) == 3
+    message = capsys.readouterr().err
+    assert message.startswith(f"error: stage segment: {books_path}: {named} is malformed"), message
 
 
 @pytest.mark.parametrize("record", [None, {}, {"gender": ""}])

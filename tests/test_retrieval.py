@@ -7,6 +7,7 @@ import pytest
 from corpus_forge.retrieval import (
     ABSENT_ID,
     AlignmentOp,
+    AlignmentResult,
     accept_candidate,
     build_book_frequencies,
     build_index,
@@ -28,6 +29,7 @@ from oracles import (
     full_matrix_edit_distance,
     full_window_smith_waterman,
     replay_wordform_rules,
+    scan_replace_numbers,
 )
 
 # letter-only fabricated words: digit-bearing vocabulary would trip the
@@ -494,6 +496,59 @@ def test_replace_numbers_output_has_no_digits_when_aligned():
         aligned = smith_waterman(pseudo, matched)
         out = replace_numbers(aligned, matched, pseudo)
         assert not any(c.isdigit() for w in out for c in w)
+
+
+BOOK_WORDS = ["the", "story", "ends", "401", "7th", "1999", "p12"]
+SPOKEN_WORDS = ["four", "o", "one", "seventh", "the", "story", "uh"]
+
+
+def random_alignment(rng):
+    """A well-formed local alignment of random book and spoken words: ops
+    with consecutive indices, after a few unaligned words on either side."""
+    ref = [rng.choice(BOOK_WORDS) for _ in range(rng.randint(0, 2))]
+    query = [rng.choice(SPOKEN_WORDS) for _ in range(rng.randint(0, 2))]
+    ops = []
+    for _ in range(rng.randint(0, 16)):
+        kind = rng.choice(("match", "substitute", "insert", "delete"))
+        ref_index = query_index = None
+        if kind != "insert":
+            ref_index = len(ref)
+            ref.append(rng.choice(BOOK_WORDS))
+        if kind != "delete":
+            query_index = len(query)
+            query.append(ref[-1] if kind == "match" else rng.choice(SPOKEN_WORDS))
+        ops.append(AlignmentOp(kind, query_index, ref_index))
+    ref += [rng.choice(BOOK_WORDS) for _ in range(rng.randint(0, 2))]
+    query += [rng.choice(SPOKEN_WORDS) for _ in range(rng.randint(0, 2))]
+    aligned = AlignmentResult(score=0, ref_span=(0, 0), query_span=(0, 0), ops=tuple(ops))
+    return aligned, ref, query
+
+
+def digit_blocks(aligned, ref):
+    """The maximal blocks of insertions and ops on digit-bearing book words."""
+    blocks, block = [], []
+    for op in aligned.ops:
+        if op.kind == "insert" or any(c.isdigit() for c in ref[op.ref_index]):
+            block.append(op)
+        elif block:
+            blocks.append(block)
+            block = []
+    return blocks + [block] if block else blocks
+
+
+def test_replace_numbers_matches_scanning_oracle():
+    rng = random.Random(2024)
+    seen = dict(digit=0, insertions_only=0, deletions_only=0, several_digit_words=0)
+    for _ in range(3000):
+        aligned, ref, query = random_alignment(rng)
+        assert replace_numbers(aligned, ref, query) == scan_replace_numbers(aligned, ref, query)
+        for block in digit_blocks(aligned, ref):
+            on_book = [op for op in block if op.kind != "insert"]
+            seen["digit"] += bool(on_book)
+            seen["insertions_only"] += not on_book
+            seen["deletions_only"] += all(op.kind == "delete" for op in block)
+            seen["several_digit_words"] += len(on_book) > 1
+    assert min(seen.values()) >= 200, seen
 
 
 # -- rare wordform fixes -----------------------------------------------------

@@ -105,6 +105,21 @@ def test_stale_normalize_output_is_refused(run_a, tmp_path, stage):
     assert str(Path("work") / "normalize" / "provenance.json") in str(err.value)
 
 
+def test_report_lists_only_stages_recorded_under_this_config(run_a, tmp_path):
+    cfg = copy_of_run_a(run_a, tmp_path)
+    other = small_config(tmp_path, input_dir=cfg.input_dir, seed=99)
+    report = run_pipeline(other, until_stage="normalize")
+    assert list(report["stages"]) == ["normalize"]
+    written = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert written["config_hash"] == other.config_hash()
+    assert list(written["stages"]) == ["normalize"]
+    # the stages of the first run still have their records, under its hash
+    record = json.loads(
+        (tmp_path / "out" / "work" / "segment" / "provenance.json").read_text(encoding="utf-8")
+    )
+    assert record["config_hash"] == cfg.config_hash() != other.config_hash()
+
+
 def test_interrupted_stage_leaves_no_provenance(run_a, tmp_path, monkeypatch):
     cfg = copy_of_run_a(run_a, tmp_path)
     segment_dir = tmp_path / "out" / "work" / "segment"
@@ -155,6 +170,7 @@ def test_tracer_records_one_span_per_stage(run_a, tmp_path):
     )
     payload = json.loads(spans_path.read_text(encoding="utf-8"))
     assert payload["exit_code"] == 0
+    assert payload["counter_errors"] == {}
     stage_spans = collections.Counter(
         span[0] for span in payload["spans"] if span[0].startswith("pipeline.stage_")
     )

@@ -32,12 +32,11 @@ U+002D hyphen
 U+2010 hyphen
 """
 
-# drawn one character at a time; no carriage return, because the oracle
-# also joins a hyphen before a lone "\r" and the package does not
+# drawn one character at a time; the line ends include a lone "\r"
 POOL = (
     "abcdefghisABCDEFIS \u00df\u1e9e\ufb01\u0130\u0131\u212a fish \u00c9\u00c0 12 "
     ". , ; ! ? \u2014 ' \u2019 - \u2010 -- a-b c'd e-\n f\u2010 \n \u00ad \u200b "
-    "\n \t \xa0 \u2003 \U0001f600 \u2460 \u00bd \u2163 \u00b2"
+    "\n \r e-\r g\u2010\r\n \t \xa0 \u2003 \U0001f600 \u2460 \u00bd \u2163 \u00b2"
 )
 
 
