@@ -1,14 +1,25 @@
 """Count-based n-gram language models with interpolated smoothing.
 
-Training accumulates raw counts for the highest order (sentences contribute
-a single start-pad token, so contexts grow from the sentence head) and
-derives lower orders as left-extension continuation counts, keeping raw
-counts for start-pad-initial grams, which cannot be extended left. Smoothing
-is interpolated modified Kneser-Ney with per-order discounts estimated from
-the count-of-counts; when those are degenerate (any of n1..n4 empty, or a
-non-positive discount) the order falls back to a flat 0.75 absolute
-discount. Probability mass is reserved for a single unknown word, so for any
-observed context the distribution over vocabulary + unknown sums to one.
+Training counts, at every word, the longest gram ending there: a full
+highest-order gram, or a shorter one back to the sentence's single start-pad
+token. Lower orders hold left-extension continuation counts, except
+start-pad-initial grams, which cannot be extended left and keep raw counts.
+Smoothing is interpolated modified Kneser-Ney with per-order discounts
+estimated from the count-of-counts; when those are degenerate (any of n1..n4
+empty, or a non-positive discount) the order falls back to a flat 0.75
+absolute discount. Probability mass is reserved for a single unknown word, so
+for any observed context the distribution over vocabulary + unknown sums to one.
+
+Word ids number vocab + ``<s>`` in code-point order; order k is a sorted
+(n_k, k) int32 array of id rows plus their counts. No word may hold a
+character at or below U+0020, so id order is the order of the space-joined
+gram strings, in which the ``.cflm`` JSON and the ARPA file list grams. A
+context's grams form one run; its discount mass is summed left to right in
+that one order, so a loaded model equals its original in every float.
+
+``.cflm``: 4-byte magic, version byte, then zlib (level 6) of the JSON object
+{"discounts", "fallback", "metadata", "order", "smoothing", "tables": per
+order {"w1 .. wk": count}, "vocab"}: sorted keys, compact separators, ASCII.
 """
 
 from __future__ import annotations
@@ -17,7 +28,11 @@ import json
 import math
 import zlib
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 SENT_START = "<s>"
 UNK = "<unk>"
@@ -26,6 +41,7 @@ MAGIC = b"CFLM"
 FORMAT_VERSION = 1
 
 FALLBACK_DISCOUNT = 0.75
+CHUNK = 1 << 16  # grams per piece of text: bounds the text held at once
 
 
 @dataclass
@@ -39,23 +55,9 @@ class EvalReport:
     oov_context: str
 
 
-def _discount_for(count: int, discounts: tuple[float, float, float]) -> float:
-    if count <= 0:
-        return 0.0
-    if count == 1:
-        return discounts[0]
-    if count == 2:
-        return discounts[1]
-    return discounts[2]
-
-
 def _estimate_discounts(counts) -> tuple[tuple[float, float, float], bool]:
     """Chen-Goodman discounts from count-of-counts; returns (D1..D3, fallback?)."""
-    n = [0, 0, 0, 0]
-    for c in counts:
-        if 1 <= c <= 4:
-            n[c - 1] += 1
-    n1, n2, n3, n4 = n
+    n1, n2, n3, n4 = np.bincount(np.minimum(counts, 5), minlength=6)[1:5].tolist()
     if n1 == 0 or n2 == 0 or n3 == 0 or n4 == 0:
         return (FALLBACK_DISCOUNT,) * 3, True
     y = n1 / (n1 + 2 * n2)
@@ -67,161 +69,212 @@ def _estimate_discounts(counts) -> tuple[tuple[float, float, float], bool]:
     return (d1, d2, d3), False
 
 
-class NGramModel:
-    """Immutable after construction; safe to query concurrently."""
+def _word_ids(vocab) -> dict[str, int]:
+    return {w: i for i, w in enumerate(sorted({*vocab, SENT_START}))}
 
-    def __init__(self, order, smoothing, vocab, tables, discounts, fallback, metadata=None):
+
+def _run_sums(values, starts):
+    """The sum of each run ``values[starts[i]:starts[i + 1]]``, added left to
+    right as a Python loop adds. The runs advance one element per step,
+    longest first; the last run left finishes in one sequential ``cumsum``."""
+    sizes = np.diff(np.append(starts, len(values)))
+    by_size = np.argsort(-sizes, kind="stable")
+    first, sizes = starts[by_size], sizes[by_size]
+    acc = np.zeros(len(starts))
+    for j in range(sizes[0] if len(sizes) else 0):
+        live = np.searchsorted(-sizes, -j)  # runs longer than j
+        if live == 1:
+            acc[0] = np.cumsum(np.append(acc[0], values[first[0] + j : first[0] + sizes[0]]))[-1]
+            break
+        acc[:live] += values[first[:live] + j]
+    return acc[np.argsort(by_size)]
+
+
+class NGramModel:
+    """Immutable after construction; safe to query concurrently.
+
+    ``tables[k-1]`` holds the order-k grams as sorted rows of word ids
+    (``words[i]`` is the word of id i), ``counts[k-1]`` their adjusted counts.
+    """
+
+    def __init__(self, order, smoothing, vocab, tables, counts, discounts, fallback, metadata=None):
         self.order = order
         self.smoothing = smoothing
         self.vocab = frozenset(vocab)
-        self.tables = tables  # tables[k-1]: order-k gram tuple -> adjusted count
+        self.ids = _word_ids(self.vocab)
+        self.words = list(self.ids)
+        self.tables = tables
+        self.counts = counts
         self.discounts = discounts
         self.fallback = fallback
         self.metadata = dict(metadata or {})
-        self._finalize()
-
-    def _finalize(self) -> None:
-        self.totals: list[dict[tuple[str, ...], int]] = []
-        self.gamma_mass: list[dict[tuple[str, ...], float]] = []
-        for k, table in enumerate(self.tables, start=1):
-            tot: dict[tuple[str, ...], int] = {}
-            mass: dict[tuple[str, ...], float] = {}
-            d = self.discounts[k - 1]
-            for gram, count in table.items():
-                ctx = gram[:-1]
-                tot[ctx] = tot.get(ctx, 0) + count
-                mass[ctx] = mass.get(ctx, 0.0) + _discount_for(count, d)
-            self.totals.append(tot)
-            self.gamma_mass.append(mass)
         self._p0 = 1.0 / (len(self.vocab) + 1)
+        self._joined: dict[bool, list[list[str]]] = {}
+        # per order: each gram's context run, run totals and masses, ``_find`` keys
+        self.run_of, self.totals, self.gamma_mass, self._keys = [], [], [], []
+        for table, count, d in zip(tables, counts, discounts):
+            n, k = table.shape
+            new = np.arange(n) == 0  # row starts a run of rows sharing ids 0..j-1
+            self._keys.append([])
+            for j in range(k):
+                first = np.maximum.accumulate(np.where(new, np.arange(n), 0))
+                self._keys[-1].append(first * (len(self.words) + 1) + table[:, j] + 1)
+                new[1:] |= table[1:, j] != table[:-1, j]
+            if any((key[1:] < key[:-1]).any() for key in self._keys[-1]):
+                raise ValueError(f"order-{k} grams are not in sorted order")
+            starts = np.flatnonzero(first == np.arange(n))  # context runs
+            self.run_of.append(np.searchsorted(starts, first))
+            self.totals.append(np.add.reduceat(count, starts) if n else count)
+            self.gamma_mass.append(_run_sums(self._discount(count, d), starts))
+
+    def _find(self, k, rows):
+        """Per id row of ``rows`` (at most k ids; -1 matches nothing), the index
+        of the first order-k gram starting with it, or -1. The search descends
+        one column at a time: among rows sharing the ids before column j,
+        column j is sorted, so (first such row, id) is a sorted int64 key."""
+        keys = self._keys[k - 1]
+        if not len(keys[0]):
+            return np.full(len(rows), -1)
+        first = np.zeros(len(rows), np.int64)
+        hit = np.ones(len(rows), bool)
+        for j in range(rows.shape[1]):
+            query = first * (len(self.words) + 1) + rows[:, j] + 1
+            first = np.minimum(np.searchsorted(keys[j], query), len(keys[j]) - 1)
+            hit &= keys[j][first] == query
+        return np.where(hit, first, -1)
+
+    @staticmethod
+    def _discount(count, d):
+        return np.array((0.0, *d))[np.minimum(count, 3)]
 
     # -- training ----------------------------------------------------------
 
     @classmethod
     def train(cls, corpus, order: int, smoothing: str = "kn", metadata=None) -> "NGramModel":
-        """Estimate a model of the given order from tokenized sentences."""
+        """Estimate a model of the given order from tokenized sentences.
+
+        Every word's gram becomes one row of ``order`` ids, left-padded with
+        -1, and the rows are sorted once, last id first. The order-k grams
+        are then the runs of rows sharing their last k ids: a run counts its
+        distinct order-(k+1) extensions, or its rows where the id before them
+        is padding (the gram starts the sentence) or k is the highest order.
+        """
         if order < 1:
             raise ValueError("order must be >= 1")
         if smoothing not in ("kn", "none"):
             raise ValueError(f"unknown smoothing {smoothing!r}")
-        raw: list[dict[tuple[str, ...], int]] = [dict() for _ in range(order)]
-        vocab: set[str] = set()
-        n_sentences = 0
-        for sentence in corpus:
-            words = list(sentence)
-            if not words:
-                continue
-            n_sentences += 1
-            vocab.update(words)
-            padded = [SENT_START] + words
-            for e in range(len(words)):
-                p = e + 1
-                length = min(p + 1, order)
-                gram = tuple(padded[p - length + 1 : p + 1])
-                table = raw[length - 1]
-                table[gram] = table.get(gram, 0) + 1
-        if n_sentences == 0:
+        sentences = [words for words in map(list, corpus) if words]
+        if not sentences:
             raise ValueError("corpus is empty")
-
-        tables: list[dict[tuple[str, ...], int]] = [dict() for _ in range(order)]
-        tables[order - 1] = raw[order - 1]
-        for k in range(order - 1, 0, -1):
-            cont: dict[tuple[str, ...], int] = {}
-            for gram in tables[k]:
-                suffix = gram[1:]
-                cont[suffix] = cont.get(suffix, 0) + 1
-            # start-pad-initial grams cannot be left-extended: keep raw counts
-            for gram, count in raw[k - 1].items():
-                cont[gram] = count
-            tables[k - 1] = cont
-
-        discounts = []
-        fallback = []
-        for table in tables:
-            d, fb = _estimate_discounts(table.values())
-            discounts.append(d)
-            fallback.append(fb)
-        return cls(
-            order=order,
-            smoothing=smoothing,
-            vocab=vocab,
-            tables=tables,
-            discounts=discounts,
-            fallback=fallback,
-            metadata=metadata,
-        )
+        vocab = set().union(*sentences)
+        for word in vocab:
+            if word and min(word) <= " ":
+                raise ValueError(f"word {word!r} holds a character at or below U+0020")
+        ids = _word_ids(vocab)
+        n = order
+        lengths = np.array([len(s) for s in sentences])
+        flat = np.array([ids[w] for s in sentences for w in s], np.int32)
+        # sentence i takes n slots (n - 1 pads, then <s>) before its words
+        pos = np.arange(len(flat)) + n * np.repeat(np.arange(1, len(sentences) + 1), lengths)
+        stream = np.full(len(flat) + n * len(sentences), -1, np.int32)
+        stream[pos] = flat
+        stream[pos[np.cumsum(lengths) - lengths] - 1] = ids[SENT_START]
+        rows = sliding_window_view(stream, n)[pos - n + 1]
+        rows = rows[np.lexsort(rows.T)]
+        # same[i, k - 1]: row i + 1 repeats the last k ids of row i
+        same = np.logical_and.accumulate(rows[1:, ::-1] == rows[:-1, ::-1], axis=1)
+        starts = [np.flatnonzero(np.append(True, ~same[:, k])) for k in range(n)]
+        sizes = [np.diff(np.append(s, len(rows))) for s in starts]
+        tables, counts = [], []
+        for k in range(1, n + 1):
+            head, count = starts[k - 1], sizes[k - 1]
+            if k < n:
+                at = np.searchsorted(starts[k], head)  # the run's first extension
+                extensions = np.diff(np.append(at, len(starts[k])))
+                count = np.where(rows[head, n - k - 1] == -1, sizes[k][at], extensions)
+            keep = rows[head, n - k] != -1
+            grams, count = rows[head[keep], n - k :], count[keep]
+            by_gram = np.lexsort(grams.T[::-1])
+            tables.append(grams[by_gram])
+            counts.append(count[by_gram])
+        discounts, fallback = zip(*map(_estimate_discounts, counts))
+        return cls(order, smoothing, vocab, tables, counts, list(discounts), list(fallback), metadata)
 
     # -- queries -----------------------------------------------------------
 
     def prob(self, word: str, context=()) -> float:
         """P(word | context); context longer than order-1 is truncated."""
-        ctx = tuple(context)
-        if self.order > 1:
-            ctx = ctx[-(self.order - 1):]
-        else:
-            ctx = ()
-        return self._p(len(ctx) + 1, ctx, word)
+        return self.probs([(context, word)])[0]
 
-    def _p(self, k: int, ctx: tuple[str, ...], word: str) -> float:
-        if k == 1:
-            tot = self.totals[0].get((), 0)
-            count = self.tables[0].get((word,), 0)
-            if self.smoothing == "none":
-                return count / tot if tot else 0.0
-            gamma = self.gamma_mass[0].get((), 0.0) / tot
-            d = _discount_for(count, self.discounts[0])
-            return max(count - d, 0.0) / tot + gamma * self._p0
-        tot = self.totals[k - 1].get(ctx)
-        if not tot:
-            return self._p(k - 1, ctx[1:], word)
-        count = self.tables[k - 1].get(ctx + (word,), 0)
+    def probs(self, queries) -> list[float]:
+        """P(word | context) for each (context, word) pair, in order.
+
+        A query starts at the order of its truncated context and backs off
+        while the context is unseen, as the recursive definition does; the
+        orders are evaluated bottom-up, for all queries at once.
+        """
+        n = self.order
+        get = self.ids.get
+        grams, levels = [], []
+        for context, word in queries:
+            ctx = [get(w, -1) for w in list(context)[1 - n :]] if n > 1 else []
+            grams.append([-1] * (n - 1 - len(ctx)) + ctx + [get(word, -1)])
+            levels.append(len(ctx) + 1)
+        grams = np.array(grams, np.int32).reshape(-1, n)
+        levels = np.array(levels)
+        p = np.full(len(grams), self._p0)
+        for k in range(1, n + 1):
+            q = np.flatnonzero(levels >= k)
+            start = self._find(k, grams[q, n - k : n - 1])
+            q, start = q[start >= 0], start[start >= 0]
+            idx = self._find(k, grams[q, n - k :])
+            count = np.where(idx >= 0, self.counts[k - 1][idx], 0)
+            p[q] = self._interpolate(k, count, self.run_of[k - 1][start], p[q])
+        return p.tolist()
+
+    def _interpolate(self, k, count, run, lower):
+        """Order-k probabilities of grams with these counts and context runs,
+        over their order-(k-1) probabilities (1/(V+1) below order 1): the
+        float operations of the recursive definition, in its order."""
+        tot = self.totals[k - 1][run]
         if self.smoothing == "none":
             return count / tot
-        d = _discount_for(count, self.discounts[k - 1])
-        gamma = self.gamma_mass[k - 1][ctx] / tot
-        return max(count - d, 0.0) / tot + gamma * self._p(k - 1, ctx[1:], word)
-
-    def logprob(self, word: str, context=()) -> float:
-        p = self.prob(word, context)
-        return math.log(p) if p > 0.0 else float("-inf")
-
-    def truncated(self, order: int) -> "NGramModel":
-        """Lower-order view sharing this model's count structure (diagnostic)."""
-        if not 1 <= order <= self.order:
-            raise ValueError("bad truncation order")
-        return NGramModel(
-            order=order,
-            smoothing=self.smoothing,
-            vocab=self.vocab,
-            tables=self.tables[:order],
-            discounts=self.discounts[:order],
-            fallback=self.fallback[:order],
-            metadata=self.metadata,
-        )
+        d = self._discount(count, self.discounts[k - 1])
+        return np.maximum(count - d, 0.0) / tot + self.gamma_mass[k - 1][run] / tot * lower
 
     # -- serialization -----------------------------------------------------
 
+    def _strings(self, escape: bool) -> list[list[str]]:
+        """Each order's grams as space-joined strings, raw or JSON-escaped (each
+        word once, by ``json.dumps``); built once, and once for both if equal."""
+        words = [json.dumps(w)[1:-1] for w in self.words] if escape else self.words
+        escape = escape and words != self.words
+        if escape not in self._joined:
+            self._joined[escape] = [
+                list(map(" ".join, zip(*([words[i] for i in col] for col in t.T.tolist()))))
+                for t in self.tables
+            ]
+        return self._joined[escape]
+
     def save(self, path: str | Path) -> None:
-        """Documented binary format: 4-byte magic, 1-byte version, zlib-
-        compressed canonical JSON of counts + smoothing parameters."""
-        payload = {
-            "order": self.order,
-            "smoothing": self.smoothing,
-            "vocab": sorted(self.vocab),
-            # sort_keys below orders the grams; no pre-sort needed
-            "tables": [{" ".join(g): c for g, c in t.items()} for t in self.tables],
-            "discounts": [list(d) for d in self.discounts],
-            "fallback": list(self.fallback),
-            "metadata": {k: self.metadata[k] for k in sorted(self.metadata)},
-        }
-        blob = zlib.compress(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8"),
-            6,
-        )
+        """Write the ``.cflm`` file, streaming the JSON text of each table
+        into the compressor."""
+        payload = {"order": self.order, "smoothing": self.smoothing, "vocab": sorted(self.vocab),
+                   "tables": [], "discounts": [list(d) for d in self.discounts],
+                   "fallback": list(self.fallback), "metadata": self.metadata}
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        head, _, tail = text.rpartition('"tables":[]')  # only "vocab" follows it
+        z = zlib.compressobj(6)
         with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(bytes([FORMAT_VERSION]))
-            fh.write(blob)
+            fh.write(MAGIC + bytes([FORMAT_VERSION]))
+            fh.write(z.compress(f'{head}"tables":['.encode()))
+            for k, (strings, count) in enumerate(zip(self._strings(True), self.counts)):
+                fh.write(z.compress(b",{" if k else b"{"))
+                for i in range(0, len(strings), CHUNK):
+                    part = map('"{}":{}'.format, strings[i : i + CHUNK], count[i : i + CHUNK].tolist())
+                    fh.write(z.compress(f'{"," if i else ""}{",".join(part)}'.encode()))
+                fh.write(z.compress(b"}"))
+            fh.write(z.compress(f"]{tail}".encode()) + z.flush())
 
     @classmethod
     def load(cls, path: str | Path) -> "NGramModel":
@@ -231,23 +284,16 @@ class NGramModel:
         if data[4] != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported model format version {data[4]}")
         payload = json.loads(zlib.decompress(data[5:]).decode("utf-8"))
-        # one str object per word, shared by every gram that contains it
-        words = {w: w for w in payload["vocab"]}
-        words[SENT_START] = SENT_START
-        word = words.__getitem__
-        tables = [
-            {tuple(map(word, g.split(" "))): c for g, c in t.items()}
-            for t in payload["tables"]
-        ]
-        return cls(
-            order=payload["order"],
-            smoothing=payload["smoothing"],
-            vocab=payload["vocab"],
-            tables=tables,
-            discounts=[tuple(d) for d in payload["discounts"]],
-            fallback=list(payload["fallback"]),
-            metadata=payload.get("metadata"),
-        )
+        word_id = _word_ids(payload["vocab"]).__getitem__
+        tables = []
+        for k, t in enumerate(payload["tables"], start=1):
+            keys = list(t)  # split CHUNK keys at a time: one str per word is held briefly
+            words = (" ".join(keys[i : i + CHUNK]).split(" ") for i in range(0, len(keys), CHUNK))
+            tables.append(np.fromiter(map(word_id, chain.from_iterable(words)), np.int32).reshape(-1, k))
+        counts = [np.fromiter(t.values(), np.int64, len(t)) for t in payload["tables"]]
+        discounts = [tuple(d) for d in payload["discounts"]]
+        return cls(payload["order"], payload["smoothing"], payload["vocab"], tables, counts,
+                   discounts, list(payload["fallback"]), payload.get("metadata"))
 
     def to_arpa(self, path: str | Path) -> None:
         """Plain-text ARPA export of the interpolated model.
@@ -259,85 +305,53 @@ class NGramModel:
         </s> entry is emitted. Model metadata rides along as preamble
         comments (readers skip text before the data marker). A zero
         probability (<s>, or <unk> when unsmoothed) is written as -99.
-        Levels are evaluated bottom-up (``_level_probs``) and written as each
-        one finishes.
+        Levels are evaluated bottom-up, each gram over the probability of its
+        suffix one order down, and written as each one finishes.
         """
+        counts = [len(self.tables[0]) + 2] + [len(t) for t in self.tables[1:]]  # + <unk>, <s>
         header = [f"# {key}={self.metadata[key]}" for key in sorted(self.metadata)]
-        counts = [len(self.tables[0]) + 2]  # + <unk>, <s>
-        counts += [len(t) for t in self.tables[1:]]
-        header.append("\\data\\")
-        header += [f"ngram {k}={c}" for k, c in enumerate(counts, start=1)]
-        header.append("")
-
-        lower = {(UNK,): self._p(1, (), UNK), (SENT_START,): 0.0}  # <s>: never predicted
-        lower.update(((w,), self._p(1, (), w)) for w in sorted(self.vocab))
+        header += ["\\data\\", *(f"ngram {k}={c}" for k, c in enumerate(counts, start=1)), ""]
+        count = np.concatenate(([0, 0], self.counts[0]))  # <unk>, <s>, the words
+        lower = self._interpolate(1, count, np.zeros(len(count), int), self._p0)
+        lower[1] = 0.0  # <s>: never predicted
+        grams = np.concatenate(([[-1], [self.ids[SENT_START]]], self.tables[0]))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(header) + "\n")
-            fh.write(self._arpa_level(1, list(lower), lower))
+            self._arpa_level(fh, 1, [UNK, SENT_START, *self._strings(False)[0]], lower, grams)
+            lower = lower[2:]
             for k in range(2, self.order + 1):
-                lower = self._level_probs(k, lower)
-                fh.write(self._arpa_level(k, sorted(lower), lower))
+                grams = self.tables[k - 1]
+                lower = lower[self._find(k - 1, grams[:, 1:])]  # each gram's suffix
+                lower = self._interpolate(k, self.counts[k - 1], self.run_of[k - 1], lower)
+                self._arpa_level(fh, k, self._strings(False)[k - 1], lower, grams)
             fh.write("\\end\\\n")
 
-    def _level_probs(self, k: int, lower: dict) -> dict:
-        """P(gram[-1] | gram[:-1]) for every stored order-k gram, k >= 2.
-
-        ``lower`` maps each order-(k-1) gram to its probability. The float
-        operations are ``_p``'s, in ``_p``'s order, so every value equals
-        ``_p``'s exactly. Every suffix of a stored gram is stored one order
-        down, under a context with a positive total (continuation counts),
-        so the lookups cannot miss on a trained model.
-        """
-        table = self.tables[k - 1]
-        tot_k = self.totals[k - 1]
-        if self.smoothing == "none":
-            return {gram: count / tot_k[gram[:-1]] for gram, count in table.items()}
-        mass_k = self.gamma_mass[k - 1]
-        d = self.discounts[k - 1]
-        probs = {}
-        for gram, count in table.items():
-            ctx = gram[:-1]
-            tot = tot_k[ctx]
-            gamma = mass_k[ctx] / tot
-            probs[gram] = (
-                max(count - _discount_for(count, d), 0.0) / tot + gamma * lower[gram[1:]]
-            )
-        return probs
-
-    def _arpa_level(self, k: int, grams, probs) -> str:
-        """The ARPA section of order k: header, one line per gram, blank."""
-        # gram acts as a context of order k+1. Where it has no continuation
-        # the model backs off with weight 1 (no field); otherwise the weight
-        # is the discount mass, or 0 (-99) for an unsmoothed model, which
-        # never backs off from a seen context.
-        tot_next = self.totals[k] if k < self.order else {}
-        mass_next = self.gamma_mass[k] if k < self.order else {}
-        unsmoothed = self.smoothing == "none"
+    def _arpa_level(self, fh, k: int, strings, probs, grams) -> None:
+        """Write the ARPA section of order k: header, one line per gram, blank.
+        A gram with no continuation at order k+1 backs off with weight 1 (no
+        field); otherwise the weight is its discount mass as a context, or 0
+        (-99) for an unsmoothed model, which never backs off from a seen one."""
         log10 = math.log10
-        lines = [f"\\{k}-grams:"]
-        for gram in grams:
-            p = probs[gram]
-            head = f"{log10(p) if p > 0.0 else -99.0:.7f}\t{' '.join(gram)}"
-            tot = tot_next.get(gram)
-            if not tot:
-                lines.append(head)
-            else:
-                bow = -99.0 if unsmoothed else log10(mass_next[gram] / tot)
-                lines.append(f"{head}\t{bow:.7f}")
-        lines.append("")
-        return "\n".join(lines) + "\n"
+        tails = np.full(len(strings), "", object)
+        if k < self.order:
+            start = self._find(k + 1, grams)
+            run = self.run_of[k][start[start >= 0]]
+            mass = self.gamma_mass[k][run] / self.totals[k][run]
+            bows = [-99.0] * len(run) if self.smoothing == "none" else map(log10, mass.tolist())
+            tails[start >= 0] = [f"\t{bow:.7f}" for bow in bows]
+        fh.write(f"\\{k}-grams:\n")
+        for i in range(0, len(strings), CHUNK):
+            part = zip(probs[i : i + CHUNK].tolist(), strings[i : i + CHUNK], tails[i : i + CHUNK].tolist())
+            fh.write("".join([f"{log10(p) if p > 0.0 else -99.0:.7f}\t{s}{tail}\n" for p, s, tail in part]))
+        fh.write("\n")
 
 
 def train(corpus, order: int, smoothing: str = "kn", metadata=None) -> NGramModel:
     return NGramModel.train(corpus, order, smoothing=smoothing, metadata=metadata)
 
 
-def evaluate(
-    model: NGramModel,
-    dev_sentences,
-    exclude_oov: bool = True,
-    oov_context: str = "break",
-) -> EvalReport:
+def evaluate(model: NGramModel, dev_sentences, exclude_oov: bool = True,
+             oov_context: str = "break") -> EvalReport:
     """OOV rate and perplexity of the model on tokenized dev sentences.
 
     With ``exclude_oov`` the perplexity skips OOV tokens; ``oov_context``
@@ -349,10 +363,8 @@ def evaluate(
     """
     if oov_context not in ("break", "keep"):
         raise ValueError(f"oov_context must be 'break' or 'keep', got {oov_context!r}")
-    total = 0
-    oov = 0
-    scored = 0
-    logsum = 0.0
+    total = oov = 0
+    queries = []  # (history, word) of every scored token, in token order
     sentences = [list(s) for s in dev_sentences]
     if not any(sentences):
         raise ValueError("dev text is empty")
@@ -361,29 +373,24 @@ def evaluate(
         for w in words:
             total += 1
             if w in model.vocab:
-                logsum += model.logprob(w, history)
-                scored += 1
+                queries.append((history[-model.order :], w))
                 history.append(w)
             else:
                 oov += 1
                 if not exclude_oov:
-                    logsum += model.logprob(UNK, history)
-                    scored += 1
+                    queries.append((history[-model.order :], UNK))
                 if oov_context == "break":
                     history = [SENT_START]
                 else:
                     history.append(UNK)
-    if scored == 0:
+    if not queries:
         raise ValueError("no scorable tokens in dev text")
-    return EvalReport(
-        oov_rate=oov / total,
-        perplexity=math.exp(-logsum / scored),
-        total_tokens=total,
-        oov_tokens=oov,
-        scored_tokens=scored,
-        order=model.order,
-        oov_context=oov_context,
-    )
+    logsum = 0.0
+    for p in model.probs(queries):
+        logsum += math.log(p) if p > 0.0 else float("-inf")
+    return EvalReport(oov_rate=oov / total, perplexity=math.exp(-logsum / len(queries)),
+                      total_tokens=total, oov_tokens=oov, scored_tokens=len(queries),
+                      order=model.order, oov_context=oov_context)
 
 
 def compare_orders(corpus, dev_sentences, orders=(3, 5), **eval_kwargs) -> dict:
@@ -394,17 +401,9 @@ def compare_orders(corpus, dev_sentences, orders=(3, 5), **eval_kwargs) -> dict:
     reported, not asserted.
     """
     corpus = [list(s) for s in corpus]
-    results = {}
-    for order in sorted(orders):
-        model = train(corpus, order)
-        report = evaluate(model, dev_sentences, **eval_kwargs)
-        results[order] = report
-    return {
-        "reports": results,
-        "higher_order_not_worse": higher_order_not_worse(
-            {order: report.perplexity for order, report in results.items()}
-        ),
-    }
+    results = {o: evaluate(train(corpus, o), dev_sentences, **eval_kwargs) for o in sorted(orders)}
+    perplexities = {order: report.perplexity for order, report in results.items()}
+    return {"reports": results, "higher_order_not_worse": higher_order_not_worse(perplexities)}
 
 
 def higher_order_not_worse(perplexities: dict[int, float]) -> bool:

@@ -544,15 +544,21 @@ def run_stage(cfg: PipelineConfig, name: str) -> dict:
 
     The stage's old ``provenance.json`` goes first, so a stage that fails
     part-way leaves none and its successors refuse its outputs. Then every
-    stage it reads must have provenance under this run's config hash.
+    stage it reads must have provenance under this run's config hash. Any
+    other failure of the stage itself becomes a ``StageError`` naming it.
     """
     out = _stage_dir(cfg, name)
     (out / "provenance.json").unlink(missing_ok=True)
     for prerequisite in STAGE_TABLE[name]:
         _check_provenance(cfg, prerequisite)
     out.mkdir(parents=True, exist_ok=True)
-    # looked up on the module at call time, so a rebound stage_<name> is used
-    summary = globals()[f"stage_{name}"](cfg)
+    try:
+        # looked up on the module at call time, so a rebound stage_<name> is used
+        summary = globals()[f"stage_{name}"](cfg)
+    except (StageError, ProvenanceError):
+        raise
+    except Exception as exc:
+        raise StageError(name, str(exc)) from exc
     write_json(
         out / "provenance.json",
         {"stage": name, "config_hash": cfg.config_hash(), "summary": summary},
@@ -578,12 +584,7 @@ def run_pipeline(
     Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
 
     for name in names[start : stop + 1]:
-        try:
-            run_stage(cfg, name)
-        except (StageError, ProvenanceError):
-            raise
-        except Exception as exc:
-            raise StageError(name, str(exc)) from exc
+        run_stage(cfg, name)
 
     report = {"config_hash": cfg.config_hash(), "config": cfg.hash_lines(), "stages": {}}
     for name in names:

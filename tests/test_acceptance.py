@@ -25,6 +25,7 @@ from corpus_forge.segmenter import TimedToken, segment_stream
 from corpus_forge.synth import SynthParams, synth_corpus
 
 from oracles import (
+    DictNGramModel,
     brute_force_segment_bounds,
     edit_script_minimum,
     enumerate_local_alignment_score,
@@ -330,12 +331,14 @@ def test_criterion_8_language_models():
         [rng.choice(vocab) for _ in range(rng.randint(1, 16))] for _ in range(400)
     ]
     model = ngramlm.train(corpus, 5)
+    oracle = DictNGramModel.train(corpus, 5)
     events = sorted(model.vocab) + [ngramlm.UNK]
     for order_k in range(1, 6):
-        contexts = sorted({g[:-1] for g in model.tables[order_k - 1]})
+        contexts = sorted({g[:-1] for g in oracle.tables[order_k - 1]})
         for ctx in rng.sample(contexts, min(50, len(contexts))):
             total = sum(model.prob(w, ctx) for w in events)
             assert total == pytest.approx(1.0, abs=1e-6), (order_k, ctx)
+            assert [model.prob(w, ctx) for w in events] == [oracle.prob(w, ctx) for w in events]
 
     # hand-worked order-2 Kneser-Ney values to 1e-9
     hand = ngramlm.train([["a", "a", "a", "a", "a", "b", "a", "b", "a", "b"]], 2)

@@ -1,7 +1,9 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from corpus_forge.ngramlm import (
@@ -12,6 +14,7 @@ from corpus_forge.ngramlm import (
     evaluate,
     train,
 )
+from oracles import DictNGramModel
 
 HAND_CORPUS = [["a", "a", "a", "a", "a", "b", "a", "b", "a", "b"]]
 
@@ -84,15 +87,17 @@ def test_context_sums_to_one_over_sampled_contexts():
         [rng.choice(vocab) for _ in range(rng.randint(1, 14))] for _ in range(300)
     ]
     model = train(corpus, 3)
+    oracle = DictNGramModel.train(corpus, 3)
     events = sorted(model.vocab) + [UNK]
     for order_k in (1, 2, 3):
-        contexts = sorted({g[:-1] for g in model.tables[order_k - 1]})
+        contexts = sorted({g[:-1] for g in oracle.tables[order_k - 1]})
         sample = rng.sample(contexts, min(50, len(contexts)))
         for ctx in sample:
             total = sum(model.prob(w, ctx) for w in events)
             assert total == pytest.approx(1.0, abs=1e-6), (order_k, ctx)
             for w in sorted(model.vocab):
                 assert model.prob(w, ctx) > 0.0
+            assert [model.prob(w, ctx) for w in events] == [oracle.prob(w, ctx) for w in events]
 
 
 def test_empty_corpus_rejected():
@@ -209,8 +214,8 @@ def test_markov3_corpus_5gram_beats_3gram():
 def test_emptied_top_order_matches_truncated_view_exactly():
     corpus = markov3_corpus(21, 120)
     dev = markov3_corpus(22, 20)
-    full = train(corpus, 3)
-    gutted = NGramModel(
+    full = DictNGramModel.train(corpus, 3)
+    gutted = DictNGramModel(
         order=3,
         smoothing=full.smoothing,
         vocab=full.vocab,
@@ -222,6 +227,16 @@ def test_emptied_top_order_matches_truncated_view_exactly():
     p_gutted = evaluate(gutted, dev).perplexity
     p_lower = evaluate(lower, dev).perplexity
     assert p_gutted == p_lower  # exact: unseen contexts descend untouched
+    # the engine, built from the same arrays with an empty top order or
+    # without it, gives the oracle's value exactly
+    engine = train(corpus, 3)
+    empty = [np.zeros((0, 3), np.int32)], [np.zeros(0, np.int64)]
+    engine_gutted = NGramModel(3, engine.smoothing, engine.vocab, engine.tables[:2] + empty[0],
+                               engine.counts[:2] + empty[1], engine.discounts, engine.fallback)
+    engine_lower = NGramModel(2, engine.smoothing, engine.vocab, engine.tables[:2],
+                              engine.counts[:2], engine.discounts[:2], engine.fallback[:2])
+    assert evaluate(engine_gutted, dev).perplexity == p_gutted
+    assert evaluate(engine_lower, dev).perplexity == p_lower
 
 
 # -- serialization -------------------------------------------------------------------
@@ -244,8 +259,15 @@ def test_save_load_round_trip(tmp_path):
     loaded = NGramModel.load(path)
     assert loaded.order == 3
     assert loaded.vocab == model.vocab
-    assert loaded.tables == model.tables
+    for k in range(3):
+        assert np.array_equal(loaded.tables[k], model.tables[k])
+        assert np.array_equal(loaded.counts[k], model.counts[k])
     assert loaded.discounts == [tuple(d) for d in model.discounts]
+    # the dict tables round-trip too, and the oracle writes the same bytes
+    oracle = DictNGramModel.train(corpus, 3, metadata={"language": "en"})
+    oracle.save(tmp_path / "oracle.cflm")
+    assert DictNGramModel.load(tmp_path / "oracle.cflm").tables == oracle.tables
+    assert (tmp_path / "oracle.cflm").read_bytes() == path.read_bytes()
     rng = random.Random(1)
     vocab = sorted(model.vocab)
     for _ in range(100):
@@ -304,7 +326,8 @@ def test_arpa_export_reproduces_model_probabilities(tmp_path):
     assert (UNK,) in probs and (SENT_START,) in probs
     rng = random.Random(5)
     vocab = sorted(model.vocab)
-    contexts = [()] + [g[:-1] for g in rng.sample(sorted(model.tables[2]), 20)]
+    oracle_tables = DictNGramModel.train(corpus, 3).tables
+    contexts = [()] + [g[:-1] for g in rng.sample(sorted(oracle_tables[2]), 20)]
     contexts += [tuple(rng.choice(vocab) for _ in range(2)) for _ in range(20)]
     for ctx in contexts:
         for w in rng.sample(vocab, 5) + [UNK]:
@@ -350,7 +373,7 @@ def arpa_fields(path):
 @pytest.mark.parametrize("smoothing", ["kn", "none"])
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 def test_arpa_lines_equal_recursive_model_exactly(tmp_path, order, smoothing):
-    model = train(markov3_corpus(35, 80), order, smoothing=smoothing)
+    model = DictNGramModel.train(markov3_corpus(35, 80), order, smoothing=smoothing)
     assert any(model.fallback)  # the flat 0.75 discount is exercised
     path = tmp_path / "m.arpa"
     model.to_arpa(path)
@@ -376,6 +399,10 @@ def test_arpa_lines_equal_recursive_model_exactly(tmp_path, order, smoothing):
         lower = model._level_probs(k, lower)
         for gram, p in lower.items():
             assert p == model._p(k, gram[:-1], gram[-1]), gram
+    # the array engine writes the oracle's file byte for byte
+    engine_path = tmp_path / "engine.arpa"
+    train(markov3_corpus(35, 80), order, smoothing=smoothing).to_arpa(engine_path)
+    assert engine_path.read_bytes() == path.read_bytes()
 
 
 def test_unsmoothed_arpa_writes_zero_unknown_probability(tmp_path):
@@ -398,12 +425,14 @@ def test_arpa_round_trip_reproduces_every_probability(tmp_path, corpus, order, s
     model.to_arpa(path)
     probs, bows = parse_arpa(path)
     words = sorted(model.vocab) + [UNK]
-    contexts = {()} | {g[:-1] for table in model.tables for g in table}
+    oracle = DictNGramModel.train(corpus, order, smoothing=smoothing)
+    contexts = {()} | {g[:-1] for table in oracle.tables for g in table}
     contexts |= {(w,) for w in words} | {(SENT_START, w) for w in words}
     for ctx in sorted(contexts):
         for w in words:
             expected = model.prob(w, ctx)
             assert arpa_prob(probs, bows, ctx, w) == pytest.approx(expected, abs=1e-6), (ctx, w)
+            assert expected == oracle.prob(w, ctx), (ctx, w)
 
 
 def test_save_load_save_byte_identical_and_words_shared(tmp_path):
@@ -411,7 +440,11 @@ def test_save_load_save_byte_identical_and_words_shared(tmp_path):
     first = tmp_path / "a.cflm"
     second = tmp_path / "b.cflm"
     model.save(first)
-    loaded = NGramModel.load(first)
+    NGramModel.load(first).save(second)
+    assert first.read_bytes() == second.read_bytes()
+    # the dict oracle reads the engine's file, writes it back unchanged and
+    # shares one str per word
+    loaded = DictNGramModel.load(first)
     loaded.save(second)
     assert first.read_bytes() == second.read_bytes()
     canonical = {w: w for w in loaded.vocab}
@@ -420,3 +453,62 @@ def test_save_load_save_byte_identical_and_words_shared(tmp_path):
         for gram in table:
             for word in gram:
                 assert word is canonical[word], gram
+
+
+@pytest.mark.parametrize("seed,n_sentences,order", [(32, 80, 3), (11, 600, 5)])
+def test_loaded_model_equals_trained_model_on_every_stored_gram(tmp_path, seed, n_sentences, order):
+    model = train(markov3_corpus(seed, n_sentences), order)
+    model.save(tmp_path / "m.cflm")
+    loaded = NGramModel.load(tmp_path / "m.cflm")
+    words = sorted(model.vocab) + [UNK]
+    queries = [((), w) for w in words] + [((SENT_START,), w) for w in words]
+    for table in model.tables:
+        for row in table.tolist():
+            gram = [model.words[i] for i in row]
+            queries.append((tuple(gram[:-1]), gram[-1]))
+    expected = model.probs(queries)
+    assert loaded.probs(queries) == expected
+    for (context, word), p in zip(queries, expected):
+        assert model.prob(word, context) == p, (context, word)
+    model.to_arpa(tmp_path / "trained.arpa")
+    loaded.to_arpa(tmp_path / "loaded.arpa")
+    assert (tmp_path / "trained.arpa").read_bytes() == (tmp_path / "loaded.arpa").read_bytes()
+
+
+@pytest.mark.parametrize("word", ["tab\tbed", "line\nbreak", "nul\x00", "\x1f", "two words"])
+def test_train_refuses_word_the_gram_order_cannot_hold(word):
+    # the space-joined gram strings sort like the id rows only while no word
+    # holds a character at or below U+0020
+    with pytest.raises(ValueError, match=re.escape(repr(word))):
+        train([["ok", word, "ok"]], 2)
+
+
+ESCAPED_WORDS = ["a", "a!", "ab", "é", "ß", 'say"', "back\\slash", "\U0001F600", "zz"]
+
+
+@pytest.mark.parametrize("smoothing", ["kn", "none"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_escaped_words_write_the_oracle_bytes(tmp_path, order, smoothing):
+    rng = random.Random(40 + order)
+    corpus = [
+        [rng.choice(ESCAPED_WORDS) for _ in range(rng.randint(1, 9))] for _ in range(80)
+    ]
+    metadata = {"language": "xx", "note": 'ß "q" \\ \U0001F600'}
+    engine = train(corpus, order, smoothing=smoothing, metadata=metadata)
+    oracle = DictNGramModel.train(corpus, order, smoothing=smoothing, metadata=metadata)
+    for model, name in ((engine, "engine"), (oracle, "oracle")):
+        model.save(tmp_path / f"{name}.cflm")
+        model.to_arpa(tmp_path / f"{name}.arpa")
+    for ext in ("cflm", "arpa"):
+        assert (tmp_path / f"engine.{ext}").read_bytes() == (tmp_path / f"oracle.{ext}").read_bytes()
+    assert set(ESCAPED_WORDS) <= engine.vocab
+    assert NGramModel.load(tmp_path / "engine.cflm").words == engine.words
+
+
+def test_load_refuses_grams_out_of_id_order(tmp_path):
+    # the dict oracle writes a word the engine refuses to train on; its
+    # grams sort as strings ("a\x1f b" < "a z") against their id order
+    path = tmp_path / "m.cflm"
+    DictNGramModel.train([["a", "z"], ["a\x1f", "b"]], 2).save(path)
+    with pytest.raises(ValueError, match="not in sorted order"):
+        NGramModel.load(path)

@@ -617,6 +617,31 @@ def test_cli_split_subcommand_overrides(tmp_path, capsys):
     assert (tmp_path / "out" / "manifests" / "limited_10h.tsv").exists()
 
 
+def test_stage_failure_exits_3_from_every_entry_point(tmp_path, capsys):
+    """A fault inside a stage is a stage failure (exit 3, ``stage <name>:``)
+    whether the stage runs alone or as part of ``run``."""
+    synth_corpus(tmp_path / "input", seed=8, params=SMALL)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        f"input_dir = {tmp_path / 'input'}\n"
+        f"output_dir = {tmp_path / 'out'}\n"
+        "train_threshold_s = 200\n"
+        "dev_test_cap_s = 300\n",
+        encoding="utf-8",
+    )
+    assert cli_main(["run", "--config", str(cfg_path), "--until-stage", "filter"]) == 0
+    books_path = tmp_path / "input" / "books.json"
+    books = json.loads(books_path.read_text(encoding="utf-8"))
+    books[0]["version"] = "two"
+    books_path.write_text(json.dumps(books), encoding="utf-8")
+    capsys.readouterr()
+    assert cli_main(["split", "--config", str(cfg_path)]) == 3
+    alone = capsys.readouterr().err
+    assert cli_main(["run", "--config", str(cfg_path), "--from-stage", "split"]) == 3
+    assert capsys.readouterr().err == alone
+    assert alone.startswith("error: stage split: ") and "books.json" in alone
+
+
 def test_cli_synth(tmp_path, capsys):
     assert cli_main([
         "synth", "--out", str(tmp_path / "x"), "--seed", "3",
