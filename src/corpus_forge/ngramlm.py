@@ -170,6 +170,8 @@ class NGramModel:
         for word in vocab:
             if word and min(word) <= " ":
                 raise ValueError(f"word {word!r} holds a character at or below U+0020")
+        if reserved := sorted(vocab & {SENT_START, UNK}):  # the model writes its own entries
+            raise ValueError(f"word {reserved[0]!r} is reserved by the model")
         ids = _word_ids(vocab)
         n = order
         lengths = np.array([len(s) for s in sentences])

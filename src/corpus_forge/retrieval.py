@@ -6,19 +6,34 @@ label. Indexing a book also interns it once into int32 word ids. The
 pseudo label is encoded in the same vocabulary, where words the book lacks
 get an id no book word has, and aligned to a view of the winning window's
 ids with a local Smith-Waterman (match 2, substitution/insertion/deletion
--1). The alignment is computed only on the runs of window columns whose
-cheap upper bound (from which columns hold a query word) can reach the best
-score, usually a few percent of the window. Digit words of the matched book
-text are replaced from the aligned pseudo words. Candidates are accepted
-when their word error rate against the pseudo label does not exceed the
-threshold (default 40%); the rate comes from a bit-parallel Levenshtein
-distance (Myers 1999; Hyyrö 2003).
+-1). Digit words of the matched book text are replaced from the aligned
+pseudo words. Candidates are accepted when their word error rate against
+the pseudo label does not exceed the threshold (default 40%); the rate
+comes from a bit-parallel Levenshtein distance (Myers 1999; Hyyrö 2003).
+
+A book's segments are retrieved as one batch, with inter-sequence
+vectorization as in SWIPE (Rognes 2011):
+- tf-idf: every label's (bigram, weight) entries meet their postings in
+  one pass, and the products are added into a (labels, shards) array one
+  bigram position at a time, so every dot product adds its terms in the
+  label's first-occurrence bigram order, as a per-bigram loop would; a
+  matrix product would add them in another order and can flip near ties.
+- Column bounds: labels that share a window take one gather of their
+  (labels, vocabulary) table of column gains, then ``cumsum`` and
+  ``minimum.accumulate`` along the window. Only the runs of columns whose
+  bound is positive are aligned, usually a few percent of the window.
+- DP fill: runs are sorted by (length, label length) and packed into
+  end-padded (B, n, m) int32 tables of at most CHUNK cells, and row i of
+  all B tables is filled by one numpy call per step. The traceback and the
+  tie-break stay per segment.
+``smith_waterman``, ``retrieve`` and ``retrieve_transcript`` are batches of
+one through the same kernels.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
@@ -34,6 +49,7 @@ DEFAULT_RARE_THRESHOLD = 3
 
 HYPHEN_SPLIT_CHARS = "-‐"
 ABSENT_ID = -1  # id of a query word the book does not contain; matches nothing
+CHUNK = 1 << 18  # cells per batch (labels x shards, labels x columns, or DP table cells)
 
 
 @dataclass(frozen=True)
@@ -110,68 +126,89 @@ class TfIdfIndex:
     queries whose weighted vector vanishes entirely (single-shard books, or
     a query made only of everywhere-bigrams) fall back to raw-tf dot-product
     scoring so retrieval still functions.
+
+    The shards' words are interned once into int32 ids (``vocab``), and the
+    book as its shards cover it is ``book_ids``. A bigram is the int64 key
+    ``left * len(vocab) + right``; ``grams`` lists the book's keys sorted,
+    and the postings of gram g are the entries ``ptr[g]:ptr[g+1]`` of
+    ``post_shard`` (ascending), ``post_tf`` and ``post_weight``.
     """
 
     def __init__(self, shards: list[DocumentShard]):
         if not shards:
             raise ValueError("cannot index zero shards")
         self.shards = list(shards)
-        self.n_shards = len(shards)
-        # the book as its shards cover it, interned once into int32 word ids
+        self.n_shards = n = len(shards)
         vocab: dict[str, int] = {}
         self.vocab = vocab
-        book_len = max(s.word_offset + len(s.words) for s in shards)
-        self.book_ids = np.full(book_len, ABSENT_ID, dtype=np.int32)
-        covered = 0
-        for shard in sorted(self.shards, key=lambda s: s.word_offset):
-            start = max(covered, shard.word_offset)
-            covered = max(covered, shard.word_offset + len(shard.words))
-            fresh = shard.words[start - shard.word_offset :]
-            self.book_ids[start:covered] = [vocab.setdefault(w, len(vocab)) for w in fresh]
-        self.df: dict[tuple[str, str], int] = {}
-        tfs = []
-        for shard in self.shards:
-            tf = Counter(zip(shard.words, shard.words[1:]))
-            tfs.append(tf)
-            for gram in tf:
-                self.df[gram] = self.df.get(gram, 0) + 1
+        lens = np.array([len(s.words) for s in self.shards])
+        flat = np.array([vocab.setdefault(w, len(vocab)) for s in self.shards for w in s.words],
+                        dtype=np.int64)
+        ends = np.cumsum(lens)
+        self.book_ids = np.full(int(max(s.word_offset + len(s.words) for s in shards)),
+                                ABSENT_ID, dtype=np.int32)
+        for shard, end in zip(self.shards, ends.tolist()):
+            self.book_ids[shard.word_offset : shard.word_offset + len(shard.words)] = (
+                flat[end - len(shard.words) : end])
 
-        self.idf = {g: math.log(self.n_shards / d) for g, d in self.df.items()}
+        # every in-shard bigram occurrence, in shard order then position order
+        pair_shard = np.repeat(np.arange(n), np.maximum(lens - 1, 0))
+        inside = np.ones(max(len(flat) - 1, 0), dtype=bool)
+        inside[ends[:-1][(ends[:-1] > 0) & (ends[:-1] < len(flat))] - 1] = False
+        keys = (flat[:-1] * len(vocab) + flat[1:])[inside]
+        self.grams, gram = np.unique(keys, return_inverse=True)
+        n_grams = len(self.grams)
+        entry, first, tf = np.unique(pair_shard * n_grams + gram.ravel(),
+                                     return_index=True, return_counts=True)
+        e_shard, e_gram = np.divmod(entry, n_grams)
+        self.gram_df = np.bincount(e_gram, minlength=n_grams)
+        d_vals, d_of = np.unique(self.gram_df, return_inverse=True)
+        self.gram_idf = np.array([math.log(n / d) for d in d_vals.tolist()])[d_of.ravel()]
+        weight = tf * self.gram_idf[e_gram]
 
-        self.postings: dict[tuple[str, str], list[tuple[int, float]]] = {}
-        self.tf_postings: dict[tuple[str, str], list[tuple[int, int]]] = {}
-        self.norms = [0.0] * self.n_shards
-        for i, tf in enumerate(tfs):
-            for gram, count in tf.items():
-                self.tf_postings.setdefault(gram, []).append((i, count))
-                weight = count * self.idf[gram]
-                if weight == 0.0:
-                    continue
-                self.postings.setdefault(gram, []).append((i, weight))
-                self.norms[i] += weight * weight
-        self.norms = [math.sqrt(v) for v in self.norms]
+        by_gram = np.lexsort((e_shard, e_gram))
+        self.ptr = np.concatenate(([0], np.cumsum(self.gram_df)))
+        self.post_shard = e_shard[by_gram]
+        self.post_tf = tf[by_gram].astype(np.float64)
+        self.post_weight = weight[by_gram]
+
+        # shard norms: squares summed left to right in the shard's
+        # first-occurrence order of its bigrams
+        in_order = np.argsort(first, kind="stable")
+        shard_of, sq = e_shard[in_order], (weight * weight)[in_order]
+        per_shard = np.bincount(shard_of, minlength=n)
+        squares = np.zeros((n, max(1, int(per_shard.max(initial=0)))))
+        squares[shard_of, np.arange(len(sq)) - (np.cumsum(per_shard) - per_shard)[shard_of]] = sq
+        self.norms = np.sqrt(np.cumsum(squares, axis=1)[:, -1])
+
+    def _gram_words(self) -> list[tuple[str, str]]:
+        words = list(self.vocab)
+        left, right = np.divmod(self.grams, len(words))
+        return [(words[a], words[b]) for a, b in zip(left.tolist(), right.tolist())]
+
+    @property
+    def df(self) -> dict[tuple[str, str], int]:
+        """Shard count of every indexed bigram, keyed by its two words."""
+        return dict(zip(self._gram_words(), self.gram_df.tolist()))
+
+    @property
+    def idf(self) -> dict[tuple[str, str], float]:
+        return dict(zip(self._gram_words(), self.gram_idf.tolist()))
+
+    @property
+    def postings(self) -> dict[tuple[str, str], list[tuple[int, float]]]:
+        """(shard, weight) of every nonzero weight, by bigram words."""
+        ptr, shard, weight = self.ptr.tolist(), self.post_shard.tolist(), self.post_weight.tolist()
+        return {
+            gram: list(zip(shard[a:b], weight[a:b]))
+            for gram, a, b, idf in zip(self._gram_words(), ptr, ptr[1:], self.gram_idf.tolist())
+            if idf != 0.0
+        }
 
     def encode(self, words) -> np.ndarray:
         """Word ids of ``words`` in this book's vocabulary (ABSENT_ID for
         words the book does not contain)."""
         return np.array([self.vocab.get(w, ABSENT_ID) for w in words], dtype=np.int32)
-
-    def query_vector(self, words) -> tuple[dict[tuple[str, str], float], bool]:
-        """(vector, tf_fallback?): the weighted query vector, or the raw-tf
-        vector over known bigrams when every weighted entry vanished."""
-        qtf = Counter(zip(words, words[1:]))
-        vec = {}
-        known = {}
-        for gram, count in qtf.items():
-            if gram not in self.df:
-                continue
-            known[gram] = float(count)
-            weight = count * self.idf[gram]
-            if weight != 0.0:
-                vec[gram] = weight
-        if vec:
-            return vec, False
-        return known, True
 
 
 def build_index(shards: list[DocumentShard]) -> TfIdfIndex:
@@ -184,27 +221,82 @@ def retrieve(index: TfIdfIndex, pseudo_label, top_k: int = 1) -> RetrievalResult
     A query sharing no indexed bigram (including queries shorter than two
     words) returns status "no_match", distinct from a zero score.
     """
-    words = list(pseudo_label)
-    qvec, tf_fallback = index.query_vector(words)
-    if not qvec:
+    ranked = _rank(index, [index.encode(pseudo_label)], max(top_k, 1))[0]
+    if not ranked:
         return RetrievalResult(hits=[], status="no_match")
-    qnorm = math.sqrt(sum(w * w for w in qvec.values()))
-    scores: dict[int, float] = {}
-    postings = index.tf_postings if tf_fallback else index.postings
-    for gram, weight in qvec.items():
-        for shard_i, shard_w in postings[gram]:
-            scores[shard_i] = scores.get(shard_i, 0.0) + weight * shard_w
-    ranked = []
-    for shard_i, dot in scores.items():
-        if tf_fallback:
-            ranked.append((-dot, shard_i))
-        else:
-            ranked.append((-dot / (qnorm * index.norms[shard_i]), shard_i))
-    ranked.sort()  # ties broken by lower shard id
-    hits = [
-        RetrievalHit(shard=index.shards[i], score=-neg) for neg, i in ranked[:top_k]
-    ]
+    hits = [RetrievalHit(shard=index.shards[i], score=score) for i, score in ranked[:top_k]]
     return RetrievalResult(hits=hits, status="ok")
+
+
+def _rank(index: TfIdfIndex, queries: list[np.ndarray], top_k: int) -> list[list[tuple[int, float]]]:
+    """(shard index, score) of the ``top_k`` best shards of every encoded
+    query, best first, ties to the lower shard; [] for a query that shares
+    no indexed bigram.
+
+    A query's vector lists its known bigrams in first-occurrence order with
+    weight count * idf, dropping zero weights; when none is left it is the
+    raw count of every known bigram, scored by plain dot product against
+    raw shard counts. Each dot product is summed one query position at a
+    time across the batch, so every cosine adds its terms in the query's
+    order, as a per-bigram loop would; the query norm is a cumulative sum
+    in the same order. Queries are scored CHUNK // n_shards at a time.
+    """
+    rows = max(1, CHUNK // index.n_shards)
+    out: list[list[tuple[int, float]]] = []
+    for c in range(0, len(queries), rows):
+        out += _rank_batch(index, queries[c : c + rows], top_k)
+    return out
+
+
+def _rank_batch(index, queries, top_k):
+    """``_rank`` of one batch of queries."""
+    n_q, n_grams = len(queries), len(index.grams)
+    lens = np.array([len(q) for q in queries])
+    flat = np.concatenate(queries).astype(np.int64)
+    owner = np.repeat(np.arange(n_q), lens)
+    pair = np.flatnonzero((owner[:-1] == owner[1:]) & (flat[:-1] >= 0) & (flat[1:] >= 0))
+    keys = flat[pair] * len(index.vocab) + flat[pair + 1]
+    gram = np.minimum(np.searchsorted(index.grams, keys), max(n_grams - 1, 0))
+    known = index.grams[gram] == keys if n_grams else np.zeros(len(keys), bool)
+    # (query, gram) entries with their counts, in first-occurrence order
+    entry, first, count = np.unique(owner[pair][known] * n_grams + gram[known],
+                                    return_index=True, return_counts=True)
+    in_order = np.argsort(first)
+    e_q, e_gram = np.divmod(entry[in_order], n_grams)
+    count = count[in_order]
+    weight = count * index.gram_idf[e_gram]
+    weighted = np.zeros(n_q, dtype=bool)
+    weighted[e_q[weight != 0.0]] = True
+    raw = ~weighted[e_q]  # entries of a query that falls back to raw tf
+    keep = raw | (weight != 0.0)
+    e_q, e_gram, raw = e_q[keep], e_gram[keep], raw[keep]
+    weight = np.where(raw, count[keep], weight[keep])
+    pos = np.arange(len(e_q)) - np.searchsorted(e_q, e_q)
+    width = int(pos.max(initial=-1)) + 1
+
+    sq = np.zeros((n_q, max(width, 1)))
+    sq[e_q, pos] = weight * weight
+    qnorm = np.sqrt(np.cumsum(sq, axis=1)[:, -1])
+    dot = np.zeros((n_q, index.n_shards))
+    by_pos = np.argsort(pos, kind="stable")
+    cuts = np.searchsorted(pos[by_pos], np.arange(width + 1)).tolist()
+    for a, b in zip(cuts, cuts[1:]):  # each query's entry at one position meets its postings
+        k = by_pos[a:b]
+        n_post = index.ptr[e_gram[k] + 1] - index.ptr[e_gram[k]]
+        of = np.repeat(k, n_post)
+        at = np.repeat(index.ptr[e_gram[k]] - np.cumsum(n_post) + n_post, n_post) + np.arange(len(of))
+        shard_w = np.where(raw[of], index.post_tf[at], index.post_weight[at])
+        dot[e_q[of], index.post_shard[at]] += weight[of] * shard_w  # one cell at most once
+
+    fallback = ~weighted[:, None]
+    denom = np.where(fallback, 1.0, qnorm[:, None] * index.norms)
+    scores = np.divide(dot, denom, out=np.full_like(dot, -np.inf), where=dot > 0.0)
+    best = np.argsort(-scores, axis=1, kind="stable")[:, :top_k]
+    top = np.take_along_axis(scores, best, axis=1)
+    return [
+        [(i, s) for i, s in zip(b_row, s_row) if s != -np.inf]
+        for b_row, s_row in zip(best.tolist(), top.tolist())
+    ]
 
 
 def smith_waterman(
@@ -218,109 +310,227 @@ def smith_waterman(
 
     ``query`` and ``reference`` are two integer id arrays (retrieval passes
     the pseudo label encoded in the book's vocabulary and a view of the
-    book's ids) or two sequences of hashable tokens, interned here.
-
-    The DP is filled only where the best score can lie. Every reference
-    column consumed by an alignment adds at most ``match`` when its word
-    occurs in the query and at most ``max(mismatch, gap)`` otherwise, and
-    query-only steps add ``gap`` < 0, so no cell of column j scores more
-    than the best suffix sum of those column values ending at j, nor more
-    than ``match * len(query)``. Columns bounded by 0 hold H = 0 in every
-    row and cut the reference into independent runs. Runs are aligned in
-    descending order of their bound until the next bound falls below the
-    best score found; each one fills an int32 table row-wise in coordinates
-    G = H - gap*j, where the linear gap chain is a prefix maximum, and its
-    best cells come from the row maxima and are traced back over plain
-    ints. Among equal-score alignments, from any run, the smallest
-    reference start wins, then the shortest reference span, the smallest
-    query start and the earliest end cell.
+    book's ids) or two sequences of hashable tokens, interned here. Both
+    are renumbered into one dense vocabulary and aligned as a batch of one
+    by the batched kernels (``_column_runs`` and ``_align``).
     """
     if not len(query) or not len(reference):
         raise ValueError("query and reference must be non-empty")
     if gap >= 0 or mismatch >= match:
         raise ValueError("scores must satisfy gap < 0 and mismatch < match")
-    q_ids, r_ids = query, reference
-    if not (isinstance(q_ids, np.ndarray) and isinstance(r_ids, np.ndarray)):
-        ids: dict = {}  # one vocabulary for both sides
-        q_ids, r_ids = (
-            np.array([ids.setdefault(w, len(ids)) for w in seq], dtype=np.int32)
-            for seq in (query, reference)
-        )
-    n, m = len(q_ids), len(r_ids)
-    if (match - mismatch - gap) * (n + m + 2) >= 2**31:
+    if (match - mismatch - gap) * (len(query) + len(reference) + 2) >= 2**31:
         raise ValueError("scores too large for an int32 alignment table")
+    if isinstance(query, np.ndarray) and isinstance(reference, np.ndarray):
+        n_ids, both = np.unique(np.concatenate((query, reference)), return_inverse=True)
+        n_ids, both = len(n_ids), both.ravel()
+    else:
+        ids: dict = {}  # one vocabulary for both sides
+        both = np.array([ids.setdefault(w, len(ids)) for seq in (query, reference) for w in seq])
+        n_ids = len(ids)
+    windows = [(len(query), len(both))]
+    return next(_align([both[: len(query)]], both, windows, n_ids, match, mismatch, gap))
 
-    # column bound: best suffix sum of per-column gains, capped at match * n
-    gain = np.where((q_ids[:, None] == r_ids).any(axis=0), match, max(mismatch, gap))
-    total = np.cumsum(gain)
-    bound = np.minimum(total - np.minimum(np.minimum.accumulate(total), 0), match * n)
-    is_open = np.concatenate(([False], bound > 0, [False]))
-    edges = np.flatnonzero(is_open[1:] != is_open[:-1])
-    if not edges.size:  # no column can score; a run always holds a positive cell
-        return AlignmentResult(score=0, ref_span=(0, 0), query_span=(0, 0), ops=())
-    starts, ends = edges[0::2], edges[1::2]
-    run_bound = np.maximum.reduceat(bound, starts)
 
-    matched = match - gap  # diagonal gain of a match
-    best, candidates = 0, []
-    for run in np.argsort(-run_bound, kind="stable").tolist():
-        if run_bound[run] < best:
-            break  # no later run can reach the best score
-        lo = int(starts[run])
-        H, step = _run_table(q_ids, r_ids[lo : ends[run]], match, mismatch, gap)
-        row_best = H.max(axis=1)
-        score = int(row_best.max())
-        if score < best:
+def _column_runs(queries, ref, n_ids, match, other):
+    """(query, start, end, bound) arrays of every run of columns of the
+    reference ``ref`` that can score against each query; ids are below
+    ``n_ids`` (query words may also be ABSENT_ID).
+
+    Every reference column consumed by an alignment adds at most ``match``
+    when its word occurs in the query and at most ``other`` = max(mismatch,
+    gap) otherwise, and query-only steps add gap < 0, so no cell of column
+    j scores more than the best suffix sum of those column values ending
+    at j, nor more than ``match * len(query)``. Columns bounded by 0 hold
+    H = 0 in every row and cut the reference into independent runs; a
+    run's bound is its largest column bound. The queries share one gather
+    of a (B, n_ids) table of column gains; rows are taken CHUNK cells at a
+    time.
+    """
+    width = len(ref)
+    per = max(1, CHUNK // max(n_ids, width))
+    parts = []
+    for c in range(0, len(queries), per):
+        qs = queries[c : c + per]
+        q_len = np.array([len(q) for q in qs])
+        q_flat, owner = np.concatenate(qs), np.repeat(np.arange(len(qs)), q_len)
+        gain = np.full((len(qs), n_ids), np.int32(other))
+        gain[owner[q_flat >= 0], q_flat[q_flat >= 0]] = match
+        bound = np.cumsum(np.take(gain, ref, axis=1), axis=1, dtype=np.int32)
+        low = np.minimum.accumulate(bound, axis=1)
+        bound -= np.minimum(low, 0, out=low)  # best suffix sum ending at the column
+        is_open = np.zeros((len(qs), width + 2), dtype=bool)
+        np.greater(bound, 0, out=is_open[:, 1:-1])
+        edges = np.flatnonzero(is_open[:, 1:] != is_open[:, :-1]).astype(np.int32)
+        row, col = np.divmod(edges, np.int32(width + 1))
+        row, starts, ends = row[0::2], col[0::2], col[1::2]
+        run_bound = np.maximum.reduceat(bound.ravel(), row * width + starts) if row.size else row
+        parts.append((row + c, starts, ends, np.minimum(run_bound, match * q_len[row], dtype=np.int32)))
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def _align(queries, ids, windows, n_ids, match, mismatch, gap) -> Iterator[AlignmentResult]:
+    """Best local alignment of each query against its (start, end) window
+    of ``ids``, in order; ids are below ``n_ids`` (query words may also be
+    ABSENT_ID).
+
+    The column runs of queries that share a window come from one
+    ``_column_runs`` call. The first round aligns each query's run of
+    highest bound, the earliest among equal bounds; the second aligns every
+    other run whose bound still reaches the query's first score, so every
+    run that can hold the best score is aligned. Among equal-score
+    alignments, from any run, the smallest reference start wins, then the
+    shortest reference span, the smallest query start and the earliest end
+    cell. A query with no run scores 0. Nothing is computed until the first
+    result is asked for.
+    """
+    scores, found = _aligned_runs(queries, ids, windows, n_ids, match, mismatch, gap)
+    for best, runs_of in zip(scores, found):
+        if not best:
+            yield AlignmentResult(score=0, ref_span=(0, 0), query_span=(0, 0), ops=())
             continue
-        if score > best:
-            best, candidates = score, []
-        h = H.item
-        diag_gain = step.item  # s - gap of cell (i-1, j-1)
-        for end_i in np.flatnonzero(row_best == score).tolist():
-            for end_j in np.flatnonzero(H[end_i] == score).tolist():
-                i, j, ops = end_i, end_j, []
-                while (here := h(i, j)) > 0:
-                    cell_gain = diag_gain(i - 1, j - 1)
-                    if here == h(i - 1, j - 1) + cell_gain + gap:
-                        i, j = i - 1, j - 1
-                        kind = "match" if cell_gain == matched else "substitute"
-                        ops.append(AlignmentOp(kind, i, lo + j))
-                    elif here == h(i - 1, j) + gap:
-                        i -= 1
-                        ops.append(AlignmentOp("insert", i, None))
-                    else:
-                        j -= 1
-                        ops.append(AlignmentOp("delete", None, lo + j))
-                candidates.append((lo + j, end_j - j, i, lo + end_j, end_i, ops[::-1]))
-    rs, _span_len, qs, re_, qe, ops = min(candidates, key=lambda c: c[:5])
-    return AlignmentResult(
-        score=best,
-        ref_span=(rs, re_),
-        query_span=(qs, qe),
-        ops=tuple(ops),
-    )
+        rs, _span_len, qs, re_, qe, path = min(
+            (c for score, cands in runs_of if score == best for c in cands), key=lambda c: c[:5]
+        )
+        yield AlignmentResult(score=best, ref_span=(rs, re_), query_span=(qs, qe),
+                              ops=_ops(path, qs, rs))
 
 
-def _run_table(q_ids, r_ids, match, mismatch, gap) -> tuple[np.ndarray, np.ndarray]:
-    """(H, step) of the zero-clamped DP of ``q_ids`` against one run of
-    reference columns, whose left neighbour holds H = 0; step[i, j] is the
-    diagonal gain s - gap into cell (i+1, j+1)."""
-    n, m = len(q_ids), len(r_ids)
-    # diagonal step in G coordinates: H[i-1, j-1] + s - gap*j = G[i-1, j-1] + s - gap
-    step = np.multiply(q_ids[:, None] == r_ids, np.int32(match - mismatch), dtype=np.int32)
+def _aligned_runs(queries, ids, windows, n_ids, match, mismatch, gap) -> tuple[list, list]:
+    """(best score, [(score, candidates) of each aligned run]) per query;
+    see ``_align``. The run arrays are dropped on return."""
+    by_window: dict[tuple[int, int], list[int]] = {}
+    for k, window in enumerate(windows):
+        by_window.setdefault(window, []).append(k)
+    runs = []
+    for (start, end), ks in by_window.items():
+        pair, *rest = _column_runs([queries[k] for k in ks], ids[start:end], n_ids, match,
+                                   max(mismatch, gap))
+        runs.append((np.array(ks, dtype=np.int32)[pair], *rest))
+    # each query's runs are contiguous and in column order
+    pair, lo, hi, bound = (np.concatenate(a) for a in zip(*runs))
+    del runs
+    refs = [ids[start:end] for start, end in windows]
+    first = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]]) if pair.size else pair
+    top = np.repeat(np.maximum.reduceat(bound, first), np.diff(np.r_[first, len(pair)]))
+    head = np.minimum.reduceat(np.where(bound == top, np.arange(len(pair)), len(pair)), first)
+    scores = np.zeros(len(queries), dtype=np.int64)
+    found: list[list] = [[] for _ in queries]  # (score, candidates) of each aligned run
+
+    def align(chosen):
+        ks, starts = pair[chosen].tolist(), lo[chosen].tolist()
+        tables = _fill([queries[k] for k in ks],
+                       [refs[k][a:b] for k, a, b in zip(ks, starts, hi[chosen].tolist())],
+                       starts, match, mismatch, gap)
+        for k, (score, cands) in zip(ks, tables):
+            found[k].append((score, cands))
+            scores[k] = max(scores[k], score)
+
+    align(head)
+    rest = np.ones(len(pair), dtype=bool)
+    rest[head] = False
+    align(np.flatnonzero(rest & (bound >= scores[pair])))
+    return scores.tolist(), found
+
+
+def _ops(path: str, i: int, j: int) -> tuple[AlignmentOp, ...]:
+    """The ops of a traceback path, one letter per op ("m"atch,
+    "s"ubstitute, "i"nsert, "d"elete), that starts at query index i and
+    reference index j. Paths stay letters until their alignment wins, so a
+    book's candidates cost a few bytes per op."""
+    ops = []
+    for step in path:
+        if step == "i":
+            ops.append(AlignmentOp("insert", i, None))
+            i += 1
+        elif step == "d":
+            ops.append(AlignmentOp("delete", None, j))
+            j += 1
+        else:
+            ops.append(AlignmentOp("match" if step == "m" else "substitute", i, j))
+            i += 1
+            j += 1
+    return tuple(ops)
+
+
+def _fill(queries, refs, offsets, match, mismatch, gap) -> list[tuple[int, list]]:
+    """(best score, best-cell tracebacks) of the zero-clamped DP of each
+    (query, run) pair, whose left neighbour column holds H = 0; a run's
+    reference indices start at its offset.
+
+    Pairs are sorted by (run length, query length) and packed, CHUNK table
+    cells at a time, into end-padded (B, n, m) batches; see ``_fill_batch``.
+    """
+    n = [len(q) for q in queries]
+    m = [len(r) for r in refs]
+    order = sorted(range(len(n)), key=lambda k: (m[k], n[k]))
+    out: list = [None] * len(n)
+    a = 0
+    while a < len(order):
+        b, rows = a + 1, n[order[a]]
+        while b < len(order) and (b + 1 - a) * (max(rows, n[order[b]]) + 1) * (m[order[b]] + 1) <= CHUNK:
+            rows = max(rows, n[order[b]])
+            b += 1
+        batch = order[a:b]
+        tables = _fill_batch([queries[k] for k in batch], [refs[k] for k in batch],
+                             [offsets[k] for k in batch], rows, m[order[b - 1]], match, mismatch, gap)
+        for k, table in zip(batch, tables):
+            out[k] = table
+        a = b
+    return out
+
+
+def _fill_batch(queries, refs, offsets, rows, cols, match, mismatch, gap) -> list[tuple[int, list]]:
+    """Fill B tables at once: row i of every table is one numpy call per
+    step, in coordinates G = H - gap*j where the linear gap chain is a
+    prefix maximum. Queries are end-padded to ``rows`` with an id matching
+    nothing, and references to ``cols`` with another: a padded cell only
+    extends real cells by negative steps, so no padded cell reaches its
+    table's best score. Every best cell is traced back over plain ints,
+    preferring the diagonal, then the insertion, then the deletion, into a
+    (ref start, ref span length, query start, ref end, query end, path)
+    candidate; see ``_ops`` for the path."""
+    n_b = len(queries)
+    q_len = np.array([len(q) for q in queries])
+    r_len = np.array([len(r) for r in refs])
+    q_ids = np.full((n_b, rows), -2, dtype=np.int32)
+    q_ids[np.arange(rows) < q_len[:, None]] = np.concatenate(queries)
+    r_ids = np.full((n_b, cols), -3, dtype=np.int32)
+    r_ids[np.arange(cols) < r_len[:, None]] = np.concatenate(refs)
+    # step[i, b, j]: the diagonal gain s - gap into cell (i+1, j+1) of table b
+    step = np.multiply(q_ids.T[:, :, None] == r_ids, np.int32(match - mismatch), dtype=np.int32)
     step += np.int32(mismatch - gap)
-    floor = np.arange(m + 1, dtype=np.int32) * np.int32(-gap)  # G of H == 0
-    G = np.empty((n + 1, m + 1), dtype=np.int32)
+    floor = np.arange(cols + 1, dtype=np.int32) * np.int32(-gap)  # G of H == 0
+    G = np.empty((rows + 1, n_b, cols + 1), dtype=np.int32)
     G[0] = floor
-    G[:, 0] = 0
-    up, gap32, floor_1 = np.empty(m, dtype=np.int32), np.int32(gap), floor[1:]
-    for diag, above, row, row_step in zip(G[:-1, :-1], G[:-1, 1:], G[1:, 1:], step):
-        cand = diag + row_step
-        np.add(above, gap32, out=up)
+    G[1:, :, 0] = 0
+    up, gap32, floor_1 = np.empty((n_b, cols), dtype=np.int32), np.int32(gap), floor[1:]
+    for i in range(rows):
+        cand = G[i, :, :-1] + step[i]
+        np.add(G[i, :, 1:], gap32, out=up)
         np.maximum(cand, up, out=cand)
         np.maximum(cand, floor_1, out=cand)
-        np.maximum.accumulate(cand, out=row)
-    return G - floor, step
+        np.maximum.accumulate(cand, axis=1, out=G[i + 1, :, 1:])
+    G -= floor  # now H
+    best = G.max(axis=(0, 2))
+    cands: list[list] = [[] for _ in range(n_b)]
+    h, diag_gain, matched = G.item, step.item, match - gap
+    for end_i, b, end_j in np.argwhere(G == best[:, None]).tolist():
+        i, j, path, lo = end_i, end_j, [], offsets[b]
+        here = h(i, b, j)
+        while here > 0:
+            cell_gain = diag_gain(i - 1, b, j - 1)
+            if here == (diag := h(i - 1, b, j - 1)) + cell_gain + gap:
+                i, j, here = i - 1, j - 1, diag
+                path.append("m" if cell_gain == matched else "s")
+            elif here == (above := h(i - 1, b, j)) + gap:
+                i, here = i - 1, above
+                path.append("i")
+            else:
+                j -= 1
+                here = h(i, b, j)
+                path.append("d")
+        cands[b].append((lo + j, end_j - j, i, lo + end_j, end_i, "".join(reversed(path))))
+    return list(zip(best.tolist(), cands))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -473,38 +683,52 @@ def retrieve_transcript(
     index: TfIdfIndex,
     pseudo_words,
 ) -> tuple[list[str], tuple[int, int], AlignmentResult] | None:
-    """Full per-segment retrieval: rank shards, align against the top shard
-    plus its overlap neighbors (a true span can straddle a stride boundary),
-    resolve digit words, and widen the span across unaligned query edges.
+    """Retrieve one segment's transcript from its indexed book: (words, book
+    word span, alignment), or None when nothing matches. A batch of one
+    through ``_transcripts``, which describes the steps."""
+    return next(_transcripts(book_words, shards, index, [list(pseudo_words)]))
 
-    The widening covers pseudo-label words the local alignment trimmed at
-    either end (corrupted edge words correspond to real audio, and the book
-    text across from them is the best transcript available, the same
-    assumption the number replacement makes). Returns (words, book word
-    span, alignment) or None when nothing matches. The alignment runs on
-    the index's interned ids, so ``book_words`` must be the indexed book.
+
+def _transcripts(book_words, shards, index, labels, match=2, mismatch=-1, gap=-1) -> Iterator:
+    """(words, book word span, alignment) or None for every pseudo label of
+    one book, in order.
+
+    The labels are ranked together (``_rank``), and each is aligned against
+    its top shard plus the shard's overlap neighbours (a true span can
+    straddle a stride boundary); their column bounds (``_column_runs``) and
+    alignments (``_align``) are batched too. Digit words are resolved from
+    the pseudo label, and the span is widened across unaligned query edges:
+    corrupted edge words correspond to real audio, and the book text across
+    from them is the best transcript available, the same assumption the
+    number replacement makes. The alignment runs on the index's interned
+    ids, so ``book_words`` must be the indexed book. Nothing matches when
+    no shard shares a bigram or the score is 0.
     """
-    pseudo_words = list(pseudo_words)
-    hit = retrieve(index, pseudo_words, top_k=1)
-    if hit.status != "ok":
-        return None
-    top = hit.hits[0].shard
-    lo = max(0, top.shard_id - 1)
-    hi = min(len(shards) - 1, top.shard_id + 1)
-    win_start = shards[lo].word_offset
-    win_end = shards[hi].word_offset + len(shards[hi].words)
-    aligned = smith_waterman(index.encode(pseudo_words), index.book_ids[win_start:win_end])
-    if aligned.score <= 0:
-        return None
-    window = list(book_words[win_start:win_end])
-    core = replace_numbers(aligned, window, pseudo_words)
-    lead = aligned.query_span[0]
-    trail = len(pseudo_words) - aligned.query_span[1]
-    ext_lo = max(0, aligned.ref_span[0] - lead)
-    ext_hi = min(len(window), aligned.ref_span[1] + trail)
-    span_words = window[ext_lo : aligned.ref_span[0]] + core + window[aligned.ref_span[1] : ext_hi]
-    span = (win_start + ext_lo, win_start + ext_hi)
-    return span_words, span, aligned
+    found, queries = [], []  # found: per label, None or (window start, window end, words)
+    codes = [index.encode(words) for words in labels]
+    for words, code, hits in zip(labels, codes, _rank(index, codes, 1)):
+        if not hits:
+            found.append(None)
+            continue
+        top = index.shards[hits[0][0]]
+        lo = shards[max(0, top.shard_id - 1)]
+        hi = shards[min(len(shards) - 1, top.shard_id + 1)]
+        win_start, win_end = lo.word_offset, hi.word_offset + len(hi.words)
+        found.append((win_start, win_end, words))
+        queries.append(code)
+    windows = [hit[:2] for hit in found if hit]
+    aligned = _align(queries, index.book_ids, windows, len(index.vocab), match, mismatch, gap)
+    for hit in found:
+        if hit is None or (al := next(aligned)).score <= 0:
+            yield None
+            continue
+        win_start, win_end, pseudo_words = hit
+        window = book_words[win_start:win_end]
+        core = replace_numbers(al, window, pseudo_words)
+        ext_lo = max(0, al.ref_span[0] - al.query_span[0])
+        ext_hi = min(len(window), al.ref_span[1] + len(pseudo_words) - al.query_span[1])
+        span_words = [*window[ext_lo : al.ref_span[0]], *core, *window[al.ref_span[1] : ext_hi]]
+        yield span_words, (win_start + ext_lo, win_start + ext_hi), al
 
 
 def retrieve_candidates(
@@ -530,10 +754,9 @@ def retrieve_candidates(
             misses += len(by_book[book_id])
             continue
         shards = shard_book(words, book_id, shard_size=shard_size, shard_stride=shard_stride)
-        index = build_index(shards)
-        for row in by_book[book_id]:
-            pseudo = row.transcript.split()
-            found = retrieve_transcript(words, shards, index, pseudo) if pseudo else None
+        pseudos = [row.transcript.split() for row in by_book[book_id]]
+        found_all = _transcripts(words, shards, build_index(shards), pseudos)
+        for found, row, pseudo in zip(found_all, by_book[book_id], pseudos):
             if found is None or not found[0]:
                 misses += 1
                 continue

@@ -201,16 +201,120 @@ def exhaustive_cosine_scores(shards, query_words):
             w = c * math.log(n / df[g])
             if w != 0.0:
                 qvec[g] = w
-    qnorm = math.sqrt(sum(w * w for w in qvec.values()))
+    qnorm = math.sqrt(left_to_right(w * w for w in qvec.values()))
     scores = []
     for vec in vectors:
-        dot = sum(w * vec.get(g, 0.0) for g, w in qvec.items())
-        norm = math.sqrt(sum(w * w for w in vec.values()))
+        dot = left_to_right(w * vec.get(g, 0.0) for g, w in qvec.items())
+        norm = math.sqrt(left_to_right(w * w for w in vec.values()))
         if qnorm == 0.0 or norm == 0.0:
             scores.append(0.0)
         else:
             scores.append(dot / (qnorm * norm))
     return scores
+
+
+def left_to_right(values):
+    """Float sum added strictly in order (``sum`` compensates floats from
+    Python 3.12 on)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def ranked_shards(shards, query_words):
+    """(shard index, score) of every shard sharing a bigram with the query,
+    best first and ties to the lower index, by the tf-idf rule walked one
+    bigram at a time: tf is the raw count, idf = ln(N/df), zero weights are
+    dropped, dot products add the query's bigrams in first-occurrence order
+    and norms add squares in each shard's first-occurrence order. A query
+    whose weighted vector vanishes is scored by raw-count dot products.
+    ``shards`` is a list of word lists."""
+    import math
+
+    def counts(words):
+        tf = {}
+        for gram in zip(words, words[1:]):
+            tf[gram] = tf.get(gram, 0) + 1
+        return tf
+
+    n = len(shards)
+    tfs = [counts(words) for words in shards]
+    df = {}
+    for tf in tfs:
+        for gram in tf:
+            df[gram] = df.get(gram, 0) + 1
+    known = {g: c for g, c in counts(query_words).items() if g in df}
+    qvec = {g: c * math.log(n / df[g]) for g, c in known.items()}
+    qvec = {g: w for g, w in qvec.items() if w != 0.0}
+    raw = not qvec
+    if raw:
+        qvec = {g: float(c) for g, c in known.items()}
+    qnorm = math.sqrt(left_to_right(w * w for w in qvec.values()))
+    scored = []
+    for i, tf in enumerate(tfs):
+        if not any(g in tf for g in qvec):
+            continue
+        weight = {g: c if raw else c * math.log(n / df[g]) for g, c in tf.items()}
+        dot = left_to_right(w * weight[g] for g, w in qvec.items() if g in tf)
+        norm = math.sqrt(left_to_right(w * w for w in weight.values() if w != 0.0))
+        scored.append((-dot if raw else -dot / (qnorm * norm), i))
+    return [(i, -neg) for neg, i in sorted(scored)]
+
+
+def per_segment_transcript(book_words, shards, pseudo_words):
+    """One segment retrieved on its own: rank the shards (``ranked_shards``),
+    align the pseudo label against the top shard plus its overlap
+    neighbours over the whole window (``full_window_smith_waterman``),
+    resolve digit words and widen the span across unaligned query edges.
+    Returns (words, book word span, AlignmentResult) or None."""
+    from corpus_forge import retrieval as rt
+
+    pseudo_words = list(pseudo_words)
+    ranked = ranked_shards([list(s.words) for s in shards], pseudo_words)
+    if not ranked:
+        return None
+    top = shards[ranked[0][0]]
+    lo = shards[max(0, top.shard_id - 1)]
+    hi = shards[min(len(shards) - 1, top.shard_id + 1)]
+    win_start, win_end = lo.word_offset, hi.word_offset + len(hi.words)
+    window = list(book_words[win_start:win_end])
+    score, ref_span, query_span, ops = full_window_smith_waterman(pseudo_words, window)
+    if score <= 0:
+        return None
+    aligned = rt.AlignmentResult(score, ref_span, query_span,
+                                 tuple(rt.AlignmentOp(*op) for op in ops))
+    core = rt.replace_numbers(aligned, window, pseudo_words)
+    ext_lo = max(0, ref_span[0] - query_span[0])
+    ext_hi = min(len(window), ref_span[1] + len(pseudo_words) - query_span[1])
+    words = window[ext_lo : ref_span[0]] + core + window[ref_span[1] : ext_hi]
+    return words, (win_start + ext_lo, win_start + ext_hi), aligned
+
+
+def per_segment_candidates(books, segments, shard_size, shard_stride, threshold):
+    """(candidates, misses) of ``retrieval.retrieve_candidates`` computed one
+    segment at a time with ``per_segment_transcript``."""
+    from corpus_forge import retrieval as rt
+
+    by_book = {}
+    for row in segments:
+        by_book.setdefault(row.book_id, []).append(row)
+    candidates, misses = [], 0
+    for book_id in sorted(by_book):
+        words = books.get(book_id)
+        if not words:
+            misses += len(by_book[book_id])
+            continue
+        shards = rt.shard_book(words, book_id, shard_size, shard_stride)
+        for row in by_book[book_id]:
+            pseudo = row.transcript.split()
+            found = per_segment_transcript(words, shards, pseudo) if pseudo else None
+            if found is None or not found[0]:
+                misses += 1
+                continue
+            candidates.append(rt.accept_candidate(found[0], pseudo, threshold, row.segment_id,
+                                                  (book_id, found[1])))
+    return candidates, misses
 
 
 def enumerate_local_alignment_score(query, reference, match=2, mismatch=-1, gap=-1):

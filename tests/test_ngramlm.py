@@ -353,6 +353,19 @@ def test_arpa_header_counts_match_body(tmp_path):
     assert declared == by_order
 
 
+def test_arpa_unigrams_are_unique_and_counted(tmp_path):
+    model = train(markov3_corpus(34, 60), 3)
+    path = tmp_path / "m.arpa"
+    model.to_arpa(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    declared = int(next(line for line in lines if line.startswith("ngram 1=")).split("=")[1])
+    start = lines.index("\\1-grams:") + 1
+    unigrams = [line.split("\t")[1] for line in lines[start : lines.index("", start)]]
+    assert len(unigrams) == declared
+    assert len(set(unigrams)) == len(unigrams)
+    assert {SENT_START, UNK} <= set(unigrams)
+
+
 def arpa_fields(path):
     """{gram: (probability field, backoff field or None)} of an ARPA file."""
     fields = {}
@@ -473,6 +486,14 @@ def test_loaded_model_equals_trained_model_on_every_stored_gram(tmp_path, seed, 
     model.to_arpa(tmp_path / "trained.arpa")
     loaded.to_arpa(tmp_path / "loaded.arpa")
     assert (tmp_path / "trained.arpa").read_bytes() == (tmp_path / "loaded.arpa").read_bytes()
+
+
+@pytest.mark.parametrize("word", [SENT_START, UNK])
+def test_train_refuses_reserved_word(word):
+    # the model writes its own <s> and <unk> entries; a corpus copy of
+    # either would repeat that unigram in the ARPA file
+    with pytest.raises(ValueError, match=re.escape(repr(word))):
+        train([["a", word, "b"], ["a", "b"]], 2)
 
 
 @pytest.mark.parametrize("word", ["tab\tbed", "line\nbreak", "nul\x00", "\x1f", "two words"])

@@ -4,10 +4,15 @@ import random
 import numpy as np
 import pytest
 
+from corpus_forge import retrieval
+from corpus_forge.config import PipelineConfig
+from corpus_forge.manifest import read_manifest
+from corpus_forge.pipeline import read_books, run_pipeline
 from corpus_forge.retrieval import (
     ABSENT_ID,
     AlignmentOp,
     AlignmentResult,
+    DocumentShard,
     accept_candidate,
     build_book_frequencies,
     build_index,
@@ -15,11 +20,13 @@ from corpus_forge.retrieval import (
     fix_rare_wordforms,
     replace_numbers,
     retrieve,
+    retrieve_candidates,
     retrieve_transcript,
     shard_book,
     smith_waterman,
     wer,
 )
+from corpus_forge.synth import SynthParams, synth_corpus
 
 from oracles import (
     count_bigram_vectors,
@@ -28,6 +35,8 @@ from oracles import (
     exhaustive_cosine_scores,
     full_matrix_edit_distance,
     full_window_smith_waterman,
+    per_segment_candidates,
+    ranked_shards,
     replay_wordform_rules,
     scan_replace_numbers,
 )
@@ -210,6 +219,35 @@ def test_noisy_query_matches_exhaustive_cosine_oracle():
     expected_top = max(range(20), key=lambda i: (oracle_scores[i], -i))
     assert result.hits[0].shard.shard_id == expected_top
     assert result.hits[0].score == pytest.approx(oracle_scores[13], abs=1e-9)
+
+
+def near_tie_shards(seed):
+    """Two rotations of one cyclic word sequence hold the same bigram counts,
+    so their cosines against a query differ only by the order in which
+    their norms add up; six more shards vary the document frequencies."""
+    rng = random.Random(seed)
+    words = [f"w{i}" for i in range(10)]
+    cycle = [rng.choice(words) for _ in range(60)]
+    r = rng.randrange(1, 60)
+    texts = [cycle + cycle[:1], cycle[r:] + cycle[:r] + cycle[r : r + 1]]
+    texts += [[rng.choice(words) for _ in range(rng.randint(5, 40))] for _ in range(6)]
+    return texts, cycle[rng.randrange(0, 20) :][:35]
+
+
+def test_near_tie_cosines_follow_the_sequential_sum():
+    texts, query = near_tie_shards(2)
+    oracle = exhaustive_cosine_scores(texts, query)
+    assert oracle[0] != oracle[1] and abs(oracle[0] - oracle[1]) <= 4 * math.ulp(oracle[0])
+    assert max(oracle[2:]) < min(oracle[:2])
+    sequential = ranked_shards(texts, query)  # one bigram at a time, in query order
+    winner = max(range(len(texts)), key=lambda i: (oracle[i], -i))
+    assert sequential[0] == (winner, oracle[winner])
+    index = build_index([DocumentShard(i, "b", 0, tuple(t)) for i, t in enumerate(texts)])
+    batch = [query[5:], query, list(reversed(query)), texts[4]]
+    ranked = retrieval._rank(index, [index.encode(q) for q in batch], 2)
+    assert ranked == [ranked_shards(texts, q)[:2] for q in batch]
+    assert ranked[1][0] == (winner, oracle[winner])  # same shard, bit-equal score
+    assert [(h.shard.shard_id, h.score) for h in retrieve(index, query, top_k=2).hits] == ranked[1]
 
 
 # -- smith-waterman ----------------------------------------------------------
@@ -434,6 +472,42 @@ def test_kernel_matches_full_window_on_seeded_windows():
         absent += ABSENT_ID in q_ids.tolist()
         several_runs += len(column_runs(q, ref)) > 1
     assert absent >= 100 and several_runs >= 100
+
+
+def test_batched_aligner_matches_full_window_per_entry(monkeypatch):
+    """One batch of windows over one book: varied query and window lengths,
+    a query no column can score, a best score in a run of lower bound,
+    equal scores in far-apart runs, and several table and bound chunks."""
+    monkeypatch.setattr(retrieval, "CHUNK", 1 << 12)
+    rng = random.Random(12)
+    vocab = [f"w{k}" for k in range(60)]
+    book = random_words(rng, 4000, vocab)
+    second_run = "p0 p1 p2 p3 p4 p5 p6 p7".split()
+    book[500:508] = reversed(second_run)  # the higher bound, a low score
+    book[800:805] = second_run[:5]
+    far_tie = "q0 q1 q2 q3".split()
+    book[1500:1503] = far_tie[:3]
+    book[2700:2704] = ["q2", "q0", "q1", "q2"]
+    index = build_index(shard_book(book, "b", shard_size=500, shard_stride=400))
+    entries = [(second_run, (400, 1000)), (far_tie, (1400, 2800)), (["zz", "yy"], (0, 300))]
+    for _ in range(60):
+        start = rng.randrange(0, 3500)
+        window = (start, min(len(book), start + rng.choice([20, 150, 600])))
+        q = random_words(rng, rng.randint(1, 40), vocab + ["absent"])
+        if rng.random() < 0.7:  # a noisy copy of the window's text
+            at = rng.randrange(*window)
+            q = [w if rng.random() < 0.8 else rng.choice(vocab) for w in book[at : at + len(q)]] or q
+        entries.append((q, window))
+    entries.append((entries[5][0][::-1], entries[5][1]))  # a second query on a shared window
+    queries = [index.encode(q) for q, _ in entries]
+    windows = [w for _, w in entries]
+    got = list(retrieval._align(queries, index.book_ids, windows, len(index.vocab), 2, -1, -1))
+    for (q, (a, b)), result in zip(entries, got):
+        assert as_oracle(result) == full_window_smith_waterman(index.encode(q), index.book_ids[a:b])
+    runs = column_runs(second_run, book[400:1000])
+    assert max(runs, key=lambda r: r[2])[0] == 100 and got[0].ref_span == (400, 405)
+    assert got[1].ref_span == (100, 103) and got[1].score == 6
+    assert got[2].score == 0
 
 
 # -- number replacement ------------------------------------------------------
@@ -735,3 +809,22 @@ def test_noisy_query_span_wer_bounded_by_noise():
         assert found is not None
         cand, span, _ = found
         assert wer(cand, truth) <= noise
+
+
+@pytest.mark.parametrize("noise", [0.15, 0.6])
+def test_retrieve_candidates_equals_per_segment_oracle(tmp_path, noise):
+    synth_corpus(tmp_path / "input", seed=23, params=SynthParams(
+        n_books=4, words_per_book=2400, speakers_per_gender=2, noise=noise))
+    cfg = PipelineConfig(input_dir=str(tmp_path / "input"), output_dir=str(tmp_path / "out"))
+    run_pipeline(cfg, until_stage="segment")
+    work = tmp_path / "out" / "work"
+    books = read_books(work / "normalize")
+    segments = read_manifest(work / "segment" / "segments.tsv")
+    for shape in ((1250, 1000), (400, 320)):
+        got = retrieve_candidates(books, segments, *shape, 0.4)
+        expected = per_segment_candidates(books, segments, *shape, 0.4)
+        assert got[1] == expected[1]
+        assert len(got[0]) == len(expected[0])
+        for cand, want in zip(got[0], expected[0]):
+            assert cand == want
+    assert any(c.pseudo_wer > 0 for c in got[0])
