@@ -64,10 +64,9 @@ def cmd_segment(args) -> int:
     if not files:
         print(f"no .jsonl token streams under {args.indir}", file=sys.stderr)
         return 2
-    rows = []
-    residuals = 0
+    rows, residuals = [], 0
     for path in files:
-        chapter_rows, result = segment_chapter(
+        chapter_rows, result, _stream = segment_chapter(
             path, int(args.min_sec * 1000), int(args.max_sec * 1000), args.keep_residual,
             {}, {}, {},
         )

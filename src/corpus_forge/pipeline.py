@@ -34,7 +34,7 @@ from .manifest import (
     write_manifest,
     write_tsv,
 )
-from .segmenter import read_token_stream, segment_stream
+from .segmenter import TokenStreamError, read_token_stream, segment_stream
 from .textnorm import load_orthography, normalize_lines
 
 
@@ -121,25 +121,21 @@ def segment_chapter(path: Path, min_ms: int, max_ms: int, keep_residual: bool,
                     book_of: dict, speaker_of: dict, gender_of: dict):
     """Segment one chapter's token stream (``<chapter_id>.jsonl``).
 
-    Returns its segment-manifest rows and the segmentation result. Chapters
-    missing from the maps get empty book, speaker and gender fields.
+    Returns its segment-manifest rows, the segmentation result and the stream.
+    Chapters missing from the maps get empty book, speaker and gender fields.
     """
     chapter_id = path.stem
-    result = segment_stream(
-        read_token_stream(path),
-        min_len=min_ms,
-        max_len=max_ms,
-        keep_residual=keep_residual,
-        segment_id_prefix=chapter_id,
-    )
+    stream = read_token_stream(path)
+    result = segment_stream(stream, min_ms, max_ms, keep_residual,
+                            segment_id_prefix=chapter_id)
     speaker = speaker_of.get(chapter_id, "")
     rows = [
         ManifestRow(seg.segment_id, book_of.get(chapter_id, ""), chapter_id, speaker,
-                    gender_of.get(speaker, ""), seg.start, seg.end, " ".join(seg.words()))
+                    gender_of.get(speaker, ""), seg.start, seg.end, " ".join(seg.words))
         for seg in result.segments
         if seg.tokens
     ]
-    return rows, result
+    return rows, result, stream
 
 
 def read_books(directory) -> dict[str, list[str]]:
@@ -189,23 +185,19 @@ def stage_segment(cfg: PipelineConfig) -> dict:
         raise FileNotFoundError(f"input token directory {token_dir} does not exist")
     out = _stage_dir(cfg, "segment")
 
-    rows = []
-    residuals = []
-    dropped = []
+    rows, residuals, dropped = [], [], []
     for path in sorted(token_dir.glob("*.jsonl")):
         chapter_id = path.stem
-        chapter_rows, result = segment_chapter(
+        chapter_rows, result, stream = segment_chapter(
             path, cfg.min_segment_ms, cfg.max_segment_ms, cfg.keep_residual,
             book_of, speaker_of, gender_of,
         )
         rows += chapter_rows
-        if result.residual is not None and not cfg.keep_residual:
-            residuals.append(
-                (chapter_id, result.residual.start, result.residual.end,
-                 len(result.residual.tokens))
-            )
-        for tok in result.dropped_tokens:
-            dropped.append((chapter_id, tok.word, tok.start, tok.end))
+        tail = result.residual
+        if tail is not None and not cfg.keep_residual:
+            residuals.append((chapter_id, tail.start, tail.end, len(tail.tokens)))
+        dropped += [(chapter_id, stream.words[i], stream.starts[i], stream.ends[i])
+                    for i in result.dropped_tokens]
 
     rows.sort(key=lambda r: r.segment_id)
     write_manifest(out / "segments.tsv", rows, cfg.config_hash())
@@ -544,8 +536,9 @@ def run_stage(cfg: PipelineConfig, name: str) -> dict:
 
     The stage's old ``provenance.json`` goes first, so a stage that fails
     part-way leaves none and its successors refuse its outputs. Then every
-    stage it reads must have provenance under this run's config hash. Any
-    other failure of the stage itself becomes a ``StageError`` naming it.
+    stage it reads must have provenance under this run's config hash. A
+    fault of a token file is an input fault and stays a ``TokenStreamError``;
+    any other failure of the stage itself becomes a ``StageError`` naming it.
     """
     out = _stage_dir(cfg, name)
     (out / "provenance.json").unlink(missing_ok=True)
@@ -555,7 +548,7 @@ def run_stage(cfg: PipelineConfig, name: str) -> dict:
     try:
         # looked up on the module at call time, so a rebound stage_<name> is used
         summary = globals()[f"stage_{name}"](cfg)
-    except (StageError, ProvenanceError):
+    except (StageError, ProvenanceError, TokenStreamError):
         raise
     except Exception as exc:
         raise StageError(name, str(exc)) from exc

@@ -616,11 +616,19 @@ def edit_distance(a, b) -> int:
     VP/VN says whether the DP column steps up or down at row i, and each
     token of the shorter sequence advances the whole column in a few
     integer operations while the bottom cell keeps the running distance.
+    The common prefix and suffix, which leave the distance unchanged, are
+    stripped first.
     """
     a = list(a)
     b = list(b)
     if len(a) < len(b):
         a, b = b, a
+    lo = 0
+    while lo < len(b) and a[lo] == b[lo]:
+        lo += 1
+    del a[:lo], b[:lo]
+    while b and a[-1] == b[-1]:
+        del a[-1], b[-1]
     m = len(a)
     if not b:
         return m

@@ -6,6 +6,13 @@ current start is picked and the stream is cut at that midpoint; when the
 window holds no silence the cut lands exactly at the 20 s mark. Repeats until
 less than the minimum segment length remains.
 
+A recording is one ``TokenStream`` of three columns, ``words``, ``starts``
+and ``ends`` (ms). Building one is the only stream check: times are
+non-negative, no token ends before it starts, starts ascend and no token
+starts before the one before it ends. A token file holds one ``{"w", "s",
+"e"}`` object per line, a word without whitespace and integer times; the
+reader parses each line into the columns and names the first fault's line.
+
 Gap midpoints ascend, so each cut bisects for the gaps of its window and
 scans only those, and a forced cut bisects the token starts for the one
 token that can straddle it, so a stream costs near-linear time.
@@ -26,15 +33,35 @@ DEFAULT_MAX_LEN_MS = 20_000
 FORCED_CUT_SLACK_MS = 250
 
 
+class TokenStreamError(ValueError):
+    """A token stream or file that breaks the token rules; the stream check
+    sets ``index``, the position of the first bad token."""
+
+    def __init__(self, reason: str, index: int | None = None):
+        super().__init__(reason)
+        self.index = index
+
+
 @dataclass(frozen=True)
-class TimedToken:
-    word: str
-    start: int
-    end: int
+class TokenStream:
+    words: list[str]
+    starts: list[int]
+    ends: list[int]
 
     def __post_init__(self):
-        if self.start < 0 or self.end < self.start:
-            raise ValueError(f"bad token times ({self.start}, {self.end})")
+        prev_start = prev_end = 0
+        # strict: columns of different lengths are a ValueError too
+        for i, (_, start, end) in enumerate(zip(self.words, self.starts, self.ends, strict=True)):
+            if start < 0 or end < start:
+                raise TokenStreamError(f"bad token times ({start}, {end})", i)
+            if start < prev_start:
+                raise TokenStreamError("token stream is not sorted by start time", i)
+            if start < prev_end:
+                raise TokenStreamError("token stream has overlapping tokens", i)
+            prev_start, prev_end = start, end
+
+    def __len__(self) -> int:
+        return len(self.starts)
 
 
 @dataclass(frozen=True)
@@ -42,47 +69,28 @@ class Segment:
     segment_id: str
     start: int
     end: int
-    tokens: tuple[TimedToken, ...]
+    words: list[str]
+    tokens: range  # the stream positions of its words
 
     @property
     def duration(self) -> int:
         return self.end - self.start
-
-    def words(self) -> list[str]:
-        return [t.word for t in self.tokens]
 
 
 @dataclass
 class SegmentationResult:
     segments: list[Segment]
     residual: Segment | None = None
-    dropped_tokens: list[TimedToken] = field(default_factory=list)
+    dropped_tokens: list[int] = field(default_factory=list)  # stream positions
 
 
-def _stream_fault(prev: TimedToken, tok: TimedToken) -> str | None:
-    """Why ``tok`` may not follow ``prev`` in a stream, or None."""
-    if tok.start < prev.start:
-        return "token stream is not sorted by start time"
-    if tok.start < prev.end:
-        return "token stream has overlapping tokens"
-    return None
-
-
-def validate_stream(tokens: list[TimedToken]) -> None:
-    for prev, tok in zip(tokens, tokens[1:]):
-        fault = _stream_fault(prev, tok)
-        if fault:
-            raise ValueError(fault)
-
-
-def silence_gaps(tokens: list[TimedToken]) -> list[tuple[int, int]]:
+def silence_gaps(tokens: TokenStream) -> list[tuple[int, int]]:
     """Inter-token silences as (gap_start, gap_end); zero-length gaps omitted."""
-    validate_stream(tokens)
-    return [(prev.end, cur.start) for prev, cur in zip(tokens, tokens[1:]) if prev.end < cur.start]
+    return [(end, start) for end, start in zip(tokens.ends, tokens.starts[1:]) if end < start]
 
 
 def segment_stream(
-    tokens: list[TimedToken],
+    tokens: TokenStream,
     min_len: int = DEFAULT_MIN_LEN_MS,
     max_len: int = DEFAULT_MAX_LEN_MS,
     keep_residual: bool = False,
@@ -103,33 +111,24 @@ def segment_stream(
     if not tokens:
         return result
 
-    gaps = silence_gaps(tokens)  # also validates the stream
+    words, starts, ends = tokens.words, tokens.starts, tokens.ends
+    gaps = silence_gaps(tokens)
     # gaps are disjoint and sorted, so their midpoints strictly ascend
     mids = [(gs + ge) // 2 for gs, ge in gaps]
     lengths = [ge - gs for gs, ge in gaps]
-    # a valid stream is sorted and non-overlapping: starts and ends ascend
-    starts = [t.start for t in tokens]
-    ends = [t.end for t in tokens]
-    stream_end = tokens[-1].end
-    start = tokens[0].start
+    stream_end = ends[-1]
+    start = starts[0]
     tok_i = 0  # first token not yet assigned
-    counter = 0
 
     def emit(end: int) -> None:
-        nonlocal tok_i, counter, start
-        stop = bisect_right(ends, end, tok_i)
-        members, tok_i = tokens[tok_i:stop], stop
-        if end <= start:  # zero-width cut around a dropped leading token
-            return
-        result.segments.append(
-            Segment(
-                segment_id=f"{segment_id_prefix}_{counter:04d}",
-                start=start,
-                end=end,
-                tokens=tuple(members),
+        nonlocal tok_i, start
+        first, tok_i = tok_i, bisect_right(ends, end, tok_i)
+        if end > start:  # else a zero-width cut around a dropped leading token
+            result.segments.append(
+                Segment(f"{segment_id_prefix}_{len(result.segments):04d}", start, end,
+                        words[first:tok_i], range(first, tok_i))
             )
-        )
-        counter += 1
+        start = end
 
     while True:
         remaining = stream_end - start
@@ -137,73 +136,72 @@ def segment_stream(
             break
         if remaining <= max_len:
             emit(stream_end)
-            start = stream_end
             break
 
-        lo = start + min_len
-        hi = start + max_len
-        first, last = bisect_left(mids, lo), bisect_right(mids, hi)
+        cut = start + max_len
+        first, last = bisect_left(mids, start + min_len), bisect_right(mids, cut)
         if first < last:
             # max() keeps the first of equal lengths: the earliest gap wins ties
-            best = max(range(first, last), key=lengths.__getitem__)
-            emit(mids[best])
-            start = mids[best]
+            emit(mids[max(range(first, last), key=lengths.__getitem__)])
             continue
 
-        # only the last token starting before the cut can straddle it
-        cut = hi
+        # no gap in the window: the cut is forced at max_len, and only the
+        # last token starting before it can straddle it
         k = bisect_left(starts, cut) - 1
-        inside = tokens[k] if k >= tok_i and tokens[k].end > cut else None
-        if inside is None:
+        if k < tok_i or ends[k] <= cut:
             emit(cut)
-            start = cut
-        elif inside.end <= cut + FORCED_CUT_SLACK_MS:
-            emit(inside.end)
-            start = inside.end
+        elif ends[k] <= cut + FORCED_CUT_SLACK_MS:
+            emit(ends[k])
         else:
-            result.dropped_tokens.append(inside)
-            emit(inside.start)
-            tok_i = bisect_right(ends, inside.end, tok_i)  # skip past the dropped token
-            start = inside.end
+            result.dropped_tokens.append(k)
+            emit(starts[k])
+            tok_i, start = k + 1, ends[k]  # the stream resumes after the dropped token
 
-    leftovers = tokens[tok_i:]
-    if start < stream_end and leftovers:
-        result.residual = Segment(
-            segment_id=f"{segment_id_prefix}_residual",
-            start=start,
-            end=stream_end,
-            tokens=tuple(leftovers),
-        )
+    if start < stream_end and tok_i < len(tokens):
+        result.residual = Segment(f"{segment_id_prefix}_residual", start, stream_end,
+                                  words[tok_i:], range(tok_i, len(tokens)))
         if keep_residual:
             result.segments.append(result.residual)
     return result
 
 
-def read_token_stream(path: str | Path) -> list[TimedToken]:
-    """Read one recording's tokens from JSON-lines ({"w", "s", "e"} per line).
+def read_token_stream(path: str | Path) -> TokenStream:
+    """Read one recording's token file into a ``TokenStream``.
 
-    A malformed line, or a token out of order with or overlapping the one
-    before it, fails naming the file and the line.
+    A malformed line fails naming the file and the line, unless a token
+    before it already breaks the stream rules: the first fault in file order
+    is the one named.
     """
-    tokens = []
+    words, starts, ends, lines = [], [], [], []
+    bad_line = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
+            if line.isspace():
                 continue
             try:
-                obj = json.loads(line)
-                tok = TimedToken(word=obj["w"], start=int(obj["s"]), end=int(obj["e"]))
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad token line: {exc}") from exc
-            fault = tokens and _stream_fault(tokens[-1], tok)
-            if fault:
-                raise ValueError(f"{path}:{lineno}: {fault}")
-            tokens.append(tok)
-    return tokens
+                token = json.loads(line)
+                word, start, end = token["w"], token["s"], token["e"]
+                if type(word) is not str or word.split() != [word]:
+                    raise ValueError(f"word {word!r} is not a non-empty string without whitespace")
+                if type(start) is not int or type(end) is not int:
+                    raise ValueError(f"times {start!r}, {end!r} are not JSON integers")
+            except (KeyError, TypeError, ValueError) as exc:
+                bad_line = f"{path}:{lineno}: bad token line: {exc}"
+                break
+            words.append(word)
+            starts.append(start)
+            ends.append(end)
+            lines.append(lineno)
+    try:
+        stream = TokenStream(words, starts, ends)
+    except TokenStreamError as exc:
+        raise TokenStreamError(f"{path}:{lines[exc.index]}: {exc}") from None
+    if bad_line:
+        raise TokenStreamError(bad_line)
+    return stream
 
 
-def write_token_stream(path: str | Path, tokens: list[TimedToken]) -> None:
+def write_token_stream(path: str | Path, tokens: TokenStream) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for t in tokens:
-            fh.write(json.dumps({"w": t.word, "s": t.start, "e": t.end}) + "\n")
+        for word, start, end in zip(tokens.words, tokens.starts, tokens.ends):
+            fh.write(json.dumps({"w": word, "s": start, "e": end}) + "\n")

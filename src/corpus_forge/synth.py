@@ -20,6 +20,8 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
+from .segmenter import TokenStream, write_token_stream
+
 
 def _sub_rng(seed: int, *parts: object) -> random.Random:
     """Deterministic child rng (str hashing is randomized per process)."""
@@ -200,17 +202,16 @@ def _write_reading(
 ) -> None:
     slot_ms = 1000.0 / params.speech_rate
     t = 0
-    lines = []
-    indices = []
+    spoken_words, starts, ends, indices = [], [], [], []
     words_until_pause = rng.randint(6, 16)
     for i, w in enumerate(words):
         duration = int(slot_ms * rng.uniform(0.55, 0.8))
         spoken = w
         if params.noise > 0 and rng.random() < params.noise:
             spoken = vocab[rng.randrange(len(vocab))]
-        start = t
-        end = t + duration
-        lines.append(json.dumps({"w": spoken, "s": start, "e": end}))
+        spoken_words.append(spoken)
+        starts.append(t)
+        ends.append(t + duration)
         indices.append(offset + i)
         words_until_pause -= 1
         if words_until_pause == 0:
@@ -218,10 +219,9 @@ def _write_reading(
             words_until_pause = rng.randint(6, 16)
         else:
             gap = int(slot_ms * rng.uniform(0.1, 0.35))
-        t = end + gap
-    (root / "tokens" / f"{chapter_id}.jsonl").write_text(
-        "\n".join(lines) + "\n", encoding="utf-8"
-    )
+        t += duration + gap
+    write_token_stream(root / "tokens" / f"{chapter_id}.jsonl",
+                       TokenStream(spoken_words, starts, ends))
     (root / "truth" / f"{chapter_id}.json").write_text(
         json.dumps(
             {

@@ -21,7 +21,7 @@ from corpus_forge.config import PipelineConfig
 from corpus_forge.decontam import LmBook, build_heldout_index, contamination_rate, filter_corpus
 from corpus_forge.manifest import read_manifest, read_tsv
 from corpus_forge.pipeline import run_pipeline
-from corpus_forge.segmenter import TimedToken, segment_stream
+from corpus_forge.segmenter import TokenStream, segment_stream
 from corpus_forge.synth import SynthParams, synth_corpus
 
 from oracles import (
@@ -175,18 +175,20 @@ def test_criterion_4_wer_oracle():
 
 def _random_stream(seed, n_tokens=150):
     rng = random.Random(seed)
-    tokens = []
+    words, starts, ends = [], [], []
     t = rng.randint(0, 100)
     until_pause = rng.randint(6, 18)
     for i in range(n_tokens):
         dur = rng.randint(180, 520)
-        tokens.append(TimedToken(word=f"w{i}", start=t, end=t + dur))
+        words.append(f"w{i}")
+        starts.append(t)
+        ends.append(t + dur)
         until_pause -= 1
         gap = rng.randint(700, 1500) if until_pause == 0 else rng.randint(20, 320)
         if until_pause == 0:
             until_pause = rng.randint(6, 18)
         t += dur + gap
-    return tokens
+    return TokenStream(words, starts, ends)
 
 
 @criterion(5, "segmentation bounds, oracle boundaries, and tiling on 100 seeded streams")
@@ -195,7 +197,7 @@ def test_criterion_5_segmentation():
         tokens = _random_stream(seed)
         result = segment_stream(tokens, 10_000, 20_000)
         spans, residual, dropped = brute_force_segment_bounds(
-            [(t.start, t.end) for t in tokens], 10_000, 20_000
+            list(zip(tokens.starts, tokens.ends)), 10_000, 20_000
         )
         assert dropped == []
         assert [(s.start, s.end) for s in result.segments] == spans
@@ -208,8 +210,8 @@ def test_criterion_5_segmentation():
         pieces = [(s.start, s.end) for s in result.segments]
         if got_res:
             pieces.append(got_res)
-        assert pieces[0][0] == tokens[0].start
-        assert pieces[-1][1] == tokens[-1].end
+        assert pieces[0][0] == tokens.starts[0]
+        assert pieces[-1][1] == tokens.ends[-1]
         for (_, a_end), (b_start, _) in zip(pieces, pieces[1:]):
             assert a_end == b_start
 

@@ -93,7 +93,8 @@ def test_awkward_pseudo_labels_survive_cli_segment_and_retrieve(tmp_path, capsys
     token_dir = tmp_path / "input" / "tokens"
     stream = sorted(token_dir.glob("*.jsonl"))[0]
     lines = stream.read_text(encoding="utf-8").splitlines()
-    for i, word in zip((3, 7), ("tab\there", 'say"hi"')):
+    # a word holds no whitespace (see test_segmenter), so quotes are what is left
+    for i, word in zip((3, 7), ('"quoted', 'say"hi"')):
         token = json.loads(lines[i])
         token["w"] = word
         lines[i] = json.dumps(token)
@@ -107,7 +108,7 @@ def test_awkward_pseudo_labels_survive_cli_segment_and_retrieve(tmp_path, capsys
     ]) == 0
     rows = read_manifest(tmp_path / "segments.tsv")
     words = [w for r in rows if r.chapter_id == stream.stem for w in r.transcript.split(" ")]
-    assert "tab\there" in words and 'say"hi"' in words
+    assert '"quoted' in words and 'say"hi"' in words
 
     # standalone manifests have no book ids; take them from the chapter names
     patched = [

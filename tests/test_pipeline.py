@@ -16,7 +16,7 @@ from corpus_forge.manifest import (
     read_tsv,
     write_manifest,
 )
-from corpus_forge.pipeline import StageError, corpus_stats, run_pipeline
+from corpus_forge.pipeline import StageError, corpus_stats, run_pipeline, run_stage
 from corpus_forge.synth import SynthParams, synth_corpus
 from corpus_forge.textnorm import default_orthography, normalize
 
@@ -416,6 +416,48 @@ def test_missing_speaker_record_names_speakers_json_and_speaker(tmp_path, record
     assert str(speakers_path) in str(err.value)
     assert "'spk_f00'" in str(err.value)
 
+
+def tiny_input(root, token_lines):
+    """An input tree of one one-word book whose one chapter, ``book000_ch00``,
+    holds ``token_lines`` as its token file."""
+    (root / "books").mkdir(parents=True)
+    (root / "tokens").mkdir()
+    (root / "books" / "book000.txt").write_text("alpha\n", encoding="utf-8")
+    (root / "books.json").write_text(json.dumps([{
+        "book_id": "book000", "title": "t", "author": "a", "version": 1,
+        "multi_speaker": False,
+        "chapters": [{"chapter_id": "book000_ch00", "speaker_id": "spk_m00"}],
+    }]), encoding="utf-8")
+    (root / "speakers.json").write_text(json.dumps({"spk_m00": {"gender": "M"}}),
+                                        encoding="utf-8")
+    path = root / "tokens" / "book000_ch00.jsonl"
+    path.write_text("".join(line + "\n" for line in token_lines), encoding="utf-8")
+    return path
+
+
+def test_segment_stage_writes_dropped_and_residual_rows(tmp_path):
+    """beta straddles the forced 20 s cut by more than the slack and is
+    dropped; delta is left as a tail shorter than the minimum."""
+    tiny_input(tmp_path / "input", [
+        json.dumps({"w": w, "s": s, "e": e}) for w, s, e in [
+            ("alpha", 0, 19_900), ("beta", 19_900, 21_000),
+            ("gamma", 21_200, 35_000), ("delta", 36_000, 44_000),
+        ]
+    ])
+    cfg = small_config(tmp_path)
+    assert run_stage(cfg, "segment") == {"segments": 2, "residuals": 1, "dropped": 1}
+    work = Path(cfg.output_dir) / "work" / "segment"
+    header = f"# config_hash={cfg.config_hash()}\n"
+    assert (work / "dropped.tsv").read_text(encoding="utf-8") == (
+        header + "chapter_id\tword\tstart_ms\tend_ms\nbook000_ch00\tbeta\t19900\t21000\n"
+    )
+    assert (work / "residuals.tsv").read_text(encoding="utf-8") == (
+        header + "chapter_id\tstart_ms\tend_ms\ttokens\nbook000_ch00\t35500\t44000\t1\n"
+    )
+    rows = read_manifest(work / "segments.tsv")
+    assert [(r.start_ms, r.end_ms, r.transcript) for r in rows] == [
+        (0, 19_900, "alpha"), (21_000, 35_500, "gamma"),
+    ]
 
 def _mean_wers(cfg):
     """speaker_id -> mean WER and total seconds of its accepted segments."""

@@ -721,6 +721,17 @@ def test_bit_parallel_edit_distance_matches_oracles_across_word_widths():
             assert edit_distance(a, near) == edit_script_minimum(a, near), (a, near)
             if near:
                 assert wer(a, near) == edit_script_minimum(a, near) / len(near)
+            # equal sequences, one a prefix or suffix of the other, and a
+            # shared prefix and suffix around one edit: what the stripping
+            # of the common ends meets
+            head, tail = a[: n // 2], a[n // 2 :]
+            cases = [(a, list(a)), (a, head), (head, a), (a, tail), (tail, a)]
+            if a:
+                i = rng.randrange(n)
+                cases += [(a, a[:i] + ["zz"] + a[i + 1 :]), (a, a[:i] + a[i + 1 :]),
+                          (a, a[:i] + ["zz"] + a[i:])]
+            for x, y in cases:
+                assert edit_distance(x, y) == full_matrix_edit_distance(x, y), (x, y)
 
 
 def test_bit_parallel_edit_distance_disjoint_vocabularies():

@@ -5,8 +5,8 @@ import pytest
 from corpus_forge.cli import main as cli_main
 from corpus_forge.segmenter import (
     FORCED_CUT_SLACK_MS,
-    Segment,
-    TimedToken,
+    TokenStream,
+    TokenStreamError,
     read_token_stream,
     segment_stream,
     silence_gaps,
@@ -14,10 +14,21 @@ from corpus_forge.segmenter import (
 )
 
 from oracles import brute_force_segment_bounds, pairwise_gap_scan
+from test_pipeline import small_config, tiny_input
+
+
+def stream_of(triples):
+    """A TokenStream of (word, start, end) triples."""
+    return TokenStream([w for w, _, _ in triples], [s for _, s, _ in triples],
+                       [e for _, _, e in triples])
 
 
 def make_tokens(pairs, word="w"):
-    return [TimedToken(word=f"{word}{i}", start=s, end=e) for i, (s, e) in enumerate(pairs)]
+    return stream_of([(f"{word}{i}", s, e) for i, (s, e) in enumerate(pairs)])
+
+
+def spans(tokens):
+    return list(zip(tokens.starts, tokens.ends))
 
 
 def random_stream(seed, n_tokens=100, word_ms=(200, 500), gap_ms=(20, 300), pause_every=(8, 20), pause_ms=(600, 1400)):
@@ -27,14 +38,14 @@ def random_stream(seed, n_tokens=100, word_ms=(200, 500), gap_ms=(20, 300), paus
     until_pause = rng.randint(*pause_every)
     for i in range(n_tokens):
         dur = rng.randint(*word_ms)
-        tokens.append(TimedToken(word=f"w{i}", start=t, end=t + dur))
+        tokens.append((f"w{i}", t, t + dur))
         until_pause -= 1
         if until_pause == 0:
             t += dur + rng.randint(*pause_ms)
             until_pause = rng.randint(*pause_every)
         else:
             t += dur + rng.randint(*gap_ms)
-    return tokens
+    return stream_of(tokens)
 
 
 # -- silence_gaps ------------------------------------------------------------
@@ -50,7 +61,7 @@ def test_gaps_single():
 
 def test_gaps_match_pairwise_scan_oracle():
     tokens = random_stream(11, n_tokens=1000)
-    expected = pairwise_gap_scan([(t.start, t.end) for t in tokens])
+    expected = pairwise_gap_scan(spans(tokens))
     assert silence_gaps(tokens) == expected
 
 
@@ -59,18 +70,20 @@ def test_gaps_match_pairwise_scan_oracle():
 
 def test_below_minimum_yields_residual_only():
     tokens = random_stream(3, n_tokens=18)  # ~8 s of material
-    assert tokens[-1].end - tokens[0].start < 10_000
+    assert tokens.ends[-1] - tokens.starts[0] < 10_000
     result = segment_stream(tokens)
     assert result.segments == []
     assert result.residual is not None
-    assert result.residual.tokens == tuple(tokens)
+    assert result.residual.tokens == range(len(tokens))
+    assert result.residual.words == tokens.words
 
 
 def test_keep_residual_flag_emits_tail():
     tokens = random_stream(3, n_tokens=18)
     result = segment_stream(tokens, keep_residual=True)
     assert len(result.segments) == 1
-    assert result.segments[0].tokens == tuple(tokens)
+    assert result.segments[0].tokens == range(len(tokens))
+    assert result.segments[0].words == tokens.words
 
 
 def test_cut_at_midpoint_of_longest_in_window_gap():
@@ -104,14 +117,14 @@ def test_forced_cut_inside_token_with_slack():
     result = segment_stream(tokens)
     assert result.segments[0].end == 20_150
     assert result.segments[0].duration <= 20_000 + FORCED_CUT_SLACK_MS
-    assert [t.word for t in result.segments[0].tokens] == ["w0", "w1"]
+    assert result.segments[0].words == ["w0", "w1"]
     assert result.dropped_tokens == []
 
 
 def test_forced_cut_inside_long_token_drops_it():
     tokens = make_tokens([(0, 19_900), (19_900, 21_000), (21_200, 33_000)])
     result = segment_stream(tokens)
-    assert [t.word for t in result.dropped_tokens] == ["w1"]
+    assert [tokens.words[i] for i in result.dropped_tokens] == ["w1"]
     assert result.segments[0].end == 19_900
     # the stream resumes after the dropped token
     assert result.segments[1].start == 21_000
@@ -120,25 +133,29 @@ def test_forced_cut_inside_long_token_drops_it():
 def test_validation_errors():
     with pytest.raises(ValueError):
         segment_stream(make_tokens([(0, 100)]), min_len=5000, max_len=5000)
-    unsorted = [TimedToken("a", 500, 900), TimedToken("b", 0, 400)]
+    # building a stream is its one check; the error names the first bad token
+    with pytest.raises(ValueError) as err:
+        segment_stream(stream_of([("a", 500, 900), ("b", 0, 400)]))
+    assert err.value.index == 1
+    with pytest.raises(ValueError) as err:
+        segment_stream(stream_of([("a", 0, 500), ("b", 400, 900)]))
+    assert err.value.index == 1
+    with pytest.raises(ValueError) as err:
+        stream_of([("a", -1, 5)])
+    assert err.value.index == 0
+    with pytest.raises(ValueError) as err:
+        stream_of([("a", 0, 5), ("b", 10, 5)])
+    assert err.value.index == 1
+    assert str(err.value) == "bad token times (10, 5)"
     with pytest.raises(ValueError):
-        segment_stream(unsorted)
-    overlapping = [TimedToken("a", 0, 500), TimedToken("b", 400, 900)]
-    with pytest.raises(ValueError):
-        segment_stream(overlapping)
-    with pytest.raises(ValueError):
-        TimedToken("a", -1, 5)
-    with pytest.raises(ValueError):
-        TimedToken("a", 10, 5)
+        TokenStream(["a"], [0, 5], [1, 6])
 
 
 def test_boundaries_match_brute_force_oracle_seed_42():
     tokens = random_stream(42, n_tokens=100)
     result = segment_stream(tokens)
-    spans, residual, dropped = brute_force_segment_bounds(
-        [(t.start, t.end) for t in tokens], 10_000, 20_000
-    )
-    assert [(s.start, s.end) for s in result.segments] == spans
+    expected, residual, dropped = brute_force_segment_bounds(spans(tokens), 10_000, 20_000)
+    assert [(s.start, s.end) for s in result.segments] == expected
     got_residual = (
         None if result.residual is None else (result.residual.start, result.residual.end)
     )
@@ -167,16 +184,17 @@ def test_properties_over_seeded_streams(seed):
     for (a_start, a_end), (b_start, b_end) in zip(pieces, pieces[1:]):
         assert a_end == b_start
         assert a_start < b_start
-    assert pieces[0][0] == tokens[0].start
-    assert pieces[-1][1] == tokens[-1].end
-    # every token lands in exactly one segment (or the residual)
-    assigned = [t for s in segments for t in s.tokens]
+    assert pieces[0][0] == tokens.starts[0]
+    assert pieces[-1][1] == tokens.ends[-1]
+    # the segments' ranges and the residual cover 0..n-1 once, in order
+    assigned = [i for s in segments for i in s.tokens]
     if result.residual is not None:
         assigned += list(result.residual.tokens)
-    assert assigned == tokens
+    assert assigned == list(range(len(tokens)))
     for seg in segments:
-        for t in seg.tokens:
-            assert seg.start <= t.start and t.end <= seg.end
+        assert seg.words == [tokens.words[i] for i in seg.tokens]
+        for i in seg.tokens:
+            assert seg.start <= tokens.starts[i] and tokens.ends[i] <= seg.end
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -188,14 +206,13 @@ def test_forced_cut_streams_match_oracle(seed):
     t = 0
     for i in range(400):
         dur = rng.randint(150, 900) if rng.random() > 0.02 else rng.randint(900, 2000)
-        tokens.append(TimedToken(word=f"w{i}", start=t, end=t + dur))
+        tokens.append((f"w{i}", t, t + dur))
         t += dur
+    tokens = stream_of(tokens)
     result = segment_stream(tokens)
-    spans, residual, dropped = brute_force_segment_bounds(
-        [(tok.start, tok.end) for tok in tokens], 10_000, 20_000
-    )
-    assert [(s.start, s.end) for s in result.segments] == spans
-    assert [(tok.start, tok.end) for tok in result.dropped_tokens] == dropped
+    expected, residual, dropped = brute_force_segment_bounds(spans(tokens), 10_000, 20_000)
+    assert [(s.start, s.end) for s in result.segments] == expected
+    assert [(tokens.starts[i], tokens.ends[i]) for i in result.dropped_tokens] == dropped
     got_res = (
         None if result.residual is None else (result.residual.start, result.residual.end)
     )
@@ -208,24 +225,24 @@ def test_forced_cut_streams_match_oracle(seed):
     if got_res:
         pieces.append(got_res)
     pieces.sort()
-    assert pieces[0][0] == tokens[0].start
-    assert pieces[-1][1] == tokens[-1].end
+    assert pieces[0][0] == tokens.starts[0]
+    assert pieces[-1][1] == tokens.ends[-1]
     for (_, a_end), (b_start, _) in zip(pieces, pieces[1:]):
         assert a_end == b_start
 
 
 def oracle_result(tokens, min_len=10_000, max_len=20_000):
     """segment_stream's spans, residual and dropped spans, and the oracle's.
-    Every token must land in exactly one segment, the residual or the
-    dropped list."""
+    The segments' ranges, the residual and the dropped indices must cover
+    0..n-1 once."""
     result = segment_stream(tokens, min_len=min_len, max_len=max_len)
     residual = result.residual and (result.residual.start, result.residual.end)
-    placed = [t for s in result.segments for t in s.tokens] + result.dropped_tokens
+    placed = [i for s in result.segments for i in s.tokens] + result.dropped_tokens
     placed += result.residual.tokens if result.residual else ()
-    assert sorted(map(id, placed)) == sorted(map(id, tokens))
+    assert sorted(placed) == list(range(len(tokens)))
     got = ([(s.start, s.end) for s in result.segments], residual,
-           [(t.start, t.end) for t in result.dropped_tokens])
-    expected = brute_force_segment_bounds([(t.start, t.end) for t in tokens], min_len, max_len)
+           [(tokens.starts[i], tokens.ends[i]) for i in result.dropped_tokens])
+    expected = brute_force_segment_bounds(spans(tokens), min_len, max_len)
     return got, expected
 
 
@@ -242,9 +259,9 @@ def test_long_silence_free_stretches_match_oracle():
             until = t + (rng.randint(40_000, 90_000) if contiguous else rng.randint(5_000, 30_000))
             while t < until:
                 dur = rng.randint(150, 700) if rng.random() > 0.05 else rng.randint(700, 2_500)
-                tokens.append(TimedToken(f"w{len(tokens)}", t, t + dur))
+                tokens.append((f"w{len(tokens)}", t, t + dur))
                 t += dur + (0 if contiguous else rng.choice([20, 80, 300, 900]))
-        got, expected = oracle_result(tokens)
+        got, expected = oracle_result(stream_of(tokens))
         assert got == expected, seed
         spans, _residual, drops = got
         dropped += len(drops)
@@ -312,3 +329,81 @@ def test_token_stream_overlap_names_file_and_line(tmp_path):
     with pytest.raises(ValueError) as err:
         read_token_stream(path)
     assert str(err.value) == f"{path}:3: token stream has overlapping tokens"
+
+
+# a token line that the reader refuses, put on line 2 after a good line 1
+HOSTILE_LINES = {
+    "int-word": '{"w": 5, "s": 100, "e": 300}',
+    "empty-word": '{"w": "", "s": 100, "e": 300}',
+    "spaced-word": '{"w": "tab\\there", "s": 100, "e": 300}',
+    "float-start": '{"w": "b", "s": 1.9, "e": 300}',
+    "string-end": '{"w": "b", "s": 100, "e": "300"}',
+    "bool-start": '{"w": "b", "s": true, "e": 300}',
+}
+
+
+@pytest.mark.parametrize("line", HOSTILE_LINES.values(), ids=HOSTILE_LINES)
+def test_hostile_token_line_fails_at_the_reader(tmp_path, capsys, line):
+    path = tmp_path / "streams" / "rec.jsonl"
+    path.parent.mkdir()
+    path.write_text('{"w": "a", "s": 0, "e": 1}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(TokenStreamError) as err:
+        read_token_stream(path)
+    assert str(err.value).startswith(f"{path}:2: bad token line: ")
+    out = tmp_path / "segments.tsv"
+    assert cli_main(["segment", "--in", str(path.parent), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:2: bad token line: ")
+    assert not out.exists()
+
+
+def test_first_fault_in_file_order_is_named(tmp_path):
+    # an order fault on line 2 and a malformed line 5
+    path = tmp_path / "rec.jsonl"
+    path.write_text(
+        '{"w": "a", "s": 500, "e": 900}\n{"w": "b", "s": 0, "e": 400}\n\n'
+        '{"w": "c", "s": 1000, "e": 1200}\n{"w": "d", "s": 1300}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(TokenStreamError) as err:
+        read_token_stream(path)
+    assert str(err.value) == f"{path}:2: token stream is not sorted by start time"
+    # with the order fault mended, the malformed line is the first fault
+    path.write_text(path.read_text(encoding="utf-8").replace('"s": 0, "e": 400', '"s": 950, "e": 990'),
+                    encoding="utf-8")
+    with pytest.raises(TokenStreamError) as err:
+        read_token_stream(path)
+    assert str(err.value).startswith(f"{path}:5: bad token line: ")
+
+
+def test_blank_lines_keep_line_numbers(tmp_path):
+    path = tmp_path / "rec.jsonl"
+    _write_lines(path, [("a", 0, 300), ("b", 400, 900)])
+    path.write_text("\n" + path.read_text(encoding="utf-8") + "  \n"
+                    + '{"w": "c", "s": -5, "e": 10}\n', encoding="utf-8")
+    with pytest.raises(TokenStreamError) as err:
+        read_token_stream(path)
+    assert str(err.value) == f"{path}:5: bad token times (-5, 10)"
+
+
+def test_zero_length_token_after_a_dropped_token_is_kept():
+    tokens = make_tokens([(0, 19_900), (19_900, 21_000), (21_000, 21_000), (21_200, 33_000)])
+    got, expected = oracle_result(tokens)
+    assert got == expected
+    result = segment_stream(tokens)
+    assert result.dropped_tokens == [1]
+    assert result.segments[1].tokens == range(2, 4)
+
+
+@pytest.mark.parametrize("line", [
+    '{"w": "b", "s": 0, "e": 1}',
+    '{"w": "b", "s": 1, "e": 3}',
+    *HOSTILE_LINES.values(),
+], ids=["unsorted", "overlapping", *HOSTILE_LINES])
+def test_token_file_fault_exits_2_from_run(tmp_path, capsys, line):
+    path = tiny_input(tmp_path / "input", ['{"w": "a", "s": 1, "e": 2}', line])
+    cfg_path = tmp_path / "run.cfg"
+    cfg = small_config(tmp_path)
+    cfg_path.write_text(f"input_dir = {cfg.input_dir}\noutput_dir = {cfg.output_dir}\n",
+                        encoding="utf-8")
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:2: ")

@@ -175,3 +175,10 @@ def test_tracer_records_one_span_per_stage(run_a, tmp_path):
         span[0] for span in payload["spans"] if span[0].startswith("pipeline.stage_")
     )
     assert stage_spans == {f"pipeline.stage_{name}": 1 for name in STAGES}
+    token_lines = sum(
+        len(path.read_text(encoding="utf-8").splitlines())
+        for path in (run_a / "input" / "tokens").glob("*.jsonl")
+    )
+    read_tokens = sum(span[5]["tokens"] for span in payload["spans"]
+                      if span[0] == "segmenter.read_token_stream")
+    assert read_tokens == token_lines > 0
