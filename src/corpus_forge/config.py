@@ -16,20 +16,6 @@ from pathlib import Path
 
 ENV_PREFIX = "CORPUS_FORGE_"
 
-# the stage names in run order; pipeline.STAGE_TABLE lists what each reads
-STAGES = (
-    "normalize",
-    "segment",
-    "retrieve",
-    "postprocess",
-    "filter",
-    "split",
-    "limited",
-    "decontam",
-    "lm_train",
-    "lm_eval",
-)
-
 # keys excluded from the config hash: locations, not semantics
 _UNHASHED = {"input_dir", "output_dir"}
 

@@ -204,10 +204,6 @@ class NGramModel:
 
     # -- queries -----------------------------------------------------------
 
-    def prob(self, word: str, context=()) -> float:
-        """P(word | context); context longer than order-1 is truncated."""
-        return self.probs([(context, word)])[0]
-
     def probs(self, queries) -> list[float]:
         """P(word | context) for each (context, word) pair, in order.
 
@@ -393,19 +389,6 @@ def evaluate(model: NGramModel, dev_sentences, exclude_oov: bool = True,
     return EvalReport(oov_rate=oov / total, perplexity=math.exp(-logsum / len(queries)),
                       total_tokens=total, oov_tokens=oov, scored_tokens=len(queries),
                       order=model.order, oov_context=oov_context)
-
-
-def compare_orders(corpus, dev_sentences, orders=(3, 5), **eval_kwargs) -> dict:
-    """Train one model per order and report both evaluations side by side.
-
-    The expectation that the higher order never evaluates worse holds
-    whenever the dev text shares long-range context with training; it is
-    reported, not asserted.
-    """
-    corpus = [list(s) for s in corpus]
-    results = {o: evaluate(train(corpus, o), dev_sentences, **eval_kwargs) for o in sorted(orders)}
-    perplexities = {order: report.perplexity for order, report in results.items()}
-    return {"reports": results, "higher_order_not_worse": higher_order_not_worse(perplexities)}
 
 
 def higher_order_not_worse(perplexities: dict[int, float]) -> bool:

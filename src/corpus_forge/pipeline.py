@@ -194,8 +194,13 @@ def stage_segment(cfg: PipelineConfig) -> dict:
         )
         rows += chapter_rows
         tail = result.residual
+        placed = [i for seg in result.segments for i in seg.tokens] + result.dropped_tokens
         if tail is not None and not cfg.keep_residual:
             residuals.append((chapter_id, tail.start, tail.end, len(tail.tokens)))
+            placed += tail.tokens
+        if sorted(placed) != list(range(len(stream))):
+            raise StageError("segment", f"chapter {chapter_id}: segments, residual and dropped "
+                                        f"tokens do not cover its {len(stream)} tokens once")
         dropped += [(chapter_id, stream.words[i], stream.starts[i], stream.ends[i])
                     for i in result.dropped_tokens]
 

@@ -5,11 +5,12 @@ Books are split into overlapping word-window shards (1250 words, stride
 label. Indexing a book also interns it once into int32 word ids. The
 pseudo label is encoded in the same vocabulary, where words the book lacks
 get an id no book word has, and aligned to a view of the winning window's
-ids with a local Smith-Waterman (match 2, substitution/insertion/deletion
--1). Digit words of the matched book text are replaced from the aligned
-pseudo words. Candidates are accepted when their word error rate against
-the pseudo label does not exceed the threshold (default 40%); the rate
-comes from a bit-parallel Levenshtein distance (Myers 1999; Hyyrö 2003).
+ids with a local Smith-Waterman at fixed scores: MATCH 2, and MISMATCH and
+GAP -1 for a substitution, insertion or deletion. Digit words of the
+matched book text are replaced from the aligned pseudo words. Candidates
+are accepted when their word error rate against the pseudo label does not
+exceed the threshold (default 40%); the rate comes from a bit-parallel
+Levenshtein distance (Myers 1999; Hyyrö 2003).
 
 A book's segments are retrieved as one batch, with inter-sequence
 vectorization as in SWIPE (Rognes 2011):
@@ -26,8 +27,6 @@ vectorization as in SWIPE (Rognes 2011):
   end-padded (B, n, m) int32 tables of at most CHUNK cells, and row i of
   all B tables is filled by one numpy call per step. The traceback and the
   tie-break stay per segment.
-``smith_waterman``, ``retrieve`` and ``retrieve_transcript`` are batches of
-one through the same kernels.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ DEFAULT_RARE_THRESHOLD = 3
 HYPHEN_SPLIT_CHARS = "-‐"
 ABSENT_ID = -1  # id of a query word the book does not contain; matches nothing
 CHUNK = 1 << 18  # cells per batch (labels x shards, labels x columns, or DP table cells)
+MATCH, MISMATCH, GAP = 2, -1, -1  # Smith-Waterman scores
 
 
 @dataclass(frozen=True)
@@ -76,18 +76,6 @@ class AlignmentResult:
     ref_span: tuple[int, int]  # half-open word range in the reference
     query_span: tuple[int, int]
     ops: tuple[AlignmentOp, ...]
-
-
-@dataclass
-class RetrievalHit:
-    shard: DocumentShard
-    score: float
-
-
-@dataclass
-class RetrievalResult:
-    hits: list[RetrievalHit]
-    status: str  # "ok" | "no_match"
 
 
 def shard_book(
@@ -181,30 +169,6 @@ class TfIdfIndex:
         squares[shard_of, np.arange(len(sq)) - (np.cumsum(per_shard) - per_shard)[shard_of]] = sq
         self.norms = np.sqrt(np.cumsum(squares, axis=1)[:, -1])
 
-    def _gram_words(self) -> list[tuple[str, str]]:
-        words = list(self.vocab)
-        left, right = np.divmod(self.grams, len(words))
-        return [(words[a], words[b]) for a, b in zip(left.tolist(), right.tolist())]
-
-    @property
-    def df(self) -> dict[tuple[str, str], int]:
-        """Shard count of every indexed bigram, keyed by its two words."""
-        return dict(zip(self._gram_words(), self.gram_df.tolist()))
-
-    @property
-    def idf(self) -> dict[tuple[str, str], float]:
-        return dict(zip(self._gram_words(), self.gram_idf.tolist()))
-
-    @property
-    def postings(self) -> dict[tuple[str, str], list[tuple[int, float]]]:
-        """(shard, weight) of every nonzero weight, by bigram words."""
-        ptr, shard, weight = self.ptr.tolist(), self.post_shard.tolist(), self.post_weight.tolist()
-        return {
-            gram: list(zip(shard[a:b], weight[a:b]))
-            for gram, a, b, idf in zip(self._gram_words(), ptr, ptr[1:], self.gram_idf.tolist())
-            if idf != 0.0
-        }
-
     def encode(self, words) -> np.ndarray:
         """Word ids of ``words`` in this book's vocabulary (ABSENT_ID for
         words the book does not contain)."""
@@ -213,19 +177,6 @@ class TfIdfIndex:
 
 def build_index(shards: list[DocumentShard]) -> TfIdfIndex:
     return TfIdfIndex(shards)
-
-
-def retrieve(index: TfIdfIndex, pseudo_label, top_k: int = 1) -> RetrievalResult:
-    """Rank shards by cosine similarity to the pseudo label's bigrams.
-
-    A query sharing no indexed bigram (including queries shorter than two
-    words) returns status "no_match", distinct from a zero score.
-    """
-    ranked = _rank(index, [index.encode(pseudo_label)], max(top_k, 1))[0]
-    if not ranked:
-        return RetrievalResult(hits=[], status="no_match")
-    hits = [RetrievalHit(shard=index.shards[i], score=score) for i, score in ranked[:top_k]]
-    return RetrievalResult(hits=hits, status="ok")
 
 
 def _rank(index: TfIdfIndex, queries: list[np.ndarray], top_k: int) -> list[list[tuple[int, float]]]:
@@ -299,48 +250,16 @@ def _rank_batch(index, queries, top_k):
     ]
 
 
-def smith_waterman(
-    query,
-    reference,
-    match: int = 2,
-    mismatch: int = -1,
-    gap: int = -1,
-) -> AlignmentResult:
-    """Word-level local alignment by the standard zero-clamped DP.
-
-    ``query`` and ``reference`` are two integer id arrays (retrieval passes
-    the pseudo label encoded in the book's vocabulary and a view of the
-    book's ids) or two sequences of hashable tokens, interned here. Both
-    are renumbered into one dense vocabulary and aligned as a batch of one
-    by the batched kernels (``_column_runs`` and ``_align``).
-    """
-    if not len(query) or not len(reference):
-        raise ValueError("query and reference must be non-empty")
-    if gap >= 0 or mismatch >= match:
-        raise ValueError("scores must satisfy gap < 0 and mismatch < match")
-    if (match - mismatch - gap) * (len(query) + len(reference) + 2) >= 2**31:
-        raise ValueError("scores too large for an int32 alignment table")
-    if isinstance(query, np.ndarray) and isinstance(reference, np.ndarray):
-        n_ids, both = np.unique(np.concatenate((query, reference)), return_inverse=True)
-        n_ids, both = len(n_ids), both.ravel()
-    else:
-        ids: dict = {}  # one vocabulary for both sides
-        both = np.array([ids.setdefault(w, len(ids)) for seq in (query, reference) for w in seq])
-        n_ids = len(ids)
-    windows = [(len(query), len(both))]
-    return next(_align([both[: len(query)]], both, windows, n_ids, match, mismatch, gap))
-
-
-def _column_runs(queries, ref, n_ids, match, other):
+def _column_runs(queries, ref, n_ids):
     """(query, start, end, bound) arrays of every run of columns of the
     reference ``ref`` that can score against each query; ids are below
     ``n_ids`` (query words may also be ABSENT_ID).
 
-    Every reference column consumed by an alignment adds at most ``match``
-    when its word occurs in the query and at most ``other`` = max(mismatch,
-    gap) otherwise, and query-only steps add gap < 0, so no cell of column
-    j scores more than the best suffix sum of those column values ending
-    at j, nor more than ``match * len(query)``. Columns bounded by 0 hold
+    Every reference column consumed by an alignment adds at most MATCH
+    when its word occurs in the query and at most max(MISMATCH, GAP)
+    otherwise, and query-only steps add GAP < 0, so no cell of column j
+    scores more than the best suffix sum of those column values ending at
+    j, nor more than ``MATCH * len(query)``. Columns bounded by 0 hold
     H = 0 in every row and cut the reference into independent runs; a
     run's bound is its largest column bound. The queries share one gather
     of a (B, n_ids) table of column gains; rows are taken CHUNK cells at a
@@ -353,8 +272,8 @@ def _column_runs(queries, ref, n_ids, match, other):
         qs = queries[c : c + per]
         q_len = np.array([len(q) for q in qs])
         q_flat, owner = np.concatenate(qs), np.repeat(np.arange(len(qs)), q_len)
-        gain = np.full((len(qs), n_ids), np.int32(other))
-        gain[owner[q_flat >= 0], q_flat[q_flat >= 0]] = match
+        gain = np.full((len(qs), n_ids), np.int32(max(MISMATCH, GAP)))
+        gain[owner[q_flat >= 0], q_flat[q_flat >= 0]] = MATCH
         bound = np.cumsum(np.take(gain, ref, axis=1), axis=1, dtype=np.int32)
         low = np.minimum.accumulate(bound, axis=1)
         bound -= np.minimum(low, 0, out=low)  # best suffix sum ending at the column
@@ -364,11 +283,11 @@ def _column_runs(queries, ref, n_ids, match, other):
         row, col = np.divmod(edges, np.int32(width + 1))
         row, starts, ends = row[0::2], col[0::2], col[1::2]
         run_bound = np.maximum.reduceat(bound.ravel(), row * width + starts) if row.size else row
-        parts.append((row + c, starts, ends, np.minimum(run_bound, match * q_len[row], dtype=np.int32)))
+        parts.append((row + c, starts, ends, np.minimum(run_bound, MATCH * q_len[row], dtype=np.int32)))
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 
-def _align(queries, ids, windows, n_ids, match, mismatch, gap) -> Iterator[AlignmentResult]:
+def _align(queries, ids, windows, n_ids) -> Iterator[AlignmentResult]:
     """Best local alignment of each query against its (start, end) window
     of ``ids``, in order; ids are below ``n_ids`` (query words may also be
     ABSENT_ID).
@@ -383,7 +302,7 @@ def _align(queries, ids, windows, n_ids, match, mismatch, gap) -> Iterator[Align
     cell. A query with no run scores 0. Nothing is computed until the first
     result is asked for.
     """
-    scores, found = _aligned_runs(queries, ids, windows, n_ids, match, mismatch, gap)
+    scores, found = _aligned_runs(queries, ids, windows, n_ids)
     for best, runs_of in zip(scores, found):
         if not best:
             yield AlignmentResult(score=0, ref_span=(0, 0), query_span=(0, 0), ops=())
@@ -395,7 +314,7 @@ def _align(queries, ids, windows, n_ids, match, mismatch, gap) -> Iterator[Align
                               ops=_ops(path, qs, rs))
 
 
-def _aligned_runs(queries, ids, windows, n_ids, match, mismatch, gap) -> tuple[list, list]:
+def _aligned_runs(queries, ids, windows, n_ids) -> tuple[list, list]:
     """(best score, [(score, candidates) of each aligned run]) per query;
     see ``_align``. The run arrays are dropped on return."""
     by_window: dict[tuple[int, int], list[int]] = {}
@@ -403,8 +322,7 @@ def _aligned_runs(queries, ids, windows, n_ids, match, mismatch, gap) -> tuple[l
         by_window.setdefault(window, []).append(k)
     runs = []
     for (start, end), ks in by_window.items():
-        pair, *rest = _column_runs([queries[k] for k in ks], ids[start:end], n_ids, match,
-                                   max(mismatch, gap))
+        pair, *rest = _column_runs([queries[k] for k in ks], ids[start:end], n_ids)
         runs.append((np.array(ks, dtype=np.int32)[pair], *rest))
     # each query's runs are contiguous and in column order
     pair, lo, hi, bound = (np.concatenate(a) for a in zip(*runs))
@@ -419,8 +337,7 @@ def _aligned_runs(queries, ids, windows, n_ids, match, mismatch, gap) -> tuple[l
     def align(chosen):
         ks, starts = pair[chosen].tolist(), lo[chosen].tolist()
         tables = _fill([queries[k] for k in ks],
-                       [refs[k][a:b] for k, a, b in zip(ks, starts, hi[chosen].tolist())],
-                       starts, match, mismatch, gap)
+                       [refs[k][a:b] for k, a, b in zip(ks, starts, hi[chosen].tolist())], starts)
         for k, (score, cands) in zip(ks, tables):
             found[k].append((score, cands))
             scores[k] = max(scores[k], score)
@@ -452,7 +369,7 @@ def _ops(path: str, i: int, j: int) -> tuple[AlignmentOp, ...]:
     return tuple(ops)
 
 
-def _fill(queries, refs, offsets, match, mismatch, gap) -> list[tuple[int, list]]:
+def _fill(queries, refs, offsets) -> list[tuple[int, list]]:
     """(best score, best-cell tracebacks) of the zero-clamped DP of each
     (query, run) pair, whose left neighbour column holds H = 0; a run's
     reference indices start at its offset.
@@ -472,16 +389,16 @@ def _fill(queries, refs, offsets, match, mismatch, gap) -> list[tuple[int, list]
             b += 1
         batch = order[a:b]
         tables = _fill_batch([queries[k] for k in batch], [refs[k] for k in batch],
-                             [offsets[k] for k in batch], rows, m[order[b - 1]], match, mismatch, gap)
+                             [offsets[k] for k in batch], rows, m[order[b - 1]])
         for k, table in zip(batch, tables):
             out[k] = table
         a = b
     return out
 
 
-def _fill_batch(queries, refs, offsets, rows, cols, match, mismatch, gap) -> list[tuple[int, list]]:
+def _fill_batch(queries, refs, offsets, rows, cols) -> list[tuple[int, list]]:
     """Fill B tables at once: row i of every table is one numpy call per
-    step, in coordinates G = H - gap*j where the linear gap chain is a
+    step, in coordinates G = H - GAP*j where the linear gap chain is a
     prefix maximum. Queries are end-padded to ``rows`` with an id matching
     nothing, and references to ``cols`` with another: a padded cell only
     extends real cells by negative steps, so no padded cell reaches its
@@ -496,14 +413,14 @@ def _fill_batch(queries, refs, offsets, rows, cols, match, mismatch, gap) -> lis
     q_ids[np.arange(rows) < q_len[:, None]] = np.concatenate(queries)
     r_ids = np.full((n_b, cols), -3, dtype=np.int32)
     r_ids[np.arange(cols) < r_len[:, None]] = np.concatenate(refs)
-    # step[i, b, j]: the diagonal gain s - gap into cell (i+1, j+1) of table b
-    step = np.multiply(q_ids.T[:, :, None] == r_ids, np.int32(match - mismatch), dtype=np.int32)
-    step += np.int32(mismatch - gap)
-    floor = np.arange(cols + 1, dtype=np.int32) * np.int32(-gap)  # G of H == 0
+    # step[i, b, j]: the diagonal gain s - GAP into cell (i+1, j+1) of table b
+    step = np.multiply(q_ids.T[:, :, None] == r_ids, np.int32(MATCH - MISMATCH), dtype=np.int32)
+    step += np.int32(MISMATCH - GAP)
+    floor = np.arange(cols + 1, dtype=np.int32) * np.int32(-GAP)  # G of H == 0
     G = np.empty((rows + 1, n_b, cols + 1), dtype=np.int32)
     G[0] = floor
     G[1:, :, 0] = 0
-    up, gap32, floor_1 = np.empty((n_b, cols), dtype=np.int32), np.int32(gap), floor[1:]
+    up, gap32, floor_1 = np.empty((n_b, cols), dtype=np.int32), np.int32(GAP), floor[1:]
     for i in range(rows):
         cand = G[i, :, :-1] + step[i]
         np.add(G[i, :, 1:], gap32, out=up)
@@ -513,16 +430,16 @@ def _fill_batch(queries, refs, offsets, rows, cols, match, mismatch, gap) -> lis
     G -= floor  # now H
     best = G.max(axis=(0, 2))
     cands: list[list] = [[] for _ in range(n_b)]
-    h, diag_gain, matched = G.item, step.item, match - gap
+    h, diag_gain, matched = G.item, step.item, MATCH - GAP
     for end_i, b, end_j in np.argwhere(G == best[:, None]).tolist():
         i, j, path, lo = end_i, end_j, [], offsets[b]
         here = h(i, b, j)
         while here > 0:
             cell_gain = diag_gain(i - 1, b, j - 1)
-            if here == (diag := h(i - 1, b, j - 1)) + cell_gain + gap:
+            if here == (diag := h(i - 1, b, j - 1)) + cell_gain + GAP:
                 i, j, here = i - 1, j - 1, diag
                 path.append("m" if cell_gain == matched else "s")
-            elif here == (above := h(i - 1, b, j)) + gap:
+            elif here == (above := h(i - 1, b, j)) + GAP:
                 i, here = i - 1, above
                 path.append("i")
             else:
@@ -685,19 +602,7 @@ def accept_candidate(
     )
 
 
-def retrieve_transcript(
-    book_words,
-    shards: list[DocumentShard],
-    index: TfIdfIndex,
-    pseudo_words,
-) -> tuple[list[str], tuple[int, int], AlignmentResult] | None:
-    """Retrieve one segment's transcript from its indexed book: (words, book
-    word span, alignment), or None when nothing matches. A batch of one
-    through ``_transcripts``, which describes the steps."""
-    return next(_transcripts(book_words, shards, index, [list(pseudo_words)]))
-
-
-def _transcripts(book_words, shards, index, labels, match=2, mismatch=-1, gap=-1) -> Iterator:
+def _transcripts(book_words, shards, index, labels) -> Iterator:
     """(words, book word span, alignment) or None for every pseudo label of
     one book, in order.
 
@@ -725,7 +630,7 @@ def _transcripts(book_words, shards, index, labels, match=2, mismatch=-1, gap=-1
         found.append((win_start, win_end, words))
         queries.append(code)
     windows = [hit[:2] for hit in found if hit]
-    aligned = _align(queries, index.book_ids, windows, len(index.vocab), match, mismatch, gap)
+    aligned = _align(queries, index.book_ids, windows, len(index.vocab))
     for hit in found:
         if hit is None or (al := next(aligned)).score <= 0:
             yield None

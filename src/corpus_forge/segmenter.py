@@ -123,11 +123,13 @@ def segment_stream(
     def emit(end: int) -> None:
         nonlocal tok_i, start
         first, tok_i = tok_i, bisect_right(ends, end, tok_i)
-        if end > start:  # else a zero-width cut around a dropped leading token
+        if end > start:
             result.segments.append(
                 Segment(f"{segment_id_prefix}_{len(result.segments):04d}", start, end,
                         words[first:tok_i], range(first, tok_i))
             )
+        else:  # a zero-width cut before a dropped leading token drops its zero-length tokens
+            result.dropped_tokens += range(first, tok_i)
         start = end
 
     while True:
@@ -153,8 +155,8 @@ def segment_stream(
         elif ends[k] <= cut + FORCED_CUT_SLACK_MS:
             emit(ends[k])
         else:
-            result.dropped_tokens.append(k)
             emit(starts[k])
+            result.dropped_tokens.append(k)
             tok_i, start = k + 1, ends[k]  # the stream resumes after the dropped token
 
     if start < stream_end and tok_i < len(tokens):
@@ -168,30 +170,32 @@ def segment_stream(
 def read_token_stream(path: str | Path) -> TokenStream:
     """Read one recording's token file into a ``TokenStream``.
 
-    A malformed line fails naming the file and the line, unless a token
-    before it already breaks the stream rules: the first fault in file order
-    is the one named.
+    A malformed line, bytes that are not UTF-8 included, fails naming the
+    file and the line, unless a token before it already breaks the stream
+    rules: the first fault in file order is the one named.
     """
     words, starts, ends, lines = [], [], [], []
     bad_line = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.isspace():
+    # bytes.splitlines breaks at \n, \r and \r\n, as text-mode reading does;
+    # each line is decoded on its own, so bad bytes name their line
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
+        try:
+            line = raw.decode("utf-8")
+            if not line.strip():
                 continue
-            try:
-                token = json.loads(line)
-                word, start, end = token["w"], token["s"], token["e"]
-                if type(word) is not str or word.split() != [word]:
-                    raise ValueError(f"word {word!r} is not a non-empty string without whitespace")
-                if type(start) is not int or type(end) is not int:
-                    raise ValueError(f"times {start!r}, {end!r} are not JSON integers")
-            except (KeyError, TypeError, ValueError) as exc:
-                bad_line = f"{path}:{lineno}: bad token line: {exc}"
-                break
-            words.append(word)
-            starts.append(start)
-            ends.append(end)
-            lines.append(lineno)
+            token = json.loads(line)
+            word, start, end = token["w"], token["s"], token["e"]
+            if type(word) is not str or word.split() != [word]:
+                raise ValueError(f"word {word!r} is not a non-empty string without whitespace")
+            if type(start) is not int or type(end) is not int:
+                raise ValueError(f"times {start!r}, {end!r} are not JSON integers")
+        except (KeyError, TypeError, ValueError) as exc:
+            bad_line = f"{path}:{lineno}: bad token line: {exc}"
+            break
+        words.append(word)
+        starts.append(start)
+        ends.append(end)
+        lines.append(lineno)
     try:
         stream = TokenStream(words, starts, ends)
     except TokenStreamError as exc:

@@ -10,11 +10,24 @@ from corpus_forge.ngramlm import (
     SENT_START,
     UNK,
     NGramModel,
-    compare_orders,
     evaluate,
+    higher_order_not_worse,
     train,
 )
 from oracles import DictNGramModel
+
+
+def prob(model, word, context=()):
+    """P(word | context) as a batch of one through ``NGramModel.probs``."""
+    return model.probs([(context, word)])[0]
+
+
+def perplexity_by_order(corpus, dev, orders):
+    """Perplexity per order and whether the highest is no worse, computed
+    as the lm_eval stage does: ``train``, ``evaluate``,
+    ``higher_order_not_worse``."""
+    ppl = {order: evaluate(train(corpus, order), dev).perplexity for order in orders}
+    return ppl, higher_order_not_worse(ppl)
 
 HAND_CORPUS = [["a", "a", "a", "a", "a", "b", "a", "b", "a", "b"]]
 
@@ -45,7 +58,7 @@ def test_hand_worked_kneser_ney_values_to_1e9():
     assert model.discounts[1] == pytest.approx((F(1, 3), 1.0, F(5, 3)))
     assert model.fallback == [True, False]
     for (word, ctx), expected in HAND_VALUES.items():
-        assert model.prob(word, ctx) == pytest.approx(float(expected), abs=1e-9), (
+        assert prob(model, word, ctx) == pytest.approx(float(expected), abs=1e-9), (
             word,
             ctx,
         )
@@ -53,15 +66,15 @@ def test_hand_worked_kneser_ney_values_to_1e9():
 
 def test_unseen_context_descends_to_unigram():
     model = train(HAND_CORPUS, 2)
-    assert model.prob("a", ("zzz",)) == pytest.approx(11 / 16, abs=1e-12)
+    assert prob(model, "a", ("zzz",)) == pytest.approx(11 / 16, abs=1e-12)
 
 
 def test_repeated_word_order3_dominates_and_normalizes():
     model = train([["a", "a", "a"]], 3)
-    p_a = model.prob("a", ("a", "a"))
-    p_b = model.prob("b", ("a", "a"))
+    p_a = prob(model, "a", ("a", "a"))
+    p_b = prob(model, "b", ("a", "a"))
     assert p_a > p_b
-    total = sum(model.prob(w, ("a", "a")) for w in sorted(model.vocab) + [UNK])
+    total = sum(prob(model, w, ("a", "a")) for w in sorted(model.vocab) + [UNK])
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
@@ -73,7 +86,7 @@ def test_order1_uniform_corpus_closed_form():
     model = train(corpus, 1)
     expected_p = 0.25 / v + 0.75 / (v + 1)
     for i in range(v):
-        assert model.prob(f"u{i}") == pytest.approx(expected_p, abs=1e-12)
+        assert prob(model, f"u{i}") == pytest.approx(expected_p, abs=1e-12)
     report = evaluate(model, corpus)
     assert report.perplexity == pytest.approx(1.0 / expected_p, rel=1e-9)
     # V * (1 + o(1)) behavior
@@ -93,11 +106,11 @@ def test_context_sums_to_one_over_sampled_contexts():
         contexts = sorted({g[:-1] for g in oracle.tables[order_k - 1]})
         sample = rng.sample(contexts, min(50, len(contexts)))
         for ctx in sample:
-            total = sum(model.prob(w, ctx) for w in events)
+            total = sum(prob(model, w, ctx) for w in events)
             assert total == pytest.approx(1.0, abs=1e-6), (order_k, ctx)
             for w in sorted(model.vocab):
-                assert model.prob(w, ctx) > 0.0
-            assert [model.prob(w, ctx) for w in events] == [oracle.prob(w, ctx) for w in events]
+                assert prob(model, w, ctx) > 0.0
+            assert [prob(model, w, ctx) for w in events] == [oracle.prob(w, ctx) for w in events]
 
 
 def test_empty_corpus_rejected():
@@ -183,10 +196,8 @@ def test_zero_bigram_overlap_gives_equal_perplexities():
     for s in dev:
         for g in zip([SENT_START] + s, s):
             assert g not in train_bigrams
-    result = compare_orders(train_sents, dev, orders=(3, 5))
-    p3 = result["reports"][3].perplexity
-    p5 = result["reports"][5].perplexity
-    assert p5 == pytest.approx(p3, abs=1e-6)
+    ppl, _ = perplexity_by_order(train_sents, dev, orders=(3, 5))
+    assert ppl[5] == pytest.approx(ppl[3], abs=1e-6)
 
 
 def markov3_corpus(seed, n_sentences, words_per_sentence=12, v=15):
@@ -206,9 +217,9 @@ def markov3_corpus(seed, n_sentences, words_per_sentence=12, v=15):
 def test_markov3_corpus_5gram_beats_3gram():
     corpus = markov3_corpus(11, 600)
     dev = markov3_corpus(12, 60)
-    result = compare_orders(corpus, dev, orders=(3, 5))
-    assert result["reports"][5].perplexity < result["reports"][3].perplexity
-    assert result["higher_order_not_worse"]
+    ppl, not_worse = perplexity_by_order(corpus, dev, orders=(3, 5))
+    assert ppl[5] < ppl[3]
+    assert not_worse
 
 
 def test_emptied_top_order_matches_truncated_view_exactly():
@@ -273,7 +284,7 @@ def test_save_load_round_trip(tmp_path):
     for _ in range(100):
         ctx = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 2)))
         w = rng.choice(vocab)
-        assert loaded.prob(w, ctx) == model.prob(w, ctx)
+        assert prob(loaded, w, ctx) == prob(model, w, ctx)
 
 
 def test_load_rejects_junk(tmp_path):
@@ -331,7 +342,7 @@ def test_arpa_export_reproduces_model_probabilities(tmp_path):
     contexts += [tuple(rng.choice(vocab) for _ in range(2)) for _ in range(20)]
     for ctx in contexts:
         for w in rng.sample(vocab, 5) + [UNK]:
-            expected = model.prob(w, ctx)
+            expected = prob(model, w, ctx)
             got = arpa_prob(probs, bows, ctx, w)
             assert got == pytest.approx(expected, rel=2e-6), (ctx, w)
 
@@ -443,7 +454,7 @@ def test_arpa_round_trip_reproduces_every_probability(tmp_path, corpus, order, s
     contexts |= {(w,) for w in words} | {(SENT_START, w) for w in words}
     for ctx in sorted(contexts):
         for w in words:
-            expected = model.prob(w, ctx)
+            expected = prob(model, w, ctx)
             assert arpa_prob(probs, bows, ctx, w) == pytest.approx(expected, abs=1e-6), (ctx, w)
             assert expected == oracle.prob(w, ctx), (ctx, w)
 
@@ -482,7 +493,7 @@ def test_loaded_model_equals_trained_model_on_every_stored_gram(tmp_path, seed, 
     expected = model.probs(queries)
     assert loaded.probs(queries) == expected
     for (context, word), p in zip(queries, expected):
-        assert model.prob(word, context) == p, (context, word)
+        assert prob(model, word, context) == p, (context, word)
     model.to_arpa(tmp_path / "trained.arpa")
     loaded.to_arpa(tmp_path / "loaded.arpa")
     assert (tmp_path / "trained.arpa").read_bytes() == (tmp_path / "loaded.arpa").read_bytes()

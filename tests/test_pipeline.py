@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from corpus_forge.cli import main as cli_main
-from corpus_forge.config import ConfigError, PipelineConfig, STAGES
+from corpus_forge.config import ConfigError, PipelineConfig
 from corpus_forge import retrieval as rt
 from corpus_forge.manifest import (
     ManifestRow,
@@ -16,7 +16,7 @@ from corpus_forge.manifest import (
     read_tsv,
     write_manifest,
 )
-from corpus_forge.pipeline import StageError, corpus_stats, run_pipeline, run_stage
+from corpus_forge.pipeline import STAGE_TABLE, StageError, corpus_stats, run_pipeline, run_stage
 from corpus_forge.synth import SynthParams, synth_corpus
 from corpus_forge.textnorm import default_orthography, normalize
 
@@ -97,9 +97,9 @@ def test_config_hash_ignores_locations_only():
 
 def test_stage_seeds_differ_per_stage():
     cfg = PipelineConfig(seed=17)
-    seeds = {stage: cfg.stage_seed(stage) for stage in STAGES}
-    assert len(set(seeds.values())) == len(STAGES)
-    assert seeds == {stage: PipelineConfig(seed=17).stage_seed(stage) for stage in STAGES}
+    seeds = {stage: cfg.stage_seed(stage) for stage in STAGE_TABLE}
+    assert len(set(seeds.values())) == len(STAGE_TABLE)
+    assert seeds == {stage: PipelineConfig(seed=17).stage_seed(stage) for stage in STAGE_TABLE}
 
 
 # -- manifest I/O -----------------------------------------------------------------
@@ -229,7 +229,7 @@ def test_completed_run_invariants(completed_run):
     root, cfg, report = completed_run
     out = Path(cfg.output_dir)
     assert report["config_hash"] == cfg.config_hash()
-    assert set(report["stages"]) == set(STAGES)
+    assert set(report["stages"]) == set(STAGE_TABLE)
     manifests = {
         part: read_manifest(out / "manifests" / f"{part}.tsv", cfg.config_hash())
         for part in ("train", "dev", "test")
@@ -431,7 +431,8 @@ def tiny_input(root, token_lines):
     (root / "speakers.json").write_text(json.dumps({"spk_m00": {"gender": "M"}}),
                                         encoding="utf-8")
     path = root / "tokens" / "book000_ch00.jsonl"
-    path.write_text("".join(line + "\n" for line in token_lines), encoding="utf-8")
+    path.write_text("".join(line + "\n" for line in token_lines), encoding="utf-8",
+                    errors="surrogateescape")
     return path
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from corpus_forge import retrieval
 from corpus_forge.config import PipelineConfig
-from corpus_forge.manifest import read_manifest
+from corpus_forge.manifest import ManifestRow, read_manifest
 from corpus_forge.pipeline import read_books, run_pipeline
 from corpus_forge.retrieval import (
     ABSENT_ID,
@@ -19,11 +19,8 @@ from corpus_forge.retrieval import (
     edit_distance,
     fix_rare_wordforms,
     replace_numbers,
-    retrieve,
     retrieve_candidates,
-    retrieve_transcript,
     shard_book,
-    smith_waterman,
     wer,
 )
 from corpus_forge.synth import SynthParams, synth_corpus
@@ -50,6 +47,31 @@ WIDE_VOCAB = [a + b for a in VOCAB for b in "raselitonume"][:500]
 def random_words(rng, n, vocab=None):
     vocab = vocab or VOCAB
     return [rng.choice(vocab) for _ in range(n)]
+
+
+def rank(index, words, top_k=1):
+    """``retrieval._rank`` of one label: (shard index, score) of its
+    ``top_k`` best shards, [] when it shares no indexed bigram."""
+    return retrieval._rank(index, [index.encode(words)], top_k)[0]
+
+
+def align(query, reference):
+    """``retrieval._align`` of one pair of word lists, interned here into
+    one vocabulary as an index interns a book."""
+    ids = {}
+    both = np.array([ids.setdefault(w, len(ids)) for w in [*query, *reference]], dtype=np.int32)
+    return next(retrieval._align([both[: len(query)]], both, [(len(query), len(both))], len(ids)))
+
+
+def align_ids(query_ids, ref_ids, n_ids):
+    """``retrieval._align`` of encoded query ids against all of ``ref_ids``."""
+    return next(retrieval._align([query_ids], ref_ids, [(0, len(ref_ids))], n_ids))
+
+
+def transcript(book_words, shards, index, pseudo_words):
+    """``retrieval._transcripts`` of one label: (words, book word span,
+    alignment), or None when nothing matches."""
+    return next(retrieval._transcripts(book_words, shards, index, [list(pseudo_words)]))
 
 
 # -- sharding ----------------------------------------------------------------
@@ -98,13 +120,30 @@ def test_shard_coverage_oracle():
 # -- tf-idf index ------------------------------------------------------------
 
 
+def stored_bigrams(index):
+    """The index's stored arrays decoded by bigram words: {gram: df},
+    {gram: idf} and {gram: [(shard, weight), ...]} of the grams of nonzero
+    idf, whose weights are all the nonzero ones."""
+    words = list(index.vocab)
+    left, right = np.divmod(index.grams, len(words))
+    grams = [(words[a], words[b]) for a, b in zip(left.tolist(), right.tolist())]
+    ptr, shard, weight = index.ptr.tolist(), index.post_shard.tolist(), index.post_weight.tolist()
+    postings = {
+        gram: list(zip(shard[a:b], weight[a:b]))
+        for gram, a, b, idf in zip(grams, ptr, ptr[1:], index.gram_idf.tolist())
+        if idf != 0.0
+    }
+    return (dict(zip(grams, index.gram_df.tolist())), dict(zip(grams, index.gram_idf.tolist())),
+            postings)
+
+
 def test_single_shard_degenerates_to_tf_mode():
     shards = shard_book(["a", "b", "a", "b", "c"], "b")
     index = build_index(shards)
-    assert not index.postings  # all idf zero, every weighted entry pruned
-    result = retrieve(index, ["a", "b"])
-    assert result.status == "ok"
-    assert result.hits[0].shard.shard_id == 0
+    assert not stored_bigrams(index)[2]  # all idf zero, every weighted entry pruned
+    hits = rank(index, ["a", "b"])
+    assert hits  # a match, not "no match"
+    assert hits[0][0] == 0
 
 
 def test_everywhere_bigram_query_falls_back_to_tf():
@@ -120,9 +159,9 @@ def test_everywhere_bigram_query_falls_back_to_tf():
         ),
     ]
     index = build_index(shards)
-    result = retrieve(index, ["x", "y", "x"])
-    assert result.status == "ok"
-    assert result.hits[0].shard.shard_id == 1  # more raw occurrences
+    hits = rank(index, ["x", "y", "x"])
+    assert hits
+    assert hits[0][0] == 1  # more raw occurrences
 
 
 def test_bigram_in_every_shard_has_zero_idf():
@@ -134,9 +173,9 @@ def test_bigram_in_every_shard_has_zero_idf():
         type(s)(shard_id=i, book_id="b", word_offset=0, words=s.words)
         for i, s in enumerate(shards)
     ]
-    index = build_index(shards)
-    assert index.idf[("x", "y")] == 0.0
-    assert ("x", "y") not in index.postings  # zero entries pruned
+    _df, idf, postings = stored_bigrams(build_index(shards))
+    assert idf[("x", "y")] == 0.0
+    assert ("x", "y") not in postings  # zero entries pruned
 
 
 def test_vectors_match_counting_oracle():
@@ -154,11 +193,12 @@ def test_vectors_match_counting_oracle():
         )
     index = build_index(shards)
     vectors, df = count_bigram_vectors(shard_texts)
-    assert index.df == df
+    got_df, _idf, postings = stored_bigrams(index)
+    assert got_df == df
     for i, vec in enumerate(vectors):
         got = {
             g: w
-            for g, posting in index.postings.items()
+            for g, posting in postings.items()
             for s, w in posting
             if s == i
             for w in [w]
@@ -182,19 +222,17 @@ def test_verbatim_query_ranks_source_shard_first():
     words, shards, index = make_indexed_book(rng)
     shard = shards[7]
     query = list(shard.words[40:90])
-    result = retrieve(index, query)
-    assert result.status == "ok"
-    assert result.hits[0].shard.shard_id == 7
+    hits = rank(index, query)
+    assert hits
+    assert hits[0][0] == 7
 
 
 def test_no_shared_bigram_returns_no_match_status():
     rng = random.Random(3)
     _, _, index = make_indexed_book(rng)
-    result = retrieve(index, ["zzz", "qqq", "xxx"])
-    assert result.status == "no_match"
-    assert result.hits == []
+    assert rank(index, ["zzz", "qqq", "xxx"]) == []
     # one-word query cannot form a bigram either
-    assert retrieve(index, ["zzz"]).status == "no_match"
+    assert rank(index, ["zzz"]) == []
 
 
 def test_noisy_query_matches_exhaustive_cosine_oracle():
@@ -212,13 +250,13 @@ def test_noisy_query_matches_exhaustive_cosine_oracle():
     for i in range(len(query)):
         if rng.random() < 0.10:
             query[i] = rng.choice(VOCAB)
-    result = retrieve(index, query, top_k=3)
-    assert result.status == "ok"
-    assert result.hits[0].shard.shard_id == 13
+    hits = rank(index, query, top_k=3)
+    assert hits
+    assert hits[0][0] == 13
     oracle_scores = exhaustive_cosine_scores(shard_texts, query)
     expected_top = max(range(20), key=lambda i: (oracle_scores[i], -i))
-    assert result.hits[0].shard.shard_id == expected_top
-    assert result.hits[0].score == pytest.approx(oracle_scores[13], abs=1e-9)
+    assert hits[0][0] == expected_top
+    assert hits[0][1] == pytest.approx(oracle_scores[13], abs=1e-9)
 
 
 def near_tie_shards(seed):
@@ -247,7 +285,7 @@ def test_near_tie_cosines_follow_the_sequential_sum():
     ranked = retrieval._rank(index, [index.encode(q) for q in batch], 2)
     assert ranked == [ranked_shards(texts, q)[:2] for q in batch]
     assert ranked[1][0] == (winner, oracle[winner])  # same shard, bit-equal score
-    assert [(h.shard.shard_id, h.score) for h in retrieve(index, query, top_k=2).hits] == ranked[1]
+    assert rank(index, query, top_k=2) == ranked[1]  # a batch of one ranks the same
 
 
 # -- smith-waterman ----------------------------------------------------------
@@ -259,7 +297,7 @@ def ops_kinds(result):
 
 def test_identical_five_words():
     words = "a b c d e".split()
-    result = smith_waterman(words, words)
+    result = align(words, words)
     assert result.score == 10
     assert result.ref_span == (0, 5)
     assert result.query_span == (0, 5)
@@ -268,7 +306,7 @@ def test_identical_five_words():
 
 def test_abc_against_xabdcy_frozen_from_enumeration():
     # enumeration oracle value: align "a b c" onto "a b d c" (one deletion)
-    result = smith_waterman("a b c".split(), "x a b d c y".split())
+    result = align("a b c".split(), "x a b d c y".split())
     assert result.score == 5
     assert result.score == enumerate_local_alignment_score(
         "a b c".split(), "x a b d c y".split()
@@ -278,16 +316,17 @@ def test_abc_against_xabdcy_frozen_from_enumeration():
 
 
 def test_empty_sequences_rejected():
-    with pytest.raises(ValueError):
-        smith_waterman([], ["a"])
-    with pytest.raises(ValueError):
-        smith_waterman(["a"], [])
-    with pytest.raises(ValueError):  # scores that would overflow the int32 table
-        smith_waterman(["a"], ["a"], gap=-(2**30))
+    """An empty pseudo label or an empty book never reaches the aligner:
+    its segment is a miss of ``retrieve_candidates``."""
+    rows = [ManifestRow(sid, book, "ch", "spk", "F", 0, 1, text) for sid, book, text in (
+        ("s0", "b", ""), ("s1", "empty", "a b c"), ("s2", "b", "a b c"))]
+    candidates, misses = retrieve_candidates({"b": "x a b c y".split(), "empty": []}, rows)
+    assert misses == 2
+    assert [(c.segment_id, c.words) for c in candidates] == [("s2", ("a", "b", "c"))]
 
 
 def test_nothing_in_common_scores_zero():
-    result = smith_waterman(["a", "b"], ["x", "y", "z"])
+    result = align(["a", "b"], ["x", "y", "z"])
     assert result.score == 0
     assert result.ops == ()
 
@@ -317,7 +356,7 @@ def test_score_identity_and_replay_over_seeds():
     for _ in range(100):
         q = random_words(rng, rng.randint(1, 12), alphabet)
         r = random_words(rng, rng.randint(1, 40), alphabet)
-        result = smith_waterman(q, r)
+        result = align(q, r)
         kinds = ops_kinds(result)
         assert result.score == (
             2 * kinds.count("match")
@@ -335,7 +374,7 @@ def test_dp_score_equals_enumeration_oracle_100_seeds():
         q = random_words(rng, rng.randint(1, 12), alphabet)
         r = random_words(rng, rng.randint(1, 40), alphabet)
         expected = enumerate_local_alignment_score(q, r)
-        assert smith_waterman(q, r).score == expected, (q, r)
+        assert align(q, r).score == expected, (q, r)
         assert full_window_smith_waterman(q, r)[0] == expected, (q, r)
 
 
@@ -345,12 +384,12 @@ def test_score_symmetric_under_swap():
     for _ in range(50):
         q = random_words(rng, rng.randint(1, 10), alphabet)
         r = random_words(rng, rng.randint(1, 20), alphabet)
-        assert smith_waterman(q, r).score == smith_waterman(r, q).score
+        assert align(q, r).score == align(r, q).score
 
 
 def test_tie_break_prefers_earliest_then_shortest_span():
     # "a b" occurs twice; earliest occurrence wins
-    result = smith_waterman(["a", "b"], ["x", "a", "b", "y", "a", "b"])
+    result = align(["a", "b"], ["x", "a", "b", "y", "a", "b"])
     assert result.ref_span == (1, 3)
 
 
@@ -364,7 +403,8 @@ def test_id_kernel_equals_string_alignment():
         q = random_words(rng, rng.randint(1, 15), ["a", "b", "c", "d", "x", "y"])
         index = build_index(shard_book(ref, "b", shard_size=50, shard_stride=40))
         assert index.book_ids.tolist() == index.encode(ref).tolist()
-        assert smith_waterman(index.encode(q), index.book_ids) == smith_waterman(q, ref), (q, ref)
+        by_ids = align_ids(index.encode(q), index.book_ids, len(index.vocab))
+        assert by_ids == align(q, ref), (q, ref)
 
 
 def test_id_kernel_tie_break_over_equal_score_cells():
@@ -372,12 +412,12 @@ def test_id_kernel_tie_break_over_equal_score_cells():
     q = ["zz", "a", "b", "zz"]
     index = build_index(shard_book(ref, "b"))
     assert index.encode(q).tolist() == [-1, 0, 1, -1]  # "zz" is absent from the book
-    by_ids = smith_waterman(index.encode(q), index.book_ids)
-    assert by_ids == smith_waterman(q, ref)
+    by_ids = align_ids(index.encode(q), index.book_ids, len(index.vocab))
+    assert by_ids == align(q, ref)
     assert (by_ids.score, by_ids.ref_span, by_ids.query_span) == (4, (0, 2), (1, 3))
     # equal-score end cells in different query rows: the later row's
     # alignment starts earlier in the reference and wins
-    crossed = smith_waterman(["b", "a"], ["a", "z", "b"])
+    crossed = align(["b", "a"], ["a", "z", "b"])
     assert (crossed.score, crossed.ref_span, crossed.query_span) == (2, (0, 1), (1, 2))
 
 
@@ -412,7 +452,7 @@ def test_kernel_matches_full_window_across_several_runs():
     q = "a b c d e f".split()
     ref = filler(20) + ["a", "b", "x", "c"] + filler(30) + ["d", "e", "f"] + filler(25) + ["b"]
     assert len(column_runs(q, ref)) == 3
-    assert as_oracle(smith_waterman(q, ref)) == full_window_smith_waterman(q, ref)
+    assert as_oracle(align(q, ref)) == full_window_smith_waterman(q, ref)
 
 
 def test_equal_scores_in_far_apart_runs_keep_the_earliest_start():
@@ -422,7 +462,7 @@ def test_equal_scores_in_far_apart_runs_keep_the_earliest_start():
     ref = filler(10) + ["a", "b", "c"] + filler(200) + ["c", "a", "b", "c"] + filler(10)
     runs = column_runs(q, ref)
     assert [bound for _, _, bound in runs] == [6, 8]
-    result = smith_waterman(q, ref)
+    result = align(q, ref)
     assert as_oracle(result) == full_window_smith_waterman(q, ref)
     assert (result.score, result.ref_span, result.query_span) == (6, (10, 13), (0, 3))
 
@@ -430,10 +470,10 @@ def test_equal_scores_in_far_apart_runs_keep_the_earliest_start():
 def test_zero_score_when_no_column_can_score():
     for q, ref in ((["a", "b"], filler(50)), (["a"], ["b"])):
         expected = full_window_smith_waterman(q, ref)
-        assert as_oracle(smith_waterman(q, ref)) == expected
+        assert as_oracle(align(q, ref)) == expected
     assert column_runs(["a", "b"], filler(50)) == []
     ids = np.array([ABSENT_ID, ABSENT_ID], dtype=np.int32)
-    assert smith_waterman(ids, np.arange(40, dtype=np.int32)).score == 0
+    assert align_ids(ids, np.arange(40, dtype=np.int32), 40).score == 0
 
 
 def test_single_run_covering_the_whole_window():
@@ -441,7 +481,7 @@ def test_single_run_covering_the_whole_window():
     q = random_words(rng, 8, ["a", "b", "c"])
     ref = random_words(rng, 300, ["a", "b", "c"])
     assert [run[:2] for run in column_runs(q, ref)] == [(0, 300)]
-    assert as_oracle(smith_waterman(q, ref)) == full_window_smith_waterman(q, ref)
+    assert as_oracle(align(q, ref)) == full_window_smith_waterman(q, ref)
 
 
 def test_kernel_matches_full_window_on_seeded_windows():
@@ -467,8 +507,8 @@ def test_kernel_matches_full_window_on_seeded_windows():
         index = build_index(shard_book(ref, "b", shard_size=200, shard_stride=150))
         q_ids = index.encode(q)
         expected = full_window_smith_waterman(q_ids, index.book_ids)
-        assert as_oracle(smith_waterman(q_ids, index.book_ids)) == expected, seed
-        assert as_oracle(smith_waterman(q, ref)) == expected, seed
+        assert as_oracle(align_ids(q_ids, index.book_ids, len(index.vocab))) == expected, seed
+        assert as_oracle(align(q, ref)) == expected, seed
         absent += ABSENT_ID in q_ids.tolist()
         several_runs += len(column_runs(q, ref)) > 1
     assert absent >= 100 and several_runs >= 100
@@ -501,7 +541,7 @@ def test_batched_aligner_matches_full_window_per_entry(monkeypatch):
     entries.append((entries[5][0][::-1], entries[5][1]))  # a second query on a shared window
     queries = [index.encode(q) for q, _ in entries]
     windows = [w for _, w in entries]
-    got = list(retrieval._align(queries, index.book_ids, windows, len(index.vocab), 2, -1, -1))
+    got = list(retrieval._align(queries, index.book_ids, windows, len(index.vocab)))
     for (q, (a, b)), result in zip(entries, got):
         assert as_oracle(result) == full_window_smith_waterman(index.encode(q), index.book_ids[a:b])
     runs = column_runs(second_run, book[400:1000])
@@ -540,21 +580,21 @@ def test_replace_numbers_multiword_reading():
 def test_replace_numbers_multiword_reading_from_real_alignment():
     matched = "when the chapter 401 begins we read on".split()
     pseudo = "when the chapter four o one begins we read on".split()
-    aligned = smith_waterman(pseudo, matched)
+    aligned = align(pseudo, matched)
     assert replace_numbers(aligned, matched, pseudo) == pseudo
 
 
 def test_replace_numbers_identity_without_digits():
     matched = "plain words only here".split()
     pseudo = "plain words only here".split()
-    aligned = smith_waterman(pseudo, matched)
+    aligned = align(pseudo, matched)
     assert replace_numbers(aligned, matched, pseudo) == matched
 
 
 def test_replace_numbers_drops_unread_page_number():
     matched = "the story ends 142 the next begins".split()
     pseudo = "the story ends the next begins".split()
-    aligned = smith_waterman(pseudo, matched)
+    aligned = align(pseudo, matched)
     assert replace_numbers(aligned, matched, pseudo) == pseudo
 
 
@@ -567,7 +607,7 @@ def test_replace_numbers_output_has_no_digits_when_aligned():
         spot = rng.randrange(2, 18)
         matched[spot] = str(rng.randint(1, 999))
         pseudo[spot] = "spoken"
-        aligned = smith_waterman(pseudo, matched)
+        aligned = align(pseudo, matched)
         out = replace_numbers(aligned, matched, pseudo)
         assert not any(c.isdigit() for w in out for c in w)
 
@@ -796,7 +836,7 @@ def test_verbatim_query_recovers_exact_span():
         index = build_index(shards)
         start = rng.randint(0, len(words) - 60)
         query = words[start : start + 40]
-        found = retrieve_transcript(words, shards, index, query)
+        found = transcript(words, shards, index, query)
         assert found is not None
         cand, span, aligned = found
         assert span == (start, start + 40)
@@ -816,7 +856,7 @@ def test_noisy_query_span_wer_bounded_by_noise():
         query = list(truth)
         for pos in rng.sample(range(50), int(noise * 50)):
             query[pos] = rng.choice(WIDE_VOCAB)
-        found = retrieve_transcript(words, shards, index, query)
+        found = transcript(words, shards, index, query)
         assert found is not None
         cand, span, _ = found
         assert wer(cand, truth) <= noise

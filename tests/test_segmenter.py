@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from corpus_forge import pipeline
 from corpus_forge.cli import main as cli_main
+from corpus_forge.pipeline import StageError, run_stage
 from corpus_forge.segmenter import (
     FORCED_CUT_SLACK_MS,
     TokenStream,
@@ -46,6 +48,21 @@ def random_stream(seed, n_tokens=100, word_ms=(200, 500), gap_ms=(20, 300), paus
         else:
             t += dur + rng.randint(*gap_ms)
     return stream_of(tokens)
+
+
+def zero_length_cut_stream(seed):
+    """Speech without silence, so every cut is forced, with zero-length
+    tokens on token boundaries and some tokens too long to keep: zero-length
+    tokens land on forced cuts, also right before a dropped token."""
+    rng = random.Random(seed)
+    pairs, t = [], 0
+    for _ in range(rng.randint(20, 120)):
+        pairs += [(t, t)] * rng.choice((0, 0, 1, 2))
+        dur = rng.choices([rng.randint(150, 900), rng.randint(900, 2_500), rng.randint(20_300, 24_000)],
+                          weights=(80, 10, 10))[0]
+        pairs.append((t, t + dur))
+        t += dur
+    return make_tokens(pairs)
 
 
 # -- silence_gaps ------------------------------------------------------------
@@ -165,36 +182,52 @@ def test_boundaries_match_brute_force_oracle_seed_42():
 
 @pytest.mark.parametrize("seed", range(20))
 def test_properties_over_seeded_streams(seed):
-    tokens = random_stream(seed, n_tokens=150)
-    result = segment_stream(tokens)
-    segments = result.segments
-    # determinism
-    again = segment_stream(tokens)
-    assert [(s.start, s.end) for s in again.segments] == [
-        (s.start, s.end) for s in segments
-    ]
-    # duration bounds on all emitted segments
-    for seg in segments:
-        assert 10_000 <= seg.duration <= 20_000
-    # strictly increasing starts, tiling without overlap
-    pieces = [(s.start, s.end) for s in segments]
-    if result.residual is not None:
-        pieces.append((result.residual.start, result.residual.end))
-    assert pieces == sorted(pieces)
-    for (a_start, a_end), (b_start, b_end) in zip(pieces, pieces[1:]):
-        assert a_end == b_start
-        assert a_start < b_start
-    assert pieces[0][0] == tokens.starts[0]
-    assert pieces[-1][1] == tokens.ends[-1]
-    # the segments' ranges and the residual cover 0..n-1 once, in order
-    assigned = [i for s in segments for i in s.tokens]
-    if result.residual is not None:
-        assigned += list(result.residual.tokens)
-    assert assigned == list(range(len(tokens)))
-    for seg in segments:
-        assert seg.words == [tokens.words[i] for i in seg.tokens]
-        for i in seg.tokens:
-            assert seg.start <= tokens.starts[i] and tokens.ends[i] <= seg.end
+    """One paused stream per seed, where no cut is forced, and 40
+    ``zero_length_cut_stream``s per seed, 800 in all."""
+    streams = [random_stream(seed, n_tokens=150)]
+    streams += [zero_length_cut_stream(seed * 40 + k) for k in range(40)]
+    zero_dropped = 0
+    for paused, tokens in zip([True] + [False] * 40, streams):
+        result = segment_stream(tokens)
+        segments, dropped = result.segments, result.dropped_tokens
+        # determinism
+        again = segment_stream(tokens)
+        assert [(s.start, s.end) for s in again.segments] == [
+            (s.start, s.end) for s in segments
+        ]
+        assert again.dropped_tokens == dropped
+        # duration bounds on all emitted segments
+        for seg in segments:
+            if paused:
+                assert 10_000 <= seg.duration <= 20_000
+            else:
+                assert 0 < seg.duration <= 20_000 + FORCED_CUT_SLACK_MS
+        assert not (paused and dropped)
+        # strictly increasing starts, tiling without overlap once the
+        # dropped tokens' spans fill their holes
+        assert all(a.start < b.start for a, b in zip(segments, segments[1:]))
+        pieces = [(s.start, s.end) for s in segments]
+        if result.residual is not None:
+            pieces.append((result.residual.start, result.residual.end))
+        assert pieces == sorted(pieces)
+        pieces = sorted(pieces + [(tokens.starts[i], tokens.ends[i]) for i in dropped])
+        for (a_start, a_end), (b_start, b_end) in zip(pieces, pieces[1:]):
+            assert a_end == b_start
+        assert pieces[0][0] == tokens.starts[0]
+        assert pieces[-1][1] == tokens.ends[-1]
+        # the segments' ranges and the residual, in order, and the ascending
+        # dropped indices cover 0..n-1 once
+        assigned = [i for s in segments for i in s.tokens]
+        if result.residual is not None:
+            assigned += list(result.residual.tokens)
+        assert assigned == sorted(assigned) and dropped == sorted(dropped)
+        assert sorted(assigned + dropped) == list(range(len(tokens)))
+        for seg in segments:
+            assert seg.words == [tokens.words[i] for i in seg.tokens]
+            for i in seg.tokens:
+                assert seg.start <= tokens.starts[i] and tokens.ends[i] <= seg.end
+        zero_dropped += sum(tokens.starts[i] == tokens.ends[i] for i in dropped)
+    assert zero_dropped >= 1  # a zero-width cut before a dropped token was met
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -339,6 +372,7 @@ HOSTILE_LINES = {
     "float-start": '{"w": "b", "s": 1.9, "e": 300}',
     "string-end": '{"w": "b", "s": 100, "e": "300"}',
     "bool-start": '{"w": "b", "s": true, "e": 300}',
+    "non-utf8": '{"w": "b\udcff", "s": 100, "e": 300}',  # written as the byte 0xff
 }
 
 
@@ -346,7 +380,8 @@ HOSTILE_LINES = {
 def test_hostile_token_line_fails_at_the_reader(tmp_path, capsys, line):
     path = tmp_path / "streams" / "rec.jsonl"
     path.parent.mkdir()
-    path.write_text('{"w": "a", "s": 0, "e": 1}\n' + line + "\n", encoding="utf-8")
+    path.write_text('{"w": "a", "s": 0, "e": 1}\n' + line + "\n", encoding="utf-8",
+                    errors="surrogateescape")
     with pytest.raises(TokenStreamError) as err:
         read_token_stream(path)
     assert str(err.value).startswith(f"{path}:2: bad token line: ")
@@ -373,6 +408,12 @@ def test_first_fault_in_file_order_is_named(tmp_path):
     with pytest.raises(TokenStreamError) as err:
         read_token_stream(path)
     assert str(err.value).startswith(f"{path}:5: bad token line: ")
+    # an order fault on line 2 beats bad bytes on line 4
+    path.write_bytes(b'{"w": "a", "s": 500, "e": 900}\n{"w": "b", "s": 0, "e": 400}\n\n'
+                     b'{"w": "\xff", "s": 1000, "e": 1200}\n')
+    with pytest.raises(TokenStreamError) as err:
+        read_token_stream(path)
+    assert str(err.value) == f"{path}:2: token stream is not sorted by start time"
 
 
 def test_blank_lines_keep_line_numbers(tmp_path):
@@ -394,6 +435,17 @@ def test_zero_length_token_after_a_dropped_token_is_kept():
     assert result.segments[1].tokens == range(2, 4)
 
 
+def test_zero_length_token_before_a_dropped_token_is_dropped():
+    # after token 1 is dropped, the next cut is forced inside token 3, which
+    # starts where the segment starts: the zero-width cut drops token 2 too
+    tokens = TokenStream(["a", "b", "z", "c", "d"], [0, 19_900, 21_000, 21_000, 42_100],
+                         [19_900, 21_000, 21_000, 42_000, 50_000])
+    result = segment_stream(tokens, 10_000, 20_000)
+    assert [s.tokens for s in result.segments] == [range(0, 1)]
+    assert result.dropped_tokens == [1, 2, 3]
+    assert result.residual.tokens == range(4, 5)
+
+
 @pytest.mark.parametrize("line", [
     '{"w": "b", "s": 0, "e": 1}',
     '{"w": "b", "s": 1, "e": 3}',
@@ -407,3 +459,18 @@ def test_token_file_fault_exits_2_from_run(tmp_path, capsys, line):
                         encoding="utf-8")
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}:2: ")
+
+
+def test_segment_stage_fails_when_a_chapter_loses_or_repeats_a_token(tmp_path, monkeypatch):
+    """Per chapter, the segment stage checks that the segments, the residual
+    and the dropped tokens cover every token once."""
+    tiny_input(tmp_path / "input", ['{"w": "a", "s": 0, "e": 6000}', '{"w": "b", "s": 6000, "e": 12000}'])
+
+    def repeating(*args, **kwargs):
+        result = segment_stream(*args, **kwargs)
+        result.dropped_tokens.append(0)  # token 0 is in a segment already
+        return result
+
+    monkeypatch.setattr(pipeline, "segment_stream", repeating)
+    with pytest.raises(StageError, match="^stage segment: chapter book000_ch00: .* its 2 tokens once$"):
+        run_stage(small_config(tmp_path), "segment")
