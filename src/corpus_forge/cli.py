@@ -1,12 +1,15 @@
 """corpus-forge command line.
 
-Standalone subcommands (normalize, segment, retrieve, decontam, lm-train,
-lm-eval) operate on explicit files through the per-item steps that the
-pipeline stages use. The split and limited subcommands run their stage
-through the pipeline's stage runner against an existing run directory, since
-their inputs are the joined pipeline state, so they check the provenance of
-every stage they read. ``run`` executes the whole pipeline from a config
-file. Exit codes: 0 success, 2 validation/config failure, 3 stage failure.
+The standalone subcommands run their stage's own step on explicit files:
+normalize ``normalize_file``, segment ``segment_chapters`` (with no catalog,
+so book, speaker and gender stay empty), retrieve ``retrieve_candidates``,
+decontam ``decontaminate`` (titles from ``books.json`` under
+``--input-dir``), lm-train ``read_sentences`` and ``ngramlm.train``, lm-eval
+``ngramlm.evaluate``. Split and limited run their stage through the stage
+runner against an existing run directory, since their inputs are the joined
+pipeline state, so they check the provenance of every stage they read.
+``run`` executes the whole pipeline from a config file. Exit codes: 0
+success, 2 validation/config failure, 3 stage failure.
 """
 
 from __future__ import annotations
@@ -31,12 +34,14 @@ from .manifest import (
 from .pipeline import (
     STAGE_TABLE,
     StageError,
+    decontaminate,
     normalize_file,
     read_books,
+    read_catalog,
     read_sentences,
     run_pipeline,
     run_stage,
-    segment_chapter,
+    segment_chapters,
 )
 from .textnorm import load_orthography
 
@@ -64,18 +69,12 @@ def cmd_segment(args) -> int:
     if not files:
         print(f"no .jsonl token streams under {args.indir}", file=sys.stderr)
         return 2
-    rows, residuals = [], 0
-    for path in files:
-        chapter_rows, result, _stream = segment_chapter(
-            path, int(args.min_sec * 1000), int(args.max_sec * 1000), args.keep_residual,
-            {}, {}, {},
-        )
-        rows += chapter_rows
-        residuals += result.residual is not None
-    rows.sort(key=lambda r: r.segment_id)
+    rows, residuals, dropped = segment_chapters(
+        files, int(args.min_sec * 1000), int(args.max_sec * 1000), args.keep_residual, {}, {}, {},
+    )
     write_manifest(args.out, rows, ADHOC_HASH)
     print(f"wrote {len(rows)} segments from {len(files)} streams "
-          f"({residuals} residual tails)")
+          f"({len(residuals)} residual tails, {len(dropped)} dropped tokens)")
     return 0
 
 
@@ -93,22 +92,14 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_decontam(args) -> int:
-    stopwords = dc.stopword_list(args.stopwords)
-    heldout_texts = []
-    for manifest in args.heldout:
-        heldout_texts.extend(r.transcript.split() for r in read_manifest(manifest))
-    index = dc.build_heldout_index(heldout_texts, stopwords)
-    heldout_titles = [t.split() for t in args.heldout_title]
-    candidates = [
-        dc.LmBook(book_id=bid, title=tuple(bid.replace("_", " ").split()), tokens=tuple(words))
-        for bid, words in read_books(args.books).items()
-    ]
-    kept, removed, report = dc.filter_corpus(
-        candidates, heldout_titles, index,
-        threshold=args.threshold, count_tokens=args.count_tokens,
+    heldout_rows = [row for manifest in args.heldout for row in read_manifest(manifest)]
+    books = read_books(args.books)
+    kept, removed, report, _index = decontaminate(
+        books, {b.book_id: b.title for b in read_catalog(args.input_dir)[0]}, heldout_rows,
+        dc.stopword_list(args.stopwords), args.threshold, args.count_tokens,
     )
     dc.write_report(args.report, report, ADHOC_HASH)
-    print(f"kept {len(kept)}, removed {len(removed)} of {len(candidates)} books")
+    print(f"kept {len(kept)}, removed {len(removed)} of {len(books)} books")
     return 0
 
 
@@ -234,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decontam", help="filter held-out leakage from LM books")
     p.add_argument("--heldout", nargs="+", required=True,
                    help="dev/test manifest TSVs")
-    p.add_argument("--heldout-title", action="append", default=[],
-                   help="held-out book title (repeatable)")
+    p.add_argument("--input-dir", dest="input_dir", required=True,
+                   help="corpus root whose books.json gives every book's title")
     p.add_argument("--books", required=True, help="directory of normalized book texts")
     p.add_argument("--stopwords", help="stopword file (default: bundled)")
     p.add_argument("--threshold", type=float, default=0.01)

@@ -62,13 +62,10 @@ def _fivegrams(tokens, stopwords, distinct: bool = True):
     return [tuple(kept[i : i + NGRAM_ORDER]) for i in range(len(kept) - NGRAM_ORDER + 1)]
 
 
-def title_match(candidate_title, heldout_titles) -> bool:
+def title_match(candidate_title, dev_test_titles) -> bool:
     """True when the word edit distance to any held-out title is < 2."""
-    candidate = list(candidate_title)
-    for title in heldout_titles:
-        if edit_distance(candidate, title) < TITLE_DISTANCE_LIMIT:
-            return True
-    return False
+    return any(edit_distance(candidate_title, title) < TITLE_DISTANCE_LIMIT
+               for title in dev_test_titles)
 
 
 def build_heldout_index(texts, stopwords) -> FiveGramIndex:
@@ -104,7 +101,7 @@ class LmBook:
 
 def filter_corpus(
     books,
-    heldout_titles,
+    dev_test_titles,
     index: FiveGramIndex,
     threshold: float = DEFAULT_CONTAMINATION_THRESHOLD,
     count_tokens: bool = False,
@@ -113,10 +110,9 @@ def filter_corpus(
     kept: list[LmBook] = []
     removed: list[LmBook] = []
     report: list[dict] = []
-    heldout_titles = [list(t) for t in heldout_titles]
     for book in books:
         rate = contamination_rate(book.tokens, index, count_tokens=count_tokens)
-        if title_match(book.title, heldout_titles):
+        if title_match(book.title, dev_test_titles):
             reason = "title"
         elif rate > threshold:
             reason = "ngram-overlap"

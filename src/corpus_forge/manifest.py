@@ -47,6 +47,10 @@ CANDIDATE_COLUMNS = (
 PARTITIONS = ("train", "dev", "test", "unassigned")
 
 
+class InputError(ValueError):
+    """An input file that breaks its format, named with its faulty line."""
+
+
 class ProvenanceError(ValueError):
     """Raised when a file's config hash does not match the active run."""
 

@@ -91,7 +91,8 @@ def _run_sums(values, starts):
 
 
 class NGramModel:
-    """Immutable after construction; safe to query concurrently.
+    """Tables and counts never change after construction; ``save`` and
+    ``to_arpa`` fill the gram-string cache ``_joined`` on first use.
 
     ``tables[k-1]`` holds the order-k grams as sorted rows of word ids
     (``words[i]`` is the word of id i), ``counts[k-1]`` their adjusted counts.

@@ -23,6 +23,7 @@ from . import retrieval as rt
 from . import splitter as sp
 from .config import PipelineConfig
 from .manifest import (
+    InputError,
     ManifestRow,
     ProvenanceError,
     read_candidates,
@@ -34,7 +35,7 @@ from .manifest import (
     write_manifest,
     write_tsv,
 )
-from .segmenter import TokenStreamError, read_token_stream, segment_stream
+from .segmenter import read_token_stream, segment_stream
 from .textnorm import load_orthography, normalize_lines
 
 
@@ -111,31 +112,64 @@ def read_catalog(input_dir) -> tuple[list[sp.BookRecord], dict[str, dict]]:
 
 
 def normalize_file(src: Path, dst: Path, orth) -> int:
-    """Write the normalized text of one raw file; returns its token count."""
-    lines = normalize_lines(src.read_text(encoding="utf-8"), orth)
+    """Write the normalized text of one raw file; returns its token count.
+    Bytes that are not UTF-8 fail naming the file and the line."""
+    # line ends translated as in text mode; no UTF-8 sequence holds a \r or \n byte
+    raw = src.read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{src}:{line}: not valid UTF-8") from None
+    lines = normalize_lines(text, orth)
     dst.write_text("\n".join(l.text() for l in lines) + "\n", encoding="utf-8")
     return sum(len(l) for l in lines)
 
 
-def segment_chapter(path: Path, min_ms: int, max_ms: int, keep_residual: bool,
-                    book_of: dict, speaker_of: dict, gender_of: dict):
-    """Segment one chapter's token stream (``<chapter_id>.jsonl``).
+def segment_chapters(paths, min_ms: int, max_ms: int, keep_residual: bool,
+                     book_of: dict, speaker_of: dict, gender_of: dict):
+    """Segment each chapter's token stream (``<chapter_id>.jsonl``) into its
+    manifest rows, its residual tail (when not kept) and its dropped tokens,
+    checking that these cover every token once. Returns the three row lists,
+    manifest rows sorted by id; chapters missing from the maps get empty
+    book, speaker and gender fields."""
+    rows, residuals, dropped = [], [], []
+    for path in paths:
+        chapter_id = path.stem
+        stream = read_token_stream(path)
+        result = segment_stream(stream, min_ms, max_ms, keep_residual,
+                                segment_id_prefix=chapter_id)
+        speaker = speaker_of.get(chapter_id, "")
+        rows += [ManifestRow(seg.segment_id, book_of.get(chapter_id, ""), chapter_id, speaker,
+                             gender_of.get(speaker, ""), seg.start, seg.end, " ".join(seg.words))
+                 for seg in result.segments if seg.tokens]
+        tail = result.residual
+        placed = [i for seg in result.segments for i in seg.tokens] + result.dropped_tokens
+        if tail is not None and not keep_residual:
+            residuals.append((chapter_id, tail.start, tail.end, len(tail.tokens)))
+            placed += tail.tokens
+        if sorted(placed) != list(range(len(stream))):
+            raise StageError("segment", f"chapter {chapter_id}: segments, residual and dropped "
+                                        f"tokens do not cover its {len(stream)} tokens once")
+        dropped += [(chapter_id, stream.words[i], stream.starts[i], stream.ends[i])
+                    for i in result.dropped_tokens]
+    rows.sort(key=lambda r: r.segment_id)
+    return rows, residuals, dropped
 
-    Returns its segment-manifest rows, the segmentation result and the stream.
-    Chapters missing from the maps get empty book, speaker and gender fields.
-    """
-    chapter_id = path.stem
-    stream = read_token_stream(path)
-    result = segment_stream(stream, min_ms, max_ms, keep_residual,
-                            segment_id_prefix=chapter_id)
-    speaker = speaker_of.get(chapter_id, "")
-    rows = [
-        ManifestRow(seg.segment_id, book_of.get(chapter_id, ""), chapter_id, speaker,
-                    gender_of.get(speaker, ""), seg.start, seg.end, " ".join(seg.words))
-        for seg in result.segments
-        if seg.tokens
-    ]
-    return rows, result, stream
+
+def decontaminate(books: dict, titles: dict, heldout_rows, stopwords, threshold: float,
+                  count_tokens: bool):
+    """Filter the LM candidate books (book_id -> words) against the held-out
+    manifest rows. Every title, a candidate's or a held-out row's book's,
+    comes from ``titles`` (book_id -> title words, as ``read_catalog`` reads
+    them). Returns the kept and removed books, the report rows and the index."""
+    index = dc.build_heldout_index((r.transcript.split() for r in heldout_rows), stopwords)
+    dev_test_titles = [titles[b] for b in sorted({r.book_id for r in heldout_rows}) if b in titles]
+    candidates = [dc.LmBook(bid, titles.get(bid, ()), tuple(words))
+                  for bid, words in sorted(books.items())]
+    kept, removed, report = dc.filter_corpus(candidates, dev_test_titles, index,
+                                             threshold=threshold, count_tokens=count_tokens)
+    return kept, removed, report, index
 
 
 def read_books(directory) -> dict[str, list[str]]:
@@ -183,28 +217,11 @@ def stage_segment(cfg: PipelineConfig) -> dict:
     token_dir = Path(cfg.input_dir) / "tokens"
     if not token_dir.is_dir():
         raise FileNotFoundError(f"input token directory {token_dir} does not exist")
+    rows, residuals, dropped = segment_chapters(
+        sorted(token_dir.glob("*.jsonl")), cfg.min_segment_ms, cfg.max_segment_ms,
+        cfg.keep_residual, book_of, speaker_of, gender_of,
+    )
     out = _stage_dir(cfg, "segment")
-
-    rows, residuals, dropped = [], [], []
-    for path in sorted(token_dir.glob("*.jsonl")):
-        chapter_id = path.stem
-        chapter_rows, result, stream = segment_chapter(
-            path, cfg.min_segment_ms, cfg.max_segment_ms, cfg.keep_residual,
-            book_of, speaker_of, gender_of,
-        )
-        rows += chapter_rows
-        tail = result.residual
-        placed = [i for seg in result.segments for i in seg.tokens] + result.dropped_tokens
-        if tail is not None and not cfg.keep_residual:
-            residuals.append((chapter_id, tail.start, tail.end, len(tail.tokens)))
-            placed += tail.tokens
-        if sorted(placed) != list(range(len(stream))):
-            raise StageError("segment", f"chapter {chapter_id}: segments, residual and dropped "
-                                        f"tokens do not cover its {len(stream)} tokens once")
-        dropped += [(chapter_id, stream.words[i], stream.starts[i], stream.ends[i])
-                    for i in result.dropped_tokens]
-
-    rows.sort(key=lambda r: r.segment_id)
     write_manifest(out / "segments.tsv", rows, cfg.config_hash())
     write_tsv(out / "residuals.tsv", ("chapter_id", "start_ms", "end_ms", "tokens"),
               residuals, cfg.config_hash())
@@ -437,32 +454,16 @@ def stage_decontam(cfg: PipelineConfig) -> dict:
     books = read_books(_stage_dir(cfg, "normalize"))
     dev_rows = read_manifest(_manifest_dir(cfg) / "dev.tsv", cfg.config_hash())
     test_rows = read_manifest(_manifest_dir(cfg) / "test.tsv", cfg.config_hash())
-    heldout_rows = dev_rows + test_rows
-
-    stopwords = dc.stopword_list(cfg.stopwords, cfg.language)
-    index = dc.build_heldout_index(
-        (r.transcript.split() for r in heldout_rows), stopwords
-    )
-    heldout_books = {r.book_id for r in heldout_rows}
-    heldout_titles = [titles[b] for b in sorted(heldout_books) if b in titles]
-
-    candidates = [
-        dc.LmBook(book_id=bid, title=titles.get(bid, ()), tokens=tuple(words))
-        for bid, words in sorted(books.items())
-    ]
-    kept, removed, report = dc.filter_corpus(
-        candidates,
-        heldout_titles,
-        index,
-        threshold=cfg.decontam_threshold,
-        count_tokens=cfg.decontam_count_tokens,
+    kept, removed, report, index = decontaminate(
+        books, titles, dev_rows + test_rows, dc.stopword_list(cfg.stopwords, cfg.language),
+        cfg.decontam_threshold, cfg.decontam_count_tokens,
     )
     lm_dir = _lm_dir(cfg)
     lm_dir.mkdir(parents=True, exist_ok=True)
     dc.write_report(lm_dir / "decontam_report.tsv", report, cfg.config_hash())
     write_lines(lm_dir / "corpus_books.txt", [b.book_id for b in kept], cfg.config_hash())
     return {
-        "candidates": len(candidates),
+        "candidates": len(books),
         "kept": len(kept),
         "removed": len(removed),
         "heldout_fivegrams": len(index),
@@ -542,8 +543,9 @@ def run_stage(cfg: PipelineConfig, name: str) -> dict:
     The stage's old ``provenance.json`` goes first, so a stage that fails
     part-way leaves none and its successors refuse its outputs. Then every
     stage it reads must have provenance under this run's config hash. A
-    fault of a token file is an input fault and stays a ``TokenStreamError``;
-    any other failure of the stage itself becomes a ``StageError`` naming it.
+    fault of an input file, which names the file and the line, stays an
+    ``InputError``; any other failure of the stage itself becomes a
+    ``StageError`` naming it.
     """
     out = _stage_dir(cfg, name)
     (out / "provenance.json").unlink(missing_ok=True)
@@ -553,7 +555,7 @@ def run_stage(cfg: PipelineConfig, name: str) -> dict:
     try:
         # looked up on the module at call time, so a rebound stage_<name> is used
         summary = globals()[f"stage_{name}"](cfg)
-    except (StageError, ProvenanceError, TokenStreamError):
+    except (StageError, ProvenanceError, InputError):
         raise
     except Exception as exc:
         raise StageError(name, str(exc)) from exc

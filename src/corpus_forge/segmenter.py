@@ -25,6 +25,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .manifest import InputError
+
 DEFAULT_MIN_LEN_MS = 10_000
 DEFAULT_MAX_LEN_MS = 20_000
 
@@ -33,7 +35,7 @@ DEFAULT_MAX_LEN_MS = 20_000
 FORCED_CUT_SLACK_MS = 250
 
 
-class TokenStreamError(ValueError):
+class TokenStreamError(InputError):
     """A token stream or file that breaks the token rules; the stream check
     sets ``index``, the position of the first bad token."""
 

@@ -244,6 +244,12 @@ def select_hard_speakers(candidates, reference_wers, percentile: float = 0.80):
     return [sp for sp in candidates if sp.mean_pseudo_wer > cutoff]
 
 
+TEN_MINUTE_SETS = 6
+SET_SPEAKERS_PER_GENDER = 3
+SET_MINUTES_PER_GENDER = 5.0
+REMAINDER_HOURS_PER_GENDER = 4.5
+
+
 @dataclass
 class LimitedSets:
     ten_minute: tuple[frozenset[str], ...]
@@ -256,17 +262,14 @@ def make_limited_supervision(
     segments,
     seed: int,
     speakers_per_gender: int = 15,
-    minutes_per_gender: float = 5.0,
-    remainder_hours_per_gender: float = 4.5,
-    n_ten_minute_sets: int = 6,
-    speakers_per_set_per_gender: int = 3,
 ) -> LimitedSets:
     """Carve nested limited-supervision subsets out of the train partition.
 
     ``segments``: (segment_id, speaker_id, gender, duration_s) rows. Six
-    10-minute sets are pairwise disjoint; their union is the 1 h set, which
-    the 10 h set extends with up to 4.5 h per gender from the same speaker
-    pool. Shortfalls shrink proportionally and are reported.
+    10-minute sets, each 5 minutes per gender from 3 speakers per gender, are
+    pairwise disjoint; their union is the 1 h set, which the 10 h set extends
+    with up to 4.5 h per gender from the same speaker pool. Shortfalls shrink
+    proportionally and are reported.
     """
     rng = random.Random(
         int.from_bytes(hashlib.sha256(f"{seed}:limited".encode()).digest()[:8], "big")
@@ -316,13 +319,13 @@ def make_limited_supervision(
         return chosen
 
     ten_minute: list[frozenset[str]] = []
-    for _ in range(n_ten_minute_sets):
+    for _ in range(TEN_MINUTE_SETS):
         members: set[str] = set()
         for g in GENDERS:
             avail = pool[g]
-            take = min(speakers_per_set_per_gender, len(avail))
+            take = min(SET_SPEAKERS_PER_GENDER, len(avail))
             chosen_speakers = rng.sample(sorted(avail), take) if avail else []
-            members.update(draw(chosen_speakers, minutes_per_gender * 60.0, used))
+            members.update(draw(chosen_speakers, SET_MINUTES_PER_GENDER * 60.0, used))
         used |= members
         ten_minute.append(frozenset(members))
 
@@ -330,7 +333,7 @@ def make_limited_supervision(
 
     nine_hour: set[str] = set()
     for g in GENDERS:
-        nine_hour.update(draw(pool[g], remainder_hours_per_gender * 3600.0, used))
+        nine_hour.update(draw(pool[g], REMAINDER_HOURS_PER_GENDER * 3600.0, used))
     ten_hour = frozenset(one_hour | nine_hour)
 
     report["pool"] = {g: pool[g] for g in GENDERS}

@@ -436,6 +436,22 @@ def tiny_input(root, token_lines):
     return path
 
 
+@pytest.mark.parametrize("entry", ["run", "normalize"])
+def test_book_file_that_is_not_utf8_exits_2_naming_its_line(tmp_path, capsys, entry):
+    tiny_input(tmp_path / "input", ['{"w": "alpha", "s": 0, "e": 500}'])
+    book = tmp_path / "input" / "books" / "book000.txt"
+    book.write_bytes(b"alpha\r\nbeta\rbe\xff t\n")  # line 3, after a CRLF and a lone CR
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"input_dir = {tmp_path / 'input'}\noutput_dir = {tmp_path / 'out'}\n",
+                        encoding="utf-8")
+    argv = {
+        "run": ["run", "--config", str(cfg_path)],
+        "normalize": ["normalize", "--in", str(book.parent), "--out", str(tmp_path / "norm")],
+    }[entry]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == f"error: {book}:3: not valid UTF-8\n"
+
+
 def test_segment_stage_writes_dropped_and_residual_rows(tmp_path):
     """beta straddles the forced 20 s cut by more than the slack and is
     dropped; delta is left as a tail shorter than the minimum."""
@@ -608,12 +624,49 @@ def test_cli_decontam(tmp_path, completed_run):
     assert cli_main([
         "decontam",
         "--heldout", str(out / "manifests" / "dev.tsv"), str(out / "manifests" / "test.tsv"),
+        "--input-dir", cfg.input_dir,
         "--books", str(out / "work" / "normalize"),
         "--threshold", "0.01",
         "--report", str(tmp_path / "report.tsv"),
     ]) == 0
     header, rows = read_tsv(tmp_path / "report.tsv")
     assert {r[1] for r in rows} == {"kept", "removed"}
+
+
+@pytest.mark.parametrize("name", ["normalize", "segment", "retrieve", "decontam"])
+def test_standalone_subcommand_writes_what_its_stage_wrote(tmp_path, completed_run, name):
+    """Run on the inputs of a completed run, each standalone subcommand writes
+    the body of its stage's output; segment joins no catalog, so its book,
+    speaker and gender columns stay empty."""
+    root, cfg, _ = completed_run
+    out, work, new = Path(cfg.output_dir), Path(cfg.output_dir) / "work", tmp_path / "new"
+    argv, stage_file = {
+        "normalize": (["--in", f"{cfg.input_dir}/books"], None),
+        "segment": ([
+            "--min-sec", str(cfg.min_segment_ms / 1000), "--max-sec", str(cfg.max_segment_ms / 1000),
+            "--in", f"{cfg.input_dir}/tokens",
+        ] + ["--keep-residual"] * cfg.keep_residual, work / "segment" / "segments.tsv"),
+        "retrieve": ([
+            "--books", str(work / "normalize"), "--pseudo", str(work / "segment" / "segments.tsv"),
+            "--shard-size", str(cfg.shard_size), "--stride", str(cfg.shard_stride),
+            "--wer-threshold", str(cfg.wer_threshold),
+        ], work / "retrieve" / "candidates.tsv"),
+        "decontam": ([
+            "--heldout", str(out / "manifests" / "dev.tsv"), str(out / "manifests" / "test.tsv"),
+            "--input-dir", cfg.input_dir, "--books", str(work / "normalize"),
+            "--threshold", str(cfg.decontam_threshold),
+        ] + ["--count-tokens"] * cfg.decontam_count_tokens, out / "lm" / "decontam_report.tsv"),
+    }[name]
+    assert cli_main([name, *argv, "--report" if name == "decontam" else "--out", str(new)]) == 0
+    if stage_file is None:
+        stage_texts = {p.name: p.read_bytes() for p in (work / "normalize").glob("*.txt")}
+        assert stage_texts and {p.name: p.read_bytes() for p in new.iterdir()} == stage_texts
+        return
+    header, rows = read_tsv(stage_file)
+    if name == "segment":
+        blank = [header.index(c) for c in ("book_id", "speaker_id", "gender")]
+        rows = [["" if i in blank else v for i, v in enumerate(row)] for row in rows]
+    assert rows and read_tsv(new) == (header, rows)
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):

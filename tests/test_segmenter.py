@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -461,9 +462,11 @@ def test_token_file_fault_exits_2_from_run(tmp_path, capsys, line):
     assert capsys.readouterr().err.startswith(f"error: {path}:2: ")
 
 
-def test_segment_stage_fails_when_a_chapter_loses_or_repeats_a_token(tmp_path, monkeypatch):
-    """Per chapter, the segment stage checks that the segments, the residual
-    and the dropped tokens cover every token once."""
+@pytest.mark.parametrize("entry", ["stage", "cli"])
+def test_segment_stage_fails_when_a_chapter_loses_or_repeats_a_token(tmp_path, monkeypatch, capsys,
+                                                                     entry):
+    """Per chapter, the segment stage and the standalone subcommand check that
+    the segments, the residual and the dropped tokens cover every token once."""
     tiny_input(tmp_path / "input", ['{"w": "a", "s": 0, "e": 6000}', '{"w": "b", "s": 6000, "e": 12000}'])
 
     def repeating(*args, **kwargs):
@@ -472,5 +475,12 @@ def test_segment_stage_fails_when_a_chapter_loses_or_repeats_a_token(tmp_path, m
         return result
 
     monkeypatch.setattr(pipeline, "segment_stream", repeating)
-    with pytest.raises(StageError, match="^stage segment: chapter book000_ch00: .* its 2 tokens once$"):
-        run_stage(small_config(tmp_path), "segment")
+    message = "stage segment: chapter book000_ch00: .* its 2 tokens once"
+    if entry == "stage":
+        with pytest.raises(StageError, match=f"^{message}$"):
+            run_stage(small_config(tmp_path), "segment")
+        return
+    out = tmp_path / "segments.tsv"
+    assert cli_main(["segment", "--in", str(tmp_path / "input" / "tokens"), "--out", str(out)]) == 3
+    assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+    assert not out.exists()
