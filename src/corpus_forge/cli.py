@@ -1,15 +1,18 @@
 """corpus-forge command line.
 
 The standalone subcommands run their stage's own step on explicit files:
-normalize ``normalize_file``, segment ``segment_chapters`` (with no catalog,
-so book, speaker and gender stay empty), retrieve ``retrieve_candidates``,
-decontam ``decontaminate`` (titles from ``books.json`` under
-``--input-dir``), lm-train ``read_sentences`` and ``ngramlm.train``, lm-eval
-``ngramlm.evaluate``. Split and limited run their stage through the stage
-runner against an existing run directory, since their inputs are the joined
-pipeline state, so they check the provenance of every stage they read.
-``run`` executes the whole pipeline from a config file. Exit codes: 0
-success, 2 validation/config failure, 3 stage failure.
+normalize ``normalize_file``, segment ``segment_chapters`` (token streams
+and catalog from the corpus root ``--input-dir``), retrieve
+``retrieve_candidates``, decontam ``decontaminate`` (titles from
+``books.json`` under ``--input-dir``), lm-train ``read_sentences`` and
+``ngramlm.train``, lm-eval ``ngramlm.evaluate``. An option that has a config
+key defaults to its ``PipelineConfig()`` value, so normalize, segment and
+retrieve, run in turn on a corpus root, write what a run's stages write.
+Split and limited run their stage through the stage runner against an
+existing run directory, since their inputs are the joined pipeline state,
+so they check the provenance of every stage they read. ``run`` executes the
+whole pipeline from a config file. Exit codes: 0 success, 2
+validation/config/input failure, 3 stage failure.
 """
 
 from __future__ import annotations
@@ -65,12 +68,14 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    files = sorted(Path(args.indir).glob("*.jsonl"))
+    catalog = read_catalog(args.input_dir)
+    token_dir = Path(args.input_dir) / "tokens"
+    files = sorted(token_dir.glob("*.jsonl"))
     if not files:
-        print(f"no .jsonl token streams under {args.indir}", file=sys.stderr)
+        print(f"no .jsonl token streams under {token_dir}", file=sys.stderr)
         return 2
     rows, residuals, dropped = segment_chapters(
-        files, int(args.min_sec * 1000), int(args.max_sec * 1000), args.keep_residual, {}, {}, {},
+        files, int(args.min_sec * 1000), int(args.max_sec * 1000), args.keep_residual, catalog,
     )
     write_manifest(args.out, rows, ADHOC_HASH)
     print(f"wrote {len(rows)} segments from {len(files)} streams "
@@ -83,11 +88,11 @@ def cmd_retrieve(args) -> int:
     if not books:
         print(f"no normalized books under {args.books}", file=sys.stderr)
         return 2
-    candidates, _misses = rt.retrieve_candidates(
+    candidates, misses = rt.retrieve_candidates(
         books, read_manifest(args.pseudo), args.shard_size, args.stride, args.wer_threshold
     )
     write_candidates(args.out, candidates, ADHOC_HASH)
-    print(f"wrote {len(candidates)} candidates")
+    print(f"wrote {len(candidates)} candidates ({misses} unmatched)")
     return 0
 
 
@@ -185,29 +190,31 @@ def build_parser() -> argparse.ArgumentParser:
         "pseudo-labels and book texts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = PipelineConfig()
 
     p = sub.add_parser("normalize", help="normalize raw text against an orthography")
     p.add_argument("--orthography", help="orthography file (default: bundled)")
-    p.add_argument("--language", default="en")
+    p.add_argument("--language", default=defaults.language)
     p.add_argument("--in", dest="infile", required=True, help="input file or directory")
     p.add_argument("--out", dest="outfile", required=True)
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("segment", help="segment timed-token streams")
-    p.add_argument("--min-sec", type=float, default=10.0)
-    p.add_argument("--max-sec", type=float, default=20.0)
+    p.add_argument("--min-sec", type=float, default=defaults.min_segment_ms / 1000)
+    p.add_argument("--max-sec", type=float, default=defaults.max_segment_ms / 1000)
     p.add_argument("--keep-residual", action="store_true",
                    help="emit sub-minimum stream tails as segments")
-    p.add_argument("--in", dest="indir", required=True, help="directory of .jsonl streams")
+    p.add_argument("--input-dir", dest="input_dir", required=True,
+                   help="corpus root: .jsonl streams under tokens/, books.json, speakers.json")
     p.add_argument("--out", required=True, help="output manifest TSV")
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("retrieve", help="retrieve transcripts for pseudo-labels")
     p.add_argument("--books", required=True, help="directory of normalized book texts")
     p.add_argument("--pseudo", required=True, help="segments manifest TSV")
-    p.add_argument("--shard-size", type=int, default=1250)
-    p.add_argument("--stride", type=int, default=1000)
-    p.add_argument("--wer-threshold", type=float, default=0.4)
+    p.add_argument("--shard-size", type=int, default=defaults.shard_size)
+    p.add_argument("--stride", type=int, default=defaults.shard_stride)
+    p.add_argument("--wer-threshold", type=float, default=defaults.wer_threshold)
     p.add_argument("--out", required=True, help="output candidates TSV")
     p.set_defaults(func=cmd_retrieve)
 
@@ -229,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="corpus root whose books.json gives every book's title")
     p.add_argument("--books", required=True, help="directory of normalized book texts")
     p.add_argument("--stopwords", help="stopword file (default: bundled)")
-    p.add_argument("--threshold", type=float, default=0.01)
+    p.add_argument("--threshold", type=float, default=defaults.decontam_threshold)
     p.add_argument("--count-tokens", action="store_true",
                    help="rate over running 5-grams instead of distinct")
     p.add_argument("--report", required=True, help="output report TSV")
@@ -246,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lm-eval", help="evaluate a model on dev transcripts")
     p.add_argument("--model", required=True)
     p.add_argument("--dev", required=True, help="dev manifest TSV")
-    p.add_argument("--oov-context", choices=("break", "keep"), default="break")
+    p.add_argument("--oov-context", choices=("break", "keep"), default=defaults.oov_context)
     p.add_argument("--report", required=True, help="output report JSON")
     p.set_defaults(func=cmd_lm_eval)
 

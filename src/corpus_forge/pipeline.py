@@ -74,17 +74,29 @@ def _check_provenance(cfg: PipelineConfig, stage: str) -> None:
         )
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise InputError(f"{path}: not valid JSON: {exc}") from None
+
+
 def read_catalog(input_dir) -> tuple[list[sp.BookRecord], dict[str, dict]]:
     """The book records of ``books.json`` and the speaker records of
-    ``speakers.json``. A book whose record cannot be built fails naming the
-    file and the book."""
+    ``speakers.json``. A file that is not the JSON array or object it should
+    be, or a speaker record that is not an object, fails as an
+    ``InputError`` naming the file and the speaker; a book whose record
+    cannot be built fails naming the file and the book."""
     root = Path(input_dir)
     books_path = root / "books.json"
     speakers_path = root / "speakers.json"
     if not books_path.exists() or not speakers_path.exists():
         raise FileNotFoundError(f"missing books.json/speakers.json under {root}")
+    records = _read_json(books_path)
+    if not isinstance(records, list):
+        raise InputError(f"{books_path}: not a JSON array of book records")
     books = []
-    for i, book in enumerate(json.loads(books_path.read_text(encoding="utf-8"))):
+    for i, book in enumerate(records):
         try:
             books.append(sp.BookRecord(
                 book_id=book["book_id"],
@@ -103,7 +115,12 @@ def read_catalog(input_dir) -> tuple[list[sp.BookRecord], dict[str, dict]]:
             raise ValueError(
                 f"{books_path}: book {i}{named} is malformed: {type(exc).__name__}: {exc}"
             ) from exc
-    speakers = json.loads(speakers_path.read_text(encoding="utf-8"))
+    speakers = _read_json(speakers_path)
+    if not isinstance(speakers, dict):
+        raise InputError(f"{speakers_path}: not a JSON object of speaker records")
+    for sid, record in speakers.items():
+        if not isinstance(record, dict):
+            raise InputError(f"{speakers_path}: speaker {sid!r}: record is not a JSON object")
     return books, speakers
 
 
@@ -126,22 +143,25 @@ def normalize_file(src: Path, dst: Path, orth) -> int:
     return sum(len(l) for l in lines)
 
 
-def segment_chapters(paths, min_ms: int, max_ms: int, keep_residual: bool,
-                     book_of: dict, speaker_of: dict, gender_of: dict):
+def segment_chapters(paths, min_ms: int, max_ms: int, keep_residual: bool, catalog):
     """Segment each chapter's token stream (``<chapter_id>.jsonl``) into its
     manifest rows, its residual tail (when not kept) and its dropped tokens,
-    checking that these cover every token once. Returns the three row lists,
-    manifest rows sorted by id; chapters missing from the maps get empty
-    book, speaker and gender fields."""
+    checking that these cover every token once. Book, speaker and gender
+    come from ``catalog``, the result of ``read_catalog``; a chapter it does
+    not list gets empty fields. Returns the three row lists, manifest rows
+    sorted by id."""
+    books, speakers = catalog
+    chapters = {ch.chapter_id: (b.book_id, ch.speaker_id) for b in books for ch in b.chapters}
     rows, residuals, dropped = [], [], []
     for path in paths:
         chapter_id = path.stem
         stream = read_token_stream(path)
         result = segment_stream(stream, min_ms, max_ms, keep_residual,
                                 segment_id_prefix=chapter_id)
-        speaker = speaker_of.get(chapter_id, "")
-        rows += [ManifestRow(seg.segment_id, book_of.get(chapter_id, ""), chapter_id, speaker,
-                             gender_of.get(speaker, ""), seg.start, seg.end, " ".join(seg.words))
+        book, speaker = chapters.get(chapter_id, ("", ""))
+        gender = speakers.get(speaker, {}).get("gender", "")
+        rows += [ManifestRow(seg.segment_id, book, chapter_id, speaker, gender,
+                             seg.start, seg.end, " ".join(seg.words))
                  for seg in result.segments if seg.tokens]
         tail = result.residual
         placed = [i for seg in result.segments for i in seg.tokens] + result.dropped_tokens
@@ -210,16 +230,13 @@ def stage_normalize(cfg: PipelineConfig) -> dict:
 
 
 def stage_segment(cfg: PipelineConfig) -> dict:
-    books, speakers = read_catalog(cfg.input_dir)
-    book_of = {ch.chapter_id: b.book_id for b in books for ch in b.chapters}
-    speaker_of = {ch.chapter_id: ch.speaker_id for b in books for ch in b.chapters}
-    gender_of = {sid: rec.get("gender", "") for sid, rec in speakers.items()}
+    catalog = read_catalog(cfg.input_dir)
     token_dir = Path(cfg.input_dir) / "tokens"
     if not token_dir.is_dir():
         raise FileNotFoundError(f"input token directory {token_dir} does not exist")
     rows, residuals, dropped = segment_chapters(
         sorted(token_dir.glob("*.jsonl")), cfg.min_segment_ms, cfg.max_segment_ms,
-        cfg.keep_residual, book_of, speaker_of, gender_of,
+        cfg.keep_residual, catalog,
     )
     out = _stage_dir(cfg, "segment")
     write_manifest(out / "segments.tsv", rows, cfg.config_hash())

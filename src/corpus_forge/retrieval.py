@@ -1,12 +1,12 @@
 """Transcript retrieval: locate each pseudo-label inside its source book.
 
-Books are split into overlapping word-window shards (1250 words, stride
-1000), indexed by tf-idf over word bigrams, and queried with the pseudo
-label. Indexing a book also interns it once into int32 word ids. The
-pseudo label is encoded in the same vocabulary, where words the book lacks
-get an id no book word has, and aligned to a view of the winning window's
-ids with a local Smith-Waterman at fixed scores: MATCH 2, and MISMATCH and
-GAP -1 for a substitution, insertion or deletion. Digit words of the
+A book is interned once into int32 word ids, and its shards are
+overlapping (start, end) word ranges over that one copy (1250 words, stride
+1000), indexed by tf-idf over word bigrams and queried with the pseudo
+label. The pseudo label is encoded in the same vocabulary, where words the
+book lacks get an id no book word has, and aligned to a view of the winning
+window's ids with a local Smith-Waterman at fixed scores: MATCH 2, and
+MISMATCH and GAP -1 for a substitution, insertion or deletion. Digit words of the
 matched book text are replaced from the aligned pseudo words. Candidates
 are accepted when their word error rate against the pseudo label does not
 exceed the threshold (default 40%); the rate comes from a bit-parallel
@@ -53,14 +53,6 @@ MATCH, MISMATCH, GAP = 2, -1, -1  # Smith-Waterman scores
 
 
 @dataclass(frozen=True)
-class DocumentShard:
-    shard_id: int
-    book_id: str
-    word_offset: int
-    words: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class AlignmentOp:
     """One alignment step; indices are into the query / reference word lists
     (None for the unmatched side of a gap)."""
@@ -78,36 +70,24 @@ class AlignmentResult:
     ops: tuple[AlignmentOp, ...]
 
 
-def shard_book(
-    words,
-    book_id: str = "",
+def shard_spans(
+    n_words: int,
     shard_size: int = DEFAULT_SHARD_SIZE,
     shard_stride: int = DEFAULT_SHARD_STRIDE,
-) -> list[DocumentShard]:
-    """Overlapping windows at offsets 0, stride, 2*stride, ...; the final
-    shard may be shorter. Empty books yield no shards."""
+) -> list[tuple[int, int]]:
+    """Half-open word ranges of the overlapping windows at offsets 0,
+    stride, 2*stride, ...; the final one may be shorter. An empty book has
+    none."""
     if shard_stride > shard_size:
         raise ValueError("shard_stride must be <= shard_size")
     if shard_stride <= 0:
         raise ValueError("shard_stride must be positive")
-    words = list(words)
-    shards = []
-    offset = 0
-    while offset < len(words):
-        shards.append(
-            DocumentShard(
-                shard_id=len(shards),
-                book_id=book_id,
-                word_offset=offset,
-                words=tuple(words[offset : offset + shard_size]),
-            )
-        )
-        offset += shard_stride
-    return shards
+    return [(start, min(start + shard_size, n_words)) for start in range(0, n_words, shard_stride)]
 
 
 class TfIdfIndex:
-    """Bigram tf-idf index over one book's shards.
+    """Bigram tf-idf index over the shards of one book, each a (start, end)
+    word range of it.
 
     tf is the raw bigram count per shard, idf = ln(N/df). Vectors keep no
     zero entries, so a bigram occurring in every shard carries no weight;
@@ -115,35 +95,30 @@ class TfIdfIndex:
     a query made only of everywhere-bigrams) fall back to raw-tf dot-product
     scoring so retrieval still functions.
 
-    The shards' words are interned once into int32 ids (``vocab``), and the
-    book as its shards cover it is ``book_ids``. A bigram is the int64 key
+    The book's words are interned once, in first-occurrence order, into the
+    int32 ids ``book_ids`` (``vocab`` maps word to id), and each shard's
+    bigrams are read from that one array. A bigram is the int64 key
     ``left * len(vocab) + right``; ``grams`` lists the book's keys sorted,
     and the postings of gram g are the entries ``ptr[g]:ptr[g+1]`` of
     ``post_shard`` (ascending), ``post_tf`` and ``post_weight``.
     """
 
-    def __init__(self, shards: list[DocumentShard]):
-        if not shards:
+    def __init__(self, words, spans):
+        if not spans:
             raise ValueError("cannot index zero shards")
-        self.shards = list(shards)
-        self.n_shards = n = len(shards)
+        self.words = words
+        self.spans = list(spans)
+        self.n_shards = n = len(self.spans)
         vocab: dict[str, int] = {}
         self.vocab = vocab
-        lens = np.array([len(s.words) for s in self.shards])
-        flat = np.array([vocab.setdefault(w, len(vocab)) for s in self.shards for w in s.words],
-                        dtype=np.int64)
-        ends = np.cumsum(lens)
-        self.book_ids = np.full(int(max(s.word_offset + len(s.words) for s in shards)),
-                                ABSENT_ID, dtype=np.int32)
-        for shard, end in zip(self.shards, ends.tolist()):
-            self.book_ids[shard.word_offset : shard.word_offset + len(shard.words)] = (
-                flat[end - len(shard.words) : end])
+        self.book_ids = np.array([vocab.setdefault(w, len(vocab)) for w in words], dtype=np.int32)
 
         # every in-shard bigram occurrence, in shard order then position order
-        pair_shard = np.repeat(np.arange(n), np.maximum(lens - 1, 0))
-        inside = np.ones(max(len(flat) - 1, 0), dtype=bool)
-        inside[ends[:-1][(ends[:-1] > 0) & (ends[:-1] < len(flat))] - 1] = False
-        keys = (flat[:-1] * len(vocab) + flat[1:])[inside]
+        starts, ends = np.array(self.spans, dtype=np.int64).T
+        lens = np.maximum(ends - starts - 1, 0)
+        pair_shard = np.repeat(np.arange(n), lens)
+        left = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(len(pair_shard))
+        keys = self.book_ids[left].astype(np.int64) * len(vocab) + self.book_ids[left + 1]
         self.grams, gram = np.unique(keys, return_inverse=True)
         n_grams = len(self.grams)
         entry, first, tf = np.unique(pair_shard * n_grams + gram.ravel(),
@@ -173,10 +148,6 @@ class TfIdfIndex:
         """Word ids of ``words`` in this book's vocabulary (ABSENT_ID for
         words the book does not contain)."""
         return np.array([self.vocab.get(w, ABSENT_ID) for w in words], dtype=np.int32)
-
-
-def build_index(shards: list[DocumentShard]) -> TfIdfIndex:
-    return TfIdfIndex(shards)
 
 
 def _rank(index: TfIdfIndex, queries: list[np.ndarray], top_k: int) -> list[list[tuple[int, float]]]:
@@ -602,9 +573,9 @@ def accept_candidate(
     )
 
 
-def _transcripts(book_words, shards, index, labels) -> Iterator:
+def _transcripts(index, labels) -> Iterator:
     """(words, book word span, alignment) or None for every pseudo label of
-    one book, in order.
+    the indexed book, in order.
 
     The labels are ranked together (``_rank``), and each is aligned against
     its top shard plus the shard's overlap neighbours (a true span can
@@ -613,21 +584,18 @@ def _transcripts(book_words, shards, index, labels) -> Iterator:
     the pseudo label, and the span is widened across unaligned query edges:
     corrupted edge words correspond to real audio, and the book text across
     from them is the best transcript available, the same assumption the
-    number replacement makes. The alignment runs on the index's interned
-    ids, so ``book_words`` must be the indexed book. Nothing matches when
-    no shard shares a bigram or the score is 0.
+    number replacement makes. Nothing matches when no shard shares a bigram
+    or the score is 0.
     """
     found, queries = [], []  # found: per label, None or (window start, window end, words)
     codes = [index.encode(words) for words in labels]
+    last = index.n_shards - 1
     for words, code, hits in zip(labels, codes, _rank(index, codes, 1)):
         if not hits:
             found.append(None)
             continue
-        top = index.shards[hits[0][0]]
-        lo = shards[max(0, top.shard_id - 1)]
-        hi = shards[min(len(shards) - 1, top.shard_id + 1)]
-        win_start, win_end = lo.word_offset, hi.word_offset + len(hi.words)
-        found.append((win_start, win_end, words))
+        top = hits[0][0]
+        found.append((index.spans[max(0, top - 1)][0], index.spans[min(last, top + 1)][1], words))
         queries.append(code)
     windows = [hit[:2] for hit in found if hit]
     aligned = _align(queries, index.book_ids, windows, len(index.vocab))
@@ -636,7 +604,7 @@ def _transcripts(book_words, shards, index, labels) -> Iterator:
             yield None
             continue
         win_start, win_end, pseudo_words = hit
-        window = book_words[win_start:win_end]
+        window = index.words[win_start:win_end]
         core = replace_numbers(al, window, pseudo_words)
         ext_lo = max(0, al.ref_span[0] - al.query_span[0])
         ext_hi = min(len(window), al.ref_span[1] + len(pseudo_words) - al.query_span[1])
@@ -666,9 +634,9 @@ def retrieve_candidates(
         if not words:
             misses += len(by_book[book_id])
             continue
-        shards = shard_book(words, book_id, shard_size=shard_size, shard_stride=shard_stride)
+        index = TfIdfIndex(words, shard_spans(len(words), shard_size, shard_stride))
         pseudos = [row.transcript.split() for row in by_book[book_id]]
-        found_all = _transcripts(words, shards, build_index(shards), pseudos)
+        found_all = _transcripts(index, pseudos)
         for found, row, pseudo in zip(found_all, by_book[book_id], pseudos):
             if found is None or not found[0]:
                 misses += 1

@@ -262,22 +262,21 @@ def ranked_shards(shards, query_words):
     return [(i, -neg) for neg, i in sorted(scored)]
 
 
-def per_segment_transcript(book_words, shards, pseudo_words):
-    """One segment retrieved on its own: rank the shards (``ranked_shards``),
-    align the pseudo label against the top shard plus its overlap
-    neighbours over the whole window (``full_window_smith_waterman``),
-    resolve digit words and widen the span across unaligned query edges.
-    Returns (words, book word span, AlignmentResult) or None."""
+def per_segment_transcript(book_words, spans, pseudo_words):
+    """One segment retrieved on its own: rank the book's shards, its (start,
+    end) word ranges ``spans``, with ``ranked_shards``, align the pseudo
+    label against the top shard plus its overlap neighbours over the whole
+    window (``full_window_smith_waterman``), resolve digit words and widen
+    the span across unaligned query edges. Returns (words, book word span,
+    AlignmentResult) or None."""
     from corpus_forge import retrieval as rt
 
     pseudo_words = list(pseudo_words)
-    ranked = ranked_shards([list(s.words) for s in shards], pseudo_words)
+    ranked = ranked_shards([list(book_words[a:b]) for a, b in spans], pseudo_words)
     if not ranked:
         return None
-    top = shards[ranked[0][0]]
-    lo = shards[max(0, top.shard_id - 1)]
-    hi = shards[min(len(shards) - 1, top.shard_id + 1)]
-    win_start, win_end = lo.word_offset, hi.word_offset + len(hi.words)
+    top = ranked[0][0]
+    win_start, win_end = spans[max(0, top - 1)][0], spans[min(len(spans) - 1, top + 1)][1]
     window = list(book_words[win_start:win_end])
     score, ref_span, query_span, ops = full_window_smith_waterman(pseudo_words, window)
     if score <= 0:
@@ -305,10 +304,10 @@ def per_segment_candidates(books, segments, shard_size, shard_stride, threshold)
         if not words:
             misses += len(by_book[book_id])
             continue
-        shards = rt.shard_book(words, book_id, shard_size, shard_stride)
+        spans = rt.shard_spans(len(words), shard_size, shard_stride)
         for row in by_book[book_id]:
             pseudo = row.transcript.split()
-            found = per_segment_transcript(words, shards, pseudo) if pseudo else None
+            found = per_segment_transcript(words, spans, pseudo) if pseudo else None
             if found is None or not found[0]:
                 misses += 1
                 continue

@@ -104,19 +104,13 @@ def test_awkward_pseudo_labels_survive_cli_segment_and_retrieve(tmp_path, capsys
         "normalize", "--in", str(tmp_path / "input" / "books"), "--out", str(tmp_path / "norm"),
     ]) == 0
     assert cli_main([
-        "segment", "--in", str(token_dir), "--out", str(tmp_path / "segments.tsv"),
+        "segment", "--input-dir", str(tmp_path / "input"), "--out", str(tmp_path / "segments.tsv"),
     ]) == 0
     rows = read_manifest(tmp_path / "segments.tsv")
     words = [w for r in rows if r.chapter_id == stream.stem for w in r.transcript.split(" ")]
     assert '"quoted' in words and 'say"hi"' in words
-
-    # standalone manifests have no book ids; take them from the chapter names
-    patched = [
-        ManifestRow(r.segment_id, r.chapter_id.rsplit("_", 1)[0], r.chapter_id, r.speaker_id,
-                    r.gender, r.start_ms, r.end_ms, r.transcript)
-        for r in rows
-    ]
-    write_manifest(tmp_path / "segments.tsv", patched, "adhoc")
+    # book ids come from books.json, where synth names chapters after their book
+    assert all(r.book_id == r.chapter_id.rsplit("_", 1)[0] for r in rows)
     assert cli_main([
         "retrieve", "--books", str(tmp_path / "norm"), "--pseudo", str(tmp_path / "segments.tsv"),
         "--out", str(tmp_path / "candidates.tsv"),

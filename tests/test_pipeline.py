@@ -436,6 +436,41 @@ def tiny_input(root, token_lines):
     return path
 
 
+# a catalog file of ``tiny_input`` replaced by bytes that read_catalog refuses,
+# with the message that follows its path
+HOSTILE_CATALOGS = {
+    "books-not-json": ("books.json", b'[{"book_id": "book000",', "not valid JSON: "),
+    "books-not-utf8": ("books.json", b'["b\xff"]', "not valid JSON: "),
+    "books-an-object": ("books.json", b'{"book000": {}}', "not a JSON array of book records"),
+    "speakers-not-json": ("speakers.json", b"{'spk_m00': 'M'}", "not valid JSON: "),
+    "speakers-a-list": ("speakers.json", b'[{"speaker_id": "spk_m00", "gender": "M"}]',
+                        "not a JSON object of speaker records"),
+    "speaker-a-string": ("speakers.json", b'{"spk_m00": "M"}',
+                         "speaker 'spk_m00': record is not a JSON object"),
+}
+
+
+@pytest.mark.parametrize("entry", ["run", "segment"])
+@pytest.mark.parametrize("name, content, message", HOSTILE_CATALOGS.values(), ids=HOSTILE_CATALOGS)
+def test_hostile_catalog_exits_2_naming_its_file(tmp_path, capsys, entry, name, content, message):
+    tiny_input(tmp_path / "input", ['{"w": "alpha", "s": 0, "e": 500}'])
+    path = tmp_path / "input" / name
+    path.write_bytes(content)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"input_dir = {tmp_path / 'input'}\noutput_dir = {tmp_path / 'out'}\n",
+                        encoding="utf-8")
+    out = tmp_path / "segments.tsv"
+    argv = {
+        "run": ["run", "--config", str(cfg_path)],
+        "segment": ["segment", "--input-dir", str(tmp_path / "input"), "--out", str(out)],
+    }[entry]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1, err
+    assert not out.exists()
+    assert not (tmp_path / "out" / "work" / "segment" / "provenance.json").exists()
+
+
 @pytest.mark.parametrize("entry", ["run", "normalize"])
 def test_book_file_that_is_not_utf8_exits_2_naming_its_line(tmp_path, capsys, entry):
     tiny_input(tmp_path / "input", ['{"w": "alpha", "s": 0, "e": 500}'])
@@ -549,7 +584,11 @@ def test_cli_normalize_single_file(tmp_path):
 
 
 def test_cli_normalize_segment_retrieve_round_trip(tmp_path, capsys):
+    """normalize, segment and retrieve, run in turn on a corpus root with
+    their default options, write the candidates of a run's retrieve stage."""
     synth_corpus(tmp_path / "input", seed=6, params=SMALL)
+    cfg = small_config(tmp_path)
+    report = run_pipeline(cfg, until_stage="retrieve")
     assert cli_main([
         "normalize",
         "--in", str(tmp_path / "input" / "books"),
@@ -557,42 +596,29 @@ def test_cli_normalize_segment_retrieve_round_trip(tmp_path, capsys):
     ]) == 0
     assert cli_main([
         "segment",
-        "--min-sec", "10", "--max-sec", "20",
-        "--in", str(tmp_path / "input" / "tokens"),
+        "--input-dir", str(tmp_path / "input"),
         "--out", str(tmp_path / "segments.tsv"),
     ]) == 0
     rows = read_manifest(tmp_path / "segments.tsv")
     assert rows and all(10_000 <= r.duration_ms <= 20_000 for r in rows)
-    # standalone manifest has no book ids; patch them in from chapter names
-    patched = [
-        ManifestRow(
-            segment_id=r.segment_id,
-            book_id=r.chapter_id.rsplit("_", 1)[0],
-            chapter_id=r.chapter_id,
-            speaker_id=r.speaker_id,
-            gender=r.gender,
-            start_ms=r.start_ms,
-            end_ms=r.end_ms,
-            transcript=r.transcript,
-            wer=r.wer,
-            partition=r.partition,
-        )
-        for r in rows
-    ]
-    write_manifest(tmp_path / "segments.tsv", patched, "adhoc")
+    capsys.readouterr()
     assert cli_main([
         "retrieve",
         "--books", str(tmp_path / "norm"),
         "--pseudo", str(tmp_path / "segments.tsv"),
-        "--wer-threshold", "0.4",
         "--out", str(tmp_path / "candidates.tsv"),
     ]) == 0
+    retrieved = report["stages"]["retrieve"]
+    assert capsys.readouterr().out == (
+        f"wrote {retrieved['candidates']} candidates ({retrieved['unmatched']} unmatched)\n"
+    )
     header, cands = read_tsv(tmp_path / "candidates.tsv")
     assert header == list(
         ("segment_id", "book_id", "offset_start", "offset_end", "wer", "accepted", "transcript")
     )
     assert len(cands) == len(rows)
     assert all(row[5] == "true" for row in cands)
+    assert (header, cands) == read_tsv(tmp_path / "out" / "work" / "retrieve" / "candidates.tsv")
 
 
 def test_cli_lm_commands(tmp_path, completed_run, capsys):
@@ -636,15 +662,14 @@ def test_cli_decontam(tmp_path, completed_run):
 @pytest.mark.parametrize("name", ["normalize", "segment", "retrieve", "decontam"])
 def test_standalone_subcommand_writes_what_its_stage_wrote(tmp_path, completed_run, name):
     """Run on the inputs of a completed run, each standalone subcommand writes
-    the body of its stage's output; segment joins no catalog, so its book,
-    speaker and gender columns stay empty."""
+    the body of its stage's output."""
     root, cfg, _ = completed_run
     out, work, new = Path(cfg.output_dir), Path(cfg.output_dir) / "work", tmp_path / "new"
     argv, stage_file = {
         "normalize": (["--in", f"{cfg.input_dir}/books"], None),
         "segment": ([
             "--min-sec", str(cfg.min_segment_ms / 1000), "--max-sec", str(cfg.max_segment_ms / 1000),
-            "--in", f"{cfg.input_dir}/tokens",
+            "--input-dir", cfg.input_dir,
         ] + ["--keep-residual"] * cfg.keep_residual, work / "segment" / "segments.tsv"),
         "retrieve": ([
             "--books", str(work / "normalize"), "--pseudo", str(work / "segment" / "segments.tsv"),
@@ -663,9 +688,6 @@ def test_standalone_subcommand_writes_what_its_stage_wrote(tmp_path, completed_r
         assert stage_texts and {p.name: p.read_bytes() for p in new.iterdir()} == stage_texts
         return
     header, rows = read_tsv(stage_file)
-    if name == "segment":
-        blank = [header.index(c) for c in ("book_id", "speaker_id", "gender")]
-        rows = [["" if i in blank else v for i, v in enumerate(row)] for row in rows]
     assert rows and read_tsv(new) == (header, rows)
 
 

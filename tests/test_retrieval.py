@@ -12,15 +12,14 @@ from corpus_forge.retrieval import (
     ABSENT_ID,
     AlignmentOp,
     AlignmentResult,
-    DocumentShard,
+    TfIdfIndex,
     accept_candidate,
     build_book_frequencies,
-    build_index,
     edit_distance,
     fix_rare_wordforms,
     replace_numbers,
     retrieve_candidates,
-    shard_book,
+    shard_spans,
     wer,
 )
 from corpus_forge.synth import SynthParams, synth_corpus
@@ -68,53 +67,57 @@ def align_ids(query_ids, ref_ids, n_ids):
     return next(retrieval._align([query_ids], ref_ids, [(0, len(ref_ids))], n_ids))
 
 
-def transcript(book_words, shards, index, pseudo_words):
+def transcript(index, pseudo_words):
     """``retrieval._transcripts`` of one label: (words, book word span,
     alignment), or None when nothing matches."""
-    return next(retrieval._transcripts(book_words, shards, index, [list(pseudo_words)]))
+    return next(retrieval._transcripts(index, [list(pseudo_words)]))
+
+
+def book_index(words, shard_size=1250, stride=1000):
+    """The index of one book, sharded as retrieval shards it."""
+    return TfIdfIndex(words, shard_spans(len(words), shard_size, stride))
+
+
+def texts_index(texts):
+    """An index whose shards are ``texts`` laid end to end, one span each."""
+    ends = np.cumsum([len(t) for t in texts]).tolist()
+    return TfIdfIndex([w for t in texts for w in t], list(zip([0, *ends[:-1]], ends)))
 
 
 # -- sharding ----------------------------------------------------------------
 
 
 def test_shard_arithmetic_3000_words():
-    words = [f"t{i}" for i in range(3000)]
-    shards = shard_book(words, "b")
-    assert [(s.word_offset, len(s.words)) for s in shards] == [
-        (0, 1250),
-        (1000, 1250),
-        (2000, 1000),
-    ]
+    assert shard_spans(3000) == [(0, 1250), (1000, 2250), (2000, 3000)]
 
 
 def test_shard_short_book():
-    shards = shard_book([f"t{i}" for i in range(800)], "b")
-    assert len(shards) == 1
-    assert len(shards[0].words) == 800
+    assert shard_spans(800) == [(0, 800)]
 
 
 def test_shard_empty_book():
-    assert shard_book([], "b") == []
+    assert shard_spans(0) == []
 
 
 def test_shard_rejects_bad_stride():
     with pytest.raises(ValueError):
-        shard_book(["a"], "b", shard_size=100, shard_stride=200)
+        shard_spans(1, shard_size=100, shard_stride=200)
+    with pytest.raises(ValueError):
+        shard_spans(1, shard_size=100, shard_stride=0)
 
 
 def test_shard_coverage_oracle():
     rng = random.Random(31)
     for _ in range(10):
         n = rng.randint(1, 6000)
-        words = [f"t{i}" for i in range(n)]
-        shards = shard_book(words, "b")
+        spans = shard_spans(n)
         covered = set()
-        for s in shards:
-            covered |= set(range(s.word_offset, s.word_offset + len(s.words)))
+        for start, end in spans:
+            assert 0 < end - start <= 1250
+            covered |= set(range(start, end))
         assert covered == set(range(n))
         # consecutive shards start exactly one stride apart
-        offsets = [s.word_offset for s in shards]
-        assert offsets == [i * 1000 for i in range(len(shards))]
+        assert [start for start, _ in spans] == [i * 1000 for i in range(len(spans))]
 
 
 # -- tf-idf index ------------------------------------------------------------
@@ -138,8 +141,7 @@ def stored_bigrams(index):
 
 
 def test_single_shard_degenerates_to_tf_mode():
-    shards = shard_book(["a", "b", "a", "b", "c"], "b")
-    index = build_index(shards)
+    index = book_index(["a", "b", "a", "b", "c"])
     assert not stored_bigrams(index)[2]  # all idf zero, every weighted entry pruned
     hits = rank(index, ["a", "b"])
     assert hits  # a match, not "no match"
@@ -150,15 +152,7 @@ def test_everywhere_bigram_query_falls_back_to_tf():
     # two shards sharing the query's every bigram: weighted weights all
     # vanish (idf = ln(2/2) = 0) but the query must still land
     common = "x y x y x y".split()
-    shards = [
-        shard_book(common + ["p", "q"], "b", 50, 50)[0].__class__(
-            shard_id=0, book_id="b", word_offset=0, words=tuple(common + ["p", "q"])
-        ),
-        shard_book(common, "b", 50, 50)[0].__class__(
-            shard_id=1, book_id="b", word_offset=0, words=tuple(common * 3)
-        ),
-    ]
-    index = build_index(shards)
+    index = texts_index([common + ["p", "q"], common * 3])
     hits = rank(index, ["x", "y", "x"])
     assert hits
     assert hits[0][0] == 1  # more raw occurrences
@@ -166,14 +160,7 @@ def test_everywhere_bigram_query_falls_back_to_tf():
 
 def test_bigram_in_every_shard_has_zero_idf():
     texts = [["x", "y"] + [f"u{i}", f"v{i}"] for i in range(3)]
-    shards = [
-        shard_book(t, "b", shard_size=10, shard_stride=10)[0] for t in texts
-    ]
-    shards = [
-        type(s)(shard_id=i, book_id="b", word_offset=0, words=s.words)
-        for i, s in enumerate(shards)
-    ]
-    _df, idf, postings = stored_bigrams(build_index(shards))
+    _df, idf, postings = stored_bigrams(texts_index(texts))
     assert idf[("x", "y")] == 0.0
     assert ("x", "y") not in postings  # zero entries pruned
 
@@ -184,14 +171,7 @@ def test_vectors_match_counting_oracle():
         "the cat ran off the mat and the cat".split(),
         "dogs only dogs here no cat sat".split(),
     ]
-    shards = []
-    for i, words in enumerate(shard_texts):
-        shards.append(
-            shard_book(words, "b", shard_size=50, shard_stride=50)[0].__class__(
-                shard_id=i, book_id="b", word_offset=0, words=tuple(words)
-            )
-        )
-    index = build_index(shards)
+    index = texts_index(shard_texts)
     vectors, df = count_bigram_vectors(shard_texts)
     got_df, _idf, postings = stored_bigrams(index)
     assert got_df == df
@@ -213,15 +193,14 @@ def test_vectors_match_counting_oracle():
 
 def make_indexed_book(rng, n_words=4000, shard_size=200, stride=160):
     words = random_words(rng, n_words)
-    shards = shard_book(words, "b", shard_size=shard_size, shard_stride=stride)
-    return words, shards, build_index(shards)
+    return words, book_index(words, shard_size, stride)
 
 
 def test_verbatim_query_ranks_source_shard_first():
     rng = random.Random(2)
-    words, shards, index = make_indexed_book(rng)
-    shard = shards[7]
-    query = list(shard.words[40:90])
+    words, index = make_indexed_book(rng)
+    start, _end = index.spans[7]
+    query = words[start + 40 : start + 90]
     hits = rank(index, query)
     assert hits
     assert hits[0][0] == 7
@@ -229,7 +208,7 @@ def test_verbatim_query_ranks_source_shard_first():
 
 def test_no_shared_bigram_returns_no_match_status():
     rng = random.Random(3)
-    _, _, index = make_indexed_book(rng)
+    _, index = make_indexed_book(rng)
     assert rank(index, ["zzz", "qqq", "xxx"]) == []
     # one-word query cannot form a bigram either
     assert rank(index, ["zzz"]) == []
@@ -238,14 +217,7 @@ def test_no_shared_bigram_returns_no_match_status():
 def test_noisy_query_matches_exhaustive_cosine_oracle():
     rng = random.Random(7)
     shard_texts = [random_words(rng, 120) for _ in range(20)]
-    shards = []
-    for i, words in enumerate(shard_texts):
-        shards.append(
-            shard_book(words, "b", shard_size=200, shard_stride=200)[0].__class__(
-                shard_id=i, book_id="b", word_offset=0, words=tuple(words)
-            )
-        )
-    index = build_index(shards)
+    index = texts_index(shard_texts)
     query = list(shard_texts[13])
     for i in range(len(query)):
         if rng.random() < 0.10:
@@ -280,7 +252,7 @@ def test_near_tie_cosines_follow_the_sequential_sum():
     sequential = ranked_shards(texts, query)  # one bigram at a time, in query order
     winner = max(range(len(texts)), key=lambda i: (oracle[i], -i))
     assert sequential[0] == (winner, oracle[winner])
-    index = build_index([DocumentShard(i, "b", 0, tuple(t)) for i, t in enumerate(texts)])
+    index = texts_index(texts)
     batch = [query[5:], query, list(reversed(query)), texts[4]]
     ranked = retrieval._rank(index, [index.encode(q) for q in batch], 2)
     assert ranked == [ranked_shards(texts, q)[:2] for q in batch]
@@ -401,7 +373,7 @@ def test_id_kernel_equals_string_alignment():
     for _ in range(200):
         ref = random_words(rng, rng.randint(1, 120), ["a", "b", "c", "d"])
         q = random_words(rng, rng.randint(1, 15), ["a", "b", "c", "d", "x", "y"])
-        index = build_index(shard_book(ref, "b", shard_size=50, shard_stride=40))
+        index = book_index(ref, shard_size=50, stride=40)
         assert index.book_ids.tolist() == index.encode(ref).tolist()
         by_ids = align_ids(index.encode(q), index.book_ids, len(index.vocab))
         assert by_ids == align(q, ref), (q, ref)
@@ -410,7 +382,7 @@ def test_id_kernel_equals_string_alignment():
 def test_id_kernel_tie_break_over_equal_score_cells():
     ref = ["a", "b", "x", "a", "b", "y", "a", "b"]
     q = ["zz", "a", "b", "zz"]
-    index = build_index(shard_book(ref, "b"))
+    index = book_index(ref)
     assert index.encode(q).tolist() == [-1, 0, 1, -1]  # "zz" is absent from the book
     by_ids = align_ids(index.encode(q), index.book_ids, len(index.vocab))
     assert by_ids == align(q, ref)
@@ -504,7 +476,7 @@ def test_kernel_matches_full_window_on_seeded_windows():
                 del piece[rng.randrange(len(piece))]
             at = rng.randint(0, len(ref))
             ref[at:at] = piece
-        index = build_index(shard_book(ref, "b", shard_size=200, shard_stride=150))
+        index = book_index(ref, shard_size=200, stride=150)
         q_ids = index.encode(q)
         expected = full_window_smith_waterman(q_ids, index.book_ids)
         assert as_oracle(align_ids(q_ids, index.book_ids, len(index.vocab))) == expected, seed
@@ -528,7 +500,7 @@ def test_batched_aligner_matches_full_window_per_entry(monkeypatch):
     far_tie = "q0 q1 q2 q3".split()
     book[1500:1503] = far_tie[:3]
     book[2700:2704] = ["q2", "q0", "q1", "q2"]
-    index = build_index(shard_book(book, "b", shard_size=500, shard_stride=400))
+    index = book_index(book, shard_size=500, stride=400)
     entries = [(second_run, (400, 1000)), (far_tie, (1400, 2800)), (["zz", "yy"], (0, 300))]
     for _ in range(60):
         start = rng.randrange(0, 3500)
@@ -832,11 +804,10 @@ def test_verbatim_query_recovers_exact_span():
     rng = random.Random(4)
     for _ in range(10):
         words = random_words(rng, rng.randint(1500, 4000))
-        shards = shard_book(words, "b", shard_size=400, shard_stride=320)
-        index = build_index(shards)
+        index = book_index(words, shard_size=400, stride=320)
         start = rng.randint(0, len(words) - 60)
         query = words[start : start + 40]
-        found = transcript(words, shards, index, query)
+        found = transcript(index, query)
         assert found is not None
         cand, span, aligned = found
         assert span == (start, start + 40)
@@ -849,14 +820,13 @@ def test_noisy_query_span_wer_bounded_by_noise():
         rng = random.Random(1000 + seed)
         noise = rng.choice([0.05, 0.1, 0.15, 0.2])
         words = random_words(rng, 3000, WIDE_VOCAB)
-        shards = shard_book(words, "b", shard_size=400, shard_stride=320)
-        index = build_index(shards)
+        index = book_index(words, shard_size=400, stride=320)
         start = rng.randint(0, len(words) - 80)
         truth = words[start : start + 50]
         query = list(truth)
         for pos in rng.sample(range(50), int(noise * 50)):
             query[pos] = rng.choice(WIDE_VOCAB)
-        found = transcript(words, shards, index, query)
+        found = transcript(index, query)
         assert found is not None
         cand, span, _ = found
         assert wer(cand, truth) <= noise

@@ -346,14 +346,13 @@ def _write_lines(path, triples):
 
 
 def test_token_stream_unsorted_names_file_and_line(tmp_path, capsys):
-    path = tmp_path / "streams" / "rec.jsonl"
-    path.parent.mkdir()
+    path = tiny_input(tmp_path / "input", [])
     _write_lines(path, [("a", 500, 900), ("b", 0, 400), ("c", 1000, 1200)])
     with pytest.raises(ValueError) as err:
         read_token_stream(path)
     assert str(err.value) == f"{path}:2: token stream is not sorted by start time"
     out = tmp_path / "segments.tsv"
-    assert cli_main(["segment", "--in", str(path.parent), "--out", str(out)]) == 2
+    assert cli_main(["segment", "--input-dir", str(tmp_path / "input"), "--out", str(out)]) == 2
     assert f"{path}:2: token stream is not sorted" in capsys.readouterr().err
 
 
@@ -379,15 +378,12 @@ HOSTILE_LINES = {
 
 @pytest.mark.parametrize("line", HOSTILE_LINES.values(), ids=HOSTILE_LINES)
 def test_hostile_token_line_fails_at_the_reader(tmp_path, capsys, line):
-    path = tmp_path / "streams" / "rec.jsonl"
-    path.parent.mkdir()
-    path.write_text('{"w": "a", "s": 0, "e": 1}\n' + line + "\n", encoding="utf-8",
-                    errors="surrogateescape")
+    path = tiny_input(tmp_path / "input", ['{"w": "a", "s": 0, "e": 1}', line])
     with pytest.raises(TokenStreamError) as err:
         read_token_stream(path)
     assert str(err.value).startswith(f"{path}:2: bad token line: ")
     out = tmp_path / "segments.tsv"
-    assert cli_main(["segment", "--in", str(path.parent), "--out", str(out)]) == 2
+    assert cli_main(["segment", "--input-dir", str(tmp_path / "input"), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}:2: bad token line: ")
     assert not out.exists()
 
@@ -481,6 +477,6 @@ def test_segment_stage_fails_when_a_chapter_loses_or_repeats_a_token(tmp_path, m
             run_stage(small_config(tmp_path), "segment")
         return
     out = tmp_path / "segments.tsv"
-    assert cli_main(["segment", "--in", str(tmp_path / "input" / "tokens"), "--out", str(out)]) == 3
+    assert cli_main(["segment", "--input-dir", str(tmp_path / "input"), "--out", str(out)]) == 3
     assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
     assert not out.exists()
