@@ -80,9 +80,15 @@ class PipelineConfig:
     def from_file(cls, path: str | Path, env: dict | None = None) -> "PipelineConfig":
         values: dict[str, str] = {}
         path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file {path} does not exist")
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            raw = path.read_bytes()
+            text = raw.decode("utf-8")
+        except OSError as exc:  # missing, a directory, or unreadable
+            raise ConfigError(f"{path}: cannot read config file: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            lineno = len((raw[: exc.start] + b"?").decode("utf-8").splitlines())
+            raise ConfigError(f"{path}:{lineno}: not valid UTF-8") from None
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -6,9 +6,11 @@ and, for each, the stages whose outputs its ``stage_<name>`` function reads.
 ``run_stage`` is the one runner: it drops the stage's old provenance record,
 checks the provenance of every stage the table says it reads, runs it and
 records its summary, so a run can be resumed from any stage and a torn or
-stale intermediate is refused. All outputs carry the config hash and
-readers refuse inputs from a different hash. All randomness derives from
-the single top-level seed, split per stage.
+stale intermediate is refused. ``run_pipeline`` runs a range of stages and
+writes ``report.json``; every command-line subcommand but ``synth`` is one
+call of it. All outputs carry the config hash and readers refuse inputs
+from a different hash. All randomness derives from the single top-level
+seed, split per stage.
 """
 
 from __future__ import annotations
@@ -58,9 +60,18 @@ def _lm_dir(cfg: PipelineConfig) -> Path:
 
 
 def _provenance(cfg: PipelineConfig, stage: str) -> tuple[Path, dict | None]:
-    """A stage's provenance file and its record (None when there is none)."""
+    """A stage's provenance file and its record (None when there is none).
+    A torn or hand-edited record fails as a ``ProvenanceError`` naming it."""
     path = _stage_dir(cfg, stage) / "provenance.json"
-    return path, json.loads(path.read_text(encoding="utf-8")) if path.exists() else None
+    if not path.exists():
+        return path, None
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise ProvenanceError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(record, dict) or "summary" not in record:
+        raise ProvenanceError(f"{path}: not a provenance record")
+    return path, record
 
 
 def _check_provenance(cfg: PipelineConfig, stage: str) -> None:
@@ -84,9 +95,9 @@ def _read_json(path: Path):
 def read_catalog(input_dir) -> tuple[list[sp.BookRecord], dict[str, dict]]:
     """The book records of ``books.json`` and the speaker records of
     ``speakers.json``. A file that is not the JSON array or object it should
-    be, or a speaker record that is not an object, fails as an
-    ``InputError`` naming the file and the speaker; a book whose record
-    cannot be built fails naming the file and the book."""
+    be, a book whose record cannot be built, or a speaker record that is not
+    an object, fails as an ``InputError`` naming the file and the book or
+    speaker."""
     root = Path(input_dir)
     books_path = root / "books.json"
     speakers_path = root / "speakers.json"
@@ -112,7 +123,7 @@ def read_catalog(input_dir) -> tuple[list[sp.BookRecord], dict[str, dict]]:
             ))
         except (KeyError, TypeError, ValueError) as exc:
             named = f" ({book['book_id']!r})" if isinstance(book, dict) and "book_id" in book else ""
-            raise ValueError(
+            raise InputError(
                 f"{books_path}: book {i}{named} is malformed: {type(exc).__name__}: {exc}"
             ) from exc
     speakers = _read_json(speakers_path)
@@ -125,7 +136,7 @@ def read_catalog(input_dir) -> tuple[list[sp.BookRecord], dict[str, dict]]:
 
 
 # ---------------------------------------------------------------------------
-# per-item steps, shared by the stages and the standalone subcommands
+# readers and per-item steps of the stages
 
 
 def normalize_file(src: Path, dst: Path, orth) -> int:
@@ -141,55 +152,6 @@ def normalize_file(src: Path, dst: Path, orth) -> int:
     lines = normalize_lines(text, orth)
     dst.write_text("\n".join(l.text() for l in lines) + "\n", encoding="utf-8")
     return sum(len(l) for l in lines)
-
-
-def segment_chapters(paths, min_ms: int, max_ms: int, keep_residual: bool, catalog):
-    """Segment each chapter's token stream (``<chapter_id>.jsonl``) into its
-    manifest rows, its residual tail (when not kept) and its dropped tokens,
-    checking that these cover every token once. Book, speaker and gender
-    come from ``catalog``, the result of ``read_catalog``; a chapter it does
-    not list gets empty fields. Returns the three row lists, manifest rows
-    sorted by id."""
-    books, speakers = catalog
-    chapters = {ch.chapter_id: (b.book_id, ch.speaker_id) for b in books for ch in b.chapters}
-    rows, residuals, dropped = [], [], []
-    for path in paths:
-        chapter_id = path.stem
-        stream = read_token_stream(path)
-        result = segment_stream(stream, min_ms, max_ms, keep_residual,
-                                segment_id_prefix=chapter_id)
-        book, speaker = chapters.get(chapter_id, ("", ""))
-        gender = speakers.get(speaker, {}).get("gender", "")
-        rows += [ManifestRow(seg.segment_id, book, chapter_id, speaker, gender,
-                             seg.start, seg.end, " ".join(seg.words))
-                 for seg in result.segments if seg.tokens]
-        tail = result.residual
-        placed = [i for seg in result.segments for i in seg.tokens] + result.dropped_tokens
-        if tail is not None and not keep_residual:
-            residuals.append((chapter_id, tail.start, tail.end, len(tail.tokens)))
-            placed += tail.tokens
-        if sorted(placed) != list(range(len(stream))):
-            raise StageError("segment", f"chapter {chapter_id}: segments, residual and dropped "
-                                        f"tokens do not cover its {len(stream)} tokens once")
-        dropped += [(chapter_id, stream.words[i], stream.starts[i], stream.ends[i])
-                    for i in result.dropped_tokens]
-    rows.sort(key=lambda r: r.segment_id)
-    return rows, residuals, dropped
-
-
-def decontaminate(books: dict, titles: dict, heldout_rows, stopwords, threshold: float,
-                  count_tokens: bool):
-    """Filter the LM candidate books (book_id -> words) against the held-out
-    manifest rows. Every title, a candidate's or a held-out row's book's,
-    comes from ``titles`` (book_id -> title words, as ``read_catalog`` reads
-    them). Returns the kept and removed books, the report rows and the index."""
-    index = dc.build_heldout_index((r.transcript.split() for r in heldout_rows), stopwords)
-    dev_test_titles = [titles[b] for b in sorted({r.book_id for r in heldout_rows}) if b in titles]
-    candidates = [dc.LmBook(bid, titles.get(bid, ()), tuple(words))
-                  for bid, words in sorted(books.items())]
-    kept, removed, report = dc.filter_corpus(candidates, dev_test_titles, index,
-                                             threshold=threshold, count_tokens=count_tokens)
-    return kept, removed, report, index
 
 
 def read_books(directory) -> dict[str, list[str]]:
@@ -230,14 +192,37 @@ def stage_normalize(cfg: PipelineConfig) -> dict:
 
 
 def stage_segment(cfg: PipelineConfig) -> dict:
-    catalog = read_catalog(cfg.input_dir)
+    """Segment each chapter's token stream (``<chapter_id>.jsonl``) into its
+    manifest rows, its residual tail (when not kept) and its dropped tokens,
+    checking that these cover every token once. Book, speaker and gender
+    come from the catalog; a chapter it does not list gets empty fields."""
+    books, speakers = read_catalog(cfg.input_dir)
     token_dir = Path(cfg.input_dir) / "tokens"
     if not token_dir.is_dir():
         raise FileNotFoundError(f"input token directory {token_dir} does not exist")
-    rows, residuals, dropped = segment_chapters(
-        sorted(token_dir.glob("*.jsonl")), cfg.min_segment_ms, cfg.max_segment_ms,
-        cfg.keep_residual, catalog,
-    )
+    chapters = {ch.chapter_id: (b.book_id, ch.speaker_id) for b in books for ch in b.chapters}
+    rows, residuals, dropped = [], [], []
+    for path in sorted(token_dir.glob("*.jsonl")):
+        chapter_id = path.stem
+        stream = read_token_stream(path)
+        result = segment_stream(stream, cfg.min_segment_ms, cfg.max_segment_ms,
+                                cfg.keep_residual, segment_id_prefix=chapter_id)
+        book, speaker = chapters.get(chapter_id, ("", ""))
+        gender = speakers.get(speaker, {}).get("gender", "")
+        rows += [ManifestRow(seg.segment_id, book, chapter_id, speaker, gender,
+                             seg.start, seg.end, " ".join(seg.words))
+                 for seg in result.segments if seg.tokens]
+        tail = result.residual
+        placed = [i for seg in result.segments for i in seg.tokens] + result.dropped_tokens
+        if tail is not None and not cfg.keep_residual:
+            residuals.append((chapter_id, tail.start, tail.end, len(tail.tokens)))
+            placed += tail.tokens
+        if sorted(placed) != list(range(len(stream))):
+            raise StageError("segment", f"chapter {chapter_id}: segments, residual and dropped "
+                                        f"tokens do not cover its {len(stream)} tokens once")
+        dropped += [(chapter_id, stream.words[i], stream.starts[i], stream.ends[i])
+                    for i in result.dropped_tokens]
+    rows.sort(key=lambda r: r.segment_id)
     out = _stage_dir(cfg, "segment")
     write_manifest(out / "segments.tsv", rows, cfg.config_hash())
     write_tsv(out / "residuals.tsv", ("chapter_id", "start_ms", "end_ms", "tokens"),
@@ -352,10 +337,13 @@ def stage_split(cfg: PipelineConfig) -> dict:
     partition_input = speakers
     forced_train: list[sp.SpeakerRecord] = []
     if cfg.hardness_percentile > 0 and cfg.hardness_reference:
-        reference = [
-            float(x)
-            for x in Path(cfg.hardness_reference).read_text(encoding="utf-8").split()
-        ]
+        reference = []
+        path = Path(cfg.hardness_reference)
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            try:
+                reference += [float(x) for x in line.split()]
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from None
         above = [s for s in speakers if s.total_duration >= cfg.train_threshold_s]
         hard = sp.select_hard_speakers(above, reference, cfg.hardness_percentile)
         enough = all(
@@ -467,14 +455,22 @@ def stage_limited(cfg: PipelineConfig) -> dict:
 
 
 def stage_decontam(cfg: PipelineConfig) -> dict:
+    """Filter the normalized books against the dev and test transcripts.
+    Every title, a candidate's or a held-out row's book's, comes from
+    ``books.json``."""
     titles = {b.book_id: b.title for b in read_catalog(cfg.input_dir)[0]}
     books = read_books(_stage_dir(cfg, "normalize"))
     dev_rows = read_manifest(_manifest_dir(cfg) / "dev.tsv", cfg.config_hash())
     test_rows = read_manifest(_manifest_dir(cfg) / "test.tsv", cfg.config_hash())
-    kept, removed, report, index = decontaminate(
-        books, titles, dev_rows + test_rows, dc.stopword_list(cfg.stopwords, cfg.language),
-        cfg.decontam_threshold, cfg.decontam_count_tokens,
-    )
+    heldout_rows = dev_rows + test_rows
+    index = dc.build_heldout_index((r.transcript.split() for r in heldout_rows),
+                                   dc.stopword_list(cfg.stopwords, cfg.language))
+    dev_test_titles = [titles[b] for b in sorted({r.book_id for r in heldout_rows}) if b in titles]
+    candidates = [dc.LmBook(bid, titles.get(bid, ()), tuple(words))
+                  for bid, words in sorted(books.items())]
+    kept, removed, report = dc.filter_corpus(candidates, dev_test_titles, index,
+                                             threshold=cfg.decontam_threshold,
+                                             count_tokens=cfg.decontam_count_tokens)
     lm_dir = _lm_dir(cfg)
     lm_dir.mkdir(parents=True, exist_ok=True)
     dc.write_report(lm_dir / "decontam_report.tsv", report, cfg.config_hash())

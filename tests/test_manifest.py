@@ -19,7 +19,7 @@ from corpus_forge.manifest import (
 )
 from corpus_forge.synth import synth_corpus
 
-from test_pipeline import SMALL
+from test_pipeline import SMALL, config_file, small_config
 
 AWKWARD = [
     "tab\there", 'say "hi"', '"', "\t", "line\nbreak", "a\u2028b", "he\rllo", "\r", "cr\r\nlf",
@@ -100,21 +100,17 @@ def test_awkward_pseudo_labels_survive_cli_segment_and_retrieve(tmp_path, capsys
         lines[i] = json.dumps(token)
     stream.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    assert cli_main([
-        "normalize", "--in", str(tmp_path / "input" / "books"), "--out", str(tmp_path / "norm"),
-    ]) == 0
-    assert cli_main([
-        "segment", "--input-dir", str(tmp_path / "input"), "--out", str(tmp_path / "segments.tsv"),
-    ]) == 0
-    rows = read_manifest(tmp_path / "segments.tsv")
+    cfg = small_config(tmp_path)
+    cfg_path = config_file(tmp_path / "run.cfg", cfg)
+    work = tmp_path / "out" / "work"
+    assert cli_main(["normalize", "--config", cfg_path]) == 0
+    assert cli_main(["segment", "--config", cfg_path]) == 0
+    rows = read_manifest(work / "segment" / "segments.tsv", cfg.config_hash())
     words = [w for r in rows if r.chapter_id == stream.stem for w in r.transcript.split(" ")]
     assert '"quoted' in words and 'say"hi"' in words
     # book ids come from books.json, where synth names chapters after their book
     assert all(r.book_id == r.chapter_id.rsplit("_", 1)[0] for r in rows)
-    assert cli_main([
-        "retrieve", "--books", str(tmp_path / "norm"), "--pseudo", str(tmp_path / "segments.tsv"),
-        "--out", str(tmp_path / "candidates.tsv"),
-    ]) == 0
-    _header, cands = read_tsv(tmp_path / "candidates.tsv")
+    assert cli_main(["retrieve", "--config", cfg_path]) == 0
+    _header, cands = read_tsv(work / "retrieve" / "candidates.tsv", cfg.config_hash())
     assert len(cands) == len(rows)
     assert all(row[5] == "true" for row in cands)

@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from corpus_forge.cli import main as cli_main
 from corpus_forge.config import ConfigError, PipelineConfig
 from corpus_forge import retrieval as rt
+from corpus_forge import splitter as sp
 from corpus_forge.manifest import (
     ManifestRow,
     ProvenanceError,
@@ -37,6 +39,15 @@ def small_config(root, **overrides):
     )
     kwargs.update(overrides)
     return PipelineConfig(**kwargs)
+
+
+def config_file(path, cfg):
+    """``cfg`` written to ``path`` as a config file of its non-default keys,
+    for the command line; returns the path as a string."""
+    default = PipelineConfig()
+    path.write_text("".join(f"{key} = {value}\n" for key, value in vars(cfg).items()
+                            if value != getattr(default, key)), encoding="utf-8")
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -291,7 +302,9 @@ def test_rerun_single_stage_is_byte_identical(completed_run):
 
 def test_resume_refuses_mismatched_hash(completed_run, tmp_path):
     root, cfg, _ = completed_run
-    tampered = small_config(root, seed=18)  # different semantics, same tree
+    shutil.copytree(cfg.output_dir, tmp_path / "out")
+    # different semantics, same tree (a copy, so the shared run keeps its records)
+    tampered = small_config(root, seed=18, output_dir=str(tmp_path / "out"))
     with pytest.raises((StageError, ProvenanceError)):
         run_pipeline(tampered, from_stage="retrieve", until_stage="retrieve")
 
@@ -386,6 +399,7 @@ def _set(key, value):
 def test_malformed_book_record_fails_in_segment_naming_books_json_and_book(
     tmp_path, capsys, index, edit, named
 ):
+    """An input fault (exit 2), met when segment reads the catalog."""
     synth_corpus(tmp_path / "input", seed=17, params=SMALL)
     books_path = tmp_path / "input" / "books.json"
     books = json.loads(books_path.read_text(encoding="utf-8"))
@@ -395,9 +409,10 @@ def test_malformed_book_record_fails_in_segment_naming_books_json_and_book(
     cfg_path.write_text(
         f"input_dir = {tmp_path / 'input'}\noutput_dir = {tmp_path / 'out'}\n", encoding="utf-8"
     )
-    assert cli_main(["run", "--config", str(cfg_path)]) == 3
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
     message = capsys.readouterr().err
-    assert message.startswith(f"error: stage segment: {books_path}: {named} is malformed"), message
+    assert message.startswith(f"error: {books_path}: {named} is malformed"), message
+    assert not (tmp_path / "out" / "work" / "segment" / "provenance.json").exists()
 
 
 @pytest.mark.parametrize("record", [None, {}, {"gender": ""}])
@@ -459,15 +474,10 @@ def test_hostile_catalog_exits_2_naming_its_file(tmp_path, capsys, entry, name, 
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(f"input_dir = {tmp_path / 'input'}\noutput_dir = {tmp_path / 'out'}\n",
                         encoding="utf-8")
-    out = tmp_path / "segments.tsv"
-    argv = {
-        "run": ["run", "--config", str(cfg_path)],
-        "segment": ["segment", "--input-dir", str(tmp_path / "input"), "--out", str(out)],
-    }[entry]
-    assert cli_main(argv) == 2
+    assert cli_main([entry, "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1, err
-    assert not out.exists()
+    assert not (tmp_path / "out" / "work" / "segment" / "segments.tsv").exists()
     assert not (tmp_path / "out" / "work" / "segment" / "provenance.json").exists()
 
 
@@ -479,12 +489,9 @@ def test_book_file_that_is_not_utf8_exits_2_naming_its_line(tmp_path, capsys, en
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(f"input_dir = {tmp_path / 'input'}\noutput_dir = {tmp_path / 'out'}\n",
                         encoding="utf-8")
-    argv = {
-        "run": ["run", "--config", str(cfg_path)],
-        "normalize": ["normalize", "--in", str(book.parent), "--out", str(tmp_path / "norm")],
-    }[entry]
-    assert cli_main(argv) == 2
+    assert cli_main([entry, "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err == f"error: {book}:3: not valid UTF-8\n"
+    assert not (tmp_path / "out" / "work" / "normalize" / "provenance.json").exists()
 
 
 def test_segment_stage_writes_dropped_and_residual_rows(tmp_path):
@@ -524,7 +531,7 @@ def _mean_wers(cfg):
     return {s: (sum(w) / len(w), ms[s] / 1000.0) for s, w in wers.items()}
 
 
-def test_hardness_prefilter_both_branches(tmp_path):
+def test_hardness_prefilter_both_branches(tmp_path, capsys):
     # at seed 8 a forced-train reader is one of the two shortest of its
     # gender, so the filter changes who is held out
     synth_corpus(tmp_path / "input", seed=8, params=SynthParams(
@@ -572,47 +579,58 @@ def test_hardness_prefilter_both_branches(tmp_path):
     assert report["hardness"] == "hardness filter skipped: insufficient hard speakers"
     assert {p: report["speakers"][p] for p in ("dev", "test")} == held_out(above)
 
+    # a reference line that is not a number is an input fault naming its line
+    reference.write_text("0.1\n0.2 0.3\nabc\n", encoding="utf-8")
+    assert cli_main(["split", "--config", config_file(tmp_path / "run.cfg", cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {reference}:3: could not convert string to float: 'abc'\n"
+    )
+
 
 # -- command line ----------------------------------------------------------------------
 
 
+def copied_run(completed_run, tmp_path):
+    """The completed run's config, written as ``run.cfg``, and a copy of its
+    output directory, for the command line to rewrite."""
+    root, cfg, _ = completed_run
+    out = tmp_path / "out"
+    shutil.copytree(cfg.output_dir, out)
+    return config_file(tmp_path / "run.cfg", replace(cfg, output_dir=str(out))), out
+
+
+def tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def test_cli_normalize_single_file(tmp_path):
-    src = tmp_path / "page.txt"
-    src.write_text("One two-\nthree; FOUR!\n", encoding="utf-8")
-    assert cli_main(["normalize", "--in", str(src), "--out", str(tmp_path / "o.txt")]) == 0
-    assert (tmp_path / "o.txt").read_text(encoding="utf-8") == "one twothree four\n"
+    tiny_input(tmp_path / "input", ['{"w": "alpha", "s": 0, "e": 500}'])
+    (tmp_path / "input" / "books" / "book000.txt").write_text("One two-\nthree; FOUR!\n",
+                                                              encoding="utf-8")
+    cfg_path = config_file(tmp_path / "run.cfg", small_config(tmp_path))
+    assert cli_main(["normalize", "--config", cfg_path]) == 0
+    normalized = tmp_path / "out" / "work" / "normalize" / "book000.txt"
+    assert normalized.read_text(encoding="utf-8") == "one twothree four\n"
 
 
 def test_cli_normalize_segment_retrieve_round_trip(tmp_path, capsys):
-    """normalize, segment and retrieve, run in turn on a corpus root with
-    their default options, write the candidates of a run's retrieve stage."""
+    """normalize, segment and retrieve, run in turn as subcommands, write the
+    candidates of a run's retrieve stage."""
     synth_corpus(tmp_path / "input", seed=6, params=SMALL)
     cfg = small_config(tmp_path)
     report = run_pipeline(cfg, until_stage="retrieve")
-    assert cli_main([
-        "normalize",
-        "--in", str(tmp_path / "input" / "books"),
-        "--out", str(tmp_path / "norm"),
-    ]) == 0
-    assert cli_main([
-        "segment",
-        "--input-dir", str(tmp_path / "input"),
-        "--out", str(tmp_path / "segments.tsv"),
-    ]) == 0
-    rows = read_manifest(tmp_path / "segments.tsv")
+    cfg_path = config_file(tmp_path / "run.cfg", cfg)
+    out = tmp_path / "out2"
+    for name in ("normalize", "segment", "retrieve"):
+        assert cli_main([name, "--config", cfg_path, "--output", str(out)]) == 0
+    rows = read_manifest(out / "work" / "segment" / "segments.tsv", cfg.config_hash())
     assert rows and all(10_000 <= r.duration_ms <= 20_000 for r in rows)
-    capsys.readouterr()
-    assert cli_main([
-        "retrieve",
-        "--books", str(tmp_path / "norm"),
-        "--pseudo", str(tmp_path / "segments.tsv"),
-        "--out", str(tmp_path / "candidates.tsv"),
-    ]) == 0
-    retrieved = report["stages"]["retrieve"]
-    assert capsys.readouterr().out == (
-        f"wrote {retrieved['candidates']} candidates ({retrieved['unmatched']} unmatched)\n"
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"run complete: config_hash={cfg.config_hash()} stages=3"
     )
-    header, cands = read_tsv(tmp_path / "candidates.tsv")
+    retrieved = json.loads((out / "report.json").read_text(encoding="utf-8"))["stages"]["retrieve"]
+    assert retrieved == report["stages"]["retrieve"]
+    header, cands = read_tsv(out / "work" / "retrieve" / "candidates.tsv", cfg.config_hash())
     assert header == list(
         ("segment_id", "book_id", "offset_start", "offset_end", "wer", "accepted", "transcript")
     )
@@ -621,74 +639,57 @@ def test_cli_normalize_segment_retrieve_round_trip(tmp_path, capsys):
     assert (header, cands) == read_tsv(tmp_path / "out" / "work" / "retrieve" / "candidates.tsv")
 
 
-def test_cli_lm_commands(tmp_path, completed_run, capsys):
-    root, cfg, _ = completed_run
-    out = Path(cfg.output_dir)
-    model_path = tmp_path / "model.cflm"
-    assert cli_main([
-        "lm-train",
-        "--order", "3",
-        "--in", str(out / "work" / "normalize"),
-        "--out", str(model_path),
-        "--arpa", str(tmp_path / "model.arpa"),
-    ]) == 0
-    assert model_path.exists() and (tmp_path / "model.arpa").exists()
-    assert cli_main([
-        "lm-eval",
-        "--model", str(model_path),
-        "--dev", str(out / "manifests" / "dev.tsv"),
-        "--report", str(tmp_path / "eval.json"),
-    ]) == 0
-    payload = json.loads((tmp_path / "eval.json").read_text(encoding="utf-8"))
-    assert payload["order"] == 3
-    assert payload["perplexity"] > 1.0
+def test_cli_lm_commands(tmp_path, completed_run):
+    cfg_path, out = copied_run(completed_run, tmp_path)
+    for path in (out / "lm").glob("lm_*"):
+        path.unlink()
+    assert cli_main(["lm_train", "--config", cfg_path]) == 0
+    assert all((out / "lm" / f"lm_{order}.{ext}").exists()
+               for order in (3, 5) for ext in ("cflm", "arpa"))
+    assert cli_main(["lm_eval", "--config", cfg_path]) == 0
+    payload = json.loads((out / "lm" / "lm_eval.json").read_text(encoding="utf-8"))
+    assert sorted(payload["models"]) == ["3", "5"]
+    assert all(model["perplexity"] > 1.0 for model in payload["models"].values())
 
 
 def test_cli_decontam(tmp_path, completed_run):
-    root, cfg, _ = completed_run
-    out = Path(cfg.output_dir)
-    assert cli_main([
-        "decontam",
-        "--heldout", str(out / "manifests" / "dev.tsv"), str(out / "manifests" / "test.tsv"),
-        "--input-dir", cfg.input_dir,
-        "--books", str(out / "work" / "normalize"),
-        "--threshold", "0.01",
-        "--report", str(tmp_path / "report.tsv"),
-    ]) == 0
-    header, rows = read_tsv(tmp_path / "report.tsv")
+    cfg_path, out = copied_run(completed_run, tmp_path)
+    report = out / "lm" / "decontam_report.tsv"
+    report.unlink()
+    assert cli_main(["decontam", "--config", cfg_path]) == 0
+    header, rows = read_tsv(report, completed_run[1].config_hash())
     assert {r[1] for r in rows} == {"kept", "removed"}
 
 
-@pytest.mark.parametrize("name", ["normalize", "segment", "retrieve", "decontam"])
+# what each stage writes under the output directory, besides report.json
+STAGE_OUTPUTS = {
+    "normalize": ["work/normalize/*"],
+    "segment": ["work/segment/*"],
+    "retrieve": ["work/retrieve/*"],
+    "postprocess": ["work/postprocess/*"],
+    "filter": ["work/filter/*"],
+    "split": ["work/split/*", "manifests/train.tsv", "manifests/dev.tsv", "manifests/test.tsv",
+              "stats.json", "duration_histogram.tsv"],
+    "limited": ["work/limited/*", "manifests/limited_*.tsv"],
+    "decontam": ["work/decontam/*", "lm/decontam_report.tsv", "lm/corpus_books.txt"],
+    "lm_train": ["work/lm_train/*", "lm/lm_*.cflm", "lm/lm_*.arpa"],
+    "lm_eval": ["work/lm_eval/*", "lm/lm_eval.json"],
+}
+
+
+@pytest.mark.parametrize("name", STAGE_TABLE)
 def test_standalone_subcommand_writes_what_its_stage_wrote(tmp_path, completed_run, name):
-    """Run on the inputs of a completed run, each standalone subcommand writes
-    the body of its stage's output."""
-    root, cfg, _ = completed_run
-    out, work, new = Path(cfg.output_dir), Path(cfg.output_dir) / "work", tmp_path / "new"
-    argv, stage_file = {
-        "normalize": (["--in", f"{cfg.input_dir}/books"], None),
-        "segment": ([
-            "--min-sec", str(cfg.min_segment_ms / 1000), "--max-sec", str(cfg.max_segment_ms / 1000),
-            "--input-dir", cfg.input_dir,
-        ] + ["--keep-residual"] * cfg.keep_residual, work / "segment" / "segments.tsv"),
-        "retrieve": ([
-            "--books", str(work / "normalize"), "--pseudo", str(work / "segment" / "segments.tsv"),
-            "--shard-size", str(cfg.shard_size), "--stride", str(cfg.shard_stride),
-            "--wer-threshold", str(cfg.wer_threshold),
-        ], work / "retrieve" / "candidates.tsv"),
-        "decontam": ([
-            "--heldout", str(out / "manifests" / "dev.tsv"), str(out / "manifests" / "test.tsv"),
-            "--input-dir", cfg.input_dir, "--books", str(work / "normalize"),
-            "--threshold", str(cfg.decontam_threshold),
-        ] + ["--count-tokens"] * cfg.decontam_count_tokens, out / "lm" / "decontam_report.tsv"),
-    }[name]
-    assert cli_main([name, *argv, "--report" if name == "decontam" else "--out", str(new)]) == 0
-    if stage_file is None:
-        stage_texts = {p.name: p.read_bytes() for p in (work / "normalize").glob("*.txt")}
-        assert stage_texts and {p.name: p.read_bytes() for p in new.iterdir()} == stage_texts
-        return
-    header, rows = read_tsv(stage_file)
-    assert rows and read_tsv(new) == (header, rows)
+    """On a completed run whose outputs of one stage are deleted, that stage's
+    subcommand writes them again byte for byte."""
+    assert list(STAGE_OUTPUTS) == list(STAGE_TABLE)
+    cfg_path, out = copied_run(completed_run, tmp_path)
+    before = tree_bytes(out)
+    deleted = [p for pattern in STAGE_OUTPUTS[name] + ["report.json"] for p in out.glob(pattern)]
+    assert deleted and all(p.is_file() for p in deleted)
+    for path in deleted:
+        path.unlink()
+    assert cli_main([name, "--config", cfg_path]) == 0
+    assert tree_bytes(out) == before
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):
@@ -717,7 +718,21 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert cli_main(["run", "--config", str(empty_cfg)]) == 3
 
 
-def test_cli_split_subcommand_overrides(tmp_path, capsys):
+@pytest.mark.parametrize("content, message", [
+    (None, ": cannot read config file: Is a directory"),
+    (b"seed = 3\r\nlanguage = e\xffn\n", ":2: not valid UTF-8"),
+], ids=["directory", "not-utf8"])
+def test_config_file_fault_exits_2_naming_the_file(tmp_path, capsys, content, message):
+    path = tmp_path / "run.cfg"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert cli_main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}{message}\n"
+
+
+def test_cli_split_subcommand_overrides(tmp_path, capsys, monkeypatch):
     synth_corpus(tmp_path / "input", seed=8, params=SMALL)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(
@@ -728,14 +743,16 @@ def test_cli_split_subcommand_overrides(tmp_path, capsys):
         encoding="utf-8",
     )
     assert cli_main(["run", "--config", str(cfg_path), "--until-stage", "filter"]) == 0
-    assert cli_main(["split", "--config", str(cfg_path), "--seed", "99"]) == 2  # hash mismatch
+    monkeypatch.setenv("CORPUS_FORGE_SEED", "99")
+    assert cli_main(["split", "--config", str(cfg_path)]) == 2  # hash mismatch
+    monkeypatch.delenv("CORPUS_FORGE_SEED")
     assert cli_main(["split", "--config", str(cfg_path)]) == 0
     assert (tmp_path / "out" / "manifests" / "dev.tsv").exists()
     assert cli_main(["limited", "--config", str(cfg_path)]) == 0
     assert (tmp_path / "out" / "manifests" / "limited_10h.tsv").exists()
 
 
-def test_stage_failure_exits_3_from_every_entry_point(tmp_path, capsys):
+def test_stage_failure_exits_3_from_every_entry_point(tmp_path, capsys, monkeypatch):
     """A fault inside a stage is a stage failure (exit 3, ``stage <name>:``)
     whether the stage runs alone or as part of ``run``."""
     synth_corpus(tmp_path / "input", seed=8, params=SMALL)
@@ -748,16 +765,33 @@ def test_stage_failure_exits_3_from_every_entry_point(tmp_path, capsys):
         encoding="utf-8",
     )
     assert cli_main(["run", "--config", str(cfg_path), "--until-stage", "filter"]) == 0
-    books_path = tmp_path / "input" / "books.json"
-    books = json.loads(books_path.read_text(encoding="utf-8"))
-    books[0]["version"] = "two"
-    books_path.write_text(json.dumps(books), encoding="utf-8")
+
+    def failing(*args, **kwargs):
+        raise sp.SplitError("no speakers to partition")
+
+    monkeypatch.setattr(sp, "partition_speakers", failing)
     capsys.readouterr()
     assert cli_main(["split", "--config", str(cfg_path)]) == 3
     alone = capsys.readouterr().err
     assert cli_main(["run", "--config", str(cfg_path), "--from-stage", "split"]) == 3
     assert capsys.readouterr().err == alone
-    assert alone.startswith("error: stage split: ") and "books.json" in alone
+    assert alone == "error: stage split: no speakers to partition\n"
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"stage": "filt', "not valid JSON: Unterminated string starting at: line 1 column 11"),
+    (b'["filter"]', "not a provenance record"),
+], ids=["torn", "hand-edited"])
+@pytest.mark.parametrize("stage", ["filter", "lm_eval"], ids=["prerequisite", "report"])
+def test_bad_provenance_exits_2_naming_its_file(tmp_path, completed_run, capsys, stage, content,
+                                                 message):
+    """split reads filter's record as a prerequisite and lm_eval's for
+    ``report.json``."""
+    cfg_path, out = copied_run(completed_run, tmp_path)
+    path = out / "work" / stage / "provenance.json"
+    path.write_bytes(content)
+    assert cli_main(["split", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
 
 def test_cli_synth(tmp_path, capsys):

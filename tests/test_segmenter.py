@@ -17,7 +17,7 @@ from corpus_forge.segmenter import (
 )
 
 from oracles import brute_force_segment_bounds, pairwise_gap_scan
-from test_pipeline import small_config, tiny_input
+from test_pipeline import config_file, small_config, tiny_input
 
 
 def stream_of(triples):
@@ -351,8 +351,8 @@ def test_token_stream_unsorted_names_file_and_line(tmp_path, capsys):
     with pytest.raises(ValueError) as err:
         read_token_stream(path)
     assert str(err.value) == f"{path}:2: token stream is not sorted by start time"
-    out = tmp_path / "segments.tsv"
-    assert cli_main(["segment", "--input-dir", str(tmp_path / "input"), "--out", str(out)]) == 2
+    cfg_path = config_file(tmp_path / "run.cfg", small_config(tmp_path))
+    assert cli_main(["segment", "--config", cfg_path]) == 2
     assert f"{path}:2: token stream is not sorted" in capsys.readouterr().err
 
 
@@ -382,10 +382,10 @@ def test_hostile_token_line_fails_at_the_reader(tmp_path, capsys, line):
     with pytest.raises(TokenStreamError) as err:
         read_token_stream(path)
     assert str(err.value).startswith(f"{path}:2: bad token line: ")
-    out = tmp_path / "segments.tsv"
-    assert cli_main(["segment", "--input-dir", str(tmp_path / "input"), "--out", str(out)]) == 2
+    cfg_path = config_file(tmp_path / "run.cfg", small_config(tmp_path))
+    assert cli_main(["segment", "--config", cfg_path]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}:2: bad token line: ")
-    assert not out.exists()
+    assert not (tmp_path / "out" / "work" / "segment" / "segments.tsv").exists()
 
 
 def test_first_fault_in_file_order_is_named(tmp_path):
@@ -461,7 +461,7 @@ def test_token_file_fault_exits_2_from_run(tmp_path, capsys, line):
 @pytest.mark.parametrize("entry", ["stage", "cli"])
 def test_segment_stage_fails_when_a_chapter_loses_or_repeats_a_token(tmp_path, monkeypatch, capsys,
                                                                      entry):
-    """Per chapter, the segment stage and the standalone subcommand check that
+    """Per chapter, the segment stage, alone or as its subcommand, checks that
     the segments, the residual and the dropped tokens cover every token once."""
     tiny_input(tmp_path / "input", ['{"w": "a", "s": 0, "e": 6000}', '{"w": "b", "s": 6000, "e": 12000}'])
 
@@ -476,7 +476,7 @@ def test_segment_stage_fails_when_a_chapter_loses_or_repeats_a_token(tmp_path, m
         with pytest.raises(StageError, match=f"^{message}$"):
             run_stage(small_config(tmp_path), "segment")
         return
-    out = tmp_path / "segments.tsv"
-    assert cli_main(["segment", "--input-dir", str(tmp_path / "input"), "--out", str(out)]) == 3
+    cfg_path = config_file(tmp_path / "run.cfg", small_config(tmp_path))
+    assert cli_main(["segment", "--config", cfg_path]) == 3
     assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
-    assert not out.exists()
+    assert not (tmp_path / "out" / "work" / "segment" / "segments.tsv").exists()
