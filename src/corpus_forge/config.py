@@ -63,6 +63,8 @@ class PipelineConfig:
             raise ConfigError("duration thresholds must be positive")
         if not 0.0 <= self.hardness_percentile < 1.0:
             raise ConfigError("hardness_percentile must be in [0, 1)")
+        if self.hardness_percentile > 0 and not self.hardness_reference:
+            raise ConfigError("hardness_percentile > 0 needs a hardness_reference file")
         if not 0.0 <= self.decontam_threshold <= 1.0:
             raise ConfigError("decontam_threshold must be in [0, 1]")
         if self.rare_wordform_threshold < 1:

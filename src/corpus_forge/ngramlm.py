@@ -13,9 +13,11 @@ for any observed context the distribution over vocabulary + unknown sums to one.
 Word ids number vocab + ``<s>`` in code-point order; order k is a sorted
 (n_k, k) int32 array of id rows plus their counts. No word may hold a
 character at or below U+0020, so id order is the order of the space-joined
-gram strings, in which the ``.cflm`` JSON and the ARPA file list grams. A
-context's grams form one run; its discount mass is summed left to right in
-that one order, so a loaded model equals its original in every float.
+gram strings, in which the ``.cflm`` JSON and the ARPA file list grams;
+``save`` writes both files in one pass over the id rows, one CHUNK of gram
+strings at a time. A context's grams form one run; its discount mass is
+summed left to right in that one order, so a loaded model equals its
+original in every float.
 
 ``.cflm``: 4-byte magic, version byte, then zlib (level 6) of the JSON object
 {"discounts", "fallback", "metadata", "order", "smoothing", "tables": per
@@ -91,8 +93,7 @@ def _run_sums(values, starts):
 
 
 class NGramModel:
-    """Tables and counts never change after construction; ``save`` and
-    ``to_arpa`` fill the gram-string cache ``_joined`` on first use.
+    """Nothing in a model changes after construction.
 
     ``tables[k-1]`` holds the order-k grams as sorted rows of word ids
     (``words[i]`` is the word of id i), ``counts[k-1]`` their adjusted counts.
@@ -110,7 +111,6 @@ class NGramModel:
         self.fallback = fallback
         self.metadata = dict(metadata or {})
         self._p0 = 1.0 / (len(self.vocab) + 1)
-        self._joined: dict[bool, list[list[str]]] = {}
         # per order: each gram's context run, run totals and masses, ``_find`` keys
         self.run_of, self.totals, self.gamma_mass, self._keys = [], [], [], []
         for table, count, d in zip(tables, counts, discounts):
@@ -243,37 +243,59 @@ class NGramModel:
 
     # -- serialization -----------------------------------------------------
 
-    def _strings(self, escape: bool) -> list[list[str]]:
-        """Each order's grams as space-joined strings, raw or JSON-escaped (each
-        word once, by ``json.dumps``); built once, and once for both if equal."""
-        words = [json.dumps(w)[1:-1] for w in self.words] if escape else self.words
-        escape = escape and words != self.words
-        if escape not in self._joined:
-            self._joined[escape] = [
-                list(map(" ".join, zip(*([words[i] for i in col] for col in t.T.tolist()))))
-                for t in self.tables
-            ]
-        return self._joined[escape]
+    def save(self, cflm_path: str | Path, arpa_path: str | Path) -> None:
+        """Write the ``.cflm`` file and the ARPA export in one pass over the
+        orders. Each CHUNK of an order's id rows is joined into gram strings
+        once (and once more JSON-escaped when escaping changes some word);
+        their ``"gram":count`` pairs stream into the compressor and their
+        ARPA lines into the text file.
 
-    def save(self, path: str | Path) -> None:
-        """Write the ``.cflm`` file, streaming the JSON text of each table
-        into the compressor."""
+        ARPA: stored probabilities are the interpolated values; backoff
+        weights are the per-context discount masses, so an ARPA consumer
+        reproduces this model's probabilities. Sentence ends are not modeled,
+        so no </s> entry is emitted. Model metadata rides along as preamble
+        comments (readers skip text before the data marker). A zero
+        probability (<s>, or <unk> when unsmoothed) is written as -99.
+        Orders are evaluated bottom-up, each gram over the probability of its
+        suffix one order down.
+        """
         payload = {"order": self.order, "smoothing": self.smoothing, "vocab": sorted(self.vocab),
                    "tables": [], "discounts": [list(d) for d in self.discounts],
                    "fallback": list(self.fallback), "metadata": self.metadata}
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         head, _, tail = text.rpartition('"tables":[]')  # only "vocab" follows it
+        escaped = [json.dumps(w)[1:-1] for w in self.words]
+        escape = escaped != self.words
+        sizes = [len(self.tables[0]) + 2] + [len(t) for t in self.tables[1:]]  # + <unk>, <s>
+        header = [f"# {key}={self.metadata[key]}" for key in sorted(self.metadata)]
+        header += ["\\data\\", *(f"ngram {k}={c}" for k, c in enumerate(sizes, start=1)), ""]
+        unigram = np.concatenate(([0, 0], self.counts[0]))  # <unk>, <s>, the words
+        probs = self._interpolate(1, unigram, np.zeros(len(unigram), int), self._p0)
+        probs[1] = 0.0  # <s>: never predicted
+        special = np.array([[-1], [self.ids[SENT_START]]])  # <unk> has no id
         z = zlib.compressobj(6)
-        with open(path, "wb") as fh:
-            fh.write(MAGIC + bytes([FORMAT_VERSION]))
-            fh.write(z.compress(f'{head}"tables":['.encode()))
-            for k, (strings, count) in enumerate(zip(self._strings(True), self.counts)):
-                fh.write(z.compress(b",{" if k else b"{"))
-                for i in range(0, len(strings), CHUNK):
-                    part = map('"{}":{}'.format, strings[i : i + CHUNK], count[i : i + CHUNK].tolist())
-                    fh.write(z.compress(f'{"," if i else ""}{",".join(part)}'.encode()))
-                fh.write(z.compress(b"}"))
-            fh.write(z.compress(f"]{tail}".encode()) + z.flush())
+        with open(cflm_path, "wb") as cflm, open(arpa_path, "w", encoding="utf-8") as arpa:
+            cflm.write(MAGIC + bytes([FORMAT_VERSION]) + z.compress(f'{head}"tables":['.encode()))
+            arpa.write("\n".join(header) + "\n\\1-grams:\n")
+            arpa.write(_arpa_lines(probs[:2].tolist(), [UNK, SENT_START], self._backoffs(1, special)))
+            probs = probs[2:]
+            for k, (grams, count) in enumerate(zip(self.tables, self.counts), start=1):
+                if k > 1:
+                    lower = probs[self._find(k - 1, grams[:, 1:])]  # each gram's suffix
+                    probs = self._interpolate(k, count, self.run_of[k - 1], lower)
+                    arpa.write(f"\\{k}-grams:\n")
+                cflm.write(z.compress(b",{" if k > 1 else b"{"))
+                for i in range(0, len(grams), CHUNK):
+                    rows = grams[i : i + CHUNK]
+                    strings = _join_grams(self.words, rows)
+                    keys = _join_grams(escaped, rows) if escape else strings
+                    pairs = map('"{}":{}'.format, keys, count[i : i + CHUNK].tolist())
+                    cflm.write(z.compress(f'{"," if i else ""}{",".join(pairs)}'.encode()))
+                    arpa.write(_arpa_lines(probs[i : i + CHUNK].tolist(), strings, self._backoffs(k, rows)))
+                cflm.write(z.compress(b"}"))
+                arpa.write("\n")
+            cflm.write(z.compress(f"]{tail}".encode()) + z.flush())
+            arpa.write("\\end\\\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "NGramModel":
@@ -294,55 +316,32 @@ class NGramModel:
         return cls(payload["order"], payload["smoothing"], payload["vocab"], tables, counts,
                    discounts, list(payload["fallback"]), payload.get("metadata"))
 
-    def to_arpa(self, path: str | Path) -> None:
-        """Plain-text ARPA export of the interpolated model.
-
-        Stored probabilities are the interpolated values; backoff weights are
-        the per-context discount masses (-99 for every seen context of an
-        unsmoothed model), so an ARPA consumer reproduces this model's
-        probabilities. Sentence ends are not modeled, so no
-        </s> entry is emitted. Model metadata rides along as preamble
-        comments (readers skip text before the data marker). A zero
-        probability (<s>, or <unk> when unsmoothed) is written as -99.
-        Levels are evaluated bottom-up, each gram over the probability of its
-        suffix one order down, and written as each one finishes.
-        """
-        counts = [len(self.tables[0]) + 2] + [len(t) for t in self.tables[1:]]  # + <unk>, <s>
-        header = [f"# {key}={self.metadata[key]}" for key in sorted(self.metadata)]
-        header += ["\\data\\", *(f"ngram {k}={c}" for k, c in enumerate(counts, start=1)), ""]
-        count = np.concatenate(([0, 0], self.counts[0]))  # <unk>, <s>, the words
-        lower = self._interpolate(1, count, np.zeros(len(count), int), self._p0)
-        lower[1] = 0.0  # <s>: never predicted
-        grams = np.concatenate(([[-1], [self.ids[SENT_START]]], self.tables[0]))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(header) + "\n")
-            self._arpa_level(fh, 1, [UNK, SENT_START, *self._strings(False)[0]], lower, grams)
-            lower = lower[2:]
-            for k in range(2, self.order + 1):
-                grams = self.tables[k - 1]
-                lower = lower[self._find(k - 1, grams[:, 1:])]  # each gram's suffix
-                lower = self._interpolate(k, self.counts[k - 1], self.run_of[k - 1], lower)
-                self._arpa_level(fh, k, self._strings(False)[k - 1], lower, grams)
-            fh.write("\\end\\\n")
-
-    def _arpa_level(self, fh, k: int, strings, probs, grams) -> None:
-        """Write the ARPA section of order k: header, one line per gram, blank.
-        A gram with no continuation at order k+1 backs off with weight 1 (no
-        field); otherwise the weight is its discount mass as a context, or 0
-        (-99) for an unsmoothed model, which never backs off from a seen one."""
-        log10 = math.log10
-        tails = np.full(len(strings), "", object)
+    def _backoffs(self, k: int, rows) -> list[str]:
+        """The ARPA back-off field of each order-k id row. A gram with no
+        continuation at order k+1 backs off with weight 1 (no field);
+        otherwise the weight is its discount mass as a context, or 0 (-99)
+        for an unsmoothed model, which never backs off from a seen one."""
+        fields = np.full(len(rows), "", object)
         if k < self.order:
-            start = self._find(k + 1, grams)
+            start = self._find(k + 1, rows)
             run = self.run_of[k][start[start >= 0]]
             mass = self.gamma_mass[k][run] / self.totals[k][run]
-            bows = [-99.0] * len(run) if self.smoothing == "none" else map(log10, mass.tolist())
-            tails[start >= 0] = [f"\t{bow:.7f}" for bow in bows]
-        fh.write(f"\\{k}-grams:\n")
-        for i in range(0, len(strings), CHUNK):
-            part = zip(probs[i : i + CHUNK].tolist(), strings[i : i + CHUNK], tails[i : i + CHUNK].tolist())
-            fh.write("".join([f"{log10(p) if p > 0.0 else -99.0:.7f}\t{s}{tail}\n" for p, s, tail in part]))
-        fh.write("\n")
+            bows = [-99.0] * len(run) if self.smoothing == "none" else map(math.log10, mass.tolist())
+            fields[start >= 0] = [f"\t{bow:.7f}" for bow in bows]
+        return fields.tolist()
+
+
+def _join_grams(words, rows) -> list[str]:
+    """The space-joined gram string of each id row; ``words[i]`` spells id i."""
+    return list(map(" ".join, zip(*([words[i] for i in col] for col in rows.T.tolist()))))
+
+
+def _arpa_lines(probs, strings, fields) -> str:
+    """One ARPA line per gram: log10 probability (-99 for zero), the gram,
+    then its back-off field."""
+    log10 = math.log10
+    return "".join([f"{log10(p) if p > 0.0 else -99.0:.7f}\t{s}{field}\n"
+                    for p, s, field in zip(probs, strings, fields)])
 
 
 def train(corpus, order: int, smoothing: str = "kn", metadata=None) -> NGramModel:

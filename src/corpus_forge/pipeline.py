@@ -336,7 +336,7 @@ def stage_split(cfg: PipelineConfig) -> dict:
     hard_note = ""
     partition_input = speakers
     forced_train: list[sp.SpeakerRecord] = []
-    if cfg.hardness_percentile > 0 and cfg.hardness_reference:
+    if cfg.hardness_percentile > 0:
         reference = []
         path = Path(cfg.hardness_reference)
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
@@ -500,8 +500,7 @@ def stage_lm_train(cfg: PipelineConfig) -> dict:
             },
         )
         path = lm_dir / f"lm_{order}.cflm"
-        model.save(path)
-        model.to_arpa(lm_dir / f"lm_{order}.arpa")
+        model.save(path, lm_dir / f"lm_{order}.arpa")
         del model  # free this order before the next one is trained
         sizes[str(order)] = path.stat().st_size
     return {"orders": list(cfg.lm_orders), "sentences": len(sentences), "bytes": sizes}
@@ -588,6 +587,8 @@ def run_pipeline(
     Already-written outputs of earlier stages are left in place, which is
     what makes --from-stage resumption possible."""
     cfg.validate()
+    if cfg.hardness_percentile > 0 and not Path(cfg.hardness_reference).is_file():
+        raise InputError(f"{cfg.hardness_reference}: hardness_reference is not a file")
     names = list(STAGE_TABLE)
     for name in (from_stage, until_stage):
         if name is not None and name not in STAGE_TABLE:

@@ -74,10 +74,6 @@ class Segment:
     words: list[str]
     tokens: range  # the stream positions of its words
 
-    @property
-    def duration(self) -> int:
-        return self.end - self.start
-
 
 @dataclass
 class SegmentationResult:

@@ -207,7 +207,7 @@ def test_criterion_5_segmentation():
         )
         assert got_res == residual
         for seg in result.segments:
-            assert 10_000 <= seg.duration <= 20_000
+            assert 10_000 <= seg.end - seg.start <= 20_000
         pieces = [(s.start, s.end) for s in result.segments]
         if got_res:
             pieces.append(got_res)

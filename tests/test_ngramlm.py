@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from corpus_forge import ngramlm
 from corpus_forge.ngramlm import (
     SENT_START,
     UNK,
@@ -257,8 +258,8 @@ def test_model_files_byte_identical_across_runs(tmp_path):
     corpus = markov3_corpus(31, 100)
     a = tmp_path / "a.cflm"
     b = tmp_path / "b.cflm"
-    train(corpus, 3, metadata={"language": "en"}).save(a)
-    train(list(corpus), 3, metadata={"language": "en"}).save(b)
+    train(corpus, 3, metadata={"language": "en"}).save(a, tmp_path / "a.arpa")
+    train(list(corpus), 3, metadata={"language": "en"}).save(b, tmp_path / "b.arpa")
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -266,7 +267,7 @@ def test_save_load_round_trip(tmp_path):
     corpus = markov3_corpus(32, 80)
     model = train(corpus, 3, metadata={"language": "en"})
     path = tmp_path / "m.cflm"
-    model.save(path)
+    model.save(path, tmp_path / "m.arpa")
     loaded = NGramModel.load(path)
     assert loaded.order == 3
     assert loaded.vocab == model.vocab
@@ -332,7 +333,7 @@ def test_arpa_export_reproduces_model_probabilities(tmp_path):
     corpus = markov3_corpus(33, 120)
     model = train(corpus, 3)
     path = tmp_path / "m.arpa"
-    model.to_arpa(path)
+    model.save(tmp_path / "m.cflm", path)
     probs, bows = parse_arpa(path)
     assert (UNK,) in probs and (SENT_START,) in probs
     rng = random.Random(5)
@@ -350,7 +351,7 @@ def test_arpa_export_reproduces_model_probabilities(tmp_path):
 def test_arpa_header_counts_match_body(tmp_path):
     model = train(markov3_corpus(34, 60), 3)
     path = tmp_path / "m.arpa"
-    model.to_arpa(path)
+    model.save(tmp_path / "m.cflm", path)
     lines = path.read_text(encoding="utf-8").splitlines()
     declared = {}
     for line in lines:
@@ -367,7 +368,7 @@ def test_arpa_header_counts_match_body(tmp_path):
 def test_arpa_unigrams_are_unique_and_counted(tmp_path):
     model = train(markov3_corpus(34, 60), 3)
     path = tmp_path / "m.arpa"
-    model.to_arpa(path)
+    model.save(tmp_path / "m.cflm", path)
     lines = path.read_text(encoding="utf-8").splitlines()
     declared = int(next(line for line in lines if line.startswith("ngram 1=")).split("=")[1])
     start = lines.index("\\1-grams:") + 1
@@ -425,13 +426,14 @@ def test_arpa_lines_equal_recursive_model_exactly(tmp_path, order, smoothing):
             assert p == model._p(k, gram[:-1], gram[-1]), gram
     # the array engine writes the oracle's file byte for byte
     engine_path = tmp_path / "engine.arpa"
-    train(markov3_corpus(35, 80), order, smoothing=smoothing).to_arpa(engine_path)
+    engine = train(markov3_corpus(35, 80), order, smoothing=smoothing)
+    engine.save(tmp_path / "engine.cflm", engine_path)
     assert engine_path.read_bytes() == path.read_bytes()
 
 
 def test_unsmoothed_arpa_writes_zero_unknown_probability(tmp_path):
     path = tmp_path / "m.arpa"
-    train([["a", "b", "a"], ["b", "c"]], 2, smoothing="none").to_arpa(path)
+    train([["a", "b", "a"], ["b", "c"]], 2, smoothing="none").save(tmp_path / "m.cflm", path)
     fields = arpa_fields(path)
     assert fields[(UNK,)] == ("-99.0000000", None)
     assert fields[("a",)][0] == f"{math.log10(2 / 5):.7f}"
@@ -446,7 +448,7 @@ def test_unsmoothed_arpa_writes_zero_unknown_probability(tmp_path):
 def test_arpa_round_trip_reproduces_every_probability(tmp_path, corpus, order, smoothing):
     model = train(corpus, order, smoothing=smoothing)
     path = tmp_path / "m.arpa"
-    model.to_arpa(path)
+    model.save(tmp_path / "m.cflm", path)
     probs, bows = parse_arpa(path)
     words = sorted(model.vocab) + [UNK]
     oracle = DictNGramModel.train(corpus, order, smoothing=smoothing)
@@ -463,8 +465,8 @@ def test_save_load_save_byte_identical_and_words_shared(tmp_path):
     model = train(markov3_corpus(36, 60), 4, metadata={"language": "en"})
     first = tmp_path / "a.cflm"
     second = tmp_path / "b.cflm"
-    model.save(first)
-    NGramModel.load(first).save(second)
+    model.save(first, tmp_path / "a.arpa")
+    NGramModel.load(first).save(second, tmp_path / "b.arpa")
     assert first.read_bytes() == second.read_bytes()
     # the dict oracle reads the engine's file, writes it back unchanged and
     # shares one str per word
@@ -482,7 +484,7 @@ def test_save_load_save_byte_identical_and_words_shared(tmp_path):
 @pytest.mark.parametrize("seed,n_sentences,order", [(32, 80, 3), (11, 600, 5)])
 def test_loaded_model_equals_trained_model_on_every_stored_gram(tmp_path, seed, n_sentences, order):
     model = train(markov3_corpus(seed, n_sentences), order)
-    model.save(tmp_path / "m.cflm")
+    model.save(tmp_path / "m.cflm", tmp_path / "trained.arpa")
     loaded = NGramModel.load(tmp_path / "m.cflm")
     words = sorted(model.vocab) + [UNK]
     queries = [((), w) for w in words] + [((SENT_START,), w) for w in words]
@@ -494,8 +496,7 @@ def test_loaded_model_equals_trained_model_on_every_stored_gram(tmp_path, seed, 
     assert loaded.probs(queries) == expected
     for (context, word), p in zip(queries, expected):
         assert prob(model, word, context) == p, (context, word)
-    model.to_arpa(tmp_path / "trained.arpa")
-    loaded.to_arpa(tmp_path / "loaded.arpa")
+    loaded.save(tmp_path / "loaded.cflm", tmp_path / "loaded.arpa")
     assert (tmp_path / "trained.arpa").read_bytes() == (tmp_path / "loaded.arpa").read_bytes()
 
 
@@ -516,26 +517,35 @@ def test_train_refuses_word_the_gram_order_cannot_hold(word):
 
 
 ESCAPED_WORDS = ["a", "a!", "ab", "é", "ß", 'say"', "back\\slash", "\U0001F600", "zz"]
+RAW_WORDS = ["a", "a!", "ab", "zz"]  # json.dumps leaves each one as it is
 
 
 @pytest.mark.parametrize("smoothing", ["kn", "none"])
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
-def test_escaped_words_write_the_oracle_bytes(tmp_path, order, smoothing):
-    rng = random.Random(40 + order)
-    corpus = [
-        [rng.choice(ESCAPED_WORDS) for _ in range(rng.randint(1, 9))] for _ in range(80)
-    ]
+def test_escaped_words_write_the_oracle_bytes(tmp_path, monkeypatch, order, smoothing):
+    # a 7-gram CHUNK splits the orders into many chunks; words that JSON
+    # escapes and words it leaves alone take the two ways to the keys
     metadata = {"language": "xx", "note": 'ß "q" \\ \U0001F600'}
-    engine = train(corpus, order, smoothing=smoothing, metadata=metadata)
-    oracle = DictNGramModel.train(corpus, order, smoothing=smoothing, metadata=metadata)
-    for model, name in ((engine, "engine"), (oracle, "oracle")):
-        model.save(tmp_path / f"{name}.cflm")
-        model.to_arpa(tmp_path / f"{name}.arpa")
-    for ext in ("cflm", "arpa"):
-        assert (tmp_path / f"engine.{ext}").read_bytes() == (tmp_path / f"oracle.{ext}").read_bytes()
-    assert set(ESCAPED_WORDS) <= engine.vocab
-    assert NGramModel.load(tmp_path / "engine.cflm").words == engine.words
-
+    chunks = (ngramlm.CHUNK, 7)
+    for words in (ESCAPED_WORDS, RAW_WORDS):
+        rng = random.Random(40 + order)
+        corpus = [[rng.choice(words) for _ in range(rng.randint(1, 9))] for _ in range(80)]
+        engine = train(corpus, order, smoothing=smoothing, metadata=metadata)
+        oracle = DictNGramModel.train(corpus, order, smoothing=smoothing, metadata=metadata)
+        oracle.save(tmp_path / "oracle.cflm")
+        oracle.to_arpa(tmp_path / "oracle.arpa")
+        assert set(words) <= engine.vocab
+        for chunk in chunks:
+            monkeypatch.setattr(ngramlm, "CHUNK", chunk)
+            state = dict(vars(engine))
+            engine.save(tmp_path / "engine.cflm", tmp_path / "engine.arpa")
+            # saving holds on to nothing: a cache cannot come back
+            assert vars(engine).keys() == state.keys()
+            assert all(vars(engine)[key] is value for key, value in state.items())
+            for ext in ("cflm", "arpa"):
+                engine_bytes = (tmp_path / f"engine.{ext}").read_bytes()
+                assert engine_bytes == (tmp_path / f"oracle.{ext}").read_bytes(), (words, chunk, ext)
+            assert NGramModel.load(tmp_path / "engine.cflm").words == engine.words
 
 def test_load_refuses_grams_out_of_id_order(tmp_path):
     # the dict oracle writes a word the engine refuses to train on; its

@@ -539,6 +539,7 @@ def test_hardness_prefilter_both_branches(tmp_path, capsys):
         speakers_per_gender=SMALL.speakers_per_gender, noise=0.15,
     ))
     reference = tmp_path / "reference_wers.txt"
+    reference.write_text("1.0\n", encoding="utf-8")  # rewritten below, before each split
     cfg = small_config(tmp_path, seed=8, hardness_percentile=0.8,
                        hardness_reference=str(reference))
     run_pipeline(cfg, until_stage="filter")
@@ -585,6 +586,24 @@ def test_hardness_prefilter_both_branches(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {reference}:3: could not convert string to float: 'abc'\n"
     )
+
+
+def test_hardness_reference_fault_exits_2_before_any_stage(tmp_path, capsys):
+    # a reference that is not a file, or none with the pre-filter on, would
+    # otherwise surface only at split, or turn the pre-filter off unseen
+    tiny_input(tmp_path / "input", ['{"w": "alpha", "s": 0, "e": 500}'])
+    missing = tmp_path / "missing.txt"
+    for reference, message in [
+        (missing, f"{missing}: hardness_reference is not a file"),
+        ("", "hardness_percentile > 0 needs a hardness_reference file"),
+    ]:
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"input_dir = {tmp_path / 'input'}\noutput_dir = {tmp_path / 'out'}\n"
+                            f"hardness_percentile = 0.5\nhardness_reference = {reference}\n",
+                            encoding="utf-8")
+        assert cli_main(["run", "--config", str(cfg_path), "--until-stage", "filter"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("out/work/*/provenance.json"))
 
 
 # -- command line ----------------------------------------------------------------------

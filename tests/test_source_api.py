@@ -1,6 +1,7 @@
 """Code that nothing but the tests calls does not live in ``src/``: every
-public function, class and method of the package is named somewhere in the
-package outside its own definition."""
+public function and class of the package is named somewhere in the package
+outside its own definition, and every public member of a class is named
+there as an attribute."""
 
 import ast
 from collections import Counter
@@ -11,36 +12,40 @@ from corpus_forge.pipeline import STAGE_TABLE
 SRC = Path(__file__).resolve().parents[1] / "src" / "corpus_forge"
 
 
-def public_definitions(body):
-    """Public functions and classes of a module body, and the public methods
-    (and nested classes) of its classes."""
+def public_definitions(body, member=False):
+    """(definition, is a class member) for the public functions and classes
+    of a module body, and the public methods (and nested classes) of its
+    classes."""
     for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if not node.name.startswith("_"):
-                yield node
+                yield node, member
             if isinstance(node, ast.ClassDef):
-                yield from public_definitions(node.body)
+                yield from public_definitions(node.body, member=True)
 
 
-def names_in(node) -> Counter:
-    """How often each identifier is named by a ``Name`` or an ``Attribute``
-    under ``node``; docstrings and other strings do not count."""
+def names_in(node, attributes_only=False) -> Counter:
+    """How often each identifier is named by an ``Attribute`` (or, unless
+    ``attributes_only``, a ``Name``) under ``node``; docstrings and other
+    strings do not count."""
+    kinds = ast.Attribute if attributes_only else (ast.Name, ast.Attribute)
     return Counter(
         n.id if isinstance(n, ast.Name) else n.attr
         for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute))
+        if isinstance(n, kinds)
     )
 
 
 def test_every_public_definition_is_used_in_src():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
-    used = sum((names_in(tree) for tree in trees.values()), Counter())
-    used.update(f"stage_{name}" for name in STAGE_TABLE)  # run_stage looks them up by key
+    used = {member: sum((names_in(tree, member) for tree in trees.values()), Counter())
+            for member in (False, True)}
+    used[False].update(f"stage_{name}" for name in STAGE_TABLE)  # run_stage looks them up by key
     unused = [
         f"{module}:{node.lineno} {node.name}"
         for module, tree in trees.items()
-        for node in public_definitions(tree.body)
-        if used[node.name] <= names_in(node)[node.name]
+        for node, member in public_definitions(tree.body)
+        if used[member][node.name] <= names_in(node, member)[node.name]
     ]
     assert unused == []
