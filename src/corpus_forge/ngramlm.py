@@ -22,15 +22,21 @@ original in every float.
 ``.cflm``: 4-byte magic, version byte, then zlib (level 6) of the JSON object
 {"discounts", "fallback", "metadata", "order", "smoothing", "tables": per
 order {"w1 .. wk": count}, "vocab"}: sorted keys, compact separators, ASCII.
+``load`` reads exactly that canonical text and refuses any other, valid
+JSON included, with a ValueError that names the file (and, for a fault in
+a table, its byte offset in the JSON text). Only the head and the vocabulary
+go through ``json.loads``; the tables are read a CHUNK of grams at a time,
+so besides the arrays it holds the decompressed text, one index of its
+quotes and one chunk's strings.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import zlib
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +49,7 @@ MAGIC = b"CFLM"
 FORMAT_VERSION = 1
 
 FALLBACK_DISCOUNT = 0.75
-CHUNK = 1 << 16  # grams per piece of text: bounds the text held at once
+CHUNK = 1 << 13  # grams per piece of text: bounds the text held at once
 
 
 @dataclass
@@ -69,6 +75,16 @@ def _estimate_discounts(counts) -> tuple[tuple[float, float, float], bool]:
     if d1 <= 0 or d2 <= 0 or d3 <= 0:
         return (FALLBACK_DISCOUNT,) * 3, True
     return (d1, d2, d3), False
+
+
+def _check_vocab(vocab) -> None:
+    """Refuse a word that a space-joined gram string cannot hold, or one that
+    the model writes its own entry for."""
+    for word in vocab:
+        if word and min(word) <= " ":
+            raise ValueError(f"word {word!r} holds a character at or below U+0020")
+    if reserved := sorted(set(vocab) & {SENT_START, UNK}):
+        raise ValueError(f"word {reserved[0]!r} is reserved by the model")
 
 
 def _word_ids(vocab) -> dict[str, int]:
@@ -168,11 +184,7 @@ class NGramModel:
         if not sentences:
             raise ValueError("corpus is empty")
         vocab = set().union(*sentences)
-        for word in vocab:
-            if word and min(word) <= " ":
-                raise ValueError(f"word {word!r} holds a character at or below U+0020")
-        if reserved := sorted(vocab & {SENT_START, UNK}):  # the model writes its own entries
-            raise ValueError(f"word {reserved[0]!r} is reserved by the model")
+        _check_vocab(vocab)
         ids = _word_ids(vocab)
         n = order
         lengths = np.array([len(s) for s in sentences])
@@ -299,22 +311,12 @@ class NGramModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "NGramModel":
-        data = Path(path).read_bytes()
-        if data[:4] != MAGIC:
-            raise ValueError(f"{path}: not a corpus-forge model file")
-        if data[4] != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported model format version {data[4]}")
-        payload = json.loads(zlib.decompress(data[5:]).decode("utf-8"))
-        word_id = _word_ids(payload["vocab"]).__getitem__
-        tables = []
-        for k, t in enumerate(payload["tables"], start=1):
-            keys = list(t)  # split CHUNK keys at a time: one str per word is held briefly
-            words = (" ".join(keys[i : i + CHUNK]).split(" ") for i in range(0, len(keys), CHUNK))
-            tables.append(np.fromiter(map(word_id, chain.from_iterable(words)), np.int32).reshape(-1, k))
-        counts = [np.fromiter(t.values(), np.int64, len(t)) for t in payload["tables"]]
-        discounts = [tuple(d) for d in payload["discounts"]]
-        return cls(payload["order"], payload["smoothing"], payload["vocab"], tables, counts,
-                   discounts, list(payload["fallback"]), payload.get("metadata"))
+        """The model in the ``.cflm`` file at ``path``, which must hold the
+        bytes ``save`` writes: any other file, valid JSON included, is refused
+        with a ValueError that starts with the path (see ``_read_cflm``)."""
+        head, tables, counts = _read_cflm(path)
+        return cls(head["order"], head["smoothing"], head["vocab"], tables, counts,
+                   [tuple(d) for d in head["discounts"]], head["fallback"], head["metadata"])
 
     def _backoffs(self, k: int, rows) -> list[str]:
         """The ARPA back-off field of each order-k id row. A gram with no
@@ -342,6 +344,183 @@ def _arpa_lines(probs, strings, fields) -> str:
     log10 = math.log10
     return "".join([f"{log10(p) if p > 0.0 else -99.0:.7f}\t{s}{field}\n"
                     for p, s, field in zip(probs, strings, fields)])
+
+
+# the ":count," after each key, as ``save`` writes counts below 10^18, each
+# followed by one space (a tail holds no space)
+_COUNTS = re.compile(r"(?::(?:0|[1-9][0-9]{0,17}), )*")
+# JSON escapes that hold a quote or a backslash, and same-length stand-ins
+# that neither splitting on quotes nor on spaces can break up
+_ESCAPES = (("\\\\", "\x01\x01"), ('\\"', "\x02\x02"))
+_TABLES, _VOCAB = b'"tables":[', b'],"vocab":['
+
+
+def _read_cflm(path):
+    """The head (every key but "tables"), the id rows and the counts of the
+    ``.cflm`` file ``save`` wrote to ``path``.
+
+    Only the head and the vocabulary go through ``json.loads``; re-dumped,
+    they must give back their own bytes. The tables are read from the
+    decompressed bytes: numpy finds every quote, so every gram's key and
+    count, and one CHUNK of grams at a time is decoded, split on quotes and
+    spaces, and mapped word by word through a dict over the vocabulary's
+    JSON-escaped forms. A fault in a table names its byte offset in the JSON
+    text. Each order's rows must rise strictly in id order.
+    """
+    def fault(message, at=None):
+        return ValueError(f"{path}: " + ("" if at is None else f"byte {at}: ") + message)
+
+    data = Path(path).read_bytes()
+    if data[:4] != MAGIC:
+        raise fault("not a corpus-forge model file")
+    if data[4:5] != bytes([FORMAT_VERSION]):
+        raise fault(f"unsupported model format version {data[4] if len(data) > 4 else None}")
+    # one MiB of output at a time: a bytearray grows in place, where a
+    # whole-stream decompress holds its output twice
+    inflate, text = zlib.decompressobj(), bytearray()
+    try:
+        piece = inflate.decompress(data[5:], 1 << 20)
+        while piece:
+            text += piece
+            piece = inflate.decompress(inflate.unconsumed_tail, 1 << 20)
+    except zlib.error as error:
+        raise fault(f"damaged zlib stream ({error})") from None
+    if not inflate.eof:
+        raise fault("truncated zlib stream")
+    if inflate.unused_data:
+        raise fault("bytes after the zlib stream")
+    del data
+    raw = np.frombuffer(text, np.uint8)
+    if not text.isascii():
+        raise fault("not ASCII", int(np.argmax(raw > 0x7F)))
+    if len(raw) and raw.min() < 0x20:
+        raise fault("a raw control character", int(np.argmax(raw < 0x20)))
+    # no key of a table and no vocabulary word can hold either marker
+    start, end = text.rfind(_TABLES) + len(_TABLES), text.rfind(_VOCAB)
+    if start < len(_TABLES) or end < start:
+        raise fault("no tables between the head and the vocabulary")
+    small = text[:start] + text[end:]
+    try:
+        head = json.loads(small)
+        if not _canonical_head(head) or json.dumps(
+                head, sort_keys=True, separators=(",", ":")).encode() != small:
+            raise ValueError
+    except ValueError:
+        raise fault("the head or the vocabulary is not what save writes") from None
+    try:
+        _check_vocab(head["vocab"])
+    except ValueError as error:
+        raise fault(f"vocabulary {error}") from None
+    k_max = head["order"]
+    escaped = [json.dumps(w)[1:-1] for w in _word_ids(head["vocab"])]
+    if text.find(b"\\", start, end) >= 0:
+        del raw
+        for escape, stand_in in _ESCAPES:
+            text = text.replace(escape.encode(), stand_in.encode())
+            escaped = [e.replace(escape, stand_in) for e in escaped]
+        raw = np.frombuffer(text, np.uint8)
+    word_id = dict(zip(escaped, range(len(escaped))))
+    quotes = np.flatnonzero(raw[start:end] == ord('"'))
+    quotes += start
+    if len(quotes) % 2:
+        raise fault("an unterminated string", int(quotes[-1]))
+    marks = np.flatnonzero(raw[start:end] >= ord("{")) + start  # { | } ~ DEL
+    marks = marks[np.searchsorted(quotes, marks) % 2 == 0]  # outside every string
+    opens, closes = (marks[raw[marks] == ord(char)].tolist() for char in "{}")
+    if len(opens) != k_max or len(closes) != k_max:
+        raise fault(f"{len(opens)} tables for order {k_max}", start)
+    gaps = [start] + [c + 2 for c in closes[:-1]]
+    if (opens != gaps or closes[-1] != end - 1
+            or any(text[c + 1] != ord(",") for c in closes[:-1])):
+        raise fault("tables are not one comma-separated {...} per order", start)
+    tables, counts = [], []
+    for k, (left, right) in enumerate(zip(opens, closes), start=1):
+        lo, hi = np.searchsorted(quotes, [left, right]).tolist()
+        n = (hi - lo) // 2
+        if (quotes[lo] if n else right) != left + 1:
+            raise fault(f"the order-{k} table does not start with a gram", left + 1)
+        table, count = np.empty((n, k), np.int32), np.empty(n, np.int64)
+        for i in range(0, n, CHUNK):
+            j = min(i + CHUNK, n)
+            opening, closing = quotes[lo + 2 * i : lo + 2 * j].reshape(-1, 2).T
+            piece = text[opening[0] : quotes[lo + 2 * j] if j < n else right]
+            # the piece holds k - 1 spaces per gram, the first and the last of
+            # each gram's share inside its key: then every key holds its k - 1
+            spaces = np.flatnonzero(raw[opening[0] : opening[0] + len(piece)] == ord(" "))
+            spaces += opening[0]
+            parts = piece.replace(b'"', b" ").decode().split(" ")
+            tails = " ".join(parts[k + 1 :: k + 1]) + ("," if j == n else "") + " "
+            del parts[k + 1 :: k + 1], parts[0]
+            ids = None
+            if len(spaces) == (j - i) * (k - 1) and _COUNTS.fullmatch(tails):
+                spaces = spaces.reshape(j - i, k - 1)
+                if k == 1 or ((spaces[:, 0] > opening).all() and (spaces[:, -1] < closing).all()):
+                    try:
+                        ids = np.fromiter(map(word_id.__getitem__, parts), np.int32, len(parts))
+                    except KeyError:
+                        pass
+            if ids is None:
+                at, message = _piece_fault(piece.decode(), k, j == n, word_id)
+                raise fault(message, int(opening[0]) + at)
+            table[i:j] = ids.reshape(-1, k)
+            count[i:j] = np.fromstring(tails.replace(":", "").replace(",", ""), np.int64, sep=" ")
+            rows = table[max(i - 1, 0) : j]
+            step = rows[1:] != rows[:-1]
+            col = step.argmax(axis=1)[:, None]
+            up = np.take_along_axis(rows[1:] > rows[:-1], col, 1)[:, 0] & step.any(axis=1)
+            if not up.all():
+                g = max(i - 1, 0) + 1 + int(np.argmin(up))
+                raise fault(f"order-{k} grams are not in sorted order", int(quotes[lo + 2 * g]))
+        tables.append(table)
+        counts.append(count)
+    return head, tables, counts
+
+
+def _canonical_head(head) -> bool:
+    """Whether a parsed head holds the keys and value types ``save`` writes."""
+    if not isinstance(head, dict) or sorted(head) != [
+            "discounts", "fallback", "metadata", "order", "smoothing", "tables", "vocab"]:
+        return False
+    k_max, vocab = head["order"], head["vocab"]
+    return (type(k_max) is int and k_max >= 1 and head["smoothing"] in ("kn", "none")
+            and isinstance(head["metadata"], dict)
+            and isinstance(vocab, list) and all(type(w) is str for w in vocab)
+            and vocab == sorted(set(vocab))
+            and isinstance(head["fallback"], list) and len(head["fallback"]) == k_max
+            and all(type(f) is bool for f in head["fallback"])
+            and isinstance(head["discounts"], list) and len(head["discounts"]) == k_max
+            and all(isinstance(d, list) and len(d) == 3 and all(type(x) is float for x in d)
+                    for d in head["discounts"]))
+
+
+def _shown(key) -> str:
+    """A key as the file spells it, quoted."""
+    for escape, stand_in in _ESCAPES:
+        key = key.replace(stand_in, escape)
+    return repr(key)
+
+
+def _piece_fault(piece, k, last, word_id) -> tuple[int, str]:
+    """The offset in ``piece`` (one chunk of an order-k table's text) of its
+    first fault, and what it is. ``last``: the piece ends the table, so its
+    last count has no comma after it."""
+    parts = piece.split('"')
+    at = 0
+    for g in range(len(parts) // 2):
+        key, tail = parts[1 + 2 * g], parts[2 + 2 * g]
+        words = key.split(" ")
+        if "" in words and "" not in word_id:
+            return at, f"gram {_shown(key)} holds a doubled, leading or trailing space"
+        if len(words) != k:
+            return at, f"gram {_shown(key)} is not {k} words long"
+        for word in words:
+            if word not in word_id:
+                return at, f"gram {_shown(key)} holds the unknown word {_shown(word)}"
+        if not _COUNTS.fullmatch(tail + ("," if last and 2 * g + 3 == len(parts) else "") + " "):
+            return at + len(key) + 2, (f"gram {_shown(key)} is followed by {tail!r},"
+                                       " not by ':' and a count as save writes it")
+        at += len(key) + 2 + len(tail)
+    raise AssertionError("every gram of the piece is well formed")
 
 
 def train(corpus, order: int, smoothing: str = "kn", metadata=None) -> NGramModel:

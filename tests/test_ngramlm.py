@@ -1,6 +1,8 @@
 import math
 import random
 import re
+import tracemalloc
+import zlib
 from fractions import Fraction as F
 
 import numpy as np
@@ -545,12 +547,190 @@ def test_escaped_words_write_the_oracle_bytes(tmp_path, monkeypatch, order, smoo
             for ext in ("cflm", "arpa"):
                 engine_bytes = (tmp_path / f"engine.{ext}").read_bytes()
                 assert engine_bytes == (tmp_path / f"oracle.{ext}").read_bytes(), (words, chunk, ext)
-            assert NGramModel.load(tmp_path / "engine.cflm").words == engine.words
+            assert_same_model(NGramModel.load(tmp_path / "engine.cflm"), engine)
 
-def test_load_refuses_grams_out_of_id_order(tmp_path):
-    # the dict oracle writes a word the engine refuses to train on; its
-    # grams sort as strings ("a\x1f b" < "a z") against their id order
+
+def assert_same_model(loaded, model):
+    """Every table, count, discount, fallback flag and metadata entry of
+    ``loaded`` equals ``model``'s, array dtypes and shapes included."""
+    assert loaded.words == model.words
+    assert (loaded.order, loaded.smoothing) == (model.order, model.smoothing)
+    assert len(loaded.tables) == len(loaded.counts) == model.order
+    for mine, theirs in zip(loaded.tables + loaded.counts, model.tables + model.counts):
+        assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape)
+        assert np.array_equal(mine, theirs)
+    assert loaded.discounts == model.discounts
+    assert loaded.fallback == model.fallback
+    assert loaded.metadata == model.metadata
+
+
+def test_empty_highest_order_table_round_trips(tmp_path):
+    # no sentence is long enough for a trigram: the last table is {}
+    model = train([["a"], ["b"]], 3)
+    assert model.tables[2].shape == (0, 3)
+    model.save(tmp_path / "m.cflm", tmp_path / "m.arpa")
+    assert cflm_text(tmp_path / "m.cflm").endswith(b',{}],"vocab":["a","b"]}')
+    assert_same_model(NGramModel.load(tmp_path / "m.cflm"), model)
+
+
+@pytest.mark.parametrize("chunk", [1 << 13, 2])
+def test_words_spelled_like_json_syntax_round_trip(tmp_path, monkeypatch, chunk):
+    # runs of backslashes and quotes at a key's either end and inside it,
+    # braces, a word spelled like a count, and the empty word
+    monkeypatch.setattr(ngramlm, "CHUNK", chunk)
+    words = ["\\", "a\\", '\\"', '"', '""', "\\\\", 'x\\\\"y', "\\a", '"\\',
+             "{", "}", "},{", ":1,", ""]
+    rng = random.Random(3)
+    model = train([[rng.choice(words) for _ in range(6)] for _ in range(30)], 3)
+    model.save(tmp_path / "m.cflm", tmp_path / "m.arpa")
+    assert_same_model(NGramModel.load(tmp_path / "m.cflm"), model)
+
+
+def cflm_text(path) -> bytes:
+    """The JSON text of a ``.cflm`` file."""
+    return zlib.decompress(path.read_bytes()[5:])
+
+
+def write_cflm(path, text: bytes) -> None:
+    path.write_bytes(ngramlm.MAGIC + bytes([ngramlm.FORMAT_VERSION]) + zlib.compress(text, 6))
+
+
+def test_load_refuses_grams_out_of_id_order(tmp_path, monkeypatch):
+    # two unigrams swap places: both are known words, in the wrong order;
+    # with a one-gram CHUNK they meet only across a chunk boundary
     path = tmp_path / "m.cflm"
-    DictNGramModel.train([["a", "z"], ["a\x1f", "b"]], 2).save(path)
-    with pytest.raises(ValueError, match="not in sorted order"):
+    train([["a", "b", "a"]], 2).save(path, tmp_path / "m.arpa")
+    text = cflm_text(path)
+    assert b'"tables":[{"a":2,"b":1}' in text
+    write_cflm(path, text.replace(b'{"a":2,"b":1}', b'{"b":1,"a":2}'))
+    at = text.index(b'"tables":[') + len(b'"tables":[{"b":1,')
+    for chunk in (ngramlm.CHUNK, 1):
+        monkeypatch.setattr(ngramlm, "CHUNK", chunk)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: byte {at}: .*not in sorted order"):
+            NGramModel.load(path)
+
+
+def test_load_refuses_a_space_moved_to_the_next_key(tmp_path):
+    # a word spelled like a count lets every word and every count keep its
+    # place when a space moves from one key to the next
+    path = tmp_path / "m.cflm"
+    train([["p", ":1,"], ["r", "s"]], 2).save(path, tmp_path / "m.arpa")
+    text = cflm_text(path)
+    old = b'"p :1,":1,"r s":1'
+    write_cflm(path, text.replace(old, b'"p":1,":1, r s":1'))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: byte {text.index(old)}: "
+                                         "gram 'p' is not 2 words long"):
         NGramModel.load(path)
+
+
+# a model whose file is small enough to read: words a, b, c; order 3
+DAMAGE_CORPUS = [["a", "b", "c", "a"], ["b", "c"], ["c", "a", "b"]]
+
+
+def damaged(tmp_path, edit):
+    """The path of DAMAGE_CORPUS's ``.cflm`` file after ``edit`` (bytes ->
+    bytes) changed its JSON text, and that text before the edit."""
+    path = tmp_path / "m.cflm"
+    train(DAMAGE_CORPUS, 3).save(path, tmp_path / "m.arpa")
+    text = cflm_text(path)
+    write_cflm(path, edit(text))
+    return path, text
+
+
+@pytest.mark.parametrize("old,new,shift,message", [
+    (b'"b":', b'"\xc3\xa9":', 1, "not ASCII"),
+    (b'"c a":', b'"c zzzunknown":', 0, "gram 'c zzzunknown' holds the unknown word 'zzzunknown'"),
+    (b'"b c":', b'"b  c":', 0, "gram 'b  c' holds a doubled, leading or trailing space"),
+    (b'"b c":', b'"b c a":', 0, "gram 'b c a' is not 2 words long"),
+    (b'"b c a":', b'"b c":', 0, "gram 'b c' is not 3 words long"),
+    # as many spaces as two grams hold, in the wrong places
+    (b'"<s> a":1,"<s> b":1', b'"<s>":1,"a <s> b":1', 0, "gram '<s>' is not 2 words long"),
+    (b'"<s> a":1,"<s> b":1', b'"<s> a":1 ,"<s>b":1', 7, "gram '<s> a' is followed by ':1 ,'"),
+    (b'"a":', b'"a":0', 3, "gram 'a' is followed by ':0[0-9]+,', not by ':' and a count"),
+    (b'"a":', b'"a":-', 3, "gram 'a' is followed by ':-[0-9]+,', not by ':' and a count"),
+    (b'"a":', b'"a":+', 3, r"gram 'a' is followed by ':\+[0-9]+,', not by ':' and a count"),
+    (b'"a":', b'"a":99999999999999999999', 3, "gram 'a' is followed by ':9{20}[0-9],'"),
+    (b'"a":', b'"a" :', 3, "gram 'a' is followed by ' :[0-9]+,', not by ':' and a count"),
+    (b'"a":2,"b":2,', b'"a""b":2,:2,', 3, "gram 'a' is followed by '', not by ':' and a count"),
+    (b'"b":', b'"a":', 0, "order-1 grams are not in sorted order"),  # a doubled gram
+    (b'"tables":[{', b'"tables":[ {', 10, "tables are not one comma-separated"),
+    (b'{"<s> a"', b'{,"<s> a"', 1, "the order-2 table does not start with a gram"),
+])
+def test_load_refuses_a_damaged_table_naming_file_and_byte(tmp_path, old, new, shift, message):
+    path, text = damaged(tmp_path, lambda text: text.replace(old, new, 1))
+    at = text.index(old) + shift
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: byte {at}: {message}"):
+        NGramModel.load(path)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda data: b"XXXX" + data[4:], "not a corpus-forge model file"),
+    (lambda data: data[:4] + bytes([2]) + data[5:], "unsupported model format version 2"),
+    (lambda data: data[:4], "unsupported model format version"),
+    (lambda data: data[:-9], "truncated zlib stream"),
+    (lambda data: data[:5] + b"\xff" + data[6:], r"damaged zlib stream \(Error -3"),
+    (lambda data: data + b"\x00", "bytes after the zlib stream"),
+])
+def test_load_refuses_a_damaged_file_naming_it(tmp_path, edit, message):
+    path = tmp_path / "m.cflm"
+    train(DAMAGE_CORPUS, 3).save(path, tmp_path / "m.arpa")
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+        NGramModel.load(path)
+
+
+@pytest.mark.parametrize("edit,message", [
+    # a table that is not there, or one too many
+    (lambda text: text[: text.rindex(b",{")] + text[text.index(b'],"vocab"'):],
+     r"byte \d+: 2 tables for order 3"),
+    (lambda text: text.replace(b'],"vocab"', b',{}],"vocab"'), r"byte \d+: 4 tables for order 3"),
+    (lambda text: text.replace(b'"tables":[', b'"tablez":['), "no tables between"),
+    # valid JSON that save would not write
+    (lambda text: text.replace(b'"order":3', b'"order": 3'), "the head or the vocabulary is not"),
+    (lambda text: text.replace(b'"order":3', b'"order":3.0'), "the head or the vocabulary is not"),
+    (lambda text: text.replace(b"0.75", b"0.750", 1), "the head or the vocabulary is not"),
+    (lambda text: text.replace(b'"metadata":{}', b'"metadata":{},"more":1'),
+     "the head or the vocabulary is not"),
+    (lambda text: text.replace(b'"vocab":["a","b","c"]', b'"vocab":["b","a","c"]'),
+     "the head or the vocabulary is not"),
+    (lambda text: text.replace(b'"vocab":["a",', b'"vocab":["\\u0061",'),
+     "the head or the vocabulary is not"),
+    (lambda text: text.replace(b'"smoothing":"kn"', b'"smoothing":"wb"'),
+     "the head or the vocabulary is not"),
+    # a vocabulary word that train refuses
+    (lambda text: text.replace(b'"vocab":["a",', b'"vocab":["a\\u001f",'),
+     r"vocabulary word 'a\\x1f' holds a character at or below U\+0020"),
+    (lambda text: text.replace(b'"vocab":["a",', b'"vocab":["<s>","a",'),
+     "vocabulary word '<s>' is reserved by the model"),
+    (lambda text: text.replace(b'"vocab"', b'"vocab\x7f\x01"'), r"byte \d+: a raw control character"),
+    (lambda text: text.replace(b'"a":', b'"a', 1), r"byte \d+: an unterminated string"),
+])
+def test_load_refuses_text_that_save_would_not_write(tmp_path, edit, message):
+    path, _ = damaged(tmp_path, edit)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+        NGramModel.load(path)
+
+
+def model_array_bytes(model) -> int:
+    """The bytes of every numpy array a model holds."""
+    arrays = [*model.tables, *model.counts, *model.run_of, *model.totals, *model.gamma_mass]
+    return sum(a.nbytes for a in arrays) + sum(a.nbytes for keys in model._keys for a in keys)
+
+
+def test_load_holds_at_most_its_text_and_twice_the_arrays(tmp_path, monkeypatch):
+    # a parsed JSON object holds one str and one int per gram, several times
+    # the arrays they become; the loader holds one chunk of them at a time
+    monkeypatch.setattr(ngramlm, "CHUNK", 64)
+    model = train(markov3_corpus(5, 200), 3)
+    path = tmp_path / "m.cflm"
+    model.save(path, tmp_path / "m.arpa")
+    assert max(len(t) for t in model.tables) >= 4 * ngramlm.CHUNK
+    text_bytes = len(cflm_text(path))
+    tracemalloc.start()
+    try:
+        loaded = NGramModel.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model_array_bytes(loaded) == model_array_bytes(model)
+    assert peak <= text_bytes + 2 * model_array_bytes(model), (peak, text_bytes)

@@ -671,6 +671,15 @@ def test_cli_lm_commands(tmp_path, completed_run):
     assert all(model["perplexity"] > 1.0 for model in payload["models"].values())
 
 
+def test_cli_lm_eval_exits_3_naming_a_damaged_model(tmp_path, capsys, completed_run):
+    cfg_path, out = copied_run(completed_run, tmp_path)
+    model = out / "lm" / "lm_3.cflm"
+    model.write_bytes(model.read_bytes()[:-9])
+    capsys.readouterr()
+    assert cli_main(["lm_eval", "--config", cfg_path]) == 3
+    assert capsys.readouterr().err == f"error: stage lm_eval: {model}: truncated zlib stream\n"
+
+
 def test_cli_decontam(tmp_path, completed_run):
     cfg_path, out = copied_run(completed_run, tmp_path)
     report = out / "lm" / "decontam_report.tsv"
