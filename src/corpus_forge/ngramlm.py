@@ -17,7 +17,15 @@ gram strings, in which the ``.cflm`` JSON and the ARPA file list grams;
 ``save`` writes both files in one pass over the id rows, one CHUNK of gram
 strings at a time. A context's grams form one run; its discount mass is
 summed left to right in that one order, so a loaded model equals its
-original in every float.
+original in every float. The search index over each order (``_keys``,
+``run_of``) is int32 unless a key reaches 2^31.
+
+What each step holds at once, besides the model's own arrays: ``train`` its
+id rows, sorted once, and one order's run masks, all freed before the
+constructor runs; the constructor one order's key being built and one
+CHUNK of context runs; ``save`` one CHUNK of gram strings and lines, plus
+two orders' probabilities; ``load`` the compressed file, one CHUNK of grams
+and one inflated piece of text.
 
 ``.cflm``: 4-byte magic, version byte, then zlib (level 6) of the JSON object
 {"discounts", "fallback", "metadata", "order", "smoothing", "tables": per
@@ -25,16 +33,16 @@ order {"w1 .. wk": count}, "vocab"}: sorted keys, compact separators, ASCII.
 ``load`` reads exactly that canonical text and refuses any other, valid
 JSON included, with a ValueError that names the file (and, for a fault in
 a table, its byte offset in the JSON text). Only the head and the vocabulary
-go through ``json.loads``; the tables are read a CHUNK of grams at a time,
-so besides the arrays it holds the decompressed text, one index of its
-quotes and one chunk's strings.
+go through ``json.loads``; the tables are read a CHUNK of grams at a time
+from text inflated 32 bytes per CHUNK gram at a time, so the whole text is
+never held.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import re
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -108,6 +116,35 @@ def _run_sums(values, starts):
     return acc[np.argsort(by_size)]
 
 
+def _gram_tables(rows):
+    """The order-k id rows and counts, k = 1..n, of (m, n) gram rows sorted
+    last id first: see ``NGramModel.train``. Besides ``rows`` and the tables
+    it holds one order's run mask and run starts at a time."""
+    n = rows.shape[1]
+    # same[i]: row i + 1 repeats the last k ids of row i; starts: the first
+    # row of each run of order-k grams, then of order k + 1
+    same = rows[1:, n - 1] == rows[:-1, n - 1]
+    starts = np.flatnonzero(np.append(True, ~same))
+    tables, counts = [], []
+    for k in range(1, n + 1):
+        head = starts
+        if k < n:
+            same &= rows[1:, n - k - 1] == rows[:-1, n - k - 1]
+            starts = np.flatnonzero(np.append(True, ~same))
+            at = np.searchsorted(starts, head)  # the run's first extension
+            extensions = np.diff(np.append(at, len(starts)))
+            sizes = np.append(starts, len(rows))[at + 1] - starts[at]
+            count = np.where(rows[head, n - k - 1] == -1, sizes, extensions)
+        else:
+            count = np.diff(np.append(head, len(rows)))
+        keep = rows[head, n - k] != -1
+        grams, count = rows[head[keep], n - k :], count[keep]
+        by_gram = np.lexsort(grams.T[::-1])
+        tables.append(grams[by_gram])
+        counts.append(count[by_gram])
+    return tables, counts
+
+
 class NGramModel:
     """Nothing in a model changes after construction.
 
@@ -127,42 +164,59 @@ class NGramModel:
         self.fallback = fallback
         self.metadata = dict(metadata or {})
         self._p0 = 1.0 / (len(self.vocab) + 1)
-        # per order: each gram's context run, run totals and masses, ``_find`` keys
+        # per order: each gram's context run, run totals and masses, ``_find``
+        # keys; keys and runs take int32 while every key fits in it
         self.run_of, self.totals, self.gamma_mass, self._keys = [], [], [], []
         for table, count, d in zip(tables, counts, discounts):
             n, k = table.shape
-            new = np.arange(n) == 0  # row starts a run of rows sharing ids 0..j-1
+            wide = (n + 1) * (len(self.words) + 1) > np.iinfo(np.int32).max
+            index = np.arange(n, dtype=np.int64 if wide else np.int32)
+            new = index == 0  # row starts a run of rows sharing ids 0..j-1
             self._keys.append([])
             for j in range(k):
-                first = np.maximum.accumulate(np.where(new, np.arange(n), 0))
-                self._keys[-1].append(first * (len(self.words) + 1) + table[:, j] + 1)
-                new[1:] |= table[1:, j] != table[:-1, j]
+                if j:
+                    new[1:] |= table[1:, j - 1] != table[:-1, j - 1]
+                key = np.where(new, index, 0)  # the run's first row
+                np.maximum.accumulate(key, out=key)
+                key *= len(self.words) + 1
+                key += table[:, j]
+                key += 1
+                self._keys[-1].append(key)
             if any((key[1:] < key[:-1]).any() for key in self._keys[-1]):
                 raise ValueError(f"order-{k} grams are not in sorted order")
-            starts = np.flatnonzero(first == np.arange(n))  # context runs
-            self.run_of.append(np.searchsorted(starts, first))
+            # ``new`` now starts each context run; its masses are summed
+            # CHUNK runs at a time
+            run_of = np.cumsum(new, dtype=index.dtype)
+            run_of -= 1
+            self.run_of.append(run_of)
+            starts = np.flatnonzero(new)
             self.totals.append(np.add.reduceat(count, starts) if n else count)
-            self.gamma_mass.append(_run_sums(self._discount(count, d), starts))
+            mass, ends = np.empty(len(starts)), np.append(starts[CHUNK::CHUNK], n)
+            for a, (lo, hi) in enumerate(zip(starts[::CHUNK], ends)):
+                part = slice(a * CHUNK, (a + 1) * CHUNK)
+                mass[part] = _run_sums(self._discount(count[lo:hi], d), starts[part] - lo)
+            self.gamma_mass.append(mass)
 
     def _find(self, k, rows):
         """Per id row of ``rows`` (at most k ids; -1 matches nothing), the index
         of the first order-k gram starting with it, or -1. The search descends
         one column at a time: among rows sharing the ids before column j,
-        column j is sorted, so (first such row, id) is a sorted int64 key."""
+        column j is sorted, so (first such row, id) is a sorted key. Queries
+        take the keys' dtype, so no search widens a whole key array."""
         keys = self._keys[k - 1]
         if not len(keys[0]):
             return np.full(len(rows), -1)
         first = np.zeros(len(rows), np.int64)
         hit = np.ones(len(rows), bool)
         for j in range(rows.shape[1]):
-            query = first * (len(self.words) + 1) + rows[:, j] + 1
+            query = (first * (len(self.words) + 1) + rows[:, j] + 1).astype(keys[j].dtype)
             first = np.minimum(np.searchsorted(keys[j], query), len(keys[j]) - 1)
             hit &= keys[j][first] == query
         return np.where(hit, first, -1)
 
     @staticmethod
     def _discount(count, d):
-        return np.array((0.0, *d))[np.minimum(count, 3)]
+        return np.take((0.0, *d), count, mode="clip")  # counts above 3 take d3
 
     # -- training ----------------------------------------------------------
 
@@ -175,6 +229,10 @@ class NGramModel:
         are then the runs of rows sharing their last k ids: a run counts its
         distinct order-(k+1) extensions, or its rows where the id before them
         is padding (the gram starts the sentence) or k is the highest order.
+
+        Besides the corpus and the tables, it holds the id rows (twice while
+        they sort) and one order's run masks and run starts; all of these are
+        freed before the constructor builds the index.
         """
         if order < 1:
             raise ValueError("order must be >= 1")
@@ -189,29 +247,17 @@ class NGramModel:
         n = order
         lengths = np.array([len(s) for s in sentences])
         flat = np.array([ids[w] for s in sentences for w in s], np.int32)
+        del sentences
         # sentence i takes n slots (n - 1 pads, then <s>) before its words
-        pos = np.arange(len(flat)) + n * np.repeat(np.arange(1, len(sentences) + 1), lengths)
-        stream = np.full(len(flat) + n * len(sentences), -1, np.int32)
+        pos = np.arange(len(flat)) + n * np.repeat(np.arange(1, len(lengths) + 1), lengths)
+        stream = np.full(len(flat) + n * len(lengths), -1, np.int32)
         stream[pos] = flat
         stream[pos[np.cumsum(lengths) - lengths] - 1] = ids[SENT_START]
         rows = sliding_window_view(stream, n)[pos - n + 1]
+        del flat, pos, stream
         rows = rows[np.lexsort(rows.T)]
-        # same[i, k - 1]: row i + 1 repeats the last k ids of row i
-        same = np.logical_and.accumulate(rows[1:, ::-1] == rows[:-1, ::-1], axis=1)
-        starts = [np.flatnonzero(np.append(True, ~same[:, k])) for k in range(n)]
-        sizes = [np.diff(np.append(s, len(rows))) for s in starts]
-        tables, counts = [], []
-        for k in range(1, n + 1):
-            head, count = starts[k - 1], sizes[k - 1]
-            if k < n:
-                at = np.searchsorted(starts[k], head)  # the run's first extension
-                extensions = np.diff(np.append(at, len(starts[k])))
-                count = np.where(rows[head, n - k - 1] == -1, sizes[k][at], extensions)
-            keep = rows[head, n - k] != -1
-            grams, count = rows[head[keep], n - k :], count[keep]
-            by_gram = np.lexsort(grams.T[::-1])
-            tables.append(grams[by_gram])
-            counts.append(count[by_gram])
+        tables, counts = _gram_tables(rows)
+        del rows
         discounts, fallback = zip(*map(_estimate_discounts, counts))
         return cls(order, smoothing, vocab, tables, counts, list(discounts), list(fallback), metadata)
 
@@ -293,12 +339,15 @@ class NGramModel:
             probs = probs[2:]
             for k, (grams, count) in enumerate(zip(self.tables, self.counts), start=1):
                 if k > 1:
-                    lower = probs[self._find(k - 1, grams[:, 1:])]  # each gram's suffix
-                    probs = self._interpolate(k, count, self.run_of[k - 1], lower)
+                    lower, probs = probs, np.empty(len(grams))
                     arpa.write(f"\\{k}-grams:\n")
                 cflm.write(z.compress(b",{" if k > 1 else b"{"))
                 for i in range(0, len(grams), CHUNK):
                     rows = grams[i : i + CHUNK]
+                    if k > 1:  # over the probability of each gram's suffix
+                        probs[i : i + CHUNK] = self._interpolate(
+                            k, count[i : i + CHUNK], self.run_of[k - 1][i : i + CHUNK],
+                            lower[self._find(k - 1, rows[:, 1:])])
                     strings = _join_grams(self.words, rows)
                     keys = _join_grams(escaped, rows) if escape else strings
                     pairs = map('"{}":{}'.format, keys, count[i : i + CHUNK].tolist())
@@ -313,7 +362,11 @@ class NGramModel:
     def load(cls, path: str | Path) -> "NGramModel":
         """The model in the ``.cflm`` file at ``path``, which must hold the
         bytes ``save`` writes: any other file, valid JSON included, is refused
-        with a ValueError that starts with the path (see ``_read_cflm``)."""
+        with a ValueError that starts with the path (see ``_read_cflm``).
+
+        Besides the model's arrays, it holds the file's compressed bytes, the
+        inflater, one piece of text (32 bytes per CHUNK gram) and one CHUNK of
+        grams as strings; never the whole text."""
         head, tables, counts = _read_cflm(path)
         return cls(head["order"], head["smoothing"], head["vocab"], tables, counts,
                    [tuple(d) for d in head["discounts"]], head["fallback"], head["metadata"])
@@ -346,9 +399,6 @@ def _arpa_lines(probs, strings, fields) -> str:
                     for p, s, field in zip(probs, strings, fields)])
 
 
-# the ":count," after each key, as ``save`` writes counts below 10^18, each
-# followed by one space (a tail holds no space)
-_COUNTS = re.compile(r"(?::(?:0|[1-9][0-9]{0,17}), )*")
 # JSON escapes that hold a quote or a backslash, and same-length stand-ins
 # that neither splitting on quotes nor on spaces can break up
 _ESCAPES = (("\\\\", "\x01\x01"), ('\\"', "\x02\x02"))
@@ -359,13 +409,13 @@ def _read_cflm(path):
     """The head (every key but "tables"), the id rows and the counts of the
     ``.cflm`` file ``save`` wrote to ``path``.
 
-    Only the head and the vocabulary go through ``json.loads``; re-dumped,
-    they must give back their own bytes. The tables are read from the
-    decompressed bytes: numpy finds every quote, so every gram's key and
-    count, and one CHUNK of grams at a time is decoded, split on quotes and
-    spaces, and mapped word by word through a dict over the vocabulary's
-    JSON-escaped forms. A fault in a table names its byte offset in the JSON
-    text. Each order's rows must rise strictly in id order.
+    The file's bytes stay compressed; its text is inflated twice, in pieces
+    of 32 bytes per CHUNK gram. The first pass (``_outline``) checks the whole
+    stream and finds the tables and the vocabulary, keeping only the text
+    from the vocabulary on. The second keeps the head: only the head and the
+    vocabulary go through ``json.loads``, and, re-dumped, they must give back
+    their own bytes. It then reads the tables (``_read_tables``). A fault in
+    a table names its byte offset in the JSON text.
     """
     def fault(message, at=None):
         return ValueError(f"{path}: " + ("" if at is None else f"byte {at}: ") + message)
@@ -375,31 +425,20 @@ def _read_cflm(path):
         raise fault("not a corpus-forge model file")
     if data[4:5] != bytes([FORMAT_VERSION]):
         raise fault(f"unsupported model format version {data[4] if len(data) > 4 else None}")
-    # one MiB of output at a time: a bytearray grows in place, where a
-    # whole-stream decompress holds its output twice
-    inflate, text = zlib.decompressobj(), bytearray()
-    try:
-        piece = inflate.decompress(data[5:], 1 << 20)
-        while piece:
-            text += piece
-            piece = inflate.decompress(inflate.unconsumed_tail, 1 << 20)
-    except zlib.error as error:
-        raise fault(f"damaged zlib stream ({error})") from None
-    if not inflate.eof:
-        raise fault("truncated zlib stream")
-    if inflate.unused_data:
-        raise fault("bytes after the zlib stream")
-    del data
-    raw = np.frombuffer(text, np.uint8)
-    if not text.isascii():
-        raise fault("not ASCII", int(np.argmax(raw > 0x7F)))
-    if len(raw) and raw.min() < 0x20:
-        raise fault("a raw control character", int(np.argmax(raw < 0x20)))
-    # no key of a table and no vocabulary word can hold either marker
-    start, end = text.rfind(_TABLES) + len(_TABLES), text.rfind(_VOCAB)
-    if start < len(_TABLES) or end < start:
+    data, size = memoryview(data)[5:], 32 * CHUNK
+    non_ascii, control, start, end, tail, braces, n_quotes, last_quote = _outline(
+        _inflate(data, size, fault))
+    if non_ascii is not None:
+        raise fault("not ASCII", non_ascii)
+    if control is not None:
+        raise fault("a raw control character", control)
+    if end is None:
         raise fault("no tables between the head and the vocabulary")
-    small = text[:start] + text[end:]
+    pieces, text = _inflate(data, size, fault), bytearray()
+    while len(text) < start:
+        text += next(pieces)
+    small = bytes(text[:start]) + tail
+    del text[:start], tail
     try:
         head = json.loads(small)
         if not _canonical_head(head) or json.dumps(
@@ -413,67 +452,233 @@ def _read_cflm(path):
         raise fault(f"vocabulary {error}") from None
     k_max = head["order"]
     escaped = [json.dumps(w)[1:-1] for w in _word_ids(head["vocab"])]
-    if text.find(b"\\", start, end) >= 0:
-        del raw
-        for escape, stand_in in _ESCAPES:
-            text = text.replace(escape.encode(), stand_in.encode())
-            escaped = [e.replace(escape, stand_in) for e in escaped]
-        raw = np.frombuffer(text, np.uint8)
-    word_id = dict(zip(escaped, range(len(escaped))))
-    quotes = np.flatnonzero(raw[start:end] == ord('"'))
-    quotes += start
-    if len(quotes) % 2:
-        raise fault("an unterminated string", int(quotes[-1]))
-    marks = np.flatnonzero(raw[start:end] >= ord("{")) + start  # { | } ~ DEL
-    marks = marks[np.searchsorted(quotes, marks) % 2 == 0]  # outside every string
-    opens, closes = (marks[raw[marks] == ord(char)].tolist() for char in "{}")
-    if len(opens) != k_max or len(closes) != k_max:
-        raise fault(f"{len(opens)} tables for order {k_max}", start)
-    gaps = [start] + [c + 2 for c in closes[:-1]]
-    if (opens != gaps or closes[-1] != end - 1
-            or any(text[c + 1] != ord(",") for c in closes[:-1])):
+    for escape, stand_in in _ESCAPES:
+        escaped = [e.replace(escape, stand_in) for e in escaped]
+    if n_quotes % 2:
+        raise fault("an unterminated string", last_quote)
+    at, char, rank, after = braces.T
+    opens = char == ord("{")
+    (lefts, ranks), (rights, ends) = ((at[o].tolist(), rank[o]) for o in (opens, ~opens))
+    if len(lefts) != k_max or len(rights) != k_max:
+        raise fault(f"{len(lefts)} tables for order {k_max}", start)
+    gaps = [start] + [c + 2 for c in rights[:-1]]
+    if lefts != gaps or rights[-1] != end - 1 or (after[~opens][:-1] != ord(",")).any():
         raise fault("tables are not one comma-separated {...} per order", start)
+    tables, counts = _read_tables(itertools.chain([bytes(text)], pieces), start, end,
+                                  zip(lefts, rights, ((ends - ranks) // 2).tolist()),
+                                  dict(zip(escaped, range(len(escaped)))), fault)
+    return head, tables, counts
+
+
+def _inflate(data, size, fault):
+    """The text of the zlib stream ``data``, in pieces of ``size`` bytes or
+    fewer, except that a run of backslashes goes whole into one piece. A
+    damaged or truncated stream and bytes after it raise ``fault``."""
+    inflate, carry = zlib.decompressobj(), b""
+    try:
+        for i in range(0, len(data), size):
+            piece = inflate.decompress(data[i : i + size], size)
+            while piece:
+                piece = carry + piece
+                cut = len(piece.rstrip(b"\\"))
+                carry = piece[cut:]
+                if cut:
+                    yield piece[:cut]
+                piece = inflate.decompress(inflate.unconsumed_tail, size)
+            if inflate.eof:
+                break
+    except zlib.error as error:
+        raise fault(f"damaged zlib stream ({error})") from None
+    if carry:
+        yield carry
+    if not inflate.eof:
+        raise fault("truncated zlib stream")
+    if inflate.unused_data or i + size < len(data):
+        raise fault("bytes after the zlib stream")
+
+
+def _stood_in(text: bytes) -> bytes:
+    """``text``, which splits no run of backslashes, with the JSON escapes of
+    a quote or a backslash replaced by their stand-ins."""
+    if b"\\" not in text:
+        return text
+    for escape, stand_in in _ESCAPES:
+        text = text.replace(escape.encode(), stand_in.encode())
+    return text
+
+
+def _outline(pieces):
+    """One pass over the text of a ``.cflm`` file, given as pieces. Returns
+    the offsets of its first non-ASCII byte and of its first raw control
+    character (None if there is none); ``start``, where the last
+    ``"tables":[`` ends; ``end``, where the last ``],"vocab":[`` after it
+    begins (None if there is none); the text from ``end`` on; and, of the
+    table text [start, end) with escapes stood in: one row per brace outside
+    every string (its offset, the brace, how many quotes come before it in
+    the table text, the byte after it or -1), the number of quotes and the
+    offset of the last one.
+
+    The last bytes of each piece, as many as a marker could still need, are
+    scanned with the next piece. A later ``"tables":[`` starts the table text
+    over, and the counts are kept as they stood at the last ``],"vocab":[``."""
+    non_ascii = control = start = end = tail = None
+    held, at = b"", 0  # the bytes held back, and where the next piece starts
+    quotes, last, braces, n_braces = 0, None, [], 0  # of the table text scanned so far
+    at_end = None  # (quotes, last quote, braces) before ``end``
+    for piece in itertools.chain(pieces, [b""]):
+        raw = np.frombuffer(piece, np.uint8)
+        if non_ascii is None and not piece.isascii():
+            non_ascii = at + int(np.argmax(raw > 0x7F))
+        if control is None and len(raw) and raw.min() < 0x20:
+            control = at + int(np.argmax(raw < 0x20))
+        if tail is not None:
+            tail += piece
+        window, base = held + piece, at - len(held)
+        at += len(piece)
+        # the last piece is empty: scan what is held; else never split a run
+        # of backslashes, which a stand-in may pair across the cut
+        limit = len(window) if not piece else max(len(window) - len(_VOCAB) + 1, 0)
+        while 0 < limit < len(window) and window[limit - 1] == ord("\\"):
+            limit -= 1
+        held = window[limit:]
+        marked = b"[" in window  # both markers end with it; table text holds few
+        t = window.rfind(_TABLES, 0, limit + len(_TABLES) - 1) if marked else -1
+        if t >= 0:
+            start, end, tail = base + t + len(_TABLES), None, None
+            quotes, last, braces, n_braces = 0, None, [], 0
+        if start is None:
+            continue
+        lo = max(start - base, 0)
+        text = _stood_in(window[lo:limit])
+        b = np.empty(0, np.int64)
+        if b"{" in text or b"}" in text:
+            chars = np.frombuffer(text, np.uint8)
+            b = np.flatnonzero((chars == ord("{")) | (chars == ord("}")))
+            rank = np.searchsorted(np.flatnonzero(chars == ord('"')), b) + quotes
+            b, rank = b[rank % 2 == 0], rank[rank % 2 == 0]
+        e = window.rfind(_VOCAB, 0, limit + len(_VOCAB) - 1) if marked else -1
+        if e >= 0 and base + e >= start:
+            end, tail = base + e, bytearray(window[e:])
+            q = text.rfind(b'"', 0, e - lo)
+            at_end = (quotes + text.count(b'"', 0, e - lo), last if q < 0 else base + lo + q,
+                      n_braces + int(np.searchsorted(b, e - lo)))
+        quotes += int(np.count_nonzero(np.frombuffer(text, np.uint8) == ord('"')))
+        if (q := text.rfind(b'"')) >= 0:
+            last = base + lo + q
+        if len(b):
+            after = lo + b + 1
+            after = np.where(after < len(window), np.frombuffer(window, np.uint8)[
+                np.minimum(after, len(window) - 1)], -1)
+            braces.append(np.column_stack((b + base + lo, chars[b], rank, after)))
+            n_braces += len(b)
+    n_quotes, last, n_braces = at_end or (0, None, 0)
+    braces = np.concatenate([np.empty((0, 4), np.int64), *braces])[:n_braces]
+    return non_ascii, control, start, end, tail, braces, n_quotes, last
+
+
+def _read_tables(pieces, start, end, spans, word_id, fault):
+    """The id rows and counts of each order's table, from the text pieces
+    that start at offset ``start``; ``spans``: per order, the offsets of its
+    braces and how many grams it holds. Only the table text up to ``end``
+    is read, one piece at a time, with escapes stood in, and it holds at
+    most one CHUNK of grams and one piece (with their quote offsets). Each
+    chunk is read by ``_chunk_grams``; each order's rows must rise strictly
+    in id order."""
+    text, at, quotes = bytearray(), start, np.empty(0, np.int64)  # text from ``at``
+
+    def more():
+        nonlocal quotes
+        piece = _stood_in(next(pieces)[: end - at - len(text)])
+        q = np.flatnonzero(np.frombuffer(piece, np.uint8) == ord('"')) + at + len(text)
+        quotes = np.concatenate((quotes, q))
+        text.extend(piece)
+
     tables, counts = [], []
-    for k, (left, right) in enumerate(zip(opens, closes), start=1):
-        lo, hi = np.searchsorted(quotes, [left, right]).tolist()
-        n = (hi - lo) // 2
-        if (quotes[lo] if n else right) != left + 1:
+    for k, (left, right, n) in enumerate(spans, start=1):
+        while n and not len(quotes):
+            more()
+        if (quotes[0] if n else right) != left + 1:
             raise fault(f"the order-{k} table does not start with a gram", left + 1)
         table, count = np.empty((n, k), np.int32), np.empty(n, np.int64)
         for i in range(0, n, CHUNK):
             j = min(i + CHUNK, n)
-            opening, closing = quotes[lo + 2 * i : lo + 2 * j].reshape(-1, 2).T
-            piece = text[opening[0] : quotes[lo + 2 * j] if j < n else right]
-            # the piece holds k - 1 spaces per gram, the first and the last of
-            # each gram's share inside its key: then every key holds its k - 1
-            spaces = np.flatnonzero(raw[opening[0] : opening[0] + len(piece)] == ord(" "))
-            spaces += opening[0]
-            parts = piece.replace(b'"', b" ").decode().split(" ")
-            tails = " ".join(parts[k + 1 :: k + 1]) + ("," if j == n else "") + " "
-            del parts[k + 1 :: k + 1], parts[0]
-            ids = None
-            if len(spaces) == (j - i) * (k - 1) and _COUNTS.fullmatch(tails):
-                spaces = spaces.reshape(j - i, k - 1)
-                if k == 1 or ((spaces[:, 0] > opening).all() and (spaces[:, -1] < closing).all()):
-                    try:
-                        ids = np.fromiter(map(word_id.__getitem__, parts), np.int32, len(parts))
-                    except KeyError:
-                        pass
-            if ids is None:
-                at, message = _piece_fault(piece.decode(), k, j == n, word_id)
-                raise fault(message, int(opening[0]) + at)
-            table[i:j] = ids.reshape(-1, k)
-            count[i:j] = np.fromstring(tails.replace(":", "").replace(",", ""), np.int64, sep=" ")
+            while len(quotes) < 2 * (j - i) + (j < n) or (j == n and at + len(text) < right):
+                more()
+            opening, closing = quotes[: 2 * (j - i)].reshape(-1, 2).T
+            stop = int(quotes[2 * (j - i)]) if j < n else right
+            piece = text[opening[0] - at : stop - at]
+            grams = _chunk_grams(piece, opening - opening[0], closing - opening[0], k, j == n,
+                                 word_id)
+            if grams is None:
+                off, message = _piece_fault(piece.decode(), k, j == n, word_id)
+                raise fault(message, int(opening[0]) + off)
+            table[i:j], count[i:j] = grams
             rows = table[max(i - 1, 0) : j]
             step = rows[1:] != rows[:-1]
             col = step.argmax(axis=1)[:, None]
             up = np.take_along_axis(rows[1:] > rows[:-1], col, 1)[:, 0] & step.any(axis=1)
             if not up.all():
                 g = max(i - 1, 0) + 1 + int(np.argmin(up))
-                raise fault(f"order-{k} grams are not in sorted order", int(quotes[lo + 2 * g]))
+                raise fault(f"order-{k} grams are not in sorted order", int(opening[g - i]))
+            quotes = quotes[2 * (j - i) :]
+            del text[: stop - at]
+            at = stop
         tables.append(table)
         counts.append(count)
-    return head, tables, counts
+    return tables, counts
+
+
+def _chunk_grams(piece, opening, closing, k, last, word_id):
+    """The id rows and counts of a chunk of an order-k table, or None if a
+    gram in it is not as save writes it. ``piece`` runs from the chunk's
+    first opening quote to the next gram's (to the table's '}' if the chunk
+    is ``last``); ``opening`` and ``closing`` are its grams' quotes in it.
+    The keys are split on quotes and spaces and mapped word by word through
+    ``word_id``, a dict over the vocabulary's JSON-escaped forms."""
+    raw = np.frombuffer(piece, np.uint8)
+    # the piece holds k - 1 spaces per gram, the first and the last of each
+    # gram's share inside its key: then every key holds its k - 1
+    spaces = np.flatnonzero(raw == ord(" "))
+    if len(spaces) != len(opening) * (k - 1):
+        return None
+    spaces = spaces.reshape(len(opening), k - 1)
+    if k > 1 and not ((spaces[:, 0] > opening).all() and (spaces[:, -1] < closing).all()):
+        return None
+    counts = _tail_counts(raw, closing + 1, np.append(opening[1:], len(piece)), last)
+    if counts is None:
+        return None
+    words = piece.replace(b'"', b" ").decode().split(" ")
+    del words[k + 1 :: k + 1], words[0]  # the tails, and the empty head
+    try:
+        ids = np.fromiter(map(word_id.__getitem__, words), np.int32, len(words))
+    except KeyError:
+        return None
+    return ids.reshape(-1, k), counts
+
+
+def _tail_counts(raw, first, stop, last):
+    """The count in each gram's tail ``raw[first[g]:stop[g]]``, or None
+    unless every tail is what save writes after a key: ':', a count below
+    10^18 as ``json.dumps`` writes it (no sign, no leading zero), ','. The
+    ``last`` tail of a table has no ','."""
+    ends = stop.copy()
+    if last:
+        ends[-1] += 1  # where its ',' would be
+    digits, top = ends - first - 2, len(raw) - 1
+    comma = raw[np.minimum(ends - 1, top)] == ord(",")
+    if last:
+        comma[-1] = True
+    ok = (digits >= 1) & (digits <= 18) & (raw[np.minimum(first, top)] == ord(":")) & comma
+    ok &= (digits == 1) | (raw[np.minimum(first + 1, top)] != ord("0"))
+    value = np.zeros(len(first), np.int64)
+    for c in range(1, 19):
+        live = c <= digits
+        if not live.any():
+            break
+        digit = raw[np.minimum(first + c, top)].astype(np.int64) - ord("0")
+        ok &= ~live | ((digit >= 0) & (digit <= 9))
+        value = np.where(live, value * 10 + digit, value)
+    return value if ok.all() else None
 
 
 def _canonical_head(head) -> bool:
@@ -516,7 +721,9 @@ def _piece_fault(piece, k, last, word_id) -> tuple[int, str]:
         for word in words:
             if word not in word_id:
                 return at, f"gram {_shown(key)} holds the unknown word {_shown(word)}"
-        if not _COUNTS.fullmatch(tail + ("," if last and 2 * g + 3 == len(parts) else "") + " "):
+        raw = np.frombuffer(tail.encode() + b" ", np.uint8)  # never empty
+        if _tail_counts(raw, np.zeros(1, int), np.full(1, len(tail)),
+                        last and 2 * g + 3 == len(parts)) is None:
             return at + len(key) + 2, (f"gram {_shown(key)} is followed by {tail!r},"
                                        " not by ':' and a count as save writes it")
         at += len(key) + 2 + len(tail)

@@ -623,6 +623,33 @@ def test_load_refuses_a_space_moved_to_the_next_key(tmp_path):
         NGramModel.load(path)
 
 
+def written_count(tail: str) -> bool:
+    """Whether ``tail`` is ':', a count below 10^18 as ``json.dumps`` writes
+    it, and ','."""
+    body = tail[1:-1]
+    return (tail[:1] == ":" and tail[-1:] == "," and body.isascii() and body.isdigit()
+            and str(int(body)) == body and int(body) < 10**18)
+
+
+@pytest.mark.parametrize("last", [False, True])
+def test_tail_counts_take_only_counts_as_save_writes_them(last):
+    # the tails after each key of a chunk; the ``last`` of a table has no ','
+    tails = [":0,", ":7,", ":10,", ":" + "9" * 18 + ",", ":1" + "0" * 17 + ",", ":" + "9" * 19 + ",",
+             ":00,", ":01,", ":-1,", ":+1,", ": 1,", ":1 ,", ":,", ":1", "1,", ",", ":1,,", "::1,",
+             ":1e3,", ":0x1,", "", ":", ":12,3,"]
+    for tail in tails:
+        rows = [[":5,", tail.removesuffix(",")]] if last else [[":5,", tail], [tail, ":5,"]]
+        for row in rows:
+            piece = "".join(f'"w"{t}' for t in row).encode()
+            raw = np.frombuffer(piece, np.uint8)
+            quotes = np.flatnonzero(raw == ord('"'))
+            counts = ngramlm._tail_counts(raw, quotes[1::2] + 1, np.append(quotes[2::2], len(raw)), last)
+            written = [t + ("," if last and i == len(row) - 1 else "") for i, t in enumerate(row)]
+            assert (counts is not None) == all(map(written_count, written)), row
+            if counts is not None:
+                assert counts.tolist() == [int(t.strip(":,")) for t in row], row
+
+
 # a model whose file is small enough to read: words a, b, c; order 3
 DAMAGE_CORPUS = [["a", "b", "c", "a"], ["b", "c"], ["c", "a", "b"]]
 
@@ -637,7 +664,9 @@ def damaged(tmp_path, edit):
     return path, text
 
 
-@pytest.mark.parametrize("old,new,shift,message", [
+# (old, new, shift, message): ``old`` becomes ``new``, and the refusal names
+# the byte ``shift`` past where ``old`` was
+TABLE_DAMAGE = [
     (b'"b":', b'"\xc3\xa9":', 1, "not ASCII"),
     (b'"c a":', b'"c zzzunknown":', 0, "gram 'c zzzunknown' holds the unknown word 'zzzunknown'"),
     (b'"b c":', b'"b  c":', 0, "gram 'b  c' holds a doubled, leading or trailing space"),
@@ -655,7 +684,10 @@ def damaged(tmp_path, edit):
     (b'"b":', b'"a":', 0, "order-1 grams are not in sorted order"),  # a doubled gram
     (b'"tables":[{', b'"tables":[ {', 10, "tables are not one comma-separated"),
     (b'{"<s> a"', b'{,"<s> a"', 1, "the order-2 table does not start with a gram"),
-])
+]
+
+
+@pytest.mark.parametrize("old,new,shift,message", TABLE_DAMAGE)
 def test_load_refuses_a_damaged_table_naming_file_and_byte(tmp_path, old, new, shift, message):
     path, text = damaged(tmp_path, lambda text: text.replace(old, new, 1))
     at = text.index(old) + shift
@@ -734,3 +766,98 @@ def test_load_holds_at_most_its_text_and_twice_the_arrays(tmp_path, monkeypatch)
         tracemalloc.stop()
     assert model_array_bytes(loaded) == model_array_bytes(model)
     assert peak <= text_bytes + 2 * model_array_bytes(model), (peak, text_bytes)
+
+
+def test_load_holds_its_compressed_bytes_and_one_chunk_not_the_text(tmp_path, monkeypatch):
+    # beyond the compressed file and the arrays, load holds zlib's 32 KiB
+    # window and state, one piece of text and one chunk of 64 grams: 64 KiB,
+    # under half of this model's text. (The model above cannot show it: its
+    # text is smaller than zlib's window.)
+    monkeypatch.setattr(ngramlm, "CHUNK", 64)
+    model = train(markov3_corpus(5, 300), 5)
+    path = tmp_path / "m.cflm"
+    model.save(path, tmp_path / "m.arpa")
+    allowance = 64 * 1024
+    assert len(cflm_text(path)) > 2 * allowance
+    tracemalloc.start()
+    try:
+        loaded = NGramModel.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model_array_bytes(loaded) == model_array_bytes(model)
+    assert peak <= path.stat().st_size + model_array_bytes(model) + allowance, peak
+
+
+def test_train_holds_at_most_twice_its_arrays():
+    # the sort buffers are gone before the constructor runs, and it sums its
+    # discount masses one chunk of runs at a time
+    corpus = markov3_corpus(20, 2000)
+    tracemalloc.start()
+    try:
+        model = train(corpus, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * model_array_bytes(model), (peak, model_array_bytes(model))
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_load_refusals_do_not_depend_on_the_piece_size(tmp_path, monkeypatch, chunk):
+    # load inflates 32 bytes per CHUNK gram at a time: with these chunks a
+    # marker, an escape, a brace or a gram falls across two pieces
+    monkeypatch.setattr(ngramlm, "CHUNK", chunk)
+    for old, new, shift, message in TABLE_DAMAGE:
+        path, text = damaged(tmp_path, lambda text: text.replace(old, new, 1))
+        at = text.index(old) + shift
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: byte {at}: {message}"):
+            NGramModel.load(path)
+
+
+@pytest.mark.parametrize("chunk", [1 << 13, 1])
+def test_metadata_spelling_the_loader_markers_round_trips(tmp_path, monkeypatch, chunk):
+    # the tables start after the last "tables":[ and end at the last
+    # ],"vocab":[; metadata, which comes before them, may spell either
+    monkeypatch.setattr(ngramlm, "CHUNK", chunk)
+    metadata = {"note": '],"vocab":[', "tables": [1, 2], "vocab": ["x"]}
+    model = train(DAMAGE_CORPUS, 3, metadata=metadata)
+    path = tmp_path / "m.cflm"
+    model.save(path, tmp_path / "m.arpa")
+    text = cflm_text(path)
+    assert text.count(b'"tables":[') == 2 and text.count(b'],"vocab":[') == 2
+    assert_same_model(NGramModel.load(path), model)
+    oracle = DictNGramModel.train(DAMAGE_CORPUS, 3, metadata=metadata)
+    oracle.save(tmp_path / "oracle.cflm")
+    assert (tmp_path / "oracle.cflm").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("width", [np.int32, np.int64])
+def test_index_width_follows_the_largest_key(tmp_path, width):
+    # keys and runs are int32 while (grams + 1) * (words + 1) fits in it; one
+    # sentence of 50 000 distinct words at order 2 makes 50 001 * 50 002 > 2^31
+    if width is np.int64:
+        corpus, order = [[f"w{i}" for i in range(50_000)]], 2
+    else:
+        corpus, order = markov3_corpus(7, 60), 3
+    model = train(corpus, order, metadata={"language": "xx"})
+    oracle = DictNGramModel.train(corpus, order, metadata={"language": "xx"})
+    assert {a.dtype for a in (*model.run_of, *(a for keys in model._keys for a in keys))} == {
+        np.dtype(width)}
+    rng = random.Random(8)
+    words = sorted(model.vocab)
+    queries = [((SENT_START,), w) for w in words[:50]] + [
+        (tuple(rng.choice(words) for _ in range(rng.randint(0, order - 1))), rng.choice(words + [UNK]))
+        for _ in range(200)]
+    for row in model.tables[-1][rng.sample(range(len(model.tables[-1])), 200)].tolist():
+        gram = [model.words[i] for i in row]
+        queries.append((tuple(gram[:-1]), gram[-1]))
+    assert model.probs(queries) == oracle.probs(queries)
+    model.save(tmp_path / "m.cflm", tmp_path / "m.arpa")
+    oracle.save(tmp_path / "oracle.cflm")
+    oracle.to_arpa(tmp_path / "oracle.arpa")
+    for ext in ("cflm", "arpa"):
+        assert (tmp_path / f"m.{ext}").read_bytes() == (tmp_path / f"oracle.{ext}").read_bytes(), ext
+    loaded = NGramModel.load(tmp_path / "m.cflm")
+    assert_same_model(loaded, model)
+    for mine, theirs in zip([*loaded.run_of, *sum(loaded._keys, [])], [*model.run_of, *sum(model._keys, [])]):
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
