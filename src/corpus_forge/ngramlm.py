@@ -11,38 +11,34 @@ absolute discount. Probability mass is reserved for a single unknown word, so
 for any observed context the distribution over vocabulary + unknown sums to one.
 
 Word ids number vocab + ``<s>`` in code-point order; order k is a sorted
-(n_k, k) int32 array of id rows plus their counts. No word may hold a
+(n_k, k) int32 array of id rows plus their int64 counts. No word may hold a
 character at or below U+0020, so id order is the order of the space-joined
-gram strings, in which the ``.cflm`` JSON and the ARPA file list grams;
-``save`` writes both files in one pass over the id rows, one CHUNK of gram
-strings at a time. A context's grams form one run; its discount mass is
-summed left to right in that one order, so a loaded model equals its
-original in every float. The search index over each order (``_keys``,
-``run_of``) is int32 unless a key reaches 2^31.
+gram strings, in which the ARPA file lists grams. A context's grams form one
+run; its discount mass is summed left to right in that one order, so a
+loaded model equals its original in every float. The search index over each
+order (``_keys``, ``run_of``) is int32 unless a key reaches 2^31.
 
 What each step holds at once, besides the model's own arrays: ``train`` its
-id rows, sorted once, and one order's run masks, all freed before the
-constructor runs; the constructor one order's key being built and one
-CHUNK of context runs; ``save`` one CHUNK of gram strings and lines, plus
-two orders' probabilities; ``load`` the compressed file, one CHUNK of grams
-and one inflated piece of text.
+id rows (twice while they sort) and one order's run masks and run starts,
+all freed before the constructor runs; the constructor one order's key being
+built and one CHUNK of context runs; ``save`` the compressed ``.cflm`` parts
+and one column of ids, then one CHUNK of gram strings and ARPA lines plus two
+orders' probabilities; ``load`` the file's bytes and one array being inflated.
 
-``.cflm``: 4-byte magic, version byte, then zlib (level 6) of the JSON object
-{"discounts", "fallback", "metadata", "order", "smoothing", "tables": per
-order {"w1 .. wk": count}, "vocab"}: sorted keys, compact separators, ASCII.
-``load`` reads exactly that canonical text and refuses any other, valid
-JSON included, with a ValueError that names the file (and, for a fault in
-a table, its byte offset in the JSON text). Only the head and the vocabulary
-go through ``json.loads``; the tables are read a CHUNK of grams at a time
-from text inflated 32 bytes per CHUNK gram at a time, so the whole text is
-never held.
+``.cflm`` version 2 holds the arrays themselves, as KenLM's binary format
+does: the magic, the version byte, then parts each preceded by its 8-byte
+little-endian length. The head is the canonical JSON (sorted keys, compact,
+ASCII) of "discounts", "fallback", "grams" (rows per order), "metadata",
+"order", "smoothing" and "vocab"; then, per order, the zlib stream (level 1)
+of its id rows, column by column, as little-endian int32, and that of its
+counts as little-endian int64. A CRC-32 of every byte before it ends the file.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
+import sys
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,10 +50,10 @@ SENT_START = "<s>"
 UNK = "<unk>"
 
 MAGIC = b"CFLM"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 FALLBACK_DISCOUNT = 0.75
-CHUNK = 1 << 13  # grams per piece of text: bounds the text held at once
+CHUNK = 1 << 13  # grams per piece of ARPA text: bounds the text held at once
 
 
 @dataclass
@@ -90,9 +86,9 @@ def _check_vocab(vocab) -> None:
     the model writes its own entry for."""
     for word in vocab:
         if word and min(word) <= " ":
-            raise ValueError(f"word {word!r} holds a character at or below U+0020")
+            raise ValueError(f"vocabulary word {word!r} holds a character at or below U+0020")
     if reserved := sorted(set(vocab) & {SENT_START, UNK}):
-        raise ValueError(f"word {reserved[0]!r} is reserved by the model")
+        raise ValueError(f"vocabulary word {reserved[0]!r} is reserved by the model")
 
 
 def _word_ids(vocab) -> dict[str, int]:
@@ -182,7 +178,8 @@ class NGramModel:
                 key += table[:, j]
                 key += 1
                 self._keys[-1].append(key)
-            if any((key[1:] < key[:-1]).any() for key in self._keys[-1]):
+            # rows rise strictly: no key falls, and the last never repeats
+            if any((key[1:] < key[:-1]).any() for key in self._keys[-1]) or (key[1:] == key[:-1]).any():
                 raise ValueError(f"order-{k} grams are not in sorted order")
             # ``new`` now starts each context run; its masses are summed
             # CHUNK runs at a time
@@ -229,10 +226,6 @@ class NGramModel:
         are then the runs of rows sharing their last k ids: a run counts its
         distinct order-(k+1) extensions, or its rows where the id before them
         is padding (the gram starts the sentence) or k is the highest order.
-
-        Besides the corpus and the tables, it holds the id rows (twice while
-        they sort) and one order's run masks and run starts; all of these are
-        freed before the constructor builds the index.
         """
         if order < 1:
             raise ValueError("order must be >= 1")
@@ -302,11 +295,8 @@ class NGramModel:
     # -- serialization -----------------------------------------------------
 
     def save(self, cflm_path: str | Path, arpa_path: str | Path) -> None:
-        """Write the ``.cflm`` file and the ARPA export in one pass over the
-        orders. Each CHUNK of an order's id rows is joined into gram strings
-        once (and once more JSON-escaped when escaping changes some word);
-        their ``"gram":count`` pairs stream into the compressor and their
-        ARPA lines into the text file.
+        """Write the ``.cflm`` file (see above), then the ARPA export, one CHUNK
+        of an order's id rows at a time, joining their gram strings once.
 
         ARPA: stored probabilities are the interpolated values; backoff
         weights are the per-context discount masses, so an ARPA consumer
@@ -317,13 +307,23 @@ class NGramModel:
         Orders are evaluated bottom-up, each gram over the probability of its
         suffix one order down.
         """
-        payload = {"order": self.order, "smoothing": self.smoothing, "vocab": sorted(self.vocab),
-                   "tables": [], "discounts": [list(d) for d in self.discounts],
-                   "fallback": list(self.fallback), "metadata": self.metadata}
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        head, _, tail = text.rpartition('"tables":[]')  # only "vocab" follows it
-        escaped = [json.dumps(w)[1:-1] for w in self.words]
-        escape = escaped != self.words
+        head = {"order": self.order, "smoothing": self.smoothing, "vocab": sorted(self.vocab),
+                "grams": [len(t) for t in self.tables], "discounts": [list(d) for d in self.discounts],
+                "fallback": list(self.fallback), "metadata": self.metadata}
+        parts = [json.dumps(head, sort_keys=True, separators=(",", ":")).encode()]
+        for table, count in zip(self.tables, self.counts):
+            ids = zlib.compressobj(1)  # a copy of one column at a time, not of the table
+            columns = (np.ascontiguousarray(column, "<i4") for column in table.T)
+            parts += [b"".join([*map(ids.compress, columns), ids.flush()]),
+                      zlib.compress(np.ascontiguousarray(count, "<i8"), 1)]
+        crc = 0
+        with open(cflm_path, "wb") as cflm:
+            for piece in [MAGIC + bytes([FORMAT_VERSION]), *(
+                    x for p in parts for x in (len(p).to_bytes(8, "little"), p))]:
+                cflm.write(piece)
+                crc = zlib.crc32(piece, crc)
+            cflm.write(crc.to_bytes(4, "little"))
+        del parts
         sizes = [len(self.tables[0]) + 2] + [len(t) for t in self.tables[1:]]  # + <unk>, <s>
         header = [f"# {key}={self.metadata[key]}" for key in sorted(self.metadata)]
         header += ["\\data\\", *(f"ngram {k}={c}" for k, c in enumerate(sizes, start=1)), ""]
@@ -331,9 +331,7 @@ class NGramModel:
         probs = self._interpolate(1, unigram, np.zeros(len(unigram), int), self._p0)
         probs[1] = 0.0  # <s>: never predicted
         special = np.array([[-1], [self.ids[SENT_START]]])  # <unk> has no id
-        z = zlib.compressobj(6)
-        with open(cflm_path, "wb") as cflm, open(arpa_path, "w", encoding="utf-8") as arpa:
-            cflm.write(MAGIC + bytes([FORMAT_VERSION]) + z.compress(f'{head}"tables":['.encode()))
+        with open(arpa_path, "w", encoding="utf-8") as arpa:
             arpa.write("\n".join(header) + "\n\\1-grams:\n")
             arpa.write(_arpa_lines(probs[:2].tolist(), [UNK, SENT_START], self._backoffs(1, special)))
             probs = probs[2:]
@@ -341,35 +339,58 @@ class NGramModel:
                 if k > 1:
                     lower, probs = probs, np.empty(len(grams))
                     arpa.write(f"\\{k}-grams:\n")
-                cflm.write(z.compress(b",{" if k > 1 else b"{"))
                 for i in range(0, len(grams), CHUNK):
                     rows = grams[i : i + CHUNK]
                     if k > 1:  # over the probability of each gram's suffix
                         probs[i : i + CHUNK] = self._interpolate(
                             k, count[i : i + CHUNK], self.run_of[k - 1][i : i + CHUNK],
                             lower[self._find(k - 1, rows[:, 1:])])
-                    strings = _join_grams(self.words, rows)
-                    keys = _join_grams(escaped, rows) if escape else strings
-                    pairs = map('"{}":{}'.format, keys, count[i : i + CHUNK].tolist())
-                    cflm.write(z.compress(f'{"," if i else ""}{",".join(pairs)}'.encode()))
-                    arpa.write(_arpa_lines(probs[i : i + CHUNK].tolist(), strings, self._backoffs(k, rows)))
-                cflm.write(z.compress(b"}"))
+                    arpa.write(_arpa_lines(probs[i : i + CHUNK].tolist(), _join_grams(self.words, rows),
+                                           self._backoffs(k, rows)))
                 arpa.write("\n")
-            cflm.write(z.compress(f"]{tail}".encode()) + z.flush())
             arpa.write("\\end\\\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "NGramModel":
-        """The model in the ``.cflm`` file at ``path``, which must hold the
-        bytes ``save`` writes: any other file, valid JSON included, is refused
-        with a ValueError that starts with the path (see ``_read_cflm``).
-
-        Besides the model's arrays, it holds the file's compressed bytes, the
-        inflater, one piece of text (32 bytes per CHUNK gram) and one CHUNK of
-        grams as strings; never the whole text."""
-        head, tables, counts = _read_cflm(path)
-        return cls(head["order"], head["smoothing"], head["vocab"], tables, counts,
-                   [tuple(d) for d in head["discounts"]], head["fallback"], head["metadata"])
+        """The model in the ``.cflm`` file at ``path``; any file ``save`` would
+        not write is refused with a ValueError that starts with the path. The
+        frame, the head and the vocabulary are checked first, each array as it
+        is inflated, and the rows' order by the constructor."""
+        data = Path(path).read_bytes()
+        view, end, parts, at = memoryview(data), len(data) - 4, [], 5
+        try:
+            if data[:4] != MAGIC:
+                raise ValueError("not a corpus-forge model file")
+            if data[4:5] != bytes([FORMAT_VERSION]):
+                raise ValueError(f"unsupported model format version {data[4] if len(data) > 4 else None}")
+            if end < 5 or zlib.crc32(view[:end]) != int.from_bytes(data[end:], "little"):
+                raise ValueError("CRC-32 mismatch: the file is damaged or truncated")
+            while at < end:
+                size = int.from_bytes(data[at : at + 8], "little")
+                parts.append(view[at + 8 : at + 8 + size])
+                at += 8 + size
+            if at != end:
+                raise ValueError("the last part runs past the CRC-32")
+            try:
+                head = json.loads(bytes(parts[0]))
+            except (IndexError, ValueError, RecursionError):
+                head = None
+            if not _canonical_head(head) or json.dumps(
+                    head, sort_keys=True, separators=(",", ":")).encode() != parts[0]:
+                raise ValueError("the head or the vocabulary is not what save writes")
+            _check_vocab(head["vocab"])
+            if len(parts) != 1 + 2 * head["order"]:
+                raise ValueError(f"{len(parts) - 1} arrays for order {head['order']}")
+            tables, counts = [], []
+            for k, n in enumerate(head["grams"], start=1):
+                ids = _inflated(parts[2 * k - 1], "<i4", n * k, 0, len(head["vocab"]) + 1, f"order-{k} ids")
+                tables.append(ids.reshape(k, n).T)  # the rows, read column by column
+                counts.append(_inflated(parts[2 * k], "<i8", n, 1, 2**63, f"order-{k} counts"))
+            del data, view, parts
+            return cls(head["order"], head["smoothing"], head["vocab"], tables, counts,
+                       [tuple(d) for d in head["discounts"]], head["fallback"], head["metadata"])
+        except ValueError as error:
+            raise ValueError(f"{path}: {error}") from None
 
     def _backoffs(self, k: int, rows) -> list[str]:
         """The ARPA back-off field of each order-k id row. A gram with no
@@ -399,335 +420,45 @@ def _arpa_lines(probs, strings, fields) -> str:
                     for p, s, field in zip(probs, strings, fields)])
 
 
-# JSON escapes that hold a quote or a backslash, and same-length stand-ins
-# that neither splitting on quotes nor on spaces can break up
-_ESCAPES = (("\\\\", "\x01\x01"), ('\\"', "\x02\x02"))
-_TABLES, _VOCAB = b'"tables":[', b'],"vocab":['
-
-
-def _read_cflm(path):
-    """The head (every key but "tables"), the id rows and the counts of the
-    ``.cflm`` file ``save`` wrote to ``path``.
-
-    The file's bytes stay compressed; its text is inflated twice, in pieces
-    of 32 bytes per CHUNK gram. The first pass (``_outline``) checks the whole
-    stream and finds the tables and the vocabulary, keeping only the text
-    from the vocabulary on. The second keeps the head: only the head and the
-    vocabulary go through ``json.loads``, and, re-dumped, they must give back
-    their own bytes. It then reads the tables (``_read_tables``). A fault in
-    a table names its byte offset in the JSON text.
-    """
-    def fault(message, at=None):
-        return ValueError(f"{path}: " + ("" if at is None else f"byte {at}: ") + message)
-
-    data = Path(path).read_bytes()
-    if data[:4] != MAGIC:
-        raise fault("not a corpus-forge model file")
-    if data[4:5] != bytes([FORMAT_VERSION]):
-        raise fault(f"unsupported model format version {data[4] if len(data) > 4 else None}")
-    data, size = memoryview(data)[5:], 32 * CHUNK
-    non_ascii, control, start, end, tail, braces, n_quotes, last_quote = _outline(
-        _inflate(data, size, fault))
-    if non_ascii is not None:
-        raise fault("not ASCII", non_ascii)
-    if control is not None:
-        raise fault("a raw control character", control)
-    if end is None:
-        raise fault("no tables between the head and the vocabulary")
-    pieces, text = _inflate(data, size, fault), bytearray()
-    while len(text) < start:
-        text += next(pieces)
-    small = bytes(text[:start]) + tail
-    del text[:start], tail
+def _inflated(part, dtype, n, low, high, what):
+    """The ``n`` values of ``dtype`` in the zlib stream ``part``, each in
+    [low, high). A stream that holds more is refused before it is fully
+    inflated."""
+    size, inflate = n * np.dtype(dtype).itemsize, zlib.decompressobj()
     try:
-        head = json.loads(small)
-        if not _canonical_head(head) or json.dumps(
-                head, sort_keys=True, separators=(",", ":")).encode() != small:
-            raise ValueError
-    except ValueError:
-        raise fault("the head or the vocabulary is not what save writes") from None
-    try:
-        _check_vocab(head["vocab"])
-    except ValueError as error:
-        raise fault(f"vocabulary {error}") from None
-    k_max = head["order"]
-    escaped = [json.dumps(w)[1:-1] for w in _word_ids(head["vocab"])]
-    for escape, stand_in in _ESCAPES:
-        escaped = [e.replace(escape, stand_in) for e in escaped]
-    if n_quotes % 2:
-        raise fault("an unterminated string", last_quote)
-    at, char, rank, after = braces.T
-    opens = char == ord("{")
-    (lefts, ranks), (rights, ends) = ((at[o].tolist(), rank[o]) for o in (opens, ~opens))
-    if len(lefts) != k_max or len(rights) != k_max:
-        raise fault(f"{len(lefts)} tables for order {k_max}", start)
-    gaps = [start] + [c + 2 for c in rights[:-1]]
-    if lefts != gaps or rights[-1] != end - 1 or (after[~opens][:-1] != ord(",")).any():
-        raise fault("tables are not one comma-separated {...} per order", start)
-    tables, counts = _read_tables(itertools.chain([bytes(text)], pieces), start, end,
-                                  zip(lefts, rights, ((ends - ranks) // 2).tolist()),
-                                  dict(zip(escaped, range(len(escaped)))), fault)
-    return head, tables, counts
-
-
-def _inflate(data, size, fault):
-    """The text of the zlib stream ``data``, in pieces of ``size`` bytes or
-    fewer, except that a run of backslashes goes whole into one piece. A
-    damaged or truncated stream and bytes after it raise ``fault``."""
-    inflate, carry = zlib.decompressobj(), b""
-    try:
-        for i in range(0, len(data), size):
-            piece = inflate.decompress(data[i : i + size], size)
-            while piece:
-                piece = carry + piece
-                cut = len(piece.rstrip(b"\\"))
-                carry = piece[cut:]
-                if cut:
-                    yield piece[:cut]
-                piece = inflate.decompress(inflate.unconsumed_tail, size)
-            if inflate.eof:
-                break
+        raw = inflate.decompress(part, min(size + 1, sys.maxsize))
     except zlib.error as error:
-        raise fault(f"damaged zlib stream ({error})") from None
-    if carry:
-        yield carry
+        raise ValueError(f"damaged zlib stream ({error}) of the {what}") from None
+    if len(raw) > size:
+        raise ValueError(f"the {what} inflate past the {size} bytes the head declares")
     if not inflate.eof:
-        raise fault("truncated zlib stream")
-    if inflate.unused_data or i + size < len(data):
-        raise fault("bytes after the zlib stream")
-
-
-def _stood_in(text: bytes) -> bytes:
-    """``text``, which splits no run of backslashes, with the JSON escapes of
-    a quote or a backslash replaced by their stand-ins."""
-    if b"\\" not in text:
-        return text
-    for escape, stand_in in _ESCAPES:
-        text = text.replace(escape.encode(), stand_in.encode())
-    return text
-
-
-def _outline(pieces):
-    """One pass over the text of a ``.cflm`` file, given as pieces. Returns
-    the offsets of its first non-ASCII byte and of its first raw control
-    character (None if there is none); ``start``, where the last
-    ``"tables":[`` ends; ``end``, where the last ``],"vocab":[`` after it
-    begins (None if there is none); the text from ``end`` on; and, of the
-    table text [start, end) with escapes stood in: one row per brace outside
-    every string (its offset, the brace, how many quotes come before it in
-    the table text, the byte after it or -1), the number of quotes and the
-    offset of the last one.
-
-    The last bytes of each piece, as many as a marker could still need, are
-    scanned with the next piece. A later ``"tables":[`` starts the table text
-    over, and the counts are kept as they stood at the last ``],"vocab":[``."""
-    non_ascii = control = start = end = tail = None
-    held, at = b"", 0  # the bytes held back, and where the next piece starts
-    quotes, last, braces, n_braces = 0, None, [], 0  # of the table text scanned so far
-    at_end = None  # (quotes, last quote, braces) before ``end``
-    for piece in itertools.chain(pieces, [b""]):
-        raw = np.frombuffer(piece, np.uint8)
-        if non_ascii is None and not piece.isascii():
-            non_ascii = at + int(np.argmax(raw > 0x7F))
-        if control is None and len(raw) and raw.min() < 0x20:
-            control = at + int(np.argmax(raw < 0x20))
-        if tail is not None:
-            tail += piece
-        window, base = held + piece, at - len(held)
-        at += len(piece)
-        # the last piece is empty: scan what is held; else never split a run
-        # of backslashes, which a stand-in may pair across the cut
-        limit = len(window) if not piece else max(len(window) - len(_VOCAB) + 1, 0)
-        while 0 < limit < len(window) and window[limit - 1] == ord("\\"):
-            limit -= 1
-        held = window[limit:]
-        marked = b"[" in window  # both markers end with it; table text holds few
-        t = window.rfind(_TABLES, 0, limit + len(_TABLES) - 1) if marked else -1
-        if t >= 0:
-            start, end, tail = base + t + len(_TABLES), None, None
-            quotes, last, braces, n_braces = 0, None, [], 0
-        if start is None:
-            continue
-        lo = max(start - base, 0)
-        text = _stood_in(window[lo:limit])
-        b = np.empty(0, np.int64)
-        if b"{" in text or b"}" in text:
-            chars = np.frombuffer(text, np.uint8)
-            b = np.flatnonzero((chars == ord("{")) | (chars == ord("}")))
-            rank = np.searchsorted(np.flatnonzero(chars == ord('"')), b) + quotes
-            b, rank = b[rank % 2 == 0], rank[rank % 2 == 0]
-        e = window.rfind(_VOCAB, 0, limit + len(_VOCAB) - 1) if marked else -1
-        if e >= 0 and base + e >= start:
-            end, tail = base + e, bytearray(window[e:])
-            q = text.rfind(b'"', 0, e - lo)
-            at_end = (quotes + text.count(b'"', 0, e - lo), last if q < 0 else base + lo + q,
-                      n_braces + int(np.searchsorted(b, e - lo)))
-        quotes += int(np.count_nonzero(np.frombuffer(text, np.uint8) == ord('"')))
-        if (q := text.rfind(b'"')) >= 0:
-            last = base + lo + q
-        if len(b):
-            after = lo + b + 1
-            after = np.where(after < len(window), np.frombuffer(window, np.uint8)[
-                np.minimum(after, len(window) - 1)], -1)
-            braces.append(np.column_stack((b + base + lo, chars[b], rank, after)))
-            n_braces += len(b)
-    n_quotes, last, n_braces = at_end or (0, None, 0)
-    braces = np.concatenate([np.empty((0, 4), np.int64), *braces])[:n_braces]
-    return non_ascii, control, start, end, tail, braces, n_quotes, last
-
-
-def _read_tables(pieces, start, end, spans, word_id, fault):
-    """The id rows and counts of each order's table, from the text pieces
-    that start at offset ``start``; ``spans``: per order, the offsets of its
-    braces and how many grams it holds. Only the table text up to ``end``
-    is read, one piece at a time, with escapes stood in, and it holds at
-    most one CHUNK of grams and one piece (with their quote offsets). Each
-    chunk is read by ``_chunk_grams``; each order's rows must rise strictly
-    in id order."""
-    text, at, quotes = bytearray(), start, np.empty(0, np.int64)  # text from ``at``
-
-    def more():
-        nonlocal quotes
-        piece = _stood_in(next(pieces)[: end - at - len(text)])
-        q = np.flatnonzero(np.frombuffer(piece, np.uint8) == ord('"')) + at + len(text)
-        quotes = np.concatenate((quotes, q))
-        text.extend(piece)
-
-    tables, counts = [], []
-    for k, (left, right, n) in enumerate(spans, start=1):
-        while n and not len(quotes):
-            more()
-        if (quotes[0] if n else right) != left + 1:
-            raise fault(f"the order-{k} table does not start with a gram", left + 1)
-        table, count = np.empty((n, k), np.int32), np.empty(n, np.int64)
-        for i in range(0, n, CHUNK):
-            j = min(i + CHUNK, n)
-            while len(quotes) < 2 * (j - i) + (j < n) or (j == n and at + len(text) < right):
-                more()
-            opening, closing = quotes[: 2 * (j - i)].reshape(-1, 2).T
-            stop = int(quotes[2 * (j - i)]) if j < n else right
-            piece = text[opening[0] - at : stop - at]
-            grams = _chunk_grams(piece, opening - opening[0], closing - opening[0], k, j == n,
-                                 word_id)
-            if grams is None:
-                off, message = _piece_fault(piece.decode(), k, j == n, word_id)
-                raise fault(message, int(opening[0]) + off)
-            table[i:j], count[i:j] = grams
-            rows = table[max(i - 1, 0) : j]
-            step = rows[1:] != rows[:-1]
-            col = step.argmax(axis=1)[:, None]
-            up = np.take_along_axis(rows[1:] > rows[:-1], col, 1)[:, 0] & step.any(axis=1)
-            if not up.all():
-                g = max(i - 1, 0) + 1 + int(np.argmin(up))
-                raise fault(f"order-{k} grams are not in sorted order", int(opening[g - i]))
-            quotes = quotes[2 * (j - i) :]
-            del text[: stop - at]
-            at = stop
-        tables.append(table)
-        counts.append(count)
-    return tables, counts
-
-
-def _chunk_grams(piece, opening, closing, k, last, word_id):
-    """The id rows and counts of a chunk of an order-k table, or None if a
-    gram in it is not as save writes it. ``piece`` runs from the chunk's
-    first opening quote to the next gram's (to the table's '}' if the chunk
-    is ``last``); ``opening`` and ``closing`` are its grams' quotes in it.
-    The keys are split on quotes and spaces and mapped word by word through
-    ``word_id``, a dict over the vocabulary's JSON-escaped forms."""
-    raw = np.frombuffer(piece, np.uint8)
-    # the piece holds k - 1 spaces per gram, the first and the last of each
-    # gram's share inside its key: then every key holds its k - 1
-    spaces = np.flatnonzero(raw == ord(" "))
-    if len(spaces) != len(opening) * (k - 1):
-        return None
-    spaces = spaces.reshape(len(opening), k - 1)
-    if k > 1 and not ((spaces[:, 0] > opening).all() and (spaces[:, -1] < closing).all()):
-        return None
-    counts = _tail_counts(raw, closing + 1, np.append(opening[1:], len(piece)), last)
-    if counts is None:
-        return None
-    words = piece.replace(b'"', b" ").decode().split(" ")
-    del words[k + 1 :: k + 1], words[0]  # the tails, and the empty head
-    try:
-        ids = np.fromiter(map(word_id.__getitem__, words), np.int32, len(words))
-    except KeyError:
-        return None
-    return ids.reshape(-1, k), counts
-
-
-def _tail_counts(raw, first, stop, last):
-    """The count in each gram's tail ``raw[first[g]:stop[g]]``, or None
-    unless every tail is what save writes after a key: ':', a count below
-    10^18 as ``json.dumps`` writes it (no sign, no leading zero), ','. The
-    ``last`` tail of a table has no ','."""
-    ends = stop.copy()
-    if last:
-        ends[-1] += 1  # where its ',' would be
-    digits, top = ends - first - 2, len(raw) - 1
-    comma = raw[np.minimum(ends - 1, top)] == ord(",")
-    if last:
-        comma[-1] = True
-    ok = (digits >= 1) & (digits <= 18) & (raw[np.minimum(first, top)] == ord(":")) & comma
-    ok &= (digits == 1) | (raw[np.minimum(first + 1, top)] != ord("0"))
-    value = np.zeros(len(first), np.int64)
-    for c in range(1, 19):
-        live = c <= digits
-        if not live.any():
-            break
-        digit = raw[np.minimum(first + c, top)].astype(np.int64) - ord("0")
-        ok &= ~live | ((digit >= 0) & (digit <= 9))
-        value = np.where(live, value * 10 + digit, value)
-    return value if ok.all() else None
+        raise ValueError(f"truncated zlib stream of the {what}")
+    if inflate.unused_data:
+        raise ValueError(f"bytes after the zlib stream of the {what}")
+    if len(raw) != size:
+        raise ValueError(f"the {what} hold {len(raw)} bytes, not the {size} the head declares")
+    values = np.frombuffer(raw, dtype)
+    if n and not low <= values.min() <= values.max() < high:
+        raise ValueError(f"the {what} are not all in [{low}, {high})")
+    return values
 
 
 def _canonical_head(head) -> bool:
     """Whether a parsed head holds the keys and value types ``save`` writes."""
     if not isinstance(head, dict) or sorted(head) != [
-            "discounts", "fallback", "metadata", "order", "smoothing", "tables", "vocab"]:
+            "discounts", "fallback", "grams", "metadata", "order", "smoothing", "vocab"]:
         return False
     k_max, vocab = head["order"], head["vocab"]
     return (type(k_max) is int and k_max >= 1 and head["smoothing"] in ("kn", "none")
             and isinstance(head["metadata"], dict)
             and isinstance(vocab, list) and all(type(w) is str for w in vocab)
             and vocab == sorted(set(vocab))
-            and isinstance(head["fallback"], list) and len(head["fallback"]) == k_max
+            and all(isinstance(head[key], list) and len(head[key]) == k_max
+                    for key in ("discounts", "fallback", "grams"))
+            and all(type(n) is int and n >= 0 for n in head["grams"])
             and all(type(f) is bool for f in head["fallback"])
-            and isinstance(head["discounts"], list) and len(head["discounts"]) == k_max
             and all(isinstance(d, list) and len(d) == 3 and all(type(x) is float for x in d)
                     for d in head["discounts"]))
-
-
-def _shown(key) -> str:
-    """A key as the file spells it, quoted."""
-    for escape, stand_in in _ESCAPES:
-        key = key.replace(stand_in, escape)
-    return repr(key)
-
-
-def _piece_fault(piece, k, last, word_id) -> tuple[int, str]:
-    """The offset in ``piece`` (one chunk of an order-k table's text) of its
-    first fault, and what it is. ``last``: the piece ends the table, so its
-    last count has no comma after it."""
-    parts = piece.split('"')
-    at = 0
-    for g in range(len(parts) // 2):
-        key, tail = parts[1 + 2 * g], parts[2 + 2 * g]
-        words = key.split(" ")
-        if "" in words and "" not in word_id:
-            return at, f"gram {_shown(key)} holds a doubled, leading or trailing space"
-        if len(words) != k:
-            return at, f"gram {_shown(key)} is not {k} words long"
-        for word in words:
-            if word not in word_id:
-                return at, f"gram {_shown(key)} holds the unknown word {_shown(word)}"
-        raw = np.frombuffer(tail.encode() + b" ", np.uint8)  # never empty
-        if _tail_counts(raw, np.zeros(1, int), np.full(1, len(tail)),
-                        last and 2 * g + 3 == len(parts)) is None:
-            return at + len(key) + 2, (f"gram {_shown(key)} is followed by {tail!r},"
-                                       " not by ':' and a count as save writes it")
-        at += len(key) + 2 + len(tail)
-    raise AssertionError("every gram of the piece is well formed")
 
 
 def train(corpus, order: int, smoothing: str = "kn", metadata=None) -> NGramModel:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 import unicodedata
 import zlib
 from pathlib import Path
@@ -775,43 +776,42 @@ class DictNGramModel:
     # -- serialization -----------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Documented binary format: 4-byte magic, 1-byte version, zlib-
-        compressed canonical JSON of counts + smoothing parameters."""
-        payload = {
+        """The ``.cflm`` file, format version 2, written from the dict tables:
+        word ids number the vocabulary and <s> in code-point order, and each
+        order's rows are its grams' id tuples, sorted. The rows go column by
+        column as little-endian int32, the counts as little-endian int64,
+        each zlib level 1, after the canonical JSON head."""
+        ids = {w: i for i, w in enumerate(sorted(self.vocab | {SENT_START}))}
+        head = {
             "order": self.order,
             "smoothing": self.smoothing,
             "vocab": sorted(self.vocab),
-            # sort_keys below orders the grams; no pre-sort needed
-            "tables": [{" ".join(g): c for g, c in t.items()} for t in self.tables],
+            "grams": [len(t) for t in self.tables],
             "discounts": [list(d) for d in self.discounts],
             "fallback": list(self.fallback),
-            "metadata": {k: self.metadata[k] for k in sorted(self.metadata)},
+            "metadata": self.metadata,
         }
-        blob = zlib.compress(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8"),
-            6,
-        )
-        with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(bytes([FORMAT_VERSION]))
-            fh.write(blob)
+        parts = [json.dumps(head, sort_keys=True, separators=(",", ":")).encode("ascii")]
+        for k, table in enumerate(self.tables, start=1):
+            rows = sorted((tuple(ids[w] for w in gram), count) for gram, count in table.items())
+            columns = [row[j] for j in range(k) for row, _ in rows]
+            parts.append(zlib.compress(struct.pack(f"<{len(columns)}i", *columns), 1))
+            parts.append(zlib.compress(struct.pack(f"<{len(rows)}q", *(c for _, c in rows)), 1))
+        Path(path).write_bytes(cflm_frame(parts))
 
     @classmethod
     def load(cls, path: str | Path) -> "DictNGramModel":
-        data = Path(path).read_bytes()
-        if data[:4] != MAGIC:
-            raise ValueError(f"{path}: not a corpus-forge model file")
-        if data[4] != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported model format version {data[4]}")
-        payload = json.loads(zlib.decompress(data[5:]).decode("utf-8"))
+        """The model in a ``.cflm`` file ``save`` (or the engine) wrote."""
+        parts = cflm_parts(Path(path).read_bytes())
+        payload = json.loads(parts[0])
         # one str object per word, shared by every gram that contains it
-        words = {w: w for w in payload["vocab"]}
-        words[SENT_START] = SENT_START
-        word = words.__getitem__
-        tables = [
-            {tuple(map(word, g.split(" "))): c for g, c in t.items()}
-            for t in payload["tables"]
-        ]
+        words = sorted(payload["vocab"] + [SENT_START])
+        tables = []
+        for k, n in enumerate(payload["grams"], start=1):
+            ids = struct.unpack(f"<{n * k}i", zlib.decompress(parts[2 * k - 1]))
+            counts = struct.unpack(f"<{n}q", zlib.decompress(parts[2 * k]))
+            rows = zip(*(ids[j * n : (j + 1) * n] for j in range(k)))
+            tables.append({tuple(words[i] for i in row): c for row, c in zip(rows, counts)})
         return cls(
             order=payload["order"],
             smoothing=payload["smoothing"],
@@ -819,7 +819,7 @@ class DictNGramModel:
             tables=tables,
             discounts=[tuple(d) for d in payload["discounts"]],
             fallback=list(payload["fallback"]),
-            metadata=payload.get("metadata"),
+            metadata=payload["metadata"],
         )
 
     def to_arpa(self, path: str | Path) -> None:
@@ -899,3 +899,26 @@ class DictNGramModel:
                 lines.append(f"{head}\t{bow:.7f}")
         lines.append("")
         return "\n".join(lines) + "\n"
+
+
+def cflm_frame(parts, version=FORMAT_VERSION) -> bytes:
+    """A ``.cflm`` file of these parts (the head, then each order's
+    compressed ids and counts): the magic, the version byte, each part after
+    its 8-byte little-endian length, then the CRC-32 of all of that."""
+    body = MAGIC + bytes([version]) + b"".join(struct.pack("<Q", len(p)) + p for p in parts)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def cflm_parts(data: bytes) -> list[bytes]:
+    """The parts of a ``.cflm`` file ``cflm_frame`` would write; its magic,
+    version and CRC-32 must be right."""
+    if data[:4] != MAGIC or data[4] != FORMAT_VERSION:
+        raise ValueError("not a version-2 model file")
+    if struct.unpack("<I", data[-4:])[0] != zlib.crc32(data[:-4]):
+        raise ValueError("CRC-32 mismatch")
+    parts, at = [], 5
+    while at < len(data) - 4:
+        (size,) = struct.unpack_from("<Q", data, at)
+        parts.append(data[at + 8 : at + 8 + size])
+        at += 8 + size
+    return parts

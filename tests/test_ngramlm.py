@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -17,7 +18,7 @@ from corpus_forge.ngramlm import (
     higher_order_not_worse,
     train,
 )
-from oracles import DictNGramModel
+from oracles import DictNGramModel, cflm_frame, cflm_parts
 
 
 def prob(model, word, context=()):
@@ -525,8 +526,8 @@ RAW_WORDS = ["a", "a!", "ab", "zz"]  # json.dumps leaves each one as it is
 @pytest.mark.parametrize("smoothing", ["kn", "none"])
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 def test_escaped_words_write_the_oracle_bytes(tmp_path, monkeypatch, order, smoothing):
-    # a 7-gram CHUNK splits the orders into many chunks; words that JSON
-    # escapes and words it leaves alone take the two ways to the keys
+    # a 7-gram CHUNK splits the ARPA orders into many chunks; words that JSON
+    # escapes in the head and words it leaves alone
     metadata = {"language": "xx", "note": 'ß "q" \\ \U0001F600'}
     chunks = (ngramlm.CHUNK, 7)
     for words in (ESCAPED_WORDS, RAW_WORDS):
@@ -565,18 +566,21 @@ def assert_same_model(loaded, model):
 
 
 def test_empty_highest_order_table_round_trips(tmp_path):
-    # no sentence is long enough for a trigram: the last table is {}
+    # no sentence is long enough for a trigram: the last table is empty
     model = train([["a"], ["b"]], 3)
     assert model.tables[2].shape == (0, 3)
     model.save(tmp_path / "m.cflm", tmp_path / "m.arpa")
-    assert cflm_text(tmp_path / "m.cflm").endswith(b',{}],"vocab":["a","b"]}')
+    parts = cflm_parts((tmp_path / "m.cflm").read_bytes())
+    assert json.loads(parts[0])["grams"] == [2, 2, 0]
+    assert zlib.decompress(parts[5]) == zlib.decompress(parts[6]) == b""
     assert_same_model(NGramModel.load(tmp_path / "m.cflm"), model)
 
 
 @pytest.mark.parametrize("chunk", [1 << 13, 2])
 def test_words_spelled_like_json_syntax_round_trip(tmp_path, monkeypatch, chunk):
-    # runs of backslashes and quotes at a key's either end and inside it,
-    # braces, a word spelled like a count, and the empty word
+    # runs of backslashes and quotes at a word's either end and inside it,
+    # braces, a word spelled like a count, and the empty word: the head's
+    # JSON must hold them all
     monkeypatch.setattr(ngramlm, "CHUNK", chunk)
     words = ["\\", "a\\", '\\"', '"', '""', "\\\\", 'x\\\\"y', "\\a", '"\\',
              "{", "}", "},{", ":1,", ""]
@@ -586,122 +590,125 @@ def test_words_spelled_like_json_syntax_round_trip(tmp_path, monkeypatch, chunk)
     assert_same_model(NGramModel.load(tmp_path / "m.cflm"), model)
 
 
-def cflm_text(path) -> bytes:
-    """The JSON text of a ``.cflm`` file."""
-    return zlib.decompress(path.read_bytes()[5:])
-
-
-def write_cflm(path, text: bytes) -> None:
-    path.write_bytes(ngramlm.MAGIC + bytes([ngramlm.FORMAT_VERSION]) + zlib.compress(text, 6))
-
-
-def test_load_refuses_grams_out_of_id_order(tmp_path, monkeypatch):
-    # two unigrams swap places: both are known words, in the wrong order;
-    # with a one-gram CHUNK they meet only across a chunk boundary
-    path = tmp_path / "m.cflm"
-    train([["a", "b", "a"]], 2).save(path, tmp_path / "m.arpa")
-    text = cflm_text(path)
-    assert b'"tables":[{"a":2,"b":1}' in text
-    write_cflm(path, text.replace(b'{"a":2,"b":1}', b'{"b":1,"a":2}'))
-    at = text.index(b'"tables":[') + len(b'"tables":[{"b":1,')
-    for chunk in (ngramlm.CHUNK, 1):
-        monkeypatch.setattr(ngramlm, "CHUNK", chunk)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: byte {at}: .*not in sorted order"):
-            NGramModel.load(path)
-
-
-def test_load_refuses_a_space_moved_to_the_next_key(tmp_path):
-    # a word spelled like a count lets every word and every count keep its
-    # place when a space moves from one key to the next
-    path = tmp_path / "m.cflm"
-    train([["p", ":1,"], ["r", "s"]], 2).save(path, tmp_path / "m.arpa")
-    text = cflm_text(path)
-    old = b'"p :1,":1,"r s":1'
-    write_cflm(path, text.replace(old, b'"p":1,":1, r s":1'))
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: byte {text.index(old)}: "
-                                         "gram 'p' is not 2 words long"):
-        NGramModel.load(path)
-
-
-def written_count(tail: str) -> bool:
-    """Whether ``tail`` is ':', a count below 10^18 as ``json.dumps`` writes
-    it, and ','."""
-    body = tail[1:-1]
-    return (tail[:1] == ":" and tail[-1:] == "," and body.isascii() and body.isdigit()
-            and str(int(body)) == body and int(body) < 10**18)
-
-
-@pytest.mark.parametrize("last", [False, True])
-def test_tail_counts_take_only_counts_as_save_writes_them(last):
-    # the tails after each key of a chunk; the ``last`` of a table has no ','
-    tails = [":0,", ":7,", ":10,", ":" + "9" * 18 + ",", ":1" + "0" * 17 + ",", ":" + "9" * 19 + ",",
-             ":00,", ":01,", ":-1,", ":+1,", ": 1,", ":1 ,", ":,", ":1", "1,", ",", ":1,,", "::1,",
-             ":1e3,", ":0x1,", "", ":", ":12,3,"]
-    for tail in tails:
-        rows = [[":5,", tail.removesuffix(",")]] if last else [[":5,", tail], [tail, ":5,"]]
-        for row in rows:
-            piece = "".join(f'"w"{t}' for t in row).encode()
-            raw = np.frombuffer(piece, np.uint8)
-            quotes = np.flatnonzero(raw == ord('"'))
-            counts = ngramlm._tail_counts(raw, quotes[1::2] + 1, np.append(quotes[2::2], len(raw)), last)
-            written = [t + ("," if last and i == len(row) - 1 else "") for i, t in enumerate(row)]
-            assert (counts is not None) == all(map(written_count, written)), row
-            if counts is not None:
-                assert counts.tolist() == [int(t.strip(":,")) for t in row], row
-
-
-# a model whose file is small enough to read: words a, b, c; order 3
+# a model whose file is small enough to read: words a, b, c (ids 1-3, <s> is
+# 0); order 3. Its parts: the head, then per order the ids and the counts
+IDS, COUNTS = {1: 1, 2: 3, 3: 5}, {1: 2, 2: 4, 3: 6}
 DAMAGE_CORPUS = [["a", "b", "c", "a"], ["b", "c"], ["c", "a", "b"]]
 
 
 def damaged(tmp_path, edit):
-    """The path of DAMAGE_CORPUS's ``.cflm`` file after ``edit`` (bytes ->
-    bytes) changed its JSON text, and that text before the edit."""
+    """The path of DAMAGE_CORPUS's ``.cflm`` file after ``edit`` (the file's
+    bytes -> new bytes) changed it, and its bytes before the edit."""
     path = tmp_path / "m.cflm"
     train(DAMAGE_CORPUS, 3).save(path, tmp_path / "m.arpa")
-    text = cflm_text(path)
-    write_cflm(path, edit(text))
-    return path, text
+    data = path.read_bytes()
+    path.write_bytes(edit(data))
+    return path, data
 
 
-# (old, new, shift, message): ``old`` becomes ``new``, and the refusal names
-# the byte ``shift`` past where ``old`` was
-TABLE_DAMAGE = [
-    (b'"b":', b'"\xc3\xa9":', 1, "not ASCII"),
-    (b'"c a":', b'"c zzzunknown":', 0, "gram 'c zzzunknown' holds the unknown word 'zzzunknown'"),
-    (b'"b c":', b'"b  c":', 0, "gram 'b  c' holds a doubled, leading or trailing space"),
-    (b'"b c":', b'"b c a":', 0, "gram 'b c a' is not 2 words long"),
-    (b'"b c a":', b'"b c":', 0, "gram 'b c' is not 3 words long"),
-    # as many spaces as two grams hold, in the wrong places
-    (b'"<s> a":1,"<s> b":1', b'"<s>":1,"a <s> b":1', 0, "gram '<s>' is not 2 words long"),
-    (b'"<s> a":1,"<s> b":1', b'"<s> a":1 ,"<s>b":1', 7, "gram '<s> a' is followed by ':1 ,'"),
-    (b'"a":', b'"a":0', 3, "gram 'a' is followed by ':0[0-9]+,', not by ':' and a count"),
-    (b'"a":', b'"a":-', 3, "gram 'a' is followed by ':-[0-9]+,', not by ':' and a count"),
-    (b'"a":', b'"a":+', 3, r"gram 'a' is followed by ':\+[0-9]+,', not by ':' and a count"),
-    (b'"a":', b'"a":99999999999999999999', 3, "gram 'a' is followed by ':9{20}[0-9],'"),
-    (b'"a":', b'"a" :', 3, "gram 'a' is followed by ' :[0-9]+,', not by ':' and a count"),
-    (b'"a":2,"b":2,', b'"a""b":2,:2,', 3, "gram 'a' is followed by '', not by ':' and a count"),
-    (b'"b":', b'"a":', 0, "order-1 grams are not in sorted order"),  # a doubled gram
-    (b'"tables":[{', b'"tables":[ {', 10, "tables are not one comma-separated"),
-    (b'{"<s> a"', b'{,"<s> a"', 1, "the order-2 table does not start with a gram"),
-]
+def resealed(edit):
+    """A file edit that applies ``edit`` (the file's parts -> new parts) and
+    writes the parts back behind a CRC-32 that matches."""
+    return lambda data: cflm_frame(edit(cflm_parts(data)))
 
 
-@pytest.mark.parametrize("old,new,shift,message", TABLE_DAMAGE)
-def test_load_refuses_a_damaged_table_naming_file_and_byte(tmp_path, old, new, shift, message):
-    path, text = damaged(tmp_path, lambda text: text.replace(old, new, 1))
-    at = text.index(old) + shift
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: byte {at}: {message}"):
+def part_edit(i, change):
+    """A resealed edit of part ``i`` by ``change`` (its bytes -> new bytes)."""
+    return resealed(lambda parts: [change(p) if j == i else p for j, p in enumerate(parts)])
+
+
+def array_edit(i, dtype, change):
+    """A resealed edit of part ``i``, an array of ``dtype``: ``change`` maps
+    the values (a writable copy) to the values written back."""
+    return part_edit(i, lambda part: zlib.compress(
+        np.asarray(change(np.frombuffer(zlib.decompress(part), dtype).copy())).tobytes(), 1))
+
+
+def assigned(at, value):
+    def change(values):
+        values[at] = value
+        return values
+    return change
+
+
+def flip(data, at):
+    return data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1 :]
+
+
+def sealed(body):
+    """``body`` (a file without its CRC-32) and a CRC-32 that matches it."""
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+# Each case carries a fault class of the JSON-text tables over to the
+# binary arrays and keeps that text case's id; CHANGES.md lists the mapping.
+TABLE_DAMAGE = {
+    '"b":-"\xc3\xa9":-1-not ASCII':  # a byte save never writes
+        (lambda data: flip(data, len(data) - 30), "CRC-32 mismatch"),
+    "\"c a\":-\"c zzzunknown\":-0-gram 'c zzzunknown' holds the unknown word 'zzzunknown'":
+        (array_edit(IDS[2], "<i4", assigned(-1, 4)), r"the order-2 ids are not all in \[0, 4\)"),
+    "\"b c\":-\"b  c\":-0-gram 'b  c' holds a doubled, leading or trailing space":
+        (array_edit(IDS[3], "<i4", assigned(0, -1)), r"the order-3 ids are not all in \[0, 4\)"),
+    "\"b c\":-\"b c a\":-0-gram 'b c a' is not 2 words long":
+        (array_edit(IDS[2], "<i4", lambda ids: np.append(ids, ids[:6])),
+         "the order-2 ids inflate past the 48 bytes the head declares"),
+    "\"b c a\":-\"b c\":-0-gram 'b c' is not 3 words long":
+        (array_edit(IDS[3], "<i4", lambda ids: ids[:-6]),
+         "the order-3 ids hold 48 bytes, not the 72 the head declares"),
+    # the right ids, moved between rows: written row by row
+    "\"<s> a\":1,\"<s> b\":1-\"<s>\":1,\"a <s> b\":1-0-gram '<s>' is not 2 words long":
+        (array_edit(IDS[2], "<i4", lambda ids: ids.reshape(2, -1).T), "order-2 grams are not in sorted order"),
+    "\"<s> a\":1,\"<s> b\":1-\"<s> a\":1 ,\"<s>b\":1-7-gram '<s> a' is followed by ':1 ,'":
+        (array_edit(COUNTS[2], "<i8", lambda counts: np.append(counts, 1)),
+         "the order-2 counts inflate past the 48 bytes the head declares"),
+    "\"a\":-\"a\":0-3-gram 'a' is followed by ':0[0-9]+,', not by ':' and a count":
+        (array_edit(COUNTS[1], "<i8", assigned(0, 0)), r"the order-1 counts are not all in \[1, 9223372036854775808\)"),
+    "\"a\":-\"a\":--3-gram 'a' is followed by ':-[0-9]+,', not by ':' and a count":
+        (array_edit(COUNTS[3], "<i8", assigned(5, -2)), r"the order-3 counts are not all in \[1, 9223372036854775808\)"),
+    "\"a\":-\"a\":+-3-gram 'a' is followed by ':\\+[0-9]+,', not by ':' and a count":
+        (array_edit(COUNTS[2], "<i8", lambda counts: counts.astype("<i4")),
+         "the order-2 counts hold 24 bytes, not the 48 the head declares"),
+    "\"a\":-\"a\":99999999999999999999-3-gram 'a' is followed by ':9{20}[0-9],'":
+        (part_edit(COUNTS[1], lambda part: flip(part, 0)),
+         r"damaged zlib stream \(Error -3 .*\) of the order-1 counts"),
+    "\"a\":-\"a\" :-3-gram 'a' is followed by ' :[0-9]+,', not by ':' and a count":
+        (part_edit(COUNTS[1], lambda part: part + b"\0"),
+         "bytes after the zlib stream of the order-1 counts"),
+    "\"a\":2,\"b\":2,-\"a\"\"b\":2,:2,-3-gram 'a' is followed by '', not by ':' and a count":
+        (part_edit(IDS[1], lambda part: part[:-2]),
+         "truncated zlib stream of the order-1 ids"),
+    '"b":-"a":-0-order-1 grams are not in sorted order':  # a doubled gram
+        (array_edit(IDS[1], "<i4", assigned(1, 1)), "order-1 grams are not in sorted order"),
+    '"tables":[{-"tables":[ {-10-tables are not one comma-separated':  # a byte between parts
+        (lambda data: (lambda at: sealed(data[:at] + b"\0" + data[at:-4]))(13 + len(cflm_parts(data)[0])),
+         "the last part runs past the CRC-32"),
+    "{\"<s> a\"-{,\"<s> a\"-1-the order-2 table does not start with a gram":
+        (array_edit(IDS[2], "<i4", lambda ids: ids[[1, 0, 2, 3, 4, 5, 7, 6, 8, 9, 10, 11]]),
+         "order-2 grams are not in sorted order"),
+}
+
+
+@pytest.mark.parametrize("edit,message", [pytest.param(*case, id=name) for name, case in TABLE_DAMAGE.items()])
+def test_load_refuses_a_damaged_table_naming_file_and_byte(tmp_path, edit, message):
+    path, _ = damaged(tmp_path, edit)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
         NGramModel.load(path)
 
 
 @pytest.mark.parametrize("edit,message", [
     (lambda data: b"XXXX" + data[4:], "not a corpus-forge model file"),
-    (lambda data: data[:4] + bytes([2]) + data[5:], "unsupported model format version 2"),
+    (lambda data: data[:4] + bytes([1]) + data[5:], "unsupported model format version 1$"),
+    (lambda data: data[:4] + bytes([3]) + data[5:], "unsupported model format version 3$"),
     (lambda data: data[:4], "unsupported model format version"),
-    (lambda data: data[:-9], "truncated zlib stream"),
-    (lambda data: data[:5] + b"\xff" + data[6:], r"damaged zlib stream \(Error -3"),
-    (lambda data: data + b"\x00", "bytes after the zlib stream"),
+    (lambda data: data[:-9], "CRC-32 mismatch"),
+    (lambda data: data + b"\x00", "CRC-32 mismatch"),
+    (lambda data: flip(data, 20), "CRC-32 mismatch"),
+    (lambda data: flip(data, len(data) - 1), "CRC-32 mismatch"),
+    (part_edit(6, lambda part: part[:-2]), "truncated zlib stream"),
+    (part_edit(1, lambda part: b"\xff" + part[1:]), r"damaged zlib stream \(Error -3"),
+    (part_edit(6, lambda part: part + b"\x00"), "bytes after the zlib stream"),
+    # a length that runs past the CRC, behind a CRC that matches
+    (lambda data: sealed(data[:-5]), "the last part runs past the CRC-32"),
 ])
 def test_load_refuses_a_damaged_file_naming_it(tmp_path, edit, message):
     path = tmp_path / "m.cflm"
@@ -711,36 +718,107 @@ def test_load_refuses_a_damaged_file_naming_it(tmp_path, edit, message):
         NGramModel.load(path)
 
 
+def head_edit(old: bytes, new: bytes):
+    """A resealed edit of the head's JSON text: ``old`` becomes ``new``."""
+    return part_edit(0, lambda head: head.replace(old, new, 1) if old in head else pytest.fail(old))
+
+
 @pytest.mark.parametrize("edit,message", [
-    # a table that is not there, or one too many
-    (lambda text: text[: text.rindex(b",{")] + text[text.index(b'],"vocab"'):],
-     r"byte \d+: 2 tables for order 3"),
-    (lambda text: text.replace(b'],"vocab"', b',{}],"vocab"'), r"byte \d+: 4 tables for order 3"),
-    (lambda text: text.replace(b'"tables":[', b'"tablez":['), "no tables between"),
+    # the arrays of an order that is not there, or of one too many
+    pytest.param(resealed(lambda parts: parts[:5]), "4 arrays for order 3",
+                 id=r"<lambda>-byte \d+: 2 tables for order 3"),
+    pytest.param(resealed(lambda parts: parts + parts[5:]), "8 arrays for order 3",
+                 id=r"<lambda>-byte \d+: 4 tables for order 3"),
+    pytest.param(resealed(lambda parts: parts[:1]), "0 arrays for order 3",
+                 id="<lambda>-no tables between"),
     # valid JSON that save would not write
-    (lambda text: text.replace(b'"order":3', b'"order": 3'), "the head or the vocabulary is not"),
-    (lambda text: text.replace(b'"order":3', b'"order":3.0'), "the head or the vocabulary is not"),
-    (lambda text: text.replace(b"0.75", b"0.750", 1), "the head or the vocabulary is not"),
-    (lambda text: text.replace(b'"metadata":{}', b'"metadata":{},"more":1'),
-     "the head or the vocabulary is not"),
-    (lambda text: text.replace(b'"vocab":["a","b","c"]', b'"vocab":["b","a","c"]'),
-     "the head or the vocabulary is not"),
-    (lambda text: text.replace(b'"vocab":["a",', b'"vocab":["\\u0061",'),
-     "the head or the vocabulary is not"),
-    (lambda text: text.replace(b'"smoothing":"kn"', b'"smoothing":"wb"'),
-     "the head or the vocabulary is not"),
+    (head_edit(b'"order":3', b'"order": 3'), "the head or the vocabulary is not"),
+    (head_edit(b'"order":3', b'"order":3.0'), "the head or the vocabulary is not"),
+    (head_edit(b"0.75", b"0.750"), "the head or the vocabulary is not"),
+    (head_edit(b'"metadata":{}', b'"metadata":{},"more":1'), "the head or the vocabulary is not"),
+    (head_edit(b'"vocab":["a","b","c"]', b'"vocab":["b","a","c"]'), "the head or the vocabulary is not"),
+    (head_edit(b'"vocab":["a",', b'"vocab":["\\u0061",'), "the head or the vocabulary is not"),
+    (head_edit(b'"smoothing":"kn"', b'"smoothing":"wb"'), "the head or the vocabulary is not"),
+    (head_edit(b'"grams":[3,6,6]', b'"grams":[3,6]'), "the head or the vocabulary is not"),
+    (head_edit(b'"grams":[3,6,6]', b'"grams":[3,6,-6]'), "the head or the vocabulary is not"),
+    (head_edit(b'"grams":[3,6,6]', b'"grams":[3,6,true]'), "the head or the vocabulary is not"),
     # a vocabulary word that train refuses
-    (lambda text: text.replace(b'"vocab":["a",', b'"vocab":["a\\u001f",'),
+    (head_edit(b'"vocab":["a",', b'"vocab":["a\\u001f",'),
      r"vocabulary word 'a\\x1f' holds a character at or below U\+0020"),
-    (lambda text: text.replace(b'"vocab":["a",', b'"vocab":["<s>","a",'),
-     "vocabulary word '<s>' is reserved by the model"),
-    (lambda text: text.replace(b'"vocab"', b'"vocab\x7f\x01"'), r"byte \d+: a raw control character"),
-    (lambda text: text.replace(b'"a":', b'"a', 1), r"byte \d+: an unterminated string"),
+    (head_edit(b'"vocab":["a",', b'"vocab":["<s>","a",'), "vocabulary word '<s>' is reserved by the model"),
+    # text that is not JSON, or not ASCII
+    pytest.param(head_edit(b'"vocab"', b'"vocab\x7f\x01"'), "the head or the vocabulary is not",
+                 id=r"<lambda>-byte \d+: a raw control character"),
+    pytest.param(head_edit(b'"vocab":["a"', b'"vocab":["a'), "the head or the vocabulary is not",
+                 id=r"<lambda>-byte \d+: an unterminated string"),
+    (head_edit(b'"vocab":["a"', '"vocab":["\xe9"'.encode()), "the head or the vocabulary is not"),
 ])
 def test_load_refuses_text_that_save_would_not_write(tmp_path, edit, message):
     path, _ = damaged(tmp_path, edit)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
         NGramModel.load(path)
+
+
+def test_load_refuses_grams_out_of_id_order(tmp_path, monkeypatch):
+    # two unigrams swap places, counts and all: both are known words, in the
+    # wrong order; the constructor checks whole orders, whatever the CHUNK
+    path = tmp_path / "m.cflm"
+    train([["a", "b", "a"]], 2).save(path, tmp_path / "m.arpa")
+    parts = cflm_parts(path.read_bytes())
+    assert np.frombuffer(zlib.decompress(parts[1]), "<i4").tolist() == [1, 2]
+    assert np.frombuffer(zlib.decompress(parts[2]), "<i8").tolist() == [2, 1]
+    parts[1] = zlib.compress(np.array([2, 1], "<i4").tobytes(), 1)
+    parts[2] = zlib.compress(np.array([1, 2], "<i8").tobytes(), 1)
+    path.write_bytes(cflm_frame(parts))
+    for chunk in (ngramlm.CHUNK, 1):
+        monkeypatch.setattr(ngramlm, "CHUNK", chunk)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: order-1 grams are not in sorted order"):
+            NGramModel.load(path)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_load_refusals_do_not_depend_on_the_piece_size(tmp_path, monkeypatch, chunk):
+    # the constructor sums its discount masses CHUNK context runs at a time;
+    # no refusal may depend on where those chunks fall
+    monkeypatch.setattr(ngramlm, "CHUNK", chunk)
+    for edit, message in TABLE_DAMAGE.values():
+        path, _ = damaged(tmp_path, edit)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            NGramModel.load(path)
+
+
+def test_load_refuses_every_damaged_byte_naming_the_file(tmp_path):
+    # seeded byte flips in every region of the file (magic, version, each
+    # part's length and bytes, CRC), truncation at every region boundary and
+    # appended bytes. As written, each is refused with a ValueError naming
+    # the file. Behind a matching CRC-32 (as a forger would write it) the
+    # file may load, but nothing but that ValueError is ever raised.
+    path = tmp_path / "m.cflm"
+    train(DAMAGE_CORPUS, 3, metadata={"language": "xx"}).save(path, tmp_path / "m.arpa")
+    data = path.read_bytes()
+    bounds = [0, 4, 5]
+    for part in cflm_parts(data):
+        bounds += [bounds[-1] + 8, bounds[-1] + 8 + len(part)]
+    assert bounds[-1] == len(data) - 4
+    bounds.append(len(data))
+    rng = random.Random(21)
+    variants = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        for at in sorted({lo, hi - 1, *(rng.randrange(lo, hi) for _ in range(6))}):
+            variants.append(data[:at] + bytes([data[at] ^ rng.randrange(1, 256)]) + data[at + 1 :])
+    variants += [data[:at] for at in sorted({*bounds[:-1], *(b - 1 for b in bounds[1:])})]
+    variants += [data + tail for tail in (b"\0", b"\0" * 8, bytes(rng.randrange(256) for _ in range(13)))]
+    for variant in variants:
+        path.write_bytes(variant)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            NGramModel.load(path)
+        if variant[:-4] == data[:-4] or len(variant) < 9:  # nothing to seal but the CRC
+            continue
+        path.write_bytes(sealed(variant[:-4]))
+        try:
+            NGramModel.load(path)
+        except ValueError as error:
+            assert str(error).startswith(f"{path}: "), error
 
 
 def model_array_bytes(model) -> int:
@@ -749,44 +827,56 @@ def model_array_bytes(model) -> int:
     return sum(a.nbytes for a in arrays) + sum(a.nbytes for keys in model._keys for a in keys)
 
 
+def load_peak(path) -> tuple[NGramModel, int]:
+    """The model at ``path`` and the traced peak of loading it."""
+    tracemalloc.start()
+    try:
+        loaded = NGramModel.load(path)
+        return loaded, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_load_holds_at_most_its_text_and_twice_the_arrays(tmp_path, monkeypatch):
-    # a parsed JSON object holds one str and one int per gram, several times
-    # the arrays they become; the loader holds one chunk of them at a time
+    # no text: the file's compressed bytes, the model's arrays, and at most
+    # two tables more, for the array being inflated or for the index and run
+    # masks of the order the constructor is indexing
     monkeypatch.setattr(ngramlm, "CHUNK", 64)
     model = train(markov3_corpus(5, 200), 3)
     path = tmp_path / "m.cflm"
     model.save(path, tmp_path / "m.arpa")
     assert max(len(t) for t in model.tables) >= 4 * ngramlm.CHUNK
-    text_bytes = len(cflm_text(path))
-    tracemalloc.start()
-    try:
-        loaded = NGramModel.load(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    loaded, peak = load_peak(path)
     assert model_array_bytes(loaded) == model_array_bytes(model)
-    assert peak <= text_bytes + 2 * model_array_bytes(model), (peak, text_bytes)
+    one_table = max(t.nbytes for t in model.tables)
+    assert peak <= path.stat().st_size + model_array_bytes(model) + 2 * one_table, (peak, one_table)
 
 
 def test_load_holds_its_compressed_bytes_and_one_chunk_not_the_text(tmp_path, monkeypatch):
     # beyond the compressed file and the arrays, load holds zlib's 32 KiB
-    # window and state, one piece of text and one chunk of 64 grams: 64 KiB,
-    # under half of this model's text. (The model above cannot show it: its
-    # text is smaller than zlib's window.)
+    # window and state and the one array being inflated: under 64 KiB here
     monkeypatch.setattr(ngramlm, "CHUNK", 64)
     model = train(markov3_corpus(5, 300), 5)
     path = tmp_path / "m.cflm"
     model.save(path, tmp_path / "m.arpa")
     allowance = 64 * 1024
-    assert len(cflm_text(path)) > 2 * allowance
+    loaded, peak = load_peak(path)
+    assert model_array_bytes(loaded) == model_array_bytes(model)
+    assert peak <= path.stat().st_size + model_array_bytes(model) + allowance, peak
+
+
+def test_load_refuses_a_stream_that_inflates_past_its_size_before_inflating_it(tmp_path):
+    # 16 MiB of zeros deflate to 16 KiB: load stops one byte past the 12 the
+    # head declares for the order-1 ids
+    path, _ = damaged(tmp_path, array_edit(IDS[1], "<i4", lambda ids: np.zeros(1 << 22, "<i4")))
     tracemalloc.start()
     try:
-        loaded = NGramModel.load(path)
+        with pytest.raises(ValueError, match="the order-1 ids inflate past the 12 bytes"):
+            NGramModel.load(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert model_array_bytes(loaded) == model_array_bytes(model)
-    assert peak <= path.stat().st_size + model_array_bytes(model) + allowance, peak
+    assert peak <= path.stat().st_size + (1 << 20), peak
 
 
 def test_train_holds_at_most_twice_its_arrays():
@@ -802,29 +892,16 @@ def test_train_holds_at_most_twice_its_arrays():
     assert peak <= 2 * model_array_bytes(model), (peak, model_array_bytes(model))
 
 
-@pytest.mark.parametrize("chunk", [1, 3])
-def test_load_refusals_do_not_depend_on_the_piece_size(tmp_path, monkeypatch, chunk):
-    # load inflates 32 bytes per CHUNK gram at a time: with these chunks a
-    # marker, an escape, a brace or a gram falls across two pieces
-    monkeypatch.setattr(ngramlm, "CHUNK", chunk)
-    for old, new, shift, message in TABLE_DAMAGE:
-        path, text = damaged(tmp_path, lambda text: text.replace(old, new, 1))
-        at = text.index(old) + shift
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: byte {at}: {message}"):
-            NGramModel.load(path)
-
-
 @pytest.mark.parametrize("chunk", [1 << 13, 1])
 def test_metadata_spelling_the_loader_markers_round_trips(tmp_path, monkeypatch, chunk):
-    # the tables start after the last "tables":[ and end at the last
-    # ],"vocab":[; metadata, which comes before them, may spell either
+    # metadata is free JSON in the head, whatever it spells, even the head's
+    # own keys
     monkeypatch.setattr(ngramlm, "CHUNK", chunk)
-    metadata = {"note": '],"vocab":[', "tables": [1, 2], "vocab": ["x"]}
+    metadata = {"note": '],"vocab":[', "tables": [1, 2], "vocab": ["x"], "grams": {"order": 9}}
     model = train(DAMAGE_CORPUS, 3, metadata=metadata)
     path = tmp_path / "m.cflm"
     model.save(path, tmp_path / "m.arpa")
-    text = cflm_text(path)
-    assert text.count(b'"tables":[') == 2 and text.count(b'],"vocab":[') == 2
+    assert json.loads(cflm_parts(path.read_bytes())[0])["metadata"] == metadata
     assert_same_model(NGramModel.load(path), model)
     oracle = DictNGramModel.train(DAMAGE_CORPUS, 3, metadata=metadata)
     oracle.save(tmp_path / "oracle.cflm")

@@ -677,7 +677,8 @@ def test_cli_lm_eval_exits_3_naming_a_damaged_model(tmp_path, capsys, completed_
     model.write_bytes(model.read_bytes()[:-9])
     capsys.readouterr()
     assert cli_main(["lm_eval", "--config", cfg_path]) == 3
-    assert capsys.readouterr().err == f"error: stage lm_eval: {model}: truncated zlib stream\n"
+    assert capsys.readouterr().err == (
+        f"error: stage lm_eval: {model}: CRC-32 mismatch: the file is damaged or truncated\n")
 
 
 def test_cli_decontam(tmp_path, completed_run):
