@@ -901,11 +901,11 @@ class DictNGramModel:
         return "\n".join(lines) + "\n"
 
 
-def cflm_frame(parts, version=FORMAT_VERSION) -> bytes:
+def cflm_frame(parts) -> bytes:
     """A ``.cflm`` file of these parts (the head, then each order's
     compressed ids and counts): the magic, the version byte, each part after
     its 8-byte little-endian length, then the CRC-32 of all of that."""
-    body = MAGIC + bytes([version]) + b"".join(struct.pack("<Q", len(p)) + p for p in parts)
+    body = MAGIC + bytes([FORMAT_VERSION]) + b"".join(struct.pack("<Q", len(p)) + p for p in parts)
     return body + struct.pack("<I", zlib.crc32(body))
 
 

@@ -657,14 +657,17 @@ TABLE_DAMAGE = {
          "the order-3 ids hold 48 bytes, not the 72 the head declares"),
     # the right ids, moved between rows: written row by row
     "\"<s> a\":1,\"<s> b\":1-\"<s>\":1,\"a <s> b\":1-0-gram '<s>' is not 2 words long":
-        (array_edit(IDS[2], "<i4", lambda ids: ids.reshape(2, -1).T), "order-2 grams are not in sorted order"),
+        (array_edit(IDS[2], "<i4", lambda ids: ids.reshape(2, -1).T),
+         "order-2 grams are not in sorted order"),
     "\"<s> a\":1,\"<s> b\":1-\"<s> a\":1 ,\"<s>b\":1-7-gram '<s> a' is followed by ':1 ,'":
         (array_edit(COUNTS[2], "<i8", lambda counts: np.append(counts, 1)),
          "the order-2 counts inflate past the 48 bytes the head declares"),
     "\"a\":-\"a\":0-3-gram 'a' is followed by ':0[0-9]+,', not by ':' and a count":
-        (array_edit(COUNTS[1], "<i8", assigned(0, 0)), r"the order-1 counts are not all in \[1, 9223372036854775808\)"),
+        (array_edit(COUNTS[1], "<i8", assigned(0, 0)),
+         r"the order-1 counts are not all in \[1, 9223372036854775808\)"),
     "\"a\":-\"a\":--3-gram 'a' is followed by ':-[0-9]+,', not by ':' and a count":
-        (array_edit(COUNTS[3], "<i8", assigned(5, -2)), r"the order-3 counts are not all in \[1, 9223372036854775808\)"),
+        (array_edit(COUNTS[3], "<i8", assigned(5, -2)),
+         r"the order-3 counts are not all in \[1, 9223372036854775808\)"),
     "\"a\":-\"a\":+-3-gram 'a' is followed by ':\\+[0-9]+,', not by ':' and a count":
         (array_edit(COUNTS[2], "<i8", lambda counts: counts.astype("<i4")),
          "the order-2 counts hold 24 bytes, not the 48 the head declares"),
@@ -680,7 +683,8 @@ TABLE_DAMAGE = {
     '"b":-"a":-0-order-1 grams are not in sorted order':  # a doubled gram
         (array_edit(IDS[1], "<i4", assigned(1, 1)), "order-1 grams are not in sorted order"),
     '"tables":[{-"tables":[ {-10-tables are not one comma-separated':  # a byte between parts
-        (lambda data: (lambda at: sealed(data[:at] + b"\0" + data[at:-4]))(13 + len(cflm_parts(data)[0])),
+        (lambda data: (lambda at: sealed(data[:at] + b"\0" + data[at:-4]))(
+            13 + len(cflm_parts(data)[0])),
          "the last part runs past the CRC-32"),
     "{\"<s> a\"-{,\"<s> a\"-1-the order-2 table does not start with a gram":
         (array_edit(IDS[2], "<i4", lambda ids: ids[[1, 0, 2, 3, 4, 5, 7, 6, 8, 9, 10, 11]]),
@@ -688,7 +692,8 @@ TABLE_DAMAGE = {
 }
 
 
-@pytest.mark.parametrize("edit,message", [pytest.param(*case, id=name) for name, case in TABLE_DAMAGE.items()])
+@pytest.mark.parametrize("edit,message",
+                         [pytest.param(*case, id=name) for name, case in TABLE_DAMAGE.items()])
 def test_load_refuses_a_damaged_table_naming_file_and_byte(tmp_path, edit, message):
     path, _ = damaged(tmp_path, edit)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
@@ -745,7 +750,8 @@ def head_edit(old: bytes, new: bytes):
     # a vocabulary word that train refuses
     (head_edit(b'"vocab":["a",', b'"vocab":["a\\u001f",'),
      r"vocabulary word 'a\\x1f' holds a character at or below U\+0020"),
-    (head_edit(b'"vocab":["a",', b'"vocab":["<s>","a",'), "vocabulary word '<s>' is reserved by the model"),
+    (head_edit(b'"vocab":["a",', b'"vocab":["<s>","a",'),
+     "vocabulary word '<s>' is reserved by the model"),
     # text that is not JSON, or not ASCII
     pytest.param(head_edit(b'"vocab"', b'"vocab\x7f\x01"'), "the head or the vocabulary is not",
                  id=r"<lambda>-byte \d+: a raw control character"),
@@ -772,7 +778,7 @@ def test_load_refuses_grams_out_of_id_order(tmp_path, monkeypatch):
     path.write_bytes(cflm_frame(parts))
     for chunk in (ngramlm.CHUNK, 1):
         monkeypatch.setattr(ngramlm, "CHUNK", chunk)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: order-1 grams are not in sorted order"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: order-1 grams are not in sorted"):
             NGramModel.load(path)
 
 
@@ -807,7 +813,7 @@ def test_load_refuses_every_damaged_byte_naming_the_file(tmp_path):
         for at in sorted({lo, hi - 1, *(rng.randrange(lo, hi) for _ in range(6))}):
             variants.append(data[:at] + bytes([data[at] ^ rng.randrange(1, 256)]) + data[at + 1 :])
     variants += [data[:at] for at in sorted({*bounds[:-1], *(b - 1 for b in bounds[1:])})]
-    variants += [data + tail for tail in (b"\0", b"\0" * 8, bytes(rng.randrange(256) for _ in range(13)))]
+    variants += [data + tail for tail in (b"\0", b"\0" * 8, rng.randbytes(13))]
     for variant in variants:
         path.write_bytes(variant)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
