@@ -178,7 +178,7 @@ class NGramModel:
                 key += table[:, j]
                 key += 1
                 self._keys[-1].append(key)
-            # rows rise strictly: no key falls, and the last never repeats
+            # rows rise strictly: no key falls, and the last one (``key``) never repeats
             if any((key[1:] < key[:-1]).any() for key in self._keys[-1]) or (key[1:] == key[:-1]).any():
                 raise ValueError(f"order-{k} grams are not in sorted order")
             # ``new`` now starts each context run; its masses are summed
