@@ -54,12 +54,8 @@ def stopword_list(path: str | Path | None = None, language_id: str = "en") -> fr
 
 def _fivegrams(tokens, stopwords, distinct: bool = True):
     kept = [t for t in tokens if t not in stopwords]
-    if distinct:
-        out: set[tuple[str, ...]] = set()
-        for i in range(len(kept) - NGRAM_ORDER + 1):
-            out.add(tuple(kept[i : i + NGRAM_ORDER]))
-        return out
-    return [tuple(kept[i : i + NGRAM_ORDER]) for i in range(len(kept) - NGRAM_ORDER + 1)]
+    grams = zip(*(kept[i:] for i in range(NGRAM_ORDER)))
+    return set(grams) if distinct else list(grams)
 
 
 def title_match(candidate_title, dev_test_titles) -> bool:

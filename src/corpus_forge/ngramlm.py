@@ -22,8 +22,9 @@ What each step holds at once, besides the model's own arrays: ``train`` its
 id rows (twice while they sort) and one order's run masks and run starts,
 all freed before the constructor runs; the constructor one order's key being
 built and one CHUNK of context runs; ``save`` the compressed ``.cflm`` parts
-and one column of ids, then one CHUNK of gram strings and ARPA lines plus two
-orders' probabilities; ``load`` the file's bytes and one array being inflated.
+and one column of ids, then two orders' probabilities and one BLOCK of ARPA
+lines as a byte matrix; ``load`` the file's bytes and one array being
+inflated; ``evaluate`` one id row per dev token.
 
 ``.cflm`` version 2 holds the arrays themselves, as KenLM's binary format
 does: the magic, the version byte, then parts each preceded by its 8-byte
@@ -53,7 +54,25 @@ MAGIC = b"CFLM"
 FORMAT_VERSION = 2
 
 FALLBACK_DISCOUNT = 0.75
-CHUNK = 1 << 13  # grams per piece of ARPA text: bounds the text held at once
+CHUNK = 1 << 13  # context runs per discount-mass sum: bounds the constructor's scratch
+BLOCK = 1 << 12  # id rows per block of ARPA text: bounds the bytes held at once
+
+
+def _items(table):
+    """The rows of a uint8 table as one array of void items, which numpy
+    gathers and stores whole."""
+    return np.ascontiguousarray(table, np.uint8).view(f"V{table.shape[1]}").ravel()
+
+
+def _digit_tables():
+    """ASCII "0000".."9999", "000".."999" and "  0.".."999." (pads NUL)."""
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    four = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), -1).reshape(10_000, 4)
+    whole = np.where(np.arange(1000)[:, None] >= (100, 10, 0), four[:1000, 1:], 0)
+    return _items(four), _items(four[:1000, 1:]), _items(np.append(whole, np.full((1000, 1), ord(".")), axis=1))
+
+
+_DIGITS, _DIGITS3, _WHOLE = _digit_tables()
 
 
 @dataclass
@@ -63,8 +82,6 @@ class EvalReport:
     total_tokens: int
     oov_tokens: int
     scored_tokens: int
-    order: int
-    oov_context: str
 
 
 def _estimate_discounts(counts) -> tuple[tuple[float, float, float], bool]:
@@ -256,22 +273,13 @@ class NGramModel:
 
     # -- queries -----------------------------------------------------------
 
-    def probs(self, queries) -> list[float]:
-        """P(word | context) for each (context, word) pair, in order.
-
-        A query starts at the order of its truncated context and backs off
-        while the context is unseen, as the recursive definition does; the
-        orders are evaluated bottom-up, for all queries at once.
-        """
+    def _score(self, grams, levels):
+        """P(last id | the ids before it) of each row of ``grams``, which holds
+        ``order`` ids, -1 for none or unknown. A row starts at its level, the
+        order of its truncated context, and backs off while the context is
+        unseen, as the recursive definition does; the orders are evaluated
+        bottom-up, for all rows at once."""
         n = self.order
-        get = self.ids.get
-        grams, levels = [], []
-        for context, word in queries:
-            ctx = [get(w, -1) for w in list(context)[1 - n :]] if n > 1 else []
-            grams.append([-1] * (n - 1 - len(ctx)) + ctx + [get(word, -1)])
-            levels.append(len(ctx) + 1)
-        grams = np.array(grams, np.int32).reshape(-1, n)
-        levels = np.array(levels)
         p = np.full(len(grams), self._p0)
         for k in range(1, n + 1):
             q = np.flatnonzero(levels >= k)
@@ -280,7 +288,7 @@ class NGramModel:
             idx = self._find(k, grams[q, n - k :])
             count = np.where(idx >= 0, self.counts[k - 1][idx], 0)
             p[q] = self._interpolate(k, count, self.run_of[k - 1][start], p[q])
-        return p.tolist()
+        return p
 
     def _interpolate(self, k, count, run, lower):
         """Order-k probabilities of grams with these counts and context runs,
@@ -295,8 +303,9 @@ class NGramModel:
     # -- serialization -----------------------------------------------------
 
     def save(self, cflm_path: str | Path, arpa_path: str | Path) -> None:
-        """Write the ``.cflm`` file (see above), then the ARPA export, one CHUNK
-        of an order's id rows at a time, joining their gram strings once.
+        """Write the ``.cflm`` file (see above), then the ARPA export, one BLOCK
+        of an order's id rows at a time, each block one byte matrix with a row
+        per line and a column per byte of every field, written in binary.
 
         ARPA: stored probabilities are the interpolated values; backoff
         weights are the per-context discount masses, so an ARPA consumer
@@ -304,8 +313,9 @@ class NGramModel:
         so no </s> entry is emitted. Model metadata rides along as preamble
         comments (readers skip text before the data marker). A zero
         probability (<s>, or <unk> when unsmoothed) is written as -99.
-        Orders are evaluated bottom-up, each gram over the probability of its
-        suffix one order down.
+        Log10 values are ``math.log10``'s, spelled as ``f"{x:.7f}"`` spells
+        them (``_fixed_point``). Orders are evaluated bottom-up, each gram
+        over the probability of its suffix one order down.
         """
         head = {"order": self.order, "smoothing": self.smoothing, "vocab": sorted(self.vocab),
                 "grams": [len(t) for t in self.tables], "discounts": [list(d) for d in self.discounts],
@@ -327,28 +337,44 @@ class NGramModel:
         sizes = [len(self.tables[0]) + 2] + [len(t) for t in self.tables[1:]]  # + <unk>, <s>
         header = [f"# {key}={self.metadata[key]}" for key in sorted(self.metadata)]
         header += ["\\data\\", *(f"ngram {k}={c}" for k, c in enumerate(sizes, start=1)), ""]
+        # the UTF-8 spelling of each id, NUL-padded; the last one, id -1, is <unk>
+        spell = np.array([w.encode() for w in self.words] + [UNK.encode()])
+        spell = spell.view(f"V{spell.itemsize}")
         unigram = np.concatenate(([0, 0], self.counts[0]))  # <unk>, <s>, the words
         probs = self._interpolate(1, unigram, np.zeros(len(unigram), int), self._p0)
         probs[1] = 0.0  # <s>: never predicted
-        special = np.array([[-1], [self.ids[SENT_START]]])  # <unk> has no id
-        with open(arpa_path, "w", encoding="utf-8") as arpa:
-            arpa.write("\n".join(header) + "\n\\1-grams:\n")
-            arpa.write(_arpa_lines(probs[:2].tolist(), [UNK, SENT_START], self._backoffs(1, special)))
-            probs = probs[2:]
-            for k, (grams, count) in enumerate(zip(self.tables, self.counts), start=1):
-                if k > 1:
-                    lower, probs = probs, np.empty(len(grams))
-                    arpa.write(f"\\{k}-grams:\n")
-                for i in range(0, len(grams), CHUNK):
-                    rows = grams[i : i + CHUNK]
+        with open(arpa_path, "wb") as arpa:
+            arpa.write(("\n".join(header) + "\n").encode())
+            for k, grams in enumerate(self.tables, start=1):
+                if k == 1:
+                    grams = np.concatenate(([[-1], [self.ids[SENT_START]]], grams))
+                else:  # drop the order two below before this order's array is made
+                    lower = probs[2:] if k == 2 else probs
+                    probs = np.empty(len(grams))
+                arpa.write(f"\\{k}-grams:\n".encode())
+                for i in range(0, len(grams), BLOCK):
+                    rows, part = grams[i : i + BLOCK], slice(i, i + BLOCK)
                     if k > 1:  # over the probability of each gram's suffix
-                        probs[i : i + CHUNK] = self._interpolate(
-                            k, count[i : i + CHUNK], self.run_of[k - 1][i : i + CHUNK],
-                            lower[self._find(k - 1, rows[:, 1:])])
-                    arpa.write(_arpa_lines(probs[i : i + CHUNK].tolist(), _join_grams(self.words, rows),
-                                           self._backoffs(k, rows)))
-                arpa.write("\n")
-            arpa.write("\\end\\\n")
+                        probs[part] = self._interpolate(k, self.counts[k - 1][part], self.run_of[k - 1][part],
+                                                        lower[self._find(k - 1, rows[:, 1:])])
+                    arpa.write(_arpa_text(rows, probs[part], *self._backoff_weights(k, rows), spell))
+                arpa.write(b"\n")
+            arpa.write(b"\\end\\\n")
+
+    def _backoff_weights(self, k, rows):
+        """The order-k id rows, among ``rows``, that have a back-off weight,
+        and those weights; None for both at the highest order. A gram with no
+        continuation at order k+1 backs off with weight 1 (none); otherwise
+        the weight is its discount mass as a context, or 0 for an unsmoothed
+        model, which never backs off from a seen one."""
+        if k == self.order:
+            return None, None
+        cont = self._find(k + 1, rows)
+        has = np.flatnonzero(cont >= 0)
+        run = self.run_of[k][cont[has]]
+        if self.smoothing == "none":
+            return has, np.zeros(len(run))
+        return has, self.gamma_mass[k][run] / self.totals[k][run]
 
     @classmethod
     def load(cls, path: str | Path) -> "NGramModel":
@@ -392,32 +418,66 @@ class NGramModel:
         except ValueError as error:
             raise ValueError(f"{path}: {error}") from None
 
-    def _backoffs(self, k: int, rows) -> list[str]:
-        """The ARPA back-off field of each order-k id row. A gram with no
-        continuation at order k+1 backs off with weight 1 (no field);
-        otherwise the weight is its discount mass as a context, or 0 (-99)
-        for an unsmoothed model, which never backs off from a seen one."""
-        fields = np.full(len(rows), "", object)
-        if k < self.order:
-            start = self._find(k + 1, rows)
-            run = self.run_of[k][start[start >= 0]]
-            mass = self.gamma_mass[k][run] / self.totals[k][run]
-            bows = [-99.0] * len(run) if self.smoothing == "none" else map(math.log10, mass.tolist())
-            fields[start >= 0] = [f"\t{bow:.7f}" for bow in bows]
-        return fields.tolist()
+
+def _arpa_text(rows, probs, has, weights, spell) -> bytes:
+    """The ARPA lines of these id rows: log10 probability, tab, the
+    space-joined gram (``spell`` holds each id's NUL-padded UTF-8), then,
+    for the rows ``has``, a tab and the log10 of their back-off
+    ``weights``, and a newline. Each line is one row of a byte matrix whose
+    columns are NUL where a field or a word is shorter than its columns; no
+    word holds a NUL, so dropping them leaves the text."""
+    k, width = rows.shape[1], spell.itemsize + 1  # a word and the column after it
+    line = np.zeros((len(rows), 13 + k * width + (13 if has is not None else 0)), np.uint8)
+    _fixed_point(_log10(probs), line[:, :12])
+    line[:, 12] = ord("\t")
+    for j in range(k):
+        at = 13 + j * width
+        line[:, at : at + width - 1].view(spell.dtype)[:, 0] = spell[rows[:, j]]
+        line[:, at + width - 1] = ord(" ") if j < k - 1 else 0
+    line[:, -1] = ord("\n")
+    if has is not None:  # a tab in the column after the last word, then the weight
+        # few contexts differ in their weight: each weight is formatted once
+        weights, which = np.unique(weights, return_inverse=True)
+        bows = np.full((len(weights), 13), ord("\t"), np.uint8)
+        _fixed_point(_log10(weights), bows[:, 1:])
+        line[has, -14:-1] = bows[which]
+    return line.tobytes().translate(None, b"\0")
 
 
-def _join_grams(words, rows) -> list[str]:
-    """The space-joined gram string of each id row; ``words[i]`` spells id i."""
-    return list(map(" ".join, zip(*([words[i] for i in col] for col in rows.T.tolist()))))
+def _log10(values):
+    """``math.log10`` of each value, to the last bit, or -99 where it is not
+    positive."""
+    positive = values > 0.0
+    if positive.all():
+        return np.fromiter(map(math.log10, values.tolist()), float, len(values))
+    logs = np.full(len(values), -99.0)
+    logs[positive] = _log10(values[positive])
+    return logs
 
 
-def _arpa_lines(probs, strings, fields) -> str:
-    """One ARPA line per gram: log10 probability (-99 for zero), the gram,
-    then its back-off field."""
-    log10 = math.log10
-    return "".join([f"{log10(p) if p > 0.0 else -99.0:.7f}\t{s}{field}\n"
-                    for p, s, field in zip(probs, strings, fields)])
+def _fixed_point(values, out) -> None:
+    """Write each value as ``f"{value:.7f}"`` spells it into its row of the
+    (n, 12) uint8 ``out``, right-aligned after NUL pads: the sign, three
+    columns of whole digits, the point and seven digits. Python rounds the
+    exact binary value half to even; ``rint`` rounds the scaled float so,
+    which can differ only within an ulp of a tie. A value within 1e-5 of a
+    tie (over four ulps below 1000), or of 1000 or more, is formatted by
+    Python itself. Every log10 of a positive double fits the columns."""
+    scaled = values * 1e7
+    rounded = np.rint(scaled)
+    off = np.abs(np.abs(scaled - rounded) - 0.5) <= 1e-5
+    off |= ~(np.abs(rounded) < 1e10)  # NaN too
+    rounded[off] = 0.0
+    whole, frac = np.divmod(np.abs(rounded).astype(np.int64), 10**7)
+    hi, lo = np.divmod(frac, 10**4)
+    out[:, 0] = np.signbit(values) * ord("-")
+    out[:, 1:5].view(_WHOLE.dtype)[:, 0] = _WHOLE[whole]
+    out[:, 5:8].view(_DIGITS3.dtype)[:, 0] = _DIGITS3[hi]
+    out[:, 8:].view(_DIGITS.dtype)[:, 0] = _DIGITS[lo]
+    for i in np.flatnonzero(off).tolist():
+        text = f"{values[i]:.7f}".encode()
+        out[i] = 0
+        out[i, 12 - len(text) :] = np.frombuffer(text, np.uint8)
 
 
 def _inflated(part, dtype, n, low, high, what):
@@ -475,37 +535,44 @@ def evaluate(model: NGramModel, dev_sentences, exclude_oov: bool = True,
     as an unmatchable token ("keep", which backs off through the unknown
     position). With ``exclude_oov`` off, OOV tokens are scored through the
     unknown-word mass.
+
+    Every scored token is one row of ``order`` ids, cut from one id stream
+    in which each window opens with n - 1 pads and <s>; an OOV is id -1. All
+    rows are scored at once, and their logs summed in token order.
     """
     if oov_context not in ("break", "keep"):
         raise ValueError(f"oov_context must be 'break' or 'keep', got {oov_context!r}")
-    total = oov = 0
-    queries = []  # (history, word) of every scored token, in token order
-    sentences = [list(s) for s in dev_sentences]
-    if not any(sentences):
+    sentences = [s for s in map(list, dev_sentences) if s]
+    if not sentences:
         raise ValueError("dev text is empty")
-    for words in sentences:
-        history: list[str] = [SENT_START]
-        for w in words:
-            total += 1
-            if w in model.vocab:
-                queries.append((history[-model.order :], w))
-                history.append(w)
-            else:
-                oov += 1
-                if not exclude_oov:
-                    queries.append((history[-model.order :], UNK))
-                if oov_context == "break":
-                    history = [SENT_START]
-                else:
-                    history.append(UNK)
-    if not queries:
+    n, get, start_id = model.order, model.ids.get, model.ids[SENT_START]
+    ids = np.array([get(w, -1) for s in sentences for w in s], np.int32)
+    ids[ids == start_id] = -1  # <s> is no dev word
+    oov = ids < 0
+    oov_tokens = int(np.count_nonzero(oov))
+    # a window opens at each sentence and, under "break", after each OOV; it
+    # takes n slots (n - 1 pads, then <s>) before its tokens
+    lengths = np.array([len(s) for s in sentences])
+    opens = np.zeros(len(ids), bool)
+    opens[np.cumsum(lengths) - lengths] = True
+    if oov_context == "break":
+        opens[1:] |= oov[:-1]
+    scored = ~oov if exclude_oov else np.ones(len(ids), bool)
+    if not scored.any():
         raise ValueError("no scorable tokens in dev text")
+    token = np.arange(len(ids))
+    slot = token + n * np.cumsum(opens)
+    stream = np.full(len(ids) + n * np.count_nonzero(opens), -1, np.int32)
+    stream[slot] = ids
+    stream[slot[opens] - 1] = start_id
+    # a token's level: 1 + the window's tokens before it and its <s>, at most n
+    level = np.minimum(token - np.maximum.accumulate(np.where(opens, token, 0)) + 2, n)
+    probs = model._score(sliding_window_view(stream, n)[slot[scored] - n + 1], level[scored])
     logsum = 0.0
-    for p in model.probs(queries):
+    for p in probs.tolist():
         logsum += math.log(p) if p > 0.0 else float("-inf")
-    return EvalReport(oov_rate=oov / total, perplexity=math.exp(-logsum / len(queries)),
-                      total_tokens=total, oov_tokens=oov, scored_tokens=len(queries),
-                      order=model.order, oov_context=oov_context)
+    return EvalReport(oov_rate=oov_tokens / len(ids), perplexity=math.exp(-logsum / len(probs)),
+                      total_tokens=len(ids), oov_tokens=oov_tokens, scored_tokens=len(probs))
 
 
 def higher_order_not_worse(perplexities: dict[int, float]) -> bool:

@@ -14,8 +14,10 @@ import unicodedata
 import zlib
 from pathlib import Path
 
+import numpy as np
+
 # the model file format's constants; the dict engine below is this module's own
-from corpus_forge.ngramlm import FALLBACK_DISCOUNT, FORMAT_VERSION, MAGIC, SENT_START, UNK
+from corpus_forge.ngramlm import FALLBACK_DISCOUNT, FORMAT_VERSION, MAGIC, SENT_START, UNK, EvalReport
 
 
 # ---------------------------------------------------------------------------
@@ -922,3 +924,105 @@ def cflm_parts(data: bytes) -> list[bytes]:
         parts.append(data[at + 8 : at + 8 + size])
         at += 8 + size
     return parts
+
+
+# ---------------------------------------------------------------------------
+# the array engine's ARPA text and dev scoring, one Python object per gram or
+# per token
+
+
+def join_grams(words, rows) -> list[str]:
+    """The space-joined gram string of each id row; ``words[i]`` spells id i."""
+    return list(map(" ".join, zip(*([words[i] for i in col] for col in rows.T.tolist()))))
+
+
+def arpa_lines(probs, strings, fields) -> str:
+    """One ARPA line per gram: log10 probability (-99 for zero), the gram,
+    then its back-off field."""
+    log10 = math.log10
+    return "".join([f"{log10(p) if p > 0.0 else -99.0:.7f}\t{s}{field}\n"
+                    for p, s, field in zip(probs, strings, fields)])
+
+
+def backoffs(model, k: int, rows) -> list[str]:
+    """The ARPA back-off field of each order-k id row of the array engine
+    ``model``. A gram with no continuation at order k+1 backs off with
+    weight 1 (no field); otherwise the weight is its discount mass as a
+    context, or 0 (-99) for an unsmoothed model, which never backs off from
+    a seen one."""
+    fields = np.full(len(rows), "", object)
+    if k < model.order:
+        start = model._find(k + 1, rows)
+        run = model.run_of[k][start[start >= 0]]
+        mass = model.gamma_mass[k][run] / model.totals[k][run]
+        bows = [-99.0] * len(run) if model.smoothing == "none" else map(math.log10, mass.tolist())
+        fields[start >= 0] = [f"\t{bow:.7f}" for bow in bows]
+    return fields.tolist()
+
+
+def chunked_arpa(model, path: str | Path, chunk: int = 1 << 13) -> None:
+    """The array engine's ARPA export, ``chunk`` grams of an order at a
+    time, each line an f-string: every gram's probability is interpolated
+    over its suffix's, which ``_find`` looks up one order down."""
+    sizes = [len(model.tables[0]) + 2] + [len(t) for t in model.tables[1:]]  # + <unk>, <s>
+    header = [f"# {key}={model.metadata[key]}" for key in sorted(model.metadata)]
+    header += ["\\data\\", *(f"ngram {k}={c}" for k, c in enumerate(sizes, start=1)), ""]
+    unigram = np.concatenate(([0, 0], model.counts[0]))  # <unk>, <s>, the words
+    probs = model._interpolate(1, unigram, np.zeros(len(unigram), int), model._p0)
+    probs[1] = 0.0  # <s>: never predicted
+    special = np.array([[-1], [model.ids[SENT_START]]])  # <unk> has no id
+    with open(path, "w", encoding="utf-8") as arpa:
+        arpa.write("\n".join(header) + "\n\\1-grams:\n")
+        arpa.write(arpa_lines(probs[:2].tolist(), [UNK, SENT_START], backoffs(model, 1, special)))
+        probs = probs[2:]
+        for k, (grams, count) in enumerate(zip(model.tables, model.counts), start=1):
+            if k > 1:
+                lower, probs = probs, np.empty(len(grams))
+                arpa.write(f"\\{k}-grams:\n")
+            for i in range(0, len(grams), chunk):
+                rows = grams[i : i + chunk]
+                if k > 1:
+                    probs[i : i + chunk] = model._interpolate(
+                        k, count[i : i + chunk], model.run_of[k - 1][i : i + chunk],
+                        lower[model._find(k - 1, rows[:, 1:])])
+                arpa.write(arpa_lines(probs[i : i + chunk].tolist(), join_grams(model.words, rows),
+                                      backoffs(model, k, rows)))
+            arpa.write("\n")
+        arpa.write("\\end\\\n")
+
+
+def per_token_evaluate(model, dev_sentences, exclude_oov: bool = True,
+                       oov_context: str = "break", probs=None) -> EvalReport:
+    """``ngramlm.evaluate`` with one (history, word) query per scored token,
+    all scored by one call of ``probs`` (the dict engine's ``model.probs``
+    unless given). An OOV restarts the history from <s> under "break" and
+    stands in it as <unk> under "keep"."""
+    if oov_context not in ("break", "keep"):
+        raise ValueError(f"oov_context must be 'break' or 'keep', got {oov_context!r}")
+    total = oov = 0
+    queries = []  # (history, word) of every scored token, in token order
+    sentences = [list(s) for s in dev_sentences]
+    if not any(sentences):
+        raise ValueError("dev text is empty")
+    for words in sentences:
+        history: list[str] = [SENT_START]
+        for w in words:
+            total += 1
+            if w in model.vocab:
+                queries.append((history[-model.order :], w))
+                history.append(w)
+            else:
+                oov += 1
+                if not exclude_oov:
+                    queries.append((history[-model.order :], UNK))
+                if oov_context == "break":
+                    history = [SENT_START]
+                else:
+                    history.append(UNK)
+    if not queries:
+        raise ValueError("no scorable tokens in dev text")
+    logsum = 0.0
+    for p in (probs or model.probs)(queries):
+        logsum += math.log(p) if p > 0.0 else float("-inf")
+    return EvalReport(oov_rate=oov / total, perplexity=math.exp(-logsum / len(queries)),
+                      total_tokens=total, oov_tokens=oov, scored_tokens=len(queries))

@@ -31,6 +31,7 @@ from oracles import (
     enumerate_local_alignment_score,
     sliding_window_fivegrams,
 )
+from test_ngramlm import probs as engine_probs
 from test_retrieval import align, texts_index
 
 
@@ -339,7 +340,7 @@ def test_criterion_8_language_models():
     for order_k in range(1, 6):
         contexts = sorted({g[:-1] for g in oracle.tables[order_k - 1]})
         for ctx in rng.sample(contexts, min(50, len(contexts))):
-            probs = model.probs([(ctx, w) for w in events])
+            probs = engine_probs(model, [(ctx, w) for w in events])
             assert sum(probs) == pytest.approx(1.0, abs=1e-6), (order_k, ctx)
             assert probs == [oracle.prob(w, ctx) for w in events]
 
@@ -351,7 +352,7 @@ def test_criterion_8_language_models():
         ("a", ("b",)): F(27, 32), ("b", ("b",)): F(3, 32), (ngramlm.UNK, ("b",)): F(1, 16),
         ("a", ("<s>",)): F(43, 48), ("b", ("<s>",)): F(1, 16), (ngramlm.UNK, ("<s>",)): F(1, 24),
     }
-    got = hand.probs([(ctx, word) for word, ctx in expected])
+    got = engine_probs(hand, [(ctx, word) for word, ctx in expected])
     assert got == pytest.approx([float(value) for value in expected.values()], abs=1e-9)
 
     # seeded order-3 Markov corpus: 5-gram dev perplexity < 3-gram

@@ -18,12 +18,26 @@ from corpus_forge.ngramlm import (
     higher_order_not_worse,
     train,
 )
-from oracles import DictNGramModel, cflm_frame, cflm_parts
+from oracles import DictNGramModel, cflm_frame, cflm_parts, chunked_arpa, per_token_evaluate
+
+
+def probs(model, queries) -> list[float]:
+    """P(word | context) for each (context, word) pair, in order, as one batch
+    of id rows through ``NGramModel._score``: the context truncated to its
+    last ``order - 1`` words, padded and unknown words -1, and each row's
+    level one more than its context's length."""
+    n, get = model.order, model.ids.get
+    grams, levels = [], []
+    for context, word in queries:
+        ctx = [get(w, -1) for w in list(context)[1 - n :]] if n > 1 else []
+        grams.append([-1] * (n - 1 - len(ctx)) + ctx + [get(word, -1)])
+        levels.append(len(ctx) + 1)
+    return model._score(np.array(grams, np.int32).reshape(-1, n), np.array(levels)).tolist()
 
 
 def prob(model, word, context=()):
-    """P(word | context) as a batch of one through ``NGramModel.probs``."""
-    return model.probs([(context, word)])[0]
+    """P(word | context) as a batch of one through ``probs``."""
+    return probs(model, [(context, word)])[0]
 
 
 def perplexity_by_order(corpus, dev, orders):
@@ -178,6 +192,27 @@ def test_include_oov_scores_unknown_mass():
     assert incl.perplexity > excl.perplexity  # unknown mass is expensive
 
 
+@pytest.mark.parametrize("oov_context", ["break", "keep"])
+@pytest.mark.parametrize("exclude_oov", [True, False])
+def test_evaluate_scores_as_the_per_token_oracle(exclude_oov, oov_context):
+    # OOVs open and close sentences and follow each other, and sentences are
+    # shorter than the order; no model holds "<s>" or "<unk>" as a word
+    corpus = markov3_corpus(50, 120)
+    words = sorted({w for s in corpus for w in s})
+    oovs = ["zz1", "zz2", SENT_START, UNK]
+    dev = [["zz1", "m01", "m02"], ["m02", "m03", "zz2"], [SENT_START, UNK, "zz1", "m03", "m04"],
+           ["m05"], ["zz2"], [], ["m06", "zz1", "zz2", "m07"]]
+    rng = random.Random(51)
+    dev += [[rng.choice(words + oovs) for _ in range(rng.randint(1, 9))] for _ in range(60)]
+    for order, smoothing in [(1, "kn"), (2, "kn"), (3, "kn"), (5, "kn"), (3, "none")]:
+        model = train(corpus, order, smoothing=smoothing)
+        report = evaluate(model, dev, exclude_oov, oov_context)
+        expected = per_token_evaluate(model, dev, exclude_oov, oov_context,
+                                      probs=lambda queries: probs(model, queries))
+        assert report == expected, (order, smoothing)
+        assert report.oov_tokens > 10
+
+
 def test_empty_dev_rejected():
     model = train(HAND_CORPUS, 2)
     with pytest.raises(ValueError):
@@ -239,8 +274,8 @@ def test_emptied_top_order_matches_truncated_view_exactly():
         fallback=full.fallback,
     )
     lower = full.truncated(2)
-    p_gutted = evaluate(gutted, dev).perplexity
-    p_lower = evaluate(lower, dev).perplexity
+    p_gutted = per_token_evaluate(gutted, dev).perplexity
+    p_lower = per_token_evaluate(lower, dev).perplexity
     assert p_gutted == p_lower  # exact: unseen contexts descend untouched
     # the engine, built from the same arrays with an empty top order or
     # without it, gives the oracle's value exactly
@@ -434,6 +469,79 @@ def test_arpa_lines_equal_recursive_model_exactly(tmp_path, order, smoothing):
     assert engine_path.read_bytes() == path.read_bytes()
 
 
+ARPA_WORDS = ["a", "b", "café", "straße", "zz", "é", "\U0001F600"]
+
+
+@pytest.mark.parametrize("smoothing", ["kn", "none"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_arpa_blocks_write_the_per_gram_oracle_lines(tmp_path, monkeypatch, order, smoothing):
+    # blocks of 1 and 3 rows put a seam between every two grams and inside
+    # every order; the oracle formats each line as one f-string
+    rng = random.Random(60 + order)
+    corpus = [[rng.choice(ARPA_WORDS) for _ in range(rng.randint(1, 8))] for _ in range(40)]
+    model = train(corpus, order, smoothing=smoothing, metadata={"language": "xx", "note": "straße"})
+    assert sum(map(len, model.tables)) > 3 * order
+    chunked_arpa(model, tmp_path / "oracle.arpa")
+    expected = (tmp_path / "oracle.arpa").read_bytes()
+    assert "café".encode() in expected
+    for block in (1, 3, ngramlm.BLOCK):
+        monkeypatch.setattr(ngramlm, "BLOCK", block)
+        model.save(tmp_path / "m.cflm", tmp_path / "m.arpa")
+        assert (tmp_path / "m.arpa").read_bytes() == expected, block
+
+
+def test_fixed_point_spells_what_python_formats():
+    # x * 1e7 of an odd multiple of 2^-8 is a tie; Python rounds it half to
+    # even, as it does every exact binary value
+    ties = -np.arange(1, 2561, 2) / 256
+    edges = [-0.00390625, 0.0, -0.0, -1e-9, -4.9e-8, -5e-8, 5e-8, -6e-8, -99.0, 99.0, 1.0,
+             -12.3456789, -123.45678915, -999.9999999, -999.99999994, -0.5, -0.05]
+    rng = np.random.default_rng(8)
+    values = np.concatenate([
+        ties, np.nextafter(ties, 0), np.nextafter(ties, -np.inf), edges,
+        np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+        -rng.random(20_000) * 10,  # log10 probabilities
+        -rng.random(5_000) * 999,  # two- and three-digit whole parts
+        rng.normal(0, 1e-7, 5_000),  # about zero, either sign
+        -10.0 ** -rng.uniform(0, 9, 5_000)])
+    out = np.zeros((len(values), 12), np.uint8)
+    ngramlm._fixed_point(values, out)
+    spelled = [row.tobytes().replace(b"\0", b"").decode() for row in out]
+    assert spelled == [f"{x:.7f}" for x in values.tolist()]
+
+
+def test_save_holds_the_cflm_parts_then_two_orders_and_one_block(tmp_path, monkeypatch):
+    # beyond the model, save holds the compressed .cflm parts, one column of
+    # ids and at most two zlib deflate states (256 KiB of window and hash
+    # chains each); then, for the ARPA text, two orders' probabilities and
+    # one block of 256 rows: its byte matrix of 13 + 5 * 5 + 13 columns, the
+    # copies that drop the NULs, and some twenty numpy and Python values a row
+    monkeypatch.setattr(ngramlm, "BLOCK", 256)
+    rng = random.Random(9)
+    words = [f"w{i}" for i in range(200)]
+    model = train([[rng.choice(words) for _ in range(8)] for _ in range(4000)], 5)
+    assert min(map(len, model.tables[1:])) >= 64 * ngramlm.BLOCK
+    cflm_peak, arpa_text = [], ngramlm._arpa_text
+
+    def first_block_ends_the_cflm(*args):
+        if not cflm_peak:
+            cflm_peak.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+        return arpa_text(*args)
+
+    monkeypatch.setattr(ngramlm, "_arpa_text", first_block_ends_the_cflm)
+    tracemalloc.start()
+    try:
+        model.save(tmp_path / "m.cflm", tmp_path / "m.arpa")
+        arpa_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    parts = (tmp_path / "m.cflm").stat().st_size + 4 * max(map(len, model.tables))
+    assert cflm_peak[0] <= parts + 2 * 262 * 1024, (cflm_peak, parts)
+    two_orders = 8 * max(len(a) + len(b) for a, b in zip(model.tables, model.tables[1:]))
+    assert arpa_peak <= two_orders + 96 * 1024, (arpa_peak, two_orders)
+
+
 def test_unsmoothed_arpa_writes_zero_unknown_probability(tmp_path):
     path = tmp_path / "m.arpa"
     train([["a", "b", "a"], ["b", "c"]], 2, smoothing="none").save(tmp_path / "m.cflm", path)
@@ -495,8 +603,8 @@ def test_loaded_model_equals_trained_model_on_every_stored_gram(tmp_path, seed, 
         for row in table.tolist():
             gram = [model.words[i] for i in row]
             queries.append((tuple(gram[:-1]), gram[-1]))
-    expected = model.probs(queries)
-    assert loaded.probs(queries) == expected
+    expected = probs(model, queries)
+    assert probs(loaded, queries) == expected
     for (context, word), p in zip(queries, expected):
         assert prob(model, word, context) == p, (context, word)
     loaded.save(tmp_path / "loaded.cflm", tmp_path / "loaded.arpa")
@@ -526,8 +634,9 @@ RAW_WORDS = ["a", "a!", "ab", "zz"]  # json.dumps leaves each one as it is
 @pytest.mark.parametrize("smoothing", ["kn", "none"])
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 def test_escaped_words_write_the_oracle_bytes(tmp_path, monkeypatch, order, smoothing):
-    # a 7-gram CHUNK splits the ARPA orders into many chunks; words that JSON
-    # escapes in the head and words it leaves alone
+    # a 7-row BLOCK splits the ARPA orders into many blocks, and a 7-run
+    # CHUNK the discount masses; words that JSON escapes in the head and
+    # words it leaves alone
     metadata = {"language": "xx", "note": 'ß "q" \\ \U0001F600'}
     chunks = (ngramlm.CHUNK, 7)
     for words in (ESCAPED_WORDS, RAW_WORDS):
@@ -540,6 +649,7 @@ def test_escaped_words_write_the_oracle_bytes(tmp_path, monkeypatch, order, smoo
         assert set(words) <= engine.vocab
         for chunk in chunks:
             monkeypatch.setattr(ngramlm, "CHUNK", chunk)
+            monkeypatch.setattr(ngramlm, "BLOCK", chunk)
             state = dict(vars(engine))
             engine.save(tmp_path / "engine.cflm", tmp_path / "engine.arpa")
             # saving holds on to nothing: a cache cannot come back
@@ -934,7 +1044,7 @@ def test_index_width_follows_the_largest_key(tmp_path, width):
     for row in model.tables[-1][rng.sample(range(len(model.tables[-1])), 200)].tolist():
         gram = [model.words[i] for i in row]
         queries.append((tuple(gram[:-1]), gram[-1]))
-    assert model.probs(queries) == oracle.probs(queries)
+    assert probs(model, queries) == oracle.probs(queries)
     model.save(tmp_path / "m.cflm", tmp_path / "m.arpa")
     oracle.save(tmp_path / "oracle.cflm")
     oracle.to_arpa(tmp_path / "oracle.arpa")
