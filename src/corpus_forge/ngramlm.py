@@ -23,8 +23,9 @@ id rows (twice while they sort) and one order's run masks and run starts,
 all freed before the constructor runs; the constructor one order's key being
 built and one CHUNK of context runs; ``save`` the compressed ``.cflm`` parts
 and one column of ids, then two orders' probabilities and one BLOCK of ARPA
-lines as a byte matrix; ``load`` the file's bytes and one array being
-inflated; ``evaluate`` one id row per dev token.
+lines as a byte matrix, each word padded to at most WIDE bytes; ``load`` the
+file's bytes and one array being inflated; ``evaluate`` one id row per dev
+token.
 
 ``.cflm`` version 2 holds the arrays themselves, as KenLM's binary format
 does: the magic, the version byte, then parts each preceded by its 8-byte
@@ -42,6 +43,7 @@ import math
 import sys
 import zlib
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +58,8 @@ FORMAT_VERSION = 2
 FALLBACK_DISCOUNT = 0.75
 CHUNK = 1 << 13  # context runs per discount-mass sum: bounds the constructor's scratch
 BLOCK = 1 << 12  # id rows per block of ARPA text: bounds the bytes held at once
+WIDE = 32  # bytes of the longest spelling an ARPA block pads its word columns to
+SPLICE = b"\x01"  # stands in a block for a longer word; no word holds it
 
 
 def _items(table):
@@ -64,15 +68,15 @@ def _items(table):
     return np.ascontiguousarray(table, np.uint8).view(f"V{table.shape[1]}").ravel()
 
 
+@cache
 def _digit_tables():
-    """ASCII "0000".."9999", "000".."999" and "  0.".."999." (pads NUL)."""
+    """ASCII "0000".."9999", "000".."999" and "  0.".."999." (pads NUL).
+    Built on first use, not at import, where their numpy temporaries left
+    0.4 MiB more resident in every process."""
     digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     four = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), -1).reshape(10_000, 4)
     whole = np.where(np.arange(1000)[:, None] >= (100, 10, 0), four[:1000, 1:], 0)
     return _items(four), _items(four[:1000, 1:]), _items(np.append(whole, np.full((1000, 1), ord(".")), axis=1))
-
-
-_DIGITS, _DIGITS3, _WHOLE = _digit_tables()
 
 
 @dataclass
@@ -337,8 +341,11 @@ class NGramModel:
         sizes = [len(self.tables[0]) + 2] + [len(t) for t in self.tables[1:]]  # + <unk>, <s>
         header = [f"# {key}={self.metadata[key]}" for key in sorted(self.metadata)]
         header += ["\\data\\", *(f"ngram {k}={c}" for k, c in enumerate(sizes, start=1)), ""]
-        # the UTF-8 spelling of each id, NUL-padded; the last one, id -1, is <unk>
-        spell = np.array([w.encode() for w in self.words] + [UNK.encode()])
+        # the UTF-8 spelling of each id, NUL-padded, or SPLICE for a word longer
+        # than WIDE bytes; the last one, id -1, is <unk>
+        spell = [w.encode() for w in self.words] + [UNK.encode()]
+        wide = {i: w for i, w in enumerate(spell) if len(w) > WIDE}
+        spell = np.array([SPLICE if i in wide else w for i, w in enumerate(spell)])
         spell = spell.view(f"V{spell.itemsize}")
         unigram = np.concatenate(([0, 0], self.counts[0]))  # <unk>, <s>, the words
         probs = self._interpolate(1, unigram, np.zeros(len(unigram), int), self._p0)
@@ -357,7 +364,7 @@ class NGramModel:
                     if k > 1:  # over the probability of each gram's suffix
                         probs[part] = self._interpolate(k, self.counts[k - 1][part], self.run_of[k - 1][part],
                                                         lower[self._find(k - 1, rows[:, 1:])])
-                    arpa.write(_arpa_text(rows, probs[part], *self._backoff_weights(k, rows), spell))
+                    arpa.write(_arpa_text(rows, probs[part], *self._backoff_weights(k, rows), spell, wide))
                 arpa.write(b"\n")
             arpa.write(b"\\end\\\n")
 
@@ -419,13 +426,15 @@ class NGramModel:
             raise ValueError(f"{path}: {error}") from None
 
 
-def _arpa_text(rows, probs, has, weights, spell) -> bytes:
+def _arpa_text(rows, probs, has, weights, spell, wide) -> bytes:
     """The ARPA lines of these id rows: log10 probability, tab, the
     space-joined gram (``spell`` holds each id's NUL-padded UTF-8), then,
     for the rows ``has``, a tab and the log10 of their back-off
     ``weights``, and a newline. Each line is one row of a byte matrix whose
     columns are NUL where a field or a word is shorter than its columns; no
-    word holds a NUL, so dropping them leaves the text."""
+    word holds a NUL, so dropping them leaves the text. The words in
+    ``wide`` (id: UTF-8) are spelled SPLICE in ``spell``, and replace those
+    bytes in the text in turn, so a long word costs its own length only."""
     k, width = rows.shape[1], spell.itemsize + 1  # a word and the column after it
     line = np.zeros((len(rows), 13 + k * width + (13 if has is not None else 0)), np.uint8)
     _fixed_point(_log10(probs), line[:, :12])
@@ -436,12 +445,16 @@ def _arpa_text(rows, probs, has, weights, spell) -> bytes:
         line[:, at + width - 1] = ord(" ") if j < k - 1 else 0
     line[:, -1] = ord("\n")
     if has is not None:  # a tab in the column after the last word, then the weight
-        # few contexts differ in their weight: each weight is formatted once
+        # weights repeat (under 1 % of those of synth's order-5 models are
+        # distinct): each distinct weight is formatted once
         weights, which = np.unique(weights, return_inverse=True)
         bows = np.full((len(weights), 13), ord("\t"), np.uint8)
         _fixed_point(_log10(weights), bows[:, 1:])
         line[has, -14:-1] = bows[which]
-    return line.tobytes().translate(None, b"\0")
+    text = line.tobytes().translate(None, b"\0")
+    if wide and (ids := rows[np.isin(rows, list(wide))].tolist()):  # in row-major order, as written
+        text = b"".join(x for piece in zip(text.split(SPLICE), [wide[i] for i in ids] + [b""]) for x in piece)
+    return text
 
 
 def _log10(values):
@@ -471,9 +484,10 @@ def _fixed_point(values, out) -> None:
     whole, frac = np.divmod(np.abs(rounded).astype(np.int64), 10**7)
     hi, lo = np.divmod(frac, 10**4)
     out[:, 0] = np.signbit(values) * ord("-")
-    out[:, 1:5].view(_WHOLE.dtype)[:, 0] = _WHOLE[whole]
-    out[:, 5:8].view(_DIGITS3.dtype)[:, 0] = _DIGITS3[hi]
-    out[:, 8:].view(_DIGITS.dtype)[:, 0] = _DIGITS[lo]
+    four, three, point = _digit_tables()
+    out[:, 1:5].view(point.dtype)[:, 0] = point[whole]
+    out[:, 5:8].view(three.dtype)[:, 0] = three[hi]
+    out[:, 8:].view(four.dtype)[:, 0] = four[lo]
     for i in np.flatnonzero(off).tolist():
         text = f"{values[i]:.7f}".encode()
         out[i] = 0

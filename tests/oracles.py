@@ -991,6 +991,21 @@ def chunked_arpa(model, path: str | Path, chunk: int = 1 << 13) -> None:
         arpa.write("\\end\\\n")
 
 
+def engine_probs(model, queries) -> list[float]:
+    """P(word | context) of the array engine ``model`` for each (context,
+    word) pair, in order, as one batch of id rows through
+    ``NGramModel._score``: the context truncated to its last ``order - 1``
+    words, padded and unknown words -1, and each row's level one more than
+    its context's length."""
+    n, get = model.order, model.ids.get
+    grams, levels = [], []
+    for context, word in queries:
+        ctx = [get(w, -1) for w in list(context)[1 - n :]] if n > 1 else []
+        grams.append([-1] * (n - 1 - len(ctx)) + ctx + [get(word, -1)])
+        levels.append(len(ctx) + 1)
+    return model._score(np.array(grams, np.int32).reshape(-1, n), np.array(levels)).tolist()
+
+
 def per_token_evaluate(model, dev_sentences, exclude_oov: bool = True,
                        oov_context: str = "break", probs=None) -> EvalReport:
     """``ngramlm.evaluate`` with one (history, word) query per scored token,

@@ -28,10 +28,10 @@ from oracles import (
     DictNGramModel,
     brute_force_segment_bounds,
     edit_script_minimum,
+    engine_probs,
     enumerate_local_alignment_score,
     sliding_window_fivegrams,
 )
-from test_ngramlm import probs as engine_probs
 from test_retrieval import align, texts_index
 
 

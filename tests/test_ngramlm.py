@@ -18,26 +18,12 @@ from corpus_forge.ngramlm import (
     higher_order_not_worse,
     train,
 )
-from oracles import DictNGramModel, cflm_frame, cflm_parts, chunked_arpa, per_token_evaluate
-
-
-def probs(model, queries) -> list[float]:
-    """P(word | context) for each (context, word) pair, in order, as one batch
-    of id rows through ``NGramModel._score``: the context truncated to its
-    last ``order - 1`` words, padded and unknown words -1, and each row's
-    level one more than its context's length."""
-    n, get = model.order, model.ids.get
-    grams, levels = [], []
-    for context, word in queries:
-        ctx = [get(w, -1) for w in list(context)[1 - n :]] if n > 1 else []
-        grams.append([-1] * (n - 1 - len(ctx)) + ctx + [get(word, -1)])
-        levels.append(len(ctx) + 1)
-    return model._score(np.array(grams, np.int32).reshape(-1, n), np.array(levels)).tolist()
+from oracles import DictNGramModel, cflm_frame, cflm_parts, chunked_arpa, engine_probs, per_token_evaluate
 
 
 def prob(model, word, context=()):
-    """P(word | context) as a batch of one through ``probs``."""
-    return probs(model, [(context, word)])[0]
+    """P(word | context) as a batch of one through ``engine_probs``."""
+    return engine_probs(model, [(context, word)])[0]
 
 
 def perplexity_by_order(corpus, dev, orders):
@@ -208,7 +194,7 @@ def test_evaluate_scores_as_the_per_token_oracle(exclude_oov, oov_context):
         model = train(corpus, order, smoothing=smoothing)
         report = evaluate(model, dev, exclude_oov, oov_context)
         expected = per_token_evaluate(model, dev, exclude_oov, oov_context,
-                                      probs=lambda queries: probs(model, queries))
+                                      probs=lambda queries: engine_probs(model, queries))
         assert report == expected, (order, smoothing)
         assert report.oov_tokens > 10
 
@@ -469,7 +455,9 @@ def test_arpa_lines_equal_recursive_model_exactly(tmp_path, order, smoothing):
     assert engine_path.read_bytes() == path.read_bytes()
 
 
-ARPA_WORDS = ["a", "b", "café", "straße", "zz", "é", "\U0001F600"]
+# words of WIDE bytes are padded; of WIDE + 1 and of 600 bytes, spliced in
+ARPA_WORDS = ["a", "b", "café", "straße", "zz", "é", "\U0001F600", "y" * ngramlm.WIDE,
+              "ü" * (ngramlm.WIDE // 2) + "x", "ß" * 300]
 
 
 @pytest.mark.parametrize("smoothing", ["kn", "none"])
@@ -483,7 +471,7 @@ def test_arpa_blocks_write_the_per_gram_oracle_lines(tmp_path, monkeypatch, orde
     assert sum(map(len, model.tables)) > 3 * order
     chunked_arpa(model, tmp_path / "oracle.arpa")
     expected = (tmp_path / "oracle.arpa").read_bytes()
-    assert "café".encode() in expected
+    assert "café".encode() in expected and ("ß" * 300).encode() in expected
     for block in (1, 3, ngramlm.BLOCK):
         monkeypatch.setattr(ngramlm, "BLOCK", block)
         model.save(tmp_path / "m.cflm", tmp_path / "m.arpa")
@@ -540,6 +528,32 @@ def test_save_holds_the_cflm_parts_then_two_orders_and_one_block(tmp_path, monke
     assert cflm_peak[0] <= parts + 2 * 262 * 1024, (cflm_peak, parts)
     two_orders = 8 * max(len(a) + len(b) for a, b in zip(model.tables, model.tables[1:]))
     assert arpa_peak <= two_orders + 96 * 1024, (arpa_peak, two_orders)
+
+
+def test_save_holds_a_very_long_word_once_per_use(tmp_path, monkeypatch):
+    # a 20 000-byte word, padded into every row of a block and every entry of
+    # the spelling table, would take 20 000 bytes a column; spliced in, it
+    # costs what the ARPA text holds of it, plus the one copy save keeps
+    monkeypatch.setattr(ngramlm, "BLOCK", 256)
+    rng = random.Random(9)
+    words, long = [f"w{i}" for i in range(200)], "L" * 20_000
+    corpus = [[rng.choice(words) for _ in range(8)] for _ in range(4000)]
+    for sentence in corpus[::1000]:
+        sentence[3] = long
+    model = train(corpus, 5)
+    uses = max(np.count_nonzero(table == model.ids[long]) for table in model.tables)
+    tracemalloc.start()
+    try:
+        model.save(tmp_path / "m.cflm", tmp_path / "m.arpa")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "m.arpa").read_bytes().count(long.encode()) == sum(
+        np.count_nonzero(table == model.ids[long]) for table in model.tables)
+    parts = (tmp_path / "m.cflm").stat().st_size + 4 * max(map(len, model.tables))
+    two_orders = 8 * max(len(a) + len(b) for a, b in zip(model.tables, model.tables[1:]))
+    budget = max(parts + 2 * 262 * 1024, two_orders + 96 * 1024) + (3 * uses + 2) * len(long)
+    assert peak <= budget, (peak, budget, uses)
 
 
 def test_unsmoothed_arpa_writes_zero_unknown_probability(tmp_path):
@@ -603,8 +617,8 @@ def test_loaded_model_equals_trained_model_on_every_stored_gram(tmp_path, seed, 
         for row in table.tolist():
             gram = [model.words[i] for i in row]
             queries.append((tuple(gram[:-1]), gram[-1]))
-    expected = probs(model, queries)
-    assert probs(loaded, queries) == expected
+    expected = engine_probs(model, queries)
+    assert engine_probs(loaded, queries) == expected
     for (context, word), p in zip(queries, expected):
         assert prob(model, word, context) == p, (context, word)
     loaded.save(tmp_path / "loaded.cflm", tmp_path / "loaded.arpa")
@@ -1044,7 +1058,7 @@ def test_index_width_follows_the_largest_key(tmp_path, width):
     for row in model.tables[-1][rng.sample(range(len(model.tables[-1])), 200)].tolist():
         gram = [model.words[i] for i in row]
         queries.append((tuple(gram[:-1]), gram[-1]))
-    assert probs(model, queries) == oracle.probs(queries)
+    assert engine_probs(model, queries) == oracle.probs(queries)
     model.save(tmp_path / "m.cflm", tmp_path / "m.arpa")
     oracle.save(tmp_path / "oracle.cflm")
     oracle.to_arpa(tmp_path / "oracle.arpa")
