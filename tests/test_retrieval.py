@@ -849,3 +849,47 @@ def test_retrieve_candidates_equals_per_segment_oracle(tmp_path, noise):
         for cand, want in zip(got[0], expected[0]):
             assert cand == want
     assert any(c.pseudo_wer > 0 for c in got[0])
+
+
+DIGIT_CASES = ("word", "reading", "page")
+
+
+def digit_edited_books(books, rng, per_case=10):
+    """``books`` with digit words written in at seeded positions, as a
+    printed book holds them and a reader does not: one word becomes a digit
+    word ("word"), three consecutive words become one digit word, read as
+    those three ("reading"), and a page number is inserted between two
+    words, never read ("page"). Returns the edited books and, per book,
+    {position of each written-in digit word: its case}."""
+    edited, marks = {}, {}
+    for book_id, words in books.items():
+        kinds = list(DIGIT_CASES) * per_case
+        rng.shuffle(kinds)
+        at = sorted(rng.sample(range(8, len(words) - 8, 8), len(kinds)))  # edits never meet
+        out, marks[book_id], prev = [], {}, 0
+        for pos, kind in zip(at, kinds):
+            out += words[prev:pos]
+            marks[book_id][len(out)] = kind
+            out.append(f"{rng.randint(1, 999)}{rng.choice(['', 'th'])}")
+            prev = pos + {"word": 1, "reading": 3, "page": 0}[kind]
+        edited[book_id] = out + words[prev:]
+    return edited, marks
+
+
+def test_retrieve_candidates_resolves_digit_words_as_the_oracle(tmp_path):
+    synth_corpus(tmp_path / "input", seed=29, params=SynthParams(
+        n_books=2, words_per_book=1500, speakers_per_gender=1, noise=0.15))
+    cfg = PipelineConfig(input_dir=str(tmp_path / "input"), output_dir=str(tmp_path / "out"))
+    run_pipeline(cfg, until_stage="segment")
+    work = tmp_path / "out" / "work"
+    books, marks = digit_edited_books(read_books(work / "normalize"), random.Random(5))
+    segments = read_manifest(work / "segment" / "segments.tsv")
+    for shape in ((1250, 1000), (400, 320)):
+        got = retrieve_candidates(books, segments, *shape, 0.4)
+        assert got == per_segment_candidates(books, segments, *shape, 0.4)
+        resolved = dict.fromkeys(DIGIT_CASES, 0)  # candidates whose digit word was resolved away
+        for cand in got[0]:
+            book_id, (a, b) = cand.source
+            for pos, kind in marks[book_id].items():
+                resolved[kind] += a <= pos < b and books[book_id][pos] not in cand.words
+        assert min(resolved.values()) >= 5, (shape, resolved)
