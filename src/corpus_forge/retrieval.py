@@ -34,8 +34,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import groupby
 
 import numpy as np
 
@@ -53,21 +51,11 @@ MATCH, MISMATCH, GAP = 2, -1, -1  # Smith-Waterman scores
 
 
 @dataclass(frozen=True)
-class AlignmentOp:
-    """One alignment step; indices are into the query / reference word lists
-    (None for the unmatched side of a gap)."""
-
-    kind: str  # match | substitute | insert | delete
-    query_index: int | None
-    ref_index: int | None
-
-
-@dataclass(frozen=True)
 class AlignmentResult:
     score: int
     ref_span: tuple[int, int]  # half-open word range in the reference
     query_span: tuple[int, int]
-    ops: tuple[AlignmentOp, ...]
+    path: str  # per step from the spans' starts: m(atch), s(ubstitute), i(nsert), d(elete)
 
 
 def shard_spans(
@@ -276,13 +264,12 @@ def _align(queries, ids, windows, n_ids) -> Iterator[AlignmentResult]:
     scores, found = _aligned_runs(queries, ids, windows, n_ids)
     for best, runs_of in zip(scores, found):
         if not best:
-            yield AlignmentResult(score=0, ref_span=(0, 0), query_span=(0, 0), ops=())
+            yield AlignmentResult(score=0, ref_span=(0, 0), query_span=(0, 0), path="")
             continue
         rs, _span_len, qs, re_, qe, path = min(
             (c for score, cands in runs_of if score == best for c in cands), key=lambda c: c[:5]
         )
-        yield AlignmentResult(score=best, ref_span=(rs, re_), query_span=(qs, qe),
-                              ops=_ops(path, qs, rs))
+        yield AlignmentResult(score=best, ref_span=(rs, re_), query_span=(qs, qe), path=path)
 
 
 def _aligned_runs(queries, ids, windows, n_ids) -> tuple[list, list]:
@@ -318,26 +305,6 @@ def _aligned_runs(queries, ids, windows, n_ids) -> tuple[list, list]:
     rest[head] = False
     align(np.flatnonzero(rest & (bound >= scores[pair])))
     return scores.tolist(), found
-
-
-def _ops(path: str, i: int, j: int) -> tuple[AlignmentOp, ...]:
-    """The ops of a traceback path, one letter per op ("m"atch,
-    "s"ubstitute, "i"nsert, "d"elete), that starts at query index i and
-    reference index j. Paths stay letters until their alignment wins, so a
-    book's candidates cost a few bytes per op."""
-    ops = []
-    for step in path:
-        if step == "i":
-            ops.append(AlignmentOp("insert", i, None))
-            i += 1
-        elif step == "d":
-            ops.append(AlignmentOp("delete", None, j))
-            j += 1
-        else:
-            ops.append(AlignmentOp("match" if step == "m" else "substitute", i, j))
-            i += 1
-            j += 1
-    return tuple(ops)
 
 
 def _fill(queries, refs, offsets) -> list[tuple[int, list]]:
@@ -376,7 +343,7 @@ def _fill_batch(queries, refs, offsets, rows, cols) -> list[tuple[int, list]]:
     table's best score. Every best cell is traced back over plain ints,
     preferring the diagonal, then the insertion, then the deletion, into a
     (ref start, ref span length, query start, ref end, query end, path)
-    candidate; see ``_ops`` for the path."""
+    candidate, the path as ``AlignmentResult.path`` spells it."""
     n_b = len(queries)
     q_len = np.array([len(q) for q in queries])
     r_len = np.array([len(r) for r in refs])
@@ -421,7 +388,6 @@ def _fill_batch(queries, refs, offsets, rows, cols) -> list[tuple[int, list]]:
     return list(zip(best.tolist(), cands))
 
 
-@lru_cache(maxsize=1 << 16)
 def _has_digit(word: str) -> bool:
     return any(c.isdigit() for c in word)
 
@@ -429,26 +395,33 @@ def _has_digit(word: str) -> bool:
 def replace_numbers(aligned: AlignmentResult, reference_words, pseudo_words) -> list[str]:
     """Resolve digit words of the aligned book span from the pseudo label.
 
-    The ops fall into maximal runs of insertions and ops on digit-bearing
-    book words. A run holding a digit word becomes the pseudo words aligned
-    in it, so multi-word readings ("four o one" for "401") are
-    reconstructed and digit words aligned only to deletions disappear
-    (unread page numbers). A run of insertions alone adds nothing, and every
-    other op keeps its book word.
+    A span without a digit word is returned as it stands. Otherwise the
+    path is walked from the spans' starts, and its steps fall into maximal
+    runs of insertions and steps on digit-bearing book words. A run holding
+    a digit word becomes the pseudo words aligned in it, so multi-word
+    readings ("four o one" for "401") are reconstructed and digit words
+    aligned only to deletions disappear (unread page numbers). A run of
+    insertions alone adds nothing, and every other step keeps its book word.
     """
-
-    def in_run(op: AlignmentOp) -> bool:
-        return op.kind == "insert" or _has_digit(reference_words[op.ref_index])
-
+    (j, end), (i, _) = aligned.ref_span, aligned.query_span
+    if not any(map(_has_digit, reference_words[j:end])):
+        return list(reference_words[j:end])
     out: list[str] = []
-    for numeric, run in groupby(aligned.ops, key=in_run):
-        if not numeric:
-            out += (reference_words[op.ref_index] for op in run)
-            continue
-        run = list(run)
-        if any(op.kind != "insert" for op in run):
-            out += (pseudo_words[op.query_index] for op in run if op.query_index is not None)
-    return out
+    run: list[str] = []  # pseudo words of the open run
+    read = False  # the open run holds a digit word
+    for step in aligned.path:
+        if step == "i" or _has_digit(reference_words[j]):
+            if step != "d":
+                run.append(pseudo_words[i])
+            read = read or step != "i"
+        else:
+            if read:
+                out += run
+            run, read = [], False
+            out.append(reference_words[j])
+        i += step != "d"
+        j += step != "i"
+    return out + run if read else out
 
 
 def fix_rare_wordforms(
@@ -574,8 +547,8 @@ def accept_candidate(
 
 
 def _transcripts(index, labels) -> Iterator:
-    """(words, book word span, alignment) or None for every pseudo label of
-    the indexed book, in order.
+    """(words, book word span) or None for every pseudo label of the
+    indexed book, in order.
 
     The labels are ranked together (``_rank``), and each is aligned against
     its top shard plus the shard's overlap neighbours (a true span can
@@ -585,7 +558,8 @@ def _transcripts(index, labels) -> Iterator:
     corrupted edge words correspond to real audio, and the book text across
     from them is the best transcript available, the same assumption the
     number replacement makes. Nothing matches when no shard shares a bigram
-    or the score is 0.
+    or the score is 0. The book's digit words are found once; a span
+    without one is a slice of the book.
     """
     found, queries = [], []  # found: per label, None or (window start, window end, words)
     codes = [index.encode(words) for words in labels]
@@ -599,17 +573,21 @@ def _transcripts(index, labels) -> Iterator:
         queries.append(code)
     windows = [hit[:2] for hit in found if hit]
     aligned = _align(queries, index.book_ids, windows, len(index.vocab))
+    digit = np.array([_has_digit(w) for w in index.vocab], dtype=bool)[index.book_ids]
+    words = index.words
     for hit in found:
         if hit is None or (al := next(aligned)).score <= 0:
             yield None
             continue
         win_start, win_end, pseudo_words = hit
-        window = index.words[win_start:win_end]
-        core = replace_numbers(al, window, pseudo_words)
-        ext_lo = max(0, al.ref_span[0] - al.query_span[0])
-        ext_hi = min(len(window), al.ref_span[1] + len(pseudo_words) - al.query_span[1])
-        span_words = [*window[ext_lo : al.ref_span[0]], *core, *window[al.ref_span[1] : ext_hi]]
-        yield span_words, (win_start + ext_lo, win_start + ext_hi), al
+        a, b = win_start + al.ref_span[0], win_start + al.ref_span[1]
+        lo = max(win_start, a - al.query_span[0])
+        hi = min(win_end, b + len(pseudo_words) - al.query_span[1])
+        if digit[a:b].any():
+            core = replace_numbers(al, words[win_start:win_end], pseudo_words)
+            yield [*words[lo:a], *core, *words[b:hi]], (lo, hi)
+        else:
+            yield words[lo:hi], (lo, hi)
 
 
 def retrieve_candidates(
@@ -641,7 +619,7 @@ def retrieve_candidates(
             if found is None or not found[0]:
                 misses += 1
                 continue
-            cand_words, span, _aligned = found
+            cand_words, span = found
             candidates.append(
                 accept_candidate(cand_words, pseudo, threshold, row.segment_id, (book_id, span))
             )

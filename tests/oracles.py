@@ -269,11 +269,9 @@ def per_segment_transcript(book_words, spans, pseudo_words):
     """One segment retrieved on its own: rank the book's shards, its (start,
     end) word ranges ``spans``, with ``ranked_shards``, align the pseudo
     label against the top shard plus its overlap neighbours over the whole
-    window (``full_window_smith_waterman``), resolve digit words and widen
-    the span across unaligned query edges. Returns (words, book word span,
-    AlignmentResult) or None."""
-    from corpus_forge import retrieval as rt
-
+    window (``full_window_smith_waterman``), resolve digit words from its
+    traceback (``scan_replace_numbers``) and widen the span across unaligned
+    query edges. Returns (words, book word span, alignment) or None."""
     pseudo_words = list(pseudo_words)
     ranked = ranked_shards([list(book_words[a:b]) for a, b in spans], pseudo_words)
     if not ranked:
@@ -281,12 +279,11 @@ def per_segment_transcript(book_words, spans, pseudo_words):
     top = ranked[0][0]
     win_start, win_end = spans[max(0, top - 1)][0], spans[min(len(spans) - 1, top + 1)][1]
     window = list(book_words[win_start:win_end])
-    score, ref_span, query_span, ops = full_window_smith_waterman(pseudo_words, window)
+    aligned = full_window_smith_waterman(pseudo_words, window)
+    score, ref_span, query_span, _path = aligned
     if score <= 0:
         return None
-    aligned = rt.AlignmentResult(score, ref_span, query_span,
-                                 tuple(rt.AlignmentOp(*op) for op in ops))
-    core = rt.replace_numbers(aligned, window, pseudo_words)
+    core = scan_replace_numbers(aligned, window, pseudo_words)
     ext_lo = max(0, ref_span[0] - query_span[0])
     ext_hi = min(len(window), ref_span[1] + len(pseudo_words) - query_span[1])
     words = window[ext_lo : ref_span[0]] + core + window[ref_span[1] : ext_hi]
@@ -352,8 +349,9 @@ def full_window_smith_waterman(query, reference, match=2, mismatch=-1, gap=-1):
 
     The full int32 table is filled row-wise in G = H - gap*j coordinates and
     every best cell is traced back. Sequences are integer id arrays or
-    hashable tokens. Returns (score, ref_span, query_span, ops) with ops as
-    (kind, query_index, ref_index) triples; a zero score has no spans.
+    hashable tokens. Returns (score, ref_span, query_span, path), the path
+    one letter per step from the spans' starts: "m"atch, "s"ubstitute,
+    "i"nsert, "d"elete; a zero score has no spans and an empty path.
     """
     import numpy as np
 
@@ -379,24 +377,24 @@ def full_window_smith_waterman(query, reference, match=2, mismatch=-1, gap=-1):
     H = G - floor
     best = int(H.max())
     if best == 0:
-        return 0, (0, 0), (0, 0), ()
+        return 0, (0, 0), (0, 0), ""
     candidates = []
     for end_i, end_j in np.argwhere(H == best).tolist():
-        i, j, ops = end_i, end_j, []
+        i, j, steps = end_i, end_j, []
         while H[i, j] > 0:
             s = match if q_ids[i - 1] == r_ids[j - 1] else mismatch
             if H[i, j] == H[i - 1, j - 1] + s:
                 i, j = i - 1, j - 1
-                ops.append(("match" if s == match else "substitute", i, j))
+                steps.append("m" if s == match else "s")
             elif H[i, j] == H[i - 1, j] + gap:
                 i -= 1
-                ops.append(("insert", i, None))
+                steps.append("i")
             else:
                 j -= 1
-                ops.append(("delete", None, j))
-        candidates.append((j, end_j - j, i, end_j, end_i, tuple(ops[::-1])))
-    rs, _span, qs, re_, qe, ops = min(candidates, key=lambda c: c[:5])
-    return best, (rs, re_), (qs, qe), ops
+                steps.append("d")
+        candidates.append((j, end_j - j, i, end_j, end_i, "".join(reversed(steps))))
+    rs, _span, qs, re_, qe, path = min(candidates, key=lambda c: c[:5])
+    return best, (rs, re_), (qs, qe), path
 
 
 def edit_script_minimum(a, b, cap=None):
@@ -446,13 +444,16 @@ def full_matrix_edit_distance(a, b):
     return d[-1][-1]
 
 
-def scan_replace_numbers(aligned, reference_words, pseudo_words):
-    """Digit-word resolution by two nested index scans over the ops.
+def scan_replace_numbers(alignment, reference_words, pseudo_words):
+    """Digit-word resolution by two nested index scans over the ops of an
+    alignment in ``full_window_smith_waterman``'s form.
 
-    An outer scan copies book words until it meets an insertion or an op
-    on a digit-bearing book word; an inner scan then collects the whole
-    block of such ops. A block with a digit word is replaced by its
-    aligned pseudo words, a block of insertions alone adds nothing.
+    The path is first spelled out as (kind, query index, reference index)
+    ops, None for the unmatched side of a gap. An outer scan copies book
+    words until it meets an insertion or an op on a digit-bearing book word;
+    an inner scan then collects the whole block of such ops. A block with a
+    digit word is replaced by its aligned pseudo words, a block of
+    insertions alone adds nothing.
     """
 
     def has_digit(word):
@@ -460,39 +461,44 @@ def scan_replace_numbers(aligned, reference_words, pseudo_words):
 
     reference_words = list(reference_words)
     pseudo_words = list(pseudo_words)
+    _score, (ref_index, _), (query_index, _), path = alignment
+    ops = []
+    for step in path:
+        ops.append((step, None if step == "d" else query_index, None if step == "i" else ref_index))
+        if step != "d":
+            query_index += 1
+        if step != "i":
+            ref_index += 1
     out = []
-    ops = aligned.ops
     i = 0
     while i < len(ops):
-        op = ops[i]
-        in_digit_block = op.kind == "insert" or (
-            op.ref_index is not None and has_digit(reference_words[op.ref_index])
-        )
+        kind, _q, r = ops[i]
+        in_digit_block = kind == "i" or (r is not None and has_digit(reference_words[r]))
         if not in_digit_block:
-            if op.ref_index is not None:
-                out.append(reference_words[op.ref_index])
+            if r is not None:
+                out.append(reference_words[r])
             i += 1
             continue
         block = []
         digit_seen = False
         while i < len(ops):
-            op = ops[i]
-            if op.kind == "insert":
-                block.append(op)
-            elif op.ref_index is not None and has_digit(reference_words[op.ref_index]):
-                block.append(op)
+            kind, _q, r = ops[i]
+            if kind == "i":
+                block.append(ops[i])
+            elif r is not None and has_digit(reference_words[r]):
+                block.append(ops[i])
                 digit_seen = True
             else:
                 break
             i += 1
         if digit_seen:
-            for op in block:
-                if op.query_index is not None:
-                    out.append(pseudo_words[op.query_index])
+            for _kind, q, _r in block:
+                if q is not None:
+                    out.append(pseudo_words[q])
         else:
-            for op in block:
-                if op.ref_index is not None:
-                    out.append(reference_words[op.ref_index])
+            for _kind, _q, r in block:
+                if r is not None:
+                    out.append(reference_words[r])
     return out
 
 

@@ -10,7 +10,6 @@ from corpus_forge.manifest import ManifestRow, read_manifest
 from corpus_forge.pipeline import read_books, run_pipeline
 from corpus_forge.retrieval import (
     ABSENT_ID,
-    AlignmentOp,
     AlignmentResult,
     TfIdfIndex,
     accept_candidate,
@@ -68,8 +67,8 @@ def align_ids(query_ids, ref_ids, n_ids):
 
 
 def transcript(index, pseudo_words):
-    """``retrieval._transcripts`` of one label: (words, book word span,
-    alignment), or None when nothing matches."""
+    """``retrieval._transcripts`` of one label: (words, book word span), or
+    None when nothing matches."""
     return next(retrieval._transcripts(index, [list(pseudo_words)]))
 
 
@@ -264,7 +263,7 @@ def test_near_tie_cosines_follow_the_sequential_sum():
 
 
 def ops_kinds(result):
-    return [op.kind for op in result.ops]
+    return list(result.path)
 
 
 def test_identical_five_words():
@@ -273,7 +272,7 @@ def test_identical_five_words():
     assert result.score == 10
     assert result.ref_span == (0, 5)
     assert result.query_span == (0, 5)
-    assert ops_kinds(result) == ["match"] * 5
+    assert ops_kinds(result) == ["m"] * 5
 
 
 def test_abc_against_xabdcy_frozen_from_enumeration():
@@ -284,7 +283,7 @@ def test_abc_against_xabdcy_frozen_from_enumeration():
         "a b c".split(), "x a b d c y".split()
     )
     assert result.ref_span == (1, 5)
-    assert ops_kinds(result) == ["match", "match", "delete", "match"]
+    assert ops_kinds(result) == ["m", "m", "d", "m"]
 
 
 def test_empty_sequences_rejected():
@@ -300,24 +299,30 @@ def test_empty_sequences_rejected():
 def test_nothing_in_common_scores_zero():
     result = align(["a", "b"], ["x", "y", "z"])
     assert result.score == 0
-    assert result.ops == ()
+    assert result.path == ""
 
 
 def replay_ops(result, query, reference):
-    """Ops must replay to exactly the aligned query span and ref span."""
+    """The path, walked from the spans' starts, must replay to exactly the
+    aligned query span and ref span."""
     q_out, r_out = [], []
-    for op in result.ops:
-        if op.kind in ("match", "substitute"):
-            q_out.append(query[op.query_index])
-            r_out.append(reference[op.ref_index])
-            if op.kind == "match":
-                assert query[op.query_index] == reference[op.ref_index]
+    i, j = result.query_span[0], result.ref_span[0]
+    for step in result.path:
+        if step in "ms":
+            q_out.append(query[i])
+            r_out.append(reference[j])
+            if step == "m":
+                assert query[i] == reference[j]
             else:
-                assert query[op.query_index] != reference[op.ref_index]
-        elif op.kind == "insert":
-            q_out.append(query[op.query_index])
+                assert query[i] != reference[j]
+            i, j = i + 1, j + 1
+        elif step == "i":
+            q_out.append(query[i])
+            i += 1
         else:
-            r_out.append(reference[op.ref_index])
+            assert step == "d"
+            r_out.append(reference[j])
+            j += 1
     assert q_out == list(query[result.query_span[0] : result.query_span[1]])
     assert r_out == list(reference[result.ref_span[0] : result.ref_span[1]])
 
@@ -331,10 +336,10 @@ def test_score_identity_and_replay_over_seeds():
         result = align(q, r)
         kinds = ops_kinds(result)
         assert result.score == (
-            2 * kinds.count("match")
-            - kinds.count("substitute")
-            - kinds.count("insert")
-            - kinds.count("delete")
+            2 * kinds.count("m")
+            - kinds.count("s")
+            - kinds.count("i")
+            - kinds.count("d")
         )
         replay_ops(result, q, r)
 
@@ -395,8 +400,7 @@ def test_id_kernel_tie_break_over_equal_score_cells():
 
 def as_oracle(result):
     """An AlignmentResult in the reference kernel's tuple form."""
-    ops = tuple((op.kind, op.query_index, op.ref_index) for op in result.ops)
-    return result.score, result.ref_span, result.query_span, ops
+    return result.score, result.ref_span, result.query_span, result.path
 
 
 def column_runs(query, reference, match=2, other=-1):
@@ -530,20 +534,7 @@ def test_replace_numbers_multiword_reading():
     # local aligner would legitimately keep only one matched word)
     matched = "chapter 401 begins".split()
     pseudo = "chapter four o one begins".split()
-    from corpus_forge.retrieval import AlignmentResult
-
-    aligned = AlignmentResult(
-        score=1,
-        ref_span=(0, 3),
-        query_span=(0, 5),
-        ops=(
-            AlignmentOp("match", 0, 0),
-            AlignmentOp("substitute", 1, 1),
-            AlignmentOp("insert", 2, None),
-            AlignmentOp("insert", 3, None),
-            AlignmentOp("match", 4, 2),
-        ),
-    )
+    aligned = AlignmentResult(score=1, ref_span=(0, 3), query_span=(0, 5), path="msiim")
     assert replace_numbers(aligned, matched, pseudo) == (
         "chapter four o one begins".split()
     )
@@ -589,36 +580,37 @@ SPOKEN_WORDS = ["four", "o", "one", "seventh", "the", "story", "uh"]
 
 
 def random_alignment(rng):
-    """A well-formed local alignment of random book and spoken words: ops
-    with consecutive indices, after a few unaligned words on either side."""
+    """A well-formed local alignment of random book and spoken words: a
+    path whose spans start after a few unaligned words on either side."""
     ref = [rng.choice(BOOK_WORDS) for _ in range(rng.randint(0, 2))]
     query = [rng.choice(SPOKEN_WORDS) for _ in range(rng.randint(0, 2))]
-    ops = []
+    ref_start, query_start = len(ref), len(query)
+    path = ""
     for _ in range(rng.randint(0, 16)):
-        kind = rng.choice(("match", "substitute", "insert", "delete"))
-        ref_index = query_index = None
-        if kind != "insert":
-            ref_index = len(ref)
+        step = rng.choice("msid")
+        if step != "i":
             ref.append(rng.choice(BOOK_WORDS))
-        if kind != "delete":
-            query_index = len(query)
-            query.append(ref[-1] if kind == "match" else rng.choice(SPOKEN_WORDS))
-        ops.append(AlignmentOp(kind, query_index, ref_index))
+        if step != "d":
+            query.append(ref[-1] if step == "m" else rng.choice(SPOKEN_WORDS))
+        path += step
+    ref_span, query_span = (ref_start, len(ref)), (query_start, len(query))
     ref += [rng.choice(BOOK_WORDS) for _ in range(rng.randint(0, 2))]
     query += [rng.choice(SPOKEN_WORDS) for _ in range(rng.randint(0, 2))]
-    aligned = AlignmentResult(score=0, ref_span=(0, 0), query_span=(0, 0), ops=tuple(ops))
+    aligned = AlignmentResult(score=0, ref_span=ref_span, query_span=query_span, path=path)
     return aligned, ref, query
 
 
 def digit_blocks(aligned, ref):
-    """The maximal blocks of insertions and ops on digit-bearing book words."""
-    blocks, block = [], []
-    for op in aligned.ops:
-        if op.kind == "insert" or any(c.isdigit() for c in ref[op.ref_index]):
-            block.append(op)
+    """The maximal blocks of insertions and steps on digit-bearing book
+    words, each as its path letters."""
+    blocks, block, j = [], "", aligned.ref_span[0]
+    for step in aligned.path:
+        if step == "i" or any(c.isdigit() for c in ref[j]):
+            block += step
         elif block:
             blocks.append(block)
-            block = []
+            block = ""
+        j += step != "i"
     return blocks + [block] if block else blocks
 
 
@@ -627,12 +619,13 @@ def test_replace_numbers_matches_scanning_oracle():
     seen = dict(digit=0, insertions_only=0, deletions_only=0, several_digit_words=0)
     for _ in range(3000):
         aligned, ref, query = random_alignment(rng)
-        assert replace_numbers(aligned, ref, query) == scan_replace_numbers(aligned, ref, query)
+        expected = scan_replace_numbers(as_oracle(aligned), ref, query)
+        assert replace_numbers(aligned, ref, query) == expected
         for block in digit_blocks(aligned, ref):
-            on_book = [op for op in block if op.kind != "insert"]
+            on_book = [step for step in block if step != "i"]
             seen["digit"] += bool(on_book)
             seen["insertions_only"] += not on_book
-            seen["deletions_only"] += all(op.kind == "delete" for op in block)
+            seen["deletions_only"] += all(step == "d" for step in block)
             seen["several_digit_words"] += len(on_book) > 1
     assert min(seen.values()) >= 200, seen
 
@@ -809,7 +802,7 @@ def test_verbatim_query_recovers_exact_span():
         query = words[start : start + 40]
         found = transcript(index, query)
         assert found is not None
-        cand, span, aligned = found
+        cand, span = found
         assert span == (start, start + 40)
         assert cand == query
         assert wer(cand, query) == 0.0
@@ -828,7 +821,7 @@ def test_noisy_query_span_wer_bounded_by_noise():
             query[pos] = rng.choice(WIDE_VOCAB)
         found = transcript(index, query)
         assert found is not None
-        cand, span, _ = found
+        cand, span = found
         assert wer(cand, truth) <= noise
 
 

@@ -1,7 +1,8 @@
 """Code that nothing but the tests calls does not live in ``src/``: every
 public function and class of the package is named somewhere in the package
 outside its own definition, and every public member of a class is named
-there as an attribute."""
+there as an attribute. Private module-level functions and classes obey the
+same rule, so a helper whose last caller is gone is caught too."""
 
 import ast
 from collections import Counter
@@ -36,16 +37,35 @@ def names_in(node, attributes_only=False) -> Counter:
     )
 
 
-def test_every_public_definition_is_used_in_src():
+def unused_definitions(definitions):
+    """``module:line name`` of each (definition, is a class member) that
+    ``definitions(module body)`` yields and that the package names nowhere
+    outside the definition itself."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     used = {member: sum((names_in(tree, member) for tree in trees.values()), Counter())
             for member in (False, True)}
     used[False].update(f"stage_{name}" for name in STAGE_TABLE)  # run_stage looks them up by key
-    unused = [
+    return [
         f"{module}:{node.lineno} {node.name}"
         for module, tree in trees.items()
-        for node, member in public_definitions(tree.body)
+        for node, member in definitions(tree.body)
         if used[member][node.name] <= names_in(node, member)[node.name]
     ]
-    assert unused == []
+
+
+def private_definitions(body):
+    """(definition, False) for the private functions and classes of a
+    module body."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name.startswith("_"):
+                yield node, False
+
+
+def test_every_public_definition_is_used_in_src():
+    assert unused_definitions(public_definitions) == []
+
+
+def test_every_private_module_definition_is_used_in_src():
+    assert unused_definitions(private_definitions) == []
