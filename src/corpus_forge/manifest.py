@@ -7,6 +7,15 @@ of a row that holds a carriage return. The first line of every hashed file
 is a ``# config_hash=<hex>`` provenance comment, checked by one reader, so
 files produced under different configurations cannot be mixed silently.
 
+TSVs stream both ways. One reader yields a file's rows as they are asked
+for, checking the hash line, the header and each row in file order, and
+closes the file when the iteration ends, fails or is dropped; a faulty row
+or field is named by file and row. ``read_manifest`` builds a list from it,
+and ``iter_manifest`` and ``read_candidates`` yield one record at a time.
+One writer takes any iterable of rows and formats them a block at a time
+into a temporary file beside its target, moved into place after the last
+row, so a failure part-way leaves no torn file.
+
 A ``ManifestRow`` is one segment. A ``CandidateTranscript`` is the book text
 retrieved for one segment, with its WER against the pseudo label and whether
 it is accepted; it crosses retrieve, postprocess, filter and split as one
@@ -18,7 +27,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+from collections.abc import Iterator
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 MANIFEST_COLUMNS = (
@@ -45,6 +58,7 @@ CANDIDATE_COLUMNS = (
 )
 
 PARTITIONS = ("train", "dev", "test", "unassigned")
+BLOCK_ROWS = 128  # rows formatted and written at a time
 
 
 class InputError(ValueError):
@@ -71,20 +85,34 @@ def candidate_row(c: CandidateTranscript) -> tuple:
     return (c.segment_id, book_id, start, end, wer, accepted, " ".join(c.words))
 
 
+def _convert(convert, column: str, text: str):
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ValueError(f"{column}: {exc}") from None
+
+
 def _candidate(fields: list[str]) -> CandidateTranscript:
     segment_id, book_id, start, end, wer, accepted, transcript = fields
+    start, end = _convert(int, "offset_start", start), _convert(int, "offset_end", end)
+    if start >= end:
+        raise ValueError(f"offset_start {start} must be < offset_end {end}")
+    if accepted not in ("true", "false"):
+        raise ValueError(f"accepted {accepted!r} is neither true nor false")
     return CandidateTranscript(
-        segment_id, tuple(transcript.split()), (book_id, (int(start), int(end))),
-        float(wer), accepted == "true",
+        segment_id, tuple(transcript.split()), (book_id, (start, end)),
+        _convert(float, "wer", wer), accepted == "true",
     )
 
 
 def write_candidates(path: str | Path, candidates, config_hash: str) -> None:
-    write_tsv(path, CANDIDATE_COLUMNS, [candidate_row(c) for c in candidates], config_hash)
+    """Write candidates from any iterable, one block of rows at a time."""
+    _write_rows(path, CANDIDATE_COLUMNS, map(candidate_row, candidates), config_hash)
 
 
-def read_candidates(path: str | Path, expect_hash: str | None = None) -> list[CandidateTranscript]:
-    return [_candidate(f) for f in _read_records(path, expect_hash, CANDIDATE_COLUMNS, "candidate")]
+def read_candidates(path: str | Path, expect_hash: str | None = None) -> Iterator[CandidateTranscript]:
+    """The candidates of a file, one at a time."""
+    return _read_records(path, expect_hash, CANDIDATE_COLUMNS, "candidate", _candidate)
 
 
 @dataclass
@@ -122,7 +150,8 @@ def _manifest_fields(r: ManifestRow) -> tuple:
 def _manifest_row(fields: list[str]) -> ManifestRow:
     *text, start_ms, end_ms, transcript, wer, partition = fields
     return ManifestRow(
-        *text, int(start_ms), int(end_ms), transcript, float(wer) if wer else None, partition
+        *text, _convert(int, "start_ms", start_ms), _convert(int, "end_ms", end_ms),
+        transcript, _convert(float, "wer", wer) if wer else None, partition,
     )
 
 
@@ -136,30 +165,44 @@ def write_manifest(path: str | Path, rows, config_hash: str) -> None:
     write_tsv(path, MANIFEST_COLUMNS, [_manifest_fields(r) for r in rows], config_hash)
 
 
+def iter_manifest(path: str | Path, expect_hash: str | None = None) -> Iterator[ManifestRow]:
+    """The rows of a manifest, one at a time."""
+    return _read_records(path, expect_hash, MANIFEST_COLUMNS, "manifest", _manifest_row)
+
+
 def read_manifest(path: str | Path, expect_hash: str | None = None) -> list[ManifestRow]:
-    return [_manifest_row(f) for f in _read_records(path, expect_hash, MANIFEST_COLUMNS, "manifest")]
+    return list(iter_manifest(path, expect_hash))
 
 
-def _read_records(path, expect_hash, columns, kind: str) -> list[list[str]]:
-    """The rows of a hashed TSV whose header is ``columns``, each checked
-    to hold one field per column."""
-    header, rows = read_tsv(path, expect_hash)
-    if header != list(columns):
-        raise ValueError(f"{path}: bad or missing {kind} header")
-    for i, fields in enumerate(rows, start=1):
-        if len(fields) != len(columns):
-            raise ValueError(f"{path}: row {i}: expected {len(columns)} columns")
-    return rows
+def _read_records(path, expect_hash, columns, kind: str, parse) -> Iterator:
+    """Each row of a hashed TSV whose header is ``columns``, as ``parse``
+    builds it from the row's fields, in file order. A row that does not hold
+    one field per column, or whose fields ``parse`` refuses, fails naming
+    the file and the row."""
+    with closing(_tsv_rows(path, expect_hash)) as rows:
+        if next(rows) != list(columns):
+            raise ValueError(f"{path}: bad or missing {kind} header")
+        for i, fields in enumerate(rows, start=1):
+            if len(fields) != len(columns):
+                raise ValueError(f"{path}: row {i}: expected {len(columns)} columns")
+            try:
+                record = parse(fields)
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {i}: {exc}") from None
+            yield record
 
 
-def _hashed_body(path: str | Path, expect_hash: str | None) -> str:
-    """The text of a hashed file after its checked ``# config_hash=`` line.
+def _check_hash_line(fh, path, expect_hash: str | None) -> None:
+    """Read and check the ``# config_hash=`` line of a file opened with
+    ``newline=""``, leaving ``fh`` at the line after it.
 
-    Every caller needs the whole file, so it is read at once.
+    The line ends at the first line feed; ``readline`` alone would also end
+    it at a bare carriage return.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        head, _, body = fh.read().partition("\n")
-    head = head.rstrip("\r")
+    head = ""
+    while not head.endswith("\n") and (piece := fh.readline()):
+        head += piece
+    head = head.removesuffix("\n").rstrip("\r")
     if not head.startswith("# config_hash="):
         raise ProvenanceError(f"{path}: missing config hash line")
     found = head.split("=", 1)[1]
@@ -167,7 +210,19 @@ def _hashed_body(path: str | Path, expect_hash: str | None) -> str:
         raise ProvenanceError(
             f"{path}: config hash {found} does not match active run {expect_hash}"
         )
-    return body
+
+
+def _tsv_rows(path, expect_hash: str | None) -> Iterator[list[str]]:
+    """The non-blank rows of a hashed TSV, header first, read as they are
+    asked for."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        _check_hash_line(fh, path, expect_hash)
+        rows = filter(None, csv.reader(fh, delimiter="\t"))
+        header = next(rows, None)
+        if header is None:
+            raise ValueError(f"{path}: empty TSV")
+        yield header
+        yield from rows
 
 
 def _tsv_text(rows, quoting=csv.QUOTE_MINIMAL) -> str:
@@ -176,9 +231,7 @@ def _tsv_text(rows, quoting=csv.QUOTE_MINIMAL) -> str:
     return text.getvalue()
 
 
-def write_tsv(path: str | Path, columns, rows, config_hash: str) -> None:
-    """Hashed TSV (manifests, candidates, reports, histograms)."""
-    rows = [columns, *rows]
+def _block_text(rows: list) -> str:
     body = _tsv_text(rows)
     if "\r" in body:
         # minimal quoting leaves a carriage return bare, and the reader would
@@ -188,16 +241,31 @@ def write_tsv(path: str | Path, columns, rows, config_hash: str) -> None:
             _tsv_text([row], csv.QUOTE_ALL) if "\r" in line else line
             for row, line in zip(rows, lines)
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config_hash={config_hash}\n{body}")
+    return body
 
 
-def read_tsv(path: str | Path, expect_hash: str | None = None) -> tuple[list[str], list[list[str]]]:
-    body = io.StringIO(_hashed_body(path, expect_hash), newline="")
-    rows = [row for row in csv.reader(body, delimiter="\t") if row]
-    if not rows:
-        raise ValueError(f"{path}: empty TSV")
-    return rows[0], rows[1:]
+def _write_rows(path: str | Path, columns, rows, config_hash: str) -> None:
+    """Write a hashed TSV from any iterable of rows, BLOCK_ROWS at a time,
+    to a temporary name beside ``path`` that replaces it after the last
+    row; a failure part-way removes the temporary file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(f"# config_hash={config_hash}\n")
+            rows = iter(rows)
+            block = [columns]
+            while block:
+                fh.write(_block_text(block))
+                block = list(islice(rows, BLOCK_ROWS))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_tsv(path: str | Path, columns, rows: list, config_hash: str) -> None:
+    """Hashed TSV (manifests, reports, histograms) from a list of rows."""
+    _write_rows(path, columns, rows, config_hash)
 
 
 def write_lines(path: str | Path, lines, config_hash: str) -> None:
@@ -208,7 +276,9 @@ def write_lines(path: str | Path, lines, config_hash: str) -> None:
 
 def read_lines(path: str | Path, expect_hash: str | None = None) -> list[str]:
     """The non-blank lines of a ``write_lines`` file, stripped."""
-    lines = _hashed_body(path, expect_hash).splitlines()
+    with open(path, encoding="utf-8", newline="") as fh:
+        _check_hash_line(fh, path, expect_hash)
+        lines = fh.read().splitlines()
     return [line.strip() for line in lines if line.strip()]
 
 

@@ -28,6 +28,7 @@ from .manifest import (
     InputError,
     ManifestRow,
     ProvenanceError,
+    iter_manifest,
     read_candidates,
     read_lines,
     read_manifest,
@@ -154,12 +155,19 @@ def normalize_file(src: Path, dst: Path, orth) -> int:
     return sum(len(l) for l in lines)
 
 
+def _book_paths(directory) -> dict[str, Path]:
+    """book_id -> path of every normalized ``<book_id>.txt`` in a directory,
+    in book_id order."""
+    return {path.stem: path for path in sorted(Path(directory).glob("*.txt"))}
+
+
+def _words(path: Path) -> list[str]:
+    return path.read_text(encoding="utf-8").split()
+
+
 def read_books(directory) -> dict[str, list[str]]:
     """book_id -> words of every normalized ``<book_id>.txt`` in a directory."""
-    return {
-        path.stem: path.read_text(encoding="utf-8").split()
-        for path in sorted(Path(directory).glob("*.txt"))
-    }
+    return {book_id: _words(path) for book_id, path in _book_paths(directory).items()}
 
 
 def read_sentences(paths) -> list[list[str]]:
@@ -232,56 +240,81 @@ def stage_segment(cfg: PipelineConfig) -> dict:
     return {"segments": len(rows), "residuals": len(residuals), "dropped": len(dropped)}
 
 
-def _segments(cfg: PipelineConfig) -> list[ManifestRow]:
-    """The segment manifest of this run."""
-    return read_manifest(_stage_dir(cfg, "segment") / "segments.tsv", cfg.config_hash())
+def _segments(cfg: PipelineConfig):
+    """The segment manifest of this run, one row at a time."""
+    return iter_manifest(_stage_dir(cfg, "segment") / "segments.tsv", cfg.config_hash())
 
 
 def stage_retrieve(cfg: PipelineConfig) -> dict:
-    books = read_books(_stage_dir(cfg, "normalize"))
-    candidates, misses = rt.retrieve_candidates(
-        books, _segments(cfg), cfg.shard_size, cfg.shard_stride, cfg.wer_threshold
-    )
-    write_candidates(_stage_dir(cfg, "retrieve") / "candidates.tsv", candidates,
+    """Retrieve a candidate for every segment, one book at a time. Only each
+    segment's id and pseudo label are held, grouped by book; a book's words
+    are read when its turn comes, and its candidates are written before the
+    next book is read. A book is looked up among the normalized files."""
+    files = _book_paths(_stage_dir(cfg, "normalize"))
+    labels = rt.labels_by_book(_segments(cfg))
+    summary = {"candidates": 0, "unmatched": 0}
+
+    def candidates():
+        for book_id in sorted(labels):
+            words = _words(files[book_id]) if book_id in files else None
+            for cand in rt.book_candidates(book_id, words, labels[book_id], cfg.shard_size,
+                                           cfg.shard_stride, cfg.wer_threshold):
+                if cand is None:
+                    summary["unmatched"] += 1
+                else:
+                    summary["candidates"] += 1
+                    yield cand
+
+    write_candidates(_stage_dir(cfg, "retrieve") / "candidates.tsv", candidates(),
                      cfg.config_hash())
-    return {"candidates": len(candidates), "unmatched": misses}
+    return summary
 
 
 def stage_postprocess(cfg: PipelineConfig) -> dict:
-    """Fix rare word forms. A candidate they leave unchanged is kept as read:
-    retrieve scored those words against the same pseudo label under the same
-    threshold. A changed one is scored again, and dropped when empty."""
-    books = read_books(_stage_dir(cfg, "normalize"))
-    book_freq = rt.build_book_frequencies(books)
-    pseudo_of = {r.segment_id: r.transcript.split() for r in _segments(cfg)}
-    out = []
-    changed = 0
-    for cand in read_candidates(_stage_dir(cfg, "retrieve") / "candidates.tsv", cfg.config_hash()):
-        fixed = rt.fix_rare_wordforms(cand.words, book_freq, cfg.rare_wordform_threshold)
-        if tuple(fixed) == cand.words:
-            out.append(cand)
-            continue
-        changed += 1
-        pseudo = pseudo_of.get(cand.segment_id, [])
-        if fixed and pseudo:
-            out.append(rt.accept_candidate(
-                fixed, pseudo, cfg.wer_threshold, cand.segment_id, cand.source
-            ))
-    write_candidates(_stage_dir(cfg, "postprocess") / "candidates.tsv", out, cfg.config_hash())
-    return {"candidates": len(out), "wordform_changed": changed}
+    """Fix rare word forms, one candidate at a time. A candidate they leave
+    unchanged is kept as read: retrieve scored those words against the same
+    pseudo label under the same threshold. A changed one is scored again,
+    and dropped when empty. The book frequencies are counted one book at a
+    time, and pseudo labels are held as text, split only for a candidate
+    that changes."""
+    files = _book_paths(_stage_dir(cfg, "normalize"))
+    book_freq = rt.build_book_frequencies(_words(path) for path in files.values())
+    pseudo_of = {r.segment_id: r.transcript for r in _segments(cfg)}
+    summary = {"candidates": 0, "wordform_changed": 0}
+
+    def fixed():
+        for cand in read_candidates(_stage_dir(cfg, "retrieve") / "candidates.tsv",
+                                    cfg.config_hash()):
+            words = rt.fix_rare_wordforms(cand.words, book_freq, cfg.rare_wordform_threshold)
+            if tuple(words) != cand.words:
+                summary["wordform_changed"] += 1
+                pseudo = pseudo_of.get(cand.segment_id, "").split()
+                if not (words and pseudo):
+                    continue
+                cand = rt.accept_candidate(
+                    words, pseudo, cfg.wer_threshold, cand.segment_id, cand.source
+                )
+            summary["candidates"] += 1
+            yield cand
+
+    write_candidates(_stage_dir(cfg, "postprocess") / "candidates.tsv", fixed(),
+                     cfg.config_hash())
+    return summary
 
 
 def stage_filter(cfg: PipelineConfig) -> dict:
-    candidates = read_candidates(
-        _stage_dir(cfg, "postprocess") / "candidates.tsv", cfg.config_hash()
-    )
-    kept = [c for c in candidates if c.accepted]
-    write_candidates(_stage_dir(cfg, "filter") / "accepted.tsv", kept, cfg.config_hash())
-    return {
-        "accepted": len(kept),
-        "rejected": len(candidates) - len(kept),
-        "wer_threshold": cfg.wer_threshold,
-    }
+    """Keep the accepted candidates, one at a time."""
+    summary = {"accepted": 0, "rejected": 0, "wer_threshold": cfg.wer_threshold}
+
+    def kept():
+        for cand in read_candidates(_stage_dir(cfg, "postprocess") / "candidates.tsv",
+                                    cfg.config_hash()):
+            summary["accepted" if cand.accepted else "rejected"] += 1
+            if cand.accepted:
+                yield cand
+
+    write_candidates(_stage_dir(cfg, "filter") / "accepted.tsv", kept(), cfg.config_hash())
+    return summary
 
 
 def _accepted_segments(cfg: PipelineConfig):

@@ -460,10 +460,11 @@ def fix_rare_wordforms(
     return out
 
 
-def build_book_frequencies(books: dict[str, list[str]]) -> dict[str, int]:
-    """word -> number of distinct books it appears in."""
+def build_book_frequencies(books) -> dict[str, int]:
+    """word -> number of distinct books it appears in, from each book's
+    words in turn (any iterable of word sequences)."""
     freq: dict[str, int] = {}
-    for words in books.values():
+    for words in books:
         for w in set(words):
             freq[w] = freq.get(w, 0) + 1
     return freq
@@ -590,37 +591,34 @@ def _transcripts(index, labels) -> Iterator:
             yield words[lo:hi], (lo, hi)
 
 
-def retrieve_candidates(
-    books: dict[str, list[str]],
-    segments,
+def labels_by_book(segments) -> dict[str, list[tuple[str, str]]]:
+    """book_id -> (segment_id, pseudo label text) of each segment manifest
+    row of the book, in input order."""
+    labels: dict[str, list[tuple[str, str]]] = {}
+    for row in segments:
+        labels.setdefault(row.book_id, []).append((row.segment_id, row.transcript))
+    return labels
+
+
+def book_candidates(
+    book_id: str,
+    words,
+    labels,
     shard_size: int = DEFAULT_SHARD_SIZE,
     shard_stride: int = DEFAULT_SHARD_STRIDE,
     threshold: float = DEFAULT_WER_THRESHOLD,
-) -> tuple[list[CandidateTranscript], int]:
-    """Retrieve and score a candidate for every segment manifest row, in
-    sorted book order (each book indexed once), then input order. Returns
-    (candidates, misses); a miss is a segment whose book or pseudo label
-    is empty or missing, or for which nothing non-empty was retrieved.
-    """
-    by_book: dict[str, list] = {}
-    for row in segments:
-        by_book.setdefault(row.book_id, []).append(row)
-    candidates = []
-    misses = 0
-    for book_id in sorted(by_book):
-        words = books.get(book_id)
-        if not words:
-            misses += len(by_book[book_id])
-            continue
-        index = TfIdfIndex(words, shard_spans(len(words), shard_size, shard_stride))
-        pseudos = [row.transcript.split() for row in by_book[book_id]]
-        found_all = _transcripts(index, pseudos)
-        for found, row, pseudo in zip(found_all, by_book[book_id], pseudos):
-            if found is None or not found[0]:
-                misses += 1
-                continue
-            cand_words, span = found
-            candidates.append(
-                accept_candidate(cand_words, pseudo, threshold, row.segment_id, (book_id, span))
-            )
-    return candidates, misses
+) -> Iterator[CandidateTranscript | None]:
+    """The scored candidate of each (segment_id, pseudo label text) of one
+    book, in order, or None for a miss: the book's words or the pseudo
+    label are empty or missing, or nothing non-empty was retrieved. The
+    book is indexed once."""
+    if not words:
+        yield from (None for _ in labels)
+        return
+    index = TfIdfIndex(words, shard_spans(len(words), shard_size, shard_stride))
+    pseudos = [text.split() for _, text in labels]
+    for found, (segment_id, _), pseudo in zip(_transcripts(index, pseudos), labels, pseudos):
+        if found is None or not found[0]:
+            yield None
+        else:
+            yield accept_candidate(found[0], pseudo, threshold, segment_id, (book_id, found[1]))

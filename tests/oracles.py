@@ -291,8 +291,8 @@ def per_segment_transcript(book_words, spans, pseudo_words):
 
 
 def per_segment_candidates(books, segments, shard_size, shard_stride, threshold):
-    """(candidates, misses) of ``retrieval.retrieve_candidates`` computed one
-    segment at a time with ``per_segment_transcript``."""
+    """(candidates, misses) of ``retrieval.book_candidates`` over every
+    book, computed one segment at a time with ``per_segment_transcript``."""
     from corpus_forge import retrieval as rt
 
     by_book = {}

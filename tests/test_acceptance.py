@@ -19,7 +19,7 @@ from corpus_forge import splitter as sp
 from corpus_forge.cli import main as cli_main
 from corpus_forge.config import PipelineConfig
 from corpus_forge.decontam import LmBook, build_heldout_index, contamination_rate, filter_corpus
-from corpus_forge.manifest import read_manifest, read_tsv
+from corpus_forge.manifest import read_manifest
 from corpus_forge.pipeline import run_pipeline
 from corpus_forge.segmenter import TokenStream, segment_stream
 from corpus_forge.synth import SynthParams, synth_corpus
@@ -32,6 +32,7 @@ from oracles import (
     enumerate_local_alignment_score,
     sliding_window_fivegrams,
 )
+from test_pipeline import read_tsv
 from test_retrieval import align, texts_index
 
 

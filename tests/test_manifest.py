@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from corpus_forge import manifest
 from corpus_forge.cli import main as cli_main
 from corpus_forge.manifest import (
     CandidateTranscript,
@@ -12,14 +13,14 @@ from corpus_forge.manifest import (
     read_candidates,
     read_lines,
     read_manifest,
-    read_tsv,
     write_candidates,
     write_lines,
     write_manifest,
+    write_tsv,
 )
 from corpus_forge.synth import synth_corpus
 
-from test_pipeline import SMALL, config_file, small_config
+from test_pipeline import SMALL, config_file, read_tsv, small_config
 
 AWKWARD = [
     "tab\there", 'say "hi"', '"', "\t", "line\nbreak", "a\u2028b", "he\rllo", "\r", "cr\r\nlf",
@@ -58,9 +59,9 @@ CANDIDATES = [
 def test_candidates_round_trip(tmp_path):
     path = tmp_path / "c.tsv"
     write_candidates(path, CANDIDATES, "cafe")
-    assert read_candidates(path, "cafe") == CANDIDATES
+    assert list(read_candidates(path, "cafe")) == CANDIDATES
     with pytest.raises(ProvenanceError):
-        read_candidates(path, "beef")
+        list(read_candidates(path, "beef"))
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -73,8 +74,115 @@ def test_candidates_with_wrong_header_or_column_count_are_refused(tmp_path, edit
     lines = path.read_text(encoding="utf-8").splitlines()
     path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=message) as err:
-        read_candidates(path, "cafe")
+        list(read_candidates(path, "cafe"))
     assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("row, column, value, message", [
+    (0, 2, "x", "row 1: offset_start: invalid literal for int() with base 10: 'x'"),
+    (1, 3, "1.5", "row 2: offset_end: invalid literal for int() with base 10: '1.5'"),
+    (0, 2, "6", "row 1: offset_start 6 must be < offset_end 6"),
+    (0, 4, "abc", "row 1: wer: could not convert string to float: 'abc'"),
+    (1, 5, "TRUE", "row 2: accepted 'TRUE' is neither true nor false"),
+], ids=["offset_start", "offset_end", "empty-span", "wer", "accepted"])
+def test_candidate_field_faults_are_refused_naming_file_and_row(tmp_path, row, column, value,
+                                                                message):
+    path = tmp_path / "c.tsv"
+    write_candidates(path, CANDIDATES, "cafe")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    fields = lines[2 + row].split("\t")
+    fields[column] = value
+    lines[2 + row] = "\t".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        list(read_candidates(path, "cafe"))
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda f: f[:5] + ["0.5"] + f[6:], "row 1: start_ms: invalid literal for int() with base 10: '0.5'"),
+    (lambda f: f[:6] + [""] + f[7:], "row 1: end_ms: invalid literal for int() with base 10: ''"),
+    (lambda f: f[:6] + ["0"] + f[7:], "row 1: s1: start_ms 0 must be < end_ms 0"),
+    (lambda f: f[:8] + ["x"] + f[9:], "row 1: wer: could not convert string to float: 'x'"),
+    (lambda f: f[:9] + ["valid"], "row 1: s1: bad partition 'valid'"),
+], ids=["start_ms", "end_ms", "empty-span", "wer", "partition"])
+def test_manifest_field_faults_are_refused_naming_file_and_row(tmp_path, edit, message):
+    path = tmp_path / "m.tsv"
+    write_manifest(path, [ManifestRow("s1", "b", "c", "sp", "M", 0, 9, "x", 0.5)], "cafe")
+    head, header, row = path.read_text(encoding="utf-8").splitlines()
+    fields = edit(row.split("\t"))
+    path.write_text("\n".join([head, header, "\t".join(fields)]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_manifest(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("segment_id\tbook_id\n", ProvenanceError, "{path}: missing config hash line"),
+    ("", ProvenanceError, "{path}: missing config hash line"),
+    ("# config_hash=ca\rfe\nsegment_id\n", ProvenanceError,
+     "{path}: config hash ca\rfe does not match active run cafe"),
+    ("# config_hash=cafe\n", ValueError, "{path}: empty TSV"),
+    ("# config_hash=cafe\n\n\n", ValueError, "{path}: empty TSV"),
+    ("# config_hash=cafe\nsegment_id\tbook_id\n", ValueError,
+     "{path}: bad or missing candidate header"),
+    ("# config_hash=cafe\n" + "\t".join(manifest.CANDIDATE_COLUMNS) + "\n\ns1\tb\n", ValueError,
+     "{path}: row 1: expected 7 columns"),
+], ids=["no-hash-line", "empty-file", "hash-mismatch-with-cr", "empty", "blank", "header",
+        "columns"])
+def test_reader_faults_keep_their_messages(tmp_path, text, error, message):
+    path = tmp_path / "c.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(error) as err:
+        list(read_candidates(path, "cafe"))
+    assert str(err.value) == message.format(path=path)
+
+
+def test_hash_line_ends_at_the_first_line_feed(tmp_path):
+    """A carriage return inside the hash line does not end it."""
+    path = tmp_path / "t.tsv"
+    path.write_bytes(b"# config_hash=ca\rfe\r\nword\tcount\nab\t1\n")
+    assert read_tsv(path) == (["word", "count"], [["ab", "1"]])
+    assert read_tsv(path, "ca\rfe") == (["word", "count"], [["ab", "1"]])
+
+
+def test_reader_closes_its_file_when_iteration_stops_early(tmp_path, monkeypatch):
+    """A loop left early, a reader dropped part-way and a reader stopped by
+    a faulty row each close the file."""
+    path = tmp_path / "c.tsv"
+    write_candidates(path, CANDIDATES, "cafe")
+    torn = tmp_path / "torn.tsv"
+    torn.write_text(path.read_text(encoding="utf-8") + "s3\tb\n", encoding="utf-8")
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(manifest, "open", recording_open, raising=False)
+    for cand in read_candidates(path, "cafe"):
+        break
+    assert cand == CANDIDATES[0]
+    dropped = read_candidates(path, "cafe")
+    assert next(dropped) == CANDIDATES[0]
+    del dropped
+    with pytest.raises(ValueError, match="row 3: expected 7 columns"):
+        list(read_candidates(torn, "cafe"))
+    assert len(opened) == 3 and all(fh.closed for fh in opened)
+
+
+def test_written_blocks_match_one_block(tmp_path, monkeypatch):
+    """Rows written a block at a time give the bytes of one block, carriage
+    return rows quoted in full wherever they fall."""
+    rows = [(f"s{i}", "he\rllo" if i % 5 == 0 else f"w{i}") for i in range(23)]
+    whole = tmp_path / "whole.tsv"
+    write_tsv(whole, ("segment_id", "word"), rows, "cafe")
+    monkeypatch.setattr(manifest, "BLOCK_ROWS", 4)
+    blocks = tmp_path / "blocks.tsv"
+    write_tsv(blocks, ("segment_id", "word"), rows, "cafe")
+    assert blocks.read_bytes() == whole.read_bytes()
+    assert read_tsv(blocks, "cafe") == (["segment_id", "word"], [list(r) for r in rows])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocks.tsv", "whole.tsv"]
 
 
 def test_hashed_line_list_round_trip_and_hash_check(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 from corpus_forge.cli import main as cli_main
 from corpus_forge.config import ConfigError, PipelineConfig
+from corpus_forge import manifest
 from corpus_forge import retrieval as rt
 from corpus_forge import splitter as sp
 from corpus_forge.manifest import (
@@ -15,7 +17,6 @@ from corpus_forge.manifest import (
     ProvenanceError,
     read_candidates,
     read_manifest,
-    read_tsv,
     write_manifest,
 )
 from corpus_forge.pipeline import STAGE_TABLE, StageError, corpus_stats, run_pipeline, run_stage
@@ -27,6 +28,12 @@ from oracles import sum_hours
 # big enough that dev/test (one speaker per gender each) leaves train and
 # the post-decontamination LM corpus non-empty
 SMALL = SynthParams(n_books=8, words_per_book=1600, speakers_per_gender=3)
+
+
+def read_tsv(path, expect_hash=None):
+    """(header, rows) of any hashed TSV, its fields as written."""
+    header, *rows = manifest._tsv_rows(path, expect_hash)
+    return header, rows
 
 
 def small_config(root, **overrides):
@@ -353,7 +360,7 @@ def test_postprocess_rescores_only_the_candidates_it_changes(tmp_path):
     pseudo_of = {r.segment_id: r.transcript.split()
                  for r in read_manifest(work / "segment" / "segments.tsv")}
     retrieved = {c.segment_id: c for c in read_candidates(work / "retrieve" / "candidates.tsv")}
-    fixed = read_candidates(work / "postprocess" / "candidates.tsv")
+    fixed = list(read_candidates(work / "postprocess" / "candidates.tsv"))
     assert [c.segment_id for c in fixed] == list(retrieved)
 
     changed = [c for c in fixed if c.words != retrieved[c.segment_id].words]
@@ -821,6 +828,76 @@ def test_bad_provenance_exits_2_naming_its_file(tmp_path, completed_run, capsys,
     path.write_bytes(content)
     assert cli_main(["split", "--config", cfg_path]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+
+def test_failed_streamed_write_leaves_no_file_and_no_provenance(tmp_path, completed_run,
+                                                                 monkeypatch):
+    """Retrieve writes its candidates as each book is done; a failure on a
+    later book leaves neither the rows already written nor a temporary file."""
+    _, cfg, _ = completed_run
+    out = tmp_path / "out"
+    shutil.copytree(cfg.output_dir, out)
+    cfg = replace(cfg, output_dir=str(out))
+    retrieve = out / "work" / "retrieve"
+    shutil.rmtree(retrieve)
+    book_candidates, books = rt.book_candidates, []
+
+    def failing(book_id, *args):
+        books.append(book_id)
+        if len(books) == 2:
+            assert (retrieve / "candidates.tsv.tmp").is_file()
+            raise RuntimeError(f"cannot retrieve {book_id}")
+        return book_candidates(book_id, *args)
+
+    monkeypatch.setattr(rt, "book_candidates", failing)
+    with pytest.raises(StageError) as err:
+        run_stage(cfg, "retrieve")
+    assert str(err.value) == f"stage retrieve: cannot retrieve {books[1]}"
+    assert len(books) == 2
+    assert list(retrieve.iterdir()) == []
+
+
+@pytest.mark.parametrize("stage, edited, column, value, message", [
+    ("postprocess", "retrieve/candidates.tsv", 4, "abc",
+     "row 1: wer: could not convert string to float: 'abc'"),
+    ("filter", "postprocess/candidates.tsv", 5, "TRUE",
+     "row 1: accepted 'TRUE' is neither true nor false"),
+    ("retrieve", "segment/segments.tsv", 5, "1e3",
+     "row 1: start_ms: invalid literal for int() with base 10: '1e3'"),
+], ids=["wer", "accepted", "start_ms"])
+def test_field_fault_of_an_intermediate_fails_its_reader_naming_file_and_row(
+        tmp_path, completed_run, capsys, stage, edited, column, value, message):
+    cfg_path, out = copied_run(completed_run, tmp_path)
+    path = out / "work" / edited
+    lines = path.read_text(encoding="utf-8").split("\n")
+    fields = lines[2].split("\t")
+    fields[column] = value
+    lines[2] = "\t".join(fields)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    assert cli_main(["run", "--config", cfg_path, "--from-stage", stage]) == 3
+    assert capsys.readouterr().err == f"error: stage {stage}: {path}: {message}\n"
+    assert not (out / "work" / stage / "provenance.json").exists()
+
+
+def test_candidate_stage_memory_is_flat_in_corpus_size(tmp_path):
+    """The traced peaks of postprocess and filter barely grow from 2 to 8
+    books: each holds one book or one block of rows, not the corpus."""
+    peaks = {}
+    for n_books in (2, 8):
+        root = tmp_path / str(n_books)
+        synth_corpus(root / "input", seed=17, params=SynthParams(
+            n_books=n_books, words_per_book=5000, speakers_per_gender=1))
+        cfg = small_config(root)
+        run_pipeline(cfg, until_stage="retrieve")
+        for stage in ("postprocess", "filter"):
+            tracemalloc.start()
+            try:
+                run_stage(cfg, stage)
+                peaks[stage, n_books] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peaks["filter", 8] <= 1.1 * peaks["filter", 2], peaks
+    assert peaks["postprocess", 8] <= 1.4 * peaks["postprocess", 2], peaks
 
 
 def test_cli_synth(tmp_path, capsys):

@@ -13,11 +13,12 @@ from corpus_forge.retrieval import (
     AlignmentResult,
     TfIdfIndex,
     accept_candidate,
+    book_candidates,
     build_book_frequencies,
     edit_distance,
     fix_rare_wordforms,
+    labels_by_book,
     replace_numbers,
-    retrieve_candidates,
     shard_spans,
     wer,
 )
@@ -40,6 +41,17 @@ from oracles import (
 # number-replacement path by design
 VOCAB = [c + v for c in "bcdfglmnprst" for v in "aeiou"]
 WIDE_VOCAB = [a + b for a in VOCAB for b in "raselitonume"][:500]
+
+
+def retrieve_candidates(books, segments, shard_size=1250, shard_stride=1000, threshold=0.4):
+    """(candidates, misses) of ``book_candidates`` over every segment
+    manifest row, in sorted book order, then input order, as the retrieve
+    stage writes them."""
+    labels = labels_by_book(segments)
+    found = [cand for book_id in sorted(labels) for cand in book_candidates(
+        book_id, books.get(book_id), labels[book_id], shard_size, shard_stride, threshold)]
+    candidates = [cand for cand in found if cand is not None]
+    return candidates, len(found) - len(candidates)
 
 
 def random_words(rng, n, vocab=None):
@@ -660,14 +672,14 @@ def test_wordforms_match_rule_replay_on_synthetic_books():
         n = rng.randint(30, 120)
         words = [rng.choice(plain + special[: rng.randint(0, len(special))]) for _ in range(n)]
         books[f"book{b}"] = words
-    freq = build_book_frequencies(books)
+    freq = build_book_frequencies(books.values())
     text = [rng.choice(plain + special) for _ in range(400)]
     assert fix_rare_wordforms(text, freq, 3) == replay_wordform_rules(text, freq, 3)
 
 
 def test_build_book_frequencies_counts_distinct_books():
     books = {"a": ["x", "x", "y"], "b": ["x"], "c": ["y"]}
-    assert build_book_frequencies(books) == {"x": 2, "y": 2}
+    assert build_book_frequencies(books.values()) == {"x": 2, "y": 2}
 
 
 # -- wer ----------------------------------------------------------------------
