@@ -3,6 +3,8 @@
 A candidate book is removed when its title is within word edit distance 1 of
 any dev/test book title, or when more than the threshold fraction (default
 1%) of its stop-word-filtered 5-grams appear in the dev/test transcripts.
+Books are checked one at a time against the held-out index, so only one
+book's words are held at once, and the report rows say which are kept.
 """
 
 from __future__ import annotations
@@ -88,36 +90,24 @@ def contamination_rate(
     return hits / len(grams)
 
 
-@dataclass
-class LmBook:
-    book_id: str
-    title: tuple[str, ...]
-    tokens: tuple[str, ...]
-
-
 def filter_corpus(
     books,
     dev_test_titles,
     index: FiveGramIndex,
     threshold: float = DEFAULT_CONTAMINATION_THRESHOLD,
     count_tokens: bool = False,
-) -> tuple[list[LmBook], list[LmBook], list[dict]]:
-    """Split books into (kept, removed) with a per-book report row."""
-    kept: list[LmBook] = []
-    removed: list[LmBook] = []
-    report: list[dict] = []
-    for book in books:
-        rate = contamination_rate(book.tokens, index, count_tokens=count_tokens)
-        if title_match(book.title, dev_test_titles):
-            reason = "title"
-        elif rate > threshold:
-            reason = "ngram-overlap"
-        else:
-            reason = ""
-        (removed if reason else kept).append(book)
+) -> list[dict]:
+    """A report row per ``(book_id, title, tokens)`` of ``books``, taken one
+    at a time: the book is removed for its title or its 5-gram overlap, or
+    kept."""
+    report = []
+    for book_id, title, tokens in books:
+        rate = contamination_rate(tokens, index, count_tokens=count_tokens)
+        reason = ("title" if title_match(title, dev_test_titles)
+                  else "ngram-overlap" if rate > threshold else "")
         action = "removed" if reason else "kept"
-        report.append({"book_id": book.book_id, "action": action, "reason": reason, "rate": rate})
-    return kept, removed, report
+        report.append({"book_id": book_id, "action": action, "reason": reason, "rate": rate})
+    return report
 
 
 def write_report(path: str | Path, report: list[dict], config_hash: str) -> None:

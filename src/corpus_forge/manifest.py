@@ -12,9 +12,10 @@ for, checking the hash line, the header and each row in file order, and
 closes the file when the iteration ends, fails or is dropped; a faulty row
 or field is named by file and row. ``read_manifest`` builds a list from it,
 and ``iter_manifest`` and ``read_candidates`` yield one record at a time.
-One writer takes any iterable of rows and formats them a block at a time
-into a temporary file beside its target, moved into place after the last
-row, so a failure part-way leaves no torn file.
+One writer takes any iterable of rows and formats them a block at a time.
+Every file the pipeline writes goes through ``atomic_open``: to a temporary
+file beside its target, moved into place once it is whole, so a failure
+part-way leaves the earlier file as it was and no torn one.
 
 A ``ManifestRow`` is one segment. A ``CandidateTranscript`` is the book text
 retrieved for one segment, with its WER against the pseudo label and whether
@@ -29,7 +30,7 @@ import io
 import json
 import os
 from collections.abc import Iterator
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -244,23 +245,29 @@ def _block_text(rows: list) -> str:
     return body
 
 
-def _write_rows(path: str | Path, columns, rows, config_hash: str) -> None:
-    """Write a hashed TSV from any iterable of rows, BLOCK_ROWS at a time,
-    to a temporary name beside ``path`` that replaces it after the last
-    row; a failure part-way removes the temporary file."""
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "w", **kwargs):
+    """``open`` a temporary name beside ``path`` that replaces it when the
+    block ends; a failure part-way removes the temporary file instead."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# config_hash={config_hash}\n")
-            rows = iter(rows)
-            block = [columns]
-            while block:
-                fh.write(_block_text(block))
-                block = list(islice(rows, BLOCK_ROWS))
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _write_rows(path: str | Path, columns, rows, config_hash: str) -> None:
+    """Write a hashed TSV from any iterable of rows, BLOCK_ROWS at a time."""
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# config_hash={config_hash}\n")
+        rows = iter(rows)
+        block = [columns]
+        while block:
+            fh.write(_block_text(block))
+            block = list(islice(rows, BLOCK_ROWS))
 
 
 def write_tsv(path: str | Path, columns, rows: list, config_hash: str) -> None:
@@ -270,7 +277,7 @@ def write_tsv(path: str | Path, columns, rows: list, config_hash: str) -> None:
 
 def write_lines(path: str | Path, lines, config_hash: str) -> None:
     """Hashed plain-text list, one item per line."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# config_hash={config_hash}\n" + "\n".join(lines) + "\n")
 
 
@@ -288,4 +295,5 @@ def json_text(obj) -> str:
 
 
 def write_json(path: str | Path, obj) -> None:
-    Path(path).write_text(json_text(obj), encoding="utf-8")
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write(json_text(obj))

@@ -18,14 +18,14 @@ run; its discount mass is summed left to right in that one order, so a
 loaded model equals its original in every float. The search index over each
 order (``_keys``, ``run_of``) is int32 unless a key reaches 2^31.
 
-What each step holds at once, besides the model's own arrays: ``train`` its
-id rows (twice while they sort) and one order's run masks and run starts,
-all freed before the constructor runs; the constructor one order's key being
-built and one CHUNK of context runs; ``save`` the compressed ``.cflm`` parts
-and one column of ids, then two orders' probabilities and one BLOCK of ARPA
-lines as a byte matrix, each word padded to at most WIDE bytes; ``load`` the
-file's bytes and one array being inflated; ``evaluate`` one id row per dev
-token.
+What each step holds at once, besides the model's own arrays: ``train`` an
+int32 per word of its corpus, read once, then its id rows (twice while they
+sort) and one order's run masks and run starts, all freed before the
+constructor runs; the constructor one order's key being built and one CHUNK
+of context runs; ``save`` the compressed ``.cflm`` parts and one column of
+ids, then two orders' probabilities and one BLOCK of ARPA lines as a byte
+matrix, each word padded to at most WIDE bytes; ``load`` the file's bytes and
+one array being inflated; ``evaluate`` one id row per dev token.
 
 ``.cflm`` version 2 holds the arrays themselves, as KenLM's binary format
 does: the magic, the version byte, then parts each preceded by its 8-byte
@@ -42,12 +42,15 @@ import json
 import math
 import sys
 import zlib
+from array import array
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .manifest import atomic_open
 
 SENT_START = "<s>"
 UNK = "<unk>"
@@ -252,16 +255,19 @@ class NGramModel:
             raise ValueError("order must be >= 1")
         if smoothing not in ("kn", "none"):
             raise ValueError(f"unknown smoothing {smoothing!r}")
-        sentences = [words for words in map(list, corpus) if words]
-        if not sentences:
+        vocab, flat, lengths = {}, array("i"), []  # ids in first-seen order, renumbered below
+        for words in corpus:
+            size = len(flat)
+            flat.extend(vocab.setdefault(w, len(vocab)) for w in words)
+            if len(flat) > size:
+                lengths.append(len(flat) - size)
+        if not lengths:
             raise ValueError("corpus is empty")
-        vocab = set().union(*sentences)
         _check_vocab(vocab)
         ids = _word_ids(vocab)
         n = order
-        lengths = np.array([len(s) for s in sentences])
-        flat = np.array([ids[w] for s in sentences for w in s], np.int32)
-        del sentences
+        lengths = np.array(lengths)
+        flat = np.array([ids[w] for w in vocab], np.int32)[np.frombuffer(flat, np.intc)]
         # sentence i takes n slots (n - 1 pads, then <s>) before its words
         pos = np.arange(len(flat)) + n * np.repeat(np.arange(1, len(lengths) + 1), lengths)
         stream = np.full(len(flat) + n * len(lengths), -1, np.int32)
@@ -331,7 +337,7 @@ class NGramModel:
             parts += [b"".join([*map(ids.compress, columns), ids.flush()]),
                       zlib.compress(np.ascontiguousarray(count, "<i8"), 1)]
         crc = 0
-        with open(cflm_path, "wb") as cflm:
+        with atomic_open(cflm_path, "wb") as cflm:
             for piece in [MAGIC + bytes([FORMAT_VERSION]), *(
                     x for p in parts for x in (len(p).to_bytes(8, "little"), p))]:
                 cflm.write(piece)
@@ -350,7 +356,7 @@ class NGramModel:
         unigram = np.concatenate(([0, 0], self.counts[0]))  # <unk>, <s>, the words
         probs = self._interpolate(1, unigram, np.zeros(len(unigram), int), self._p0)
         probs[1] = 0.0  # <s>: never predicted
-        with open(arpa_path, "wb") as arpa:
+        with atomic_open(arpa_path, "wb") as arpa:
             arpa.write(("\n".join(header) + "\n").encode())
             for k, grams in enumerate(self.tables, start=1):
                 if k == 1:

@@ -10,7 +10,8 @@ stale intermediate is refused. ``run_pipeline`` runs a range of stages and
 writes ``report.json``; every command-line subcommand but ``synth`` is one
 call of it. All outputs carry the config hash and readers refuse inputs
 from a different hash. All randomness derives from the single top-level
-seed, split per stage.
+seed, split per stage. The stages that read the normalized books read them
+one at a time, so none holds the whole book corpus.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .manifest import (
     InputError,
     ManifestRow,
     ProvenanceError,
+    atomic_open,
     iter_manifest,
     read_candidates,
     read_lines,
@@ -151,34 +153,19 @@ def normalize_file(src: Path, dst: Path, orth) -> int:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise InputError(f"{src}:{line}: not valid UTF-8") from None
     lines = normalize_lines(text, orth)
-    dst.write_text("\n".join(l.text() for l in lines) + "\n", encoding="utf-8")
+    with atomic_open(dst, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(l.text() for l in lines) + "\n")
     return sum(len(l) for l in lines)
 
 
 def _book_paths(directory) -> dict[str, Path]:
     """book_id -> path of every normalized ``<book_id>.txt`` in a directory,
     in book_id order."""
-    return {path.stem: path for path in sorted(Path(directory).glob("*.txt"))}
+    return dict(sorted((path.stem, path) for path in Path(directory).glob("*.txt")))
 
 
 def _words(path: Path) -> list[str]:
     return path.read_text(encoding="utf-8").split()
-
-
-def read_books(directory) -> dict[str, list[str]]:
-    """book_id -> words of every normalized ``<book_id>.txt`` in a directory."""
-    return {book_id: _words(path) for book_id, path in _book_paths(directory).items()}
-
-
-def read_sentences(paths) -> list[list[str]]:
-    """The LM corpus: the words of every non-blank line of the files."""
-    sentences = []
-    for path in paths:
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            words = line.split()
-            if words:
-                sentences.append(words)
-    return sentences
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +206,7 @@ def stage_segment(cfg: PipelineConfig) -> dict:
         gender = speakers.get(speaker, {}).get("gender", "")
         rows += [ManifestRow(seg.segment_id, book, chapter_id, speaker, gender,
                              seg.start, seg.end, " ".join(seg.words))
-                 for seg in result.segments if seg.tokens]
+                 for seg in result.segments]
         tail = result.residual
         placed = [i for seg in result.segments for i in seg.tokens] + result.dropped_tokens
         if tail is not None and not cfg.keep_residual:
@@ -488,55 +475,54 @@ def stage_limited(cfg: PipelineConfig) -> dict:
 
 
 def stage_decontam(cfg: PipelineConfig) -> dict:
-    """Filter the normalized books against the dev and test transcripts.
-    Every title, a candidate's or a held-out row's book's, comes from
-    ``books.json``."""
+    """Filter the normalized books against the dev and test transcripts, one
+    book at a time. Every title, a candidate's or a held-out row's book's,
+    comes from ``books.json``."""
     titles = {b.book_id: b.title for b in read_catalog(cfg.input_dir)[0]}
-    books = read_books(_stage_dir(cfg, "normalize"))
     dev_rows = read_manifest(_manifest_dir(cfg) / "dev.tsv", cfg.config_hash())
     test_rows = read_manifest(_manifest_dir(cfg) / "test.tsv", cfg.config_hash())
     heldout_rows = dev_rows + test_rows
     index = dc.build_heldout_index((r.transcript.split() for r in heldout_rows),
                                    dc.stopword_list(cfg.stopwords, cfg.language))
     dev_test_titles = [titles[b] for b in sorted({r.book_id for r in heldout_rows}) if b in titles]
-    candidates = [dc.LmBook(bid, titles.get(bid, ()), tuple(words))
-                  for bid, words in sorted(books.items())]
-    kept, removed, report = dc.filter_corpus(candidates, dev_test_titles, index,
-                                             threshold=cfg.decontam_threshold,
-                                             count_tokens=cfg.decontam_count_tokens)
+    books = ((book_id, titles.get(book_id, ()), _words(path))
+             for book_id, path in _book_paths(_stage_dir(cfg, "normalize")).items())
+    report = dc.filter_corpus(books, dev_test_titles, index, threshold=cfg.decontam_threshold,
+                              count_tokens=cfg.decontam_count_tokens)
+    kept = [row["book_id"] for row in report if row["action"] == "kept"]
     lm_dir = _lm_dir(cfg)
     lm_dir.mkdir(parents=True, exist_ok=True)
     dc.write_report(lm_dir / "decontam_report.tsv", report, cfg.config_hash())
-    write_lines(lm_dir / "corpus_books.txt", [b.book_id for b in kept], cfg.config_hash())
-    return {
-        "candidates": len(books),
-        "kept": len(kept),
-        "removed": len(removed),
-        "heldout_fivegrams": len(index),
-    }
+    write_lines(lm_dir / "corpus_books.txt", kept, cfg.config_hash())
+    return {"candidates": len(report), "kept": len(kept), "removed": len(report) - len(kept),
+            "heldout_fivegrams": len(index)}
 
 
 def stage_lm_train(cfg: PipelineConfig) -> dict:
+    """Train each order on the non-blank lines of the kept books, which each
+    order reads afresh, one book at a time."""
     kept_ids = read_lines(_lm_dir(cfg) / "corpus_books.txt", cfg.config_hash())
     src = _stage_dir(cfg, "normalize")
-    sentences = read_sentences(src / f"{book_id}.txt" for book_id in kept_ids)
     lm_dir = _lm_dir(cfg)
-    sizes = {}
+    summary = {"orders": list(cfg.lm_orders), "sentences": 0, "bytes": {}}
+
+    def sentences():
+        summary["sentences"] = 0
+        for book_id in kept_ids:
+            for line in (src / f"{book_id}.txt").read_text(encoding="utf-8").splitlines():
+                if words := line.split():
+                    summary["sentences"] += 1
+                    yield words
+
+    metadata = {"language": cfg.language, "config_hash": cfg.config_hash(),
+                "smoothing": "interpolated modified Kneser-Ney, 0.75 absolute fallback"}
     for order in cfg.lm_orders:
-        model = ngramlm.train(
-            sentences,
-            order,
-            metadata={
-                "language": cfg.language,
-                "config_hash": cfg.config_hash(),
-                "smoothing": "interpolated modified Kneser-Ney, 0.75 absolute fallback",
-            },
-        )
+        model = ngramlm.train(sentences(), order, metadata=metadata)
         path = lm_dir / f"lm_{order}.cflm"
         model.save(path, lm_dir / f"lm_{order}.arpa")
         del model  # free this order before the next one is trained
-        sizes[str(order)] = path.stat().st_size
-    return {"orders": list(cfg.lm_orders), "sentences": len(sentences), "bytes": sizes}
+        summary["bytes"][str(order)] = path.stat().st_size
+    return summary
 
 
 def stage_lm_eval(cfg: PipelineConfig) -> dict:

@@ -8,14 +8,16 @@ less than the minimum segment length remains.
 
 A recording is one ``TokenStream`` of three columns, ``words``, ``starts``
 and ``ends`` (ms). Building one is the only stream check: times are
-non-negative, no token ends before it starts, starts ascend and no token
-starts before the one before it ends. A token file holds one ``{"w", "s",
-"e"}`` object per line, a word without whitespace and integer times; the
-reader parses each line into the columns and names the first fault's line.
+non-negative and below 2^63, no token ends before it starts, starts ascend
+and no token starts before the one before it ends. A token file holds one
+``{"w", "s", "e"}`` object per line, a word without whitespace and integer
+times; the reader parses each line into the columns and names the first
+fault's line.
 
 Gap midpoints ascend, so each cut bisects for the gaps of its window and
 scans only those, and a forced cut bisects the token starts for the one
-token that can straddle it, so a stream costs near-linear time.
+token that can straddle it. The empty forced cuts of a long silence are
+skipped in one step, so a stream costs near-linear time in its tokens.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class TokenStream:
         prev_start = prev_end = 0
         # strict: columns of different lengths are a ValueError too
         for i, (_, start, end) in enumerate(zip(self.words, self.starts, self.ends, strict=True)):
-            if start < 0 or end < start:
+            if start < 0 or end < start or end >= 2**63:  # times fit int64
                 raise TokenStreamError(f"bad token times ({start}, {end})", i)
             if start < prev_start:
                 raise TokenStreamError("token stream is not sorted by start time", i)
@@ -101,6 +103,7 @@ def segment_stream(
     may extend up to FORCED_CUT_SLACK_MS past max_len (or the token is
     dropped). The trailing remainder shorter than min_len is reported as
     ``residual`` and only emitted as a segment when ``keep_residual`` is set.
+    Only segments that hold tokens are returned, numbered as every cut is.
     """
     if min_len >= max_len:
         raise ValueError(f"min_len {min_len} must be < max_len {max_len}")
@@ -117,15 +120,18 @@ def segment_stream(
     stream_end = ends[-1]
     start = starts[0]
     tok_i = 0  # first token not yet assigned
+    number = 0  # of the next segment
 
     def emit(end: int) -> None:
-        nonlocal tok_i, start
+        nonlocal tok_i, start, number
         first, tok_i = tok_i, bisect_right(ends, end, tok_i)
         if end > start:
-            result.segments.append(
-                Segment(f"{segment_id_prefix}_{len(result.segments):04d}", start, end,
-                        words[first:tok_i], range(first, tok_i))
-            )
+            if tok_i > first:
+                result.segments.append(
+                    Segment(f"{segment_id_prefix}_{number:04d}", start, end,
+                            words[first:tok_i], range(first, tok_i))
+                )
+            number += 1
         else:  # a zero-width cut before a dropped leading token drops its zero-length tokens
             result.dropped_tokens += range(first, tok_i)
         start = end
@@ -138,8 +144,17 @@ def segment_stream(
             emit(stream_end)
             break
 
+        # the forced cuts before both the next token start and the next gap
+        # midpoint in reach hold nothing: skip them, counting their numbers
+        first = bisect_left(mids, start + min_len)
+        clear = min(starts[tok_i], mids[first]) if first < len(mids) else starts[tok_i]
+        if (skip := (clear - start - 1) // max_len) > 0:
+            number += skip
+            start += skip * max_len
+            continue
+
         cut = start + max_len
-        first, last = bisect_left(mids, start + min_len), bisect_right(mids, cut)
+        last = bisect_right(mids, cut)
         if first < last:
             # max() keeps the first of equal lengths: the earliest gap wins ties
             emit(mids[max(range(first, last), key=lengths.__getitem__)])

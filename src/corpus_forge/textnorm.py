@@ -181,15 +181,6 @@ def _tokenizer(orth: Orthography) -> Callable[[str], list[str]]:
     return lambda text: pattern.sub("", text.translate(table)).split()
 
 
-def normalize(raw: str, orth: Orthography) -> NormalizedText:
-    """Normalize raw text into the canonical token sequence.
-
-    Out-of-orthography characters are dropped without splitting the word;
-    punctuation, symbols (emoji) and controls split it. Deterministic.
-    """
-    return NormalizedText(tokens=tuple(_tokenizer(orth)(_canonical(raw))))
-
-
 def normalize_lines(raw: str, orth: Orthography) -> list[NormalizedText]:
     """Normalize keeping line structure (one entry per non-empty line).
 

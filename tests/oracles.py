@@ -160,6 +160,66 @@ def brute_force_segment_bounds(tokens, min_len, max_len, slack=250):
             start = inside[1]
 
 
+def cut_by_cut_segments(tokens, min_len, max_len, slack=250):
+    """The segmenter one cut at a time, every 20 s of a silence included, as
+    the loop before the silence skip ran; tokens are (start, end) pairs.
+
+    Returns ([(number, start, end, token indices)] of the cuts that hold a
+    token, residual (start, end, token indices) or None, dropped indices).
+    A cut of nonzero width takes the next number whether or not it holds a
+    token; a zero-width cut drops the tokens it would hold.
+    """
+    segments, dropped = [], []
+    if not tokens:
+        return segments, None, dropped
+    gaps = pairwise_gap_scan(tokens)
+    start, stream_end = tokens[0][0], tokens[-1][1]
+    state = {"next": 0, "number": 0, "start": start}
+
+    def emit(end):
+        held = []
+        while state["next"] < len(tokens) and tokens[state["next"]][1] <= end:
+            held.append(state["next"])
+            state["next"] += 1
+        if end > state["start"]:
+            if held:
+                segments.append((state["number"], state["start"], end, held))
+            state["number"] += 1
+        else:
+            dropped.extend(held)
+        state["start"] = end
+
+    while True:
+        start = state["start"]
+        remaining = stream_end - start
+        if remaining < min_len:
+            break
+        if remaining <= max_len:
+            emit(stream_end)
+            break
+        best = None
+        for gs, ge in gaps:
+            mid = (gs + ge) // 2
+            if start + min_len <= mid <= start + max_len and (best is None or ge - gs > best[0]):
+                best = (ge - gs, mid)
+        if best is not None:
+            emit(best[1])
+            continue
+        cut = start + max_len
+        last = max((i for i in range(state["next"], len(tokens)) if tokens[i][0] < cut), default=None)
+        if last is None or tokens[last][1] <= cut:
+            emit(cut)
+        elif tokens[last][1] <= cut + slack:
+            emit(tokens[last][1])
+        else:
+            emit(tokens[last][0])
+            dropped.append(last)
+            state["next"], state["start"] = last + 1, tokens[last][1]
+    rest = list(range(state["next"], len(tokens)))
+    residual = (state["start"], stream_end, rest) if state["start"] < stream_end and rest else None
+    return segments, residual, dropped
+
+
 # ---------------------------------------------------------------------------
 # retrieval
 

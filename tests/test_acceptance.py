@@ -18,7 +18,7 @@ from corpus_forge import retrieval as rt
 from corpus_forge import splitter as sp
 from corpus_forge.cli import main as cli_main
 from corpus_forge.config import PipelineConfig
-from corpus_forge.decontam import LmBook, build_heldout_index, contamination_rate, filter_corpus
+from corpus_forge.decontam import build_heldout_index, contamination_rate, filter_corpus
 from corpus_forge.manifest import read_manifest
 from corpus_forge.pipeline import run_pipeline
 from corpus_forge.segmenter import TokenStream, segment_stream
@@ -304,27 +304,29 @@ def test_criterion_7_decontamination():
     over_grams = sliding_window_fivegrams(body, stopwords)
     # plant > 1% of distinct 5-grams
     plant_hi = heldout[:100]
-    book_hi = LmBook("hi", ("some", "title"), tuple(body[:3000] + plant_hi + body[3000:]))
-    rate_hi = contamination_rate(book_hi.tokens, index)
+    book_hi = ("hi", ("some", "title"), body[:3000] + plant_hi + body[3000:])
+    rate_hi = contamination_rate(book_hi[2], index)
     assert rate_hi > 0.01
     # plant < 1%
     plant_lo = heldout[500:525]
-    book_lo = LmBook("lo", ("other", "title"), tuple(body[:3000] + plant_lo + body[3000:]))
-    rate_lo = contamination_rate(book_lo.tokens, index)
+    book_lo = ("lo", ("other", "title"), body[:3000] + plant_lo + body[3000:])
+    rate_lo = contamination_rate(book_lo[2], index)
     assert 0.0 < rate_lo < 0.01
 
-    titled_1 = LmBook("t1", ("green", "hills", "rise"), tuple(rng.choice(vocab) for _ in range(500)))
-    titled_2 = LmBook("t2", ("blue", "rivers", "fall"), tuple(rng.choice(vocab) for _ in range(500)))
+    titled_1 = ("t1", ("green", "hills", "rise"), [rng.choice(vocab) for _ in range(500)])
+    titled_2 = ("t2", ("blue", "rivers", "fall"), [rng.choice(vocab) for _ in range(500)])
     heldout_titles = [("green", "hills", "rises"), ("blue", "river", "falls")]
     # t1 at distance 1 (one substitution), t2 at distance 2
-    kept, removed, report = filter_corpus(
-        [book_hi, book_lo, titled_1, titled_2], heldout_titles, index, threshold=0.01
-    )
+    books = [book_hi, book_lo, titled_1, titled_2]
+    report = filter_corpus(books, heldout_titles, index, threshold=0.01)
     outcome = {r["book_id"]: (r["action"], r["reason"]) for r in report}
     assert outcome["hi"] == ("removed", "ngram-overlap")
     assert outcome["lo"] == ("kept", "")
     assert outcome["t1"] == ("removed", "title")
     assert outcome["t2"] == ("kept", "")
+    # books read one at a time, as the decontam stage reads them, give the same rows
+    one_shot = ((book_id, title, iter(tokens)) for book_id, title, tokens in books)
+    assert filter_corpus(one_shot, heldout_titles, index, threshold=0.01) == report
 
 
 @criterion(8, "language model correctness: sums, hand-worked values, 5-gram vs 3-gram")

@@ -4,7 +4,6 @@ import pytest
 
 from corpus_forge.decontam import (
     FiveGramIndex,
-    LmBook,
     build_heldout_index,
     contamination_rate,
     default_stopwords,
@@ -163,22 +162,18 @@ def test_tokens_denominator_flag():
 def corpus_books(rng):
     heldout_text = words(rng, 3000)
     index = build_heldout_index([heldout_text], STOPWORDS)
-    clean = LmBook("clean", ("green", "meadow"), tuple(words(rng, 4000)))
+    clean = ("clean", ("green", "meadow"), words(rng, 4000))
     # plant enough held-out text to cross 1% of distinct 5-grams
     body = words(rng, 4000)
-    dirty = LmBook(
-        "dirty", ("dark", "forest"), tuple(body[:2000] + heldout_text[:80] + body[2000:])
-    )
-    titled = LmBook("titled", ("quiet", "river"), tuple(words(rng, 1000)))
+    dirty = ("dirty", ("dark", "forest"), body[:2000] + heldout_text[:80] + body[2000:])
+    titled = ("titled", ("quiet", "river"), words(rng, 1000))
     return index, clean, dirty, titled
 
 
 def test_filter_keeps_low_rate_and_removes_high_rate():
     rng = random.Random(7)
     index, clean, dirty, titled = corpus_books(rng)
-    kept, removed, report = filter_corpus(
-        [clean, dirty, titled], [("quiet", "rivers")], index
-    )
+    report = filter_corpus([clean, dirty, titled], [("quiet", "rivers")], index)
     actions = {r["book_id"]: r for r in report}
     assert actions["dirty"]["action"] == "removed"
     assert actions["dirty"]["reason"] == "ngram-overlap"
@@ -188,18 +183,15 @@ def test_filter_keeps_low_rate_and_removes_high_rate():
     # "quiet river" sits at word distance 1 from the held-out "quiet rivers"
     assert actions["titled"]["action"] == "removed"
     assert actions["titled"]["reason"] == "title"
-    assert {b.book_id for b in kept} == {"clean"}
-    assert {b.book_id for b in removed} == {"dirty", "titled"}
+    assert [r["book_id"] for r in report] == ["clean", "dirty", "titled"]
 
 
 def test_filter_title_distance_two_kept():
     rng = random.Random(10)
-    book = LmBook("b", ("war", "and", "peace"), tuple(words(rng, 400)))
+    book = ("b", ("war", "and", "peace"), words(rng, 400))
     index = build_heldout_index([words(rng, 500)], STOPWORDS)
-    kept, removed, _ = filter_corpus(
-        [book], [("pride", "and", "prejudice")], index
-    )
-    assert [b.book_id for b in kept] == ["b"]
+    [row] = filter_corpus([book], [("pride", "and", "prejudice")], index)
+    assert (row["book_id"], row["action"]) == ("b", "kept")
 
 
 def test_soundness_verbatim_heldout_always_removed():
@@ -209,15 +201,11 @@ def test_soundness_verbatim_heldout_always_removed():
         index = build_heldout_index([heldout], STOPWORDS)
         body = words(rng, rng.randint(1000, 3000))
         plant_len = max(60, int(0.05 * len(body)))
-        book = LmBook(
-            "x",
-            ("unrelated", "title"),
-            tuple(body[:500] + heldout[:plant_len] + body[500:]),
-        )
-        rate = contamination_rate(book.tokens, index)
+        tokens = body[:500] + heldout[:plant_len] + body[500:]
+        rate = contamination_rate(tokens, index)
         assert rate > 0.01
-        _, removed, _ = filter_corpus([book], [], index)
-        assert [b.book_id for b in removed] == ["x"]
+        [row] = filter_corpus([("x", ("unrelated", "title"), tokens)], [], index)
+        assert (row["book_id"], row["action"]) == ("x", "removed")
 
 
 def test_stopword_file_loading(tmp_path):

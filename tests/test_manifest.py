@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from corpus_forge import manifest
+from corpus_forge import manifest, ngramlm, textnorm
 from corpus_forge.cli import main as cli_main
 from corpus_forge.manifest import (
     CandidateTranscript,
@@ -18,6 +18,7 @@ from corpus_forge.manifest import (
     write_manifest,
     write_tsv,
 )
+from corpus_forge.pipeline import normalize_file
 from corpus_forge.synth import synth_corpus
 
 from test_pipeline import SMALL, config_file, read_tsv, small_config
@@ -183,6 +184,55 @@ def test_written_blocks_match_one_block(tmp_path, monkeypatch):
     assert blocks.read_bytes() == whole.read_bytes()
     assert read_tsv(blocks, "cafe") == (["segment_id", "word"], [list(r) for r in rows])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blocks.tsv", "whole.tsv"]
+
+
+def fail_on_call(n, fn):
+    """``fn``, but its n-th call raises."""
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == n:
+            raise RuntimeError("failed part-way")
+        return fn(*args, **kwargs)
+    return failing
+
+
+def write_normalized(path, words):
+    orth = textnorm.default_orthography("en")
+    path.with_suffix(".raw").write_text("\n".join(words) + "\n", encoding="utf-8")
+    normalize_file(path.with_suffix(".raw"), path, orth)
+
+
+def save_model(path, words):
+    ngramlm.train([words], 2).save(path.with_suffix(".cflm"), path)
+
+
+@pytest.mark.parametrize("writer,target,patch,n", [
+    (lambda path, words: write_lines(path, words, "cafe"), None, None, 3),
+    (lambda path, words: write_tsv(path, ("word",), [(w,) for w in words], "cafe"),
+     manifest, "_block_text", 3),
+    (lambda path, words: manifest.write_json(path, words), manifest, "json_text", 1),
+    (write_normalized, textnorm.NormalizedText, "text", 2),
+    (save_model, ngramlm, "_arpa_text", 2),
+], ids=["write_lines", "write_tsv", "write_json", "normalize_file", "NGramModel.save"])
+def test_a_writer_failing_part_way_leaves_the_earlier_file(tmp_path, monkeypatch, writer, target,
+                                                           patch, n):
+    """The n-th call of a step inside the writer, or of the iterable it
+    writes, raises once the temporary file is open."""
+    path = tmp_path / "out.txt"
+    writer(path, ["earlier", "words"])
+    before = path.read_bytes()
+    words = ["later", "words", "here"]
+    if target is None:
+        words = map(fail_on_call(n, str), words)
+    else:
+        monkeypatch.setattr(target, patch, fail_on_call(n, getattr(target, patch)))
+        monkeypatch.setattr(manifest, "BLOCK_ROWS", 1)
+    with pytest.raises(RuntimeError, match="failed part-way"):
+        writer(path, words)
+    assert path.read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_hashed_line_list_round_trip_and_hash_check(tmp_path):

@@ -287,6 +287,17 @@ def test_model_files_byte_identical_across_runs(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_one_shot_corpus_writes_the_bytes_of_a_list(tmp_path):
+    """A corpus read once, as a generator of word iterators with blank
+    sentences among them, gives the files of the same corpus as a list."""
+    corpus = markov3_corpus(32, 120) + [[]]
+    for order in (1, 3, 5):
+        train(corpus, order).save(tmp_path / "list.cflm", tmp_path / "list.arpa")
+        train((iter(s) for s in corpus), order).save(tmp_path / "once.cflm", tmp_path / "once.arpa")
+        for suffix in ("cflm", "arpa"):
+            assert (tmp_path / f"once.{suffix}").read_bytes() == (tmp_path / f"list.{suffix}").read_bytes()
+
+
 def test_save_load_round_trip(tmp_path):
     corpus = markov3_corpus(32, 80)
     model = train(corpus, 3, metadata={"language": "en"})

@@ -21,7 +21,7 @@ from corpus_forge.manifest import (
 )
 from corpus_forge.pipeline import STAGE_TABLE, StageError, corpus_stats, run_pipeline, run_stage
 from corpus_forge.synth import SynthParams, synth_corpus
-from corpus_forge.textnorm import default_orthography, normalize
+from corpus_forge.textnorm import default_orthography, normalize_lines
 
 from oracles import sum_hours
 
@@ -176,7 +176,7 @@ def test_synth_books_normalize_back_to_reading_words(tmp_path):
     by_id = {b["book_id"]: b for b in meta}
     for book_id in summary.book_ids:
         raw = (tmp_path / "books" / f"{book_id}.txt").read_text(encoding="utf-8")
-        words = list(normalize(raw, orth).tokens)
+        words = [w for line in normalize_lines(raw, orth) for w in line]
         assert len(words) == SMALL.words_per_book
         # truth indices of every chapter point into exactly these words
         for ch in by_id[book_id]["chapters"]:

@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from corpus_forge import retrieval
 from corpus_forge.config import PipelineConfig
 from corpus_forge.manifest import ManifestRow, read_manifest
-from corpus_forge.pipeline import read_books, run_pipeline
+from corpus_forge.pipeline import run_pipeline
 from corpus_forge.retrieval import (
     ABSENT_ID,
     AlignmentResult,
@@ -835,6 +836,12 @@ def test_noisy_query_span_wer_bounded_by_noise():
         assert found is not None
         cand, span = found
         assert wer(cand, truth) <= noise
+
+
+def read_books(directory) -> dict[str, list[str]]:
+    """book_id -> words of every normalized ``<book_id>.txt`` in a directory."""
+    return {path.stem: path.read_text(encoding="utf-8").split()
+            for path in sorted(Path(directory).glob("*.txt"))}
 
 
 @pytest.mark.parametrize("noise", [0.15, 0.6])

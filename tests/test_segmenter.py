@@ -1,5 +1,7 @@
 import random
 import re
+import time
+from bisect import bisect_left
 
 import pytest
 
@@ -16,7 +18,7 @@ from corpus_forge.segmenter import (
     write_token_stream,
 )
 
-from oracles import brute_force_segment_bounds, pairwise_gap_scan
+from oracles import brute_force_segment_bounds, cut_by_cut_segments, pairwise_gap_scan
 from test_pipeline import config_file, small_config, tiny_input
 
 
@@ -266,9 +268,12 @@ def test_forced_cut_streams_match_oracle(seed):
 
 
 def oracle_result(tokens, min_len=10_000, max_len=20_000):
-    """segment_stream's spans, residual and dropped spans, and the oracle's.
-    The segments' ranges, the residual and the dropped indices must cover
-    0..n-1 once."""
+    """segment_stream's spans, residual and dropped spans, and the oracle's,
+    whose spans are those that hold a token: each kept token goes to the
+    first span that ends at or after it. The segments' ranges, the residual
+    and the dropped indices must cover 0..n-1 once, and each segment's
+    number is its index among all the oracle's spans of nonzero width,
+    empty ones too."""
     result = segment_stream(tokens, min_len=min_len, max_len=max_len)
     residual = result.residual and (result.residual.start, result.residual.end)
     placed = [i for s in result.segments for i in s.tokens] + result.dropped_tokens
@@ -276,8 +281,14 @@ def oracle_result(tokens, min_len=10_000, max_len=20_000):
     assert sorted(placed) == list(range(len(tokens)))
     got = ([(s.start, s.end) for s in result.segments], residual,
            [(tokens.starts[i], tokens.ends[i]) for i in result.dropped_tokens])
-    expected = brute_force_segment_bounds(spans(tokens), min_len, max_len)
-    return got, expected
+    all_spans, oracle_residual, oracle_dropped = brute_force_segment_bounds(
+        spans(tokens), min_len, max_len)
+    all_spans = [(start, end) for start, end in all_spans if start < end]  # zero width: no cut
+    span_ends = [end for _, end in all_spans]
+    held = sorted({bisect_left(span_ends, end) for start, end in spans(tokens)
+                   if (start, end) not in oracle_dropped} - {len(all_spans)})
+    assert [int(s.segment_id.rsplit("_", 1)[1]) for s in result.segments] == held
+    return got, ([all_spans[i] for i in held], oracle_residual, oracle_dropped)
 
 
 def test_long_silence_free_stretches_match_oracle():
@@ -301,6 +312,84 @@ def test_long_silence_free_stretches_match_oracle():
         dropped += len(drops)
         kept += sum(20_000 < end - start <= 20_000 + FORCED_CUT_SLACK_MS for start, end in spans)
     assert kept >= 10 and dropped >= 10
+
+
+def long_silence_stream(seed):
+    """Paused speech broken by silences of up to 200 s, some of them right
+    after a token that straddles a forced cut: runs of empty forced cuts,
+    and midpoints of long gaps that fall between two cuts' windows."""
+    rng = random.Random(seed)
+    pairs, t = [], rng.randint(0, 3_000)
+    for _ in range(rng.randint(1, 40)):
+        dur = rng.choice((rng.randint(100, 900), rng.randint(100, 900), rng.randint(20_000, 24_000)))
+        pairs.append((t, t + dur))
+        t += dur + rng.choice((0, rng.randint(10, 900), rng.randint(1_000, 200_000)))
+    return make_tokens(pairs)
+
+
+def test_long_silences_match_oracle():
+    """The forced cuts of a long silence are skipped in one step, yet each
+    segment, its number, the residual and the dropped tokens are the
+    oracle's, which cuts every 20 s of the silence."""
+    skipped = 0
+    for seed in range(300):
+        tokens = long_silence_stream(seed)
+        got, expected = oracle_result(tokens)
+        assert got == expected, seed
+        numbers = [int(seg.segment_id[-4:]) for seg in segment_stream(tokens).segments]
+        skipped += sum(b - a > 1 for a, b in zip(numbers, numbers[1:]))
+    assert skipped >= 100
+
+
+def grid_stream(seed):
+    """Tokens and silences on a 250 ms grid, so that forced cuts, gap
+    midpoints and zero-length tokens meet exactly: a skip that stopped one
+    cut late would move a zero-length token to the next segment."""
+    rng = random.Random(seed)
+    pairs, t = [], rng.choice((0, 250))
+    for _ in range(rng.randint(1, 10)):
+        pairs += [(t, t)] * rng.choice((0, 1))
+        dur = rng.choice((0, 500, 1_000, 2_000, 20_000, 21_000))
+        pairs.append((t, t + dur))
+        t += dur + rng.choice((0, 500, 1_000, 10_000, 20_000, 30_000, 39_000, 40_000, 41_000, 80_000))
+    return make_tokens(pairs)
+
+
+def test_skipped_cuts_match_the_cut_by_cut_loop():
+    """Every segment, number, residual and dropped token is the one the loop
+    that makes every forced cut gives."""
+    for seed in range(2_000):
+        tokens = grid_stream(seed)
+        result = segment_stream(tokens)
+        segments, residual, dropped = cut_by_cut_segments(spans(tokens), 10_000, 20_000)
+        assert [(int(seg.segment_id[-4:]), seg.start, seg.end, list(seg.tokens))
+                for seg in result.segments] == segments, seed
+        assert (result.residual and (result.residual.start, result.residual.end,
+                                     list(result.residual.tokens))) == residual, seed
+        assert result.dropped_tokens == dropped, seed
+
+
+def silence_stream(ms):
+    return make_tokens([(0, 500), (ms, ms + 12_000), (ms + 12_100, ms + 12_600)])
+
+
+def test_a_silence_of_a_trillion_ms_costs_no_cuts():
+    got, expected = oracle_result(silence_stream(10**8))  # 5 000 cuts for the oracle
+    assert got == expected
+    begin = time.perf_counter()
+    result = segment_stream(silence_stream(10**12))
+    assert time.perf_counter() - begin < 0.1
+    assert [seg.tokens for seg in result.segments] == [range(0, 1), range(1, 3)]
+    # the silence's midpoint falls between two cuts' windows, so every cut is
+    # forced, at each multiple of 20 s up to the token at 10^12 ms
+    assert [seg.segment_id for seg in result.segments] == ["seg_0000", f"seg_{10**12 // 20_000}"]
+
+
+def test_token_times_must_fit_int64():
+    assert len(stream_of([("a", 2**63 - 2, 2**63 - 1)])) == 1
+    with pytest.raises(TokenStreamError) as err:
+        stream_of([("a", 0, 5), ("b", 10, 2**63)])
+    assert err.value.index == 1
 
 
 def test_dense_equal_gaps_pick_the_earliest():
@@ -446,8 +535,9 @@ def test_zero_length_token_before_a_dropped_token_is_dropped():
 @pytest.mark.parametrize("line", [
     '{"w": "b", "s": 0, "e": 1}',
     '{"w": "b", "s": 1, "e": 3}',
+    f'{{"w": "b", "s": {10**30}, "e": {10**30 + 5}}}',
     *HOSTILE_LINES.values(),
-], ids=["unsorted", "overlapping", *HOSTILE_LINES])
+], ids=["unsorted", "overlapping", "past-int64", *HOSTILE_LINES])
 def test_token_file_fault_exits_2_from_run(tmp_path, capsys, line):
     path = tiny_input(tmp_path / "input", ['{"w": "a", "s": 1, "e": 2}', line])
     cfg_path = tmp_path / "run.cfg"

@@ -25,15 +25,29 @@ def public_definitions(body, member=False):
                 yield from public_definitions(node.body, member=True)
 
 
-def names_in(node, attributes_only=False) -> Counter:
+def imported_names(tree) -> set[str]:
+    """The names a module binds to what it imports from outside the package:
+    those of every ``import`` and of every absolute ``from`` import."""
+    return {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and not node.level
+        for alias in node.names
+    }
+
+
+def names_in(node, attributes_only=False, external=frozenset()) -> Counter:
     """How often each identifier is named by an ``Attribute`` (or, unless
     ``attributes_only``, a ``Name``) under ``node``; docstrings and other
-    strings do not count."""
+    strings do not count, nor does an attribute of a name in ``external``
+    (``unicodedata.normalize`` names no package definition)."""
     kinds = ast.Attribute if attributes_only else (ast.Name, ast.Attribute)
     return Counter(
         n.id if isinstance(n, ast.Name) else n.attr
         for n in ast.walk(node)
         if isinstance(n, kinds)
+        and not (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                 and n.value.id in external)
     )
 
 
@@ -43,14 +57,16 @@ def unused_definitions(definitions):
     outside the definition itself."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
-    used = {member: sum((names_in(tree, member) for tree in trees.values()), Counter())
+    external = {module: imported_names(tree) for module, tree in trees.items()}
+    used = {member: sum((names_in(tree, member, external[module])
+                         for module, tree in trees.items()), Counter())
             for member in (False, True)}
     used[False].update(f"stage_{name}" for name in STAGE_TABLE)  # run_stage looks them up by key
     return [
         f"{module}:{node.lineno} {node.name}"
         for module, tree in trees.items()
         for node, member in definitions(tree.body)
-        if used[member][node.name] <= names_in(node, member)[node.name]
+        if used[member][node.name] <= names_in(node, member, external[module])[node.name]
     ]
 
 

@@ -10,11 +10,15 @@ from corpus_forge.textnorm import (
     OrthographyError,
     default_orthography,
     join_eol_hyphens,
-    normalize,
     normalize_lines,
 )
 
 from oracles import reference_normalize
+
+
+def normalize(raw, orth):
+    """The tokens of a whole text: those of its lines, in order."""
+    return NormalizedText(tuple(t for line in normalize_lines(raw, orth) for t in line))
 
 
 @pytest.fixture(scope="module")

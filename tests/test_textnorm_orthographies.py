@@ -8,11 +8,11 @@ import pytest
 from corpus_forge.textnorm import (
     Orthography,
     join_eol_hyphens,
-    normalize,
     normalize_lines,
 )
 
 from oracles import reference_normalize
+from test_textnorm import normalize
 
 # valid: a-f, i, s, a space, a full stop, and three characters whose casefold
 # is several characters (sharp s -> "ss", fi ligature -> "fi", dotted capital
