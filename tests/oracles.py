@@ -563,20 +563,22 @@ def scan_replace_numbers(alignment, reference_words, pseudo_words):
 
 
 def replay_wordform_rules(words, book_freq, threshold):
-    """Direct restatement of the hyphen/apostrophe heuristics."""
+    """Direct restatement of the hyphen/apostrophe heuristics. The hyphens
+    are ``-`` and ``‐``, the apostrophes ``'`` and ``’``; a word with both
+    is a hyphen word."""
     out = []
     for w in words:
         freq = book_freq.get(w, 0)
-        if any(h in w for h in "-‐") :
+        if "-" in w or "‐" in w:
             if freq < threshold:
                 out.extend(p for p in w.replace("‐", "-").split("-") if p)
             else:
                 out.append(w)
-        elif "'" in w:
+        elif "'" in w or "’" in w:
             if freq < threshold:
-                stripped = w.replace("'", "")
-                if book_freq.get(stripped, 0) < threshold:
-                    out.append(w)
+                stripped = w.replace("'", "").replace("’", "")
+                if stripped == "" or book_freq.get(stripped, 0) < threshold:
+                    out.append(w)  # a word never strips to nothing
                 else:
                     out.append(stripped)
             else:

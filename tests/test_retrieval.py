@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from pathlib import Path
@@ -676,6 +677,33 @@ def test_wordforms_match_rule_replay_on_synthetic_books():
     freq = build_book_frequencies(books.values())
     text = [rng.choice(plain + special) for _ in range(400)]
     assert fix_rare_wordforms(text, freq, 3) == replay_wordform_rules(text, freq, 3)
+
+
+# each form with its output when it is rare and its apostrophe-stripped form frequent
+WORDFORM_CASES = {
+    "sea": ["sea"],
+    "sea-shine": ["sea", "shine"],
+    "sea‐shine": ["sea", "shine"],
+    "sea--shine": ["sea", "shine"],
+    "o'er-the": ["o'er", "the"],
+    "sea‐o’er": ["sea", "o’er"],
+    "to't": ["tot"],
+    "o’er": ["oer"],
+    "'": ["'"],
+}
+
+
+@pytest.mark.parametrize("word, rare_form_output", WORDFORM_CASES.items(), ids=list(WORDFORM_CASES))
+def test_wordform_cases_match_rule_replay(word, rare_form_output):
+    """Each form against an absent, rare and frequent count of itself and
+    of its stripped form (for a lone apostrophe, the empty word)."""
+    stripped = word.replace("'", "").replace("’", "")
+    for own, bare in itertools.product((None, 1, 3), repeat=2):
+        freq = {form: n for form, n in ((stripped, bare), (word, own)) if n is not None}
+        expected = replay_wordform_rules([word], freq, 3)
+        assert fix_rare_wordforms([word], freq, 3) == expected, (own, bare)
+        if (own, bare) == (1, 3):
+            assert expected == rare_form_output
 
 
 def test_build_book_frequencies_counts_distinct_books():
