@@ -98,9 +98,9 @@ def _read_json(path: Path):
 def read_catalog(input_dir) -> tuple[list[sp.BookRecord], dict[str, dict]]:
     """The book records of ``books.json`` and the speaker records of
     ``speakers.json``. A file that is not the JSON array or object it should
-    be, a book whose record cannot be built, or a speaker record that is not
-    an object, fails as an ``InputError`` naming the file and the book or
-    speaker."""
+    be, a book whose record cannot be built, a ``book_id`` or a chapter
+    listed twice, or a speaker record that is not an object, fails as an
+    ``InputError`` naming the file and the book or speaker."""
     root = Path(input_dir)
     books_path = root / "books.json"
     speakers_path = root / "speakers.json"
@@ -109,10 +109,12 @@ def read_catalog(input_dir) -> tuple[list[sp.BookRecord], dict[str, dict]]:
     records = _read_json(books_path)
     if not isinstance(records, list):
         raise InputError(f"{books_path}: not a JSON array of book records")
-    books = []
+    books: list[sp.BookRecord] = []
+    book_ids: set[str] = set()
+    chapter_ids: set[str] = set()
     for i, book in enumerate(records):
         try:
-            books.append(sp.BookRecord(
+            record = sp.BookRecord(
                 book_id=book["book_id"],
                 # the title words as split and decontam compare them
                 title=tuple(str(book.get("title", "")).lower().split()),
@@ -123,12 +125,21 @@ def read_catalog(input_dir) -> tuple[list[sp.BookRecord], dict[str, dict]]:
                     for ch in book["chapters"]
                 ),
                 multi_speaker=bool(book.get("multi_speaker", False)),
-            ))
+            )
         except (KeyError, TypeError, ValueError) as exc:
             named = f" ({book['book_id']!r})" if isinstance(book, dict) and "book_id" in book else ""
             raise InputError(
                 f"{books_path}: book {i}{named} is malformed: {type(exc).__name__}: {exc}"
             ) from exc
+        if record.book_id in book_ids:
+            raise InputError(f"{books_path}: book {i} ({record.book_id!r}): book_id is listed twice")
+        for ch in record.chapters:
+            if ch.chapter_id in chapter_ids:
+                raise InputError(f"{books_path}: book {i} ({record.book_id!r}): "
+                                 f"chapter {ch.chapter_id!r} is listed twice")
+            chapter_ids.add(ch.chapter_id)
+        book_ids.add(record.book_id)
+        books.append(record)
     speakers = _read_json(speakers_path)
     if not isinstance(speakers, dict):
         raise InputError(f"{speakers_path}: not a JSON object of speaker records")
@@ -336,7 +347,7 @@ def stage_split(cfg: PipelineConfig) -> dict:
         segs = per_speaker[sid]
         gender = speakers_meta.get(sid, {}).get("gender")
         if gender not in sp.GENDERS:
-            raise ValueError(
+            raise InputError(
                 f"{Path(cfg.input_dir) / 'speakers.json'}: speaker {sid!r}, who has "
                 f"{len(segs)} accepted segments, has no record with a gender in "
                 f"{sp.GENDERS} (got {gender!r})"

@@ -44,7 +44,7 @@ DEFAULT_SHARD_STRIDE = 1000
 DEFAULT_WER_THRESHOLD = 0.40
 DEFAULT_RARE_THRESHOLD = 3
 
-HYPHEN_SPLIT_CHARS = "-‐"
+HYPHENS_TO_SPACES = str.maketrans("-‐", "  ")  # HYPHEN-MINUS and U+2010 HYPHEN
 ABSENT_ID = -1  # id of a query word the book does not contain; matches nothing
 CHUNK = 1 << 18  # cells per batch (labels x shards, labels x columns, or DP table cells)
 MATCH, MISMATCH, GAP = 2, -1, -1  # Smith-Waterman scores
@@ -138,10 +138,10 @@ class TfIdfIndex:
         return np.array([self.vocab.get(w, ABSENT_ID) for w in words], dtype=np.int32)
 
 
-def _rank(index: TfIdfIndex, queries: list[np.ndarray], top_k: int) -> list[list[tuple[int, float]]]:
-    """(shard index, score) of the ``top_k`` best shards of every encoded
-    query, best first, ties to the lower shard; [] for a query that shares
-    no indexed bigram.
+def _rank(index: TfIdfIndex, queries: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(best shard, its score) of every encoded query, as two arrays: ties
+    go to the lower shard, and a query that shares no indexed bigram gets
+    shard -1 and score -inf.
 
     A query's vector lists its known bigrams in first-occurrence order with
     weight count * idf, dropping zero weights; when none is left it is the
@@ -149,16 +149,17 @@ def _rank(index: TfIdfIndex, queries: list[np.ndarray], top_k: int) -> list[list
     raw shard counts. Each dot product is summed one query position at a
     time across the batch, so every cosine adds its terms in the query's
     order, as a per-bigram loop would; the query norm is a cumulative sum
-    in the same order. Queries are scored CHUNK // n_shards at a time.
+    in the same order. Queries are scored CHUNK // n_shards at a time, and
+    each takes the first maximum of its row of scores.
     """
     rows = max(1, CHUNK // index.n_shards)
-    out: list[list[tuple[int, float]]] = []
+    shard, score = np.full(len(queries), -1), np.full(len(queries), -np.inf)
     for c in range(0, len(queries), rows):
-        out += _rank_batch(index, queries[c : c + rows], top_k)
-    return out
+        shard[c : c + rows], score[c : c + rows] = _rank_batch(index, queries[c : c + rows])
+    return shard, score
 
 
-def _rank_batch(index, queries, top_k):
+def _rank_batch(index, queries):
     """``_rank`` of one batch of queries."""
     n_q, n_grams = len(queries), len(index.grams)
     lens = np.array([len(q) for q in queries])
@@ -201,12 +202,9 @@ def _rank_batch(index, queries, top_k):
     fallback = ~weighted[:, None]
     denom = np.where(fallback, 1.0, qnorm[:, None] * index.norms)
     scores = np.divide(dot, denom, out=np.full_like(dot, -np.inf), where=dot > 0.0)
-    best = np.argsort(-scores, axis=1, kind="stable")[:, :top_k]
-    top = np.take_along_axis(scores, best, axis=1)
-    return [
-        [(i, s) for i, s in zip(b_row, s_row) if s != -np.inf]
-        for b_row, s_row in zip(best.tolist(), top.tolist())
-    ]
+    best = scores.argmax(axis=1)
+    top = scores[np.arange(n_q), best]
+    return np.where(top > -np.inf, best, -1), top
 
 
 def _column_runs(queries, ref, n_ids):
@@ -395,17 +393,15 @@ def _has_digit(word: str) -> bool:
 def replace_numbers(aligned: AlignmentResult, reference_words, pseudo_words) -> list[str]:
     """Resolve digit words of the aligned book span from the pseudo label.
 
-    A span without a digit word is returned as it stands. Otherwise the
-    path is walked from the spans' starts, and its steps fall into maximal
-    runs of insertions and steps on digit-bearing book words. A run holding
-    a digit word becomes the pseudo words aligned in it, so multi-word
-    readings ("four o one" for "401") are reconstructed and digit words
-    aligned only to deletions disappear (unread page numbers). A run of
-    insertions alone adds nothing, and every other step keeps its book word.
+    The path is walked from the spans' starts, and its steps fall into
+    maximal runs of insertions and steps on digit-bearing book words. A run
+    holding a digit word becomes the pseudo words aligned in it, so
+    multi-word readings ("four o one" for "401") are reconstructed and digit
+    words aligned only to deletions disappear (unread page numbers). A run
+    of insertions alone adds nothing, and every other step keeps its book
+    word, so a span without a digit word comes back as it stands.
     """
-    (j, end), (i, _) = aligned.ref_span, aligned.query_span
-    if not any(map(_has_digit, reference_words[j:end])):
-        return list(reference_words[j:end])
+    j, i = aligned.ref_span[0], aligned.query_span[0]
     out: list[str] = []
     run: list[str] = []  # pseudo words of the open run
     read = False  # the open run holds a digit word
@@ -431,30 +427,21 @@ def fix_rare_wordforms(
 ) -> list[str]:
     """Hyphen/apostrophe cleanup driven by distinct-book counts.
 
-    Rare hyphenated words are split at their hyphens; rare apostrophe words
-    lose the apostrophe unless the stripped form is itself rare, in which
-    case the original stands. Frequent forms always pass unchanged.
+    A word in at least ``rare_threshold`` books passes unchanged, whatever
+    its form. A rarer word with a hyphen is split at its hyphens; one with
+    an apostrophe loses its apostrophes when the stripped form is a
+    non-empty word in at least ``rare_threshold`` books, and stands
+    otherwise.
     """
     out: list[str] = []
     for word in words:
-        freq = book_freq.get(word, 0)
-        if any(h in word for h in HYPHEN_SPLIT_CHARS):
-            if freq < rare_threshold:
-                piece = word
-                for h in HYPHEN_SPLIT_CHARS:
-                    piece = piece.replace(h, " ")
-                out.extend(p for p in piece.split() if p)
-            else:
-                out.append(word)
+        if book_freq.get(word, 0) >= rare_threshold:
+            out.append(word)
+        elif "-" in word or "‐" in word:
+            out += word.translate(HYPHENS_TO_SPACES).split()
         elif "'" in word or "’" in word:
-            if freq < rare_threshold:
-                stripped = word.replace("'", "").replace("’", "")
-                if stripped and book_freq.get(stripped, 0) >= rare_threshold:
-                    out.append(stripped)
-                else:
-                    out.append(word)
-            else:
-                out.append(word)
+            stripped = word.replace("'", "").replace("’", "")
+            out.append(stripped if stripped and book_freq.get(stripped, 0) >= rare_threshold else word)
         else:
             out.append(word)
     return out
@@ -560,27 +547,24 @@ def _transcripts(index, labels) -> Iterator:
     from them is the best transcript available, the same assumption the
     number replacement makes. Nothing matches when no shard shares a bigram
     or the score is 0. The book's digit words are found once; a span
-    without one is a slice of the book.
+    without one is a slice of the book, and only a span with one goes
+    through ``replace_numbers``.
     """
-    found, queries = [], []  # found: per label, None or (window start, window end, words)
     codes = [index.encode(words) for words in labels]
-    last = index.n_shards - 1
-    for words, code, hits in zip(labels, codes, _rank(index, codes, 1)):
-        if not hits:
-            found.append(None)
-            continue
-        top = hits[0][0]
-        found.append((index.spans[max(0, top - 1)][0], index.spans[min(last, top + 1)][1], words))
-        queries.append(code)
-    windows = [hit[:2] for hit in found if hit]
-    aligned = _align(queries, index.book_ids, windows, len(index.vocab))
+    shard, _ = _rank(index, codes)
+    hits = (shard >= 0).tolist()
+    span_starts, span_ends = np.array(index.spans).T
+    win_starts = span_starts[np.maximum(shard - 1, 0)].tolist()
+    win_ends = span_ends[np.minimum(shard + 1, index.n_shards - 1)].tolist()
+    aligned = _align([code for code, hit in zip(codes, hits) if hit], index.book_ids,
+                     [(a, b) for a, b, hit in zip(win_starts, win_ends, hits) if hit],
+                     len(index.vocab))
     digit = np.array([_has_digit(w) for w in index.vocab], dtype=bool)[index.book_ids]
     words = index.words
-    for hit in found:
-        if hit is None or (al := next(aligned)).score <= 0:
+    for pseudo_words, hit, win_start, win_end in zip(labels, hits, win_starts, win_ends):
+        if not hit or (al := next(aligned)).score <= 0:
             yield None
             continue
-        win_start, win_end, pseudo_words = hit
         a, b = win_start + al.ref_span[0], win_start + al.ref_span[1]
         lo = max(win_start, a - al.query_span[0])
         hi = min(win_end, b + len(pseudo_words) - al.query_span[1])

@@ -102,8 +102,9 @@ def segment_stream(
     forced at start+max_len lands inside a token, in which case the segment
     may extend up to FORCED_CUT_SLACK_MS past max_len (or the token is
     dropped). The trailing remainder shorter than min_len is reported as
-    ``residual`` and only emitted as a segment when ``keep_residual`` is set.
-    Only segments that hold tokens are returned, numbered as every cut is.
+    ``residual`` and only emitted as a segment when ``keep_residual`` is set;
+    zero-length tokens left where the stream ends are dropped. Only segments
+    that hold tokens are returned, numbered as every cut is.
     """
     if min_len >= max_len:
         raise ValueError(f"min_len {min_len} must be < max_len {max_len}")
@@ -177,6 +178,8 @@ def segment_stream(
                                   words[tok_i:], range(tok_i, len(tokens)))
         if keep_residual:
             result.segments.append(result.residual)
+    else:  # tokens left at the stream's end have zero length, and a zero-width cut drops them
+        result.dropped_tokens += range(tok_i, len(tokens))
     return result
 
 

@@ -167,7 +167,8 @@ def cut_by_cut_segments(tokens, min_len, max_len, slack=250):
     Returns ([(number, start, end, token indices)] of the cuts that hold a
     token, residual (start, end, token indices) or None, dropped indices).
     A cut of nonzero width takes the next number whether or not it holds a
-    token; a zero-width cut drops the tokens it would hold.
+    token; a zero-width cut drops the tokens it would hold, and so does a
+    loop that stops where the stream ends.
     """
     segments, dropped = [], []
     if not tokens:
@@ -216,8 +217,9 @@ def cut_by_cut_segments(tokens, min_len, max_len, slack=250):
             dropped.append(last)
             state["next"], state["start"] = last + 1, tokens[last][1]
     rest = list(range(state["next"], len(tokens)))
-    residual = (state["start"], stream_end, rest) if state["start"] < stream_end and rest else None
-    return segments, residual, dropped
+    if state["start"] < stream_end and rest:
+        return segments, (state["start"], stream_end, rest), dropped
+    return segments, None, dropped + rest  # zero-length tokens at the stream's end
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from corpus_forge import manifest
 from corpus_forge import retrieval as rt
 from corpus_forge import splitter as sp
 from corpus_forge.manifest import (
+    InputError,
     ManifestRow,
     ProvenanceError,
     read_candidates,
@@ -424,6 +425,7 @@ def test_malformed_book_record_fails_in_segment_naming_books_json_and_book(
 
 @pytest.mark.parametrize("record", [None, {}, {"gender": ""}])
 def test_missing_speaker_record_names_speakers_json_and_speaker(tmp_path, record):
+    """An input fault (exit 2), met when split reads the speakers."""
     synth_corpus(tmp_path / "input", seed=17, params=SMALL)
     speakers_path = tmp_path / "input" / "speakers.json"
     speakers = json.loads(speakers_path.read_text(encoding="utf-8"))
@@ -432,10 +434,9 @@ def test_missing_speaker_record_names_speakers_json_and_speaker(tmp_path, record
     else:
         speakers["spk_f00"] = record
     speakers_path.write_text(json.dumps(speakers), encoding="utf-8")
-    with pytest.raises(StageError) as err:
+    with pytest.raises(InputError) as err:
         run_pipeline(small_config(tmp_path), until_stage="split")
-    assert err.value.stage == "split"
-    assert str(speakers_path) in str(err.value)
+    assert str(err.value).startswith(f"{speakers_path}: ")
     assert "'spk_f00'" in str(err.value)
 
 
@@ -458,6 +459,12 @@ def tiny_input(root, token_lines):
     return path
 
 
+def book_record(book_id, *chapters):
+    """The ``books.json`` record of one book whose chapters ``spk_m00`` reads."""
+    return {"book_id": book_id, "title": "t", "author": "a", "version": 1,
+            "chapters": [{"chapter_id": ch, "speaker_id": "spk_m00"} for ch in chapters]}
+
+
 # a catalog file of ``tiny_input`` replaced by bytes that read_catalog refuses,
 # with the message that follows its path
 HOSTILE_CATALOGS = {
@@ -469,6 +476,12 @@ HOSTILE_CATALOGS = {
                         "not a JSON object of speaker records"),
     "speaker-a-string": ("speakers.json", b'{"spk_m00": "M"}',
                          "speaker 'spk_m00': record is not a JSON object"),
+    "book-id-twice": ("books.json", json.dumps([book_record("book000", "book000_ch00"),
+                                                book_record("book000", "book000_ch01")]).encode(),
+                      "book 1 ('book000'): book_id is listed twice"),
+    "chapter-twice": ("books.json", json.dumps([book_record("book000", "book000_ch00"),
+                                                book_record("book001", "book000_ch00")]).encode(),
+                      "book 1 ('book001'): chapter 'book000_ch00' is listed twice"),
 }
 
 
@@ -499,6 +512,19 @@ def test_book_file_that_is_not_utf8_exits_2_naming_its_line(tmp_path, capsys, en
     assert cli_main([entry, "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err == f"error: {book}:3: not valid UTF-8\n"
     assert not (tmp_path / "out" / "work" / "normalize" / "provenance.json").exists()
+
+
+@pytest.mark.parametrize("pairs", [[(5, 5)], [(0, 19_900), (19_900, 21_000), (21_000, 21_000)]],
+                         ids=["lone", "after-a-dropped-token"])
+def test_zero_length_tokens_where_the_stream_ends_are_dropped(tmp_path, pairs):
+    """Legal input: the segment command exits 0 and lists the last token,
+    which no segment or residual holds, in ``dropped.tsv``."""
+    tiny_input(tmp_path / "input", [json.dumps({"w": "alpha", "s": s, "e": e}) for s, e in pairs])
+    cfg = small_config(tmp_path)
+    assert cli_main(["segment", "--config", config_file(tmp_path / "run.cfg", cfg)]) == 0
+    rows = (Path(cfg.output_dir) / "work" / "segment" / "dropped.tsv").read_text(encoding="utf-8")
+    start, end = pairs[-1]
+    assert rows.endswith(f"\nbook000_ch00\talpha\t{start}\t{end}\n"), rows
 
 
 def test_segment_stage_writes_dropped_and_residual_rows(tmp_path):

@@ -61,10 +61,11 @@ def random_words(rng, n, vocab=None):
     return [rng.choice(vocab) for _ in range(n)]
 
 
-def rank(index, words, top_k=1):
-    """``retrieval._rank`` of one label: (shard index, score) of its
-    ``top_k`` best shards, [] when it shares no indexed bigram."""
-    return retrieval._rank(index, [index.encode(words)], top_k)[0]
+def rank(index, words):
+    """``retrieval._rank`` of one label: (shard index, score) of its best
+    shard, None when it shares no indexed bigram."""
+    (shard,), (score,) = retrieval._rank(index, [index.encode(words)])
+    return (int(shard), float(score)) if shard >= 0 else None
 
 
 def align(query, reference):
@@ -156,9 +157,9 @@ def stored_bigrams(index):
 def test_single_shard_degenerates_to_tf_mode():
     index = book_index(["a", "b", "a", "b", "c"])
     assert not stored_bigrams(index)[2]  # all idf zero, every weighted entry pruned
-    hits = rank(index, ["a", "b"])
-    assert hits  # a match, not "no match"
-    assert hits[0][0] == 0
+    hit = rank(index, ["a", "b"])
+    assert hit  # a match, not "no match"
+    assert hit[0] == 0
 
 
 def test_everywhere_bigram_query_falls_back_to_tf():
@@ -166,9 +167,9 @@ def test_everywhere_bigram_query_falls_back_to_tf():
     # vanish (idf = ln(2/2) = 0) but the query must still land
     common = "x y x y x y".split()
     index = texts_index([common + ["p", "q"], common * 3])
-    hits = rank(index, ["x", "y", "x"])
-    assert hits
-    assert hits[0][0] == 1  # more raw occurrences
+    hit = rank(index, ["x", "y", "x"])
+    assert hit
+    assert hit[0] == 1  # more raw occurrences
 
 
 def test_bigram_in_every_shard_has_zero_idf():
@@ -214,17 +215,15 @@ def test_verbatim_query_ranks_source_shard_first():
     words, index = make_indexed_book(rng)
     start, _end = index.spans[7]
     query = words[start + 40 : start + 90]
-    hits = rank(index, query)
-    assert hits
-    assert hits[0][0] == 7
+    assert rank(index, query)[0] == 7
 
 
 def test_no_shared_bigram_returns_no_match_status():
     rng = random.Random(3)
     _, index = make_indexed_book(rng)
-    assert rank(index, ["zzz", "qqq", "xxx"]) == []
+    assert rank(index, ["zzz", "qqq", "xxx"]) is None
     # one-word query cannot form a bigram either
-    assert rank(index, ["zzz"]) == []
+    assert rank(index, ["zzz"]) is None
 
 
 def test_noisy_query_matches_exhaustive_cosine_oracle():
@@ -235,13 +234,12 @@ def test_noisy_query_matches_exhaustive_cosine_oracle():
     for i in range(len(query)):
         if rng.random() < 0.10:
             query[i] = rng.choice(VOCAB)
-    hits = rank(index, query, top_k=3)
-    assert hits
-    assert hits[0][0] == 13
+    shard, score = rank(index, query)
+    assert shard == 13
     oracle_scores = exhaustive_cosine_scores(shard_texts, query)
     expected_top = max(range(20), key=lambda i: (oracle_scores[i], -i))
-    assert hits[0][0] == expected_top
-    assert hits[0][1] == pytest.approx(oracle_scores[13], abs=1e-9)
+    assert shard == expected_top
+    assert score == pytest.approx(oracle_scores[13], abs=1e-9)
 
 
 def near_tie_shards(seed):
@@ -267,10 +265,11 @@ def test_near_tie_cosines_follow_the_sequential_sum():
     assert sequential[0] == (winner, oracle[winner])
     index = texts_index(texts)
     batch = [query[5:], query, list(reversed(query)), texts[4]]
-    ranked = retrieval._rank(index, [index.encode(q) for q in batch], 2)
-    assert ranked == [ranked_shards(texts, q)[:2] for q in batch]
-    assert ranked[1][0] == (winner, oracle[winner])  # same shard, bit-equal score
-    assert rank(index, query, top_k=2) == ranked[1]  # a batch of one ranks the same
+    shards, scores = retrieval._rank(index, [index.encode(q) for q in batch])
+    ranked = list(zip(shards.tolist(), scores.tolist()))
+    assert ranked == [ranked_shards(texts, q)[0] for q in batch]
+    assert ranked[1] == (winner, oracle[winner])  # same shard, bit-equal score
+    assert rank(index, query) == ranked[1]  # a batch of one ranks the same
 
 
 # -- smith-waterman ----------------------------------------------------------
