@@ -440,6 +440,42 @@ def test_missing_speaker_record_names_speakers_json_and_speaker(tmp_path, record
     assert "'spk_f00'" in str(err.value)
 
 
+def test_rejected_books_stay_out_of_the_split(tmp_path):
+    """Split writes the same bytes as when the rejected books' accepted rows
+    were never there. Each speaker reads two books, so every rejected book's
+    reader keeps rows whose totals and cap sampling its rows would move."""
+    synth_corpus(tmp_path / "input", seed=17, params=SynthParams(
+        n_books=12, words_per_book=SMALL.words_per_book, speakers_per_gender=3))
+    books_path = tmp_path / "input" / "books.json"
+    books = json.loads(books_path.read_text(encoding="utf-8"))
+    books[0]["multi_speaker"] = True
+    books[1]["author"] = ""
+    books[2]["version"] = 2
+    books[3].update(author=books[2]["author"], title=books[2]["title"])  # version 1
+    books_path.write_text(json.dumps(books), encoding="utf-8")
+    rejected = {"book000": "multiple speakers", "book001": "corrupted metadata",
+                "book003": "superseded version"}
+    cfg = small_config(tmp_path)
+    run_pipeline(cfg, until_stage="filter")
+    clean = tmp_path / "clean"
+    shutil.copytree(cfg.output_dir, clean)
+    accepted = clean / "work" / "filter" / "accepted.tsv"
+    hash_line, header, *rows = accepted.read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [r for r in rows if r.split("_", 1)[0] not in rejected]
+    assert len(kept) < len(rows)
+    accepted.write_text("".join([hash_line, header, *kept]), encoding="utf-8")
+
+    outputs = ["manifests/train.tsv", "manifests/dev.tsv", "manifests/test.tsv", "stats.json",
+               "duration_histogram.tsv", "work/split/split_report.json"]
+    written = []
+    for out in (Path(cfg.output_dir), clean):
+        run_stage(replace(cfg, output_dir=str(out)), "split")
+        written.append({name: (out / name).read_bytes() for name in outputs})
+    assert written[0] == written[1]
+    report = json.loads(written[0]["work/split/split_report.json"])
+    assert {r["book_id"]: r["reason"] for r in report["book_rejections"]} == rejected
+
+
 def tiny_input(root, token_lines):
     """An input tree of one one-word book whose one chapter, ``book000_ch00``,
     holds ``token_lines`` as its token file."""
