@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .manifest import write_tsv
+from .manifest import read_text, write_tsv
 from .retrieval import edit_distance
 
 NGRAM_ORDER = 5
@@ -35,7 +35,7 @@ class FiveGramIndex:
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """One stop word per line; '#' starts a comment."""
     words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
             words.add(line)
@@ -45,7 +45,7 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
 def default_stopwords(language_id: str = "en") -> frozenset[str]:
     path = Path(__file__).parent / "data" / "stopwords" / f"{language_id}.stop"
     if not path.exists():
-        raise FileNotFoundError(f"no bundled stopword list for {language_id!r}")
+        raise FileNotFoundError(f"{path}: no bundled stopword list for {language_id!r}")
     return load_stopwords(path)
 
 

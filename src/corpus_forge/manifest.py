@@ -289,6 +289,19 @@ def read_lines(path: str | Path, expect_hash: str | None = None) -> list[str]:
     return [line.strip() for line in lines if line.strip()]
 
 
+def read_text(path: str | Path) -> str:
+    """The text of an input file. One that cannot be read, or whose bytes
+    are not UTF-8, fails as an ``InputError`` naming it (and the line)."""
+    try:
+        raw = Path(path).read_bytes()
+        return raw.decode("utf-8")
+    except OSError as exc:  # missing, a directory, or unreadable
+        raise InputError(f"{path}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        lineno = len((raw[: exc.start] + b"?").decode("utf-8").splitlines())
+        raise InputError(f"{path}:{lineno}: not valid UTF-8") from None
+
+
 def json_text(obj) -> str:
     """The layout of every JSON report: one-space indent, sorted keys."""
     return json.dumps(obj, indent=1, sort_keys=True) + "\n"

@@ -268,13 +268,11 @@ class NGramModel:
         n = order
         lengths = np.array(lengths)
         flat = np.array([ids[w] for w in vocab], np.int32)[np.frombuffer(flat, np.intc)]
-        # sentence i takes n slots (n - 1 pads, then <s>) before its words
-        pos = np.arange(len(flat)) + n * np.repeat(np.arange(1, len(lengths) + 1), lengths)
-        stream = np.full(len(flat) + n * len(lengths), -1, np.int32)
-        stream[pos] = flat
-        stream[pos[np.cumsum(lengths) - lengths] - 1] = ids[SENT_START]
+        opens = np.zeros(len(flat), bool)  # a window opens at each sentence
+        opens[np.cumsum(lengths) - lengths] = True
+        stream, pos = _padded_stream(flat, opens, n, ids[SENT_START])
         rows = sliding_window_view(stream, n)[pos - n + 1]
-        del flat, pos, stream
+        del flat, opens, pos, stream
         rows = rows[np.lexsort(rows.T)]
         tables, counts = _gram_tables(rows)
         del rows
@@ -545,6 +543,16 @@ def train(corpus, order: int, smoothing: str = "kn", metadata=None) -> NGramMode
     return NGramModel.train(corpus, order, smoothing=smoothing, metadata=metadata)
 
 
+def _padded_stream(ids, opens, n: int, start_id: int):
+    """The id stream in which each window opening where ``opens`` is set takes
+    n slots (n - 1 pads, then <s>) before its tokens, and each token's slot."""
+    slot = np.arange(len(ids)) + n * np.cumsum(opens)
+    stream = np.full(len(ids) + n * np.count_nonzero(opens), -1, np.int32)
+    stream[slot] = ids
+    stream[slot[opens] - 1] = start_id
+    return stream, slot
+
+
 def evaluate(model: NGramModel, dev_sentences, exclude_oov: bool = True,
              oov_context: str = "break") -> EvalReport:
     """OOV rate and perplexity of the model on tokenized dev sentences.
@@ -570,8 +578,7 @@ def evaluate(model: NGramModel, dev_sentences, exclude_oov: bool = True,
     ids[ids == start_id] = -1  # <s> is no dev word
     oov = ids < 0
     oov_tokens = int(np.count_nonzero(oov))
-    # a window opens at each sentence and, under "break", after each OOV; it
-    # takes n slots (n - 1 pads, then <s>) before its tokens
+    # a window opens at each sentence and, under "break", after each OOV
     lengths = np.array([len(s) for s in sentences])
     opens = np.zeros(len(ids), bool)
     opens[np.cumsum(lengths) - lengths] = True
@@ -580,11 +587,8 @@ def evaluate(model: NGramModel, dev_sentences, exclude_oov: bool = True,
     scored = ~oov if exclude_oov else np.ones(len(ids), bool)
     if not scored.any():
         raise ValueError("no scorable tokens in dev text")
+    stream, slot = _padded_stream(ids, opens, n, start_id)
     token = np.arange(len(ids))
-    slot = token + n * np.cumsum(opens)
-    stream = np.full(len(ids) + n * np.count_nonzero(opens), -1, np.int32)
-    stream[slot] = ids
-    stream[slot[opens] - 1] = start_id
     # a token's level: 1 + the window's tokens before it and its <s>, at most n
     level = np.minimum(token - np.maximum.accumulate(np.where(opens, token, 0)) + 2, n)
     probs = model._score(sliding_window_view(stream, n)[slot[scored] - n + 1], level[scored])

@@ -17,7 +17,7 @@ one at a time, so none holds the whole book corpus.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import decontam as dc
@@ -34,6 +34,7 @@ from .manifest import (
     read_candidates,
     read_lines,
     read_manifest,
+    read_text,
     write_candidates,
     write_json,
     write_lines,
@@ -98,9 +99,10 @@ def _read_json(path: Path):
 def read_catalog(input_dir) -> tuple[list[sp.BookRecord], dict[str, dict]]:
     """The book records of ``books.json`` and the speaker records of
     ``speakers.json``. A file that is not the JSON array or object it should
-    be, a book whose record cannot be built, a ``book_id`` or a chapter
-    listed twice, or a speaker record that is not an object, fails as an
-    ``InputError`` naming the file and the book or speaker."""
+    be, a book whose record cannot be built, a book, chapter or speaker id
+    that is not a string, a ``book_id`` or a chapter listed twice, or a
+    speaker record that is not an object, fails as an ``InputError`` naming
+    the file and the book or speaker."""
     root = Path(input_dir)
     books_path = root / "books.json"
     speakers_path = root / "speakers.json"
@@ -131,6 +133,12 @@ def read_catalog(input_dir) -> tuple[list[sp.BookRecord], dict[str, dict]]:
             raise InputError(
                 f"{books_path}: book {i}{named} is malformed: {type(exc).__name__}: {exc}"
             ) from exc
+        ids = [("book_id", record.book_id)] + [(name, getattr(ch, name)) for ch in record.chapters
+                                               for name in ("chapter_id", "speaker_id")]
+        for name, value in ids:
+            if not isinstance(value, str):
+                raise InputError(f"{books_path}: book {i}: {name} {json.dumps(value)} "
+                                 f"is not a JSON string")
         if record.book_id in book_ids:
             raise InputError(f"{books_path}: book {i} ({record.book_id!r}): book_id is listed twice")
         for ch in record.chapters:
@@ -315,34 +323,47 @@ def stage_filter(cfg: PipelineConfig) -> dict:
     return summary
 
 
-def _accepted_segments(cfg: PipelineConfig):
-    """Join accepted candidates with segment metadata."""
+def _accepted_segments(cfg: PipelineConfig, chapters) -> list[ManifestRow]:
+    """Each accepted candidate joined with its segment row, for the segments
+    of ``chapters`` only, in segment id order."""
     seg_of = {r.segment_id: r for r in _segments(cfg)}
     joined = []
     for cand in read_candidates(_stage_dir(cfg, "filter") / "accepted.tsv", cfg.config_hash()):
         base = seg_of.get(cand.segment_id)
-        if base is None:
-            continue
-        joined.append(replace(
-            base, book_id=cand.source[0], transcript=" ".join(cand.words),
-            wer=cand.pseudo_wer, partition="unassigned",
-        ))
+        if base is not None and base.chapter_id in chapters:
+            joined.append(replace(base, book_id=cand.source[0], transcript=" ".join(cand.words),
+                                  wer=cand.pseudo_wer))
     joined.sort(key=lambda r: r.segment_id)
     return joined
 
 
+def _reference_wers(path) -> list[float]:
+    """The WERs of a hardness reference file, whitespace-separated; a token
+    that is not a number, or a file with none, fails naming the file."""
+    reference = []
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+        try:
+            reference += [float(x) for x in line.split()]
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
+    if not reference:
+        raise InputError(f"{path}: holds no WER")
+    return reference
+
+
 def stage_split(cfg: PipelineConfig) -> dict:
+    """Partition the accepted segments of the valid books' chapters: one
+    speaker record per reader, one partition per chapter, and each row that
+    the dev/test cap keeps written to its partition's manifest once."""
     books, speakers_meta = read_catalog(cfg.input_dir)
-    rows = _accepted_segments(cfg)
     valid_books, rejections = sp.validate_books(books)
     valid_chapters = {ch.chapter_id: ch for b in valid_books for ch in b.chapters}
-    rows = [r for r in rows if r.chapter_id in valid_chapters]
+    rows = _accepted_segments(cfg, valid_chapters)
 
     per_speaker: dict[str, list[ManifestRow]] = {}
     for r in rows:
         per_speaker.setdefault(r.speaker_id, []).append(r)
-    speakers = []
-    recordings: dict[str, list[tuple[str, float]]] = {}
+    speakers, recordings = [], {}
     for sid in sorted(per_speaker):
         segs = per_speaker[sid]
         gender = speakers_meta.get(sid, {}).get("gender")
@@ -352,90 +373,59 @@ def stage_split(cfg: PipelineConfig) -> dict:
                 f"{len(segs)} accepted segments, has no record with a gender in "
                 f"{sp.GENDERS} (got {gender!r})"
             )
-        total = sum(s.duration_ms for s in segs) / 1000.0
-        wers = [s.wer for s in segs if s.wer is not None]
-        speakers.append(
-            sp.SpeakerRecord(
-                speaker_id=sid,
-                gender=gender,
-                total_duration=total,
-                mean_pseudo_wer=sum(wers) / len(wers) if wers else 0.0,
-            )
-        )
+        speakers.append(sp.SpeakerRecord(
+            speaker_id=sid, gender=gender,
+            total_duration=sum(s.duration_ms for s in segs) / 1000.0,
+            mean_pseudo_wer=sum(s.wer for s in segs) / len(segs),
+        ))
         recordings[sid] = [(s.segment_id, s.duration_ms / 1000.0) for s in segs]
 
     hard_note = ""
-    partition_input = speakers
-    forced_train: list[sp.SpeakerRecord] = []
+    forced_train: set[str] = set()  # readers above the threshold the filter does not keep
     if cfg.hardness_percentile > 0:
-        reference = []
-        path = Path(cfg.hardness_reference)
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            try:
-                reference += [float(x) for x in line.split()]
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
         above = [s for s in speakers if s.total_duration >= cfg.train_threshold_s]
-        hard = sp.select_hard_speakers(above, reference, cfg.hardness_percentile)
-        enough = all(
-            sum(1 for s in hard if s.gender == g) >= 2 * cfg.dev_test_speakers_per_gender
-            for g in sp.GENDERS
-        )
-        if enough:
-            hard_ids = {s.speaker_id for s in hard}
-            forced_train = [s for s in above if s.speaker_id not in hard_ids]
-            partition_input = [
-                s for s in speakers if s.total_duration < cfg.train_threshold_s
-            ] + hard
+        hard = sp.select_hard_speakers(above, _reference_wers(cfg.hardness_reference),
+                                       cfg.hardness_percentile)
+        if all(sum(1 for s in hard if s.gender == g) >= 2 * cfg.dev_test_speakers_per_gender
+               for g in sp.GENDERS):
+            forced_train = {s.speaker_id for s in above} - {s.speaker_id for s in hard}
             hard_note = f"hardness filter kept {len(hard)} of {len(above)} speakers"
         else:
             hard_note = "hardness filter skipped: insufficient hard speakers"
 
     assignment = sp.partition_speakers(
-        partition_input,
+        [s for s in speakers if s.speaker_id not in forced_train],
         dev_test_speakers_per_gender=cfg.dev_test_speakers_per_gender,
         train_threshold=cfg.train_threshold_s,
         dev_test_cap=cfg.dev_test_cap_s,
         recordings=recordings,
         seed=cfg.stage_seed("split"),
     )
-    for s in forced_train:
-        assignment.speaker_partition[s.speaker_id] = "train"
+    for sid in sorted(forced_train):
+        assignment.speaker_partition[sid] = "train"
     chapters = [valid_chapters[c] for c in sorted(valid_chapters)]
     assignment = sp.enforce_chapter_exclusivity(assignment, chapters)
 
-    final_rows = []
+    by_part: dict[str, list[ManifestRow]] = {"train": [], "dev": [], "test": []}
     for r in rows:
         part = assignment.chapter_partition.get(r.chapter_id)
-        if part is None:
-            continue
         kept = assignment.kept_segments.get(r.speaker_id)
-        if kept is not None and r.segment_id not in kept:
-            continue
-        final_rows.append(replace(r, partition=part))
-
+        if part is not None and (kept is None or r.segment_id in kept):
+            by_part[part].append(replace(r, partition=part))
     mdir = _manifest_dir(cfg)
     mdir.mkdir(parents=True, exist_ok=True)
-    for part in ("train", "dev", "test"):
-        write_manifest(
-            mdir / f"{part}.tsv",
-            [r for r in final_rows if r.partition == part],
-            cfg.config_hash(),
-        )
+    for part, part_rows in by_part.items():
+        write_manifest(mdir / f"{part}.tsv", part_rows, cfg.config_hash())
 
-    stats = corpus_stats(final_rows)
+    stats = corpus_stats([r for part_rows in by_part.values() for r in part_rows])
     stats["config_hash"] = cfg.config_hash()
     hist_rows = sorted(
         (part, f"{bin_start:.1f}", count)
         for (part, bin_start), count in stats.pop("_histogram_pairs").items()
     )
     write_json(Path(cfg.output_dir) / "stats.json", stats)
-    write_tsv(
-        Path(cfg.output_dir) / "duration_histogram.tsv",
-        ("partition", "bin_start_s", "count"),
-        hist_rows,
-        cfg.config_hash(),
-    )
+    write_tsv(Path(cfg.output_dir) / "duration_histogram.tsv",
+              ("partition", "bin_start_s", "count"), hist_rows, cfg.config_hash())
 
     report = {
         "config_hash": cfg.config_hash(),
@@ -443,17 +433,11 @@ def stage_split(cfg: PipelineConfig) -> dict:
         "truncations": assignment.truncation_report,
         "chapter_drops": assignment.chapter_report,
         "hardness": hard_note,
-        "speakers": {
-            p: assignment.speakers_in(p) for p in ("train", "dev", "test")
-        },
+        "speakers": {p: assignment.speakers_in(p) for p in by_part},
     }
     write_json(_stage_dir(cfg, "split") / "split_report.json", report)
-    return {
-        "segments": len(final_rows),
-        "train": sum(1 for r in final_rows if r.partition == "train"),
-        "dev": sum(1 for r in final_rows if r.partition == "dev"),
-        "test": sum(1 for r in final_rows if r.partition == "test"),
-    }
+    counts = {part: len(part_rows) for part, part_rows in by_part.items()}
+    return {"segments": sum(counts.values()), **counts}
 
 
 def stage_limited(cfg: PipelineConfig) -> dict:
@@ -546,13 +530,7 @@ def stage_lm_eval(cfg: PipelineConfig) -> dict:
         model = ngramlm.NGramModel.load(lm_dir / f"lm_{order}.cflm")
         report = ngramlm.evaluate(model, dev_sentences, oov_context=cfg.oov_context)
         del model  # free this order before the next one is loaded
-        results[str(order)] = {
-            "oov_rate": report.oov_rate,
-            "perplexity": report.perplexity,
-            "total_tokens": report.total_tokens,
-            "oov_tokens": report.oov_tokens,
-            "scored_tokens": report.scored_tokens,
-        }
+        results[str(order)] = asdict(report)
         ppls[order] = report.perplexity
     write_json(lm_dir / "lm_eval.json", {
         "config_hash": cfg.config_hash(),
@@ -617,8 +595,14 @@ def run_pipeline(
     Already-written outputs of earlier stages are left in place, which is
     what makes --from-stage resumption possible."""
     cfg.validate()
-    if cfg.hardness_percentile > 0 and not Path(cfg.hardness_reference).is_file():
-        raise InputError(f"{cfg.hardness_reference}: hardness_reference is not a file")
+    # every file the config names is loaded here by its stage's loader, so
+    # a fault in one stops the run before any stage writes
+    load_orthography(cfg.orthography, cfg.language)
+    dc.stopword_list(cfg.stopwords, cfg.language)
+    if cfg.hardness_percentile > 0:
+        if not Path(cfg.hardness_reference).is_file():
+            raise InputError(f"{cfg.hardness_reference}: hardness_reference is not a file")
+        _reference_wers(cfg.hardness_reference)
     names = list(STAGE_TABLE)
     for name in (from_stage, until_stage):
         if name is not None and name not in STAGE_TABLE:

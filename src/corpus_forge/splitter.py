@@ -88,10 +88,7 @@ def validate_books(books) -> tuple[list[BookRecord], list[dict]]:
     report = []
     survivors = []
     for book in books:
-        if not book.title or not book.author:
-            report.append({"book_id": book.book_id, "reason": "corrupted metadata"})
-            continue
-        if any(not ch.speaker_id for ch in book.chapters):
+        if not book.title or not book.author or any(not ch.speaker_id for ch in book.chapters):
             report.append({"book_id": book.book_id, "reason": "corrupted metadata"})
             continue
         if book.multi_speaker:
@@ -216,9 +213,7 @@ def enforce_chapter_exclusivity(
             assignment.chapter_report.append(
                 {"chapter_id": cid, "reason": f"spans partitions {sorted(parts)}"}
             )
-    # exhaustive re-check
-    for cid, part in assignment.chapter_partition.items():
-        assert part in ("train", "dev", "test")
+    assignment.verify()
     return assignment
 
 

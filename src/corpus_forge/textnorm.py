@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from .manifest import read_text
+
 # characters that participate in end-of-line hyphenation
 EOL_HYPHEN_CHARS = "-‐­"
 
@@ -69,7 +71,7 @@ class Orthography:
         valid: set[str] = set()
         apostrophes: set[str] = set()
         hyphens: set[str] = set()
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(read_text(path).splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -78,8 +80,8 @@ class Orthography:
                 raise OrthographyError(f"{path}:{lineno}: cannot parse {line!r}")
             lo = int(m.group(1), 16)
             hi = int(m.group(2), 16) if m.group(2) else lo
-            if hi < lo:
-                raise OrthographyError(f"{path}:{lineno}: inverted range")
+            if not lo <= hi <= 0x10FFFF:
+                raise OrthographyError(f"{path}:{lineno}: inverted range or not a code point")
             chars = {chr(c) for c in range(lo, hi + 1)}
             if m.group(3) == "apostrophe":
                 apostrophes |= chars
@@ -87,12 +89,11 @@ class Orthography:
                 hyphens |= chars
             else:
                 valid |= chars
-        return cls(
-            language_id=language_id or path.stem,
-            valid_chars=frozenset(valid),
-            apostrophe_chars=frozenset(apostrophes),
-            hyphen_chars=frozenset(hyphens),
-        )
+        try:
+            return cls(language_id=language_id or path.stem, valid_chars=frozenset(valid),
+                       apostrophe_chars=frozenset(apostrophes), hyphen_chars=frozenset(hyphens))
+        except OrthographyError as exc:  # no valid character, or a whitespace class
+            raise OrthographyError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,7 @@ def default_orthography(language_id: str = "en") -> Orthography:
     """Load a bundled orthography data file."""
     path = Path(__file__).parent / "data" / "orthographies" / f"{language_id}.orth"
     if not path.exists():
-        raise OrthographyError(f"no bundled orthography for {language_id!r}")
+        raise OrthographyError(f"{path}: no bundled orthography for {language_id!r}")
     return Orthography.from_file(path, language_id=language_id)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from corpus_forge.cli import main as cli_main
 from corpus_forge.config import ConfigError, PipelineConfig
-from corpus_forge import manifest
+from corpus_forge import manifest, textnorm
 from corpus_forge import retrieval as rt
 from corpus_forge import splitter as sp
 from corpus_forge.manifest import (
@@ -518,6 +518,15 @@ HOSTILE_CATALOGS = {
     "chapter-twice": ("books.json", json.dumps([book_record("book000", "book000_ch00"),
                                                 book_record("book001", "book000_ch00")]).encode(),
                       "book 1 ('book001'): chapter 'book000_ch00' is listed twice"),
+    "book-id-a-list": ("books.json", json.dumps([{**book_record("book000", "book000_ch00"),
+                                                  "book_id": ["book000"]}]).encode(),
+                       'book 0: book_id ["book000"] is not a JSON string'),
+    "chapter-id-a-list": ("books.json",
+                          json.dumps([book_record("book000", ["book000_ch00"])]).encode(),
+                          'book 0: chapter_id ["book000_ch00"] is not a JSON string'),
+    "speaker-id-a-number": ("books.json", json.dumps([{**book_record("book000"), "chapters": [
+                                {"chapter_id": "book000_ch00", "speaker_id": 7}]}]).encode(),
+                            "book 0: speaker_id 7 is not a JSON string"),
 }
 
 
@@ -673,6 +682,42 @@ def test_hardness_reference_fault_exits_2_before_any_stage(tmp_path, capsys):
         assert cli_main(["run", "--config", str(cfg_path), "--until-stage", "filter"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.glob("out/work/*/provenance.json"))
+
+
+@pytest.mark.parametrize("key, content, message", [
+    ("orthography", None, ": cannot read: No such file or directory"),
+    ("orthography", "", ": cannot read: Is a directory"),
+    ("orthography", b"U+0061\njunk\n", ":2: cannot parse 'junk'"),
+    ("orthography", b"# no characters\n", ": orthography has no valid characters"),
+    ("orthography", b"U+0061\nU+110000\n", ":2: inverted range or not a code point"),
+    ("language", None, ": no bundled orthography for 'xx'"),
+    ("stopwords", None, ": cannot read: No such file or directory"),
+    ("stopwords", b"the\nan\xff\n", ":2: not valid UTF-8"),
+    ("hardness_reference", b"0.1\n0.\xff2\n", ":2: not valid UTF-8"),
+    ("hardness_reference", b"\n \n", ": holds no WER"),
+], ids=["orthography-missing", "orthography-a-directory", "orthography-unparsable",
+        "orthography-empty", "orthography-past-unicode", "language-unknown", "stopwords-missing", "stopwords-not-utf8",
+        "reference-not-utf8", "reference-empty"])
+def test_config_named_file_fault_exits_2_before_any_stage(tmp_path, capsys, key, content, message):
+    """A file that ``key`` names, holding ``content`` (None: no such file, "":
+    a directory), is loaded before normalize and refused naming the file;
+    ``language = xx`` names a bundled orthography that does not exist."""
+    tiny_input(tmp_path / "input", ['{"w": "alpha", "s": 0, "e": 500}'])
+    path = tmp_path / f"named.{key}"
+    if content == "":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    value = path
+    if key == "language":
+        value, path = "xx", Path(textnorm.__file__).parent / "data" / "orthographies" / "xx.orth"
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"input_dir = {tmp_path / 'input'}\noutput_dir = {tmp_path / 'out'}\n"
+                        f"hardness_percentile = {0.5 if key == 'hardness_reference' else 0}\n"
+                        f"{key} = {value}\n", encoding="utf-8")
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}{message}\n"
+    assert not list(tmp_path.glob("out/work/*/provenance.json"))
 
 
 # -- command line ----------------------------------------------------------------------

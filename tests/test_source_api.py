@@ -5,9 +5,12 @@ there as an attribute. Private module-level functions and classes obey the
 same rule, so a helper whose last caller is gone is caught too."""
 
 import ast
+import inspect
 from collections import Counter
 from pathlib import Path
 
+from corpus_forge import decontam, ngramlm, retrieval, segmenter, splitter
+from corpus_forge.config import PipelineConfig
 from corpus_forge.pipeline import STAGE_TABLE
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "corpus_forge"
@@ -85,3 +88,29 @@ def test_every_public_definition_is_used_in_src():
 
 def test_every_private_module_definition_is_used_in_src():
     assert unused_definitions(private_definitions) == []
+
+
+def default_of(fn, parameter):
+    return inspect.signature(fn).parameters[parameter].default
+
+
+def test_module_defaults_equal_the_config_defaults():
+    """Each module default that a config key also sets is the config's
+    default, so a test that relies on a function's defaults tests the values
+    a run uses."""
+    cfg = PipelineConfig()
+    pairs = {
+        "shard_size": (retrieval.DEFAULT_SHARD_SIZE, cfg.shard_size),
+        "shard_stride": (retrieval.DEFAULT_SHARD_STRIDE, cfg.shard_stride),
+        "wer_threshold": (retrieval.DEFAULT_WER_THRESHOLD, cfg.wer_threshold),
+        "rare_wordform_threshold": (retrieval.DEFAULT_RARE_THRESHOLD, cfg.rare_wordform_threshold),
+        "min_segment_ms": (segmenter.DEFAULT_MIN_LEN_MS, cfg.min_segment_ms),
+        "max_segment_ms": (segmenter.DEFAULT_MAX_LEN_MS, cfg.max_segment_ms),
+        "decontam_threshold": (decontam.DEFAULT_CONTAMINATION_THRESHOLD, cfg.decontam_threshold),
+        "limited_speakers_per_gender": (
+            default_of(splitter.make_limited_supervision, "speakers_per_gender"),
+            cfg.limited_speakers_per_gender),
+        "oov_context": (default_of(ngramlm.evaluate, "oov_context"), cfg.oov_context),
+    }
+    assert {key: module for key, (module, _) in pairs.items()} == {
+        key: config for key, (_, config) in pairs.items()}
