@@ -90,7 +90,7 @@ def main(argv=None) -> int:
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError) as exc:  # config, input and provenance faults
+    except ValueError as exc:  # config, input and provenance faults
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,11 @@
 """Run configuration: key = value file, environment overrides, config hash.
 
 The config file is a flat TOML-style key/value list (``#`` comments, one
-``key = value`` per line). Any key can be overridden through environment
-variables with a ``CORPUS_FORGE_`` prefix. The config hash, stamped into
-every output file, covers processing parameters only, never I/O locations,
-so identical runs into different directories stay byte-comparable.
+``key = value`` per line, each key set at most once). Any key can be
+overridden through environment variables with a ``CORPUS_FORGE_`` prefix.
+The config hash, stamped into every output file, covers processing
+parameters only, never I/O locations, so identical runs into different
+directories stay byte-comparable.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import hashlib
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
+
+from .manifest import read_text
 
 ENV_PREFIX = "CORPUS_FORGE_"
 
@@ -81,23 +84,16 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str | Path, env: dict | None = None) -> "PipelineConfig":
         values: dict[str, str] = {}
-        path = Path(path)
-        try:
-            raw = path.read_bytes()
-            text = raw.decode("utf-8")
-        except OSError as exc:  # missing, a directory, or unreadable
-            raise ConfigError(f"{path}: cannot read config file: {exc.strerror}") from None
-        except UnicodeDecodeError as exc:
-            lineno = len((raw[: exc.start] + b"?").decode("utf-8").splitlines())
-            raise ConfigError(f"{path}:{lineno}: not valid UTF-8") from None
-        for lineno, line in enumerate(text.splitlines(), 1):
+        for lineno, line in enumerate(read_text(path).splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip().strip('"')
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in values:
+                raise ConfigError(f"{path}:{lineno}: {key} is set twice")
+            values[key] = value.strip('"')
         return cls.from_mapping(values, env=env)
 
     @classmethod

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .manifest import read_text, write_tsv
+from .manifest import InputError, read_text, write_tsv
 from .retrieval import edit_distance
 
 NGRAM_ORDER = 5
@@ -32,26 +32,19 @@ class FiveGramIndex:
         return len(self.grams)
 
 
-def load_stopwords(path: str | Path) -> frozenset[str]:
-    """One stop word per line; '#' starts a comment."""
+def load_stopwords(path: str | Path, language_id: str = "en") -> frozenset[str]:
+    """The stop words of the file at ``path``, or of the bundled list for
+    the language when it is empty: one per line; '#' starts a comment."""
+    if not path:
+        path = Path(__file__).parent / "data" / "stopwords" / f"{language_id}.stop"
+        if not path.exists():
+            raise InputError(f"{path}: no bundled stopword list for {language_id!r}")
     words = set()
     for line in read_text(path).splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
             words.add(line)
     return frozenset(words)
-
-
-def default_stopwords(language_id: str = "en") -> frozenset[str]:
-    path = Path(__file__).parent / "data" / "stopwords" / f"{language_id}.stop"
-    if not path.exists():
-        raise FileNotFoundError(f"{path}: no bundled stopword list for {language_id!r}")
-    return load_stopwords(path)
-
-
-def stopword_list(path: str | Path | None = None, language_id: str = "en") -> frozenset[str]:
-    """The stop-word file at ``path``, or the bundled list when it is empty."""
-    return load_stopwords(path) if path else default_stopwords(language_id)
 
 
 def _fivegrams(tokens, stopwords, distinct: bool = True):

@@ -15,7 +15,8 @@ and ``iter_manifest`` and ``read_candidates`` yield one record at a time.
 One writer takes any iterable of rows and formats them a block at a time.
 Every file the pipeline writes goes through ``atomic_open``: to a temporary
 file beside its target, moved into place once it is whole, so a failure
-part-way leaves the earlier file as it was and no torn one.
+part-way leaves the earlier file as it was and no torn one. Every input
+file is opened by ``read_bytes`` alone, which names one it cannot read.
 
 A ``ManifestRow`` is one segment. A ``CandidateTranscript`` is the book text
 retrieved for one segment, with its WER against the pseudo label and whether
@@ -289,16 +290,25 @@ def read_lines(path: str | Path, expect_hash: str | None = None) -> list[str]:
     return [line.strip() for line in lines if line.strip()]
 
 
-def read_text(path: str | Path) -> str:
-    """The text of an input file. One that cannot be read, or whose bytes
-    are not UTF-8, fails as an ``InputError`` naming it (and the line)."""
+def read_bytes(path: str | Path) -> bytes:
+    """The bytes of an input file, the one place one is opened. One that
+    cannot be read fails as an ``InputError`` naming it."""
     try:
-        raw = Path(path).read_bytes()
-        return raw.decode("utf-8")
+        return Path(path).read_bytes()
     except OSError as exc:  # missing, a directory, or unreadable
         raise InputError(f"{path}: cannot read: {exc.strerror}") from None
+
+
+def read_text(path: str | Path) -> str:
+    """The text of an input file, its CR LF and lone CR read as LF. Bytes
+    that are not UTF-8 fail as an ``InputError`` naming the file and the
+    line: one more than the count of LF before the first bad byte."""
+    # no UTF-8 sequence holds a \r or \n byte
+    raw = read_bytes(path).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = len((raw[: exc.start] + b"?").decode("utf-8").splitlines())
+        lineno = raw.count(b"\n", 0, exc.start) + 1
         raise InputError(f"{path}:{lineno}: not valid UTF-8") from None
 
 

@@ -90,24 +90,23 @@ def _check_provenance(cfg: PipelineConfig, stage: str) -> None:
 
 
 def _read_json(path: Path):
+    text = read_text(path)  # outside the except: an InputError is a ValueError
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # bad UTF-8 or bad JSON
+        return json.loads(text)
+    except ValueError as exc:
         raise InputError(f"{path}: not valid JSON: {exc}") from None
 
 
 def read_catalog(input_dir) -> tuple[list[sp.BookRecord], dict[str, dict]]:
     """The book records of ``books.json`` and the speaker records of
-    ``speakers.json``. A file that is not the JSON array or object it should
-    be, a book whose record cannot be built, a book, chapter or speaker id
-    that is not a string, a ``book_id`` or a chapter listed twice, or a
-    speaker record that is not an object, fails as an ``InputError`` naming
-    the file and the book or speaker."""
+    ``speakers.json``. A file that cannot be read, is not UTF-8 or is not the
+    JSON array or object it should be, a book whose record cannot be built,
+    a book, chapter or speaker id that is not a string, a ``book_id`` or a
+    chapter listed twice, or a speaker record that is not an object, fails
+    as an ``InputError`` naming the file and the book or speaker."""
     root = Path(input_dir)
     books_path = root / "books.json"
     speakers_path = root / "speakers.json"
-    if not books_path.exists() or not speakers_path.exists():
-        raise FileNotFoundError(f"missing books.json/speakers.json under {root}")
     records = _read_json(books_path)
     if not isinstance(records, list):
         raise InputError(f"{books_path}: not a JSON array of book records")
@@ -162,16 +161,8 @@ def read_catalog(input_dir) -> tuple[list[sp.BookRecord], dict[str, dict]]:
 
 
 def normalize_file(src: Path, dst: Path, orth) -> int:
-    """Write the normalized text of one raw file; returns its token count.
-    Bytes that are not UTF-8 fail naming the file and the line."""
-    # line ends translated as in text mode; no UTF-8 sequence holds a \r or \n byte
-    raw = src.read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise InputError(f"{src}:{line}: not valid UTF-8") from None
-    lines = normalize_lines(text, orth)
+    """Write the normalized text of one raw file; returns its token count."""
+    lines = normalize_lines(read_text(src), orth)
     with atomic_open(dst, "w", encoding="utf-8") as fh:
         fh.write("\n".join(l.text() for l in lines) + "\n")
     return sum(len(l) for l in lines)
@@ -195,10 +186,10 @@ def _words(path: Path) -> list[str]:
 def stage_normalize(cfg: PipelineConfig) -> dict:
     src = Path(cfg.input_dir) / "books"
     if not src.is_dir():
-        raise FileNotFoundError(f"input book directory {src} does not exist")
+        raise InputError(f"{src}: no such directory of book texts")
     book_files = sorted(src.glob("*.txt"))
     if not book_files:
-        raise FileNotFoundError(f"no book texts found in {src}")
+        raise InputError(f"{src}: holds no book text (*.txt)")
     orth = load_orthography(cfg.orthography, cfg.language)
     out = _stage_dir(cfg, "normalize")
     n_tokens = sum(normalize_file(path, out / path.name, orth) for path in book_files)
@@ -213,7 +204,7 @@ def stage_segment(cfg: PipelineConfig) -> dict:
     books, speakers = read_catalog(cfg.input_dir)
     token_dir = Path(cfg.input_dir) / "tokens"
     if not token_dir.is_dir():
-        raise FileNotFoundError(f"input token directory {token_dir} does not exist")
+        raise InputError(f"{token_dir}: no such directory of token files")
     chapters = {ch.chapter_id: (b.book_id, ch.speaker_id) for b in books for ch in b.chapters}
     rows, residuals, dropped = [], [], []
     for path in sorted(token_dir.glob("*.jsonl")):
@@ -478,7 +469,7 @@ def stage_decontam(cfg: PipelineConfig) -> dict:
     test_rows = read_manifest(_manifest_dir(cfg) / "test.tsv", cfg.config_hash())
     heldout_rows = dev_rows + test_rows
     index = dc.build_heldout_index((r.transcript.split() for r in heldout_rows),
-                                   dc.stopword_list(cfg.stopwords, cfg.language))
+                                   dc.load_stopwords(cfg.stopwords, cfg.language))
     dev_test_titles = [titles[b] for b in sorted({r.book_id for r in heldout_rows}) if b in titles]
     books = ((book_id, titles.get(book_id, ()), _words(path))
              for book_id, path in _book_paths(_stage_dir(cfg, "normalize")).items())
@@ -598,10 +589,8 @@ def run_pipeline(
     # every file the config names is loaded here by its stage's loader, so
     # a fault in one stops the run before any stage writes
     load_orthography(cfg.orthography, cfg.language)
-    dc.stopword_list(cfg.stopwords, cfg.language)
+    dc.load_stopwords(cfg.stopwords, cfg.language)
     if cfg.hardness_percentile > 0:
-        if not Path(cfg.hardness_reference).is_file():
-            raise InputError(f"{cfg.hardness_reference}: hardness_reference is not a file")
         _reference_wers(cfg.hardness_reference)
     names = list(STAGE_TABLE)
     for name in (from_stage, until_stage):

@@ -27,7 +27,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .manifest import InputError
+from .manifest import InputError, read_bytes
 
 DEFAULT_MIN_LEN_MS = 10_000
 DEFAULT_MAX_LEN_MS = 20_000
@@ -186,15 +186,16 @@ def segment_stream(
 def read_token_stream(path: str | Path) -> TokenStream:
     """Read one recording's token file into a ``TokenStream``.
 
-    A malformed line, bytes that are not UTF-8 included, fails naming the
-    file and the line, unless a token before it already breaks the stream
-    rules: the first fault in file order is the one named.
+    A file that cannot be read fails naming it. A malformed line, bytes
+    that are not UTF-8 included, fails naming the file and the line, unless
+    a token before it already breaks the stream rules: the first fault in
+    file order is the one named.
     """
     words, starts, ends, lines = [], [], [], []
     bad_line = None
     # bytes.splitlines breaks at \n, \r and \r\n, as text-mode reading does;
     # each line is decoded on its own, so bad bytes name their line
-    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
+    for lineno, raw in enumerate(read_bytes(path).splitlines(), 1):
         try:
             line = raw.decode("utf-8")
             if not line.strip():

@@ -194,16 +194,11 @@ def normalize_lines(raw: str, orth: Orthography) -> list[NormalizedText]:
     return [NormalizedText(tokens=tuple(w)) for line in lines if (w := words(line))]
 
 
-def default_orthography(language_id: str = "en") -> Orthography:
-    """Load a bundled orthography data file."""
-    path = Path(__file__).parent / "data" / "orthographies" / f"{language_id}.orth"
-    if not path.exists():
-        raise OrthographyError(f"{path}: no bundled orthography for {language_id!r}")
-    return Orthography.from_file(path, language_id=language_id)
-
-
 def load_orthography(path: str | Path, language_id: str = "en") -> Orthography:
-    """The orthography file at ``path``, or the bundled one when it is empty."""
-    if path:
-        return Orthography.from_file(path, language_id=language_id)
-    return default_orthography(language_id)
+    """The orthography file at ``path``, or the bundled one for the language
+    when it is empty."""
+    if not path:
+        path = Path(__file__).parent / "data" / "orthographies" / f"{language_id}.orth"
+        if not path.exists():
+            raise OrthographyError(f"{path}: no bundled orthography for {language_id!r}")
+    return Orthography.from_file(path, language_id=language_id)

@@ -6,7 +6,6 @@ from corpus_forge.decontam import (
     FiveGramIndex,
     build_heldout_index,
     contamination_rate,
-    default_stopwords,
     filter_corpus,
     load_stopwords,
     title_match,
@@ -212,4 +211,4 @@ def test_stopword_file_loading(tmp_path):
     path = tmp_path / "x.stop"
     path.write_text("# comment\nthe\nand # trailing\n\n", encoding="utf-8")
     assert load_stopwords(path) == frozenset({"the", "and"})
-    assert "the" in default_stopwords("en")
+    assert "the" in load_stopwords("", "en")

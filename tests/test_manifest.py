@@ -199,7 +199,7 @@ def fail_on_call(n, fn):
 
 
 def write_normalized(path, words):
-    orth = textnorm.default_orthography("en")
+    orth = textnorm.load_orthography("", "en")
     path.with_suffix(".raw").write_text("\n".join(words) + "\n", encoding="utf-8")
     normalize_file(path.with_suffix(".raw"), path, orth)
 

@@ -22,7 +22,7 @@ from corpus_forge.manifest import (
 )
 from corpus_forge.pipeline import STAGE_TABLE, StageError, corpus_stats, run_pipeline, run_stage
 from corpus_forge.synth import SynthParams, synth_corpus
-from corpus_forge.textnorm import default_orthography, normalize_lines
+from corpus_forge.textnorm import load_orthography, normalize_lines
 
 from oracles import sum_hours
 
@@ -172,7 +172,7 @@ def test_manifest_row_validation():
 
 def test_synth_books_normalize_back_to_reading_words(tmp_path):
     summary = synth_corpus(tmp_path, seed=5, params=SMALL)
-    orth = default_orthography("en")
+    orth = load_orthography("", "en")
     meta = json.loads((tmp_path / "books.json").read_text(encoding="utf-8"))
     by_id = {b["book_id"]: b for b in meta}
     for book_id in summary.book_ids:
@@ -238,10 +238,10 @@ def test_stats_match_summation_oracle(completed_run):
 
 def test_empty_input_fails_at_stage_one_naming_directory(tmp_path):
     cfg = small_config(tmp_path)
-    with pytest.raises(StageError) as err:
+    with pytest.raises(InputError) as err:
         run_pipeline(cfg)
-    assert err.value.stage == "normalize"
-    assert str(tmp_path / "input" / "books") in str(err.value)
+    assert str(err.value) == f"{tmp_path / 'input' / 'books'}: no such directory of book texts"
+    assert not list(tmp_path.glob("out/work/*/provenance.json"))
 
 
 def test_completed_run_invariants(completed_run):
@@ -504,29 +504,29 @@ def book_record(book_id, *chapters):
 # a catalog file of ``tiny_input`` replaced by bytes that read_catalog refuses,
 # with the message that follows its path
 HOSTILE_CATALOGS = {
-    "books-not-json": ("books.json", b'[{"book_id": "book000",', "not valid JSON: "),
-    "books-not-utf8": ("books.json", b'["b\xff"]', "not valid JSON: "),
-    "books-an-object": ("books.json", b'{"book000": {}}', "not a JSON array of book records"),
-    "speakers-not-json": ("speakers.json", b"{'spk_m00': 'M'}", "not valid JSON: "),
+    "books-not-json": ("books.json", b'[{"book_id": "book000",', ": not valid JSON: "),
+    "books-not-utf8": ("books.json", b'["b\xff"]', ":1: not valid UTF-8"),
+    "books-an-object": ("books.json", b'{"book000": {}}', ": not a JSON array of book records"),
+    "speakers-not-json": ("speakers.json", b"{'spk_m00': 'M'}", ": not valid JSON: "),
     "speakers-a-list": ("speakers.json", b'[{"speaker_id": "spk_m00", "gender": "M"}]',
-                        "not a JSON object of speaker records"),
+                        ": not a JSON object of speaker records"),
     "speaker-a-string": ("speakers.json", b'{"spk_m00": "M"}',
-                         "speaker 'spk_m00': record is not a JSON object"),
+                         ": speaker 'spk_m00': record is not a JSON object"),
     "book-id-twice": ("books.json", json.dumps([book_record("book000", "book000_ch00"),
                                                 book_record("book000", "book000_ch01")]).encode(),
-                      "book 1 ('book000'): book_id is listed twice"),
+                      ": book 1 ('book000'): book_id is listed twice"),
     "chapter-twice": ("books.json", json.dumps([book_record("book000", "book000_ch00"),
                                                 book_record("book001", "book000_ch00")]).encode(),
-                      "book 1 ('book001'): chapter 'book000_ch00' is listed twice"),
+                      ": book 1 ('book001'): chapter 'book000_ch00' is listed twice"),
     "book-id-a-list": ("books.json", json.dumps([{**book_record("book000", "book000_ch00"),
                                                   "book_id": ["book000"]}]).encode(),
-                       'book 0: book_id ["book000"] is not a JSON string'),
+                       ': book 0: book_id ["book000"] is not a JSON string'),
     "chapter-id-a-list": ("books.json",
                           json.dumps([book_record("book000", ["book000_ch00"])]).encode(),
-                          'book 0: chapter_id ["book000_ch00"] is not a JSON string'),
+                          ': book 0: chapter_id ["book000_ch00"] is not a JSON string'),
     "speaker-id-a-number": ("books.json", json.dumps([{**book_record("book000"), "chapters": [
                                 {"chapter_id": "book000_ch00", "speaker_id": 7}]}]).encode(),
-                            "book 0: speaker_id 7 is not a JSON string"),
+                            ": book 0: speaker_id 7 is not a JSON string"),
 }
 
 
@@ -541,7 +541,7 @@ def test_hostile_catalog_exits_2_naming_its_file(tmp_path, capsys, entry, name, 
                         encoding="utf-8")
     assert cli_main([entry, "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1, err
+    assert err.startswith(f"error: {path}{message}") and err.count("\n") == 1, err
     assert not (tmp_path / "out" / "work" / "segment" / "segments.tsv").exists()
     assert not (tmp_path / "out" / "work" / "segment" / "provenance.json").exists()
 
@@ -672,7 +672,7 @@ def test_hardness_reference_fault_exits_2_before_any_stage(tmp_path, capsys):
     tiny_input(tmp_path / "input", ['{"w": "alpha", "s": 0, "e": 500}'])
     missing = tmp_path / "missing.txt"
     for reference, message in [
-        (missing, f"{missing}: hardness_reference is not a file"),
+        (missing, f"{missing}: cannot read: No such file or directory"),
         ("", "hardness_percentile > 0 needs a hardness_reference file"),
     ]:
         cfg_path = tmp_path / "run.cfg"
@@ -718,6 +718,67 @@ def test_config_named_file_fault_exits_2_before_any_stage(tmp_path, capsys, key,
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err == f"error: {path}{message}\n"
     assert not list(tmp_path.glob("out/work/*/provenance.json"))
+
+
+# each file a ``tiny_input`` run reads from outside: its path under the test
+# directory, the config line that names it, and the stages whose provenance a
+# fault in it leaves (normalize runs before segment reads the catalog and the
+# token files)
+INPUT_FILES = {
+    "config": ("run.cfg", "", set()),
+    "book": ("input/books/book000.txt", "", set()),
+    "books.json": ("input/books.json", "", {"normalize"}),
+    "speakers.json": ("input/speakers.json", "", {"normalize"}),
+    "orthography": ("named.orth", "orthography = {}\n", set()),
+    "stopwords": ("named.stop", "stopwords = {}\n", set()),
+    "reference": ("named.ref", "hardness_percentile = 0.5\nhardness_reference = {}\n", set()),
+    "token-file": ("input/tokens/book000_ch00.jsonl", "", {"normalize"}),
+}
+
+
+def run_with_faulty_input(tmp_path, name, fault):
+    """Run a ``tiny_input`` tree through ``cli.main`` after ``fault(path)``
+    rewrote its input file ``name``; returns the exit code, the path and the
+    stages that wrote their provenance."""
+    tiny_input(tmp_path / "input", ['{"w": "alpha", "s": 0, "e": 500}'])
+    relative, named_by, _ = INPUT_FILES[name]
+    path = tmp_path / relative
+    path.touch()
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"input_dir = {tmp_path / 'input'}\noutput_dir = {tmp_path / 'out'}\n"
+                        + named_by.format(path), encoding="utf-8")
+    fault(path)
+    code = cli_main(["run", "--config", str(cfg_path)])
+    return code, path, {p.parent.name for p in tmp_path.glob("out/work/*/provenance.json")}
+
+
+def not_utf8_on_line_4(path):
+    # CR LF, a lone CR and LF each end a line; the form feed ends none
+    path.write_bytes(b"a\r\nb\rc\x0cd\n\xff\n")
+
+
+def a_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+@pytest.mark.parametrize("name", [name for name in INPUT_FILES if name != "token-file"])
+def test_input_file_not_utf8_exits_2_naming_the_line(tmp_path, capsys, name):
+    """Every input file names the line of its first bad byte the same way:
+    one more than the count of line ends before it, CR LF and a lone CR
+    read as LF."""
+    code, path, written = run_with_faulty_input(tmp_path, name, not_utf8_on_line_4)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path}:4: not valid UTF-8\n"
+    assert written == INPUT_FILES[name][2]
+
+
+@pytest.mark.parametrize("name", INPUT_FILES)
+def test_directory_in_place_of_an_input_file_exits_2_naming_it(tmp_path, capsys, name):
+    code, path, written = run_with_faulty_input(tmp_path, name, a_directory)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path}: cannot read: Is a directory\n"
+    assert written == INPUT_FILES[name][2]
 
 
 # -- command line ----------------------------------------------------------------------
@@ -858,13 +919,14 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         f"input_dir = {tmp_path / 'missing'}\noutput_dir = {tmp_path / 'out2'}\n",
         encoding="utf-8",
     )
-    assert cli_main(["run", "--config", str(empty_cfg)]) == 3
+    assert cli_main(["run", "--config", str(empty_cfg)]) == 2
 
 
 @pytest.mark.parametrize("content, message", [
-    (None, ": cannot read config file: Is a directory"),
+    (None, ": cannot read: Is a directory"),
     (b"seed = 3\r\nlanguage = e\xffn\n", ":2: not valid UTF-8"),
-], ids=["directory", "not-utf8"])
+    (b"seed = 3\nlanguage = en\nseed = 5\n", ":3: seed is set twice"),
+], ids=["directory", "not-utf8", "key-twice"])
 def test_config_file_fault_exits_2_naming_the_file(tmp_path, capsys, content, message):
     path = tmp_path / "run.cfg"
     if content is None:

@@ -114,3 +114,13 @@ def test_module_defaults_equal_the_config_defaults():
     }
     assert {key: module for key, (module, _) in pairs.items()} == {
         key: config for key, (_, config) in pairs.items()}
+
+
+def test_only_manifest_opens_and_decodes_input_files():
+    """``manifest.read_bytes`` and ``manifest.read_text`` are the one reader
+    of input files: no other module names the errors that opening or
+    decoding a file raises, so a second copy of the reader is caught."""
+    naming = [path.name for path in sorted(SRC.glob("*.py"))
+              if {"OSError", "UnicodeDecodeError"} & set(
+                  names_in(ast.parse(path.read_text(encoding="utf-8"))))]
+    assert naming == ["manifest.py"]

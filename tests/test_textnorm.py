@@ -8,8 +8,8 @@ from corpus_forge.textnorm import (
     NormalizedText,
     Orthography,
     OrthographyError,
-    default_orthography,
     join_eol_hyphens,
+    load_orthography,
     normalize_lines,
 )
 
@@ -23,13 +23,13 @@ def normalize(raw, orth):
 
 @pytest.fixture(scope="module")
 def orth():
-    return default_orthography("en")
+    return load_orthography("", "en")
 
 
 @pytest.fixture(scope="module")
 def orth_no_pound():
     # Latin orthography that simply never listed the pound sign
-    return default_orthography("en")
+    return load_orthography("", "en")
 
 
 def test_hello_world(orth):
