@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .manifest import read_text
+from .manifest import numbered_lines
 
 ENV_PREFIX = "CORPUS_FORGE_"
 
@@ -84,10 +84,7 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str | Path, env: dict | None = None) -> "PipelineConfig":
         values: dict[str, str] = {}
-        for lineno, line in enumerate(read_text(path).splitlines(), 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in numbered_lines(path):
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, _, value = (part.strip() for part in line.partition("="))

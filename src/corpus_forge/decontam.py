@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .manifest import InputError, read_text, write_tsv
+from .manifest import InputError, numbered_lines, write_tsv
 from .retrieval import edit_distance
 
 NGRAM_ORDER = 5
@@ -39,12 +39,7 @@ def load_stopwords(path: str | Path, language_id: str = "en") -> frozenset[str]:
         path = Path(__file__).parent / "data" / "stopwords" / f"{language_id}.stop"
         if not path.exists():
             raise InputError(f"{path}: no bundled stopword list for {language_id!r}")
-    words = set()
-    for line in read_text(path).splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            words.add(line)
-    return frozenset(words)
+    return frozenset(line for _, line in numbered_lines(path))
 
 
 def _fivegrams(tokens, stopwords, distinct: bool = True):

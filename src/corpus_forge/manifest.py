@@ -15,8 +15,9 @@ and ``iter_manifest`` and ``read_candidates`` yield one record at a time.
 One writer takes any iterable of rows and formats them a block at a time.
 Every file the pipeline writes goes through ``atomic_open``: to a temporary
 file beside its target, moved into place once it is whole, so a failure
-part-way leaves the earlier file as it was and no torn one. Every input
-file is opened by ``read_bytes`` alone, which names one it cannot read.
+part-way leaves the earlier file as it was and no torn one. Only
+``read_bytes`` opens an input file, naming one it cannot read, and only
+``numbered_lines`` splits a line-oriented one into lines.
 
 A ``ManifestRow`` is one segment. A ``CandidateTranscript`` is the book text
 retrieved for one segment, with its WER against the pseudo label and whether
@@ -64,7 +65,7 @@ BLOCK_ROWS = 128  # rows formatted and written at a time
 
 
 class InputError(ValueError):
-    """An input file that breaks its format, named with its faulty line."""
+    """A faulty input file, named with its line, or an output directory that cannot be made."""
 
 
 class ProvenanceError(ValueError):
@@ -283,11 +284,10 @@ def write_lines(path: str | Path, lines, config_hash: str) -> None:
 
 
 def read_lines(path: str | Path, expect_hash: str | None = None) -> list[str]:
-    """The non-blank lines of a ``write_lines`` file, stripped."""
+    """The items of a ``write_lines`` file: its non-empty LF-ended lines."""
     with open(path, encoding="utf-8", newline="") as fh:
         _check_hash_line(fh, path, expect_hash)
-        lines = fh.read().splitlines()
-    return [line.strip() for line in lines if line.strip()]
+        return [line for line in fh.read().split("\n") if line]
 
 
 def read_bytes(path: str | Path) -> bytes:
@@ -310,6 +310,22 @@ def read_text(path: str | Path) -> str:
     except UnicodeDecodeError as exc:
         lineno = raw.count(b"\n", 0, exc.start) + 1
         raise InputError(f"{path}:{lineno}: not valid UTF-8") from None
+
+
+def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, content) of each line of a line file that holds something
+    once its ``#`` comment and outer whitespace are stripped; lines end at LF alone."""
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        if line := line.split("#", 1)[0].strip():
+            yield lineno, line
+
+
+def make_dir(path: str | Path) -> None:
+    """Make the directory ``path``; a file in its way fails naming it."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"{path}: cannot make directory: {exc.strerror}") from None
 
 
 def json_text(obj) -> str:

@@ -31,6 +31,8 @@ from .manifest import (
     ProvenanceError,
     atomic_open,
     iter_manifest,
+    make_dir,
+    numbered_lines,
     read_candidates,
     read_lines,
     read_manifest,
@@ -329,10 +331,10 @@ def _accepted_segments(cfg: PipelineConfig, chapters) -> list[ManifestRow]:
 
 
 def _reference_wers(path) -> list[float]:
-    """The WERs of a hardness reference file, whitespace-separated; a token
-    that is not a number, or a file with none, fails naming the file."""
+    """The WERs of a hardness reference line file, whitespace-separated; a
+    token that is not a number, or a file with none, fails naming the file."""
     reference = []
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+    for lineno, line in numbered_lines(path):
         try:
             reference += [float(x) for x in line.split()]
         except ValueError as exc:
@@ -495,7 +497,7 @@ def stage_lm_train(cfg: PipelineConfig) -> dict:
     def sentences():
         summary["sentences"] = 0
         for book_id in kept_ids:
-            for line in (src / f"{book_id}.txt").read_text(encoding="utf-8").splitlines():
+            for line in (src / f"{book_id}.txt").read_text(encoding="utf-8").split("\n"):
                 if words := line.split():
                     summary["sentences"] += 1
                     yield words
@@ -598,7 +600,7 @@ def run_pipeline(
             raise ValueError(f"unknown stage {name!r} (stages: {', '.join(names)})")
     start = names.index(from_stage) if from_stage else 0
     stop = names.index(until_stage) if until_stage else len(names) - 1
-    Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+    make_dir(cfg.output_dir)
 
     for name in names[start : stop + 1]:
         run_stage(cfg, name)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .manifest import read_text
+from .manifest import numbered_lines
 
 # characters that participate in end-of-line hyphenation
 EOL_HYPHEN_CHARS = "-‐­"
@@ -71,10 +71,7 @@ class Orthography:
         valid: set[str] = set()
         apostrophes: set[str] = set()
         hyphens: set[str] = set()
-        for lineno, line in enumerate(read_text(path).splitlines(), 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in numbered_lines(path):
             m = _RANGE_RE.match(line)
             if m is None:
                 raise OrthographyError(f"{path}:{lineno}: cannot parse {line!r}")

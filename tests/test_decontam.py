@@ -212,3 +212,6 @@ def test_stopword_file_loading(tmp_path):
     path.write_text("# comment\nthe\nand # trailing\n\n", encoding="utf-8")
     assert load_stopwords(path) == frozenset({"the", "and"})
     assert "the" in load_stopwords("", "en")
+    # lines end at LF alone: a form feed inside one is part of its word
+    path.write_bytes(b"the\x0can\n")
+    assert load_stopwords(path) == frozenset({"the\x0can"})

@@ -10,6 +10,7 @@ from corpus_forge.manifest import (
     CandidateTranscript,
     ManifestRow,
     ProvenanceError,
+    numbered_lines,
     read_candidates,
     read_lines,
     read_manifest,
@@ -244,6 +245,19 @@ def test_hashed_line_list_round_trip_and_hash_check(tmp_path):
     path.write_text("b1\nb2\n", encoding="utf-8")
     with pytest.raises(ProvenanceError, match="missing config hash line"):
         read_lines(path)
+
+
+def test_line_list_round_trip_keeps_every_item_without_lf(tmp_path):
+    path = tmp_path / "ids.txt"
+    items = ["a b", " c", "d\x0ce", "f\u2028g", "h\ri"]
+    write_lines(path, items, "cafe")
+    assert read_lines(path, "cafe") == items
+
+
+def test_numbered_lines_end_at_lf_and_drop_comments_and_blanks(tmp_path):
+    path = tmp_path / "x.cfg"
+    path.write_bytes("a = 1 # one\r\n\n  # only a comment\rb\x0cc \nd\u2028e\n\x0c\n".encode())
+    assert list(numbered_lines(path)) == [(1, "a = 1"), (4, "b\x0cc"), (5, "d\u2028e")]
 
 
 def test_awkward_pseudo_labels_survive_cli_segment_and_retrieve(tmp_path, capsys):

@@ -17,10 +17,18 @@ from corpus_forge.manifest import (
     ManifestRow,
     ProvenanceError,
     read_candidates,
+    read_lines,
     read_manifest,
     write_manifest,
 )
-from corpus_forge.pipeline import STAGE_TABLE, StageError, corpus_stats, run_pipeline, run_stage
+from corpus_forge.pipeline import (
+    STAGE_TABLE,
+    StageError,
+    _reference_wers,
+    corpus_stats,
+    run_pipeline,
+    run_stage,
+)
 from corpus_forge.synth import SynthParams, synth_corpus
 from corpus_forge.textnorm import load_orthography, normalize_lines
 
@@ -297,6 +305,19 @@ def test_completed_run_invariants(completed_run):
         assert f"config_hash={cfg.config_hash()}" in arpa_head
     lm_eval = json.loads((out / "lm" / "lm_eval.json").read_text(encoding="utf-8"))
     assert set(lm_eval["models"]) == {"3", "5"}
+
+
+def test_kept_book_id_holding_a_line_separator_reaches_lm_train(completed_run, tmp_path):
+    """``corpus_books.txt`` is split at LF alone, so the id of a kept book
+    that holds U+2028 reads back as the one id that decontam wrote."""
+    root, cfg, _ = completed_run
+    shutil.copytree(root / "input", tmp_path / "input")
+    kept = read_lines(Path(cfg.output_dir) / "lm" / "corpus_books.txt")[0]
+    books = tmp_path / "input" / "books"
+    shutil.copyfile(books / f"{kept}.txt", books / "extra\u2028x.txt")
+    cfg = replace(cfg, input_dir=str(tmp_path / "input"), output_dir=str(tmp_path / "out"))
+    assert cli_main(["run", "--config", config_file(tmp_path / "run.cfg", cfg)]) == 0
+    assert "extra\u2028x" in read_lines(tmp_path / "out" / "lm" / "corpus_books.txt")
 
 
 def test_rerun_single_stage_is_byte_identical(completed_run):
@@ -781,6 +802,27 @@ def test_directory_in_place_of_an_input_file_exits_2_naming_it(tmp_path, capsys,
     assert written == INPUT_FILES[name][2]
 
 
+@pytest.mark.parametrize("name, content, message", [
+    ("config", b"seed = 3\x0c\nbad line\n", ":2: expected key = value"),
+    ("orthography", b"U+0061..U+007A\x0c\nnonsense\n", ":2: cannot parse 'nonsense'"),
+    ("reference", b"0.1\x0c\nx\n", ":2: could not convert string to float: 'x'"),
+])
+def test_form_feed_in_a_line_file_ends_no_line(tmp_path, capsys, name, content, message):
+    """The config, orthography and reference lines end at LF alone, so a
+    fault is named on the line that ``grep -n`` reports."""
+    code, path, written = run_with_faulty_input(tmp_path, name,
+                                                lambda path: path.write_bytes(content))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path}{message}\n"
+    assert written == INPUT_FILES[name][2]
+
+
+def test_hardness_reference_takes_comments(tmp_path):
+    path = tmp_path / "named.ref"
+    path.write_text("# wer\n0.1 0.2  # two\n\n0.3\n", encoding="utf-8")
+    assert _reference_wers(path) == [0.1, 0.2, 0.3]
+
+
 # -- command line ----------------------------------------------------------------------
 
 
@@ -935,6 +977,24 @@ def test_config_file_fault_exits_2_naming_the_file(tmp_path, capsys, content, me
         path.write_bytes(content)
     assert cli_main(["run", "--config", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {path}{message}\n"
+
+
+@pytest.mark.parametrize("output_dir, message", [
+    ("taken", "File exists"),
+    ("taken/out", "Not a directory"),
+], ids=["a-file", "under-a-file"])
+def test_output_dir_at_a_file_exits_2_naming_it(tmp_path, capsys, output_dir, message):
+    """An ``output_dir`` that a file stands in the way of is refused before
+    any stage writes."""
+    tiny_input(tmp_path / "input", ['{"w": "alpha", "s": 0, "e": 500}'])
+    (tmp_path / "taken").write_text("a file\n", encoding="utf-8")
+    out = tmp_path / output_dir
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"input_dir = {tmp_path / 'input'}\noutput_dir = {out}\n",
+                        encoding="utf-8")
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"error: {out}: cannot make directory: {message}\n"
+    assert (tmp_path / "taken").read_text(encoding="utf-8") == "a file\n"
 
 
 def test_cli_split_subcommand_overrides(tmp_path, capsys, monkeypatch):

@@ -124,3 +124,33 @@ def test_only_manifest_opens_and_decodes_input_files():
               if {"OSError", "UnicodeDecodeError"} & set(
                   names_in(ast.parse(path.read_text(encoding="utf-8"))))]
     assert naming == ["manifest.py"]
+
+
+def nodes_by_function(node, qualname=""):
+    """(qualified name of the innermost enclosing function or class, node)
+    for every node under ``node``; "" for module-level code."""
+    for child in ast.iter_child_nodes(node):
+        name = qualname
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{qualname}.{child.name}".lstrip(".")
+        yield name, child
+        yield from nodes_by_function(child, name)
+
+
+def test_one_line_rule_for_every_line_file():
+    """Line-oriented input files are split into lines, and their comments
+    cut, by ``manifest.numbered_lines`` alone. ``str.splitlines`` stays only
+    where it decides a book text's LM sentence lines, and ``bytes.splitlines``
+    (LF, CR LF and a lone CR) only in the token reader, so a second copy of
+    the line rule is caught."""
+    splitlines, comment_splits = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for where, node in nodes_by_function(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "splitlines":
+                splitlines.append(f"{path.stem}.{where}")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "split" and node.args
+                    and isinstance(node.args[0], ast.Constant) and node.args[0].value == "#"):
+                comment_splits.append(f"{path.stem}.{where}")
+    assert splitlines == ["segmenter.read_token_stream", "textnorm.normalize_lines"]
+    assert comment_splits == ["manifest.numbered_lines"]
