@@ -25,3 +25,12 @@ def noiseless_run(tmp_path_factory):
     )
     elapsed = time.perf_counter() - t0
     return root, cfg, report, elapsed
+
+
+@pytest.fixture(scope="session")
+def rules_run(tmp_path_factory):
+    """The rules tree (``rules_tree.py``), built and run once per session;
+    its config, with absolute directories."""
+    from rules_tree import build_rules_tree
+
+    return build_rules_tree(tmp_path_factory.mktemp("rules"))

@@ -1,5 +1,6 @@
 """Golden release digests: the sha256 of every file the criterion-1 run
-writes under ``output_dir`` (S corpus, seed 17).
+writes under ``output_dir`` (S corpus, seed 17), and of every file of the
+rules tree's release (``rules_tree.py``, ``golden_rules.json``).
 
 The release tree is the behaviour contract, so a speed-up or refactor must
 leave every byte unchanged. An intentional output change regenerates
@@ -14,6 +15,7 @@ import tempfile
 from pathlib import Path
 
 GOLDEN = Path(__file__).with_name("golden_release.json")
+GOLDEN_RULES = Path(__file__).with_name("golden_rules.json")
 
 
 def release_digests(output_dir) -> dict[str, str]:
@@ -25,13 +27,23 @@ def release_digests(output_dir) -> dict[str, str]:
     }
 
 
-def test_release_matches_golden_digests(noiseless_run):
-    _root, cfg, _report, _elapsed = noiseless_run
-    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    got = release_digests(cfg.output_dir)
+def assert_release_matches(golden, output_dir):
+    expected = json.loads(golden.read_text(encoding="utf-8"))
+    got = release_digests(output_dir)
     assert sorted(got) == sorted(expected), "release file set changed"
     changed = [name for name in expected if got[name] != expected[name]]
     assert not changed, f"release bytes changed: {changed}"
+
+
+def test_release_matches_golden_digests(noiseless_run):
+    _root, cfg, _report, _elapsed = noiseless_run
+    assert_release_matches(GOLDEN, cfg.output_dir)
+
+
+def test_rules_tree_matches_golden_digests(rules_run):
+    """The same contract on the rules tree, whose run reaches the split
+    rules the S run does not (``rules_tree.py``)."""
+    assert_release_matches(GOLDEN_RULES, rules_run.output_dir)
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ from corpus_forge.synth import SynthParams, synth_corpus
 from corpus_forge.textnorm import load_orthography, normalize_lines
 
 from oracles import sum_hours
+from rules_tree import REFERENCE, SILENT_READER, mean_wers, reject_three_books
 
 # big enough that dev/test (one speaker per gender each) leaves train and
 # the post-decontamination LM corpus non-empty
@@ -467,15 +468,7 @@ def test_rejected_books_stay_out_of_the_split(tmp_path):
     reader keeps rows whose totals and cap sampling its rows would move."""
     synth_corpus(tmp_path / "input", seed=17, params=SynthParams(
         n_books=12, words_per_book=SMALL.words_per_book, speakers_per_gender=3))
-    books_path = tmp_path / "input" / "books.json"
-    books = json.loads(books_path.read_text(encoding="utf-8"))
-    books[0]["multi_speaker"] = True
-    books[1]["author"] = ""
-    books[2]["version"] = 2
-    books[3].update(author=books[2]["author"], title=books[2]["title"])  # version 1
-    books_path.write_text(json.dumps(books), encoding="utf-8")
-    rejected = {"book000": "multiple speakers", "book001": "corrupted metadata",
-                "book003": "superseded version"}
+    rejected = reject_three_books(tmp_path / "input" / "books.json")
     cfg = small_config(tmp_path)
     run_pipeline(cfg, until_stage="filter")
     clean = tmp_path / "clean"
@@ -495,6 +488,53 @@ def test_rejected_books_stay_out_of_the_split(tmp_path):
     assert written[0] == written[1]
     report = json.loads(written[0]["work/split/split_report.json"])
     assert {r["book_id"]: r["reason"] for r in report["book_rejections"]} == rejected
+
+
+def test_every_split_rule_leaves_its_mark(rules_run):
+    """Each rule the rules tree is edited to fire shows in the split report,
+    the run report and the manifests."""
+    cfg = rules_run
+    out = Path(cfg.output_dir)
+    split = json.loads((out / "work" / "split" / "split_report.json").read_text(encoding="utf-8"))
+    stages = json.loads((out / "report.json").read_text(encoding="utf-8"))["stages"]
+    manifests = {p: read_manifest(out / "manifests" / f"{p}.tsv", cfg.config_hash())
+                 for p in ("train", "dev", "test")}
+    rows = [r for part_rows in manifests.values() for r in part_rows]
+
+    # one rejected book per reason, and none of their chapters released
+    rejected = {"book000": "multiple speakers", "book001": "corrupted metadata",
+                "book003": "superseded version"}
+    assert {r["book_id"]: r["reason"] for r in split["book_rejections"]} == rejected
+    assert not {r.chapter_id.split("_")[0] for r in rows} & set(rejected)
+
+    # the reader with no accepted segment: each of its chapters dropped
+    books = json.loads((Path(cfg.input_dir) / "books.json").read_text(encoding="utf-8"))
+    silent = sorted(ch["chapter_id"] for b in books for ch in b["chapters"]
+                    if ch["speaker_id"] == SILENT_READER)
+    assert len(silent) == 4
+    assert split["chapter_drops"] == [{"chapter_id": c, "reason": "unknown speaker"}
+                                      for c in silent]
+    assert SILENT_READER not in {r.speaker_id for r in rows}
+
+    # four held-out readers sampled down to the cap
+    assert len(split["truncations"]) == 4
+    for cut in split["truncations"]:
+        held = sum(r.duration_ms for r in manifests[cut["partition"]]
+                   if r.speaker_id == cut["speaker_id"]) / 1000.0
+        assert held == pytest.approx(cut["after_s"])
+        assert cut["after_s"] <= cfg.dev_test_cap_s < cut["before_s"]
+
+    # the hardness filter forces the two readers at or below the cutoff into train
+    assert split["hardness"] == "hardness filter kept 5 of 7 speakers"
+    cutoff = float((out.parent / REFERENCE).read_text(encoding="utf-8"))
+    forced = {s for s, (wer, secs) in mean_wers(cfg, rejected).items()
+              if secs >= cfg.train_threshold_s and wer <= cutoff}
+    assert len(forced) == 2 and forced <= set(split["speakers"]["train"])
+    assert forced <= {r.speaker_id for r in manifests["train"]}
+
+    # segments with no candidate, and candidates over the WER cut
+    assert stages["retrieve"]["unmatched"] == 97
+    assert stages["filter"]["rejected"] == 61
 
 
 def tiny_input(root, token_lines):
@@ -617,19 +657,6 @@ def test_segment_stage_writes_dropped_and_residual_rows(tmp_path):
         (0, 19_900, "alpha"), (21_000, 35_500, "gamma"),
     ]
 
-def _mean_wers(cfg):
-    """speaker_id -> mean WER and total seconds of its accepted segments."""
-    out = Path(cfg.output_dir) / "work"
-    seg_of = {r.segment_id: r for r in read_manifest(out / "segment" / "segments.tsv")}
-    _, accepted = read_tsv(out / "filter" / "accepted.tsv")
-    wers, ms = {}, {}
-    for row in sorted(accepted):
-        seg = seg_of[row[0]]
-        wers.setdefault(seg.speaker_id, []).append(float(row[4]))
-        ms[seg.speaker_id] = ms.get(seg.speaker_id, 0) + seg.duration_ms
-    return {s: (sum(w) / len(w), ms[s] / 1000.0) for s, w in wers.items()}
-
-
 def test_hardness_prefilter_both_branches(tmp_path, capsys):
     # at seed 8 a forced-train reader is one of the two shortest of its
     # gender, so the filter changes who is held out
@@ -642,7 +669,7 @@ def test_hardness_prefilter_both_branches(tmp_path, capsys):
     cfg = small_config(tmp_path, seed=8, hardness_percentile=0.8,
                        hardness_reference=str(reference))
     run_pipeline(cfg, until_stage="filter")
-    stats = _mean_wers(cfg)
+    stats = mean_wers(cfg)
     above = {s: w for s, (w, secs) in stats.items() if secs >= cfg.train_threshold_s}
     speakers = json.loads((tmp_path / "input" / "speakers.json").read_text(encoding="utf-8"))
     gender_of = {s: rec["gender"] for s, rec in speakers.items()}
