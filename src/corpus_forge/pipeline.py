@@ -346,8 +346,8 @@ def _reference_wers(path) -> list[float]:
 
 def stage_split(cfg: PipelineConfig) -> dict:
     """Partition the accepted segments of the valid books' chapters: one
-    speaker record per reader, one partition per chapter, and each row that
-    the dev/test cap keeps written to its partition's manifest once."""
+    speaker record per reader, and each row that the dev/test cap keeps
+    written to its reader's partition's manifest once."""
     books, speakers_meta = read_catalog(cfg.input_dir)
     valid_books, rejections = sp.validate_books(books)
     valid_chapters = {ch.chapter_id: ch for b in valid_books for ch in b.chapters}
@@ -396,14 +396,16 @@ def stage_split(cfg: PipelineConfig) -> dict:
     )
     for sid in sorted(forced_train):
         assignment.speaker_partition[sid] = "train"
-    chapters = [valid_chapters[c] for c in sorted(valid_chapters)]
-    assignment = sp.enforce_chapter_exclusivity(assignment, chapters)
+    # a chapter takes its reader's partition; a reader with no accepted
+    # segment has none, and its chapters are dropped
+    chapter_drops = [{"chapter_id": c, "reason": "unknown speaker"} for c in sorted(valid_chapters)
+                     if valid_chapters[c].speaker_id not in assignment.speaker_partition]
 
     by_part: dict[str, list[ManifestRow]] = {"train": [], "dev": [], "test": []}
     for r in rows:
-        part = assignment.chapter_partition.get(r.chapter_id)
+        part = assignment.speaker_partition[r.speaker_id]
         kept = assignment.kept_segments.get(r.speaker_id)
-        if part is not None and (kept is None or r.segment_id in kept):
+        if kept is None or r.segment_id in kept:
             by_part[part].append(replace(r, partition=part))
     mdir = _manifest_dir(cfg)
     mdir.mkdir(parents=True, exist_ok=True)
@@ -424,7 +426,7 @@ def stage_split(cfg: PipelineConfig) -> dict:
         "config_hash": cfg.config_hash(),
         "book_rejections": rejections,
         "truncations": assignment.truncation_report,
-        "chapter_drops": assignment.chapter_report,
+        "chapter_drops": chapter_drops,
         "hardness": hard_note,
         "speakers": {p: assignment.speakers_in(p) for p in by_part},
     }

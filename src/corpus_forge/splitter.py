@@ -3,8 +3,7 @@
 Speakers below a duration threshold always train; from the rest, the 2k
 shortest-duration speakers per gender alternate into dev and test (k each),
 everyone else trains. Dev/test speakers over the duration cap have whole
-segments sampled away under the run seed. Chapters follow their speaker's
-partition, exclusively.
+segments sampled away under the run seed.
 """
 
 from __future__ import annotations
@@ -55,10 +54,8 @@ class BookRecord:
 @dataclass
 class PartitionAssignment:
     speaker_partition: dict[str, str]
-    chapter_partition: dict[str, str] = field(default_factory=dict)
     kept_segments: dict[str, tuple[str, ...]] = field(default_factory=dict)
     truncation_report: list[dict] = field(default_factory=list)
-    chapter_report: list[dict] = field(default_factory=list)
     gender_counts: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def speakers_in(self, partition: str) -> list[str]:
@@ -77,9 +74,6 @@ class PartitionAssignment:
         for part in self.speaker_partition.values():
             if part not in ("train", "dev", "test"):
                 raise AssertionError(f"unknown speaker partition {part}")
-        for cid, part in self.chapter_partition.items():
-            if part not in ("train", "dev", "test"):
-                raise AssertionError(f"chapter {cid} in unknown partition {part}")
 
 
 def validate_books(books) -> tuple[list[BookRecord], list[dict]]:
@@ -113,8 +107,9 @@ def validate_books(books) -> tuple[list[BookRecord], list[dict]]:
     return valid, report
 
 
-def _speaker_rng(seed: int, speaker_id: str) -> random.Random:
-    digest = hashlib.sha256(f"{seed}:{speaker_id}".encode()).digest()
+def _seeded_rng(seed: int, key: str) -> random.Random:
+    """The rng of one speaker's cap sampling, or of the limited sets."""
+    digest = hashlib.sha256(f"{seed}:{key}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
@@ -123,13 +118,13 @@ def partition_speakers(
     dev_test_speakers_per_gender: int,
     train_threshold: float,
     dev_test_cap: float,
-    recordings: dict[str, list[tuple[str, float]]] | None = None,
+    recordings: dict[str, list[tuple[str, float]]],
     seed: int = 0,
 ) -> PartitionAssignment:
     """Assign every speaker to train/dev/test.
 
-    ``recordings`` maps speaker_id to (segment_id, duration_s) pairs; when
-    given, dev/test speakers above ``dev_test_cap`` keep only a seeded random
+    ``recordings`` maps speaker_id to (segment_id, duration_s) pairs;
+    dev/test speakers above ``dev_test_cap`` keep only a seeded random
     subset of whole segments fitting under the cap.
     """
     k = dev_test_speakers_per_gender
@@ -163,11 +158,11 @@ def partition_speakers(
     by_id = {sp.speaker_id: sp for sp in speakers}
     counts: dict[str, dict[str, int]] = {p: {g: 0 for g in GENDERS} for p in ("train", "dev", "test")}
     for sid, part in assignment.speaker_partition.items():
-        if part in ("dev", "test") and recordings is not None:
+        if part in ("dev", "test"):
             segs = recordings.get(sid, [])
             total = sum(d for _, d in segs)
             if total > dev_test_cap:
-                rng = _speaker_rng(seed, sid)
+                rng = _seeded_rng(seed, sid)
                 shuffled = sorted(segs)  # stable base order
                 rng.shuffle(shuffled)
                 kept = []
@@ -187,32 +182,6 @@ def partition_speakers(
                 )
         counts[part][by_id[sid].gender] += 1
     assignment.gender_counts = counts
-    assignment.verify()
-    return assignment
-
-
-def enforce_chapter_exclusivity(
-    assignment: PartitionAssignment, chapters
-) -> PartitionAssignment:
-    """Pin every chapter to its speaker's partition; a chapter read by
-    speakers in different partitions is dropped and reported."""
-    by_chapter: dict[str, set[str]] = {}
-    for ch in chapters:
-        part = assignment.speaker_partition.get(ch.speaker_id)
-        if part is None:
-            assignment.chapter_report.append(
-                {"chapter_id": ch.chapter_id, "reason": "unknown speaker"}
-            )
-            continue
-        by_chapter.setdefault(ch.chapter_id, set()).add(part)
-    for cid in sorted(by_chapter):
-        parts = by_chapter[cid]
-        if len(parts) == 1:
-            assignment.chapter_partition[cid] = next(iter(parts))
-        else:
-            assignment.chapter_report.append(
-                {"chapter_id": cid, "reason": f"spans partitions {sorted(parts)}"}
-            )
     assignment.verify()
     return assignment
 
@@ -266,9 +235,7 @@ def make_limited_supervision(
     with up to 4.5 h per gender from the same speaker pool. Shortfalls shrink
     proportionally and are reported.
     """
-    rng = random.Random(
-        int.from_bytes(hashlib.sha256(f"{seed}:limited".encode()).digest()[:8], "big")
-    )
+    rng = _seeded_rng(seed, "limited")
     rows = sorted(segments)
     by_speaker: dict[str, list[tuple[str, float]]] = {}
     gender_of: dict[str, str] = {}

@@ -1,15 +1,16 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from corpus_forge.manifest import read_manifest
 from corpus_forge.splitter import (
     BookRecord,
     ChapterRef,
     LimitedSets,
-    PartitionAssignment,
     SpeakerRecord,
     SplitError,
-    enforce_chapter_exclusivity,
     make_limited_supervision,
     partition_speakers,
     quantile,
@@ -23,6 +24,7 @@ from oracles import (
     simulate_partition,
     tally_durations,
 )
+from rules_tree import SILENT_READER
 
 
 def make_book(book_id, title="a tale", author="auth", version=1, multi=False, speakers=("s1",)):
@@ -117,7 +119,8 @@ def test_all_below_threshold_is_an_error():
         [(f"s{i}", "M" if i % 2 else "F", 100.0) for i in range(10)]
     )
     with pytest.raises(SplitError) as err:
-        partition_speakers(speakers, 1, train_threshold=1200.0, dev_test_cap=2700.0)
+        partition_speakers(speakers, 1, train_threshold=1200.0, dev_test_cap=2700.0,
+                           recordings={})
     assert "deficit" in str(err.value)
 
 
@@ -129,7 +132,7 @@ def test_ten_speakers_match_simulation_oracle():
         ("f4", "F", 1900.0), ("f5", "F", 2600.0),
     ]
     speakers = make_speakers(roster)
-    assignment = partition_speakers(speakers, 1, 1200.0, 2700.0)
+    assignment = partition_speakers(speakers, 1, 1200.0, 2700.0, {})
     expected = simulate_partition(roster, 1, 1200.0)
     assert assignment.speaker_partition == expected
     assert assignment.speakers_in("dev") == ["f1", "m1"]
@@ -148,7 +151,7 @@ def test_partition_matches_oracle_over_seeds():
         k = rng.randint(1, 2)
         speakers = make_speakers(roster)
         try:
-            assignment = partition_speakers(speakers, k, 1200.0, 1e9)
+            assignment = partition_speakers(speakers, k, 1200.0, 1e9, {})
         except SplitError:
             eligible = {
                 g: sum(1 for _, gg, d in roster if gg == g and d >= 1200.0)
@@ -192,37 +195,70 @@ def test_cap_truncation_samples_whole_segments():
     assert different.kept_segments != assignment.kept_segments
 
 
-# -- chapter exclusivity --------------------------------------------------------
+# -- chapters take their reader's partition (the rules tree's release) ----------
 
 
-def test_single_speaker_chapter_keeps_partition():
-    assignment = PartitionAssignment(speaker_partition={"s1": "dev"})
-    chapters = [ChapterRef("c1", "s1"), ChapterRef("c2", "s1")]
-    enforce_chapter_exclusivity(assignment, chapters)
-    assert assignment.chapter_partition == {"c1": "dev", "c2": "dev"}
+def rules_release(cfg):
+    """The rules tree's split report, its manifests by partition, the
+    catalog reader of each chapter and the valid books' chapters in order."""
+    out = Path(cfg.output_dir)
+    report = json.loads((out / "work" / "split" / "split_report.json").read_text(encoding="utf-8"))
+    manifests = {p: read_manifest(out / "manifests" / f"{p}.tsv", cfg.config_hash())
+                 for p in ("train", "dev", "test")}
+    books = json.loads((Path(cfg.input_dir) / "books.json").read_text(encoding="utf-8"))
+    reader = {ch["chapter_id"]: ch["speaker_id"] for b in books for ch in b["chapters"]}
+    rejected = {r["book_id"] for r in report["book_rejections"]}
+    valid = sorted(ch["chapter_id"] for b in books if b["book_id"] not in rejected
+                   for ch in b["chapters"])
+    return report, manifests, reader, valid
 
 
-def test_cross_partition_chapter_dropped_and_reported():
-    assignment = PartitionAssignment(
-        speaker_partition={"s1": "dev", "s2": "test"}
-    )
-    chapters = [ChapterRef("c1", "s1"), ChapterRef("c1", "s2")]
-    enforce_chapter_exclusivity(assignment, chapters)
-    assert "c1" not in assignment.chapter_partition
-    assert assignment.chapter_report[0]["chapter_id"] == "c1"
+def test_single_speaker_chapter_keeps_partition(rules_run):
+    """Every released row of a chapter is its catalog reader's and carries
+    that reader's partition from the split report."""
+    report, manifests, reader, _ = rules_release(rules_run)
+    partition_of = {s: p for p, speakers in report["speakers"].items() for s in speakers}
+    assert len(partition_of) == sum(map(len, report["speakers"].values()))  # disjoint
+    for part, rows in manifests.items():
+        assert rows
+        for r in rows:
+            assert r.speaker_id == reader[r.chapter_id]
+            assert r.partition == part == partition_of[r.speaker_id]
 
 
-def test_no_cross_partition_chapters_after_enforcement():
-    rng = random.Random(41)
-    speakers = {f"s{i}": rng.choice(["train", "dev", "test"]) for i in range(30)}
-    assignment = PartitionAssignment(speaker_partition=dict(speakers))
-    chapters = [
-        ChapterRef(f"c{i}", f"s{rng.randrange(30)}") for i in range(500)
-    ]
-    enforce_chapter_exclusivity(assignment, chapters)
-    # exhaustive: every chapter's partition equals its speaker's partition
-    for ch in chapters:
-        assert assignment.chapter_partition[ch.chapter_id] == speakers[ch.speaker_id]
+def test_no_cross_partition_chapters_in_the_release(rules_run):
+    """Exhaustive over the valid chapters: each one whose reader has a
+    partition lands in that partition alone, and every other is dropped."""
+    report, manifests, reader, valid = rules_release(rules_run)
+    partition_of = {s: p for p, speakers in report["speakers"].items() for s in speakers}
+    placed: dict[str, set[str]] = {}
+    for part, rows in manifests.items():
+        for r in rows:
+            placed.setdefault(r.chapter_id, set()).add(part)
+    dropped = {d["chapter_id"] for d in report["chapter_drops"]}
+    truncated = {t["speaker_id"] for t in report["truncations"]}
+    for chapter_id in valid:
+        part = partition_of.get(reader[chapter_id])
+        if part is None:
+            assert chapter_id in dropped and chapter_id not in placed
+        elif chapter_id in placed:
+            assert placed[chapter_id] == {part}
+        else:  # the cap sampled a held-out reader's chapter away whole
+            assert reader[chapter_id] in truncated and chapter_id not in dropped
+    assert set(placed) <= set(valid)
+
+
+def test_unknown_speaker_chapters_dropped_and_reported(rules_run):
+    """``chapter_drops`` lists exactly the valid chapters of the reader with
+    no accepted segment, in chapter-id order, each as ``unknown speaker``;
+    a chapter cannot span partitions, as the catalog lists it once with one
+    reader."""
+    report, manifests, reader, valid = rules_release(rules_run)
+    silent = [c for c in valid if reader[c] == SILENT_READER]
+    assert len(silent) == 4
+    assert report["chapter_drops"] == [{"chapter_id": c, "reason": "unknown speaker"}
+                                       for c in silent]
+    assert not {r.chapter_id for rows in manifests.values() for r in rows} & set(silent)
 
 
 # -- hardness rule ---------------------------------------------------------------
@@ -352,14 +388,9 @@ def test_partition_invariants_over_seeded_populations(seed):
     k = rng.randint(1, 3)
     speakers = make_speakers(roster)
     try:
-        assignment = partition_speakers(speakers, k, 1200.0, 2700.0)
+        assignment = partition_speakers(speakers, k, 1200.0, 2700.0, {})
     except SplitError:
         return
-    chapters = []
-    for i, (sid, _, _) in enumerate(roster):
-        for c in range(rng.randint(1, 4)):
-            chapters.append(ChapterRef(f"ch{i:03d}_{c}", sid))
-    enforce_chapter_exclusivity(assignment, chapters)
     parts = assignment.speaker_partition
     assert set(parts.values()) <= {"train", "dev", "test"}
     # every speaker in exactly one partition; gender balance in dev/test
@@ -368,6 +399,4 @@ def test_partition_invariants_over_seeded_populations(seed):
         dev = sum(1 for s, g2, _ in roster if parts[s] == "dev" and g2 == g)
         test = sum(1 for s, g2, _ in roster if parts[s] == "test" and g2 == g)
         assert dev == test == k
-    # chapters all land in exactly one partition
-    assert len(assignment.chapter_partition) == len({c.chapter_id for c in chapters})
     assignment.verify()
