@@ -408,7 +408,7 @@ def stage_split(cfg: PipelineConfig) -> dict:
         if kept is None or r.segment_id in kept:
             by_part[part].append(replace(r, partition=part))
     mdir = _manifest_dir(cfg)
-    mdir.mkdir(parents=True, exist_ok=True)
+    make_dir(mdir)
     for part, part_rows in by_part.items():
         write_manifest(mdir / f"{part}.tsv", part_rows, cfg.config_hash())
 
@@ -481,7 +481,7 @@ def stage_decontam(cfg: PipelineConfig) -> dict:
                               count_tokens=cfg.decontam_count_tokens)
     kept = [row["book_id"] for row in report if row["action"] == "kept"]
     lm_dir = _lm_dir(cfg)
-    lm_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(lm_dir)
     dc.write_report(lm_dir / "decontam_report.tsv", report, cfg.config_hash())
     write_lines(lm_dir / "corpus_books.txt", kept, cfg.config_hash())
     return {"candidates": len(report), "kept": len(kept), "removed": len(report) - len(kept),
@@ -522,7 +522,11 @@ def stage_lm_eval(cfg: PipelineConfig) -> dict:
     results = {}
     ppls = {}
     for order in cfg.lm_orders:
-        model = ngramlm.NGramModel.load(lm_dir / f"lm_{order}.cflm")
+        path = lm_dir / f"lm_{order}.cflm"
+        model = ngramlm.NGramModel.load(path)
+        if model.metadata.get("config_hash") != cfg.config_hash():  # a model's hash line
+            raise ProvenanceError(f"{path}: config hash {model.metadata.get('config_hash')} "
+                                  f"does not match active run {cfg.config_hash()}")
         report = ngramlm.evaluate(model, dev_sentences, oov_context=cfg.oov_context)
         del model  # free this order before the next one is loaded
         results[str(order)] = asdict(report)
@@ -555,18 +559,19 @@ STAGE_TABLE: dict[str, tuple[str, ...]] = {
 def run_stage(cfg: PipelineConfig, name: str) -> dict:
     """Run one stage and record its provenance.
 
-    The stage's old ``provenance.json`` goes first, so a stage that fails
-    part-way leaves none and its successors refuse its outputs. Then every
-    stage it reads must have provenance under this run's config hash. A
-    fault of an input file, which names the file and the line, stays an
-    ``InputError``; any other failure of the stage itself becomes a
-    ``StageError`` naming it.
+    The stage's directory is made, a file in its way failing as an
+    ``InputError`` naming it, and its old ``provenance.json`` goes, so a
+    stage that fails part-way leaves none and its successors refuse its
+    outputs. Then every stage it reads must have provenance under this
+    run's config hash. A fault of an input file, which names the file and
+    the line, stays an ``InputError``; any other failure of the stage
+    itself becomes a ``StageError`` naming it.
     """
     out = _stage_dir(cfg, name)
+    make_dir(out)
     (out / "provenance.json").unlink(missing_ok=True)
     for prerequisite in STAGE_TABLE[name]:
         _check_provenance(cfg, prerequisite)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         # looked up on the module at call time, so a rebound stage_<name> is used
         summary = globals()[f"stage_{name}"](cfg)

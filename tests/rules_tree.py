@@ -54,18 +54,16 @@ def reject_three_books(books_path) -> dict[str, str]:
             "book003": "superseded version"}
 
 
-def silence_reader(input_dir, speaker_id) -> list[str]:
+def silence_reader(input_dir, speaker_id) -> None:
     """Replace every token word of the reader's chapters with a word no
-    book holds; returns those chapter ids in order."""
+    book holds."""
     books = json.loads((Path(input_dir) / "books.json").read_text(encoding="utf-8"))
-    chapters = sorted(ch["chapter_id"] for b in books for ch in b["chapters"]
-                      if ch["speaker_id"] == speaker_id)
-    for chapter_id in chapters:
+    for chapter_id in (ch["chapter_id"] for b in books for ch in b["chapters"]
+                       if ch["speaker_id"] == speaker_id):
         path = Path(input_dir) / "tokens" / f"{chapter_id}.jsonl"
         stream = read_token_stream(path)
         write_token_stream(path, TokenStream([f"xq{w}" for w in stream.words],
                                              stream.starts, stream.ends))
-    return chapters
 
 
 def mean_wers(cfg, rejected=()) -> dict[str, tuple[float, float]]:

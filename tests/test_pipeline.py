@@ -9,7 +9,7 @@ import pytest
 
 from corpus_forge.cli import main as cli_main
 from corpus_forge.config import ConfigError, PipelineConfig
-from corpus_forge import manifest, textnorm
+from corpus_forge import manifest, ngramlm, textnorm
 from corpus_forge import retrieval as rt
 from corpus_forge import splitter as sp
 from corpus_forge.manifest import (
@@ -337,6 +337,24 @@ def test_resume_refuses_mismatched_hash(completed_run, tmp_path):
     tampered = small_config(root, seed=18, output_dir=str(tmp_path / "out"))
     with pytest.raises((StageError, ProvenanceError)):
         run_pipeline(tampered, from_stage="retrieve", until_stage="retrieve")
+
+
+def test_lm_eval_refuses_a_model_of_another_config(completed_run, tmp_path, capsys):
+    """A ``.cflm`` carries the config hash it was trained under, and
+    ``lm_eval`` refuses one from another run as it refuses a TSV's hash line."""
+    _, cfg, _ = completed_run
+    shutil.copytree(cfg.output_dir, tmp_path / "out")
+    cfg = replace(cfg, output_dir=str(tmp_path / "out"))
+    lm_dir = tmp_path / "out" / "lm"
+    model = ngramlm.NGramModel.load(lm_dir / "lm_3.cflm")
+    model.metadata["config_hash"] = "0123456789abcdef"
+    model.save(lm_dir / "lm_3.cflm", tmp_path / "lm_3.arpa")
+    before = (lm_dir / "lm_eval.json").read_bytes()
+    assert cli_main(["lm_eval", "--config", config_file(tmp_path / "run.cfg", cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {lm_dir / 'lm_3.cflm'}: config hash 0123456789abcdef does not match "
+        f"active run {cfg.config_hash()}\n")
+    assert (lm_dir / "lm_eval.json").read_bytes() == before
 
 
 def test_resume_requires_prerequisite_stage(tmp_path):
@@ -1006,22 +1024,33 @@ def test_config_file_fault_exits_2_naming_the_file(tmp_path, capsys, content, me
     assert capsys.readouterr().err == f"error: {path}{message}\n"
 
 
-@pytest.mark.parametrize("output_dir, message", [
-    ("taken", "File exists"),
-    ("taken/out", "Not a directory"),
-], ids=["a-file", "under-a-file"])
-def test_output_dir_at_a_file_exits_2_naming_it(tmp_path, capsys, output_dir, message):
-    """An ``output_dir`` that a file stands in the way of is refused before
-    any stage writes."""
-    tiny_input(tmp_path / "input", ['{"w": "alpha", "s": 0, "e": 500}'])
-    (tmp_path / "taken").write_text("a file\n", encoding="utf-8")
-    out = tmp_path / output_dir
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(f"input_dir = {tmp_path / 'input'}\noutput_dir = {out}\n",
-                        encoding="utf-8")
-    assert cli_main(["run", "--config", str(cfg_path)]) == 2
-    assert capsys.readouterr().err == f"error: {out}: cannot make directory: {message}\n"
-    assert (tmp_path / "taken").read_text(encoding="utf-8") == "a file\n"
+# (where a file stands, the directory named, its reason), with
+# ``output_dir`` at ``taken/out``
+BLOCKED_OUTPUT_DIRS = {
+    "a-file": ("taken/out", "taken/out", "File exists"),
+    "under-a-file": ("taken", "taken/out", "Not a directory"),
+    "work": ("taken/out/work", "taken/out/work/normalize", "Not a directory"),
+    "work-split": ("taken/out/work/split", "taken/out/work/split", "File exists"),
+    "manifests": ("taken/out/manifests", "taken/out/manifests", "File exists"),
+    "lm": ("taken/out/lm", "taken/out/lm", "File exists"),
+}
+
+
+@pytest.mark.parametrize("blocked, named, message", BLOCKED_OUTPUT_DIRS.values(),
+                         ids=BLOCKED_OUTPUT_DIRS)
+def test_output_dir_at_a_file_exits_2_naming_it(tmp_path, capsys, blocked, named, message):
+    """A file where ``output_dir`` goes is refused before any stage writes;
+    one where a stage's directory, ``manifests/`` or ``lm/`` goes, when that
+    stage starts. Each is named, and left as it was."""
+    synth_corpus(tmp_path / "input", seed=17, params=SMALL)
+    cfg = small_config(tmp_path, output_dir=str(tmp_path / "taken" / "out"))
+    path = tmp_path / blocked
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("a file\n", encoding="utf-8")
+    assert cli_main(["run", "--config", config_file(tmp_path / "run.cfg", cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / named}: cannot make directory: {message}\n")
+    assert path.read_text(encoding="utf-8") == "a file\n"
 
 
 def test_cli_split_subcommand_overrides(tmp_path, capsys, monkeypatch):

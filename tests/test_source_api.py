@@ -154,3 +154,14 @@ def test_one_line_rule_for_every_line_file():
                 comment_splits.append(f"{path.stem}.{where}")
     assert splitlines == ["segmenter.read_token_stream", "textnorm.normalize_lines"]
     assert comment_splits == ["manifest.numbered_lines"]
+
+
+def test_only_make_dir_makes_directories():
+    """Every output directory is made by ``manifest.make_dir``, which names
+    the path a file stands in the way of; ``synth`` writes a fresh input
+    tree. So a raw ``mkdir`` that would end in a traceback is caught."""
+    mkdirs = sorted({f"{path.stem}.{where}"
+                     for path in sorted(SRC.glob("*.py"))
+                     for where, node in nodes_by_function(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.Attribute) and node.attr == "mkdir"})
+    assert [m for m in mkdirs if not m.startswith("synth.")] == ["manifest.make_dir"]
