@@ -10,6 +10,11 @@ with these edits:
 - a train threshold and dev/test cap low enough that readers are held out
   and truncated, and the hardness pre-filter on, with a reference WER
   between the two lowest-WER readers of one gender (``hardness_cutoff``)
+- one chapter's first tokens retimed back to back, so its first cut is
+  forced and drops the token it lands in (``force_a_dropped_token``)
+- a book without chapters whose text is a held-out book's, under its own
+  title and author, so decontam removes it for its 5-gram overlap alone
+  (``echo_book``)
 
 ``tests/golden_rules.json`` holds the sha256 of every file of its release.
 The hardness reference is hashed by its path, so the tree is run from its
@@ -38,6 +43,8 @@ from corpus_forge.synth import SynthParams, synth_corpus
 
 PARAMS = SynthParams(n_books=16, words_per_book=1600, speakers_per_gender=4, noise=0.3)
 SILENT_READER = "spk_f01"  # reads book005 and book013, neither rejected
+FORCED_CUT_CHAPTER = "book011_ch00"  # read by a held-out reader
+ECHO, ECHOED = "book016", "book008"  # book008 is read by a dev reader
 REFERENCE = "reference_wers.txt"
 
 
@@ -64,6 +71,34 @@ def silence_reader(input_dir, speaker_id) -> None:
         stream = read_token_stream(path)
         write_token_stream(path, TokenStream([f"xq{w}" for w in stream.words],
                                              stream.starts, stream.ends))
+
+
+def force_a_dropped_token(path) -> None:
+    """Retime a chapter's first 23 tokens to 900 ms each, back to back, and
+    shift the rest to follow 100 ms after them. No silence falls in the
+    first 20 s, so the first cut is forced at 20 s, where the token spanning
+    19.8-20.7 s overruns it by more than the slack and is dropped."""
+    stream = read_token_stream(path)
+    n = 23
+    shift = n * 900 + 100 - stream.starts[n]
+    write_token_stream(path, TokenStream(
+        stream.words,
+        [i * 900 for i in range(n)] + [t + shift for t in stream.starts[n:]],
+        [(i + 1) * 900 for i in range(n)] + [t + shift for t in stream.ends[n:]],
+    ))
+
+
+def echo_book(input_dir, book_id, copied) -> None:
+    """Add ``book_id``, a book without chapters whose text is ``copied``'s.
+    No word of its title starts a ``synth`` word, which starts with a
+    consonant, so no held-out title is within the title rule's distance."""
+    root = Path(input_dir)
+    books = json.loads((root / "books.json").read_text(encoding="utf-8"))
+    books.append({"book_id": book_id, "title": "echoed unread", "author": "echo",
+                  "version": 1, "multi_speaker": False, "chapters": []})
+    (root / "books.json").write_text(json.dumps(books), encoding="utf-8")
+    text = (root / "books" / f"{copied}.txt").read_text(encoding="utf-8")
+    (root / "books" / f"{book_id}.txt").write_text(text, encoding="utf-8")
 
 
 def mean_wers(cfg, rejected=()) -> dict[str, tuple[float, float]]:
@@ -115,6 +150,8 @@ def build_rules_tree(root) -> PipelineConfig:
     synth_corpus(root / "input", seed=17, params=PARAMS)
     rejected = reject_three_books(root / "input" / "books.json")
     silence_reader(root / "input", SILENT_READER)
+    force_a_dropped_token(root / "input" / "tokens" / f"{FORCED_CUT_CHAPTER}.jsonl")
+    echo_book(root / "input", ECHO, ECHOED)
     cfg = PipelineConfig(input_dir="input", output_dir="out", seed=17,
                          train_threshold_s=200.0, dev_test_cap_s=150.0,
                          hardness_percentile=0.5, hardness_reference=REFERENCE)

@@ -29,11 +29,13 @@ from corpus_forge.pipeline import (
     run_pipeline,
     run_stage,
 )
+from corpus_forge.segmenter import read_token_stream
 from corpus_forge.synth import SynthParams, synth_corpus
 from corpus_forge.textnorm import load_orthography, normalize_lines
 
 from oracles import sum_hours
-from rules_tree import REFERENCE, SILENT_READER, mean_wers, reject_three_books
+from rules_tree import (ECHO, ECHOED, FORCED_CUT_CHAPTER, REFERENCE, SILENT_READER, mean_wers,
+                        reject_three_books)
 
 # big enough that dev/test (one speaker per gender each) leaves train and
 # the post-decontamination LM corpus non-empty
@@ -553,6 +555,20 @@ def test_every_split_rule_leaves_its_mark(rules_run):
     # segments with no candidate, and candidates over the WER cut
     assert stages["retrieve"]["unmatched"] == 97
     assert stages["filter"]["rejected"] == 61
+
+    # the forced cut drops the one token it lands in
+    tokens = read_token_stream(Path(cfg.input_dir) / "tokens" / f"{FORCED_CUT_CHAPTER}.jsonl")
+    _, dropped = read_tsv(out / "work" / "segment" / "dropped.tsv", cfg.config_hash())
+    assert dropped == [[FORCED_CUT_CHAPTER, tokens.words[22], "19800", "20700"]]
+    assert stages["segment"]["dropped"] == 1
+
+    # the chapterless copy of a held-out book goes for its 5-gram overlap alone
+    assert ECHOED in {r.book_id for r in manifests["dev"] + manifests["test"]}
+    _, decontam = read_tsv(out / "lm" / "decontam_report.tsv", cfg.config_hash())
+    rate = {book_id: rate for book_id, _, _, rate in decontam}
+    assert [row[:3] for row in decontam if row[2] == "ngram-overlap"] == [
+        [ECHO, "removed", "ngram-overlap"]]
+    assert rate[ECHO] == rate[ECHOED]
 
 
 def tiny_input(root, token_lines):
