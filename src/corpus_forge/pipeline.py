@@ -17,6 +17,7 @@ one at a time, so none holds the whole book corpus.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -412,15 +413,12 @@ def stage_split(cfg: PipelineConfig) -> dict:
     for part, part_rows in by_part.items():
         write_manifest(mdir / f"{part}.tsv", part_rows, cfg.config_hash())
 
-    stats = corpus_stats([r for part_rows in by_part.values() for r in part_rows])
-    stats["config_hash"] = cfg.config_hash()
-    hist_rows = sorted(
-        (part, f"{bin_start:.1f}", count)
-        for (part, bin_start), count in stats.pop("_histogram_pairs").items()
-    )
-    write_json(Path(cfg.output_dir) / "stats.json", stats)
+    released = [r for part_rows in by_part.values() for r in part_rows]
+    write_json(Path(cfg.output_dir) / "stats.json",
+               {**corpus_stats(released), "config_hash": cfg.config_hash()})
     write_tsv(Path(cfg.output_dir) / "duration_histogram.tsv",
-              ("partition", "bin_start_s", "count"), hist_rows, cfg.config_hash())
+              ("partition", "bin_start_s", "count"), duration_histogram(released),
+              cfg.config_hash())
 
     report = {
         "config_hash": cfg.config_hash(),
@@ -428,7 +426,8 @@ def stage_split(cfg: PipelineConfig) -> dict:
         "truncations": assignment.truncation_report,
         "chapter_drops": chapter_drops,
         "hardness": hard_note,
-        "speakers": {p: assignment.speakers_in(p) for p in by_part},
+        "speakers": {p: sorted(s for s, q in assignment.speaker_partition.items() if q == p)
+                     for p in by_part},
     }
     write_json(_stage_dir(cfg, "split") / "split_report.json", report)
     counts = {part: len(part_rows) for part, part_rows in by_part.items()}
@@ -622,26 +621,16 @@ def run_pipeline(
 
 
 def corpus_stats(rows) -> dict:
-    """Partition hours, per-gender speaker counts and hours, and the segment
-    duration histogram (0.5 s bins)."""
-    hours: dict[str, float] = {}
-    total_ms: dict[str, int] = {}
-    speakers: dict[str, dict[str, set]] = {}
+    """Partition hours, per-gender speaker counts and hours."""
     gender_ms: dict[str, dict[str, int]] = {}
-    histogram: dict[tuple[str, float], int] = {}
+    speakers: dict[str, dict[str, set]] = {}
     for r in rows:
-        part = r.partition
-        total_ms[part] = total_ms.get(part, 0) + r.duration_ms
-        speakers.setdefault(part, {}).setdefault(r.gender, set()).add(r.speaker_id)
-        gender_ms.setdefault(part, {}).setdefault(r.gender, 0)
-        gender_ms[part][r.gender] += r.duration_ms
-        bin_start = (r.duration_ms // 500) * 0.5
-        key = (part, bin_start)
-        histogram[key] = histogram.get(key, 0) + 1
-    for part, ms in total_ms.items():
-        hours[part] = ms / 3_600_000.0
+        by_gender = gender_ms.setdefault(r.partition, {})
+        by_gender[r.gender] = by_gender.get(r.gender, 0) + r.duration_ms
+        speakers.setdefault(r.partition, {}).setdefault(r.gender, set()).add(r.speaker_id)
+    total_ms = {part: sum(by_gender.values()) for part, by_gender in gender_ms.items()}
     return {
-        "hours": hours,
+        "hours": {part: ms / 3_600_000.0 for part, ms in total_ms.items()},
         "total_ms": total_ms,
         "speakers": {
             part: {g: sorted(ids) for g, ids in by_gender.items()}
@@ -655,5 +644,11 @@ def corpus_stats(rows) -> dict:
             part: {g: ms / 3_600_000.0 for g, ms in by_gender.items()}
             for part, by_gender in gender_ms.items()
         },
-        "_histogram_pairs": histogram,
     }
+
+
+def duration_histogram(rows) -> list[tuple[str, str, int]]:
+    """The rows of ``duration_histogram.tsv``: each partition's segments
+    counted in 0.5 s bins, sorted by partition and bin start as text."""
+    counts = Counter((r.partition, f"{r.duration_ms // 500 * 0.5:.1f}") for r in rows)
+    return sorted((part, bin_start, n) for (part, bin_start), n in counts.items())

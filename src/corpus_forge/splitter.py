@@ -56,24 +56,6 @@ class PartitionAssignment:
     speaker_partition: dict[str, str]
     kept_segments: dict[str, tuple[str, ...]] = field(default_factory=dict)
     truncation_report: list[dict] = field(default_factory=list)
-    gender_counts: dict[str, dict[str, int]] = field(default_factory=dict)
-
-    def speakers_in(self, partition: str) -> list[str]:
-        return sorted(s for s, p in self.speaker_partition.items() if p == partition)
-
-    def verify(self) -> None:
-        """Exhaustive invariant check; raises on any violation."""
-        dev = self.gender_counts.get("dev", {})
-        test = self.gender_counts.get("test", {})
-        for g in GENDERS:
-            if dev.get(g, 0) != test.get(g, 0):
-                raise AssertionError(
-                    f"dev/test speaker counts differ for gender {g}: "
-                    f"{dev.get(g, 0)} vs {test.get(g, 0)}"
-                )
-        for part in self.speaker_partition.values():
-            if part not in ("train", "dev", "test"):
-                raise AssertionError(f"unknown speaker partition {part}")
 
 
 def validate_books(books) -> tuple[list[BookRecord], list[dict]]:
@@ -125,12 +107,16 @@ def partition_speakers(
 
     ``recordings`` maps speaker_id to (segment_id, duration_s) pairs;
     dev/test speakers above ``dev_test_cap`` keep only a seeded random
-    subset of whole segments fitting under the cap.
+    subset of whole segments fitting under the cap. A ``speaker_id`` given
+    twice, which could break the dev/test balance, is a ``SplitError``.
     """
     k = dev_test_speakers_per_gender
     if k < 1:
         raise SplitError("dev_test_speakers_per_gender must be >= 1")
     speakers = sorted(speakers, key=lambda s: s.speaker_id)
+    for before, sp in zip(speakers, speakers[1:]):
+        if before.speaker_id == sp.speaker_id:
+            raise SplitError(f"speaker {sp.speaker_id!r} is given twice")
     assignment = PartitionAssignment(speaker_partition={})
     eligible: dict[str, list[SpeakerRecord]] = {g: [] for g in GENDERS}
     for sp in speakers:
@@ -149,20 +135,12 @@ def partition_speakers(
     for g in GENDERS:
         ranked = sorted(eligible[g], key=lambda s: (s.total_duration, s.speaker_id))
         for idx, sp in enumerate(ranked[: 2 * k]):
-            assignment.speaker_partition[sp.speaker_id] = (
-                "dev" if idx % 2 == 0 else "test"
-            )
-        for sp in ranked[2 * k :]:
-            assignment.speaker_partition[sp.speaker_id] = "train"
-
-    by_id = {sp.speaker_id: sp for sp in speakers}
-    counts: dict[str, dict[str, int]] = {p: {g: 0 for g in GENDERS} for p in ("train", "dev", "test")}
-    for sid, part in assignment.speaker_partition.items():
-        if part in ("dev", "test"):
-            segs = recordings.get(sid, [])
+            part = "dev" if idx % 2 == 0 else "test"
+            assignment.speaker_partition[sp.speaker_id] = part
+            segs = recordings.get(sp.speaker_id, [])
             total = sum(d for _, d in segs)
             if total > dev_test_cap:
-                rng = _seeded_rng(seed, sid)
+                rng = _seeded_rng(seed, sp.speaker_id)
                 shuffled = sorted(segs)  # stable base order
                 rng.shuffle(shuffled)
                 kept = []
@@ -171,18 +149,17 @@ def partition_speakers(
                     if kept_total + dur <= dev_test_cap:
                         kept.append(seg_id)
                         kept_total += dur
-                assignment.kept_segments[sid] = tuple(sorted(kept))
+                assignment.kept_segments[sp.speaker_id] = tuple(sorted(kept))
                 assignment.truncation_report.append(
                     {
-                        "speaker_id": sid,
+                        "speaker_id": sp.speaker_id,
                         "partition": part,
                         "before_s": total,
                         "after_s": kept_total,
                     }
                 )
-        counts[part][by_id[sid].gender] += 1
-    assignment.gender_counts = counts
-    assignment.verify()
+        for sp in ranked[2 * k :]:
+            assignment.speaker_partition[sp.speaker_id] = "train"
     return assignment
 
 

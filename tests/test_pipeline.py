@@ -26,6 +26,7 @@ from corpus_forge.pipeline import (
     StageError,
     _reference_wers,
     corpus_stats,
+    duration_histogram,
     run_pipeline,
     run_stage,
 )
@@ -227,7 +228,7 @@ def test_stats_single_segment():
     stats = corpus_stats([row])
     assert stats["hours"]["train"] == pytest.approx(15 / 3600)
     assert stats["speaker_counts"]["train"] == {"M": 1}
-    assert stats["_histogram_pairs"] == {("train", 15.0): 1}
+    assert duration_histogram([row]) == [("train", "15.0", 1)]
 
 
 def test_stats_match_summation_oracle(completed_run):
@@ -241,7 +242,7 @@ def test_stats_match_summation_oracle(completed_run):
             (r.start_ms, r.end_ms) for r in rows if r.partition == part
         )
         assert stats["hours"][part] == pytest.approx(expected, abs=1e-12)
-    assert sum(stats["_histogram_pairs"].values()) == len(rows)
+    assert sum(n for _, _, n in duration_histogram(rows)) == len(rows)
 
 
 # -- pipeline ------------------------------------------------------------------------

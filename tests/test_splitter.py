@@ -135,9 +135,22 @@ def test_ten_speakers_match_simulation_oracle():
     assignment = partition_speakers(speakers, 1, 1200.0, 2700.0, {})
     expected = simulate_partition(roster, 1, 1200.0)
     assert assignment.speaker_partition == expected
-    assert assignment.speakers_in("dev") == ["f1", "m1"]
-    assert assignment.speakers_in("test") == ["f2", "m2"]
-    assert len(assignment.speakers_in("train")) == 6
+    members = {p: sorted(s for s, q in assignment.speaker_partition.items() if q == p)
+               for p in ("train", "dev", "test")}
+    assert members["dev"] == ["f1", "m1"]
+    assert members["test"] == ["f2", "m2"]
+    assert len(members["train"]) == 6
+
+
+@pytest.mark.parametrize("repeats", [[("m1", "M", 1300.0)],
+                                     [("x", "M", 2000.0), ("x", "F", 2000.0)]],
+                         ids=["same-gender", "one-per-gender"])
+def test_speaker_given_twice_is_refused_naming_it(repeats):
+    """A repeated id either unbalances dev and test (``m1`` would be both)
+    or lands once per gender; both are refused before any partition."""
+    roster = [("m1", "M", 1300.0), ("m2", "M", 1500.0), ("f1", "F", 1250.0), ("f2", "F", 1400.0)]
+    with pytest.raises(SplitError, match=f"speaker '{repeats[0][0]}' is given twice"):
+        partition_speakers(make_speakers(roster + repeats), 1, 1200.0, 2700.0, {})
 
 
 def test_partition_matches_oracle_over_seeds():
@@ -399,4 +412,3 @@ def test_partition_invariants_over_seeded_populations(seed):
         dev = sum(1 for s, g2, _ in roster if parts[s] == "dev" and g2 == g)
         test = sum(1 for s, g2, _ in roster if parts[s] == "test" and g2 == g)
         assert dev == test == k
-    assignment.verify()
