@@ -100,13 +100,20 @@ def _read_json(path: Path):
         raise InputError(f"{path}: not valid JSON: {exc}") from None
 
 
+# the optional fields of a book record, each with the value it takes when
+# absent or null; any other value must have that value's JSON type
+_BOOK_DEFAULTS = {"title": "", "author": "", "version": 1, "multi_speaker": False}
+_JSON_TYPES = {str: "string", int: "integer", bool: "boolean"}
+
+
 def read_catalog(input_dir) -> tuple[list[sp.BookRecord], dict[str, dict]]:
     """The book records of ``books.json`` and the speaker records of
     ``speakers.json``. A file that cannot be read, is not UTF-8 or is not the
-    JSON array or object it should be, a book whose record cannot be built,
-    a book, chapter or speaker id that is not a string, a ``book_id`` or a
-    chapter listed twice, or a speaker record that is not an object, fails
-    as an ``InputError`` naming the file and the book or speaker."""
+    JSON array or object it should be, a book without ``book_id`` or
+    ``chapters``, a field of a book or chapter that is not of its JSON type,
+    a ``book_id`` or a chapter listed twice, or a speaker record that is not
+    an object, fails as an ``InputError`` naming the file and the book or
+    speaker."""
     root = Path(input_dir)
     books_path = root / "books.json"
     speakers_path = root / "speakers.json"
@@ -118,29 +125,26 @@ def read_catalog(input_dir) -> tuple[list[sp.BookRecord], dict[str, dict]]:
     chapter_ids: set[str] = set()
     for i, book in enumerate(records):
         try:
-            record = sp.BookRecord(
-                book_id=book["book_id"],
-                # the title words as split and decontam compare them
-                title=tuple(str(book.get("title", "")).lower().split()),
-                author=str(book.get("author", "")),
-                version=int(book.get("version", 1)),
-                chapters=tuple(
-                    sp.ChapterRef(chapter_id=ch["chapter_id"], speaker_id=ch["speaker_id"])
-                    for ch in book["chapters"]
-                ),
-                multi_speaker=bool(book.get("multi_speaker", False)),
+            book_id = book["book_id"]
+            chapters = tuple(
+                sp.ChapterRef(chapter_id=ch["chapter_id"], speaker_id=ch["speaker_id"])
+                for ch in book["chapters"]
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             named = f" ({book['book_id']!r})" if isinstance(book, dict) and "book_id" in book else ""
             raise InputError(
                 f"{books_path}: book {i}{named} is malformed: {type(exc).__name__}: {exc}"
             ) from exc
-        ids = [("book_id", record.book_id)] + [(name, getattr(ch, name)) for ch in record.chapters
-                                               for name in ("chapter_id", "speaker_id")]
-        for name, value in ids:
-            if not isinstance(value, str):
+        given = {name: default if book.get(name) is None else book[name]
+                 for name, default in _BOOK_DEFAULTS.items()}
+        ids = [("book_id", book_id, "")] + [(name, getattr(ch, name), "") for ch in chapters
+                                            for name in ("chapter_id", "speaker_id")]
+        for name, value, like in ids + [(n, v, _BOOK_DEFAULTS[n]) for n, v in given.items()]:
+            if type(value) is not type(like):  # so a boolean is no integer
                 raise InputError(f"{books_path}: book {i}: {name} {json.dumps(value)} "
-                                 f"is not a JSON string")
+                                 f"is not a JSON {_JSON_TYPES[type(like)]}")
+        given["title"] = tuple(given["title"].lower().split())  # as split and decontam compare it
+        record = sp.BookRecord(book_id=book_id, chapters=chapters, **given)
         if record.book_id in book_ids:
             raise InputError(f"{books_path}: book {i} ({record.book_id!r}): book_id is listed twice")
         for ch in record.chapters:

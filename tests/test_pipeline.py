@@ -27,6 +27,7 @@ from corpus_forge.pipeline import (
     _reference_wers,
     corpus_stats,
     duration_histogram,
+    read_catalog,
     run_pipeline,
     run_stage,
 )
@@ -440,15 +441,15 @@ def _set(key, value):
     return lambda record: record.update({key: value})
 
 
-@pytest.mark.parametrize("index, edit, named", [
-    (3, _drop("chapters"), "book 3 ('book003')"),
-    (5, _set("version", "two"), "book 5 ('book005')"),
-    (2, _drop("book_id"), "book 2"),
-    (1, lambda record: record["chapters"][0].pop("speaker_id"), "book 1 ('book001')"),
-    (4, _set("chapters", None), "book 4 ('book004')"),
+@pytest.mark.parametrize("index, edit, says", [
+    (3, _drop("chapters"), "book 3 ('book003') is malformed"),
+    (5, _set("version", "two"), 'book 5: version "two" is not a JSON integer'),
+    (2, _drop("book_id"), "book 2 is malformed"),
+    (1, lambda record: record["chapters"][0].pop("speaker_id"), "book 1 ('book001') is malformed"),
+    (4, _set("chapters", None), "book 4 ('book004') is malformed"),
 ], ids=["no-chapters", "version-two", "no-book-id", "chapter-without-speaker", "null-chapters"])
 def test_malformed_book_record_fails_in_segment_naming_books_json_and_book(
-    tmp_path, capsys, index, edit, named
+    tmp_path, capsys, index, edit, says
 ):
     """An input fault (exit 2), met when segment reads the catalog."""
     synth_corpus(tmp_path / "input", seed=17, params=SMALL)
@@ -462,7 +463,7 @@ def test_malformed_book_record_fails_in_segment_naming_books_json_and_book(
     )
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
     message = capsys.readouterr().err
-    assert message.startswith(f"error: {books_path}: {named} is malformed"), message
+    assert message.startswith(f"error: {books_path}: {says}"), message
     assert not (tmp_path / "out" / "work" / "segment" / "provenance.json").exists()
 
 
@@ -623,7 +624,32 @@ HOSTILE_CATALOGS = {
     "speaker-id-a-number": ("books.json", json.dumps([{**book_record("book000"), "chapters": [
                                 {"chapter_id": "book000_ch00", "speaker_id": 7}]}]).encode(),
                             ": book 0: speaker_id 7 is not a JSON string"),
+    "title-a-number": ("books.json", json.dumps([{**book_record("book000"), "title": 7}]).encode(),
+                       ": book 0: title 7 is not a JSON string"),
+    "version-a-string": ("books.json",
+                         json.dumps([{**book_record("book000"), "version": "3"}]).encode(),
+                         ': book 0: version "3" is not a JSON integer'),
+    "version-a-float": ("books.json",
+                        json.dumps([{**book_record("book000"), "version": 2.7}]).encode(),
+                        ": book 0: version 2.7 is not a JSON integer"),
+    "version-a-boolean": ("books.json",
+                          json.dumps([{**book_record("book000"), "version": True}]).encode(),
+                          ": book 0: version true is not a JSON integer"),
+    "multi-speaker-a-string": ("books.json", json.dumps([{**book_record("book000"),
+                                                          "multi_speaker": "false"}]).encode(),
+                               ': book 0: multi_speaker "false" is not a JSON boolean'),
 }
+
+
+@pytest.mark.parametrize("field", ["author", "title"])
+def test_null_author_or_title_is_corrupted_metadata(tmp_path, field):
+    """An absent or null field takes its default, so a null author or title
+    is empty, and the book is rejected."""
+    tiny_input(tmp_path / "input", ['{"w": "alpha", "s": 0, "e": 500}'])
+    (tmp_path / "input" / "books.json").write_text(
+        json.dumps([{**book_record("book000", "book000_ch00"), field: None}]), encoding="utf-8")
+    books, _ = read_catalog(tmp_path / "input")
+    assert sp.validate_books(books)[1] == [{"book_id": "book000", "reason": "corrupted metadata"}]
 
 
 @pytest.mark.parametrize("entry", ["run", "segment"])
