@@ -62,8 +62,10 @@ class PipelineConfig:
             raise ConfigError("wer_threshold must be in [0, 1]")
         if self.dev_test_speakers_per_gender < 1:
             raise ConfigError("dev_test_speakers_per_gender must be >= 1")
-        if self.train_threshold_s < 0 or self.dev_test_cap_s <= 0:
-            raise ConfigError("duration thresholds must be positive")
+        if self.limited_speakers_per_gender < 1:
+            raise ConfigError("limited_speakers_per_gender must be >= 1")
+        if not (self.train_threshold_s >= 0 and self.dev_test_cap_s > 0):  # NaN fails too
+            raise ConfigError("duration thresholds must be positive numbers")
         if not 0.0 <= self.hardness_percentile < 1.0:
             raise ConfigError("hardness_percentile must be in [0, 1)")
         if self.hardness_percentile > 0 and not self.hardness_reference:

@@ -115,6 +115,13 @@ def test_config_validation_ranges():
         PipelineConfig(shard_stride=2000, shard_size=1250).validate()
     with pytest.raises(ConfigError):
         PipelineConfig(wer_threshold=1.5).validate()
+    for key in ("train_threshold_s", "dev_test_cap_s"):
+        with pytest.raises(ConfigError):
+            PipelineConfig(**{key: float("nan")}).validate()
+        PipelineConfig(**{key: float("inf")}).validate()  # infinity keeps its meaning
+    for count in (0, -1):
+        with pytest.raises(ConfigError):
+            PipelineConfig(limited_speakers_per_gender=count).validate()
     with pytest.raises(ConfigError):
         PipelineConfig(oov_context="maybe").validate()
 
