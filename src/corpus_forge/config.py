@@ -131,10 +131,16 @@ class PipelineConfig:
         return digest.hexdigest()[:16]
 
     def stage_seed(self, stage: str) -> int:
-        """Per-stage seed derived from the top-level seed (documented
-        derivation: sha256 of "<seed>/<stage>", first 8 bytes)."""
-        digest = hashlib.sha256(f"{self.seed}/{stage}".encode()).digest()
-        return int.from_bytes(digest[:8], "big")
+        """Per-stage seed derived from the top-level seed: the derived seed
+        of "<seed>/<stage>"."""
+        return derived_seed(f"{self.seed}/{stage}")
+
+
+def derived_seed(key: str) -> int:
+    """The seed of every rng the package makes: the first 8 bytes, read
+    big-endian, of the sha256 of ``key`` (Python's str hash is randomized
+    per process)."""
+    return int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "big")
 
 
 def _coerce(key: str, raw, annotation):

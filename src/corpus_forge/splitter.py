@@ -8,9 +8,10 @@ segments sampled away under the run seed.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass, field
+
+from .config import derived_seed
 
 GENDERS = ("M", "F")
 
@@ -89,12 +90,6 @@ def validate_books(books) -> tuple[list[BookRecord], list[dict]]:
     return valid, report
 
 
-def _seeded_rng(seed: int, key: str) -> random.Random:
-    """The rng of one speaker's cap sampling, or of the limited sets."""
-    digest = hashlib.sha256(f"{seed}:{key}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
-
-
 def partition_speakers(
     speakers,
     dev_test_speakers_per_gender: int,
@@ -140,7 +135,7 @@ def partition_speakers(
             segs = recordings.get(sp.speaker_id, [])
             total = sum(d for _, d in segs)
             if total > dev_test_cap:
-                rng = _seeded_rng(seed, sp.speaker_id)
+                rng = random.Random(derived_seed(f"{seed}:{sp.speaker_id}"))
                 shuffled = sorted(segs)  # stable base order
                 rng.shuffle(shuffled)
                 kept = []
@@ -212,7 +207,7 @@ def make_limited_supervision(
     with up to 4.5 h per gender from the same speaker pool. Shortfalls shrink
     proportionally and are reported.
     """
-    rng = _seeded_rng(seed, "limited")
+    rng = random.Random(derived_seed(f"{seed}:limited"))
     rows = sorted(segments)
     by_speaker: dict[str, list[tuple[str, float]]] = {}
     gender_of: dict[str, str] = {}

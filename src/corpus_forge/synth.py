@@ -14,20 +14,14 @@ no-op and retrieved transcripts must equal their source spans exactly.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
+from .config import derived_seed
 from .segmenter import TokenStream, write_token_stream
 
-
-def _sub_rng(seed: int, *parts: object) -> random.Random:
-    """Deterministic child rng (str hashing is randomized per process)."""
-    key = "/".join([str(seed)] + [str(p) for p in parts])
-    digest = hashlib.sha256(key.encode("utf-8")).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
 
 _ONSETS = ["b", "br", "d", "dr", "f", "fl", "g", "gl", "k", "kr", "l", "m",
            "n", "p", "pl", "r", "s", "sk", "st", "t", "tr", "v", "w", "z"]
@@ -134,7 +128,7 @@ def synth_corpus(root: str | Path, seed: int, params: SynthParams | None = None)
     for b in range(params.n_books):
         book_id = f"book{b:03d}"
         book_ids.append(book_id)
-        book_rng = _sub_rng(seed, "book", b)
+        book_rng = random.Random(derived_seed(f"{seed}/book/{b}"))
         words = _markov_words(book_rng, vocab, params.words_per_book)
         raw = _render_book_text(book_rng, words, params)
         (root / "books" / f"{book_id}.txt").write_text(raw, encoding="utf-8")
@@ -161,7 +155,7 @@ def synth_corpus(root: str | Path, seed: int, params: SynthParams | None = None)
                 words[span[0] : span[1]],
                 span[0],
                 vocab,
-                _sub_rng(seed, "read", chapter_id),
+                random.Random(derived_seed(f"{seed}/read/{chapter_id}")),
                 params,
             )
         books_meta.append(

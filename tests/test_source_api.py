@@ -126,6 +126,18 @@ def test_only_manifest_opens_and_decodes_input_files():
     assert naming == ["manifest.py"]
 
 
+def test_only_config_hashes():
+    """``config.derived_seed`` is the one seed rule and ``config_hash`` the
+    one config digest: no other module imports or names ``hashlib``, so a
+    second copy of the seed rule is caught."""
+    naming = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if "hashlib" in set(names_in(tree)) | imported_names(tree):
+            naming.append(path.name)
+    assert naming == ["config.py"]
+
+
 def nodes_by_function(node, qualname=""):
     """(qualified name of the innermost enclosing function or class, node)
     for every node under ``node``; "" for module-level code."""
