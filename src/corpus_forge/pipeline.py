@@ -100,10 +100,10 @@ def _read_json(path: Path):
         raise InputError(f"{path}: not valid JSON: {exc}") from None
 
 
-# the optional fields of a book record, each with the value it takes when
-# absent or null; any other value must have that value's JSON type
+# the optional fields of a book record and their values when absent or null;
+# every field given must have the JSON type of an exemplar value such as these
 _BOOK_DEFAULTS = {"title": "", "author": "", "version": 1, "multi_speaker": False}
-_JSON_TYPES = {str: "string", int: "integer", bool: "boolean"}
+_JSON_TYPES = {str: "string", int: "integer", bool: "boolean", list: "array"}
 
 
 def read_catalog(input_dir) -> tuple[list[sp.BookRecord], dict[str, dict]]:
@@ -137,9 +137,10 @@ def read_catalog(input_dir) -> tuple[list[sp.BookRecord], dict[str, dict]]:
             ) from exc
         given = {name: default if book.get(name) is None else book[name]
                  for name, default in _BOOK_DEFAULTS.items()}
-        ids = [("book_id", book_id, "")] + [(name, getattr(ch, name), "") for ch in chapters
-                                            for name in ("chapter_id", "speaker_id")]
-        for name, value, like in ids + [(n, v, _BOOK_DEFAULTS[n]) for n, v in given.items()]:
+        required = [("book_id", book_id, ""), ("chapters", book["chapters"], [])]
+        required += [(name, getattr(ch, name), "") for ch in chapters
+                     for name in ("chapter_id", "speaker_id")]
+        for name, value, like in required + [(n, v, _BOOK_DEFAULTS[n]) for n, v in given.items()]:
             if type(value) is not type(like):  # so a boolean is no integer
                 raise InputError(f"{books_path}: book {i}: {name} {json.dumps(value)} "
                                  f"is not a JSON {_JSON_TYPES[type(like)]}")

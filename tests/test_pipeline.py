@@ -631,6 +631,9 @@ HOSTILE_CATALOGS = {
     "speaker-id-a-number": ("books.json", json.dumps([{**book_record("book000"), "chapters": [
                                 {"chapter_id": "book000_ch00", "speaker_id": 7}]}]).encode(),
                             ": book 0: speaker_id 7 is not a JSON string"),
+    "chapters-an-object": ("books.json",
+                           json.dumps([{**book_record("book000"), "chapters": {}}]).encode(),
+                           ": book 0: chapters {} is not a JSON array"),
     "title-a-number": ("books.json", json.dumps([{**book_record("book000"), "title": 7}]).encode(),
                        ": book 0: title 7 is not a JSON string"),
     "version-a-string": ("books.json",
