@@ -90,8 +90,8 @@ def force_a_dropped_token(path) -> None:
 
 def echo_book(input_dir, book_id, copied) -> None:
     """Add ``book_id``, a book without chapters whose text is ``copied``'s.
-    No word of its title starts a ``synth`` word, which starts with a
-    consonant, so no held-out title is within the title rule's distance."""
+    Each word of its title starts with a vowel, and no ``synth`` word does,
+    so no held-out title is within the title rule's distance."""
     root = Path(input_dir)
     books = json.loads((root / "books.json").read_text(encoding="utf-8"))
     books.append({"book_id": book_id, "title": "echoed unread", "author": "echo",
