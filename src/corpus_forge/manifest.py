@@ -16,7 +16,8 @@ One writer takes any iterable of rows and formats them a block at a time.
 Every file the pipeline writes goes through ``atomic_open``: to a temporary
 file beside its target, moved into place once it is whole, so a failure
 part-way leaves the earlier file as it was and no torn one. Only
-``read_bytes`` opens an input file, naming one it cannot read, and only
+``read_bytes`` opens an input file, naming one it cannot read;
+``decode_utf8`` decodes one, naming the line of a bad byte; and only
 ``numbered_lines`` splits a line-oriented one into lines.
 
 A ``ManifestRow`` is one segment. A ``CandidateTranscript`` is the book text
@@ -301,10 +302,15 @@ def read_bytes(path: str | Path) -> bytes:
 
 def read_text(path: str | Path) -> str:
     """The text of an input file, its CR LF and lone CR read as LF. Bytes
-    that are not UTF-8 fail as an ``InputError`` naming the file and the
-    line: one more than the count of LF before the first bad byte."""
+    that are not UTF-8 fail as in ``decode_utf8``."""
     # no UTF-8 sequence holds a \r or \n byte
-    raw = read_bytes(path).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return decode_utf8(read_bytes(path).replace(b"\r\n", b"\n").replace(b"\r", b"\n"), path)
+
+
+def decode_utf8(raw: bytes, path: str | Path) -> str:
+    """``raw``, bytes of the input file ``path`` with LF line ends, as text.
+    Bytes that are not UTF-8 fail as an ``InputError`` naming the file and
+    the line: one more than the count of LF before the first bad byte."""
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -103,17 +103,18 @@ def _read_json(path: Path):
 # the optional fields of a book record and their values when absent or null;
 # every field given must have the JSON type of an exemplar value such as these
 _BOOK_DEFAULTS = {"title": "", "author": "", "version": 1, "multi_speaker": False}
-_JSON_TYPES = {str: "string", int: "integer", bool: "boolean", list: "array"}
+_JSON_TYPES = {str: "string", int: "integer", bool: "boolean", list: "array", dict: "object"}
 
 
 def read_catalog(input_dir) -> tuple[list[sp.BookRecord], dict[str, dict]]:
     """The book records of ``books.json`` and the speaker records of
     ``speakers.json``. A file that cannot be read, is not UTF-8 or is not the
     JSON array or object it should be, a book without ``book_id`` or
-    ``chapters``, a field of a book or chapter that is not of its JSON type,
-    a ``book_id`` or a chapter listed twice, or a speaker record that is not
-    an object, fails as an ``InputError`` naming the file and the book or
-    speaker."""
+    ``chapters``, a field of a book or chapter or a chapter entry that is
+    not of its JSON type, a ``book_id`` or a chapter listed twice, or a
+    speaker record that is not an object, fails as an ``InputError`` naming
+    the file and the book or speaker. ``chapters`` and its entries are
+    checked before any entry is read."""
     root = Path(input_dir)
     books_path = root / "books.json"
     speakers_path = root / "speakers.json"
@@ -123,12 +124,21 @@ def read_catalog(input_dir) -> tuple[list[sp.BookRecord], dict[str, dict]]:
     books: list[sp.BookRecord] = []
     book_ids: set[str] = set()
     chapter_ids: set[str] = set()
+
+    def check_type(i: int, name: str, value, like) -> None:
+        if type(value) is not type(like):  # so a boolean is no integer
+            raise InputError(f"{books_path}: book {i}: {name} {json.dumps(value)} "
+                             f"is not a JSON {_JSON_TYPES[type(like)]}")
+
     for i, book in enumerate(records):
         try:
-            book_id = book["book_id"]
+            book_id, listed = book["book_id"], book["chapters"]
+            check_type(i, "chapters", listed, [])
+            for k, ch in enumerate(listed):
+                check_type(i, f"chapter {k}", ch, {})
             chapters = tuple(
                 sp.ChapterRef(chapter_id=ch["chapter_id"], speaker_id=ch["speaker_id"])
-                for ch in book["chapters"]
+                for ch in listed
             )
         except (KeyError, TypeError) as exc:
             named = f" ({book['book_id']!r})" if isinstance(book, dict) and "book_id" in book else ""
@@ -137,13 +147,11 @@ def read_catalog(input_dir) -> tuple[list[sp.BookRecord], dict[str, dict]]:
             ) from exc
         given = {name: default if book.get(name) is None else book[name]
                  for name, default in _BOOK_DEFAULTS.items()}
-        required = [("book_id", book_id, ""), ("chapters", book["chapters"], [])]
+        required = [("book_id", book_id, "")]
         required += [(name, getattr(ch, name), "") for ch in chapters
                      for name in ("chapter_id", "speaker_id")]
         for name, value, like in required + [(n, v, _BOOK_DEFAULTS[n]) for n, v in given.items()]:
-            if type(value) is not type(like):  # so a boolean is no integer
-                raise InputError(f"{books_path}: book {i}: {name} {json.dumps(value)} "
-                                 f"is not a JSON {_JSON_TYPES[type(like)]}")
+            check_type(i, name, value, like)
         given["title"] = tuple(given["title"].lower().split())  # as split and decontam compare it
         record = sp.BookRecord(book_id=book_id, chapters=chapters, **given)
         if record.book_id in book_ids:
@@ -270,8 +278,9 @@ def stage_retrieve(cfg: PipelineConfig) -> dict:
                     summary["candidates"] += 1
                     yield cand
 
-    write_candidates(_stage_dir(cfg, "retrieve") / "candidates.tsv", candidates(),
-                     cfg.config_hash())
+    with rt.workspace():
+        write_candidates(_stage_dir(cfg, "retrieve") / "candidates.tsv", candidates(),
+                         cfg.config_hash())
     return summary
 
 

@@ -25,14 +25,22 @@ vectorization as in SWIPE (Rognes 2011):
   bound is positive are aligned, usually a few percent of the window.
 - DP fill: runs are sorted by (length, label length) and packed into
   end-padded (B, n, m) int32 tables of at most CHUNK cells, and row i of
-  all B tables is filled by one numpy call per step. The traceback and the
-  tie-break stay per segment.
+  all B tables is filled by one numpy call per step. The best cells come
+  from row maxima: only the rows that hold a table's best are compared
+  cell by cell.
+- Workspace: the tables, their diagonal gains and the column-bound arrays
+  lie on CHUNK-cell buffers (``_work_array``) that every batch and book
+  reuses until the ``workspace`` block around them ends.
+
+The traceback and the tie-break stay per segment: a batch holds a few
+dozen walks, too few for a walk in lockstep across them to cost less.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +56,7 @@ HYPHENS_TO_SPACES = str.maketrans("-‐", "  ")  # HYPHEN-MINUS and U+2010 HYPHE
 ABSENT_ID = -1  # id of a query word the book does not contain; matches nothing
 CHUNK = 1 << 18  # cells per batch (labels x shards, labels x columns, or DP table cells)
 MATCH, MISMATCH, GAP = 2, -1, -1  # Smith-Waterman scores
+_WORKSPACE: dict[int, np.ndarray] = {}  # slot -> byte buffer of CHUNK int32 cells; see _work_array
 
 
 @dataclass(frozen=True)
@@ -223,20 +232,26 @@ def _column_runs(queries, ref, n_ids):
     time.
     """
     width = len(ref)
-    per = max(1, CHUNK // max(n_ids, width))
+    per = max(1, CHUNK // (max(n_ids, width) + 2))
     parts = []
     for c in range(0, len(queries), per):
         qs = queries[c : c + per]
         q_len = np.array([len(q) for q in qs])
         q_flat, owner = np.concatenate(qs), np.repeat(np.arange(len(qs)), q_len)
-        gain = np.full((len(qs), n_ids), np.int32(max(MISMATCH, GAP)))
+        gain = _work_array(0, (len(qs), n_ids))
+        gain.fill(max(MISMATCH, GAP))
         gain[owner[q_flat >= 0], q_flat[q_flat >= 0]] = MATCH
-        bound = np.cumsum(np.take(gain, ref, axis=1), axis=1, dtype=np.int32)
-        low = np.minimum.accumulate(bound, axis=1)
+        # ``low`` first holds the gathered gains; every id is below n_ids, so
+        # "clip" clips nothing, and unlike "raise" it writes to ``out`` unbuffered
+        low = np.take(gain, ref, axis=1, out=_work_array(1, (len(qs), width)), mode="clip")
+        bound = np.cumsum(low, axis=1, dtype=np.int32, out=_work_array(0, (len(qs), width)))
+        np.minimum.accumulate(bound, axis=1, out=low)
         bound -= np.minimum(low, 0, out=low)  # best suffix sum ending at the column
-        is_open = np.zeros((len(qs), width + 2), dtype=bool)
+        is_open = _work_array(2, (len(qs), width + 2), bool)
+        is_open[:, 0] = is_open[:, -1] = False
         np.greater(bound, 0, out=is_open[:, 1:-1])
-        edges = np.flatnonzero(is_open[:, 1:] != is_open[:, :-1]).astype(np.int32)
+        flips = _work_array(1, (len(qs), width + 1), bool)
+        edges = np.flatnonzero(np.not_equal(is_open[:, 1:], is_open[:, :-1], out=flips)).astype(np.int32)
         row, col = np.divmod(edges, np.int32(width + 1))
         row, starts, ends = row[0::2], col[0::2], col[1::2]
         run_bound = np.maximum.reduceat(bound.ravel(), row * width + starts) if row.size else row
@@ -338,10 +353,15 @@ def _fill_batch(queries, refs, offsets, rows, cols) -> list[tuple[int, list]]:
     prefix maximum. Queries are end-padded to ``rows`` with an id matching
     nothing, and references to ``cols`` with another: a padded cell only
     extends real cells by negative steps, so no padded cell reaches its
-    table's best score. Every best cell is traced back over plain ints,
-    preferring the diagonal, then the insertion, then the deletion, into a
-    (ref start, ref span length, query start, ref end, query end, path)
-    candidate, the path as ``AlignmentResult.path`` spells it."""
+    table's best score. The tables and their diagonal gains lie on
+    ``_work_array`` buffers.
+
+    The best cells are found from row maxima: only the rows that hold
+    their table's best are compared cell by cell, in (row, table, column)
+    order. Every best cell is traced back over plain ints, preferring the
+    diagonal, then the insertion, then the deletion, into a (ref start, ref
+    span length, query start, ref end, query end, path) candidate, the path
+    as ``AlignmentResult.path`` spells it."""
     n_b = len(queries)
     q_len = np.array([len(q) for q in queries])
     r_len = np.array([len(r) for r in refs])
@@ -350,24 +370,30 @@ def _fill_batch(queries, refs, offsets, rows, cols) -> list[tuple[int, list]]:
     r_ids = np.full((n_b, cols), -3, dtype=np.int32)
     r_ids[np.arange(cols) < r_len[:, None]] = np.concatenate(refs)
     # step[i, b, j]: the diagonal gain s - GAP into cell (i+1, j+1) of table b
-    step = np.multiply(q_ids.T[:, :, None] == r_ids, np.int32(MATCH - MISMATCH), dtype=np.int32)
+    same = np.equal(q_ids.T[:, :, None], r_ids, out=_work_array(2, (rows, n_b, cols), bool))
+    step = np.multiply(same, np.int32(MATCH - MISMATCH), dtype=np.int32,
+                       out=_work_array(1, (rows, n_b, cols)))
     step += np.int32(MISMATCH - GAP)
     floor = np.arange(cols + 1, dtype=np.int32) * np.int32(-GAP)  # G of H == 0
-    G = np.empty((rows + 1, n_b, cols + 1), dtype=np.int32)
+    G = _work_array(0, (rows + 1, n_b, cols + 1))
     G[0] = floor
     G[1:, :, 0] = 0
-    up, gap32, floor_1 = np.empty((n_b, cols), dtype=np.int32), np.int32(GAP), floor[1:]
+    cand, up = np.empty((n_b, cols), dtype=np.int32), np.empty((n_b, cols), dtype=np.int32)
+    gap32, floor_1 = np.int32(GAP), floor[1:]
     for i in range(rows):
-        cand = G[i, :, :-1] + step[i]
+        np.add(G[i, :, :-1], step[i], out=cand)
         np.add(G[i, :, 1:], gap32, out=up)
         np.maximum(cand, up, out=cand)
         np.maximum(cand, floor_1, out=cand)
         np.maximum.accumulate(cand, axis=1, out=G[i + 1, :, 1:])
     G -= floor  # now H
-    best = G.max(axis=(0, 2))
+    row_best = G.max(axis=2)  # (rows + 1, B)
+    best = row_best.max(axis=0)
+    best_i, best_b = np.nonzero(row_best == best)
+    hit, best_j = np.nonzero(G[best_i, best_b] == best[best_b, None])
     cands: list[list] = [[] for _ in range(n_b)]
     h, diag_gain, matched = G.item, step.item, MATCH - GAP
-    for end_i, b, end_j in np.argwhere(G == best[:, None]).tolist():
+    for end_i, b, end_j in zip(best_i[hit].tolist(), best_b[hit].tolist(), best_j.tolist()):
         i, j, path, lo = end_i, end_j, [], offsets[b]
         here = h(i, b, j)
         while here > 0:
@@ -384,6 +410,37 @@ def _fill_batch(queries, refs, offsets, rows, cols) -> list[tuple[int, list]]:
                 path.append("d")
         cands[b].append((lo + j, end_j - j, i, lo + end_j, end_i, "".join(reversed(path))))
     return list(zip(best.tolist(), cands))
+
+
+@contextmanager
+def workspace() -> Iterator[None]:
+    """Free the ``_work_array`` buffers when the block ends, so the memory of
+    the alignments run inside it is not held by later work."""
+    try:
+        yield
+    finally:
+        _WORKSPACE.clear()
+
+
+def _work_array(slot: int, shape, dtype=np.int32) -> np.ndarray:
+    """An uninitialised ``shape`` array on workspace buffer ``slot``.
+
+    A buffer holds CHUNK int32 cells and is kept until a ``workspace``
+    block ends, so every batch and book reuses pages faulted in once; arrays
+    allocated and freed per batch are handed back to the kernel by the C
+    allocator and faulted in again. Only an array larger than a buffer,
+    from one pair of more than CHUNK cells, is allocated fresh. Arrays in
+    use at the same time take different slots; ``_column_runs`` and
+    ``_fill_batch`` share slots 0-2, so the workspace is the larger of their
+    needs, not the sum.
+    """
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if nbytes > CHUNK * 4:
+        return np.empty(shape, dtype)
+    buf = _WORKSPACE.get(slot)
+    if buf is None or buf.size < nbytes:  # CHUNK has grown
+        buf = _WORKSPACE[slot] = np.empty(CHUNK * 4, dtype=np.uint8)
+    return buf[:nbytes].view(dtype).reshape(shape)
 
 
 def _has_digit(word: str) -> bool:

@@ -11,8 +11,10 @@ and ``ends`` (ms). Building one is the only stream check: times are
 non-negative and below 2^63, no token ends before it starts, starts ascend
 and no token starts before the one before it ends. A token file holds one
 ``{"w", "s", "e"}`` object per line, a word without whitespace and integer
-times; the reader parses each line into the columns and names the first
-fault's line.
+times. The reader parses the file's lines as one JSON array when that
+provably reads them as a per-line parse would; otherwise, and for a file
+with any fault, it parses each line on its own and names the first fault's
+line.
 
 Gap midpoints ascend, so each cut bisects for the gaps of its window and
 scans only those, and a forced cut bisects the token starts for the one
@@ -27,7 +29,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .manifest import InputError, read_bytes
+from .manifest import InputError, decode_utf8, read_bytes
 
 DEFAULT_MIN_LEN_MS = 10_000
 DEFAULT_MAX_LEN_MS = 20_000
@@ -189,13 +191,60 @@ def read_token_stream(path: str | Path) -> TokenStream:
     A file that cannot be read fails naming it. A malformed line, bytes
     that are not UTF-8 included, fails naming the file and the line, unless
     a token before it already breaks the stream rules: the first fault in
-    file order is the one named.
+    file order is the one named. The file is parsed at once when that
+    provably gives the per-line parse (``_parse_at_once``); otherwise, and
+    for any fault, line by line (``_parse_by_line``).
     """
-    words, starts, ends, lines = [], [], [], []
+    # bytes.splitlines breaks at \n, \r and \r\n, as text-mode reading does
+    lines = read_bytes(path).splitlines()
+    stream = _parse_at_once(path, lines)
+    return stream if stream is not None else _parse_by_line(path, lines)
+
+
+def _parse_at_once(path, lines: list[bytes]) -> TokenStream | None:
+    """The stream of a token file's ``lines`` from one ``json.loads`` of its
+    non-blank lines as one JSON array, or None when that parse is not shown
+    to equal the per-line one or the file breaks a token rule.
+
+    It is shown equal when the file holds no ``[`` or ``]``, every kept line
+    starts with ``{`` and ends with ``}``, and the array holds one element
+    per line. Joined by ``,\n``, such lines meet only at the array's top
+    level: strict JSON holds no line end in a string, no inner array can
+    open, and inside an object a ``,`` is followed by a key, not a ``{``. So
+    each line holds whole elements, and with one each, it parses as alone.
+    A line blank as bytes (ASCII whitespace) is blank as text too, and one
+    blank only as text does not start with ``{``.
+    """
+    kept = [line for line in lines if line.strip()]
+    joined = b",\n".join(kept)
+    if (not kept or b"[" in joined or b"]" in joined or joined[:1] != b"{"
+            or joined[-1:] != b"}" or joined.count(b"},\n{") != len(kept) - 1):
+        return None
+    try:
+        tokens = json.loads(f"[{decode_utf8(joined, path)}]")
+        if len(tokens) != len(kept):
+            return None
+        words = [token["w"] for token in tokens]
+        starts = [token["s"] for token in tokens]
+        ends = [token["e"] for token in tokens]
+    except (KeyError, ValueError, RecursionError):  # bad UTF-8 is an InputError, a ValueError
+        return None
+    # " ".join(words).split() == words: every word is non-empty without whitespace
+    if (set(map(type, words)) != {str} or set(map(type, starts)) | set(map(type, ends)) != {int}
+            or " ".join(words).split() != words):
+        return None
+    try:
+        return TokenStream(words, starts, ends)
+    except TokenStreamError:
+        return None
+
+
+def _parse_by_line(path, lines: list[bytes]) -> TokenStream:
+    """The stream of a token file's ``lines``, each decoded and parsed on
+    its own, so a fault names its line; see ``read_token_stream``."""
+    words, starts, ends, numbers = [], [], [], []
     bad_line = None
-    # bytes.splitlines breaks at \n, \r and \r\n, as text-mode reading does;
-    # each line is decoded on its own, so bad bytes name their line
-    for lineno, raw in enumerate(read_bytes(path).splitlines(), 1):
+    for lineno, raw in enumerate(lines, 1):
         try:
             line = raw.decode("utf-8")
             if not line.strip():
@@ -212,11 +261,11 @@ def read_token_stream(path: str | Path) -> TokenStream:
         words.append(word)
         starts.append(start)
         ends.append(end)
-        lines.append(lineno)
+        numbers.append(lineno)
     try:
         stream = TokenStream(words, starts, ends)
     except TokenStreamError as exc:
-        raise TokenStreamError(f"{path}:{lines[exc.index]}: {exc}") from None
+        raise TokenStreamError(f"{path}:{numbers[exc.index]}: {exc}") from None
     if bad_line:
         raise TokenStreamError(bad_line)
     return stream

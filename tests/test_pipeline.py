@@ -453,7 +453,7 @@ def _set(key, value):
     (5, _set("version", "two"), 'book 5: version "two" is not a JSON integer'),
     (2, _drop("book_id"), "book 2 is malformed"),
     (1, lambda record: record["chapters"][0].pop("speaker_id"), "book 1 ('book001') is malformed"),
-    (4, _set("chapters", None), "book 4 ('book004') is malformed"),
+    (4, _set("chapters", None), "book 4: chapters null is not a JSON array"),
 ], ids=["no-chapters", "version-two", "no-book-id", "chapter-without-speaker", "null-chapters"])
 def test_malformed_book_record_fails_in_segment_naming_books_json_and_book(
     tmp_path, capsys, index, edit, says
@@ -634,6 +634,18 @@ HOSTILE_CATALOGS = {
     "chapters-an-object": ("books.json",
                            json.dumps([{**book_record("book000"), "chapters": {}}]).encode(),
                            ": book 0: chapters {} is not a JSON array"),
+    "chapters-a-string": ("books.json",
+                          json.dumps([{**book_record("book000"), "chapters": "abc"}]).encode(),
+                          ': book 0: chapters "abc" is not a JSON array'),
+    "chapters-a-keyed-object": ("books.json", json.dumps([{**book_record("book000"),
+                                                           "chapters": {"a": 1}}]).encode(),
+                                ': book 0: chapters {"a": 1} is not a JSON array'),
+    "chapters-a-number": ("books.json",
+                          json.dumps([{**book_record("book000"), "chapters": 7}]).encode(),
+                          ": book 0: chapters 7 is not a JSON array"),
+    "chapter-a-string": ("books.json",
+                         json.dumps([{**book_record("book000"), "chapters": ["x"]}]).encode(),
+                         ': book 0: chapter 0 "x" is not a JSON object'),
     "title-a-number": ("books.json", json.dumps([{**book_record("book000"), "title": 7}]).encode(),
                        ": book 0: title 7 is not a JSON string"),
     "version-a-string": ("books.json",

@@ -506,11 +506,15 @@ def test_kernel_matches_full_window_on_seeded_windows():
 def test_batched_aligner_matches_full_window_per_entry(monkeypatch):
     """One batch of windows over one book: varied query and window lengths,
     a query no column can score, a best score in a run of lower bound,
-    equal scores in far-apart runs, and several table and bound chunks."""
+    equal scores in far-apart runs, several table and bound chunks, and
+    queries over a stretch of two words, where many cells of several rows
+    of one padded table tie for the best score."""
     monkeypatch.setattr(retrieval, "CHUNK", 1 << 12)
     rng = random.Random(12)
     vocab = [f"w{k}" for k in range(60)]
     book = random_words(rng, 4000, vocab)
+    two_rng, two_words = random.Random(13), ["t0", "t1"]
+    book[3600:3900] = random_words(two_rng, 300, two_words)
     second_run = "p0 p1 p2 p3 p4 p5 p6 p7".split()
     book[500:508] = reversed(second_run)  # the higher bound, a low score
     book[800:805] = second_run[:5]
@@ -528,6 +532,11 @@ def test_batched_aligner_matches_full_window_per_entry(monkeypatch):
             q = [w if rng.random() < 0.8 else rng.choice(vocab) for w in book[at : at + len(q)]] or q
         entries.append((q, window))
     entries.append((entries[5][0][::-1], entries[5][1]))  # a second query on a shared window
+    for n_words in (3, 8, 16, 24, 40):  # mostly longer than their windows
+        start = two_rng.randrange(3600, 3850)
+        entries.append((random_words(two_rng, n_words, two_words),
+                        (start, start + two_rng.choice([4, 6, 9, 50]))))
+    entries.append((["t0"] * 12, (3700, 3720)))  # every row from its longest t0 run's length on
     queries = [index.encode(q) for q, _ in entries]
     windows = [w for _, w in entries]
     got = list(retrieval._align(queries, index.book_ids, windows, len(index.vocab)))

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import time
@@ -5,9 +6,10 @@ from bisect import bisect_left
 
 import pytest
 
-from corpus_forge import pipeline
+from corpus_forge import pipeline, segmenter
 from corpus_forge.cli import main as cli_main
 from corpus_forge.pipeline import StageError, run_stage
+from corpus_forge.synth import synth_corpus
 from corpus_forge.segmenter import (
     FORCED_CUT_SLACK_MS,
     TokenStream,
@@ -19,7 +21,7 @@ from corpus_forge.segmenter import (
 )
 
 from oracles import brute_force_segment_bounds, cut_by_cut_segments, pairwise_gap_scan
-from test_pipeline import config_file, small_config, tiny_input
+from test_pipeline import SMALL, config_file, small_config, tiny_input
 
 
 def stream_of(triples):
@@ -510,6 +512,87 @@ def test_blank_lines_keep_line_numbers(tmp_path):
     with pytest.raises(TokenStreamError) as err:
         read_token_stream(path)
     assert str(err.value) == f"{path}:5: bad token times (-5, 10)"
+
+
+# token files that the one-parse reader must read as the per-line reader
+# does: (bytes, None when accepted or the message that follows the path)
+A, B, C = (b'{"w": "a", "s": 0, "e": 100}', b'{"w": "b", "s": 200, "e": 300}',
+           b'{"w": "c", "s": 400, "e": 500}')
+READER_CASES = {
+    "plain": (A + b"\n" + B + b"\n" + C + b"\n", None),
+    # joined by ",\n", each pair below is three valid elements on three lines
+    "two-on-a-line-one-split": (A + b"," + B + b'\n{"w": "c", "s": 400\n"e": 500}\n',
+                                ":1: bad token line: Extra data: line 1 column 29 (char 28)"),
+    "an-array-split-two-on-a-line": (b'{"w": "a", "s": 0, "e": 100, "x": [{}\n{}]}\n' + B + b"," + C,
+                                     ":1: bad token line: Expecting ',' delimiter: "
+                                     "line 1 column 38 (char 37)"),
+    "two-on-a-line": (A + b"," + B + b"\n" + C + b"\n",
+                      ":1: bad token line: Extra data: line 1 column 29 (char 28)"),
+    "word-with-brace-comma-brace": (b'{"w": "a},{b", "s": 0, "e": 100}\n' + B + b"\n", None),
+    "word-with-escaped-quotes": (b'{"w": "x\\"},{\\"w\\":\\"y", "s": 0, "e": 100}\n' + B + b"\n", None),
+    "word-with-brackets": (b'{"w": "[a]", "s": 0, "e": 100}\n' + B + b"\n", None),
+    "word-with-a-bracket": (A + b'\n{"w": "b]", "s": 200, "e": 300}\n', None),
+    "cr-and-crlf": (A + b"\r\n" + B + b"\r" + C + b"\r\n", None),
+    "blank-and-space-lines": (b"\n  \r\n" + A + b"\n\t\n" + B + b"\n \n", None),
+    "nbsp-line": (A + b"\n\xc2\xa0\n" + B + b"\n", None),
+    "leading-space": (A + b"\n " + B + b"\n", None),
+    "bom": (b"\xef\xbb\xbf" + A + b"\n", ":1: bad token line: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+            "line 1 column 1 (char 0)"),
+    "fault-after-cr-lines": (A + b"\r\n\r  \r\n" + b'{"w": "b", "s": 500, "e": 300}\r',
+                             ":4: bad token times (500, 300)"),
+    "order-fault-after-blank-lines": (b"\r\n" + B + b"\n\n" + A + b"\r",
+                                      ":4: token stream is not sorted by start time"),
+    "bad-utf8-after-a-stream-fault": (B + b"\n" + A + b'\n{"w": "\xff", "s": 900, "e": 950}\n',
+                                      ":2: token stream is not sorted by start time"),
+    "bad-utf8-before-a-stream-fault": (B + b'\n{"w": "\xff", "s": 900, "e": 950}\n' + A + b"\n",
+                                       ":2: bad token line: 'utf-8' codec can't decode byte 0xff "
+                                       "in position 7: invalid start byte"),
+    "float-time": (A + b'\n{"w": "b", "s": 200.0, "e": 300}\n',
+                   ":2: bad token line: times 200.0, 300 are not JSON integers"),
+    "boolean-time": (A + b'\n{"w": "b", "s": 200, "e": true}\n',
+                     ":2: bad token line: times 200, True are not JSON integers"),
+    "nan-time": (A + b'\n{"w": "b", "s": NaN, "e": 300}\n',
+                 ":2: bad token line: times nan, 300 are not JSON integers"),
+    "repeated-key": (b'{"w": "a", "s": 900, "s": 0, "e": 100}\n' + B + b"\n", None),
+    "repeated-key-fault": (A + b'\n{"w": "b", "s": 200, "e": 300, "e": 100}\n',
+                           ":2: bad token times (200, 100)"),
+    "missing-key": (A + b'\n{"w": "b", "s": 200}\n', ":2: bad token line: 'e'"),
+    "spaced-word": (A + b'\n{"w": "b c", "s": 200, "e": 300}\n',
+                    ":2: bad token line: word 'b c' is not a non-empty string without whitespace"),
+    "empty": (b"", None),
+    "blank-only": (b"\n \r\n", None),
+}
+
+
+def read_outcome(read, path):
+    """The columns ``read(path)`` returns, or its exception's type and message."""
+    try:
+        stream = read(path)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+    return stream.words, stream.starts, stream.ends
+
+
+@pytest.mark.parametrize("content, message", READER_CASES.values(), ids=READER_CASES)
+def test_one_parse_reader_equals_the_per_line_reader(tmp_path, content, message):
+    path = tmp_path / "rec.jsonl"
+    path.write_bytes(content)
+    per_line = read_outcome(lambda p: segmenter._parse_by_line(p, p.read_bytes().splitlines()), path)
+    assert read_outcome(read_token_stream, path) == per_line
+    if message is None:
+        assert len(per_line) == 3
+    else:
+        assert per_line == (TokenStreamError, f"{path}{message}")
+
+
+def test_every_synth_token_file_is_parsed_once(tmp_path, monkeypatch):
+    """A guard that sent every file to the per-line reader would only be slower."""
+    synth_corpus(tmp_path, seed=17, params=SMALL)
+    loads, calls = json.loads, []
+    monkeypatch.setattr(segmenter.json, "loads", lambda *a, **k: calls.append(1) or loads(*a, **k))
+    files = sorted((tmp_path / "tokens").glob("*.jsonl"))
+    assert all(read_token_stream(path) for path in files)
+    assert len(calls) == len(files) > 1
 
 
 def test_zero_length_token_after_a_dropped_token_is_kept():
