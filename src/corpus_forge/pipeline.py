@@ -11,12 +11,16 @@ writes ``report.json``; every command-line subcommand but ``synth`` is one
 call of it. All outputs carry the config hash and readers refuse inputs
 from a different hash. All randomness derives from the single top-level
 seed, split per stage. The stages that read the normalized books read them
-one at a time, so none holds the whole book corpus.
+one at a time, so none holds the whole book corpus. A stage's independent
+books, chapters or LM orders run on every CPU it may use, by ``ordered_map``.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import signal
 from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -51,7 +55,10 @@ from .textnorm import load_orthography, normalize_lines
 class StageError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage {stage}: {message}")
-        self.stage = stage
+        self.stage, self.message = stage, message
+
+    def __reduce__(self):  # so that a worker process's error is raised unchanged
+        return type(self), (self.stage, self.message)
 
 
 def _stage_dir(cfg: PipelineConfig, stage: str) -> Path:
@@ -172,6 +179,54 @@ def read_catalog(input_dir) -> tuple[list[sp.BookRecord], dict[str, dict]]:
     return books, speakers
 
 
+def ordered_map(fn, items):
+    """``map(fn, items)`` over the n CPUs of this process's affinity set: of
+    n processes each takes every n-th item. The n - 1 workers, forked at the
+    first ``next`` so they see the caller's state then, pickle each result or
+    error into a pipe; this process reads them in item order as it computes
+    its own, so it holds one result per process and raises the first error
+    in item order. The workers are killed and reaped however it ends."""
+    items = list(items)
+    n = min(len(items), len(os.sched_getaffinity(0)))  # below 2, no worker: a plain map
+    pids, pipes = [], []
+    try:
+        for k in range(1, n):
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            if (pid := os.fork()) == 0:  # the worker ends here, never in the caller's stack
+                try:
+                    for pipe in pipes:  # so a write fails once the caller is gone
+                        pipe.close()
+                    with open(w, "wb") as out:
+                        for item in items[k::n]:
+                            try:
+                                out.write(pickle.dumps((True, fn(item))))
+                            except Exception as exc:
+                                out.write(pickle.dumps((False, exc)))
+                            out.flush()
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+            os.close(w)
+        for i, item in enumerate(items):
+            if i % n == 0:
+                yield fn(item)
+                continue
+            try:
+                ok, result = pickle.load(pipes[i % n - 1])
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"worker process of item {i} ended without its result") from None
+            if not ok:
+                raise result
+            yield result
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
 # ---------------------------------------------------------------------------
 # readers and per-item steps of the stages
 
@@ -208,7 +263,8 @@ def stage_normalize(cfg: PipelineConfig) -> dict:
         raise InputError(f"{src}: holds no book text (*.txt)")
     orth = load_orthography(cfg.orthography, cfg.language)
     out = _stage_dir(cfg, "normalize")
-    n_tokens = sum(normalize_file(path, out / path.name, orth) for path in book_files)
+    n_tokens = sum(ordered_map(lambda path: normalize_file(path, out / path.name, orth),
+                               book_files))
     return {"books": len(book_files), "tokens": n_tokens}
 
 
@@ -222,18 +278,18 @@ def stage_segment(cfg: PipelineConfig) -> dict:
     if not token_dir.is_dir():
         raise InputError(f"{token_dir}: no such directory of token files")
     chapters = {ch.chapter_id: (b.book_id, ch.speaker_id) for b in books for ch in b.chapters}
-    rows, residuals, dropped = [], [], []
-    for path in sorted(token_dir.glob("*.jsonl")):
+
+    def chapter(path):
         chapter_id = path.stem
         stream = read_token_stream(path)
         result = segment_stream(stream, cfg.min_segment_ms, cfg.max_segment_ms,
                                 cfg.keep_residual, segment_id_prefix=chapter_id)
         book, speaker = chapters.get(chapter_id, ("", ""))
         gender = speakers.get(speaker, {}).get("gender", "")
-        rows += [ManifestRow(seg.segment_id, book, chapter_id, speaker, gender,
-                             seg.start, seg.end, " ".join(seg.words))
-                 for seg in result.segments]
-        tail = result.residual
+        rows = [ManifestRow(seg.segment_id, book, chapter_id, speaker, gender,
+                            seg.start, seg.end, " ".join(seg.words))
+                for seg in result.segments]
+        tail, residuals = result.residual, []
         placed = [i for seg in result.segments for i in seg.tokens] + result.dropped_tokens
         if tail is not None and not cfg.keep_residual:
             residuals.append((chapter_id, tail.start, tail.end, len(tail.tokens)))
@@ -241,8 +297,15 @@ def stage_segment(cfg: PipelineConfig) -> dict:
         if sorted(placed) != list(range(len(stream))):
             raise StageError("segment", f"chapter {chapter_id}: segments, residual and dropped "
                                         f"tokens do not cover its {len(stream)} tokens once")
-        dropped += [(chapter_id, stream.words[i], stream.starts[i], stream.ends[i])
-                    for i in result.dropped_tokens]
+        return rows, residuals, [(chapter_id, stream.words[i], stream.starts[i], stream.ends[i])
+                                 for i in result.dropped_tokens]
+
+    rows, residuals, dropped = [], [], []
+    for chapter_rows, chapter_residuals, chapter_dropped in ordered_map(
+            chapter, sorted(token_dir.glob("*.jsonl"))):
+        rows += chapter_rows
+        residuals += chapter_residuals
+        dropped += chapter_dropped
     rows.sort(key=lambda r: r.segment_id)
     out = _stage_dir(cfg, "segment")
     write_manifest(out / "segments.tsv", rows, cfg.config_hash())
@@ -259,24 +322,25 @@ def _segments(cfg: PipelineConfig):
 
 
 def stage_retrieve(cfg: PipelineConfig) -> dict:
-    """Retrieve a candidate for every segment, one book at a time. Only each
-    segment's id and pseudo label are held, grouped by book; a book's words
-    are read when its turn comes, and its candidates are written before the
-    next book is read. A book is looked up among the normalized files."""
+    """Retrieve a candidate for every segment, one book per process at a
+    time. Only each segment's id and pseudo label are held, grouped by book;
+    a book's words are read when its turn comes, and its candidates are
+    written in book order. A book is looked up among the normalized files."""
     files = _book_paths(_stage_dir(cfg, "normalize"))
     labels = rt.labels_by_book(_segments(cfg))
     summary = {"candidates": 0, "unmatched": 0}
 
+    def book(book_id):
+        words = _words(files[book_id]) if book_id in files else None
+        return list(rt.book_candidates(book_id, words, labels[book_id], cfg.shard_size,
+                                       cfg.shard_stride, cfg.wer_threshold))
+
     def candidates():
-        for book_id in sorted(labels):
-            words = _words(files[book_id]) if book_id in files else None
-            for cand in rt.book_candidates(book_id, words, labels[book_id], cfg.shard_size,
-                                           cfg.shard_stride, cfg.wer_threshold):
-                if cand is None:
-                    summary["unmatched"] += 1
-                else:
-                    summary["candidates"] += 1
-                    yield cand
+        for cands in ordered_map(book, sorted(labels)):
+            found = [cand for cand in cands if cand is not None]
+            summary["candidates"] += len(found)
+            summary["unmatched"] += len(cands) - len(found)
+            yield from found
 
     with rt.workspace():
         write_candidates(_stage_dir(cfg, "retrieve") / "candidates.tsv", candidates(),
@@ -519,12 +583,15 @@ def stage_lm_train(cfg: PipelineConfig) -> dict:
 
     metadata = {"language": cfg.language, "config_hash": cfg.config_hash(),
                 "smoothing": "interpolated modified Kneser-Ney, 0.75 absolute fallback"}
-    for order in cfg.lm_orders:
-        model = ngramlm.train(sentences(), order, metadata=metadata)
+
+    def train(order):
         path = lm_dir / f"lm_{order}.cflm"
-        model.save(path, lm_dir / f"lm_{order}.arpa")
-        del model  # free this order before the next one is trained
-        summary["bytes"][str(order)] = path.stat().st_size
+        ngramlm.train(sentences(), order, metadata=metadata).save(path, lm_dir / f"lm_{order}.arpa")
+        return summary["sentences"], path.stat().st_size
+
+    trained = list(ordered_map(train, cfg.lm_orders))
+    summary["sentences"] = trained[-1][0]
+    summary["bytes"] = {str(order): size for order, (_, size) in zip(cfg.lm_orders, trained)}
     return summary
 
 
@@ -532,18 +599,17 @@ def stage_lm_eval(cfg: PipelineConfig) -> dict:
     dev_rows = read_manifest(_manifest_dir(cfg) / "dev.tsv", cfg.config_hash())
     dev_sentences = [r.transcript.split() for r in dev_rows]
     lm_dir = _lm_dir(cfg)
-    results = {}
-    ppls = {}
-    for order in cfg.lm_orders:
+
+    def evaluate(order):
         path = lm_dir / f"lm_{order}.cflm"
         model = ngramlm.NGramModel.load(path)
         if model.metadata.get("config_hash") != cfg.config_hash():  # a model's hash line
             raise ProvenanceError(f"{path}: config hash {model.metadata.get('config_hash')} "
                                   f"does not match active run {cfg.config_hash()}")
-        report = ngramlm.evaluate(model, dev_sentences, oov_context=cfg.oov_context)
-        del model  # free this order before the next one is loaded
-        results[str(order)] = asdict(report)
-        ppls[order] = report.perplexity
+        return asdict(ngramlm.evaluate(model, dev_sentences, oov_context=cfg.oov_context))
+
+    results = dict(zip(map(str, cfg.lm_orders), list(ordered_map(evaluate, cfg.lm_orders))))
+    ppls = {order: results[str(order)]["perplexity"] for order in cfg.lm_orders}
     write_json(lm_dir / "lm_eval.json", {
         "config_hash": cfg.config_hash(),
         "models": results,

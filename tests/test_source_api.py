@@ -177,3 +177,21 @@ def test_only_make_dir_makes_directories():
                      for where, node in nodes_by_function(ast.parse(path.read_text(encoding="utf-8")))
                      if isinstance(node, ast.Attribute) and node.attr == "mkdir"})
     assert [m for m in mkdirs if not m.startswith("synth.")] == ["manifest.make_dir"]
+
+
+def test_one_fork_and_no_other_concurrency():
+    """``pipeline.ordered_map`` is the one parallel path: ``os.fork`` is
+    called in one place, and no module imports a pool, an executor or
+    threads, so a second parallel copy of a stage loop is caught."""
+    forks, imported = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for where, node in nodes_by_function(ast.parse(path.read_text(encoding="utf-8"))):
+            if getattr(node, "attr", getattr(node, "id", None)) == "fork":  # os.fork or fork
+                forks.append(f"{path.stem}.{where}")
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            if isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module)
+    assert forks == ["pipeline.ordered_map"]
+    assert not {name.split(".")[0] for name in imported} & {"multiprocessing", "concurrent",
+                                                             "threading"}
