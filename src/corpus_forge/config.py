@@ -76,6 +76,8 @@ class PipelineConfig:
             raise ConfigError("rare_wordform_threshold must be >= 1")
         if not self.lm_orders or any(o < 1 for o in self.lm_orders):
             raise ConfigError("lm_orders must be positive integers")
+        if repeated := sorted({o for o in self.lm_orders if self.lm_orders.count(o) > 1}):
+            raise ConfigError(f"lm_orders repeats order {repeated[0]}")
         if self.oov_context not in ("break", "keep"):
             raise ConfigError("oov_context must be 'break' or 'keep'")
         if self.seed < 0:

@@ -15,17 +15,20 @@ Word ids number vocab + ``<s>`` in code-point order; order k is a sorted
 character at or below U+0020, so id order is the order of the space-joined
 gram strings, in which the ARPA file lists grams. A context's grams form one
 run; its discount mass is summed left to right in that one order, so a
-loaded model equals its original in every float. The search index over each
-order (``_keys``, ``run_of``) is int32 unless a key reaches 2^31.
+loaded model equals its original in every float. Runs and the query index
+(``_keys``, built on a model's first query) are int32 unless a key reaches
+2^31. One sort of the highest order's rows yields every order, and every
+lower order's model (``lower_order``); ``save`` joins each gram to its
+suffix one order down and its context run one order up with indexes that
+sort gives (``_links``), not with the query index.
 
-What each step holds at once, besides the model's own arrays: ``train`` an
-int32 per word of its corpus, read once, then its id rows (twice while they
-sort) and one order's run masks and run starts, all freed before the
-constructor runs; the constructor one order's key being built and one CHUNK
-of context runs; ``save`` the compressed ``.cflm`` parts and one column of
-ids, then two orders' probabilities and one BLOCK of ARPA lines as a byte
-matrix, each word padded to at most WIDE bytes; ``load`` the file's bytes and
-one array being inflated; ``evaluate`` one id row per dev token.
+What each step holds at once, besides the model's own arrays (tables,
+counts, runs and links): ``train`` an int32 per word of its corpus, read
+once, then its id rows and their sort keys, then the rows and two orders'
+runs; ``save``, in each process, one ``.cflm`` part and one column of ids,
+then two orders' probabilities and one BLOCK of ARPA lines as a byte
+matrix, each word padded to at most WIDE bytes; ``load`` the file's bytes
+and one array being inflated; ``evaluate`` one id row per dev token.
 
 ``.cflm`` version 2 holds the arrays themselves, as KenLM's binary format
 does: the magic, the version byte, then parts each preceded by its 8-byte
@@ -38,13 +41,16 @@ counts as little-endian int64. A CRC-32 of every byte before it ends the file.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
 import zlib
 from array import array
+from collections import defaultdict
+from contextlib import ExitStack
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -136,33 +142,48 @@ def _run_sums(values, starts):
     return acc[np.argsort(by_size)]
 
 
+def _rank(table, rows):
+    """The index in ``table`` (sorted rows) of each of ``rows``, which it
+    holds: rows as big-endian bytes sort as their ids do."""
+    key = [np.ascontiguousarray(ids, ">u4").view(f"V{4 * ids.shape[1]}").ravel() for ids in (table, rows)]
+    return np.searchsorted(*key)
+
+
 def _gram_tables(rows):
-    """The order-k id rows and counts, k = 1..n, of (m, n) gram rows sorted
-    last id first: see ``NGramModel.train``. Besides ``rows`` and the tables
-    it holds one order's run mask and run starts at a time."""
+    """The order-k id rows, adjusted counts and suffix links, k = 1..n, of
+    (m, n) gram rows sorted last id first: see ``train``. An order-k run
+    lies in the run of its suffix one order down, and that suffix's index
+    among the sorted grams (``link``) and the gram's first id sort the
+    grams. Besides ``rows`` and the tables it holds two orders' runs."""
     n = rows.shape[1]
     # same[i]: row i + 1 repeats the last k ids of row i; starts: the first
     # row of each run of order-k grams, then of order k + 1
     same = rows[1:, n - 1] == rows[:-1, n - 1]
-    starts = np.flatnonzero(np.append(True, ~same))
-    tables, counts = [], []
+    starts = np.flatnonzero(np.append(True, ~same)).astype(np.int32 if len(rows) < 2**31 else np.int64)
+    tables, counts, suffix = [], [], [None]
+    link = np.zeros(len(starts), starts.dtype)  # per run: its suffix's rank
     for k in range(1, n + 1):
-        head = starts
-        if k < n:
+        head, count = starts, np.diff(np.append(starts, len(rows)))
+        if k < n:  # a gram after padding starts the sentence and keeps its raw count
             same &= rows[1:, n - k - 1] == rows[:-1, n - k - 1]
-            starts = np.flatnonzero(np.append(True, ~same))
-            at = np.searchsorted(starts, head)  # the run's first extension
-            extensions = np.diff(np.append(at, len(starts)))
-            sizes = np.append(starts, len(rows))[at + 1] - starts[at]
-            count = np.where(rows[head, n - k - 1] == -1, sizes, extensions)
-        else:
-            count = np.diff(np.append(head, len(rows)))
-        keep = rows[head, n - k] != -1
-        grams, count = rows[head[keep], n - k :], count[keep]
-        by_gram = np.lexsort(grams.T[::-1])
-        tables.append(grams[by_gram])
-        counts.append(count[by_gram])
-    return tables, counts
+            starts = np.flatnonzero(np.append(True, ~same)).astype(head.dtype)
+            extensions = np.diff(np.append(np.searchsorted(starts, head), len(starts))).astype(head.dtype)
+            count = np.where(rows[head, n - k - 1] == -1, count, extensions)
+        keep = np.flatnonzero(rows[head, n - k] != -1)
+        key = rows[head[keep], n - k] * np.int64(len(tables[-1]) if tables else 1)
+        key += link[keep]
+        by_gram = keep[np.argsort(key)]
+        del keep, key
+        tables.append(rows[head[by_gram], n - k :])
+        counts.append(count[by_gram].astype(np.int64))
+        if k > 1:
+            suffix.append(link[by_gram])
+        if k < n:
+            del count, link
+            link = np.full(len(head), -1, head.dtype)  # each run's rank, then its extensions'
+            link[by_gram] = np.arange(len(by_gram))
+            link = np.repeat(link, extensions)
+    return tables, counts, suffix
 
 
 class NGramModel:
@@ -172,7 +193,8 @@ class NGramModel:
     (``words[i]`` is the word of id i), ``counts[k-1]`` their adjusted counts.
     """
 
-    def __init__(self, order, smoothing, vocab, tables, counts, discounts, fallback, metadata=None):
+    def __init__(self, order, smoothing, vocab, tables, counts, discounts, fallback, metadata=None,
+                 runs=None):
         self.order = order
         self.smoothing = smoothing
         self.vocab = frozenset(vocab)
@@ -184,16 +206,41 @@ class NGramModel:
         self.fallback = fallback
         self.metadata = dict(metadata or {})
         self._p0 = 1.0 / (len(self.vocab) + 1)
-        # per order: each gram's context run, run totals and masses, ``_find``
-        # keys; keys and runs take int32 while every key fits in it
-        self.run_of, self.totals, self.gamma_mass, self._keys = [], [], [], []
-        for table, count, d in zip(tables, counts, discounts):
+        # per order: each gram's context run (rows sharing all ids but the
+        # last), run totals and masses; runs take int32 while every ``_keys``
+        # key fits in it. A model built with ``runs``, another model, takes
+        # its runs for the orders below its own top.
+        shared = order - 1 if runs else 0
+        self.run_of, self.totals, self.gamma_mass = (
+            [x[:shared] for x in (runs.run_of, runs.totals, runs.gamma_mass)] if runs else ([], [], []))
+        for table, count, d in list(zip(tables, counts, discounts))[shared:]:
             n, k = table.shape
+            new = np.zeros(n, bool)
+            new[:1] = True
+            for j in range(k - 1):
+                new[1:] |= table[1:, j] != table[:-1, j]
             wide = (n + 1) * (len(self.words) + 1) > np.iinfo(np.int32).max
-            index = np.arange(n, dtype=np.int64 if wide else np.int32)
+            run_of = np.cumsum(new, dtype=np.int64 if wide else np.int32)
+            run_of -= 1
+            self.run_of.append(run_of)
+            starts = np.flatnonzero(new)  # each run's masses are summed CHUNK runs at a time
+            self.totals.append(np.add.reduceat(count, starts) if n else count)
+            mass, ends = np.empty(len(starts)), np.append(starts[CHUNK::CHUNK], n)
+            for a, (lo, hi) in enumerate(zip(starts[::CHUNK], ends)):
+                part = slice(a * CHUNK, (a + 1) * CHUNK)
+                mass[part] = _run_sums(self._discount(count[lo:hi], d), starts[part] - lo)
+            self.gamma_mass.append(mass)
+
+    @cached_property
+    def _keys(self):
+        """Per order, the query index ``_find`` descends, built on first use;
+        rows that do not rise strictly are refused."""
+        keys = []
+        for table, run_of in zip(self.tables, self.run_of):
+            index = np.arange(len(table), dtype=run_of.dtype)
             new = index == 0  # row starts a run of rows sharing ids 0..j-1
-            self._keys.append([])
-            for j in range(k):
+            keys.append([])
+            for j in range(table.shape[1]):
                 if j:
                     new[1:] |= table[1:, j - 1] != table[:-1, j - 1]
                 key = np.where(new, index, 0)  # the run's first row
@@ -201,22 +248,42 @@ class NGramModel:
                 key *= len(self.words) + 1
                 key += table[:, j]
                 key += 1
-                self._keys[-1].append(key)
+                keys[-1].append(key)
             # rows rise strictly: no key falls, and the last one (``key``) never repeats
-            if any((key[1:] < key[:-1]).any() for key in self._keys[-1]) or (key[1:] == key[:-1]).any():
-                raise ValueError(f"order-{k} grams are not in sorted order")
-            # ``new`` now starts each context run; its masses are summed
-            # CHUNK runs at a time
-            run_of = np.cumsum(new, dtype=index.dtype)
-            run_of -= 1
-            self.run_of.append(run_of)
-            starts = np.flatnonzero(new)
-            self.totals.append(np.add.reduceat(count, starts) if n else count)
-            mass, ends = np.empty(len(starts)), np.append(starts[CHUNK::CHUNK], n)
-            for a, (lo, hi) in enumerate(zip(starts[::CHUNK], ends)):
-                part = slice(a * CHUNK, (a + 1) * CHUNK)
-                mass[part] = _run_sums(self._discount(count[lo:hi], d), starts[part] - lo)
-            self.gamma_mass.append(mass)
+            if any((key[1:] < key[:-1]).any() for key in keys[-1]) or (key[1:] == key[:-1]).any():
+                raise ValueError(f"order-{table.shape[1]} grams are not in sorted order")
+        return keys
+
+    def _links(self, suffix=None):
+        """Per order k, the joins ``save`` makes: the index one order down
+        of each gram's suffix (``suffix``, from training's walk, or found by
+        ``_rank``), and the context run one order up that each gram heads,
+        or -1 (None at the top order; at order 1 over the ARPA rows <unk>,
+        <s>, then the words). A row's key, its first id and its suffix's
+        index, rises with the rows; that of each row's first k ids one order
+        up, from the index one order down of its first k - 1, merges them
+        into the order-k rows."""
+        suffix = suffix or [None] + [_rank(a, b[:, 1:]) for a, b in zip(self.tables, self.tables[1:])]
+        links, prefix = [], None  # the index one order down of each order-k row's first k - 1 ids
+        for k, table in enumerate(self.tables, start=1):
+            heads = None
+            if k < self.order:  # the order-(k+1) rows' first k ids, a CHUNK at a time
+                up, size = self.tables[k], np.int64(len(self.tables[k - 2]) if k > 1 else 1)
+                key = table[:, 0] * size
+                key += suffix[k - 1] if k > 1 else 0
+                at = np.empty(len(up), self.run_of[k].dtype)
+                for i in range(0, len(up), CHUNK):
+                    c = slice(i, i + CHUNK)
+                    at[c] = np.searchsorted(key, up[c, 0] * size + (prefix[suffix[k][c]] if k > 1 else 0))
+                if k == 1:  # the ARPA rows lead with <unk> and <s>, which the table lacks
+                    at = np.where(up[:, 0] == self.ids[SENT_START], -1, at) + 2
+                heads = np.full(len(table) + 2 * (k == 1), -1, at.dtype)
+                heads[at] = self.run_of[k]
+                prefix = at - 2 if k == 1 else at
+            links.append((suffix[k - 1], heads))
+        return links
+
+    links = cached_property(_links)  # found on first use unless training gives them
 
     def _find(self, k, rows):
         """Per id row of ``rows`` (at most k ids; -1 matches nothing), the index
@@ -238,46 +305,6 @@ class NGramModel:
     @staticmethod
     def _discount(count, d):
         return np.take((0.0, *d), count, mode="clip")  # counts above 3 take d3
-
-    # -- training ----------------------------------------------------------
-
-    @classmethod
-    def train(cls, corpus, order: int, smoothing: str = "kn", metadata=None) -> "NGramModel":
-        """Estimate a model of the given order from tokenized sentences.
-
-        Every word's gram becomes one row of ``order`` ids, left-padded with
-        -1, and the rows are sorted once, last id first. The order-k grams
-        are then the runs of rows sharing their last k ids: a run counts its
-        distinct order-(k+1) extensions, or its rows where the id before them
-        is padding (the gram starts the sentence) or k is the highest order.
-        """
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if smoothing not in ("kn", "none"):
-            raise ValueError(f"unknown smoothing {smoothing!r}")
-        vocab, flat, lengths = {}, array("i"), []  # ids in first-seen order, renumbered below
-        for words in corpus:
-            size = len(flat)
-            flat.extend(vocab.setdefault(w, len(vocab)) for w in words)
-            if len(flat) > size:
-                lengths.append(len(flat) - size)
-        if not lengths:
-            raise ValueError("corpus is empty")
-        _check_vocab(vocab)
-        ids = _word_ids(vocab)
-        n = order
-        lengths = np.array(lengths)
-        flat = np.array([ids[w] for w in vocab], np.int32)[np.frombuffer(flat, np.intc)]
-        opens = np.zeros(len(flat), bool)  # a window opens at each sentence
-        opens[np.cumsum(lengths) - lengths] = True
-        stream, pos = _padded_stream(flat, opens, n, ids[SENT_START])
-        rows = sliding_window_view(stream, n)[pos - n + 1]
-        del flat, opens, pos, stream
-        rows = rows[np.lexsort(rows.T)]
-        tables, counts = _gram_tables(rows)
-        del rows
-        discounts, fallback = zip(*map(_estimate_discounts, counts))
-        return cls(order, smoothing, vocab, tables, counts, list(discounts), list(fallback), metadata)
 
     # -- queries -----------------------------------------------------------
 
@@ -311,88 +338,41 @@ class NGramModel:
     # -- serialization -----------------------------------------------------
 
     def save(self, cflm_path: str | Path, arpa_path: str | Path) -> None:
-        """Write the ``.cflm`` file (see above), then the ARPA export, one BLOCK
-        of an order's id rows at a time, each block one byte matrix with a row
-        per line and a column per byte of every field, written in binary.
+        """Write the ``.cflm`` file (see above), then the ARPA export (see
+        ``save``)."""
+        save([self], [(cflm_path, arpa_path)])
 
-        ARPA: stored probabilities are the interpolated values; backoff
-        weights are the per-context discount masses, so an ARPA consumer
-        reproduces this model's probabilities. Sentence ends are not modeled,
-        so no </s> entry is emitted. Model metadata rides along as preamble
-        comments (readers skip text before the data marker). A zero
-        probability (<s>, or <unk> when unsmoothed) is written as -99.
-        Log10 values are ``math.log10``'s, spelled as ``f"{x:.7f}"`` spells
-        them (``_fixed_point``). Orders are evaluated bottom-up, each gram
-        over the probability of its suffix one order down.
-        """
-        head = {"order": self.order, "smoothing": self.smoothing, "vocab": sorted(self.vocab),
-                "grams": [len(t) for t in self.tables], "discounts": [list(d) for d in self.discounts],
-                "fallback": list(self.fallback), "metadata": self.metadata}
-        parts = [json.dumps(head, sort_keys=True, separators=(",", ":")).encode()]
-        for table, count in zip(self.tables, self.counts):
-            ids = zlib.compressobj(1)  # a copy of one column at a time, not of the table
-            columns = (np.ascontiguousarray(column, "<i4") for column in table.T)
-            parts += [b"".join([*map(ids.compress, columns), ids.flush()]),
-                      zlib.compress(np.ascontiguousarray(count, "<i8"), 1)]
-        crc = 0
-        with atomic_open(cflm_path, "wb") as cflm:
-            for piece in [MAGIC + bytes([FORMAT_VERSION]), *(
-                    x for p in parts for x in (len(p).to_bytes(8, "little"), p))]:
-                cflm.write(piece)
-                crc = zlib.crc32(piece, crc)
-            cflm.write(crc.to_bytes(4, "little"))
-        del parts
-        sizes = [len(self.tables[0]) + 2] + [len(t) for t in self.tables[1:]]  # + <unk>, <s>
-        header = [f"# {key}={self.metadata[key]}" for key in sorted(self.metadata)]
-        header += ["\\data\\", *(f"ngram {k}={c}" for k, c in enumerate(sizes, start=1)), ""]
-        # the UTF-8 spelling of each id, NUL-padded, or SPLICE for a word longer
-        # than WIDE bytes; the last one, id -1, is <unk>
-        spell = [w.encode() for w in self.words] + [UNK.encode()]
-        wide = {i: w for i, w in enumerate(spell) if len(w) > WIDE}
-        spell = np.array([SPLICE if i in wide else w for i, w in enumerate(spell)])
-        spell = spell.view(f"V{spell.itemsize}")
-        unigram = np.concatenate(([0, 0], self.counts[0]))  # <unk>, <s>, the words
-        probs = self._interpolate(1, unigram, np.zeros(len(unigram), int), self._p0)
-        probs[1] = 0.0  # <s>: never predicted
-        with atomic_open(arpa_path, "wb") as arpa:
-            arpa.write(("\n".join(header) + "\n").encode())
-            for k, grams in enumerate(self.tables, start=1):
-                if k == 1:
-                    grams = np.concatenate(([[-1], [self.ids[SENT_START]]], grams))
-                else:  # drop the order two below before this order's array is made
-                    lower = probs[2:] if k == 2 else probs
-                    probs = np.empty(len(grams))
-                arpa.write(f"\\{k}-grams:\n".encode())
-                for i in range(0, len(grams), BLOCK):
-                    rows, part = grams[i : i + BLOCK], slice(i, i + BLOCK)
-                    if k > 1:  # over the probability of each gram's suffix
-                        probs[part] = self._interpolate(k, self.counts[k - 1][part], self.run_of[k - 1][part],
-                                                        lower[self._find(k - 1, rows[:, 1:])])
-                    arpa.write(_arpa_text(rows, probs[part], *self._backoff_weights(k, rows), spell, wide))
-                arpa.write(b"\n")
-            arpa.write(b"\\end\\\n")
-
-    def _backoff_weights(self, k, rows):
-        """The order-k id rows, among ``rows``, that have a back-off weight,
-        and those weights; None for both at the highest order. A gram with no
-        continuation at order k+1 backs off with weight 1 (none); otherwise
-        the weight is its discount mass as a context, or 0 for an unsmoothed
-        model, which never backs off from a seen one."""
-        if k == self.order:
-            return None, None
-        cont = self._find(k + 1, rows)
-        has = np.flatnonzero(cont >= 0)
-        run = self.run_of[k][cont[has]]
-        if self.smoothing == "none":
-            return has, np.zeros(len(run))
-        return has, self.gamma_mass[k][run] / self.totals[k][run]
+    def lower_order(self, order: int) -> "NGramModel":
+        """The model ``train`` makes of a lower ``order`` from the same
+        corpus: a lower order's counts depend only on the grams one order up,
+        so it shares this model's orders below its own, and its top order
+        takes raw counts, each summed from the grams' left extensions one
+        order up (a gram that starts the sentence has none, and its count is
+        raw already)."""
+        if not 1 <= order <= self.order:
+            raise ValueError(f"order {order} is not in 1..{self.order}")
+        if order == self.order:
+            return self
+        raw = self.counts[-1]  # the top order's counts are raw
+        for k in range(self.order - 1, order - 1, -1):
+            up, raw = raw, np.zeros(len(self.tables[k - 1]), np.int64)
+            np.add.at(raw, self.links[k][0], up)
+            del up
+            start = self.tables[k - 1][:, 0] == self.ids[SENT_START]
+            raw[start] = self.counts[k - 1][start]
+        d, f = _estimate_discounts(raw)
+        model = NGramModel(order, self.smoothing, self.vocab, self.tables[:order],
+                           [*self.counts[: order - 1], raw], [*self.discounts[: order - 1], d],
+                           [*self.fallback[: order - 1], f], self.metadata, runs=self)
+        model.links = [*self.links[: order - 1], (self.links[order - 1][0], None)]
+        return model
 
     @classmethod
     def load(cls, path: str | Path) -> "NGramModel":
         """The model in the ``.cflm`` file at ``path``; any file ``save`` would
         not write is refused with a ValueError that starts with the path. The
         frame, the head and the vocabulary are checked first, each array as it
-        is inflated, and the rows' order by the constructor."""
+        is inflated, and the rows' order by the query index."""
         data = Path(path).read_bytes()
         view, end, parts, at = memoryview(data), len(data) - 4, [], 5
         try:
@@ -424,8 +404,10 @@ class NGramModel:
                 tables.append(ids.reshape(k, n).T)  # the rows, read column by column
                 counts.append(_inflated(parts[2 * k], "<i8", n, 1, 2**63, f"order-{k} counts"))
             del data, view, parts
-            return cls(head["order"], head["smoothing"], head["vocab"], tables, counts,
-                       [tuple(d) for d in head["discounts"]], head["fallback"], head["metadata"])
+            model = cls(head["order"], head["smoothing"], head["vocab"], tables, counts,
+                        [tuple(d) for d in head["discounts"]], head["fallback"], head["metadata"])
+            model._keys  # built now: it refuses rows that do not rise strictly
+            return model
         except ValueError as error:
             raise ValueError(f"{path}: {error}") from None
 
@@ -540,7 +522,164 @@ def _canonical_head(head) -> bool:
 
 
 def train(corpus, order: int, smoothing: str = "kn", metadata=None) -> NGramModel:
-    return NGramModel.train(corpus, order, smoothing=smoothing, metadata=metadata)
+    """Estimate a model of the given order from tokenized sentences, read once.
+
+    Every word's gram becomes one row of ``order`` ids, left-padded with -1,
+    and the rows are sorted once, last id first. The order-k grams are then
+    the runs of rows sharing their last k ids: a run counts its distinct
+    order-(k+1) extensions, or its rows where the id before them is padding
+    (the gram starts the sentence) or k is the highest order.
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if smoothing not in ("kn", "none"):
+        raise ValueError(f"unknown smoothing {smoothing!r}")
+    vocab, flat, lengths = defaultdict(itertools.count().__next__), array("i"), []  # ids in first-seen order
+    for words in corpus:
+        size = len(flat)
+        flat.extend(map(vocab.__getitem__, words))
+        if len(flat) > size:
+            lengths.append(len(flat) - size)
+    if not lengths:
+        raise ValueError("corpus is empty")
+    _check_vocab(vocab)
+    ids, n = _word_ids(vocab), order
+    lengths = np.array(lengths)
+    flat = np.array([ids[w] for w in vocab], np.int32)[np.frombuffer(flat, np.intc)]  # renumbered
+    opens = np.zeros(len(flat), bool)  # a window opens at each sentence
+    opens[np.cumsum(lengths) - lengths] = True
+    stream, pos = _padded_stream(flat, opens, n, ids[SENT_START])
+    del flat, opens
+    # a row's ids + 1, packed last id highest into as few int64 keys as hold
+    # them, so that one argsort (or a lexsort of those keys) sorts the rows
+    bits, keys = len(ids).bit_length(), []
+    for hi in range(n, 0, -(63 // bits)):
+        keys.append(np.zeros(len(pos), np.int64))
+        for j in range(hi - 1, max(hi - 63 // bits, 0) - 1, -1):
+            keys[-1] <<= bits
+            keys[-1] |= stream[pos - (n - 1 - j)] + 1
+    by_row = np.lexsort(keys[::-1]) if keys[1:] else np.argsort(keys[0])
+    rows = sliding_window_view(stream, n)[pos[by_row] - n + 1]
+    del pos, stream, keys, by_row
+    tables, counts, suffix = _gram_tables(rows)
+    del rows
+    discounts, fallback = zip(*map(_estimate_discounts, counts))
+    model = NGramModel(order, smoothing, vocab, tables, counts, list(discounts), list(fallback), metadata)
+    model.links = model._links(suffix)
+    return model
+
+
+def save(models, paths, map_fn=map) -> None:
+    """Write each model's ``.cflm`` file and ARPA export through
+    ``atomic_open``; ``paths`` holds a (cflm, arpa) pair per model.
+
+    Each ``.cflm`` part, then each BLOCK of an order's ARPA lines, is one
+    item, made by ``map_fn`` (which may make items in other processes) and
+    written here in item order to every file that holds it: models that
+    share an order's arrays, as ``lower_order`` makes them, share its parts
+    and, while they share the order above too, its lines. A process that
+    makes an order's lines computes its probabilities, over the order
+    below's, when it reaches them, and holds two orders' at a time.
+
+    ARPA: stored probabilities are the interpolated values; backoff weights
+    are the per-context discount masses, so an ARPA consumer reproduces the
+    model's probabilities. A gram with no continuation one order up backs
+    off with weight 1 (no field), and an unsmoothed model never backs off
+    from a seen context (weight 0). Sentence ends are not modeled, so no
+    </s> entry is emitted. Metadata rides along as preamble comments
+    (readers skip text before the data marker). A zero probability (<s>,
+    or <unk> when unsmoothed) is written as -99. Log10 values are
+    ``math.log10``'s, spelled as ``f"{x:.7f}"`` spells them (``_fixed_point``).
+    """
+    probs, spelling = {}, {}  # id of an order's counts -> its ARPA rows' probabilities
+
+    def probabilities(m, k):
+        if (key := id(m.counts[k - 1])) not in probs:
+            lower = probabilities(m, k - 1)[2 * (k == 2) :] if k > 1 else None
+            for old in [old for old in probs if k == 1 or old != id(m.counts[k - 2])]:
+                del probs[old]  # no later line of this process needs it
+            if k == 1:  # <unk>, <s> (never predicted), the words
+                unigram = np.concatenate(([0, 0], m.counts[0]))
+                p = m._interpolate(1, unigram, np.zeros(len(unigram), int), m._p0)
+                p[1] = 0.0
+            else:  # a BLOCK at a time, each gram over its suffix's probability
+                p = np.empty(len(m.tables[k - 1]))
+                for i in range(0, len(p), BLOCK):
+                    part = slice(i, i + BLOCK)
+                    p[part] = m._interpolate(k, m.counts[k - 1][part], m.run_of[k - 1][part],
+                                             lower[m.links[k - 1][0][part]])
+            probs[key] = p
+        return probs[key]
+
+    def lines(m, k, i):
+        """The ARPA lines of order-k rows i..i+BLOCK, after the section head
+        when i is 0 and before its blank line when they end it."""
+        rows, p = m.tables[k - 1], probabilities(m, k)
+        rows = (np.concatenate(([[-1], [m.ids[SENT_START]]], rows)) if k == 1 else rows)[i : i + BLOCK]
+        has = weights = None
+        if k < m.order:
+            run = m.links[k - 1][1][i : i + BLOCK]
+            run = run[has := np.flatnonzero(run >= 0)]
+            weights = np.zeros(len(run)) if m.smoothing == "none" else m.gamma_mass[k][run] / m.totals[k][run]
+        text = _arpa_text(rows, p[i : i + BLOCK], has, weights, *spelling[id(m)])
+        return b"".join([f"\\{k}-grams:\n".encode() * (i == 0), text, b"\n" * (i + BLOCK >= len(p))])
+
+    def items():  # (the files that hold it, a function making its bytes)
+        for arpa, k, kind in [(0, k, kind) for k in range(1, top + 1) for kind in (0, 1)] + [
+                (1, k, 1) for k in range(1, top + 1)]:
+            shared = {}
+            for i, m in sorted(enumerate(models), key=lambda im: im[1].order):  # a top order first
+                if k <= m.order:
+                    key = (id(m.counts[k - 1]), k < m.order and id(m.counts[k])) if arpa else id(
+                        (m.tables, m.counts)[kind][k - 1])
+                    shared.setdefault(key, ([], m))[0].append(2 * i + arpa)
+            for files, m in shared.values():
+                if arpa:
+                    size = len(m.tables[k - 1]) + 2 * (k == 1)
+                    yield from ((files, partial(lines, m, k, i)) for i in range(0, max(size, 1), BLOCK))
+                else:
+                    yield files, partial(_cflm_part, m, k, kind)
+
+    top = max(m.order for m in models)
+    for m in models:  # each id's UTF-8, NUL-padded, or SPLICE past WIDE bytes; id -1 is <unk>
+        spell = [w.encode() for w in m.words] + [UNK.encode()]
+        wide = {i: w for i, w in enumerate(spell) if len(w) > WIDE}
+        spell = np.array([SPLICE if i in wide else w for i, w in enumerate(spell)])
+        spelling[id(m)] = spell.view(f"V{spell.itemsize}"), wide
+    with ExitStack() as stack:
+        files = [stack.enter_context(atomic_open(path, "wb")) for pair in paths for path in pair]
+        crcs, pieces = [0] * len(files), []
+        for i, m in enumerate(models):
+            head = {"order": m.order, "smoothing": m.smoothing, "vocab": sorted(m.vocab),
+                    "grams": [len(t) for t in m.tables], "discounts": [list(d) for d in m.discounts],
+                    "fallback": list(m.fallback), "metadata": m.metadata}
+            head = json.dumps(head, sort_keys=True, separators=(",", ":")).encode()
+            text = [f"# {key}={m.metadata[key]}" for key in sorted(m.metadata)] + ["\\data\\"]
+            text += [f"ngram {k}={len(t) + 2 * (k == 1)}"  # + <unk>, <s>
+                     for k, t in enumerate(m.tables, start=1)]
+            pieces += [([2 * i], MAGIC + bytes([FORMAT_VERSION]) + len(head).to_bytes(8, "little") + head),
+                      ([2 * i + 1], ("\n".join(text) + "\n\n").encode())]
+        for targets, data in itertools.chain(pieces, map_fn(lambda item: (item[0], item[1]()), items())):
+            for f in targets:
+                files[f].write(data)
+                crcs[f] = zlib.crc32(data, crcs[f]) if f % 2 == 0 else 0
+        for f in range(0, len(files), 2):
+            files[f].write(crcs[f].to_bytes(4, "little"))
+            files[f + 1].write(b"\\end\\\n")
+    probs.clear()  # the recursive ``probabilities`` holds it in a cycle
+
+
+def _cflm_part(model, k, kind) -> bytes:
+    """The ``.cflm`` part of the order-k id rows (``kind`` 0), column by
+    column as little-endian int32, or of the counts as little-endian int64,
+    zlib level 1, after its length; one column is copied at a time."""
+    if kind:
+        data = zlib.compress(np.ascontiguousarray(model.counts[k - 1], "<i8"), 1)
+    else:
+        ids = zlib.compressobj(1)
+        columns = (np.ascontiguousarray(column, "<i4") for column in model.tables[k - 1].T)
+        data = b"".join([*map(ids.compress, columns), ids.flush()])
+    return len(data).to_bytes(8, "little") + data
 
 
 def _padded_stream(ids, opens, n: int, start_id: int):

@@ -12,7 +12,8 @@ call of it. All outputs carry the config hash and readers refuse inputs
 from a different hash. All randomness derives from the single top-level
 seed, split per stage. The stages that read the normalized books read them
 one at a time, so none holds the whole book corpus. A stage's independent
-books, chapters or LM orders run on every CPU it may use, by ``ordered_map``.
+books, chapters, LM orders or model-file pieces run on every CPU it may
+use, by ``ordered_map``.
 """
 
 from __future__ import annotations
@@ -187,7 +188,8 @@ def ordered_map(fn, items):
     its own, so it holds one result per process and raises the first error
     in item order. The workers are killed and reaped however it ends."""
     items = list(items)
-    n = min(len(items), len(os.sched_getaffinity(0)))  # below 2, no worker: a plain map
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1  # known on Linux
+    n = min(len(items), cpus)  # below 2, no worker: a plain map
     pids, pipes = [], []
     try:
         for k in range(1, n):
@@ -566,15 +568,16 @@ def stage_decontam(cfg: PipelineConfig) -> dict:
 
 
 def stage_lm_train(cfg: PipelineConfig) -> dict:
-    """Train each order on the non-blank lines of the kept books, which each
-    order reads afresh, one book at a time."""
+    """Train the highest order on the non-blank lines of the kept books,
+    read once, one book at a time, and each other order from it
+    (``lower_order``); the files' parts and ARPA blocks are made on every
+    CPU and written here, in order."""
     kept_ids = read_lines(_lm_dir(cfg) / "corpus_books.txt", cfg.config_hash())
     src = _stage_dir(cfg, "normalize")
     lm_dir = _lm_dir(cfg)
     summary = {"orders": list(cfg.lm_orders), "sentences": 0, "bytes": {}}
 
     def sentences():
-        summary["sentences"] = 0
         for book_id in kept_ids:
             for line in (src / f"{book_id}.txt").read_text(encoding="utf-8").split("\n"):
                 if words := line.split():
@@ -583,15 +586,10 @@ def stage_lm_train(cfg: PipelineConfig) -> dict:
 
     metadata = {"language": cfg.language, "config_hash": cfg.config_hash(),
                 "smoothing": "interpolated modified Kneser-Ney, 0.75 absolute fallback"}
-
-    def train(order):
-        path = lm_dir / f"lm_{order}.cflm"
-        ngramlm.train(sentences(), order, metadata=metadata).save(path, lm_dir / f"lm_{order}.arpa")
-        return summary["sentences"], path.stat().st_size
-
-    trained = list(ordered_map(train, cfg.lm_orders))
-    summary["sentences"] = trained[-1][0]
-    summary["bytes"] = {str(order): size for order, (_, size) in zip(cfg.lm_orders, trained)}
+    paths = [(lm_dir / f"lm_{order}.cflm", lm_dir / f"lm_{order}.arpa") for order in cfg.lm_orders]
+    top = ngramlm.train(sentences(), max(cfg.lm_orders), metadata=metadata)
+    ngramlm.save([top.lower_order(order) for order in cfg.lm_orders], paths, ordered_map)
+    summary["bytes"] = {str(order): cflm.stat().st_size for order, (cflm, _) in zip(cfg.lm_orders, paths)}
     return summary
 
 

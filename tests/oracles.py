@@ -1061,6 +1061,64 @@ def chunked_arpa(model, path: str | Path, chunk: int = 1 << 13) -> None:
         arpa.write("\\end\\\n")
 
 
+def per_order_train(corpus, order: int, smoothing: str = "kn", metadata=None):
+    """The array engine as one order trains alone, one sort per order:
+    every word's gram is a row of ``order`` ids, left-padded with -1, and
+    the rows are sorted last id first by ``np.lexsort``. The order-k grams
+    are the runs of rows sharing their last k ids; a run counts its
+    distinct extensions one order up, or its rows where the id before it is
+    padding, or at the highest order its rows. Each order's grams are then
+    sorted by all their ids."""
+    from corpus_forge.ngramlm import NGramModel
+
+    sentences = [list(s) for s in corpus if list(s)]
+    ids = {w: i for i, w in enumerate(sorted({w for s in sentences for w in s} | {SENT_START}))}
+    rows = []
+    for words in sentences:
+        padded = [-1] * (order - 1) + [ids[SENT_START]] + [ids[w] for w in words]
+        rows += [padded[p : p + order] for p in range(1, len(words) + 1)]
+    rows = np.array(rows, np.int32).reshape(-1, order)
+    rows = rows[np.lexsort(rows.T)]
+    tables, counts = [], []
+    for k in range(1, order + 1):
+        # the first row of each run sharing the last k ids, then its count
+        new = np.any(rows[1:, order - k :] != rows[:-1, order - k :], axis=1)
+        heads = np.flatnonzero(np.append(True, new))
+        ends = np.append(heads[1:], len(rows))
+        grams, run_counts = [], []
+        for a, b in zip(heads.tolist(), ends.tolist()):
+            if rows[a, order - k] == -1:
+                continue
+            before = rows[a:b, order - k - 1] if k < order else None
+            grams.append(rows[a, order - k :])
+            if k == order or before[0] == -1:
+                run_counts.append(b - a)
+            else:
+                run_counts.append(len(np.unique(before)))
+        grams = np.array(grams, np.int32).reshape(-1, k)
+        by_gram = np.lexsort(grams.T[::-1])
+        tables.append(grams[by_gram])
+        counts.append(np.array(run_counts, np.int64)[by_gram])
+    discounts, fallback = zip(*(_estimate_discounts(c.tolist()) for c in counts))
+    return NGramModel(order, smoothing, set(ids) - {SENT_START}, tables, counts, list(discounts),
+                      list(fallback), metadata)
+
+
+def per_order_files(model, cflm_path: str | Path, arpa_path: str | Path) -> None:
+    """The ``.cflm`` file of the array engine ``model``, each part one
+    ``zlib.compress`` call, and its ARPA export by ``chunked_arpa``, which
+    finds every suffix one order down with ``_find``."""
+    head = {"order": model.order, "smoothing": model.smoothing, "vocab": sorted(model.vocab),
+            "grams": [len(t) for t in model.tables], "discounts": [list(d) for d in model.discounts],
+            "fallback": list(model.fallback), "metadata": model.metadata}
+    parts = [json.dumps(head, sort_keys=True, separators=(",", ":")).encode("ascii")]
+    for table, count in zip(model.tables, model.counts):
+        parts += [zlib.compress(np.ascontiguousarray(table.T, "<i4").tobytes(), 1),
+                  zlib.compress(np.ascontiguousarray(count, "<i8").tobytes(), 1)]
+    Path(cflm_path).write_bytes(cflm_frame(parts))
+    chunked_arpa(model, arpa_path)
+
+
 def engine_probs(model, queries) -> list[float]:
     """P(word | context) of the array engine ``model`` for each (context,
     word) pair, in order, as one batch of id rows through

@@ -18,7 +18,8 @@ from corpus_forge.ngramlm import (
     higher_order_not_worse,
     train,
 )
-from oracles import DictNGramModel, cflm_frame, cflm_parts, chunked_arpa, engine_probs, per_token_evaluate
+from oracles import (DictNGramModel, cflm_frame, cflm_parts, chunked_arpa, engine_probs, per_order_files,
+                     per_order_train, per_token_evaluate)
 
 
 def prob(model, word, context=()):
@@ -1079,3 +1080,58 @@ def test_index_width_follows_the_largest_key(tmp_path, width):
     assert_same_model(loaded, model)
     for mine, theirs in zip([*loaded.run_of, *sum(loaded._keys, [])], [*model.run_of, *sum(model._keys, [])]):
         assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+
+
+# -- every order from one sort -------------------------------------------------
+
+
+def mixed_corpus(rng):
+    """Sentences of one word and shorter than the orders, repeated ones, and
+    words of non-ASCII letters and longer than WIDE bytes (spliced into the
+    ARPA text)."""
+    words = [f"w{i}" for i in range(25)] + ["née", "straße", "ü" * 3, "x" * (ngramlm.WIDE + 1),
+                                            "é" * ngramlm.WIDE]
+    corpus = [[rng.choice(words) for _ in range(rng.choice((1, 1, 2, 3, 4, 7, 15)))]
+              for _ in range(rng.randint(1, 250))]
+    corpus += [list(s) for s in rng.choices(corpus, k=rng.randint(0, 20))]
+    rng.shuffle(corpus)
+    return corpus
+
+
+@pytest.mark.parametrize("orders", [(1,), (5,), (3, 5), (2, 3, 4)], ids=lambda o: ",".join(map(str, o)))
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_one_sort_writes_the_files_of_one_sort_per_order(tmp_path, seed, orders):
+    """Each model ``lower_order`` makes from the highest order's one sort,
+    written with the others by ``ngramlm.save``, has the bytes of the model
+    trained at its own order alone."""
+    corpus = mixed_corpus(random.Random(seed))
+    smoothing = "none" if seed == 4 else "kn"
+    top = train(corpus, max(orders), smoothing, metadata={"language": "xx"})
+    paths = [(tmp_path / f"{order}.cflm", tmp_path / f"{order}.arpa") for order in orders]
+    ngramlm.save([top.lower_order(order) for order in orders], paths)
+    for order, (cflm, arpa) in zip(orders, paths):
+        alone = per_order_train(corpus, order, smoothing, metadata={"language": "xx"})
+        per_order_files(alone, tmp_path / "alone.cflm", tmp_path / "alone.arpa")
+        assert cflm.read_bytes() == (tmp_path / "alone.cflm").read_bytes(), order
+        assert arpa.read_bytes() == (tmp_path / "alone.arpa").read_bytes(), order
+
+
+def test_training_and_saving_never_search_the_query_index(tmp_path, monkeypatch):
+    """Suffixes and context runs come from the sort, not from ``_find``; the
+    query index is built only when a model is queried or loaded."""
+    def refused(*args):
+        raise AssertionError("_find called")
+
+    corpus = mixed_corpus(random.Random(5))
+    orders = (2, 3, 4, 5)
+    paths = [(tmp_path / f"{order}.cflm", tmp_path / f"{order}.arpa") for order in orders]
+    monkeypatch.setattr(NGramModel, "_find", refused)
+    top = train(corpus, 5)
+    models = [top.lower_order(order) for order in orders]
+    ngramlm.save(models, paths)
+    assert not any("_keys" in vars(model) for model in models)
+    monkeypatch.undo()
+    for order, (cflm, arpa) in zip(orders, paths):
+        per_order_files(per_order_train(corpus, order), tmp_path / "alone.cflm", tmp_path / "alone.arpa")
+        assert cflm.read_bytes() == (tmp_path / "alone.cflm").read_bytes(), order
+        assert arpa.read_bytes() == (tmp_path / "alone.arpa").read_bytes(), order

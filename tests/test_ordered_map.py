@@ -3,11 +3,14 @@ order from every process, no worker left behind, and errors that cross a
 pipe unchanged. The CPU count is set by patching ``os.sched_getaffinity``,
 so every case runs the same on a host of any size."""
 
+import json
 import os
 import pickle
 import shutil
 import signal
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +33,19 @@ def cpus(monkeypatch, n):
 def assert_no_process_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def one_thread_at_each_fork(monkeypatch):
+    """Every fork is made from a process of one OS thread: in the child only
+    the forking thread lives on, and a lock another thread held stays held."""
+    fork = os.fork
+
+    def from_one_thread():
+        assert len(os.listdir("/proc/self/task")) == 1
+        return fork()
+
+    monkeypatch.setattr(os, "fork", from_one_thread)
 
 
 @pytest.fixture
@@ -160,3 +176,110 @@ def test_a_fault_in_a_workers_share_reads_as_in_one_process(tmp_path, capsys, mo
     assert one_code == two_code == 2
     assert two_err == one_err
     assert two_err.startswith(f"error: {paths[0]}:{line}: ")
+
+
+def test_without_an_affinity_set_the_map_is_plain(monkeypatch, deadline):
+    """Where ``os.sched_getaffinity`` does not exist the CPUs are unknown:
+    this process makes every item, and nothing is forked."""
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "fork", None)
+    assert list(ordered_map(lambda i: (i * i, os.getpid()), range(5))) == [
+        (i * i, os.getpid()) for i in range(5)]
+
+
+def lm_config(root, tree, orders):
+    """A config file of the small run on ``tree`` with these ``lm_orders``,
+    and its output directory."""
+    cfg = small_config(root, input_dir=str(tree))
+    path = config_file(root / "run.cfg", cfg)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(f"lm_orders = {orders}\n")
+    return path, Path(cfg.output_dir)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.parametrize("orders, repeated", [("5,5", 5), ("3,5,3", 3)])
+def test_a_repeated_lm_order_is_refused(tmp_path, capsys, monkeypatch, deadline, small_input,
+                                        orders, repeated, n_cpus):
+    """Two models of one order would be written through one temporary file."""
+    cpus(monkeypatch, n_cpus)
+    path, out = lm_config(tmp_path, small_input, orders)
+    assert cli_main(["run", "--config", path]) == 2
+    assert capsys.readouterr().err == f"error: lm_orders repeats order {repeated}\n"
+    assert not out.exists()
+    assert_no_process_left()
+
+
+def test_lm_orders_in_either_order_write_the_same_models(tmp_path, capsys, monkeypatch, deadline,
+                                                         small_input):
+    """Only the config hash, which every file holds, and the summary's list
+    of orders tell the runs apart."""
+    cpus(monkeypatch, 2)
+    trees, reports = {}, {}
+    for orders in ("3,5", "5,3"):
+        (tmp_path / orders).mkdir()
+        path, trees[orders] = lm_config(tmp_path / orders, small_input, orders)
+        assert cli_main(["run", "--config", path]) == 0
+        reports[orders] = json.loads((trees[orders] / "report.json").read_text(encoding="utf-8"))
+    capsys.readouterr()
+    hashes = [reports[orders]["config_hash"] for orders in ("3,5", "5,3")]
+    assert hashes[0] != hashes[1]
+    names = sorted(path.name for path in (trees["3,5"] / "lm").iterdir())
+    assert names == sorted(path.name for path in (trees["5,3"] / "lm").iterdir())
+    for name in names:
+        mine, theirs = ((trees[o] / "lm" / name).read_bytes() for o in ("3,5", "5,3"))
+        mine, theirs = mine.replace(hashes[0].encode(), b""), theirs.replace(hashes[1].encode(), b"")
+        if name.endswith(".cflm"):  # the CRC-32 covers the hash
+            mine, theirs = mine[:-4], theirs[:-4]
+        assert mine == theirs, name
+    summaries = [reports[o]["stages"]["lm_train"] for o in ("3,5", "5,3")]
+    assert [summary.pop("orders") for summary in summaries] == [[3, 5], [5, 3]]
+    assert summaries[0] == summaries[1]
+    assert_no_process_left()
+
+
+@pytest.fixture(scope="module")
+def lm_input(tmp_path_factory, small_input):
+    """The small run's output tree up to ``lm_train``, and its config."""
+    cfg = small_config(tmp_path_factory.mktemp("lm_input"), input_dir=str(small_input))
+    pipeline.run_pipeline(cfg, until_stage="decontam")
+    return cfg
+
+
+def test_lm_train_writes_the_same_models_on_any_number_of_cpus(tmp_path, monkeypatch, deadline,
+                                                               lm_input):
+    files, summaries = [], []
+    for n in (1, 2, 3):
+        cpus(monkeypatch, n)
+        cfg = replace(lm_input, output_dir=str(tmp_path / f"cpus{n}"))
+        shutil.copytree(lm_input.output_dir, cfg.output_dir)
+        summaries.append(run_stage(cfg, "lm_train"))
+        lm = Path(cfg.output_dir) / "lm"
+        files.append({path.name: path.read_bytes() for path in sorted(lm.iterdir())})
+        assert_no_process_left()
+    assert sorted(files[0]) == ["corpus_books.txt", "decontam_report.tsv", "lm_3.arpa", "lm_3.cflm",
+                                "lm_5.arpa", "lm_5.cflm"]
+    assert files[0] == files[1] == files[2]
+    assert summaries[0] == summaries[1] == summaries[2]
+
+
+def test_a_model_file_that_cannot_be_placed_fails_alike_on_any_number_of_cpus(
+        tmp_path, capsys, monkeypatch, deadline, lm_input):
+    """A directory where ``lm_5.arpa`` goes: the stage fails as on one CPU,
+    leaving no temporary file, no provenance and no process."""
+    outcomes = []
+    for n in (1, 2, 3):
+        cpus(monkeypatch, n)
+        out = tmp_path / f"cpus{n}"
+        shutil.copytree(lm_input.output_dir, out)
+        (out / "lm" / "lm_5.arpa").mkdir()
+        path = config_file(tmp_path / f"{n}.cfg", replace(lm_input, output_dir=str(out)))
+        code = cli_main(["run", "--config", path, "--from-stage", "lm_train", "--until-stage", "lm_train"])
+        outcomes.append((code, capsys.readouterr().err.replace(str(out), "OUT")))
+        assert not list((out / "lm").glob("*.tmp"))
+        assert not (out / "work" / "lm_train" / "provenance.json").exists()
+        assert_no_process_left()
+    assert outcomes[0][0] == 3
+    assert outcomes[0][1].startswith("error: stage lm_train: ")
+    assert "OUT/lm/lm_5.arpa" in outcomes[0][1]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
