@@ -18,6 +18,8 @@ use, by ``ordered_map``.
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import json
 import os
 import pickle
@@ -184,9 +186,10 @@ def ordered_map(fn, items):
     """``map(fn, items)`` over the n CPUs of this process's affinity set: of
     n processes each takes every n-th item. The n - 1 workers, forked at the
     first ``next`` so they see the caller's state then, pickle each result or
-    error into a pipe; this process reads them in item order as it computes
-    its own, so it holds one result per process and raises the first error
-    in item order. The workers are killed and reaped however it ends."""
+    error into a pipe of up to 1 MiB, so a worker can run that far ahead;
+    this process reads them in item order as it computes its own, so it
+    holds one result per process and raises the first error in item order.
+    The workers are killed and reaped however it ends."""
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1  # known on Linux
     n = min(len(items), cpus)  # below 2, no worker: a plain map
@@ -194,6 +197,8 @@ def ordered_map(fn, items):
     try:
         for k in range(1, n):
             r, w = os.pipe()
+            with contextlib.suppress(PermissionError):  # past the system's limit: the default size
+                fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 20)
             pipes.append(open(r, "rb"))
             if (pid := os.fork()) == 0:  # the worker ends here, never in the caller's stack
                 try:

@@ -283,3 +283,17 @@ def test_a_model_file_that_cannot_be_placed_fails_alike_on_any_number_of_cpus(
     assert outcomes[0][1].startswith("error: stage lm_train: ")
     assert "OUT/lm/lm_5.arpa" in outcomes[0][1]
     assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def test_a_pipe_the_system_will_not_grow_keeps_its_size(monkeypatch, deadline):
+    """Pipes are grown to 1 MiB so that a worker can run ahead; past the
+    system's limit (``EPERM``) they keep the default size."""
+    cpus(monkeypatch, 2)
+
+    def refused(*args):
+        raise PermissionError(1, "Operation not permitted")
+
+    monkeypatch.setattr(pipeline.fcntl, "fcntl", refused)
+    assert list(ordered_map(lambda i: bytes(100_000) * (i % 2) + bytes([i]), range(6))) == [
+        bytes(100_000) * (i % 2) + bytes([i]) for i in range(6)]
+    assert_no_process_left()
